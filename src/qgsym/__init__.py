@@ -10,17 +10,14 @@ from .graphs import (
     MetricGraph,
     make_graph,
     smooth_degree2,
-    standard_condition,
     subdivide_midpoints,
 )
 from .groups import (
-    CyclicGroup,
     Irrep,
     ProductIrrep,
     crt_index,
     irrep_sum,
     irrep_value,
-    product_irrep_value,
 )
 from .actions import (
     FundamentalDomain,
@@ -34,6 +31,7 @@ from .builders import (
     cartesian_product,
     circulant_graph,
     cycle_graph,
+    cycle_product,
     product_action,
     product_circulant_isomorphism,
     torus_action,
@@ -61,7 +59,6 @@ from .quotient import (
 from .spectra import (
     Spectrum,
     compare_spectra,
-    find_roots_modulus,
     find_roots_real,
     find_roots_unitary,
     merge_spectra,

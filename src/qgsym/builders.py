@@ -172,6 +172,20 @@ def product_action(
     return GraphAction((a1.orders[0], a2.orders[0]), (build(1), build(2)))
 
 
+def cycle_product(
+    n1: int, n2: int, len1: float, len2: float
+) -> tuple[MetricGraph, GraphAction]:
+    """Cartesian product C_n1 x C_n2 with its G_n1 x G_n2 rotation action.
+
+    First-factor edges have full length len1, second-factor edges len2.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate tori are intentional here
+        c1, a1 = cycle_graph(n1, len1)
+        c2, a2 = cycle_graph(n2, len2)
+    return cartesian_product(c1, c2), product_action(c1, a1, c2, a2)
+
+
 def torus_action(
     n1: int, n2: int, l1_half: float, l3_half: float
 ) -> tuple[MetricGraph, GraphAction]:
@@ -181,14 +195,7 @@ def torus_action(
     2*l3_half along the second, so each subdivided half-edge has the
     quotient-graph lengths l1_half and l3_half.
     """
-    if l1_half <= 0 or l3_half <= 0:
-        raise NonPositiveLength(f"half-lengths ({l1_half}, {l3_half})")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degenerate tori are intentional here
-        c1, a1 = cycle_graph(n1, 2.0 * l1_half)
-        c2, a2 = cycle_graph(n2, 2.0 * l3_half)
-    prod = cartesian_product(c1, c2)
-    act = product_action(c1, a1, c2, a2)
+    prod, act = cycle_product(n1, n2, 2.0 * l1_half, 2.0 * l3_half)
     g_sub, act_sub = lift_action_subdivided(prod, act)
     _check_structural(g_sub, act_sub, f"torus_action({n1}, {n2})")
     return g_sub, act_sub

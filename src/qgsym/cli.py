@@ -74,22 +74,16 @@ def build_circulant(n, jumps, lens, output):
 @build.command("product")
 @click.option("--n1", type=int, required=True)
 @click.option("--n2", type=int, required=True)
-@click.option("--l1", type=float, required=True, help="half-length of first-direction edges")
-@click.option("--l3", type=float, required=True, help="half-length of second-direction edges")
+@click.option("--l1", type=float, required=True, help="half-length of second-factor edges (the quotient's L1 pair)")
+@click.option("--l3", type=float, required=True, help="half-length of first-factor edges (the quotient's L3 pair)")
 @click.option("-o", "--output", default="graph.json", show_default=True)
 @handle_errors
 def build_product(n1, n2, l1, l3, output):
-    """Product of two cycles; full edge lengths are 2*l1 and 2*l3."""
-    if l1 <= 0 or l3 <= 0:
-        from .errors import NonPositiveLength
+    """Product of two cycles, isospectral to `factors` with the same flags.
 
-        raise NonPositiveLength(f"half-lengths ({l1}, {l3})")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        c1, a1 = builders.cycle_graph(n1, 2.0 * l1)
-        c2, a2 = builders.cycle_graph(n2, 2.0 * l3)
-    g = builders.cartesian_product(c1, c2)
-    action = builders.product_action(c1, a1, c2, a2)
+    First-factor edges have full length 2*l3, second-factor edges 2*l1.
+    """
+    g, action = builders.cycle_product(n1, n2, 2.0 * l3, 2.0 * l1)
     io.save_graph(output, g, standard_conditions(g), action)
     click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
 

@@ -57,12 +57,20 @@ class NonUnitPhase(QgsymError):
     pass
 
 
+class NonUnitaryScattering(QgsymError):
+    """A locator that counts eigenphases was given a non-unitary S."""
+
+
 class MissingCondition(QgsymError):
     pass
 
 
 class UnsupportedCondition(QgsymError):
     pass
+
+
+class UnsupportedFormat(QgsymError):
+    """A graph document declares a format version this reader does not know."""
 
 
 class GridTooCoarse(QgsymError):

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DanglingEndpoint, NonPositiveLength, NotSimple, ZeroDegree
+from .errors import DanglingEndpoint, NonPositiveLength, NotSimple
 
 TAG_ORIGINAL = "original"
 TAG_DUMMY = "dummy"
@@ -37,21 +37,6 @@ class Edge:
     u: int
     v: int
     length: float
-
-
-@dataclass(frozen=True)
-class Bond:
-    """Directed copy of an edge."""
-
-    id: int
-    edge: int
-    origin: int
-    terminus: int
-    length: float
-
-    @property
-    def reversal_id(self) -> int:
-        return self.id ^ 1
 
 
 @dataclass(frozen=True)
@@ -85,14 +70,6 @@ class MetricGraph:
         return len(self.edges)
 
     @cached_property
-    def bonds(self) -> tuple[Bond, ...]:
-        out = []
-        for e in self.edges:
-            out.append(Bond(2 * e.id, e.id, e.u, e.v, e.length))
-            out.append(Bond(2 * e.id + 1, e.id, e.v, e.u, e.length))
-        return tuple(out)
-
-    @cached_property
     def _degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n_vertices
         for e in self.edges:
@@ -105,12 +82,6 @@ class MetricGraph:
 
     def incident_edges(self, v: int) -> list[int]:
         return [e.id for e in self.edges if v in (e.u, e.v)]
-
-    def bonds_out(self, v: int) -> list[Bond]:
-        return [b for b in self.bonds if b.origin == v]
-
-    def bonds_in(self, v: int) -> list[Bond]:
-        return [b for b in self.bonds if b.terminus == v]
 
     @property
     def total_length(self) -> float:
@@ -145,24 +116,6 @@ def make_graph(
                 raise NotSimple(f"parallel edge {key}")
             seen.add(key)
     return MetricGraph(vertices, edata)
-
-
-def standard_condition(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices (A, B) of the continuity + derivative-sum vertex condition.
-
-    A carries the bidiagonal 1,-1 continuity chain with a zero last row;
-    B is zero except for a last row of ones.  For degree 1 the chain is
-    empty and only the derivative row remains (Neumann endpoint).
-    """
-    if degree < 1:
-        raise ZeroDegree("vertex condition needs degree >= 1")
-    A = np.zeros((degree, degree), dtype=complex)
-    B = np.zeros((degree, degree), dtype=complex)
-    for i in range(degree - 1):
-        A[i, i] = 1.0
-        A[i, i + 1] = -1.0
-    B[-1, :] = 1.0
-    return A, B
 
 
 def subdivide_midpoints(g: MetricGraph) -> MetricGraph:

@@ -28,14 +28,6 @@ def irrep_value(n: int, s: int, kappa: int) -> complex:
     return _root_of_unity(s * (kappa % n), n)
 
 
-def product_irrep_value(n1: int, n2: int, s: int, t: int, kappa: int, iota: int) -> complex:
-    if not 0 <= s < n1:
-        raise LabelOutOfRange(f"label s={s} not in [0, {n1})")
-    if not 0 <= t < n2:
-        raise LabelOutOfRange(f"label t={t} not in [0, {n2})")
-    return irrep_value(n1, s, kappa) * irrep_value(n2, t, iota)
-
-
 def irrep_sum(n1: int, n2: int, kappa: int, iota: int) -> complex:
     """Sum of all n1*n2 product irreps at (kappa, iota).
 
@@ -44,7 +36,7 @@ def irrep_sum(n1: int, n2: int, kappa: int, iota: int) -> complex:
     total = 0.0 + 0.0j
     for s in range(n1):
         for t in range(n2):
-            total += product_irrep_value(n1, n2, s, t, kappa, iota)
+            total += irrep_value(n1, s, kappa) * irrep_value(n2, t, iota)
     return total
 
 
@@ -57,14 +49,6 @@ def crt_index(n1: int, n2: int, kappa: int, iota: int) -> int:
     if math.gcd(n1, n2) != 1:
         raise NotCoprime(f"gcd({n1}, {n2}) != 1")
     return (kappa * n2 + iota * n1) % (n1 * n2)
-
-
-@dataclass(frozen=True)
-class CyclicGroup:
-    order: int
-
-    def elements(self) -> range:
-        return range(self.order)
 
 
 @dataclass(frozen=True)
@@ -98,4 +82,4 @@ class ProductIrrep:
 
     def value(self, element: tuple[int, int]) -> complex:
         kappa, iota = element
-        return product_irrep_value(self.n1, self.n2, self.s, self.t, kappa, iota)
+        return irrep_value(self.n1, self.s, kappa) * irrep_value(self.n2, self.t, iota)

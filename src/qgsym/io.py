@@ -12,6 +12,7 @@ import json
 from typing import Optional, TextIO
 
 from .actions import GeneratorMaps, GraphAction
+from .errors import UnsupportedCondition, UnsupportedFormat
 from .graphs import MetricGraph, Vertex, Edge
 from .scattering import Condition, QuasiPeriodic, Standard
 from .spectra import SpectralRoot, Spectrum
@@ -62,6 +63,8 @@ def graph_to_doc(
 
 
 def doc_to_graph(doc: dict) -> tuple[MetricGraph, Optional[list[Condition]], Optional[GraphAction]]:
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise UnsupportedFormat(f"format_version {doc.get('format_version')!r}, expected {FORMAT_VERSION}")
     vertices = tuple(
         Vertex(v["id"], v.get("tag", "original")) for v in doc["vertices"]
     )
@@ -76,11 +79,13 @@ def doc_to_graph(doc: dict) -> tuple[MetricGraph, Optional[list[Condition]], Opt
         for c in doc["conditions"]:
             if c["type"] == "standard":
                 conditions.append(Standard(c["vertex"]))
-            else:
+            elif c["type"] == "quasi_periodic":
                 re, im = c["phase"]
                 conditions.append(
                     QuasiPeriodic(c["vertex"], complex(re, im), tuple(c["edges"]))
                 )
+            else:
+                raise UnsupportedCondition(f"vertex {c.get('vertex')}: condition type {c['type']!r}")
 
     action = None
     if "action" in doc:

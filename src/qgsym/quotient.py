@@ -84,18 +84,6 @@ def quotient_graph(spec: QuotientSpec) -> tuple[MetricGraph, list]:
     return g, conditions
 
 
-def quotient_condition_matrices(spec: QuotientSpec) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """(A, B) matrices per quotient vertex, in incident-edge order."""
-    from .graphs import standard_condition
-
-    out = {0: standard_condition(4)}
-    for vid, tau in ((1, spec.phase_l1), (2, spec.phase_l3)):
-        A = np.array([[tau, -1.0], [0.0, 0.0]], dtype=complex)
-        B = np.array([[0.0, 0.0], [tau, 1.0]], dtype=complex)
-        out[vid] = (A, B)
-    return out
-
-
 def quotient_system(spec: QuotientSpec, flipped_edges=()) -> SecularSystem:
     g, conds = quotient_graph(spec)
     return build_secular_system(g, conds, flipped_edges=flipped_edges)

@@ -1,4 +1,4 @@
-"""Bond scattering matrices and the secular determinant det(I - S D(k)).
+"""Scattering matrices on directed bonds and the secular determinant det(I - S D(k)).
 
 Bonds are ordered globally by (edge id, direction flag): bond 2e runs along
 edge e's stored orientation, bond 2e+1 against it.  For the two vertex
@@ -10,7 +10,7 @@ diag(exp(i k L_b)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -86,59 +86,54 @@ class SecularSystem:
 
 def build_secular_system(
     g: MetricGraph,
-    conditions: Iterable[Condition] | Mapping[int, Condition],
+    conditions: Iterable[Condition],
     flipped_edges: Iterable[int] = (),
 ) -> SecularSystem:
     """Assemble the bond scattering matrix from per-vertex conditions.
 
-    `flipped_edges` reverses the orientation convention of the listed edges
-    (bond 2e then runs head-to-tail); the secular determinant is invariant
-    under any such re-assembly.
+    The bond table is one origin per bond; bond b ends where bond b ^ 1
+    starts.  Each vertex writes its scattering matrix into the block
+    S[out, out ^ 1], rows the bonds leaving it in ascending order and
+    columns their reversals, the bonds arriving.  `flipped_edges` reverses
+    the orientation convention of the listed edges (bond 2e then runs
+    head-to-tail); the secular determinant is invariant under any such
+    re-assembly.
     """
-    if isinstance(conditions, Mapping):
-        cond_by_vertex = dict(conditions)
-    else:
-        cond_by_vertex = {c.vertex: c for c in conditions}
+    cond_by_vertex = {c.vertex: c for c in conditions}
     for v in range(g.n_vertices):
         if v not in cond_by_vertex:
             raise MissingCondition(f"vertex {v} has no condition")
+    stray = sorted(set(cond_by_vertex) - set(range(g.n_vertices)))
+    if stray:
+        raise UnsupportedCondition(f"conditions for vertices {stray} outside the graph")
 
     flipped = set(flipped_edges)
     nb = 2 * g.n_edges
-    # origin[b], terminus[b] under the chosen orientation convention
     origin = np.empty(nb, dtype=int)
-    terminus = np.empty(nb, dtype=int)
     lengths = np.empty(nb, dtype=float)
     for e in g.edges:
         u, v = (e.v, e.u) if e.id in flipped else (e.u, e.v)
-        origin[2 * e.id], terminus[2 * e.id] = u, v
-        origin[2 * e.id + 1], terminus[2 * e.id + 1] = v, u
+        origin[2 * e.id], origin[2 * e.id + 1] = u, v
         lengths[2 * e.id] = lengths[2 * e.id + 1] = e.length
+    by_origin = np.argsort(origin, kind="stable")
+    bonds_from = np.split(by_origin, np.cumsum(np.bincount(origin, minlength=g.n_vertices))[:-1])
 
     S = np.zeros((nb, nb), dtype=complex)
-    for v, cond in cond_by_vertex.items():
-        bonds_out = [b for b in range(nb) if origin[b] == v]
-        bonds_in = [b for b in range(nb) if terminus[b] == v]
+    for v in range(g.n_vertices):
+        cond, out = cond_by_vertex[v], bonds_from[v]
         if isinstance(cond, Standard):
-            d = len(bonds_out)
-            if d == 0:
+            if len(out) == 0:
                 continue  # isolated vertex carries no scattering
-            for bo in bonds_out:
-                for bi in bonds_in:
-                    S[bo, bi] = 2.0 / d - (1.0 if bo == bi ^ 1 else 0.0)
+            S[np.ix_(out, out ^ 1)] = vertex_scattering_standard(len(out))
         elif isinstance(cond, QuasiPeriodic):
-            tau = complex(cond.tau)
-            if abs(abs(tau) - 1.0) > 1e-12:
-                raise NonUnitPhase(f"|tau| = {abs(tau)} != 1 at vertex {v}")
             ep, eq = cond.edges
-            if ep == eq or g.is_loop(ep) or g.is_loop(eq):
-                raise UnsupportedCondition(f"quasi-periodic vertex {v} needs two distinct non-loop edges")
-            if len(bonds_in) != 2:
-                raise UnsupportedCondition(f"quasi-periodic vertex {v} must have degree 2")
-            in_p = next(b for b in (2 * ep, 2 * ep + 1) if terminus[b] == v)
-            in_q = next(b for b in (2 * eq, 2 * eq + 1) if terminus[b] == v)
-            S[in_q ^ 1, in_p] = tau
-            S[in_p ^ 1, in_q] = 1.0 / tau
+            # two bonds leaving on two distinct edges: degree 2, no loop
+            if ep == eq or sorted(out >> 1) != sorted((ep, eq)):
+                raise UnsupportedCondition(
+                    f"quasi-periodic vertex {v} needs degree 2 with two distinct non-loop edges {cond.edges}"
+                )
+            out = out if out[0] >> 1 == ep else out[::-1]  # (p-side, q-side)
+            S[np.ix_(out, out ^ 1)] = vertex_scattering_quasiperiodic(cond.tau)
         else:
             raise UnsupportedCondition(f"vertex {v}: {type(cond).__name__}")
 

@@ -1,13 +1,11 @@
 """Root extraction from secular functions and spectrum bookkeeping.
 
-Three locators are provided:
+Two locators are provided:
 
 - `find_roots_real`: grid scan + bisection for real-valued functions, with
   touching (even-order) roots detected as small local minima of |f| and
   orders confirmed by a winding number when an analytic continuation is
   supplied.
-- `find_roots_modulus`: local-minimum scan of |Sigma| for complex-valued
-  functions, golden-section refinement, winding-number orders.
 - `find_roots_unitary`: exact eigenphase counting for systems with unitary
   scattering.  N(k) = (sum of principal eigenphases at the reference point
   + k * total bond length - sum at k) / 2pi is an integer-valued, monotone
@@ -25,7 +23,7 @@ import numpy as np
 from scipy.optimize import bisect as _bisect
 from scipy.optimize import minimize_scalar
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, NonUnitaryScattering
 from .scattering import SecularSystem
 
 TWO_PI = 2.0 * math.pi
@@ -190,48 +188,6 @@ def find_roots_real(
     return Spectrum(tuple(out), k_max, {"grid_step": grid_step, "tol": tol})
 
 
-def find_roots_modulus(
-    fn: Callable[[complex], complex],
-    k_max: float,
-    grid_step: float,
-    tol: float = 1e-10,
-    winding_radius: Optional[float] = None,
-    source: str = "",
-) -> Spectrum:
-    """Roots of a complex-valued function on (0, k_max] via |f| minima.
-
-    Grid local minima of |f| are refined by bounded golden-section search;
-    a candidate is accepted with the order given by the winding number of f
-    on a small circle around it (zero winding rejects the minimum).
-    """
-    ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
-    if ks[-1] < k_max - 1e-12:
-        ks = np.append(ks, k_max)
-    absvals = np.array([abs(fn(k)) for k in ks])
-
-    candidates = []
-    for i in range(1, len(ks) - 1):
-        if absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]:
-            res = minimize_scalar(
-                lambda k: abs(fn(k)), bounds=(ks[i - 1], ks[i + 1]), method="bounded",
-                options={"xatol": tol},
-            )
-            candidates.append(float(res.x))
-
-    base_rad = winding_radius if winding_radius is not None else grid_step / 2.0
-    out = []
-    for km in candidates:
-        rad = _safe_radius(km, candidates, base_rad)
-        order = winding_number(fn, km, rad)
-        if order >= 1 and km <= k_max + tol:
-            # golden-section on |f| stalls near the kink at a zero; the
-            # contour centroid recovers the location to ~1e-10 for any order
-            km = _winding_centroid(fn, km, rad, order)
-            out.append(SpectralRoot(km, order, source))
-    out.sort(key=lambda r: r.k)
-    return Spectrum(tuple(out), k_max, {"grid_step": grid_step, "tol": tol})
-
-
 def find_roots_unitary(
     sys: SecularSystem,
     k_max: float,
@@ -247,8 +203,9 @@ def find_roots_unitary(
     root counting function is exact and monotone; each jump is localized by
     bisection and its size is the root's multiplicity.
     """
-    if sys.unitarity_defect() > 1e-10:
-        raise ValueError("scattering matrix is not unitary; use find_roots_modulus")
+    defect = sys.unitarity_defect()
+    if defect > 1e-10:
+        raise NonUnitaryScattering(f"|S S^H - I| = {defect:.3e}: eigenphase counting needs a unitary S")
     L = sys.lengths
     l_total = float(L.sum())
 

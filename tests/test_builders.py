@@ -8,6 +8,7 @@ from qgsym import (
     circulant_graph,
     crt_index,
     cycle_graph,
+    cycle_product,
     product_action,
     product_circulant_isomorphism,
     torus_action,
@@ -88,6 +89,7 @@ def test_product_action_is_valid_and_commutes():
     gp = cartesian_product(g1, g2)
     ap = product_action(g1, a1, g2, a2)
     assert validate_action(gp, ap).valid
+    assert cycle_product(3, 4, 1.0, 2.0) == (gp, ap)
     m10 = ap.maps((1, 0))
     m01 = ap.maps((0, 1))
     from qgsym.actions import compose_maps

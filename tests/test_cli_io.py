@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from qgsym import QuotientSpec, cycle_graph, quotient_graph
 from qgsym.cli import main
+from qgsym.errors import UnsupportedCondition, UnsupportedFormat
 from qgsym.io import (
     doc_to_graph,
     graph_to_doc,
@@ -112,6 +113,55 @@ def test_cli_factors_and_compare(tmp_path):
     save_spectrum(spath, shifted)
     res = runner.invoke(main, ["compare", fpath, spath])
     assert res.exit_code == 1
+
+
+def test_cli_build_product_is_isospectral_to_factors(tmp_path):
+    runner = CliRunner()
+    gpath, full, parts = (str(tmp_path / n) for n in ("torus.json", "full.csv", "factors.csv"))
+    flags = ["--n1", "2", "--n2", "3", "--l1", "0.5", "--l3", "1.0"]
+    steps = [
+        ["build", "product", *flags, "-o", gpath],
+        ["spectrum", gpath, "--kmax", "6", "-o", full],
+        ["factors", *flags, "--kmax", "6", "-o", parts],
+        ["compare", full, parts],
+    ]
+    for args in steps:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (args[0], res.output)
+
+
+def _spectrum_of_doc(tmp_path, doc):
+    gpath = str(tmp_path / "g.json")
+    with open(gpath, "w") as fh:
+        json.dump(doc, fh)
+    return CliRunner().invoke(main, ["spectrum", gpath, "-o", str(tmp_path / "s.csv")])
+
+
+def _assert_usage_error(res, kind):
+    assert res.exit_code == 2
+    try:
+        err_text = res.stderr
+    except ValueError:
+        err_text = ""
+    assert f"error: {kind}" in res.output + err_text
+
+
+def test_cli_rejects_unknown_condition_type(tmp_path):
+    spec = QuotientSpec(3, 4, 0.5, 1.0, 1, 2)
+    doc = graph_to_doc(*quotient_graph(spec))
+    doc["conditions"][1]["type"] = "robin"
+    with pytest.raises(UnsupportedCondition):
+        doc_to_graph(doc)
+    _assert_usage_error(_spectrum_of_doc(tmp_path, doc), "UnsupportedCondition")
+
+
+def test_cli_rejects_unknown_format_version(tmp_path):
+    g, a = cycle_graph(3, 1.0)
+    doc = graph_to_doc(g, action=a)
+    doc["format_version"] = 99
+    with pytest.raises(UnsupportedFormat):
+        doc_to_graph(doc)
+    _assert_usage_error(_spectrum_of_doc(tmp_path, doc), "UnsupportedFormat")
 
 
 def test_cli_build_quotient_and_scan(tmp_path):

@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
-from qgsym import make_graph, smooth_degree2, standard_condition, subdivide_midpoints
-from qgsym.errors import DanglingEndpoint, NonPositiveLength, NotSimple, ZeroDegree
+from qgsym import make_graph, smooth_degree2, subdivide_midpoints
+from qgsym.errors import DanglingEndpoint, NonPositiveLength, NotSimple
 
 
 def test_make_graph_basic():
@@ -39,30 +38,6 @@ def test_length_and_endpoint_validation():
         make_graph(2, [(0, 1, -2.0)])
     with pytest.raises(DanglingEndpoint):
         make_graph(2, [(0, 3, 1.0)])
-
-
-def test_bond_reversal_pairing():
-    g = make_graph(2, [(0, 1, 1.0), (0, 1, 1.0)])
-    bonds = g.bonds
-    assert len(bonds) == 4
-    for b in bonds:
-        assert bonds[b.reversal_id].reversal_id == b.id
-    out0 = {b.id for b in g.bonds_out(0)}
-    in0 = {b.id for b in g.bonds_in(0)}
-    assert out0 == {b.reversal_id for b in g.bonds_in(0)}
-    assert len(out0) == len(in0) == 2
-
-
-def test_standard_condition_shapes():
-    A, B = standard_condition(3)
-    assert A.shape == (3, 3) and B.shape == (3, 3)
-    # continuity rows + one current row; rank of [A|B] is full
-    stacked = np.hstack([A, B])
-    assert np.linalg.matrix_rank(stacked) == 3
-    A1, B1 = standard_condition(1)
-    assert A1.shape == (1, 1) and B1.shape == (1, 1)
-    with pytest.raises(ZeroDegree):
-        standard_condition(0)
 
 
 def test_subdivide_midpoints_structure():

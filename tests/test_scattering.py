@@ -51,12 +51,20 @@ def test_system_unitarity_and_connectivity():
     sys = build_secular_system(g, standard_conditions(g))
     assert sys.size == 6
     assert sys.unitarity_defect() < 1e-12
-    # S[b, b'] may be nonzero only when bond b' feeds into bond b's origin
-    bonds = g.bonds
-    for b in bonds:
-        for bp in bonds:
-            if abs(sys.S[b.id, bp.id]) > 1e-14:
-                assert bp.terminus == b.origin
+    # bond 2e runs u -> v along edge e, bond 2e+1 runs v -> u
+    origin = [end for e in g.edges for end in (e.u, e.v)]
+    terminus = [end for e in g.edges for end in (e.v, e.u)]
+    # S[b, b'] = 2/d - [b = reversal of b'] when b' feeds into b's origin, else 0
+    for b in range(6):
+        d = g.degree(origin[b])
+        for bp in range(6):
+            want = 2.0 / d - (b == bp ^ 1) if terminus[bp] == origin[b] else 0.0
+            assert sys.S[b, bp] == want
+    # each vertex block, rows leaving and columns arriving, is the vertex matrix
+    for v in range(g.n_vertices):
+        out = [b for b in range(6) if origin[b] == v]
+        block = sys.S[np.ix_(out, [b ^ 1 for b in out])]
+        assert np.array_equal(block, vertex_scattering_standard(g.degree(v)))
 
 
 def test_phase_matrix_is_diagonal_unit_modulus():
@@ -84,6 +92,8 @@ def test_quasiperiodic_condition_on_degree2_vertex():
     conds = [Standard(0), QuasiPeriodic(1, tau, (0, 1)), Standard(2)]
     sys = build_secular_system(g, conds)
     assert sys.unitarity_defect() < 1e-12
+    # leaving vertex 1 along edge 0 (p-side) is bond 1, along edge 1 (q-side) bond 2
+    assert np.array_equal(sys.S[np.ix_([1, 2], [0, 3])], vertex_scattering_quasiperiodic(tau))
     # the phase cancels against its inverse on the return trip: the interval
     # of length 2 with reflecting ends keeps spectrum {m*pi/2}
     for m in (1, 2, 3):
@@ -103,6 +113,15 @@ def test_condition_validation_errors():
         build_secular_system(
             g, [QuasiPeriodic(0, 1.0, (0, 0)), Standard(1), Standard(2)]
         )
+    path = make_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    with pytest.raises(UnsupportedCondition):
+        # edge 2 does not touch vertex 1
+        build_secular_system(
+            path, [Standard(0), QuasiPeriodic(1, 1.0, (0, 2)), Standard(2), Standard(3)]
+        )
+    with pytest.raises(UnsupportedCondition):
+        # vertex 3 is not in the graph
+        build_secular_system(g, [Standard(0), Standard(1), Standard(2), Standard(3)])
 
 
 def test_flipped_edges_leave_determinant_invariant():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from qgsym import (
+    SecularSystem,
     Spectrum,
     build_secular_system,
     compare_spectra,
     cycle_graph,
-    find_roots_modulus,
     find_roots_real,
     find_roots_unitary,
     merge_spectra,
@@ -17,7 +17,7 @@ from qgsym import (
     weyl_count_check,
     winding_number,
 )
-from qgsym.errors import GridTooCoarse
+from qgsym.errors import GridTooCoarse, NonUnitaryScattering, QgsymError
 from qgsym.spectra import SpectralRoot
 
 
@@ -58,24 +58,6 @@ def test_winding_number_counts_order():
     assert winding_number(lambda z: z - 5.0, 2.0, 0.1) == 0
 
 
-def test_find_roots_modulus():
-    fn = lambda z: cmath.exp(2j * z) - 1.0  # simple roots at m*pi
-    s = find_roots_modulus(fn, 10.0, 0.05)
-    want = [math.pi, 2 * math.pi, 3 * math.pi]
-    assert len(s.roots) == 3
-    for r, w in zip(s.roots, want):
-        assert r.k == pytest.approx(w, abs=1e-8)
-        assert r.order == 1
-
-
-def test_find_roots_modulus_multiple_root():
-    fn = lambda z: (cmath.exp(2j * z) - 1.0) ** 2
-    s = find_roots_modulus(fn, 4.0, 0.05)
-    assert len(s.roots) == 1
-    assert s.roots[0].order == 2
-    assert s.roots[0].k == pytest.approx(math.pi, abs=1e-9)
-
-
 def test_find_roots_unitary_cycle():
     g, _ = cycle_graph(3, 1.0)
     sys = build_secular_system(g, standard_conditions(g))
@@ -85,6 +67,15 @@ def test_find_roots_unitary_cycle():
     for r, w in zip(s.roots, want):
         assert r.k == pytest.approx(w, abs=1e-9)
         assert r.order == 2
+
+
+def test_find_roots_unitary_rejects_non_unitary_system():
+    g, _ = cycle_graph(3, 1.0)
+    sys = SecularSystem(0.5 * np.eye(6), np.ones(6), g)
+    with pytest.raises(NonUnitaryScattering) as info:
+        find_roots_unitary(sys, 5.0)
+    assert isinstance(info.value, QgsymError)
+    assert "find_roots_modulus" not in str(info.value)
 
 
 def test_spectrum_bookkeeping():
