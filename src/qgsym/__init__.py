@@ -14,7 +14,6 @@ from .graphs import (
 )
 from .groups import (
     Irrep,
-    ProductIrrep,
     crt_index,
     irrep_sum,
     irrep_value,

@@ -2,19 +2,27 @@
 
 An action is stored per generator as a vertex permutation, an edge
 permutation, and per-edge orientation flags (True when the generator reverses
-the parameterization of that edge).  Arbitrary group elements are obtained by
-composing generator powers; the acting group is cyclic or a product of two
-cyclic factors, so composition order does not matter.
+the parameterization of that edge).  The acting group is a product of cyclic
+factors with commuting generators, so every element's maps are read from one
+element table built from the generators' powers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
+
+import numpy as np
 
 from .errors import CoverageGap, NotTransitive
 from .graphs import TAG_DUMMY, TAG_ORIGINAL, MetricGraph, subdivide_midpoints
+
+# (vertex images, edge images, edge flips), each with the vertex or edge
+# index on the last axis
+Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -23,58 +31,77 @@ class GeneratorMaps:
     edge_perm: tuple[int, ...]
     edge_flip: tuple[bool, ...]
 
+    @classmethod
+    def from_arrays(cls, vertex, edge, flip) -> "GeneratorMaps":
+        return cls(tuple(vertex.tolist()), tuple(edge.tolist()), tuple(flip.tolist()))
 
-def identity_maps(n_vertices: int, n_edges: int) -> GeneratorMaps:
-    return GeneratorMaps(
-        tuple(range(n_vertices)), tuple(range(n_edges)), (False,) * n_edges
+    def arrays(self) -> Arrays:
+        vertex, edge = (np.asarray(p, dtype=np.intp) for p in (self.vertex_perm, self.edge_perm))
+        return vertex, edge, np.asarray(self.edge_flip, dtype=bool)
+
+
+def _identity(gen: GeneratorMaps) -> Arrays:
+    """Identity maps on the vertices and edges that `gen` acts on."""
+    ne = len(gen.edge_perm)
+    return np.arange(len(gen.vertex_perm)), np.arange(ne), np.zeros(ne, dtype=bool)
+
+
+def _then(first: Arrays, second: Arrays) -> Arrays:
+    """Maps of 'apply first, then second', broadcast over the leading axes."""
+    (v1, e1, f1), (v2, e2, f2) = first, second
+    return (
+        np.take_along_axis(v2, v1, axis=-1),
+        np.take_along_axis(e2, e1, axis=-1),
+        f1 ^ np.take_along_axis(f2, e1, axis=-1),
     )
-
-
-def compose_maps(first: GeneratorMaps, second: GeneratorMaps) -> GeneratorMaps:
-    """Maps of 'apply first, then second'."""
-    vp = tuple(second.vertex_perm[v] for v in first.vertex_perm)
-    ep = tuple(second.edge_perm[e] for e in first.edge_perm)
-    fl = tuple(
-        first.edge_flip[e] ^ second.edge_flip[first.edge_perm[e]]
-        for e in range(len(first.edge_perm))
-    )
-    return GeneratorMaps(vp, ep, fl)
 
 
 @dataclass(frozen=True)
 class GraphAction:
-    """Action of a (product of) cyclic group(s) on a metric graph."""
+    """Action of a product of cyclic groups on a metric graph.
+
+    Element (a, b, ...) applies generator 0 a times, then generator 1 b
+    times, and so on; one order per generator.
+    """
 
     orders: tuple[int, ...]
     generators: tuple[GeneratorMaps, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def group_size(self) -> int:
-        size = 1
-        for n in self.orders:
-            size *= n
-        return size
+        return math.prod(self.orders)
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(*(range(n) for n in self.orders))
 
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.orders)
+    def index(self, element: tuple[int, ...]) -> int:
+        """Row of `element`, reduced mod the orders, in `table`."""
+        return int(np.ravel_multi_index(element, self.orders, mode="wrap"))
+
+    @cached_property
+    def _powers(self) -> tuple[Arrays, ...]:
+        """Powers 0..n of each generator of order n, stacked on a leading axis."""
+        out = []
+        for gen, n in zip(self.generators, self.orders):
+            rows, step = [_identity(gen)], gen.arrays()
+            for _ in range(n):
+                rows.append(_then(rows[-1], step))
+            out.append(tuple(np.stack(x) for x in zip(*rows)))
+        return tuple(out)
+
+    @cached_property
+    def table(self) -> Arrays:
+        """Maps of every element, one row each in `elements()` order."""
+        first = self.generators[0] if self.generators else GeneratorMaps((), (), ())
+        table = tuple(x[None] for x in _identity(first))
+        for powers, n in zip(self._powers, self.orders):
+            step = _then(tuple(x[:, None] for x in table), tuple(x[None, :n] for x in powers))
+            table = tuple(x.reshape(x.shape[0] * n, x.shape[-1]) for x in step)
+        return table
 
     def maps(self, element: tuple[int, ...]) -> GeneratorMaps:
-        element = tuple(e % n for e, n in zip(element, self.orders))
-        if element in self._cache:
-            return self._cache[element]
-        nv = len(self.generators[0].vertex_perm) if self.generators else 0
-        ne = len(self.generators[0].edge_perm) if self.generators else 0
-        m = identity_maps(nv, ne)
-        for gen, power in zip(self.generators, element):
-            for _ in range(power):
-                m = compose_maps(m, gen)
-        self._cache[element] = m
-        return m
+        row = self.index(element)
+        return GeneratorMaps.from_arrays(*(x[row] for x in self.table))
 
 
 @dataclass(frozen=True)
@@ -88,7 +115,9 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
     """Exhaustively check the group-action axioms on a finite graph.
 
     Continuity, discreteness and co-compactness hold automatically for
-    finite graphs and are reported as vacuous.  Faithfulness is checked
+    finite graphs and are reported as vacuous.  The group law needs one
+    order per generator, commuting generators, and each generator to the
+    power of its order equal to the identity.  Faithfulness is checked
     combinatorially: no nonidentity element may fix a vertex, fix an edge
     orientation-preservingly (fixes every interior point), or fix an edge
     with reversed orientation (fixes the midpoint).
@@ -101,46 +130,48 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
             violations.append(("bijectivity", f"generator {i} vertex map is not a permutation"))
         if sorted(gen.edge_perm) != list(range(ne)):
             violations.append(("bijectivity", f"generator {i} edge map is not a permutation"))
+        if len(gen.edge_flip) != ne:
+            violations.append(("bijectivity", f"generator {i} has {len(gen.edge_flip)} edge flips for {ne} edges"))
+    if not a.generators:
+        violations.append(("group_law", "the action has no generators"))
+    elif len(a.orders) != len(a.generators):
+        violations.append(("group_law", f"{len(a.orders)} orders for {len(a.generators)} generators"))
 
     if not violations:
-        # generator order divides the group order
-        for i, (gen, n) in enumerate(zip(a.generators, a.orders)):
-            m = identity_maps(nv, ne)
-            for _ in range(n):
-                m = compose_maps(m, gen)
-            if m != identity_maps(nv, ne):
+        for i, (powers, n) in enumerate(zip(a._powers, a.orders)):
+            if not all(np.array_equal(x[n], x[0]) for x in powers):
                 violations.append(("group_law", f"generator {i} to the power {n} is not the identity"))
+        gens = [gen.arrays() for gen in a.generators]
+        for i, j in itertools.combinations(range(len(gens)), 2):
+            if not all(map(np.array_equal, _then(gens[i], gens[j]), _then(gens[j], gens[i]))):
+                violations.append(("group_law", f"generators {i} and {j} do not commute"))
 
         # structure preservation: endpoints and lengths
-        for i, gen in enumerate(a.generators):
-            for e in g.edges:
-                img = g.edges[gen.edge_perm[e.id]]
-                mapped = (gen.vertex_perm[e.u], gen.vertex_perm[e.v])
-                expected = (img.v, img.u) if gen.edge_flip[e.id] else (img.u, img.v)
-                if mapped != expected:
-                    violations.append(
-                        ("adjacency", f"generator {i}, edge {e.id}: endpoints map to {mapped}, image edge has {expected}")
-                    )
-                if abs(img.length - e.length) > 1e-12 * max(1.0, e.length):
-                    violations.append(
-                        ("length", f"generator {i}, edge {e.id}: length {e.length} maps to {img.length}")
-                    )
+        ends = np.array([(e.u, e.v) for e in g.edges], dtype=np.intp).reshape(ne, 2)
+        length = g.edge_lengths()
+        for i, (vp, ep, fl) in enumerate(gens):
+            mapped, expected = vp[ends], np.where(fl[:, None], ends[ep, ::-1], ends[ep])
+            bad_ends = (mapped != expected).any(axis=1)
+            bad_length = np.abs(length[ep] - length) > 1e-12 * np.maximum(1.0, length)
+            for e in np.flatnonzero(bad_ends | bad_length).tolist():
+                if bad_ends[e]:
+                    violations.append(("adjacency", f"generator {i}, edge {e}: endpoints map to "
+                                       f"{tuple(mapped[e].tolist())}, image edge has {tuple(expected[e].tolist())}"))
+                if bad_length[e]:
+                    violations.append(("length", f"generator {i}, edge {e}: length {length[e]} maps to {length[ep[e]]}"))
 
-        # faithfulness over the whole group
-        for element in a.elements():
-            if element == a.identity:
-                continue
-            m = a.maps(element)
-            for v in range(nv):
-                if m.vertex_perm[v] == v:
-                    violations.append(("faithfulness", f"element {element} fixes vertex {v}"))
-                    break
+        # faithfulness over the whole group; row 0 is the identity
+        vp, ep, fl = a.table
+        fixes_vertex = vp[1:] == np.arange(nv)
+        fixes_edge = ep[1:] == np.arange(ne)
+        elements = list(a.elements())[1:]
+        for r in np.flatnonzero(fixes_vertex.any(axis=1) | fixes_edge.any(axis=1)).tolist():
+            if fixes_vertex[r].any():
+                violations.append(("faithfulness", f"element {elements[r]} fixes vertex {int(fixes_vertex[r].argmax())}"))
             else:
-                for e in range(ne):
-                    if m.edge_perm[e] == e:
-                        what = "midpoint of" if m.edge_flip[e] else "every point of"
-                        violations.append(("faithfulness", f"element {element} fixes {what} edge {e}"))
-                        break
+                e = int(fixes_edge[r].argmax())
+                what = "midpoint of" if fl[r + 1, e] else "every point of"
+                violations.append(("faithfulness", f"element {elements[r]} fixes {what} edge {e}"))
 
     return ActionReport(
         valid=not violations,
@@ -151,12 +182,7 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
 
 def orbit(a: GraphAction, edge_id: int) -> list[int]:
     """The edge orbit {g.e} over all group elements, without duplicates."""
-    seen: list[int] = []
-    for element in a.elements():
-        img = a.maps(element).edge_perm[edge_id]
-        if img not in seen:
-            seen.append(img)
-    return seen
+    return list(dict.fromkeys(a.table[1][:, edge_id].tolist()))
 
 
 @dataclass(frozen=True)
@@ -180,7 +206,8 @@ def fundamental_domain(g: MetricGraph, a: GraphAction, seed: int) -> Fundamental
     if seed not in originals:
         raise NotTransitive(f"seed {seed} is not an original vertex")
 
-    vertex_orbit = {a.maps(el).vertex_perm[seed] for el in a.elements()}
+    vertex_images, edge_images, _ = a.table
+    vertex_orbit = set(vertex_images[:, seed].tolist())
     if vertex_orbit != set(originals) or a.group_size != len(originals):
         raise NotTransitive(
             f"action is not simply transitive on original vertices "
@@ -197,14 +224,12 @@ def fundamental_domain(g: MetricGraph, a: GraphAction, seed: int) -> Fundamental
         dummies.append(other)
 
     # covering: the shifted copies of the half-edge set partition all edges
-    covered: list[int] = []
-    for el in a.elements():
-        m = a.maps(el)
-        covered.extend(m.edge_perm[e] for e in half_edges)
-    if sorted(covered) != list(range(g.n_edges)):
+    covered = np.sort(edge_images[:, half_edges], axis=None)
+    if not np.array_equal(covered, np.arange(g.n_edges)):
         raise CoverageGap("group shifts of the domain half-edges do not tile the edge set")
 
     # gluing: the element whose copy owns the other half of each dummy
+    elements = list(a.elements())
     boundary = []
     for d in dummies:
         inc = g.incident_edges(d)
@@ -213,8 +238,7 @@ def fundamental_domain(g: MetricGraph, a: GraphAction, seed: int) -> Fundamental
             raise CoverageGap(f"dummy vertex {d} is not a plain midpoint")
         e = g.edges[other_half[0]]
         w = e.v if g.vertices[e.v].tag == TAG_ORIGINAL else e.u
-        el = next(el for el in a.elements() if a.maps(el).vertex_perm[seed] == w)
-        boundary.append((d, el))
+        boundary.append((d, elements[int(np.argmax(vertex_images[:, seed] == w))]))
 
     return FundamentalDomain(
         seed=seed,
@@ -232,21 +256,11 @@ def lift_action_subdivided(g: MetricGraph, a: GraphAction) -> tuple[MetricGraph,
     halves and reverses each.
     """
     g_sub = subdivide_midpoints(g)
-    n = g.n_vertices
     gens = []
     for gen in a.generators:
-        vperm = list(gen.vertex_perm) + [n + gen.edge_perm[j] for j in range(g.n_edges)]
-        eperm = [0] * (2 * g.n_edges)
-        eflip = [False] * (2 * g.n_edges)
-        for j in range(g.n_edges):
-            img = gen.edge_perm[j]
-            if gen.edge_flip[j]:
-                eperm[2 * j] = 2 * img + 1
-                eperm[2 * j + 1] = 2 * img
-                eflip[2 * j] = True
-                eflip[2 * j + 1] = True
-            else:
-                eperm[2 * j] = 2 * img
-                eperm[2 * j + 1] = 2 * img + 1
-        gens.append(GeneratorMaps(tuple(vperm), tuple(eperm), tuple(eflip)))
+        vp, ep, fl = gen.arrays()
+        halves = 2 * ep[:, None] + np.where(fl[:, None], [1, 0], [0, 1])
+        gens.append(GeneratorMaps.from_arrays(
+            np.concatenate([vp, g.n_vertices + ep]), halves.ravel(), np.repeat(fl, 2)
+        ))
     return g_sub, GraphAction(a.orders, tuple(gens))

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
+
 from .actions import (
     GeneratorMaps,
     GraphAction,
@@ -19,6 +21,7 @@ from .errors import (
     JumpOutOfRange,
     NonPositiveLength,
     NotCoprime,
+    require_positive,
 )
 from .graphs import MetricGraph, make_graph
 from .groups import crt_index
@@ -28,7 +31,8 @@ from .groups import crt_index
 _STRUCTURAL = ("bijectivity", "group_law", "adjacency", "length")
 
 
-def _check_structural(g: MetricGraph, a: GraphAction, what: str) -> None:
+def check_structural(g: MetricGraph, a: GraphAction, what: str) -> None:
+    """Raise InvalidAction naming the first structural violation of `a` on `g`."""
     report = validate_action(g, a)
     bad = [v for v in report.violations if v[0] in _STRUCTURAL]
     if bad:
@@ -41,25 +45,17 @@ def cycle_graph(n: int, length: float) -> tuple[MetricGraph, GraphAction]:
     n = 1 yields a single loop, n = 2 a digon; both are flagged with a
     warning since they are multigraphs.
     """
+    require_positive(n=n)
     if length <= 0:
         raise NonPositiveLength(f"cycle edge length {length}")
     if n < 3:
         warnings.warn(f"cycle with n={n} is a multigraph (loop/digon)", stacklevel=2)
-    if n == 1:
-        g = make_graph(1, [(0, 0, length)])
-        action = GraphAction((1,), (GeneratorMaps((0,), (0,), (False,)),))
-        return g, action
-    edges = [(i, (i + 1) % n, length) for i in range(n)]
-    g = make_graph(n, edges)
-    vperm = tuple((i + 1) % n for i in range(n))
-    if n == 2:
-        # digon: the rotation swaps the two parallel edges; both are stored
-        # head-to-tail around the cycle, so parameterization is preserved
-        gen = GeneratorMaps(vperm, (1, 0), (False, False))
-    else:
-        gen = GeneratorMaps(vperm, tuple((i + 1) % n for i in range(n)), (False,) * n)
-    action = GraphAction((n,), (gen,))
-    _check_structural(g, action, f"cycle_graph({n})")
+    # edge i runs from i to i + 1, so the rotation carries it onto edge i + 1
+    # without reversing it; for the digon it swaps the two parallel edges
+    g = make_graph(n, [(i, (i + 1) % n, length) for i in range(n)])
+    step = tuple((i + 1) % n for i in range(n))
+    action = GraphAction((n,), (GeneratorMaps(step, step, (False,) * n),))
+    check_structural(g, action, f"cycle_graph({n})")
     return g, action
 
 
@@ -83,29 +79,19 @@ def circulant_graph(
         if L <= 0:
             raise NonPositiveLength(f"jump-class length {L}")
 
-    edges = []
-    class_ranges = []  # (start edge id, count, antipodal?)
+    # the rotation carries edge i of a jump class onto edge i + 1; the last
+    # antipodal edge (n/2 - 1, n - 1) lands reversed on the class's first
+    edges, eperm, eflip = [], [], []
     for s, L in zip(jumps, lengths):
         count = n // 2 if 2 * s == n else n
         start = len(edges)
-        for i in range(count):
-            edges.append((i, (i + s) % n, float(L)))
-        class_ranges.append((start, count, 2 * s == n))
+        edges += [(i, (i + s) % n, float(L)) for i in range(count)]
+        eperm += [start + (i + 1) % count for i in range(count)]
+        eflip += [2 * s == n and i == count - 1 for i in range(count)]
     g = make_graph(n, edges)
-
     vperm = tuple((i + 1) % n for i in range(n))
-    eperm = [0] * len(edges)
-    eflip = [False] * len(edges)
-    for start, count, antipodal in class_ranges:
-        for i in range(count):
-            j = i + 1
-            if j == count:
-                eperm[start + i] = start
-                eflip[start + i] = antipodal
-            else:
-                eperm[start + i] = start + j
     action = GraphAction((n,), (GeneratorMaps(vperm, tuple(eperm), tuple(eflip)),))
-    _check_structural(g, action, f"circulant_graph({n}, {jumps})")
+    check_structural(g, action, f"circulant_graph({n}, {jumps})")
     return g, action
 
 
@@ -139,37 +125,22 @@ def product_action(
         raise InvalidAction("product_action needs single-cycle factor actions")
     n1, n2 = g1.n_vertices, g2.n_vertices
     m1, m2 = g1.n_edges, g2.n_edges
-    gen1, gen2 = a1.generators[0], a2.generators[0]
-
-    def build(which: int) -> GeneratorMaps:
-        vperm = [0] * (n1 * n2)
-        for i in range(n1):
-            for j in range(n2):
-                ii = gen1.vertex_perm[i] if which == 1 else i
-                jj = gen2.vertex_perm[j] if which == 2 else j
-                vperm[product_vertex_id(i, j, n2)] = product_vertex_id(ii, jj, n2)
-        eperm = [0] * (m1 * n2 + m2 * n1)
-        eflip = [False] * len(eperm)
-        for a in range(m1):  # g1-direction block
-            for j in range(n2):
-                idx = a * n2 + j
-                if which == 1:
-                    eperm[idx] = gen1.edge_perm[a] * n2 + j
-                    eflip[idx] = gen1.edge_flip[a]
-                else:
-                    eperm[idx] = a * n2 + gen2.vertex_perm[j]
-        off = m1 * n2
-        for b in range(m2):  # g2-direction block
-            for i in range(n1):
-                idx = off + b * n1 + i
-                if which == 2:
-                    eperm[idx] = off + gen2.edge_perm[b] * n1 + i
-                    eflip[idx] = gen2.edge_flip[b]
-                else:
-                    eperm[idx] = off + b * n1 + gen1.vertex_perm[i]
-        return GeneratorMaps(tuple(vperm), tuple(eperm), tuple(eflip))
-
-    return GraphAction((a1.orders[0], a2.orders[0]), (build(1), build(2)))
+    (v1, e1, f1), (v2, e2, f2) = a1.generators[0].arrays(), a2.generators[0].arrays()
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    a, ja = np.divmod(np.arange(m1 * n2), n2)  # g1-direction block: edge a at column ja
+    b, ib = np.divmod(np.arange(m2 * n1), n1)  # g2-direction block: edge b at row ib
+    off = m1 * n2
+    gen1 = GeneratorMaps.from_arrays(
+        v1[i] * n2 + j,
+        np.concatenate([e1[a] * n2 + ja, off + b * n1 + v1[ib]]),
+        np.concatenate([f1[a], np.zeros(m2 * n1, dtype=bool)]),
+    )
+    gen2 = GeneratorMaps.from_arrays(
+        i * n2 + v2[j],
+        np.concatenate([a * n2 + v2[ja], off + e2[b] * n1 + ib]),
+        np.concatenate([np.zeros(m1 * n2, dtype=bool), f2[b]]),
+    )
+    return GraphAction((a1.orders[0], a2.orders[0]), (gen1, gen2))
 
 
 def cycle_product(
@@ -197,7 +168,7 @@ def torus_action(
     """
     prod, act = cycle_product(n1, n2, 2.0 * l1_half, 2.0 * l3_half)
     g_sub, act_sub = lift_action_subdivided(prod, act)
-    _check_structural(g_sub, act_sub, f"torus_action({n1}, {n2})")
+    check_structural(g_sub, act_sub, f"torus_action({n1}, {n2})")
     return g_sub, act_sub
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import builders, io, quotient
 from .decompose import l2_norm_sq, project, random_function
-from .errors import QgsymError
-from .groups import ProductIrrep
+from .errors import QgsymError, require_positive
+from .groups import Irrep
 from .scattering import build_secular_system, secular_det, standard_conditions
 from .spectra import Spectrum, compare_spectra, find_roots_real, find_roots_unitary, merge_spectra
 
@@ -188,7 +188,7 @@ def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
     g, action = builders.torus_action(n1, n2, l1, l3)
     rng = np.random.default_rng(seed)
     f = random_function(g, samples, rng)
-    irrep = ProductIrrep(n1, n2, s, t)
+    irrep = Irrep((n1, n2), (s, t))
     comp = project(f, action, irrep)
     with open(output, "w") as fh:
         fh.write(f"# component ({s},{t}); norm_sq = {l2_norm_sq(comp)!r}\n")
@@ -209,6 +209,7 @@ def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
 @handle_errors
 def scan_cmd(graph_file, kmax, grid, output):
     """Emit (k, |det(I - S D(k))|) plot data."""
+    require_positive(kmax=kmax, grid=grid)
     _g, sys_ = _system_from_doc(graph_file)
     with open(output, "w") as fh:
         fh.write("k,abs_secular\n")

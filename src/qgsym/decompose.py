@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import GraphAction
-from .errors import OrientationMismatch
+from .errors import OrientationMismatch, require_positive
 from .graphs import MetricGraph
 
 
@@ -29,6 +29,7 @@ class SampledFunction:
             raise OrientationMismatch(
                 f"values shape {self.values.shape} does not match {self.graph.n_edges} edges"
             )
+        require_positive(samples=self.samples)
 
     @property
     def samples(self) -> int:
@@ -68,11 +69,9 @@ def l2_inner(f: SampledFunction, g: SampledFunction) -> complex:
 
 def pull_back(f: SampledFunction, a: GraphAction, element) -> SampledFunction:
     """(pull_back f)|_e = f|_{g.e}, samples reversed where g flips the edge."""
-    m = a.maps(tuple(element))
-    out = np.empty_like(f.values)
-    for e in range(f.graph.n_edges):
-        img = m.edge_perm[e]
-        out[e] = f.values[img][::-1] if m.edge_flip[e] else f.values[img]
+    row = a.index(tuple(element))
+    out, flip = f.values[a.table[1][row]], a.table[2][row]
+    out[flip] = out[flip, ::-1]
     return SampledFunction(f.graph, out)
 
 

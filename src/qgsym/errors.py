@@ -1,4 +1,4 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the shared range check."""
 
 
 class QgsymError(Exception):
@@ -70,7 +70,11 @@ class UnsupportedCondition(QgsymError):
 
 
 class UnsupportedFormat(QgsymError):
-    """A graph document declares a format version this reader does not know."""
+    """A graph document is not JSON, lacks a field, or has an unknown version."""
+
+
+class NonPositiveParameter(QgsymError):
+    """A size, step or bound that must be positive is not."""
 
 
 class GridTooCoarse(QgsymError):
@@ -79,3 +83,10 @@ class GridTooCoarse(QgsymError):
 
 class OrientationMismatch(QgsymError):
     pass
+
+
+def require_positive(**params) -> None:
+    """Raise NonPositiveParameter naming the first of `params` that is not > 0."""
+    for name, value in params.items():
+        if not value > 0:
+            raise NonPositiveParameter(f"{name} = {value!r} must be positive")

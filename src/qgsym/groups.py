@@ -8,7 +8,9 @@ sums near machine precision even for large inputs.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import LabelOutOfRange, NotCoprime
@@ -53,33 +55,25 @@ def crt_index(n1: int, n2: int, kappa: int, iota: int) -> int:
 
 @dataclass(frozen=True)
 class Irrep:
-    """One-dimensional irrep kappa -> omega^(s*kappa) of the order-n cyclic group."""
+    """Irrep (kappa, iota, ...) -> prod omega_n^(s*kappa) of a product of cyclic groups.
 
-    n: int
-    s: int
+    One order and one label per cyclic factor; a single cycle has one of each.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.s < self.n:
-            raise LabelOutOfRange(f"irrep label {self.s} not in [0, {self.n})")
-
-    def value(self, element) -> complex:
-        kappa = element[0] if isinstance(element, tuple) else element
-        return irrep_value(self.n, self.s, kappa)
-
-
-@dataclass(frozen=True)
-class ProductIrrep:
-    """Irrep (kappa, iota) -> omega1^(s*kappa) * omega2^(t*iota) of G_n1 x G_n2."""
-
-    n1: int
-    n2: int
-    s: int
-    t: int
+    orders: tuple[int, ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.s < self.n1 or not 0 <= self.t < self.n2:
-            raise LabelOutOfRange(f"labels ({self.s}, {self.t}) out of range")
+        if len(self.labels) != len(self.orders) or not all(
+            0 <= s < n for n, s in zip(self.orders, self.labels)
+        ):
+            raise LabelOutOfRange(f"labels {self.labels} out of range for orders {self.orders}")
 
-    def value(self, element: tuple[int, int]) -> complex:
-        kappa, iota = element
-        return irrep_value(self.n1, self.s, kappa) * irrep_value(self.n2, self.t, iota)
+    def value(self, element: tuple[int, ...]) -> complex:
+        values = (irrep_value(n, s, k) for n, s, k in zip(self.orders, self.labels, element))
+        return functools.reduce(operator.mul, values)
+
+
+def ProductIrrep(n1: int, n2: int, s: int, t: int) -> Irrep:
+    """The irrep (s, t) of G_n1 x G_n2, in the two-factor call form."""
+    return Irrep((n1, n2), (s, t))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from typing import Optional, TextIO
 
+from . import builders
 from .actions import GeneratorMaps, GraphAction
 from .errors import UnsupportedCondition, UnsupportedFormat
 from .graphs import MetricGraph, Vertex, Edge
@@ -63,45 +64,41 @@ def graph_to_doc(
 
 
 def doc_to_graph(doc: dict) -> tuple[MetricGraph, Optional[list[Condition]], Optional[GraphAction]]:
+    """Graph, conditions and action of a document; the action is checked on the graph."""
+    if not isinstance(doc, dict):
+        raise UnsupportedFormat(f"a graph document is a JSON object, not {type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise UnsupportedFormat(f"format_version {doc.get('format_version')!r}, expected {FORMAT_VERSION}")
-    vertices = tuple(
-        Vertex(v["id"], v.get("tag", "original")) for v in doc["vertices"]
-    )
-    edges = tuple(
-        Edge(e["id"], e["u"], e["v"], float(e["length"])) for e in doc["edges"]
-    )
-    g = MetricGraph(vertices, edges)
-
-    conditions = None
-    if "conditions" in doc:
-        conditions = []
-        for c in doc["conditions"]:
-            if c["type"] == "standard":
-                conditions.append(Standard(c["vertex"]))
-            elif c["type"] == "quasi_periodic":
-                re, im = c["phase"]
-                conditions.append(
-                    QuasiPeriodic(c["vertex"], complex(re, im), tuple(c["edges"]))
-                )
-            else:
-                raise UnsupportedCondition(f"vertex {c.get('vertex')}: condition type {c['type']!r}")
-
-    action = None
-    if "action" in doc:
-        a = doc["action"]
-        action = GraphAction(
-            tuple(a["orders"]),
-            tuple(
-                GeneratorMaps(
-                    tuple(gm["vertex_perm"]),
-                    tuple(gm["edge_perm"]),
-                    tuple(bool(x) for x in gm["edge_flip"]),
-                )
-                for gm in a["generators"]
-            ),
+    try:
+        g = MetricGraph(
+            tuple(Vertex(v["id"], v.get("tag", "original")) for v in doc["vertices"]),
+            tuple(Edge(e["id"], e["u"], e["v"], float(e["length"])) for e in doc["edges"]),
         )
+        conditions = [_doc_to_condition(c) for c in doc["conditions"]] if "conditions" in doc else None
+        action = None
+        if "action" in doc:
+            action = GraphAction(
+                tuple(map(int, doc["action"]["orders"])),
+                tuple(
+                    GeneratorMaps(tuple(map(int, gm["vertex_perm"])), tuple(map(int, gm["edge_perm"])),
+                                  tuple(map(bool, gm["edge_flip"])))
+                    for gm in doc["action"]["generators"]
+                ),
+            )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise UnsupportedFormat(f"malformed graph document: {type(exc).__name__}: {exc}") from exc
+    if action is not None:
+        builders.check_structural(g, action, "graph document action")
     return g, conditions, action
+
+
+def _doc_to_condition(c: dict) -> Condition:
+    if c["type"] == "standard":
+        return Standard(c["vertex"])
+    if c["type"] == "quasi_periodic":
+        re, im = c["phase"]
+        return QuasiPeriodic(c["vertex"], complex(re, im), tuple(c["edges"]))
+    raise UnsupportedCondition(f"vertex {c.get('vertex')}: condition type {c['type']!r}")
 
 
 def save_graph(path: str, g: MetricGraph, conditions=None, action=None) -> None:
@@ -112,7 +109,11 @@ def save_graph(path: str, g: MetricGraph, conditions=None, action=None) -> None:
 
 def load_graph(path: str):
     with open(path) as fh:
-        return doc_to_graph(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # also undecodable bytes
+            raise UnsupportedFormat(f"{path} is not JSON: {exc}") from exc
+    return doc_to_graph(doc)
 
 
 def write_spectrum_csv(fh: TextIO, s: Spectrum) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import torus_action
+from .errors import require_positive
 from .graphs import TAG_DUMMY, TAG_ORIGINAL, MetricGraph, make_graph
 from .groups import irrep_value
 from .scattering import (
@@ -119,6 +120,7 @@ def quotient_dispersion_real(spec: QuotientSpec, k):
 
 
 def all_quotient_specs(n1, n2, l1, l3, swap_pairing=False):
+    require_positive(n1=n1, n2=n2)
     return [
         QuotientSpec(n1, n2, l1, l3, s, t, swap_pairing)
         for s in range(n1)

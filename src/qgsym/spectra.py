@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import bisect as _bisect
 from scipy.optimize import minimize_scalar
 
-from .errors import GridTooCoarse, NonUnitaryScattering
+from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
 from .scattering import SecularSystem
 
 TWO_PI = 2.0 * math.pi
@@ -124,6 +124,7 @@ def find_roots_real(
     root's order is measured by its winding number; otherwise sign-change
     roots are order 1 and touching roots order 2.
     """
+    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
     if ks[-1] < k_max - 1e-12:
         ks = np.append(ks, k_max)
@@ -203,6 +204,7 @@ def find_roots_unitary(
     root counting function is exact and monotone; each jump is localized by
     bisection and its size is the root's multiplicity.
     """
+    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     defect = sys.unitarity_defect()
     if defect > 1e-10:
         raise NonUnitaryScattering(f"|S S^H - I| = {defect:.3e}: eigenphase counting needs a unitary S")

@@ -14,6 +14,7 @@ from qgsym import (
     torus_action,
     validate_action,
 )
+from qgsym.actions import GeneratorMaps, GraphAction
 from qgsym.builders import product_vertex_id
 from qgsym.errors import DuplicateJump, InvalidAction, IsomorphismCheckFailed, JumpOutOfRange
 
@@ -90,13 +91,13 @@ def test_product_action_is_valid_and_commutes():
     ap = product_action(g1, a1, g2, a2)
     assert validate_action(gp, ap).valid
     assert cycle_product(3, 4, 1.0, 2.0) == (gp, ap)
-    m10 = ap.maps((1, 0))
-    m01 = ap.maps((0, 1))
-    from qgsym.actions import compose_maps
-
-    ab = compose_maps(m10, m01)
-    ba = compose_maps(m01, m10)
-    assert ab == ba  # the two generators commute
+    # validation checks that the generators commute: the rotation and a
+    # reflection of the triangle do not
+    g3, a3 = cycle_graph(3, 1.0)
+    reflection = GeneratorMaps((0, 2, 1), (2, 1, 0), (True, True, True))
+    rep = validate_action(g3, GraphAction((3, 2), (a3.generators[0], reflection)))
+    assert ("group_law", "generators 0 and 1 do not commute") in rep.violations
+    assert not any(axiom in ("adjacency", "length") for axiom, _ in rep.violations)
 
 
 def test_torus_action_shapes():

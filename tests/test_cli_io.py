@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from qgsym import QuotientSpec, cycle_graph, quotient_graph
 from qgsym.cli import main
-from qgsym.errors import UnsupportedCondition, UnsupportedFormat
+from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
 from qgsym.io import (
     doc_to_graph,
     graph_to_doc,
@@ -205,3 +205,64 @@ def test_cli_reports_domain_errors(tmp_path):
     except ValueError:
         err_text = ""
     assert "error" in (res.output + err_text).lower()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("vertex_perm", [0, 0, 0, 0]), ("edge_perm", [1, 0])],
+    ids=["vertex-map-not-a-permutation", "edge-map-too-short"],
+)
+def test_cli_rejects_invalid_stored_action(tmp_path, field, value):
+    g, a = cycle_graph(4, 1.0)
+    doc = graph_to_doc(g, action=a)
+    doc["action"]["generators"][0][field] = value
+    with pytest.raises(InvalidAction):
+        doc_to_graph(doc)
+    _assert_usage_error(_spectrum_of_doc(tmp_path, doc), "InvalidAction")
+
+
+@pytest.mark.parametrize("damage", ["not-json", "no-vertices", "no-edges", "not-an-object"])
+def test_cli_rejects_malformed_documents(tmp_path, damage):
+    g, a = cycle_graph(3, 1.0)
+    doc = graph_to_doc(g, action=a)
+    gpath = str(tmp_path / "g.json")
+    with open(gpath, "w") as fh:
+        if damage == "not-json":
+            fh.write(json.dumps(doc)[:-1])
+        elif damage == "not-an-object":
+            json.dump([doc], fh)
+        else:
+            del doc[damage[3:]]
+            json.dump(doc, fh)
+    with pytest.raises(UnsupportedFormat):
+        load_graph(gpath)
+    res = CliRunner().invoke(main, ["spectrum", gpath, "-o", str(tmp_path / "s.csv")])
+    _assert_usage_error(res, "UnsupportedFormat")
+
+
+TORUS = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["factors", *TORUS, "--kmax", "-1"],
+        ["factors", *TORUS, "--grid", "0"],
+        ["factors", "--n1", "0", "--n2", "2", "--l1", "0.5", "--l3", "1.0"],
+        ["factors", *TORUS, "--tol", "0"],
+        ["spectrum", "GRAPH", "--grid", "0"],
+        ["spectrum", "GRAPH", "--tol", "0"],
+        ["scan", "GRAPH", "--grid", "0"],
+        ["project", *TORUS, "--s", "0", "--t", "0", "--samples", "0"],
+    ],
+    ids=["factors-kmax", "factors-grid", "factors-n1", "factors-tol", "spectrum-grid", "spectrum-tol",
+         "scan-grid", "project-samples"],
+)
+def test_cli_rejects_out_of_range_flags(tmp_path, args):
+    gpath = str(tmp_path / "c3.json")
+    g, a = cycle_graph(3, 1.0)
+    save_graph(gpath, g, action=a)
+    out = str(tmp_path / "out.csv")
+    res = CliRunner().invoke(main, [gpath if x == "GRAPH" else x for x in args] + ["-o", out])
+    _assert_usage_error(res, "NonPositiveParameter")
+    assert not os.path.exists(out)

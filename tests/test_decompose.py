@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qgsym import (
-    ProductIrrep,
+    Irrep,
     constant_function,
     cycle_graph,
     from_callable,
@@ -17,7 +17,6 @@ from qgsym import (
 )
 from qgsym.decompose import SampledFunction
 from qgsym.errors import OrientationMismatch
-from qgsym.groups import Irrep
 
 
 def _torus():
@@ -74,7 +73,7 @@ def test_projection_reconstruction_and_parseval():
     rng = np.random.default_rng(11)
     f = random_function(g, 60, rng)
     comps = [
-        project(f, a, ProductIrrep(2, 3, s, t)) for s in range(2) for t in range(3)
+        project(f, a, Irrep((2, 3), (s, t))) for s in range(2) for t in range(3)
     ]
     total = sum(c.values for c in comps)
     norm = np.sqrt(l2_norm_sq(f))
@@ -87,7 +86,7 @@ def test_projection_is_idempotent():
     g, a = _torus()
     rng = np.random.default_rng(5)
     f = random_function(g, 40, rng)
-    rho = ProductIrrep(2, 3, 1, 2)
+    rho = Irrep((2, 3), (1, 2))
     once = project(f, a, rho)
     twice = project(once, a, rho)
     assert np.allclose(once.values, twice.values, atol=1e-13)
@@ -99,7 +98,7 @@ def test_components_transform_by_their_phase():
     f = random_function(g, 40, rng)
     for s in range(2):
         for t in range(3):
-            rho = ProductIrrep(2, 3, s, t)
+            rho = Irrep((2, 3), (s, t))
             comp = project(f, a, rho)
             assert quasi_periodicity_residual(comp, a, rho) < 1e-13
 
@@ -109,8 +108,8 @@ def test_projection_on_single_cycle():
     g, a = lift_action_subdivided(g0, a0)
     rng = np.random.default_rng(9)
     f = random_function(g, 50, rng)
-    comps = [project(f, a, Irrep(4, s)) for s in range(4)]
+    comps = [project(f, a, Irrep((4,), (s,))) for s in range(4)]
     total = sum(c.values for c in comps)
     assert np.max(np.abs(total - f.values)) < 1e-12 * max(1.0, np.max(np.abs(f.values)))
     for s, c in enumerate(comps):
-        assert quasi_periodicity_residual(c, a, Irrep(4, s)) < 1e-13
+        assert quasi_periodicity_residual(c, a, Irrep((4,), (s,))) < 1e-13

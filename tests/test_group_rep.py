@@ -5,12 +5,12 @@ import pytest
 
 from qgsym import (
     Irrep,
-    ProductIrrep,
     crt_index,
     irrep_sum,
     irrep_value,
 )
 from qgsym.errors import LabelOutOfRange, NotCoprime
+from qgsym.groups import ProductIrrep
 
 
 def test_irrep_value_is_root_of_unity():
@@ -46,22 +46,27 @@ def test_label_validation():
 
 
 def test_cyclic_group_and_irrep_objects():
-    rho = Irrep(4, 1)
-    assert rho.value(1) == pytest.approx(1j)
-    assert rho.value(5) == pytest.approx(1j)
+    rho = Irrep((4,), (1,))
+    assert rho.value((1,)) == pytest.approx(1j)
+    assert rho.value((5,)) == pytest.approx(1j)
+    with pytest.raises(LabelOutOfRange):
+        Irrep((4,), (4,))
+    with pytest.raises(LabelOutOfRange):
+        Irrep((4, 3), (1,))  # one label per factor
 
 
 def test_product_irrep_value_splits():
     n1, n2 = 3, 4
     for s in range(n1):
         for t in range(n2):
-            rho = ProductIrrep(n1, n2, s, t)
+            rho = Irrep((n1, n2), (s, t))
+            assert ProductIrrep(n1, n2, s, t) == rho
             for ka in range(n1):
                 for io in range(n2):
                     want = irrep_value(n1, s, ka) * irrep_value(n2, t, io)
                     assert abs(rho.value((ka, io)) - want) < 1e-14
     with pytest.raises(LabelOutOfRange):
-        ProductIrrep(n1, n2, 0, n2)
+        Irrep((n1, n2), (0, n2))
 
 
 def test_irrep_sum_orthogonality_small():

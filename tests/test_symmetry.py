@@ -1,6 +1,7 @@
 import pytest
 
 from qgsym import (
+    circulant_graph,
     cycle_graph,
     fundamental_domain,
     lift_action_subdivided,
@@ -9,7 +10,7 @@ from qgsym import (
     subdivide_midpoints,
     validate_action,
 )
-from qgsym.actions import GeneratorMaps, GraphAction, compose_maps, identity_maps
+from qgsym.actions import GeneratorMaps, GraphAction
 from qgsym.errors import CoverageGap, NotTransitive
 
 
@@ -40,13 +41,23 @@ def test_orbit_covers_cycle_edges():
     assert sorted(orbit(a, 0)) == [0, 1, 2, 3, 4]
 
 
-def test_compose_maps_flip_parity():
-    ident = identity_maps(2, 1)
-    flip = GeneratorMaps(vertex_perm=(1, 0), edge_perm=(0,), edge_flip=(True,))
-    twice = compose_maps(flip, flip)
-    assert twice.edge_flip == (False,)
-    once = compose_maps(flip, ident)
-    assert once.edge_flip == (True,)
+def test_element_maps_flip_parity():
+    # C_4(2): the rotation carries edge 0 = (0, 2) onto edge 1 = (1, 3) and
+    # edge 1 onto edge 0 reversed
+    g, a = circulant_graph(4, [2], [1.0])
+    once = a.maps((1,))
+    assert once.edge_perm == (1, 0) and once.edge_flip == (False, True)
+    # the half turn fixes both antipodal edges, reversing each
+    twice = a.maps((2,))
+    assert twice.edge_perm == (0, 1) and twice.edge_flip == (True, True)
+    assert a.maps((4,)) == a.maps((0,)) == GeneratorMaps((0, 1, 2, 3), (0, 1), (False, False))
+
+
+def test_validate_requires_one_order_per_generator():
+    g, a = cycle_graph(4, 1.0)
+    for bad in (GraphAction((4, 2), a.generators), GraphAction((), ())):
+        rep = validate_action(g, bad)
+        assert [axiom for axiom, _ in rep.violations] == ["group_law"]
 
 
 def test_lift_action_subdivided_structure():
@@ -93,9 +104,7 @@ def test_non_transitive_action_rejected():
     # C_6 rotation acting on a 6-cycle, restricted to the even subgroup:
     # vertex orbits split, so no single-seed fundamental domain exists
     g, a = cycle_graph(6, 1.0)
-    m1 = a.maps((1,))
-    double = compose_maps(m1, m1)
-    sub = GraphAction(orders=(3,), generators=(double,))
+    sub = GraphAction(orders=(3,), generators=(a.maps((2,)),))
     sg, ssub = lift_action_subdivided(g, sub)
     with pytest.raises(NotTransitive):
         fundamental_domain(sg, ssub, 0)
