@@ -70,7 +70,7 @@ class UnsupportedCondition(QgsymError):
 
 
 class UnsupportedFormat(QgsymError):
-    """A graph document is not JSON, lacks a field, or has an unknown version."""
+    """A graph document or a spectrum CSV row is malformed, or a document has an unknown version."""
 
 
 class NonPositiveParameter(QgsymError):

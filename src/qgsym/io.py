@@ -131,10 +131,11 @@ def save_spectrum(path: str, s: Spectrum) -> None:
 
 
 def read_spectrum_csv(fh: TextIO) -> Spectrum:
+    """Spectrum of a CSV; a row without four fields, a numeric k and an integer order is rejected."""
     meta: dict = {}
     roots = []
     header_seen = False
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
             continue
@@ -146,9 +147,15 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
         if not header_seen:
             header_seen = True  # column header row
             continue
-        k, _lam, order, source = line.split(",", 3)
-        roots.append(SpectralRoot(float(k), int(order), source))
-    k_max = float(meta.get("k_max", roots[-1].k if roots else 0.0))
+        try:
+            k, _lam, order, source = line.split(",", 3)
+            roots.append(SpectralRoot(float(k), int(order), source))
+        except ValueError as exc:
+            raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: {exc}") from exc
+    try:
+        k_max = float(meta.get("k_max", roots[-1].k if roots else 0.0))
+    except ValueError as exc:
+        raise UnsupportedFormat(f"spectrum CSV k_max: {exc}") from exc
     return Spectrum(tuple(roots), k_max, meta)
 
 

@@ -13,6 +13,7 @@ observable (graph, matrices, closed form, spectra) is pairing-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class QuotientSpec:
         """The phase named 'b': on the L3 pair, or the L1 pair when swapped."""
         return self.phase_l1 if self.swap_pairing else self.phase_l3
 
+    @cached_property
+    def coefficients(self) -> tuple[float, float]:
+        """(alpha, beta) = Re((tau + 1/tau) / 2) of the L1 and the L3 phase."""
+        return tuple(float((0.5 * (tau + 1.0 / tau)).real) for tau in (self.phase_l1, self.phase_l3))
+
 
 def quotient_graph(spec: QuotientSpec) -> tuple[MetricGraph, list]:
     """The 3-vertex quotient graph and its vertex conditions.
@@ -92,8 +98,7 @@ def quotient_system(spec: QuotientSpec, flipped_edges=()) -> SecularSystem:
 
 def quotient_secular_closed(spec: QuotientSpec, k: complex) -> complex:
     """Closed-form secular function of the (s, t) quotient factor."""
-    alpha = 0.5 * (spec.phase_l1 + 1.0 / spec.phase_l1)
-    beta = 0.5 * (spec.phase_l3 + 1.0 / spec.phase_l3)
+    alpha, beta = spec.coefficients
     l1, l3 = spec.l1, spec.l3
     e = lambda x: np.exp(1j * k * x)
     return complex(
@@ -112,8 +117,7 @@ def quotient_dispersion_real(spec: QuotientSpec, k):
     Satisfies Sigma(k) = -2i * exp(2ik(L1+L3)) * F(k); accepts complex k for
     analytic continuation (winding-number order checks).
     """
-    alpha = (0.5 * (spec.phase_l1 + 1.0 / spec.phase_l1)).real
-    beta = (0.5 * (spec.phase_l3 + 1.0 / spec.phase_l3)).real
+    alpha, beta = spec.coefficients
     l1, l3 = spec.l1, spec.l3
     val = np.sin(2 * k * (l1 + l3)) - alpha * np.sin(2 * k * l3) - beta * np.sin(2 * k * l1)
     return float(val) if np.isrealobj(np.asarray(k)) else complex(val)

@@ -1,16 +1,18 @@
 """Root extraction from secular functions and spectrum bookkeeping.
 
-Two locators are provided:
+Both locators run one core: `_bisect_steps` bisects, to width `tol`, every
+grid cell where an integer step function changes, and `_contour` is one
+argument-principle pass giving the zero count and zero sum in a circle.
 
-- `find_roots_real`: grid scan + bisection for real-valued functions, with
-  touching (even-order) roots detected as small local minima of |f| and
-  orders confirmed by a winding number when an analytic continuation is
-  supplied.
-- `find_roots_unitary`: exact eigenphase counting for systems with unitary
-  scattering.  N(k) = (sum of principal eigenphases at the reference point
-  + k * total bond length - sum at k) / 2pi is an integer-valued, monotone
-  step function whose jumps locate roots with their multiplicities; this is
-  the robust path for high-order roots of large systems.
+- `find_roots_real`: the step function is the sign of f (an exact 0.0 inside
+  the grid takes the sign of the point before it); touching roots are small
+  minima of |f|; with an analytic continuation, orders are winding numbers
+  and multiple roots are re-centred on the zero sum.
+- `find_roots_unitary`: exact eigenphase counting for unitary scattering.
+  N(k) = (sum of principal eigenphases at the reference point + k * total
+  bond length - sum at k) / 2pi is integer-valued and monotone; each jump's
+  size is the root's multiplicity.  This is the robust path for high-order
+  roots of large systems.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import bisect as _bisect
 from scipy.optimize import minimize_scalar
 
 from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
 from .scattering import SecularSystem
 
 TWO_PI = 2.0 * math.pi
+K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
+TOL_TOUCH = 1e-8  # largest |f| at a local minimum that counts as a touching root
 
 
 @dataclass(frozen=True)
@@ -61,50 +64,58 @@ class Spectrum:
         return sum(r.order for r in self.roots if r.k <= K + 1e-12)
 
 
+def _contour(
+    fn: Callable[[complex], complex], center: float, radius: float, samples: int
+) -> tuple[int, complex]:
+    """Zero count and zero sum of an analytic function inside a circle.
+
+    Argument principle on `samples` chords: the change of log f around the
+    circle is 2pi i times the zero count, and (1/2pi i) * the contour
+    integral of z f'(z)/f(z) = z d(log f) is the sum of the enclosed zeros.
+    """
+    zs = center + radius * np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))
+    vals = np.array([fn(z) for z in zs])
+    if np.any(vals == 0):
+        raise GridTooCoarse(f"winding circle at {center} passes through a zero")
+    dlog = np.diff(np.log(np.abs(vals)) + 1j * np.angle(vals))
+    dlog = dlog.real + 1j * ((dlog.imag + np.pi) % TWO_PI - np.pi)
+    zsum = np.sum(0.5 * (zs[:-1] + zs[1:]) * dlog) / (2j * np.pi)
+    return int(round(dlog.imag.sum() / TWO_PI)), complex(zsum)
+
+
 def winding_number(
     fn: Callable[[complex], complex], center: float, radius: float, samples: int = 64
 ) -> int:
     """Zero count of an analytic function inside a circle, by argument change."""
-    thetas = np.linspace(0.0, TWO_PI, samples + 1)
-    vals = np.array([fn(center + radius * np.exp(1j * th)) for th in thetas])
-    if np.any(vals == 0):
-        raise GridTooCoarse(f"winding circle at {center} passes through a zero")
-    phases = np.angle(vals)
-    dph = np.diff(phases)
-    dph = (dph + np.pi) % TWO_PI - np.pi
-    return int(round(dph.sum() / TWO_PI))
+    return _contour(fn, center, radius, samples)[0]
 
 
-def _safe_radius(k: float, others: Sequence[float], default: float) -> float:
-    gaps = [abs(k - o) for o in others if abs(k - o) > 1e-12]
-    if gaps:
-        return min(default, 0.45 * min(gaps))
-    return default
+def _bisect_steps(
+    step: Callable[[float], Optional[int]], ks: np.ndarray, levels: np.ndarray, tol: float
+) -> list[tuple[float, int]]:
+    """Every jump of an integer step function on the grid `ks`, as (k, size).
 
-
-def _winding_centroid(
-    fn: Callable[[complex], complex], center: float, radius: float, order: int,
-    samples: int = 128,
-) -> float:
-    """Centroid of the zeros inside a circle, by the argument principle.
-
-    (1/2pi i) * contour integral of z f'(z)/f(z) equals the sum of enclosed
-    zeros; dividing by the winding number recovers a multiple zero's exact
-    location far more accurately than bisection, whose resolution degrades
-    as the order grows.
+    `levels[i]` is `step(ks[i])`.  Only cells whose end levels differ are
+    visited; each is bisected, left half first, until the changes it holds
+    sit in cells narrower than `tol`, reported at their midpoints in
+    ascending order.  A midpoint where `step` is None (an exact zero of a
+    sign) takes the level of the point before it.
     """
-    for _ in range(2):  # second pass on a tighter circle kills quadrature error
-        thetas = np.linspace(0.0, TWO_PI, samples + 1)
-        zs = center + radius * np.exp(1j * thetas)
-        vals = np.array([fn(z) for z in zs])
-        logs = np.log(np.abs(vals)) + 1j * np.angle(vals)
-        dlog = np.diff(logs)
-        dlog = dlog.real + 1j * ((dlog.imag + np.pi) % TWO_PI - np.pi)
-        zmid = 0.5 * (zs[:-1] + zs[1:])
-        total = np.sum(zmid * dlog) / (2j * np.pi)
-        center = float((total / order).real)
-        radius /= 16.0
-    return center
+    jumps: list[tuple[float, int]] = []
+    for i in np.flatnonzero(levels[1:] != levels[:-1]):
+        a, na = float(ks[i]), int(levels[i])
+        right = [(float(ks[i + 1]), int(levels[i + 1]))]  # right ends of the open cells
+        while right:
+            b, nb = right[-1]
+            if nb != na and b - a >= tol:
+                m = 0.5 * (a + b)
+                nm = step(m)
+                right.append((m, na if nm is None else nm))
+                continue
+            if nb != na:
+                jumps.append((0.5 * (a + b), nb - na))
+            a, na = right.pop()
+    return jumps
 
 
 def find_roots_real(
@@ -112,17 +123,17 @@ def find_roots_real(
     k_max: float,
     grid_step: float,
     tol: float = 1e-10,
-    tol_touch: float = 1e-8,
     complex_fn: Optional[Callable[[complex], complex]] = None,
     source: str = "",
 ) -> Spectrum:
     """Roots of a continuous real function on (0, k_max].
 
-    Sign changes are bracketed and bisected to width `tol`.  Local minima of
-    |f| below `tol_touch` without a sign change are reported as touching
-    roots.  When `complex_fn` (an analytic continuation) is given, every
-    root's order is measured by its winding number; otherwise sign-change
-    roots are order 1 and touching roots order 2.
+    Sign changes on the grid are bisected to width `tol`; a grid value of
+    exactly 0.0 inside the grid takes the sign of the point before it.  Local minima of |f|
+    below `TOL_TOUCH` without a sign change are reported as touching roots.
+    When `complex_fn` (an analytic continuation) is given, every root's
+    order is measured by its winding number; otherwise sign-change roots are
+    order 1 and touching roots order 2.
     """
     require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
@@ -130,22 +141,14 @@ def find_roots_real(
         ks = np.append(ks, k_max)
     vals = np.array([f(k) for k in ks])
 
-    roots: list[float] = []
-    kinds: list[str] = []
-    for i in range(len(ks) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            if not roots or abs(ks[i] - roots[-1]) > tol:
-                roots.append(float(ks[i]))
-                kinds.append("sign")
-            continue
-        if a * b < 0.0:
-            r = _bisect(f, ks[i], ks[i + 1], xtol=tol)
-            roots.append(float(r))
-            kinds.append("sign")
-    if vals[-1] == 0.0 and (not roots or abs(ks[-1] - roots[-1]) > tol):
-        roots.append(float(ks[-1]))
-        kinds.append("sign")
+    # the step evaluator is the sign of f; an exact zero inside the grid takes
+    # the sign of the point before it, one at either end stays a level 0 so
+    # that the change next to it is bisected onto it
+    signs = np.sign(vals)
+    before = np.maximum.accumulate(np.where(signs != 0, np.arange(len(signs)), 0))
+    signs[1:-1] = signs[before[1:-1]]
+    sign_at = lambda k: int(np.sign(f(k))) or None
+    roots = [(k, "sign") for k, _ in _bisect_steps(sign_at, ks, signs, tol)]
 
     # touching roots: interior local minima of |f| with no sign change
     absvals = np.abs(vals)
@@ -162,27 +165,30 @@ def find_roots_real(
             options={"xatol": tol},
         )
         km, fm = float(res.x), sgn * float(res.fun)
-        if sgn * fm >= tol_touch:
+        if sgn * fm >= TOL_TOUCH:
             continue
-        if any(abs(km - r) <= 2 * grid_step for r in roots):
+        if any(abs(km - r) <= 2 * grid_step for r, _ in roots):
             continue
-        if sgn * fm < -tol_touch:
+        if sgn * fm < -TOL_TOUCH:
             raise GridTooCoarse(f"two sign changes near k={km}; shrink grid_step")
-        roots.append(km)
-        kinds.append("touch")
+        roots.append((km, "touch"))
 
-    order_pairs = sorted(zip(roots, kinds))
+    roots.sort()
+    all_ks = [r for r, _ in roots]
     out = []
-    all_ks = [r for r, _ in order_pairs]
-    for r, kind in order_pairs:
+    for r, kind in roots:
+        if r > k_max + tol:  # the grid may overshoot k_max by half a step
+            continue
         if complex_fn is not None:
-            rad = _safe_radius(r, all_ks, grid_step / 2.0)
-            order = winding_number(complex_fn, r, rad)
-            order = max(order, 1)
+            rad = min([grid_step / 2.0] + [0.45 * abs(r - o) for o in all_ks if abs(r - o) > 1e-12])
+            order = max(winding_number(complex_fn, r, rad), 1)
             if order >= 2:
-                # bisection resolution degrades like eps**(1/order) at a
-                # multiple zero; re-center via the argument principle
-                r = _winding_centroid(complex_fn, r, rad, order)
+                # bisection resolution degrades like eps**(1/order) at a multiple
+                # zero; re-center on the zero sum, then again on a circle 16
+                # times smaller to kill the quadrature error
+                for _ in range(2):
+                    r = float((_contour(complex_fn, r, rad, 128)[1] / order).real)
+                    rad /= 16.0
         else:
             order = 2 if kind == "touch" else 1
         out.append(SpectralRoot(r, order, source))
@@ -194,15 +200,14 @@ def find_roots_unitary(
     k_max: float,
     grid_step: float = 0.05,
     tol: float = 1e-10,
-    k_min: float = 1e-6,
     source: str = "full",
 ) -> Spectrum:
-    """Roots of det(I - S D(k)) on (k_min, k_max] for unitary S.
+    """Roots of det(I - S D(k)) on (K_MIN, k_max] for unitary S.
 
     The eigenvalues of U(k) = S D(k) move counterclockwise on the unit
     circle with speed between the shortest and longest bond length, so the
-    root counting function is exact and monotone; each jump is localized by
-    bisection and its size is the root's multiplicity.
+    root counting function N(k) is exact and monotone; each of its jumps is
+    localized by bisection and its size is the root's multiplicity.
     """
     require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     defect = sys.unitarity_defect()
@@ -217,36 +222,17 @@ def find_roots_unitary(
         p[p < 1e-12] += TWO_PI  # an eigenvalue at 1 counts as "about to leave", not "just arrived"
         return float(p.sum())
 
-    base = phase_sum(k_min) - k_min * l_total
+    base = phase_sum(K_MIN) - K_MIN * l_total
 
     def count(k: float) -> int:
-        n = (base + k * l_total - phase_sum(k)) / TWO_PI
-        return int(round(n))
+        return int(round((base + k * l_total - phase_sum(k)) / TWO_PI))
 
     # grid fine enough that phases advance less than a half turn per cell
-    max_step = 0.9 * math.pi / float(L.max())
-    step = min(grid_step, max_step)
-    ks = list(np.arange(k_min, k_max, step)) + [k_max]
-
-    roots: list[SpectralRoot] = []
-
-    def locate(a: float, na: int, b: float, nb: int) -> None:
-        if nb == na:
-            return
-        if b - a < tol:
-            roots.append(SpectralRoot(0.5 * (a + b), nb - na, source))
-            return
-        m = 0.5 * (a + b)
-        nm = count(m)
-        locate(a, na, m, nm)
-        locate(m, nm, b, nb)
-
-    counts = [count(k) for k in ks]
-    for i in range(len(ks) - 1):
-        locate(ks[i], counts[i], ks[i + 1], counts[i + 1])
-
-    roots.sort(key=lambda r: r.k)
-    return Spectrum(tuple(roots), k_max, {"grid_step": step, "tol": tol, "k_min": k_min})
+    step = min(grid_step, 0.9 * math.pi / float(L.max()))
+    ks = np.append(np.arange(K_MIN, k_max, step), k_max)
+    counts = np.array([count(k) for k in ks])
+    roots = tuple(SpectralRoot(k, n, source) for k, n in _bisect_steps(count, ks, counts, tol))
+    return Spectrum(roots, k_max, {"grid_step": step, "tol": tol, "k_min": K_MIN})
 
 
 def merge_spectra(spectra: Sequence[Spectrum], tol: float = 1e-7) -> Spectrum:

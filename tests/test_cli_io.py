@@ -130,6 +130,24 @@ def test_cli_build_product_is_isospectral_to_factors(tmp_path):
         assert res.exit_code == 0, (args[0], res.output)
 
 
+def test_cli_factors_drop_roots_above_kmax(tmp_path):
+    # the (0,0) factor's root 2*pi/3 = 2.0944 lies in the real locator's last
+    # grid cell (2.090, 2.095] but above k_max
+    runner = CliRunner()
+    gpath, full, parts = (str(tmp_path / n) for n in ("torus.json", "full.csv", "factors.csv"))
+    flags = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
+    steps = [
+        ["build", "product", *flags, "-o", gpath],
+        ["spectrum", gpath, "--kmax", "2.0935", "-o", full],
+        ["factors", *flags, "--kmax", "2.0935", "-o", parts],
+        ["compare", full, parts],
+    ]
+    for args in steps:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (args[0], res.output)
+    assert max(load_spectrum(parts).ks()) <= 2.0935
+
+
 def _spectrum_of_doc(tmp_path, doc):
     gpath = str(tmp_path / "g.json")
     with open(gpath, "w") as fh:
@@ -266,3 +284,17 @@ def test_cli_rejects_out_of_range_flags(tmp_path, args):
     res = CliRunner().invoke(main, [gpath if x == "GRAPH" else x for x in args] + ["-o", out])
     _assert_usage_error(res, "NonPositiveParameter")
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["1", "abc,1,1,x", "1.0,1.0,x,(0,0)", "1.0,1.0,1.5,(0,0)"],
+    ids=["short-row", "non-numeric-k", "non-integer-order", "fractional-order"],
+)
+def test_cli_compare_rejects_malformed_csv_rows(tmp_path, row):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write(f"# k_max = 5.0\nk,lambda,order,source_label\n{row}\n")
+    with pytest.raises(UnsupportedFormat):
+        load_spectrum(path)
+    _assert_usage_error(CliRunner().invoke(main, ["compare", path, path]), "UnsupportedFormat")

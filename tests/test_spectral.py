@@ -7,12 +7,16 @@ import pytest
 from qgsym import (
     SecularSystem,
     Spectrum,
+    all_quotient_specs,
     build_secular_system,
     compare_spectra,
     cycle_graph,
     find_roots_real,
     find_roots_unitary,
     merge_spectra,
+    quotient_dispersion_real,
+    quotient_secular_closed,
+    quotient_system,
     standard_conditions,
     weyl_count_check,
     winding_number,
@@ -124,3 +128,48 @@ def test_roots_exclude_zero_and_respect_kmax():
     assert all(r.k > 0 for r in s.roots)
     assert all(r.k <= 2 * math.pi + 1e-9 for r in s.roots)
     assert len(s.roots) == 2
+
+
+@pytest.mark.parametrize(
+    "f, cf, order, order_without_cf",
+    [
+        (lambda k: k - 0.5, lambda z: z - 0.5, 1, 1),
+        (lambda k: 0.5 - k, lambda z: 0.5 - z, 1, 1),
+        (lambda k: (k - 0.5) ** 2, lambda z: (z - 0.5) ** 2, 2, 2),
+        (lambda k: -((k - 0.5) ** 2), lambda z: -((z - 0.5) ** 2), 2, 2),
+        (lambda k: (k - 0.5) ** 3, lambda z: (z - 0.5) ** 3, 3, 1),
+    ],
+    ids=["rising", "falling", "touch-above", "touch-below", "triple"],
+)
+@pytest.mark.parametrize("with_cf", [True, False], ids=["winding", "no-continuation"])
+def test_root_on_an_exact_grid_point(f, cf, order, order_without_cf, with_cf):
+    # a grid value of exactly 0.0 takes the sign of the point before it, so a
+    # crossing is bisected once and a touch is left to the touching-root scan
+    assert 0.5 in np.arange(0.1, 1.0 + 0.05, 0.1)
+    s = find_roots_real(f, 1.0, 0.1, complex_fn=cf if with_cf else None)
+    assert len(s.roots) == 1
+    assert s.roots[0].k == pytest.approx(0.5, abs=1e-10)
+    assert s.roots[0].order == (order if with_cf else order_without_cf)
+
+
+def test_real_and_unitary_locators_agree_on_quotient_factors():
+    # non-coprime orders and incommensurate lengths: every quotient factor's
+    # dispersion roots equal the eigenphase roots of its 8x8 secular system
+    for n1, n2, l3 in [(3, 4, 1 / math.sqrt(2)), (4, 6, 0.61)]:
+        for spec in all_quotient_specs(n1, n2, 0.5, l3):
+            real = find_roots_real(
+                lambda k: quotient_dispersion_real(spec, k), 6.0, 0.005,
+                complex_fn=lambda z: quotient_secular_closed(spec, z),
+            )
+            unitary = find_roots_unitary(quotient_system(spec), 6.0)
+            res = compare_spectra(real, unitary, tol=1e-8)
+            assert res.isospectral, ((spec.s, spec.t), res)
+            assert res.count_a > 0
+
+
+@pytest.mark.parametrize("root", [0.1, 1.0], ids=["first-point", "last-point"])
+def test_root_on_an_end_of_the_grid(root):
+    for f in (lambda k: k - root, lambda k: root - k):
+        s = find_roots_real(f, 1.0, 0.1)
+        assert [r.order for r in s.roots] == [1]
+        assert s.roots[0].k == pytest.approx(root, abs=1e-10)
