@@ -175,8 +175,8 @@ def compare_cmd(spectrum_a, spectrum_b, tol):
 @main.command("project")
 @click.option("--n1", type=int, required=True)
 @click.option("--n2", type=int, required=True)
-@click.option("--l1", type=float, required=True)
-@click.option("--l3", type=float, required=True)
+@click.option("--l1", type=float, required=True, help="half-length of second-factor edges (the quotient's L1 pair)")
+@click.option("--l3", type=float, required=True, help="half-length of first-factor edges (the quotient's L3 pair)")
 @click.option("--s", type=int, required=True)
 @click.option("--t", type=int, required=True)
 @click.option("--samples", type=int, default=100, show_default=True)
@@ -185,7 +185,7 @@ def compare_cmd(spectrum_a, spectrum_b, tol):
 @handle_errors
 def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
     """Project a random function onto one irrep component; emit samples."""
-    g, action = builders.torus_action(n1, n2, l1, l3)
+    g, action = builders.torus_action(n1, n2, l3, l1)
     rng = np.random.default_rng(seed)
     f = random_function(g, samples, rng)
     irrep = Irrep((n1, n2), (s, t))
@@ -196,7 +196,7 @@ def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
         for e in g.edges:
             for m in range(samples):
                 x = (m + 0.5) * e.length / samples
-                val = comp.values[e.id, m]
+                val = complex(comp.values[e.id, m])
                 fh.write(f"{e.id},{m},{x!r},{val.real!r},{val.imag!r}\n")
     click.echo(f"wrote {output}: component norm^2 = {l2_norm_sq(comp):.6g}")
 

@@ -5,9 +5,9 @@ grid cell where an integer step function changes, and `_contour` is one
 argument-principle pass giving the zero count and zero sum in a circle.
 
 - `find_roots_real`: the step function is the sign of f (an exact 0.0 inside
-  the grid takes the sign of the point before it); touching roots are small
-  minima of |f|; with an analytic continuation, orders are winding numbers
-  and multiple roots are re-centred on the zero sum.
+  the grid takes the sign of the point before it); the contour pass over
+  its analytic continuation places touching roots (small minima of |f|),
+  gives every order as a winding number and re-centres multiple roots.
 - `find_roots_unitary`: exact eigenphase counting for unitary scattering.
   N(k) = (sum of principal eigenphases at the reference point + k * total
   bond length - sum at k) / 2pi is integer-valued and monotone; each jump's
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
 from .scattering import SecularSystem
@@ -123,19 +122,25 @@ def find_roots_real(
     k_max: float,
     grid_step: float,
     tol: float = 1e-10,
-    complex_fn: Optional[Callable[[complex], complex]] = None,
+    *,
+    complex_fn: Callable[[complex], complex],
     source: str = "",
 ) -> Spectrum:
-    """Roots of a continuous real function on (0, k_max].
+    """Roots of a continuous real function on (0, k_max], with its continuation.
 
     Sign changes on the grid are bisected to width `tol`; a grid value of
-    exactly 0.0 inside the grid takes the sign of the point before it.  Local minima of |f|
-    below `TOL_TOUCH` without a sign change are reported as touching roots.
-    When `complex_fn` (an analytic continuation) is given, every root's
-    order is measured by its winding number; otherwise sign-change roots are
-    order 1 and touching roots order 2.
+    exactly 0.0 inside the grid takes the sign of the point before it.  An
+    interior local minimum of |f| with no sign change next to it is a
+    touching-root candidate: the zero sum of `complex_fn` in a circle of
+    radius `grid_step` around it gives the mean km of the zeros there.  km is
+    a touching root when |f(km)| < `TOL_TOUCH`; f(km) past zero by more than
+    that means two crossings inside one cell (`GridTooCoarse`).  Every root's
+    order is its winding number, and multiple roots are re-centred on the
+    zero sum.  `k_max` below `grid_step` leaves no grid (`GridTooCoarse`).
     """
     require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
+    if k_max < grid_step:
+        raise GridTooCoarse(f"k_max = {k_max!r} is below grid_step = {grid_step!r}")
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
     if ks[-1] < k_max - 1e-12:
         ks = np.append(ks, k_max)
@@ -148,49 +153,40 @@ def find_roots_real(
     before = np.maximum.accumulate(np.where(signs != 0, np.arange(len(signs)), 0))
     signs[1:-1] = signs[before[1:-1]]
     sign_at = lambda k: int(np.sign(f(k))) or None
-    roots = [(k, "sign") for k, _ in _bisect_steps(sign_at, ks, signs, tol)]
+    roots = [k for k, _ in _bisect_steps(sign_at, ks, signs, tol)]
 
-    # touching roots: interior local minima of |f| with no sign change
+    # touching roots: interior local minima of |f| with no sign change in
+    # either neighbouring cell; a genuine touch has f(km) ~ 0, while a pair
+    # of crossings hidden inside the cells overshoots zero
     absvals = np.abs(vals)
-    for i in range(1, len(ks) - 1):
-        if not (absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]):
+    crossing = vals[:-1] * vals[1:] < 0.0
+    touch = (absvals[1:-1] <= absvals[:-2]) & (absvals[1:-1] <= absvals[2:])
+    touch &= ~crossing[:-1] & ~crossing[1:]
+    for i in np.flatnonzero(touch) + 1:
+        count, zsum = _contour(complex_fn, float(ks[i]), grid_step, 64)
+        if count < 1:
             continue
-        if vals[i - 1] * vals[i] < 0.0 or vals[i] * vals[i + 1] < 0.0:
+        km = zsum.real / count
+        dip = (1.0 if vals[i - 1] > 0 else -1.0) * f(km)
+        if dip >= TOL_TOUCH or any(abs(km - r) <= 2 * grid_step for r in roots):
             continue
-        # refine the signed extremum: a genuine touching root has extremum ~0,
-        # while a pair of crossings hidden inside the cell overshoots zero
-        sgn = 1.0 if vals[i - 1] > 0 else -1.0
-        res = minimize_scalar(
-            lambda k: sgn * f(k), bounds=(ks[i - 1], ks[i + 1]), method="bounded",
-            options={"xatol": tol},
-        )
-        km, fm = float(res.x), sgn * float(res.fun)
-        if sgn * fm >= TOL_TOUCH:
-            continue
-        if any(abs(km - r) <= 2 * grid_step for r, _ in roots):
-            continue
-        if sgn * fm < -TOL_TOUCH:
+        if dip < -TOL_TOUCH:
             raise GridTooCoarse(f"two sign changes near k={km}; shrink grid_step")
-        roots.append((km, "touch"))
+        roots.append(km)
 
     roots.sort()
-    all_ks = [r for r, _ in roots]
     out = []
-    for r, kind in roots:
+    for r in roots:
         if r > k_max + tol:  # the grid may overshoot k_max by half a step
             continue
-        if complex_fn is not None:
-            rad = min([grid_step / 2.0] + [0.45 * abs(r - o) for o in all_ks if abs(r - o) > 1e-12])
-            order = max(winding_number(complex_fn, r, rad), 1)
-            if order >= 2:
-                # bisection resolution degrades like eps**(1/order) at a multiple
-                # zero; re-center on the zero sum, then again on a circle 16
-                # times smaller to kill the quadrature error
-                for _ in range(2):
-                    r = float((_contour(complex_fn, r, rad, 128)[1] / order).real)
-                    rad /= 16.0
-        else:
-            order = 2 if kind == "touch" else 1
+        rad = min([grid_step / 2.0] + [0.45 * abs(r - o) for o in roots if abs(r - o) > 1e-12])
+        order = max(winding_number(complex_fn, r, rad), 1)
+        if order >= 2:
+            # bisection resolution degrades like eps**(1/order) at a multiple
+            # zero; re-centre twice on the zero sum over the same circle (a
+            # smaller one would drown |f| ~ rad**order in rounding)
+            for _ in range(2):
+                r = float((_contour(complex_fn, r, rad, 128)[1] / order).real)
         out.append(SpectralRoot(r, order, source))
     return Spectrum(tuple(out), k_max, {"grid_step": grid_step, "tol": tol})
 

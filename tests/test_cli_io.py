@@ -1,11 +1,15 @@
+import csv
 import io as _io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import qgsym
 from qgsym import QuotientSpec, cycle_graph, quotient_graph
 from qgsym.cli import main
 from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
@@ -209,7 +213,20 @@ def test_cli_project_writes_samples(tmp_path):
         "--s", "1", "--t", "2", "--samples", "20", "-o", out,
     ])
     assert res.exit_code == 0, res.output
-    assert os.path.getsize(out) > 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(rows) == 20 * 4 * 2 * 3  # 4*n1*n2 half-edges
+    for row in rows:
+        float(row["re"]), float(row["im"])
+    # as in `build product`, first-factor half-edges (edge 0 among them) have length l3
+    xs = [float(row["x"]) for row in rows if row["edge"] == "0"]
+    assert xs == pytest.approx([(m + 0.5) * 1.0 / 20 for m in range(20)], abs=1e-15)
+
+
+def test_cli_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qgsym.__file__)))
+    code = "import sys, qgsym.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_reports_domain_errors(tmp_path):
@@ -298,3 +315,11 @@ def test_cli_compare_rejects_malformed_csv_rows(tmp_path, row):
     with pytest.raises(UnsupportedFormat):
         load_spectrum(path)
     _assert_usage_error(CliRunner().invoke(main, ["compare", path, path]), "UnsupportedFormat")
+
+
+def test_cli_factors_rejects_kmax_below_grid(tmp_path):
+    out = str(tmp_path / "f.csv")
+    res = CliRunner().invoke(main, ["factors", *TORUS, "--kmax", "0.001", "-o", out])
+    _assert_usage_error(res, "GridTooCoarse")
+    assert "0.001" in res.output and "0.005" in res.output
+    assert not os.path.exists(out)

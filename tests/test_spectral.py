@@ -43,18 +43,47 @@ def test_find_roots_real_touching_root():
     assert s.roots[1].k == pytest.approx(4 * math.pi, abs=1e-8)
 
 
-def test_find_roots_real_without_analytic_continuation():
-    f = lambda k: 1.0 - math.cos(k)
-    s = find_roots_real(f, 7.0, 0.1)
-    assert len(s.roots) == 1
-    assert s.roots[0].order == 2  # flagged as touching even without winding
+@pytest.mark.parametrize(
+    "f, want",
+    [
+        (lambda k: (k - 5.05) ** 2 + 1e-6, []),
+        (lambda k: (k - 5.05) ** 2 + 1e-10, [(5.05, 2)]),
+        (lambda k: (k - 2.345) ** 4, [(2.345, 4)]),
+        (lambda k: (k - 3.0) * (k - 3.31) ** 2, [(3.0, 1), (3.31, 2)]),
+    ],
+    ids=["near-real-pair", "order-2", "order-4", "touch-next-to-sign-root"],
+)
+def test_touching_roots_are_placed_on_the_zero_sum(f, want):
+    # the polynomials are their own continuations; a pair of zeros 1e-3 off
+    # the real axis leaves |f| above TOL_TOUCH at their mean, so it is no root
+    s = find_roots_real(f, 10.0, 0.1, complex_fn=f)
+    assert [r.order for r in s.roots] == [o for _, o in want]
+    for r, (k, _) in zip(s.roots, want):
+        assert r.k == pytest.approx(k, abs=1e-10)
 
 
 def test_grid_too_coarse_on_hidden_double_crossing():
     # two near-coincident simple roots dipping just below zero inside one cell
     f = lambda k: (k - 5.05) ** 2 - 1e-6
     with pytest.raises(GridTooCoarse):
-        find_roots_real(f, 10.0, 0.1)
+        find_roots_real(f, 10.0, 0.1, complex_fn=f)
+
+
+def test_multiple_roots_are_recentred_to_tol():
+    # the 3x4 torus at L1 = 0.5, L3 = 1 has triple roots at m*pi in the
+    # factors (0,0) and (0,2), at the CLI's grid and with the closed form
+    specs = {(sp.s, sp.t): sp for sp in all_quotient_specs(3, 4, 0.5, 1.0)}
+    triples = []
+    for key in [(0, 0), (0, 2)]:
+        spec = specs[key]
+        s = find_roots_real(
+            lambda k: quotient_dispersion_real(spec, k), 10.0, 0.005,
+            complex_fn=lambda z: quotient_secular_closed(spec, z),
+        )
+        triples += [r.k for r in s.roots if r.order == 3]
+    assert len(triples) == 3
+    for k in triples:
+        assert abs(k - round(k / math.pi) * math.pi) < 1e-11
 
 
 def test_winding_number_counts_order():
@@ -131,25 +160,24 @@ def test_roots_exclude_zero_and_respect_kmax():
 
 
 @pytest.mark.parametrize(
-    "f, cf, order, order_without_cf",
+    "f, cf, order",
     [
-        (lambda k: k - 0.5, lambda z: z - 0.5, 1, 1),
-        (lambda k: 0.5 - k, lambda z: 0.5 - z, 1, 1),
-        (lambda k: (k - 0.5) ** 2, lambda z: (z - 0.5) ** 2, 2, 2),
-        (lambda k: -((k - 0.5) ** 2), lambda z: -((z - 0.5) ** 2), 2, 2),
-        (lambda k: (k - 0.5) ** 3, lambda z: (z - 0.5) ** 3, 3, 1),
+        (lambda k: k - 0.5, lambda z: z - 0.5, 1),
+        (lambda k: 0.5 - k, lambda z: 0.5 - z, 1),
+        (lambda k: (k - 0.5) ** 2, lambda z: (z - 0.5) ** 2, 2),
+        (lambda k: -((k - 0.5) ** 2), lambda z: -((z - 0.5) ** 2), 2),
+        (lambda k: (k - 0.5) ** 3, lambda z: (z - 0.5) ** 3, 3),
     ],
-    ids=["rising", "falling", "touch-above", "touch-below", "triple"],
+    ids=["winding-rising", "winding-falling", "winding-touch-above", "winding-touch-below", "winding-triple"],
 )
-@pytest.mark.parametrize("with_cf", [True, False], ids=["winding", "no-continuation"])
-def test_root_on_an_exact_grid_point(f, cf, order, order_without_cf, with_cf):
+def test_root_on_an_exact_grid_point(f, cf, order):
     # a grid value of exactly 0.0 takes the sign of the point before it, so a
     # crossing is bisected once and a touch is left to the touching-root scan
     assert 0.5 in np.arange(0.1, 1.0 + 0.05, 0.1)
-    s = find_roots_real(f, 1.0, 0.1, complex_fn=cf if with_cf else None)
+    s = find_roots_real(f, 1.0, 0.1, complex_fn=cf)
     assert len(s.roots) == 1
     assert s.roots[0].k == pytest.approx(0.5, abs=1e-10)
-    assert s.roots[0].order == (order if with_cf else order_without_cf)
+    assert s.roots[0].order == order
 
 
 def test_real_and_unitary_locators_agree_on_quotient_factors():
@@ -170,6 +198,6 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
 @pytest.mark.parametrize("root", [0.1, 1.0], ids=["first-point", "last-point"])
 def test_root_on_an_end_of_the_grid(root):
     for f in (lambda k: k - root, lambda k: root - k):
-        s = find_roots_real(f, 1.0, 0.1)
+        s = find_roots_real(f, 1.0, 0.1, complex_fn=f)
         assert [r.order for r in s.roots] == [1]
         assert s.roots[0].k == pytest.approx(root, abs=1e-10)
