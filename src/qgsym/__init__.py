@@ -40,6 +40,7 @@ from .scattering import (
     SecularSystem,
     Standard,
     build_secular_system,
+    character_blocks,
     secular_det,
     standard_conditions,
     vertex_scattering_quasiperiodic,
@@ -61,7 +62,6 @@ from .spectra import (
     find_roots_real,
     find_roots_unitary,
     merge_spectra,
-    weyl_count_check,
     winding_number,
 )
 from .decompose import (

@@ -8,6 +8,7 @@ given the same flags.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import warnings
 
@@ -18,7 +19,7 @@ from . import builders, io, quotient
 from .decompose import l2_norm_sq, project, random_function
 from .errors import QgsymError, require_positive
 from .groups import Irrep
-from .scattering import build_secular_system, secular_det, standard_conditions
+from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, standard_conditions
 from .spectra import Spectrum, compare_spectra, find_roots_real, find_roots_unitary, merge_spectra
 
 
@@ -104,11 +105,16 @@ def build_quotient(n1, n2, l1, l3, s, t, output):
     click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
 
 
-def _system_from_doc(path):
-    g, conds, _action = io.load_graph(path)
+def _systems_from_doc(path) -> dict[str, SecularSystem]:
+    """The document's secular systems by label: one character block per irrep
+    label when it stores an action, else the dense system as "full"."""
+    g, conds, action = io.load_graph(path)
     if conds is None:
         conds = standard_conditions(g)
-    return g, build_secular_system(g, conds)
+    if action is None:
+        return {"full": build_secular_system(g, conds)}
+    blocks = character_blocks(g, conds, action)
+    return {f"({','.join(map(str, labels))})": block for labels, block in blocks.items()}
 
 
 @main.command("spectrum")
@@ -119,9 +125,17 @@ def _system_from_doc(path):
 @click.option("-o", "--output", default="spectrum.csv", show_default=True)
 @handle_errors
 def spectrum_cmd(graph_file, kmax, grid, tol, output):
-    """Roots of the secular determinant of a graph document."""
-    _g, sys_ = _system_from_doc(graph_file)
-    s = find_roots_unitary(sys_, kmax, grid_step=grid, tol=tol, source="full")
+    """Roots of the secular determinant of a graph document.
+
+    A document that stores its group action is solved one character block
+    per irrep label, each root's source naming its label.
+    """
+    parts = [
+        find_roots_unitary(sys_, kmax, grid_step=grid, tol=tol, source=label)
+        for label, sys_ in _systems_from_doc(graph_file).items()
+    ]
+    merged = merge_spectra(parts, tol=1e-7)
+    s = Spectrum(merged.roots, kmax, {**parts[0].meta, "blocks": len(parts)})
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
 
@@ -208,13 +222,14 @@ def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
 @click.option("-o", "--output", default="scan.csv", show_default=True)
 @handle_errors
 def scan_cmd(graph_file, kmax, grid, output):
-    """Emit (k, |det(I - S D(k))|) plot data."""
+    """Emit (k, |det(I - S D(k))|) plot data, the product over the document's systems."""
     require_positive(kmax=kmax, grid=grid)
-    _g, sys_ = _system_from_doc(graph_file)
+    systems = _systems_from_doc(graph_file).values()
     with open(output, "w") as fh:
         fh.write("k,abs_secular\n")
         for k in np.arange(grid, kmax + grid / 2.0, grid):
-            fh.write(f"{float(k)!r},{abs(secular_det(sys_, float(k)))!r}\n")
+            det = math.prod(secular_det(sys_, float(k)) for sys_ in systems)
+            fh.write(f"{float(k)!r},{abs(det)!r}\n")
     click.echo(f"wrote {output}")
 
 

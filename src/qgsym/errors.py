@@ -49,6 +49,10 @@ class NotTransitive(QgsymError):
     pass
 
 
+class ActionNotFree(QgsymError):
+    """A non-identity group element fixes a bond, so the bonds do not split into free orbits."""
+
+
 class CoverageGap(QgsymError):
     pass
 

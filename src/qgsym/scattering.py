@@ -4,7 +4,8 @@ Bonds are ordered globally by (edge id, direction flag): bond 2e runs along
 edge e's stored orientation, bond 2e+1 against it.  For the two vertex
 condition families in scope (standard and quasi-periodic) the scattering
 matrix S is k-independent and unitary; the phase matrix D(k) is
-diag(exp(i k L_b)).
+diag(exp(i k L_b)).  A group acting freely on the bonds splits S into one
+small character block per irrep, assembled from a few rows of S only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from .actions import GraphAction
 from .errors import (
+    ActionNotFree,
     MissingCondition,
     NonUnitPhase,
     UnsupportedCondition,
@@ -84,20 +87,21 @@ class SecularSystem:
         return np.diag(np.exp(1j * k * self.lengths))
 
 
-def build_secular_system(
+def _scattering_rows(
     g: MetricGraph,
     conditions: Iterable[Condition],
+    rows: np.ndarray,
     flipped_edges: Iterable[int] = (),
-) -> SecularSystem:
-    """Assemble the bond scattering matrix from per-vertex conditions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows `rows` of the bond scattering matrix, and every bond's length.
 
     The bond table is one origin per bond; bond b ends where bond b ^ 1
     starts.  Each vertex writes its scattering matrix into the block
     S[out, out ^ 1], rows the bonds leaving it in ascending order and
-    columns their reversals, the bonds arriving.  `flipped_edges` reverses
-    the orientation convention of the listed edges (bond 2e then runs
-    head-to-tail); the secular determinant is invariant under any such
-    re-assembly.
+    columns their reversals, the bonds arriving; only the rows listed in
+    `rows` are kept, in that order.  `flipped_edges` reverses the
+    orientation convention of the listed edges (bond 2e then runs
+    head-to-tail).
     """
     cond_by_vertex = {c.vertex: c for c in conditions}
     for v in range(g.n_vertices):
@@ -117,14 +121,16 @@ def build_secular_system(
         lengths[2 * e.id] = lengths[2 * e.id + 1] = e.length
     by_origin = np.argsort(origin, kind="stable")
     bonds_from = np.split(by_origin, np.cumsum(np.bincount(origin, minlength=g.n_vertices))[:-1])
+    row_of = np.full(nb, -1)
+    row_of[rows] = np.arange(len(rows))
 
-    S = np.zeros((nb, nb), dtype=complex)
+    S = np.zeros((len(rows), nb), dtype=complex)
     for v in range(g.n_vertices):
         cond, out = cond_by_vertex[v], bonds_from[v]
         if isinstance(cond, Standard):
             if len(out) == 0:
                 continue  # isolated vertex carries no scattering
-            S[np.ix_(out, out ^ 1)] = vertex_scattering_standard(len(out))
+            block = vertex_scattering_standard(len(out))
         elif isinstance(cond, QuasiPeriodic):
             ep, eq = cond.edges
             # two bonds leaving on two distinct edges: degree 2, no loop
@@ -133,11 +139,70 @@ def build_secular_system(
                     f"quasi-periodic vertex {v} needs degree 2 with two distinct non-loop edges {cond.edges}"
                 )
             out = out if out[0] >> 1 == ep else out[::-1]  # (p-side, q-side)
-            S[np.ix_(out, out ^ 1)] = vertex_scattering_quasiperiodic(cond.tau)
+            block = vertex_scattering_quasiperiodic(cond.tau)
         else:
             raise UnsupportedCondition(f"vertex {v}: {type(cond).__name__}")
+        kept = row_of[out] >= 0
+        S[np.ix_(row_of[out[kept]], out ^ 1)] = block[kept]
+    return S, lengths
 
+
+def build_secular_system(
+    g: MetricGraph,
+    conditions: Iterable[Condition],
+    flipped_edges: Iterable[int] = (),
+) -> SecularSystem:
+    """Assemble the dense bond scattering matrix from per-vertex conditions.
+
+    The secular determinant is invariant under the re-assembly that
+    `flipped_edges` asks for (see `_scattering_rows`).
+    """
+    S, lengths = _scattering_rows(g, conditions, np.arange(2 * g.n_edges), flipped_edges)
     return SecularSystem(S=S, lengths=lengths, graph=g)
+
+
+def character_blocks(
+    g: MetricGraph, conditions: Iterable[Condition], action: GraphAction
+) -> dict[tuple[int, ...], SecularSystem]:
+    """One R x R secular system per irrep label of a group acting freely on the bonds.
+
+    Element m carries bond 2e+d to 2*ep[e] + (d ^ flip[e]); with no bond
+    fixed by a non-identity element, the B bonds fall into R = B / |G|
+    orbits, each represented by its lowest bond r_i.  S commutes with the
+    action, so on the span of sum_m chi(m)^* e_{m.r_j} it acts by
+    M_chi[i, j] = sum_m conj(chi(m)) S[r_i, m.r_j], with the irreps of
+    `Irrep(orders, labels)`; one FFT over the group axes gives every block.
+    The product of the blocks' secular determinants is det(I - S D(k)).
+    Only the R rows r_i of S are assembled.  Standard conditions alone are
+    known to commute with every automorphism, so any other condition raises
+    `UnsupportedCondition`; a bond fixed by a non-identity element raises
+    `ActionNotFree`.
+    """
+    conditions = list(conditions)
+    other = [c for c in conditions if not isinstance(c, Standard)]
+    if other:
+        raise UnsupportedCondition(
+            f"vertex {other[0].vertex}: character blocks need standard conditions, "
+            f"not {type(other[0]).__name__}"
+        )
+    _, edge_images, flips = action.table
+    bonds = np.arange(2 * g.n_edges)
+    images = 2 * edge_images[:, bonds >> 1] + ((bonds & 1) ^ flips[:, bonds >> 1])
+    fixed = images[1:] == bonds  # row 0 is the identity
+    if fixed.any():
+        m, b = np.argwhere(fixed)[0].tolist()
+        raise ActionNotFree(f"element {list(action.elements())[m + 1]} fixes bond {b}")
+
+    reps = np.flatnonzero(images.min(axis=0) == bonds)
+    rows, lengths = _scattering_rows(g, conditions, reps)
+    # A[i, m, j] = S[r_i, m.r_j], the group axis unravelled into one axis per generator
+    A = rows[:, images[:, reps]].reshape(len(reps), *action.orders, len(reps))
+    M = np.fft.fftn(A, axes=tuple(range(1, 1 + len(action.orders))))
+    rep_lengths = lengths[reps]
+    return {
+        labels: SecularSystem(S=M[(slice(None), *labels)], lengths=rep_lengths, graph=g)
+        for labels in action.elements()
+    }
 
 
 def secular_det(sys: SecularSystem, k: complex) -> complex:

@@ -290,18 +290,3 @@ def compare_spectra(a: Spectrum, b: Spectrum, tol: float) -> SpectrumComparison:
         unmatched_a=tuple(un_a),
         unmatched_b=tuple(un_b),
     )
-
-
-@dataclass(frozen=True)
-class WeylReport:
-    counted: int
-    estimate: float
-    bound: float
-    ok: bool
-
-
-def weyl_count_check(s: Spectrum, K: float, total_length: float, bound: float) -> WeylReport:
-    """Sanity check |N(K) - total_length*K/pi| <= bound; flags missed roots."""
-    counted = s.count(K)
-    estimate = total_length * K / math.pi
-    return WeylReport(counted, estimate, bound, abs(counted - estimate) <= bound)

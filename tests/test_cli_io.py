@@ -3,6 +3,7 @@ import io as _io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -132,6 +133,47 @@ def test_cli_build_product_is_isospectral_to_factors(tmp_path):
     for args in steps:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, (args[0], res.output)
+
+
+def test_cli_block_and_dense_paths_agree(tmp_path):
+    # the `build product` document solves one character block per label; a
+    # copy without its action takes the dense path
+    runner = CliRunner()
+    blocks, dense = str(tmp_path / "torus.json"), str(tmp_path / "dense.json")
+    res = runner.invoke(main, ["build", "product", "--n1", "2", "--n2", "3", "--l1", "0.5",
+                               "--l3", "1.0", "-o", blocks])
+    assert res.exit_code == 0, res.output
+    doc = json.load(open(blocks))
+    del doc["action"]
+    with open(dense, "w") as fh:
+        json.dump(doc, fh)
+
+    spectra, scans = {}, {}
+    for name, path in (("blocks", blocks), ("dense", dense)):
+        out, scan = str(tmp_path / f"{name}.csv"), str(tmp_path / f"{name}-scan.csv")
+        for args in (["spectrum", path, "--kmax", "6", "-o", out], ["scan", path, "--kmax", "6", "-o", scan]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, (args[0], res.output)
+        spectra[name] = load_spectrum(out)
+        with open(scan) as fh:
+            scans[name] = [tuple(map(float, line.split(","))) for line in list(fh)[1:]]
+
+    res = runner.invoke(main, ["compare", str(tmp_path / "blocks.csv"), str(tmp_path / "dense.csv"),
+                               "--tol", "1e-9"])
+    assert res.exit_code == 0, res.output
+    assert spectra["blocks"].count() == spectra["dense"].count() > 0
+    labels = {f"({s},{t})" for s in range(2) for t in range(3)}
+    for r in spectra["blocks"].roots:  # merged roots join their labels with commas
+        assert re.fullmatch(r"\(\d,\d\)(,\(\d,\d\))*", r.source), r.source
+        assert set(re.findall(r"\(\d,\d\)", r.source)) <= labels
+    assert {r.source for r in spectra["dense"].roots} == {"full"}
+    for name, blocks_count in (("blocks", "6"), ("dense", "1")):
+        meta = spectra[name].meta
+        assert {"grid_step", "tol", "k_min"} <= set(meta) and meta["blocks"] == blocks_count
+
+    assert len(scans["blocks"]) == len(scans["dense"]) == 600
+    for (k, val), (k_ref, ref) in zip(scans["blocks"], scans["dense"]):
+        assert k == k_ref and abs(val - ref) <= 1e-10 * ref
 
 
 def test_cli_factors_drop_roots_above_kmax(tmp_path):

@@ -18,7 +18,6 @@ from qgsym import (
     quotient_secular_closed,
     quotient_system,
     standard_conditions,
-    weyl_count_check,
     winding_number,
 )
 from qgsym.errors import GridTooCoarse, NonUnitaryScattering, QgsymError
@@ -146,10 +145,7 @@ def test_weyl_count_sanity():
     g, _ = cycle_graph(3, 1.0)
     sys = build_secular_system(g, standard_conditions(g))
     s = find_roots_unitary(sys, 15.0)
-    rep = weyl_count_check(s, 15.0, g.total_length, bound=2.0)
-    assert rep.ok
-    assert rep.counted == 14  # 7 roots of order 2
-    assert rep.estimate == pytest.approx(15.0 * 3.0 / math.pi)
+    assert s.count(15.0) == 14  # 7 roots of order 2
 
 
 def test_roots_exclude_zero_and_respect_kmax():
