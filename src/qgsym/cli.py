@@ -11,6 +11,7 @@ import functools
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -20,7 +21,14 @@ from .decompose import l2_norm_sq, project, random_function
 from .errors import QgsymError, require_positive
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, standard_conditions
-from .spectra import Spectrum, compare_spectra, find_roots_real, find_roots_unitary, merge_spectra
+from .spectra import (
+    Spectrum,
+    compare_spectra,
+    eigenphase_counter,
+    find_roots_real,
+    find_roots_unitary,
+    merge_spectra,
+)
 
 
 def handle_errors(fn):
@@ -151,21 +159,41 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
 @click.option("-o", "--output", default="factors.csv", show_default=True)
 @handle_errors
 def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
-    """Roots of every quotient factor, labeled by (s, t)."""
-    parts = []
-    for spec in quotient.all_quotient_specs(n1, n2, l1, l3):
-        s = find_roots_real(
-            lambda k: quotient.quotient_dispersion_real(spec, k),
-            kmax,
-            grid_step=grid,
-            tol=tol,
-            complex_fn=lambda k: quotient.quotient_secular_closed(spec, k),
-            source=f"({spec.s},{spec.t})",
-        )
-        parts.append(s)
+    """Roots of every quotient factor, labeled by (s, t).
+
+    Labels s and n1-s (and t and n2-t) give the same closed form, so the
+    locator runs once per distinct factor and every label gets a copy of its
+    roots.  The header's `eigenphase_count` is the exact root count summed
+    over the labels' 8x8 quotient systems, a certificate for `root_count`.
+    """
+    specs = quotient.all_quotient_specs(n1, n2, l1, l3)
+    keys = [(min(sp.s, n1 - sp.s), min(sp.t, n2 - sp.t)) for sp in specs]
+    found, counts = {}, {}
+    for spec, key in zip(specs, keys):
+        if key not in found:
+            found[key] = find_roots_real(
+                lambda k: quotient.quotient_dispersion_real(spec, k),
+                kmax,
+                grid_step=grid,
+                tol=tol,
+                complex_fn=lambda k: quotient.quotient_secular_closed(spec, k),
+            )
+            counts[key] = eigenphase_counter(quotient.quotient_system(spec))(kmax)
+    # one copy of the roots per label, in label order, so that merged
+    # sources list the labels in that order
+    parts = [
+        Spectrum(tuple(replace(r, source=f"({sp.s},{sp.t})") for r in found[key].roots), kmax)
+        for sp, key in zip(specs, keys)
+    ]
     merged = merge_spectra(parts, tol=1e-7)
-    io.save_spectrum(output, merged)
-    click.echo(f"wrote {output}: {len(merged.roots)} roots, {merged.count()} with multiplicity")
+    s = Spectrum(merged.roots, kmax, {
+        **found[keys[0]].meta,
+        "factors": len(found),
+        "root_count": merged.count(),
+        "eigenphase_count": sum(counts[key] for key in keys),
+    })
+    io.save_spectrum(output, s)
+    click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
 
 
 @main.command("compare")

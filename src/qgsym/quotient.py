@@ -6,8 +6,10 @@ quasi-periodic gluing phases.  The phase on the L1 pair is omega2^t and the
 phase on the L3 pair is omega1^s; this assignment is forced — attaching the
 phases the other way round produces the factors of the transposed torus,
 which is a different metric graph.  The `swap_pairing` toggle therefore
-only exchanges which phase the names tau_a / tau_b refer to; every
-observable (graph, matrices, closed form, spectra) is pairing-invariant.
+changes no observable (graph, matrices, closed form, spectra).
+
+The closed form and the real dispersion form take a scalar or an array of
+k and return what numpy returns: a numpy scalar or an array.
 """
 
 from __future__ import annotations
@@ -50,16 +52,6 @@ class QuotientSpec:
         """Gluing phase on the two L3 edges (pairing-independent)."""
         return irrep_value(self.n1, self.s, 1)
 
-    @property
-    def tau_a(self) -> complex:
-        """The phase named 'a': on the L1 pair, or the L3 pair when swapped."""
-        return self.phase_l3 if self.swap_pairing else self.phase_l1
-
-    @property
-    def tau_b(self) -> complex:
-        """The phase named 'b': on the L3 pair, or the L1 pair when swapped."""
-        return self.phase_l1 if self.swap_pairing else self.phase_l3
-
     @cached_property
     def coefficients(self) -> tuple[float, float]:
         """(alpha, beta) = Re((tau + 1/tau) / 2) of the L1 and the L3 phase."""
@@ -96,12 +88,12 @@ def quotient_system(spec: QuotientSpec, flipped_edges=()) -> SecularSystem:
     return build_secular_system(g, conds, flipped_edges=flipped_edges)
 
 
-def quotient_secular_closed(spec: QuotientSpec, k: complex) -> complex:
+def quotient_secular_closed(spec: QuotientSpec, k):
     """Closed-form secular function of the (s, t) quotient factor."""
     alpha, beta = spec.coefficients
     l1, l3 = spec.l1, spec.l3
     e = lambda x: np.exp(1j * k * x)
-    return complex(
+    return (
         1.0
         - alpha * e(2 * l1)
         - beta * e(2 * l3)
@@ -119,8 +111,7 @@ def quotient_dispersion_real(spec: QuotientSpec, k):
     """
     alpha, beta = spec.coefficients
     l1, l3 = spec.l1, spec.l3
-    val = np.sin(2 * k * (l1 + l3)) - alpha * np.sin(2 * k * l3) - beta * np.sin(2 * k * l1)
-    return float(val) if np.isrealobj(np.asarray(k)) else complex(val)
+    return np.sin(2 * k * (l1 + l3)) - alpha * np.sin(2 * k * l3) - beta * np.sin(2 * k * l1)
 
 
 def all_quotient_specs(n1, n2, l1, l3, swap_pairing=False):

@@ -10,9 +10,10 @@ argument-principle pass giving the zero count and zero sum in a circle.
   gives every order as a winding number and re-centres multiple roots.
 - `find_roots_unitary`: exact eigenphase counting for unitary scattering.
   N(k) = (sum of principal eigenphases at the reference point + k * total
-  bond length - sum at k) / 2pi is integer-valued and monotone; each jump's
-  size is the root's multiplicity.  This is the robust path for high-order
-  roots of large systems.
+  bond length - sum at k) / 2pi is integer-valued and monotone
+  (`eigenphase_counter`); each jump's size is the root's multiplicity.  This
+  is the robust path for high-order roots of large systems, and N(k_max) is
+  an exact root count that certifies the real locator's output.
 """
 
 from __future__ import annotations
@@ -64,16 +65,17 @@ class Spectrum:
 
 
 def _contour(
-    fn: Callable[[complex], complex], center: float, radius: float, samples: int
+    fn: Callable[[np.ndarray], np.ndarray], center: float, radius: float, samples: int
 ) -> tuple[int, complex]:
     """Zero count and zero sum of an analytic function inside a circle.
 
     Argument principle on `samples` chords: the change of log f around the
     circle is 2pi i times the zero count, and (1/2pi i) * the contour
     integral of z f'(z)/f(z) = z d(log f) is the sum of the enclosed zeros.
+    `fn` is evaluated once, on the array of the circle's points.
     """
     zs = center + radius * np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))
-    vals = np.array([fn(z) for z in zs])
+    vals = np.asarray(fn(zs))
     if np.any(vals == 0):
         raise GridTooCoarse(f"winding circle at {center} passes through a zero")
     dlog = np.diff(np.log(np.abs(vals)) + 1j * np.angle(vals))
@@ -83,7 +85,7 @@ def _contour(
 
 
 def winding_number(
-    fn: Callable[[complex], complex], center: float, radius: float, samples: int = 64
+    fn: Callable[[np.ndarray], np.ndarray], center: float, radius: float, samples: int = 64
 ) -> int:
     """Zero count of an analytic function inside a circle, by argument change."""
     return _contour(fn, center, radius, samples)[0]
@@ -118,15 +120,21 @@ def _bisect_steps(
 
 
 def find_roots_real(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     k_max: float,
     grid_step: float,
     tol: float = 1e-10,
     *,
-    complex_fn: Callable[[complex], complex],
+    complex_fn: Callable[[np.ndarray], np.ndarray],
     source: str = "",
 ) -> Spectrum:
     """Roots of a continuous real function on (0, k_max], with its continuation.
+
+    `f` and `complex_fn` take a float or a numpy array of points and return
+    the values elementwise, as numpy ufunc expressions do: the grid is
+    evaluated in one call `f(ks)` and each contour circle in one call of
+    `complex_fn`, while bisection and the touching-root check call `f` on
+    single floats.
 
     Sign changes on the grid are bisected to width `tol`; a grid value of
     exactly 0.0 inside the grid takes the sign of the point before it.  An
@@ -144,7 +152,7 @@ def find_roots_real(
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
     if ks[-1] < k_max - 1e-12:
         ks = np.append(ks, k_max)
-    vals = np.array([f(k) for k in ks])
+    vals = np.asarray(f(ks))
 
     # the step evaluator is the sign of f; an exact zero inside the grid takes
     # the sign of the point before it, one at either end stays a level 0 so
@@ -191,21 +199,14 @@ def find_roots_real(
     return Spectrum(tuple(out), k_max, {"grid_step": grid_step, "tol": tol})
 
 
-def find_roots_unitary(
-    sys: SecularSystem,
-    k_max: float,
-    grid_step: float = 0.05,
-    tol: float = 1e-10,
-    source: str = "full",
-) -> Spectrum:
-    """Roots of det(I - S D(k)) on (K_MIN, k_max] for unitary S.
+def eigenphase_counter(sys: SecularSystem) -> Callable[[float], int]:
+    """N(k): the number of roots of det(I - S D(k)) in (K_MIN, k], with order.
 
     The eigenvalues of U(k) = S D(k) move counterclockwise on the unit
-    circle with speed between the shortest and longest bond length, so the
-    root counting function N(k) is exact and monotone; each of its jumps is
-    localized by bisection and its size is the root's multiplicity.
+    circle and their phases advance by k * (total bond length) in all, so the
+    number that crossed 1 follows from the principal phases at K_MIN and at
+    k.  Needs a unitary S (`NonUnitaryScattering` otherwise).
     """
-    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     defect = sys.unitarity_defect()
     if defect > 1e-10:
         raise NonUnitaryScattering(f"|S S^H - I| = {defect:.3e}: eigenphase counting needs a unitary S")
@@ -223,8 +224,28 @@ def find_roots_unitary(
     def count(k: float) -> int:
         return int(round((base + k * l_total - phase_sum(k)) / TWO_PI))
 
+    return count
+
+
+def find_roots_unitary(
+    sys: SecularSystem,
+    k_max: float,
+    grid_step: float = 0.05,
+    tol: float = 1e-10,
+    source: str = "full",
+) -> Spectrum:
+    """Roots of det(I - S D(k)) on (K_MIN, k_max] for unitary S.
+
+    The eigenvalues of U(k) = S D(k) move counterclockwise on the unit
+    circle with speed between the shortest and longest bond length, so the
+    root counting function N(k) of `eigenphase_counter` is exact and
+    monotone; each of its jumps is localized by bisection and its size is
+    the root's multiplicity.
+    """
+    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
+    count = eigenphase_counter(sys)
     # grid fine enough that phases advance less than a half turn per cell
-    step = min(grid_step, 0.9 * math.pi / float(L.max()))
+    step = min(grid_step, 0.9 * math.pi / float(sys.lengths.max()))
     ks = np.append(np.arange(K_MIN, k_max, step), k_max)
     counts = np.array([count(k) for k in ks])
     roots = tuple(SpectralRoot(k, n, source) for k, n in _bisect_steps(count, ks, counts, tol))

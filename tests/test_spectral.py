@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -25,7 +24,7 @@ from qgsym.spectra import SpectralRoot
 
 
 def test_find_roots_real_simple_sine():
-    s = find_roots_real(math.sin, 10.0, 0.1, complex_fn=cmath.sin)
+    s = find_roots_real(np.sin, 10.0, 0.1, complex_fn=np.sin)
     want = [math.pi, 2 * math.pi, 3 * math.pi]
     assert len(s.roots) == 3
     for r, w in zip(s.roots, want):
@@ -34,8 +33,8 @@ def test_find_roots_real_simple_sine():
 
 
 def test_find_roots_real_touching_root():
-    f = lambda k: 1.0 - math.cos(k)  # double zeros at 2*pi*m, no sign change
-    cf = lambda z: 1.0 - cmath.cos(z)
+    f = lambda k: 1.0 - np.cos(k)  # double zeros at 2*pi*m, no sign change
+    cf = lambda z: 1.0 - np.cos(z)
     s = find_roots_real(f, 14.0, 0.1, complex_fn=cf)
     assert [r.order for r in s.roots] == [2, 2]
     assert s.roots[0].k == pytest.approx(2 * math.pi, abs=1e-8)
@@ -149,7 +148,7 @@ def test_weyl_count_sanity():
 
 
 def test_roots_exclude_zero_and_respect_kmax():
-    s = find_roots_real(math.sin, 2 * math.pi, 0.1, complex_fn=cmath.sin)
+    s = find_roots_real(np.sin, 2 * math.pi, 0.1, complex_fn=np.sin)
     assert all(r.k > 0 for r in s.roots)
     assert all(r.k <= 2 * math.pi + 1e-9 for r in s.roots)
     assert len(s.roots) == 2
