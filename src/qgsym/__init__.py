@@ -9,7 +9,6 @@ secular determinants to extract Laplacian spectra numerically.
 from .graphs import (
     MetricGraph,
     make_graph,
-    smooth_degree2,
     subdivide_midpoints,
 )
 from .groups import (
@@ -66,8 +65,6 @@ from .spectra import (
 )
 from .decompose import (
     SampledFunction,
-    constant_function,
-    from_callable,
     l2_inner,
     l2_norm_sq,
     project,

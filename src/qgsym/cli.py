@@ -143,7 +143,11 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
         for label, sys_ in _systems_from_doc(graph_file).items()
     ]
     merged = merge_spectra(parts, tol=1e-7)
-    s = Spectrum(merged.roots, kmax, {**parts[0].meta, "blocks": len(parts)})
+    s = Spectrum(merged.roots, kmax, {
+        **parts[0].meta,
+        "blocks": len(parts),
+        "evaluations": sum(p.meta["evaluations"] for p in parts),
+    })
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
 
@@ -189,6 +193,7 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     s = Spectrum(merged.roots, kmax, {
         **found[keys[0]].meta,
         "factors": len(found),
+        "evaluations": sum(f.meta["evaluations"] for f in found.values()),
         "root_count": merged.count(),
         "eigenphase_count": sum(counts[key] for key in keys),
     })

@@ -36,23 +36,10 @@ class SampledFunction:
         return self.values.shape[1]
 
 
-def constant_function(g: MetricGraph, value: complex, samples: int) -> SampledFunction:
-    return SampledFunction(g, np.full((g.n_edges, samples), value, dtype=complex))
-
-
 def random_function(g: MetricGraph, samples: int, rng: np.random.Generator) -> SampledFunction:
     vals = rng.standard_normal((g.n_edges, samples)) + 1j * rng.standard_normal(
         (g.n_edges, samples)
     )
-    return SampledFunction(g, vals)
-
-
-def from_callable(g: MetricGraph, fn, samples: int) -> SampledFunction:
-    """Sample fn(edge_id, x) at the midpoint grid of each edge."""
-    vals = np.empty((g.n_edges, samples), dtype=complex)
-    for e in g.edges:
-        xs = (np.arange(samples) + 0.5) * e.length / samples
-        vals[e.id] = [fn(e.id, x) for x in xs]
     return SampledFunction(g, vals)
 
 

@@ -90,10 +90,6 @@ class MetricGraph:
     def edge_lengths(self) -> np.ndarray:
         return np.array([e.length for e in self.edges], dtype=float)
 
-    def is_loop(self, edge_id: int) -> bool:
-        e = self.edges[edge_id]
-        return e.u == e.v
-
 
 def make_graph(
     n_vertices: int,
@@ -134,60 +130,3 @@ def subdivide_midpoints(g: MetricGraph) -> MetricGraph:
         edges.append(Edge(2 * e.id, e.u, d, e.length / 2.0))
         edges.append(Edge(2 * e.id + 1, d, e.v, e.length / 2.0))
     return MetricGraph(tuple(vertices), tuple(edges))
-
-
-def smooth_degree2(g: MetricGraph, vertices: Optional[Iterable[int]] = None) -> MetricGraph:
-    """Eliminate degree-2 vertices, concatenating their two edges.
-
-    By default only dummy-tagged vertices are removed, so smoothing inverts
-    `subdivide_midpoints`.  Pass `vertices` to remove specific degree-2
-    vertices instead.  A vertex whose two incident bonds belong to the same
-    edge (a loop midpoint) is never removed; non-removable vertices are left
-    intact.
-    """
-    if vertices is None:
-        candidates = {v.id for v in g.vertices if v.tag == TAG_DUMMY}
-    else:
-        candidates = set(vertices)
-
-    # mutable edge store: eid -> (u, v, length)
-    edges = {e.id: (e.u, e.v, e.length) for e in g.edges}
-
-    def incident(v):
-        out = []
-        for eid, (u, w, _L) in edges.items():
-            if u == v:
-                out.append((eid, 0))
-            if w == v:
-                out.append((eid, 1))
-        return out
-
-    changed = True
-    removed = set()
-    while changed:
-        changed = False
-        for v in sorted(candidates - removed):
-            inc = incident(v)
-            if len(inc) != 2:
-                continue
-            (e1, end1), (e2, end2) = inc
-            if e1 == e2:
-                continue  # loop midpoint stays
-            u1, w1, L1 = edges[e1]
-            u2, w2, L2 = edges[e2]
-            a = w1 if end1 == 0 else u1
-            b = w2 if end2 == 0 else u2
-            del edges[e2]
-            edges[e1] = (a, b, L1 + L2)
-            removed.add(v)
-            changed = True
-            break
-
-    keep = [v for v in g.vertices if v.id not in removed]
-    remap = {v.id: i for i, v in enumerate(keep)}
-    new_vertices = tuple(Vertex(i, v.tag, v.provenance) for i, v in enumerate(keep))
-    new_edges = tuple(
-        Edge(j, remap[u], remap[w], L)
-        for j, (u, w, L) in enumerate(edges[eid] for eid in sorted(edges))
-    )
-    return MetricGraph(new_vertices, new_edges)

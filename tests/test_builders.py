@@ -41,7 +41,7 @@ def test_cycle_degenerate_orders_warn_but_work():
         g1, _ = cycle_graph(1, 1.0)
         g2, _ = cycle_graph(2, 1.0)
     assert len(w) == 2
-    assert g1.n_edges == 1 and g1.is_loop(0)
+    assert g1.n_edges == 1 and g1.edges[0].u == g1.edges[0].v == 0  # a loop
     assert g2.n_edges == 2 and g2.n_vertices == 2  # a digon
 
 

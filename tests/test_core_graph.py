@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qgsym import make_graph, smooth_degree2, subdivide_midpoints
+from qgsym import make_graph, subdivide_midpoints
 from qgsym.errors import DanglingEndpoint, NonPositiveLength, NotSimple
 
 
@@ -17,8 +17,8 @@ def test_make_graph_basic():
 def test_multigraph_and_loop_allowed_by_default():
     g = make_graph(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 1, 0.25)])
     assert g.n_edges == 3
-    assert g.is_loop(2)
-    assert not g.is_loop(0)
+    assert (g.edges[2].u, g.edges[2].v) == (1, 1)
+    assert g.edges[0].u != g.edges[0].v
     assert g.degree(1) == 4  # loop contributes 2
 
 
@@ -57,33 +57,10 @@ def test_subdivide_midpoints_structure():
         assert sum(e.length for e in halves) == pytest.approx(g.edges[j].length)
 
 
-def test_smooth_undoes_subdivide():
-    g = make_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5)])
-    back = smooth_degree2(subdivide_midpoints(g))
-    assert back.n_vertices == g.n_vertices
-    assert sorted((min(e.u, e.v), max(e.u, e.v), e.length) for e in back.edges) == sorted(
-        (min(e.u, e.v), max(e.u, e.v), e.length) for e in g.edges
-    )
-
-
-def test_smooth_explicit_vertices_on_path():
-    # path 0-1-2-3; dissolving the two interior vertices leaves one long edge
-    g = make_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    out = smooth_degree2(g, vertices=[1, 2])
-    assert out.n_edges == 1
-    assert out.edges[0].length == pytest.approx(3.0)
-
-
-def test_smooth_default_keeps_untagged_vertices():
-    g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-    assert smooth_degree2(g).n_edges == 3  # nothing tagged, nothing removed
-
-
 def test_loop_midpoint_survives_roundtrip():
     g = make_graph(1, [(0, 0, 2.0)])
     sg = subdivide_midpoints(g)
     assert sg.n_edges == 2 and sg.n_vertices == 2
-    # the loop midpoint cannot be dissolved back into a loop edge pair blindly;
-    # the default roundtrip keeps the graph well-formed and length-preserving
-    back = smooth_degree2(sg)
-    assert back.total_length == pytest.approx(2.0)
+    # the two halves run from the vertex to the midpoint and back
+    assert [(e.u, e.v) for e in sg.edges] == [(0, 1), (1, 0)]
+    assert sg.total_length == pytest.approx(2.0)

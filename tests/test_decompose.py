@@ -3,9 +3,7 @@ import pytest
 
 from qgsym import (
     Irrep,
-    constant_function,
     cycle_graph,
-    from_callable,
     l2_inner,
     l2_norm_sq,
     lift_action_subdivided,
@@ -25,7 +23,7 @@ def _torus():
 
 def test_l2_norm_of_constant():
     g, _ = cycle_graph(4, 0.5)
-    f = constant_function(g, 2.0, samples=50)
+    f = SampledFunction(g, np.full((g.n_edges, 50), 2.0, dtype=complex))
     assert l2_norm_sq(f) == pytest.approx(4.0 * g.total_length)
 
 
@@ -36,13 +34,6 @@ def test_l2_inner_conjugate_symmetry():
     h = random_function(g, 40, rng)
     assert l2_inner(f, h) == pytest.approx(np.conj(l2_inner(h, f)))
     assert l2_inner(f, f).real == pytest.approx(l2_norm_sq(f))
-
-
-@pytest.mark.filterwarnings("ignore:cycle with n=2")
-def test_from_callable_midpoint_sampling():
-    g, _ = cycle_graph(2, 1.0)
-    f = from_callable(g, lambda e, x: x, samples=4)
-    assert np.allclose(f.values[0], [0.125, 0.375, 0.625, 0.875])
 
 
 def test_sample_shape_validation():
