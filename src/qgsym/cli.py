@@ -11,6 +11,7 @@ import functools
 import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import click
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import builders, io, quotient
 from .decompose import l2_norm_sq, project, random_function
-from .errors import QgsymError, require_positive
+from .errors import GridTooCoarse, MalformedList, QgsymError, require_positive
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, standard_conditions
 from .spectra import (
@@ -66,6 +67,17 @@ def build_cycle(n, length, output):
     click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
 
 
+def _parse_list(flag: str, text: str, kind: type) -> list:
+    """The entries of a comma-separated flag value; `MalformedList` names the first bad one."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(kind(entry))
+        except ValueError:
+            raise MalformedList(f"{flag}: entry {entry!r} is not {'an integer' if kind is int else 'a number'}") from None
+    return out
+
+
 @build.command("circulant")
 @click.option("--n", type=int, required=True)
 @click.option("--jumps", required=True, help="comma-separated jump list, e.g. 3,4")
@@ -73,8 +85,8 @@ def build_cycle(n, length, output):
 @click.option("-o", "--output", default="graph.json", show_default=True)
 @handle_errors
 def build_circulant(n, jumps, lens, output):
-    jump_list = [int(x) for x in jumps.split(",")]
-    len_list = [float(x) for x in lens.split(",")]
+    jump_list = _parse_list("--jumps", jumps, int)
+    len_list = _parse_list("--lens", lens, float)
     g, action = builders.circulant_graph(n, jump_list, len_list)
     io.save_graph(output, g, standard_conditions(g), action)
     click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
@@ -113,16 +125,38 @@ def build_quotient(n1, n2, l1, l3, s, t, output):
     click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
 
 
-def _systems_from_doc(path) -> dict[str, SecularSystem]:
-    """The document's secular systems by label: one character block per irrep
-    label when it stores an action, else the dense system as "full"."""
+def _systems_from_doc(path) -> tuple[dict[str, str], dict[str, SecularSystem]]:
+    """The document's secular systems: each label's key, and the system of each key.
+
+    A document that stores an action has one character block per irrep
+    label.  A label and its conjugate share one secular determinant (see
+    `character_blocks`), so both get the smaller of the two as their key, and
+    only the keys' blocks are kept.  A document without an action is the
+    dense system under the one label "full".
+    """
     g, conds, action = io.load_graph(path)
     if conds is None:
         conds = standard_conditions(g)
     if action is None:
-        return {"full": build_secular_system(g, conds)}
+        return {"full": "full"}, {"full": build_secular_system(g, conds)}
     blocks = character_blocks(g, conds, action)
-    return {f"({','.join(map(str, labels))})": block for labels, block in blocks.items()}
+    name = lambda labels: f"({','.join(map(str, labels))})"
+    keys = {
+        name(labels): name(min(labels, tuple((-l) % n for l, n in zip(labels, action.orders))))
+        for labels in blocks
+    }
+    return keys, {label: block for label, block in zip(keys, blocks.values()) if keys[label] == label}
+
+
+def _merge_copies(found: dict, keys: dict, kmax: float) -> Spectrum:
+    """The union of one copy of `found[key]`'s roots per label of `keys`
+    (label -> key), with the label as their source.  The copies go in label
+    order, so that merged sources list the labels in that order."""
+    parts = [
+        Spectrum(tuple(replace(r, source=label) for r in found[key].roots), kmax)
+        for label, key in keys.items()
+    ]
+    return merge_spectra(parts, tol=1e-7)
 
 
 @main.command("spectrum")
@@ -135,18 +169,21 @@ def _systems_from_doc(path) -> dict[str, SecularSystem]:
 def spectrum_cmd(graph_file, kmax, grid, tol, output):
     """Roots of the secular determinant of a graph document.
 
-    A document that stores its group action is solved one character block
-    per irrep label, each root's source naming its label.
+    A document that stores its group action is solved on its character
+    blocks.  The blocks of a label and of its conjugate have one secular
+    determinant, so the locator runs once per conjugate pair and every label
+    gets a copy of the roots, its label as their source.  The header's
+    `blocks` counts the labels, `distinct_blocks` the runs, and
+    `evaluations` sums over the runs.
     """
-    parts = [
-        find_roots_unitary(sys_, kmax, grid_step=grid, tol=tol, source=label)
-        for label, sys_ in _systems_from_doc(graph_file).items()
-    ]
-    merged = merge_spectra(parts, tol=1e-7)
+    keys, systems = _systems_from_doc(graph_file)
+    found = {key: find_roots_unitary(sys_, kmax, grid_step=grid, tol=tol) for key, sys_ in systems.items()}
+    merged = _merge_copies(found, keys, kmax)
     s = Spectrum(merged.roots, kmax, {
-        **parts[0].meta,
-        "blocks": len(parts),
-        "evaluations": sum(p.meta["evaluations"] for p in parts),
+        **next(iter(found.values())).meta,
+        "blocks": len(keys),
+        "distinct_blocks": len(found),
+        "evaluations": sum(f.meta["evaluations"] for f in found.values()),
     })
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
@@ -171,9 +208,9 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     over the labels' 8x8 quotient systems, a certificate for `root_count`.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
-    keys = [(min(sp.s, n1 - sp.s), min(sp.t, n2 - sp.t)) for sp in specs]
+    keys = {f"({sp.s},{sp.t})": (min(sp.s, n1 - sp.s), min(sp.t, n2 - sp.t)) for sp in specs}
     found, counts = {}, {}
-    for spec, key in zip(specs, keys):
+    for spec, key in zip(specs, keys.values()):
         if key not in found:
             found[key] = find_roots_real(
                 lambda k: quotient.quotient_dispersion_real(spec, k),
@@ -183,19 +220,13 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
                 complex_fn=lambda k: quotient.quotient_secular_closed(spec, k),
             )
             counts[key] = eigenphase_counter(quotient.quotient_system(spec))(kmax)
-    # one copy of the roots per label, in label order, so that merged
-    # sources list the labels in that order
-    parts = [
-        Spectrum(tuple(replace(r, source=f"({sp.s},{sp.t})") for r in found[key].roots), kmax)
-        for sp, key in zip(specs, keys)
-    ]
-    merged = merge_spectra(parts, tol=1e-7)
+    merged = _merge_copies(found, keys, kmax)
     s = Spectrum(merged.roots, kmax, {
-        **found[keys[0]].meta,
+        **next(iter(found.values())).meta,
         "factors": len(found),
         "evaluations": sum(f.meta["evaluations"] for f in found.values()),
         "root_count": merged.count(),
-        "eigenphase_count": sum(counts[key] for key in keys),
+        "eigenphase_count": sum(counts[key] for key in keys.values()),
     })
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
@@ -255,13 +286,20 @@ def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
 @click.option("-o", "--output", default="scan.csv", show_default=True)
 @handle_errors
 def scan_cmd(graph_file, kmax, grid, output):
-    """Emit (k, |det(I - S D(k))|) plot data, the product over the document's systems."""
+    """Emit (k, |det(I - S D(k))|) plot data, the product over the document's systems.
+
+    One determinant per conjugate pair of character blocks, raised to the
+    number of labels it stands for.
+    """
     require_positive(kmax=kmax, grid=grid)
-    systems = _systems_from_doc(graph_file).values()
+    if kmax < grid:
+        raise GridTooCoarse(f"kmax = {kmax!r} is below grid = {grid!r}")
+    keys, systems = _systems_from_doc(graph_file)
+    sizes = Counter(keys.values())
     with open(output, "w") as fh:
         fh.write("k,abs_secular\n")
         for k in np.arange(grid, kmax + grid / 2.0, grid):
-            det = math.prod(secular_det(sys_, float(k)) for sys_ in systems)
+            det = math.prod(secular_det(sys_, float(k)) ** sizes[key] for key, sys_ in systems.items())
             fh.write(f"{float(k)!r},{abs(det)!r}\n")
     click.echo(f"wrote {output}")
 

@@ -81,6 +81,10 @@ class NonPositiveParameter(QgsymError):
     """A size, step or bound that must be positive is not."""
 
 
+class MalformedList(QgsymError):
+    """A comma-separated command-line list has an entry of the wrong type."""
+
+
 class GridTooCoarse(QgsymError):
     pass
 

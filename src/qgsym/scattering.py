@@ -177,6 +177,13 @@ def character_blocks(
     known to commute with every automorphism, so any other condition raises
     `UnsupportedCondition`; a bond fixed by a non-identity element raises
     `ActionNotFree`.
+
+    The blocks of a label and of its conjugate (each entry l of order n
+    replaced by -l mod n) have one secular determinant.  With standard
+    conditions S = J S^T J, where the bond reversal J commutes with the
+    action and with D(k), and the transpose carries the chi-isotypic
+    subspace to the conj(chi) one, so det(I - M_chi D(k)) equals
+    det(I - M_conj(chi) D(k)).
     """
     conditions = list(conditions)
     other = [c for c in conditions if not isinstance(c, Standard)]

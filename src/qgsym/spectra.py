@@ -2,7 +2,7 @@
 
 Both locators run one core, `_refine_steps`: an integer step function is
 evaluated on a grid, and every cell where it changes is closed to width
-`tol` by the Illinois variant of regula falsi on a continuous value that
+`tol` by regula falsi with a bisection safeguard on a continuous value that
 crosses zero at the jump.  The level of every evaluation moves the end of
 equal level, so each root still lies in a bracket narrower than `tol` with
 known levels at both ends, as under bisection.  Bisection steps
@@ -130,9 +130,9 @@ def _refine_steps(
     None (an exact zero of a sign) takes the level of the bracket's left end.
     `levels[i], values[i]` is `step(ks[i])`.
 
-    Each cell whose end levels differ is refined by the Illinois variant of
-    regula falsi on that value, and every evaluation's level replaces the
-    end of equal level, so the bracket stays exact.  Safeguards:
+    Each cell whose end levels differ is refined by regula falsi with a
+    bisection safeguard on that value, and every evaluation's level replaces
+    the end of equal level, so the bracket stays exact.  Safeguards:
     - a step closer than 0.4 tol to an end is pushed 0.4 tol from it;
     - a bisection step when the end values do not bracket zero (an exact 0
       at an end does bracket it), or when the last two steps together did
@@ -156,7 +156,6 @@ def _refine_steps(
         while cells:
             a, na, va, b, nb, vb = cells.pop()
             fa, fb = _signed_value(va, nb - na), _signed_value(vb, nb - na)
-            kept = 0  # the end the last step kept: -1 a, 1 b
             before = (math.inf, math.inf)  # the widths before the last two steps
             while b - a >= tol:
                 width = b - a
@@ -169,20 +168,15 @@ def _refine_steps(
                 nx = na if nx is None else nx
                 if nx == na:
                     a, va, fa = x, vx, _signed_value(vx, nb - na)
-                    fb = 0.5 * fb if kept == 1 else fb
-                    kept = 1
                 elif nx == nb:
                     b, vb, fb = x, vx, _signed_value(vx, nb - na)
-                    fa = 0.5 * fa if kept == -1 else fa
-                    kept = -1
                 else:
                     right = vx if _signed_value(vx, nb - nx) <= 0.0 else _AT_JUMP
                     cells.append((x, nx, right, b, nb, vb))
                     b, nb, vb = x, nx, vx if _signed_value(vx, nx - na) >= 0.0 else _AT_JUMP
-                    fa, fb, kept = _signed_value(va, nb - na), _signed_value(vb, nb - na), 0
+                    fa, fb = _signed_value(va, nb - na), _signed_value(vb, nb - na)
                 before = (before[1], width)
             size = nb - na
-            fa, fb = _signed_value(va, size), _signed_value(vb, size)  # without the Illinois halving
             if done and done[-1][2] * size > 0 and b - done[-1][0] < tol:
                 first = done[-1][0]
                 done[-1] = [first, b, done[-1][2] + size, 0.5 * (first + b)]

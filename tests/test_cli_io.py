@@ -365,3 +365,26 @@ def test_cli_factors_rejects_kmax_below_grid(tmp_path):
     _assert_usage_error(res, "GridTooCoarse")
     assert "0.001" in res.output and "0.005" in res.output
     assert not os.path.exists(out)
+
+
+def test_cli_scan_rejects_kmax_below_grid(tmp_path):
+    gpath, out = str(tmp_path / "c3.json"), str(tmp_path / "scan.csv")
+    g, a = cycle_graph(3, 1.0)
+    save_graph(gpath, g, action=a)
+    res = CliRunner().invoke(main, ["scan", gpath, "--kmax", "0.001", "--grid", "0.01", "-o", out])
+    _assert_usage_error(res, "GridTooCoarse")
+    assert "0.001" in res.output and "0.01" in res.output
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "jumps, lens, bad",
+    [("3,x", "1,1", "'x'"), ("3,4", "1,one", "'one'"), ("3,4.5", "1,1", "'4.5'")],
+    ids=["jump-not-a-number", "length-not-a-number", "jump-not-an-integer"],
+)
+def test_cli_build_circulant_rejects_malformed_lists(tmp_path, jumps, lens, bad):
+    out = str(tmp_path / "c12.json")
+    res = CliRunner().invoke(main, ["build", "circulant", "--n", "12", "--jumps", jumps, "--lens", lens, "-o", out])
+    _assert_usage_error(res, "MalformedList")
+    assert bad in res.output
+    assert not os.path.exists(out)
