@@ -18,11 +18,8 @@ from .groups import (
     irrep_value,
 )
 from .actions import (
-    FundamentalDomain,
     GraphAction,
-    fundamental_domain,
     lift_action_subdivided,
-    orbit,
     validate_action,
 )
 from .builders import (

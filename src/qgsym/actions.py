@@ -1,4 +1,4 @@
-"""Group actions on metric graphs, validation, orbits, fundamental domains.
+"""Group actions on metric graphs, their validation, and their lift to a subdivision.
 
 An action is stored per generator as a vertex permutation, an edge
 permutation, and per-edge orientation flags (True when the generator reverses
@@ -17,8 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CoverageGap, NotTransitive
-from .graphs import TAG_DUMMY, TAG_ORIGINAL, MetricGraph, subdivide_midpoints
+from .graphs import MetricGraph, subdivide_midpoints
 
 # (vertex images, edge images, edge flips), each with the vertex or edge
 # index on the last axis
@@ -177,74 +176,6 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
         valid=not violations,
         violations=tuple(violations),
         vacuous=("continuity", "discreteness", "co-compactness"),
-    )
-
-
-def orbit(a: GraphAction, edge_id: int) -> list[int]:
-    """The edge orbit {g.e} over all group elements, without duplicates."""
-    return list(dict.fromkeys(a.table[1][:, edge_id].tolist()))
-
-
-@dataclass(frozen=True)
-class FundamentalDomain:
-    seed: int
-    vertices: tuple[int, ...]  # seed plus its dummy boundary vertices
-    half_edges: tuple[int, ...]
-    # (dummy vertex, group element whose domain copy shares it)
-    boundary: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def fundamental_domain(g: MetricGraph, a: GraphAction, seed: int) -> FundamentalDomain:
-    """Fundamental domain of a vertex-transitive action on a subdivided graph.
-
-    The domain is the seed original vertex, its incident half-edges, and the
-    dummy vertices at their far ends.  Dummy boundary vertices are shared
-    with exactly one other shifted copy; the sharing group element is
-    recorded as the gluing data.
-    """
-    originals = [v.id for v in g.vertices if v.tag == TAG_ORIGINAL]
-    if seed not in originals:
-        raise NotTransitive(f"seed {seed} is not an original vertex")
-
-    vertex_images, edge_images, _ = a.table
-    vertex_orbit = set(vertex_images[:, seed].tolist())
-    if vertex_orbit != set(originals) or a.group_size != len(originals):
-        raise NotTransitive(
-            f"action is not simply transitive on original vertices "
-            f"(orbit size {len(vertex_orbit)}, {len(originals)} originals, group size {a.group_size})"
-        )
-
-    half_edges = sorted(g.incident_edges(seed))
-    dummies = []
-    for eid in half_edges:
-        e = g.edges[eid]
-        other = e.v if e.u == seed else e.u
-        if g.vertices[other].tag != TAG_DUMMY:
-            raise CoverageGap(f"edge {eid} at seed does not end at a dummy vertex; subdivide first")
-        dummies.append(other)
-
-    # covering: the shifted copies of the half-edge set partition all edges
-    covered = np.sort(edge_images[:, half_edges], axis=None)
-    if not np.array_equal(covered, np.arange(g.n_edges)):
-        raise CoverageGap("group shifts of the domain half-edges do not tile the edge set")
-
-    # gluing: the element whose copy owns the other half of each dummy
-    elements = list(a.elements())
-    boundary = []
-    for d in dummies:
-        inc = g.incident_edges(d)
-        other_half = [e for e in inc if e not in half_edges]
-        if len(inc) != 2 or len(other_half) != 1:
-            raise CoverageGap(f"dummy vertex {d} is not a plain midpoint")
-        e = g.edges[other_half[0]]
-        w = e.v if g.vertices[e.v].tag == TAG_ORIGINAL else e.u
-        boundary.append((d, elements[int(np.argmax(vertex_images[:, seed] == w))]))
-
-    return FundamentalDomain(
-        seed=seed,
-        vertices=(seed, *dummies),
-        half_edges=tuple(half_edges),
-        boundary=tuple(boundary),
     )
 
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Validation failures exit with code 2 and a machine-readable
-``error: <Kind>: <message>`` line on stderr.  All runs are deterministic
-given the same flags.
+Validation failures, and files that cannot be read or written, exit with
+code 2 and a machine-readable ``error: <Kind>: <message>`` line on stderr.
+All runs are deterministic given the same flags.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except QgsymError as exc:
+        except (QgsymError, OSError) as exc:
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(2)
 

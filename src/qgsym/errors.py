@@ -1,5 +1,7 @@
 """Exception types raised across the package, and the shared range check."""
 
+import math
+
 
 class QgsymError(Exception):
     """Base class for all qgsym errors."""
@@ -11,10 +13,6 @@ class NonPositiveLength(QgsymError):
 
 class DanglingEndpoint(QgsymError):
     pass
-
-
-class NotSimple(QgsymError):
-    """A simple-graph constructor was given a loop or parallel edge."""
 
 
 class ZeroDegree(QgsymError):
@@ -45,16 +43,8 @@ class InvalidAction(QgsymError):
     """A builder produced or was given a structure-violating group action."""
 
 
-class NotTransitive(QgsymError):
-    pass
-
-
 class ActionNotFree(QgsymError):
     """A non-identity group element fixes a bond, so the bonds do not split into free orbits."""
-
-
-class CoverageGap(QgsymError):
-    pass
 
 
 class NonUnitPhase(QgsymError):
@@ -78,7 +68,7 @@ class UnsupportedFormat(QgsymError):
 
 
 class NonPositiveParameter(QgsymError):
-    """A size, step or bound that must be positive is not."""
+    """A size, step or bound that must be finite and positive is not."""
 
 
 class MalformedList(QgsymError):
@@ -94,7 +84,7 @@ class OrientationMismatch(QgsymError):
 
 
 def require_positive(**params) -> None:
-    """Raise NonPositiveParameter naming the first of `params` that is not > 0."""
+    """Raise NonPositiveParameter naming the first of `params` that is not finite and > 0."""
     for name, value in params.items():
-        if not value > 0:
-            raise NonPositiveParameter(f"{name} = {value!r} must be positive")
+        if not 0 < value < math.inf:  # false for nan; exact for ints of any size
+            raise NonPositiveParameter(f"{name} = {value!r} must be finite and positive")

@@ -4,8 +4,7 @@ A metric graph is a finite multigraph whose edges carry positive lengths and
 are identified with real intervals.  Every edge yields a reversal pair of
 directed bonds; bond ``2*e`` runs from the stored tail of edge ``e`` to its
 head, bond ``2*e + 1`` the other way.  Loops and parallel edges are
-representable (quotient graphs need them); `make_graph(simple=True)` rejects
-them.
+representable (quotient graphs need them).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DanglingEndpoint, NonPositiveLength, NotSimple
+from .errors import DanglingEndpoint, NonPositiveLength
 
 TAG_ORIGINAL = "original"
 TAG_DUMMY = "dummy"
@@ -27,8 +26,6 @@ TAG_DUMMY = "dummy"
 class Vertex:
     id: int
     tag: str = TAG_ORIGINAL
-    # for dummy vertices: id of the edge in the parent graph that was split
-    provenance: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,6 @@ class MetricGraph:
     def degree(self, v: int) -> int:
         return self._degrees[v]
 
-    def incident_edges(self, v: int) -> list[int]:
-        return [e.id for e in self.edges if v in (e.u, e.v)]
-
     @property
     def total_length(self) -> float:
         return float(sum(e.length for e in self.edges))
@@ -94,7 +88,6 @@ class MetricGraph:
 def make_graph(
     n_vertices: int,
     edges: Iterable[tuple[int, int, float]],
-    simple: bool = False,
     tags: Optional[Sequence[str]] = None,
 ) -> MetricGraph:
     """Build a validated metric graph from (u, v, length) triples."""
@@ -102,15 +95,6 @@ def make_graph(
         tags = [TAG_ORIGINAL] * n_vertices
     vertices = tuple(Vertex(i, tag) for i, tag in enumerate(tags))
     edata = tuple(Edge(j, u, v, float(L)) for j, (u, v, L) in enumerate(edges))
-    if simple:
-        seen = set()
-        for e in edata:
-            if e.u == e.v:
-                raise NotSimple(f"loop at vertex {e.u}")
-            key = (min(e.u, e.v), max(e.u, e.v))
-            if key in seen:
-                raise NotSimple(f"parallel edge {key}")
-            seen.add(key)
     return MetricGraph(vertices, edata)
 
 
@@ -123,7 +107,7 @@ def subdivide_midpoints(g: MetricGraph) -> MetricGraph:
     n = g.n_vertices
     vertices = list(g.vertices)
     for e in g.edges:
-        vertices.append(Vertex(n + e.id, TAG_DUMMY, provenance=e.id))
+        vertices.append(Vertex(n + e.id, TAG_DUMMY))
     edges = []
     for e in g.edges:
         d = n + e.id

@@ -14,13 +14,14 @@ k and return what numpy returns: a numpy scalar or an array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .builders import torus_action
-from .errors import require_positive
+from .errors import NonPositiveLength, require_positive
 from .graphs import TAG_DUMMY, TAG_ORIGINAL, MetricGraph, make_graph
 from .groups import irrep_value
 from .scattering import (
@@ -41,6 +42,12 @@ class QuotientSpec:
     s: int
     t: int
     swap_pairing: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("l1", "l3"):
+            length = getattr(self, name)
+            if not (math.isfinite(length) and length > 0):
+                raise NonPositiveLength(f"{name} = {length!r} must be finite and positive")
 
     @property
     def phase_l1(self) -> complex:
@@ -123,10 +130,10 @@ def all_quotient_specs(n1, n2, l1, l3, swap_pairing=False):
     ]
 
 
-def secular_product(n1: int, n2: int, l1: float, l3: float, k: complex, swap_pairing: bool = False) -> complex:
+def secular_product(n1: int, n2: int, l1: float, l3: float, k: complex) -> complex:
     """Product of the closed-form factors over all n1*n2 irrep labels."""
     out = 1.0 + 0.0j
-    for spec in all_quotient_specs(n1, n2, l1, l3, swap_pairing):
+    for spec in all_quotient_specs(n1, n2, l1, l3):
         out *= quotient_secular_closed(spec, k)
     return out
 

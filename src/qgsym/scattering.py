@@ -74,7 +74,6 @@ class SecularSystem:
 
     S: np.ndarray
     lengths: np.ndarray  # L_b per bond, bond order (edge id, direction)
-    graph: MetricGraph
 
     @property
     def size(self) -> int:
@@ -82,9 +81,6 @@ class SecularSystem:
 
     def unitarity_defect(self) -> float:
         return float(np.max(np.abs(self.S @ self.S.conj().T - np.eye(self.size))))
-
-    def phase_matrix(self, k: complex) -> np.ndarray:
-        return np.diag(np.exp(1j * k * self.lengths))
 
 
 def _scattering_rows(
@@ -158,7 +154,7 @@ def build_secular_system(
     `flipped_edges` asks for (see `_scattering_rows`).
     """
     S, lengths = _scattering_rows(g, conditions, np.arange(2 * g.n_edges), flipped_edges)
-    return SecularSystem(S=S, lengths=lengths, graph=g)
+    return SecularSystem(S=S, lengths=lengths)
 
 
 def character_blocks(
@@ -207,7 +203,7 @@ def character_blocks(
     M = np.fft.fftn(A, axes=tuple(range(1, 1 + len(action.orders))))
     rep_lengths = lengths[reps]
     return {
-        labels: SecularSystem(S=M[(slice(None), *labels)], lengths=rep_lengths, graph=g)
+        labels: SecularSystem(S=M[(slice(None), *labels)], lengths=rep_lengths)
         for labels in action.elements()
     }
 

@@ -321,28 +321,58 @@ TORUS = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, kind",
     [
-        ["factors", *TORUS, "--kmax", "-1"],
-        ["factors", *TORUS, "--grid", "0"],
-        ["factors", "--n1", "0", "--n2", "2", "--l1", "0.5", "--l3", "1.0"],
-        ["factors", *TORUS, "--tol", "0"],
-        ["spectrum", "GRAPH", "--grid", "0"],
-        ["spectrum", "GRAPH", "--tol", "0"],
-        ["scan", "GRAPH", "--grid", "0"],
-        ["project", *TORUS, "--s", "0", "--t", "0", "--samples", "0"],
+        (["factors", *TORUS, "--kmax", "-1"], "NonPositiveParameter"),
+        (["factors", *TORUS, "--kmax", "inf"], "NonPositiveParameter"),
+        (["factors", *TORUS, "--grid", "0"], "NonPositiveParameter"),
+        (["factors", "--n1", "0", "--n2", "2", "--l1", "0.5", "--l3", "1.0"], "NonPositiveParameter"),
+        (["factors", *TORUS, "--tol", "0"], "NonPositiveParameter"),
+        (["factors", "--n1", "2", "--n2", "2", "--l1", "nan", "--l3", "1.0"], "NonPositiveLength"),
+        (["factors", "--n1", "2", "--n2", "2", "--l1", "-1", "--l3", "1.0"], "NonPositiveLength"),
+        (["factors", "--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "inf"], "NonPositiveLength"),
+        (["spectrum", "GRAPH", "--kmax", "inf"], "NonPositiveParameter"),
+        (["spectrum", "GRAPH", "--grid", "0"], "NonPositiveParameter"),
+        (["spectrum", "GRAPH", "--tol", "0"], "NonPositiveParameter"),
+        (["scan", "GRAPH", "--kmax", "inf"], "NonPositiveParameter"),
+        (["scan", "GRAPH", "--grid", "0"], "NonPositiveParameter"),
+        (["project", *TORUS, "--s", "0", "--t", "0", "--samples", "0"], "NonPositiveParameter"),
     ],
-    ids=["factors-kmax", "factors-grid", "factors-n1", "factors-tol", "spectrum-grid", "spectrum-tol",
-         "scan-grid", "project-samples"],
+    ids=["factors-kmax", "factors-kmax-inf", "factors-grid", "factors-n1", "factors-tol", "factors-l1-nan",
+         "factors-l1-negative", "factors-l3-inf", "spectrum-kmax-inf", "spectrum-grid", "spectrum-tol",
+         "scan-kmax-inf", "scan-grid", "project-samples"],
 )
-def test_cli_rejects_out_of_range_flags(tmp_path, args):
+def test_cli_rejects_out_of_range_flags(tmp_path, args, kind):
     gpath = str(tmp_path / "c3.json")
     g, a = cycle_graph(3, 1.0)
     save_graph(gpath, g, action=a)
     out = str(tmp_path / "out.csv")
     res = CliRunner().invoke(main, [gpath if x == "GRAPH" else x for x in args] + ["-o", out])
-    _assert_usage_error(res, "NonPositiveParameter")
+    _assert_usage_error(res, kind)
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["spectrum", "MISSING"], "FileNotFoundError"),
+        (["scan", "DIR"], "IsADirectoryError"),
+        (["compare", "MISSING", "MISSING"], "FileNotFoundError"),
+        (["spectrum", "GRAPH", "--kmax", "2", "-o", "NODIR"], "FileNotFoundError"),
+    ],
+    ids=["spectrum-missing", "scan-directory", "compare-missing", "spectrum-output-dir-missing"],
+)
+def test_cli_reports_unusable_paths(tmp_path, args, kind):
+    gpath = str(tmp_path / "c3.json")
+    g, a = cycle_graph(3, 1.0)
+    save_graph(gpath, g, action=a)
+    paths = {
+        "GRAPH": gpath,
+        "MISSING": str(tmp_path / "missing.json"),
+        "DIR": str(tmp_path),
+        "NODIR": str(tmp_path / "nodir" / "out.csv"),
+    }
+    _assert_usage_error(CliRunner().invoke(main, [paths.get(x, x) for x in args]), kind)
 
 
 @pytest.mark.parametrize(

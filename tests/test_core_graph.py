@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qgsym import make_graph, subdivide_midpoints
-from qgsym.errors import DanglingEndpoint, NonPositiveLength, NotSimple
+from qgsym.errors import DanglingEndpoint, NonPositiveLength
 
 
 def test_make_graph_basic():
@@ -22,15 +22,6 @@ def test_multigraph_and_loop_allowed_by_default():
     assert g.degree(1) == 4  # loop contributes 2
 
 
-def test_simple_flag_rejects_loops_and_parallel_edges():
-    with pytest.raises(NotSimple):
-        make_graph(1, [(0, 0, 1.0)], simple=True)
-    with pytest.raises(NotSimple):
-        make_graph(2, [(0, 1, 1.0), (1, 0, 2.0)], simple=True)
-    # and accepts an honest simple graph
-    make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], simple=True)
-
-
 def test_length_and_endpoint_validation():
     with pytest.raises(NonPositiveLength):
         make_graph(2, [(0, 1, 0.0)])
@@ -46,12 +37,11 @@ def test_subdivide_midpoints_structure():
     assert sg.n_vertices == 4
     assert sg.n_edges == 4
     assert sg.total_length == pytest.approx(g.total_length)
-    # each new vertex has degree 2 and remembers which edge it split
+    # new vertex n + j has degree 2 and splits edge j
     for j in range(g.n_edges):
         mid = g.n_vertices + j
         assert sg.degree(mid) == 2
         assert sg.vertices[mid].tag == "dummy"
-        assert sg.vertices[mid].provenance == j
         halves = [e for e in sg.edges if mid in (e.u, e.v)]
         assert len(halves) == 2
         assert sum(e.length for e in halves) == pytest.approx(g.edges[j].length)

@@ -67,15 +67,6 @@ def test_system_unitarity_and_connectivity():
         assert np.array_equal(block, vertex_scattering_standard(g.degree(v)))
 
 
-def test_phase_matrix_is_diagonal_unit_modulus():
-    g, _ = cycle_graph(3, 1.0)
-    sys = build_secular_system(g, standard_conditions(g))
-    D = sys.phase_matrix(2.0)
-    assert np.allclose(D, np.diag(np.diag(D)))
-    assert np.allclose(np.abs(np.diag(D)), 1.0)
-    assert np.allclose(np.diag(D), np.exp(2j * sys.lengths))
-
-
 def test_cycle_secular_det_vanishes_at_spectrum():
     # a cycle of total length 3 resonates exactly at multiples of 2*pi/3
     g, _ = cycle_graph(3, 1.0)

@@ -101,8 +101,7 @@ def test_find_roots_unitary_cycle():
 
 
 def test_find_roots_unitary_rejects_non_unitary_system():
-    g, _ = cycle_graph(3, 1.0)
-    sys = SecularSystem(0.5 * np.eye(6), np.ones(6), g)
+    sys = SecularSystem(0.5 * np.eye(6), np.ones(6))
     with pytest.raises(NonUnitaryScattering) as info:
         find_roots_unitary(sys, 5.0)
     assert isinstance(info.value, QgsymError)

@@ -1,17 +1,11 @@
-import pytest
-
 from qgsym import (
     circulant_graph,
     cycle_graph,
-    fundamental_domain,
     lift_action_subdivided,
     make_graph,
-    orbit,
-    subdivide_midpoints,
     validate_action,
 )
 from qgsym.actions import GeneratorMaps, GraphAction
-from qgsym.errors import CoverageGap, NotTransitive
 
 
 def test_validate_cycle_action():
@@ -34,11 +28,6 @@ def test_validate_rejects_length_breaking_map():
     rep = validate_action(g, a)
     assert not rep.valid
     assert any("length" in v for v in rep.violations)
-
-
-def test_orbit_covers_cycle_edges():
-    g, a = cycle_graph(5, 1.0)
-    assert sorted(orbit(a, 0)) == [0, 1, 2, 3, 4]
 
 
 def test_element_maps_flip_parity():
@@ -69,42 +58,3 @@ def test_lift_action_subdivided_structure():
     # rotating by one step maps each half-edge onto a half-edge of equal length
     m = sa.maps((1,))
     assert sorted(m.edge_perm) == list(range(sg.n_edges))
-
-
-def test_fundamental_domain_of_cycle():
-    g, a = cycle_graph(3, 1.0)
-    sg, sa = lift_action_subdivided(g, a)
-    fd = fundamental_domain(sg, sa, 0)
-    assert fd.seed == 0
-    assert len(fd.half_edges) == 2  # one half per incident original edge
-    # every boundary dummy carries the group element gluing it to the next copy
-    assert all(isinstance(el, tuple) for _, el in fd.boundary)
-    # the shifted copies of the domain tile all half-edges exactly once
-    tiles = set()
-    for el in sa.elements():
-        m = sa.maps(el)
-        tiles.update(m.edge_perm[h] for h in fd.half_edges)
-    assert tiles == set(range(sg.n_edges))
-
-
-def test_fundamental_domain_requires_original_seed():
-    g, a = cycle_graph(3, 1.0)
-    sg, sa = lift_action_subdivided(g, a)
-    with pytest.raises(NotTransitive):
-        fundamental_domain(sg, sa, 4)  # a dummy vertex
-
-
-def test_fundamental_domain_needs_subdivision():
-    g, a = cycle_graph(3, 1.0)
-    with pytest.raises(CoverageGap):
-        fundamental_domain(g, a, 0)
-
-
-def test_non_transitive_action_rejected():
-    # C_6 rotation acting on a 6-cycle, restricted to the even subgroup:
-    # vertex orbits split, so no single-seed fundamental domain exists
-    g, a = cycle_graph(6, 1.0)
-    sub = GraphAction(orders=(3,), generators=(a.maps((2,)),))
-    sg, ssub = lift_action_subdivided(g, sub)
-    with pytest.raises(NotTransitive):
-        fundamental_domain(sg, ssub, 0)
