@@ -23,12 +23,7 @@ from .errors import GridTooCoarse, MalformedList, QgsymError, require_positive
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, standard_conditions
 from .spectra import (
-    Spectrum,
-    compare_spectra,
-    eigenphase_counter,
-    find_roots_real,
-    find_roots_unitary,
-    merge_spectra,
+    Spectrum, _k_grid, compare_spectra, eigenphase_counter, find_roots_real, find_roots_unitary, merge_spectra,
 )
 
 
@@ -162,7 +157,7 @@ def _merge_copies(found: dict, keys: dict, kmax: float) -> Spectrum:
 @main.command("spectrum")
 @click.argument("graph_file")
 @click.option("--kmax", type=float, default=10.0, show_default=True)
-@click.option("--grid", type=float, default=0.01, show_default=True)
+@click.option("--grid", type=float, default=0.01, hidden=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("-o", "--output", default="spectrum.csv", show_default=True)
 @handle_errors
@@ -176,8 +171,9 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     `blocks` counts the labels, `distinct_blocks` the runs, and
     `evaluations` sums over the runs.
     """
+    require_positive(grid=grid)  # checked for old scripts, but the locator derives its cell
     keys, systems = _systems_from_doc(graph_file)
-    found = {key: find_roots_unitary(sys_, kmax, grid_step=grid, tol=tol) for key, sys_ in systems.items()}
+    found = {key: find_roots_unitary(sys_, kmax, tol=tol) for key, sys_ in systems.items()}
     merged = _merge_copies(found, keys, kmax)
     s = Spectrum(merged.roots, kmax, {
         **next(iter(found.values())).meta,
@@ -294,11 +290,12 @@ def scan_cmd(graph_file, kmax, grid, output):
     require_positive(kmax=kmax, grid=grid)
     if kmax < grid:
         raise GridTooCoarse(f"kmax = {kmax!r} is below grid = {grid!r}")
+    ks = _k_grid(grid, kmax + grid / 2.0, grid)
     keys, systems = _systems_from_doc(graph_file)
     sizes = Counter(keys.values())
     with open(output, "w") as fh:
         fh.write("k,abs_secular\n")
-        for k in np.arange(grid, kmax + grid / 2.0, grid):
+        for k in ks:
             det = math.prod(secular_det(sys_, float(k)) ** sizes[key] for key, sys_ in systems.items())
             fh.write(f"{float(k)!r},{abs(det)!r}\n")
     click.echo(f"wrote {output}")

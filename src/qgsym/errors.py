@@ -79,6 +79,10 @@ class GridTooCoarse(QgsymError):
     pass
 
 
+class GridTooLarge(QgsymError):
+    """A k grid would hold more points than any run should evaluate."""
+
+
 class OrientationMismatch(QgsymError):
     pass
 

@@ -19,11 +19,11 @@ the zero count and zero sum in a circle.
   N(k) = (sum of principal eigenphases at the reference point + k * total
   bond length - sum at k) / 2pi is integer-valued and monotone
   (`eigenphase_counter`); each jump's size is the root's multiplicity.  The
-  value is the sum of the eigenphases nearest 0, which all increase.  The
-  grid is evaluated as stacked `eigvals` calls of at most MAX_STACK_BYTES
-  of input.  This is the robust path for high-order roots of large
-  systems, and N(k_max) is an exact root count that certifies the real
-  locator's output.
+  value is the sum of the eigenphases nearest 0, which all increase.  N is
+  exact at every k, so the cell is derived: 0.9 pi / (longest bond length).
+  The grid goes to stacked `eigvals` calls of at most MAX_STACK_BYTES of
+  input.  This is the robust path for high-order roots of large systems,
+  and N(k_max) is an exact root count certifying the real locator's output.
 
 Both locators report the points they evaluated, grid included, as
 `meta["evaluations"]`.
@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
+from .errors import GridTooCoarse, GridTooLarge, NonUnitaryScattering, require_positive
 from .scattering import SecularSystem
 
 TWO_PI = 2.0 * math.pi
@@ -45,6 +45,7 @@ K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
 TOL_TOUCH = 1e-8  # largest |f| at a local minimum that counts as a touching root
 PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
 MAX_STACK_BYTES = 4 * 2**20  # input of one stacked eigvals call
+MAX_GRID_POINTS = 10**7  # largest k grid any locator or scan builds
 _AT_JUMP = ()  # values that are 0 for a jump of any size
 
 
@@ -105,6 +106,14 @@ def winding_number(
 ) -> int:
     """Zero count of an analytic function inside a circle, by argument change."""
     return _contour(fn, center, radius, samples)[0]
+
+
+def _k_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """`np.arange(start, stop, step)`, refused with `GridTooLarge` when it would
+    hold more than MAX_GRID_POINTS points, before anything is allocated."""
+    if (stop - start) / step > MAX_GRID_POINTS:
+        raise GridTooLarge(f"k from {start!r} to {stop!r} in steps of {step!r} is over {MAX_GRID_POINTS} points")
+    return np.arange(start, stop, step)
 
 
 def _signed_value(vals: Sequence[float], size: int) -> float:
@@ -219,7 +228,7 @@ def find_roots_real(
     require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     if k_max < grid_step:
         raise GridTooCoarse(f"k_max = {k_max!r} is below grid_step = {grid_step!r}")
-    ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
+    ks = _k_grid(grid_step, k_max + grid_step / 2.0, grid_step)
     if ks[-1] < k_max - 1e-12:
         ks = np.append(ks, k_max)
     vals = np.asarray(f(ks))
@@ -335,30 +344,20 @@ def eigenphase_counter(sys: SecularSystem) -> Callable[[float], int]:
     return lambda k: step(k)[0]
 
 
-def find_roots_unitary(
-    sys: SecularSystem,
-    k_max: float,
-    grid_step: float = 0.05,
-    tol: float = 1e-10,
-    source: str = "full",
-) -> Spectrum:
+def find_roots_unitary(sys: SecularSystem, k_max: float, *, tol: float = 1e-10, source: str = "full") -> Spectrum:
     """Roots of det(I - S D(k)) on (K_MIN, k_max] for unitary S.
 
-    The eigenvalues of U(k) = S D(k) move counterclockwise on the unit
-    circle with speed between the shortest and longest bond length, so the
-    root counting function N(k) of `eigenphase_counter` is exact and
-    monotone, and each of its jumps is a root of order the jump's size.
-    The grid, and N's base at K_MIN, take stacked `eigvals` calls of at most
-    MAX_STACK_BYTES of input each, so a dense system never allocates a whole
-    grid of matrices.  `_refine_steps` then closes each jump to width `tol`
-    by regula falsi on the sum of the eigenphases crossing there, which
-    increases smoothly through zero; every evaluation's count keeps the
-    bracket exact, so each root is certified by the counts at its ends.
+    N(k) of `eigenphase_counter` is exact and monotone at every k, and each
+    jump is a root of order the jump's size, so a cell with equal end counts
+    holds no root however wide it is.  The cell, `meta["grid_step"]`, is
+    0.9 pi / (longest bond length): no phase turns by half a circle in one
+    cell, so the regula-falsi value of `_refine_steps`, the sum of the
+    phases crossing at a jump, stays continuous.  Every evaluation's count
+    keeps the bracket exact, so each root is certified by its end counts.
     """
-    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
-    # grid fine enough that phases advance less than a half turn per cell
-    step = min(grid_step, 0.9 * math.pi / float(sys.lengths.max()))
-    ks = np.append(np.arange(K_MIN, k_max, step), k_max)
+    require_positive(k_max=k_max, tol=tol)
+    step = 0.9 * math.pi / float(sys.lengths.max())
+    ks = np.append(_k_grid(K_MIN, k_max, step), k_max)
     count_at, levels, values = _eigenphase_steps(sys, ks)
     jumps, evaluations = _refine_steps(count_at, ks, levels, values, tol)
     roots = tuple(SpectralRoot(k, n, source) for k, n in jumps)

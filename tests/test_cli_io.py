@@ -337,10 +337,15 @@ TORUS = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
         (["scan", "GRAPH", "--kmax", "inf"], "NonPositiveParameter"),
         (["scan", "GRAPH", "--grid", "0"], "NonPositiveParameter"),
         (["project", *TORUS, "--s", "0", "--t", "0", "--samples", "0"], "NonPositiveParameter"),
+        (["spectrum", "GRAPH", "--kmax", "1e300"], "GridTooLarge"),
+        (["factors", *TORUS, "--kmax", "1e300"], "GridTooLarge"),
+        (["factors", *TORUS, "--grid", "1e-300"], "GridTooLarge"),
+        (["scan", "GRAPH", "--kmax", "1e300"], "GridTooLarge"),
     ],
     ids=["factors-kmax", "factors-kmax-inf", "factors-grid", "factors-n1", "factors-tol", "factors-l1-nan",
          "factors-l1-negative", "factors-l3-inf", "spectrum-kmax-inf", "spectrum-grid", "spectrum-tol",
-         "scan-kmax-inf", "scan-grid", "project-samples"],
+         "scan-kmax-inf", "scan-grid", "project-samples", "spectrum-kmax-huge", "factors-kmax-huge",
+         "factors-grid-tiny", "scan-kmax-huge"],
 )
 def test_cli_rejects_out_of_range_flags(tmp_path, args, kind):
     gpath = str(tmp_path / "c3.json")

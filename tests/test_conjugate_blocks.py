@@ -104,7 +104,7 @@ def test_spectrum_equals_the_run_over_every_label(tmp_path):
     got = io.load_spectrum(out)
     assert int(got.meta["blocks"]) == 12 and int(got.meta["distinct_blocks"]) == 7
 
-    parts = [find_roots_unitary(block, 10.0, 0.05, source=_name(labels)) for labels, block in blocks.items()]
+    parts = [find_roots_unitary(block, 10.0, source=_name(labels)) for labels, block in blocks.items()]
     want = merge_spectra(parts, tol=1e-7)
     assert [(r.order, r.source) for r in got.roots] == [(r.order, r.source) for r in want.roots]
     assert max(abs(r.k - w.k) for r, w in zip(got.roots, want.roots)) <= 1e-12

@@ -118,16 +118,17 @@ def test_roots_on_grid_points_and_at_multiples_of_pi_over_4():
 
 
 def test_coarse_cell_holding_several_roots_is_split():
-    # a grid_step above the half-turn cap leaves cells of 0.9 pi / L_max,
-    # which hold several roots of one block
+    # the derived cell of 0.9 pi / L_max holds several roots of one block;
+    # plain count bisection on a 0.01 grid is the reference
     sys_ = _block(3, 4, 0.5, 1 / math.sqrt(2), 5)
-    fine = find_roots_unitary(sys_, 10.0, grid_step=0.01)
-    coarse = find_roots_unitary(sys_, 10.0, grid_step=100.0)
-    step = coarse.meta["grid_step"]
-    ks = np.append(np.arange(K_MIN, 10.0, step), 10.0)
-    per_cell = np.histogram([r.k for r in coarse.roots], bins=ks)[0]
+    s = find_roots_unitary(sys_, 10.0, tol=TOL)
+    cells = np.append(np.arange(K_MIN, 10.0, s.meta["grid_step"]), 10.0)
+    per_cell = np.histogram([r.k for r in s.roots], bins=cells)[0]
     assert per_cell.max() >= 2
-    _assert_same_jumps([(r.k, r.order) for r in coarse.roots], [(r.k, r.order) for r in fine.roots])
+    ks = np.append(np.arange(K_MIN, 10.0, 0.01), 10.0)
+    step, levels, _ = _eigenphase_steps(sys_, ks)
+    want = _bisect(lambda k: step(k)[0], ks, levels, TOL)
+    _assert_same_jumps([(r.k, r.order) for r in s.roots], want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -165,20 +166,33 @@ def test_real_root_on_a_grid_point_takes_one_step():
     assert s.meta["evaluations"] == 10 + 1
 
 
-def test_spectrum_header_counts_evaluations(tmp_path):
-    # the 3x4 torus document at --kmax 10 --grid 0.05: 12 blocks of 201 grid
-    # points and about four refinement evaluations per root (count
-    # bisection took 5382)
+def _spectrum_of_the_3x4_document(tmp_path, name, *flags):
     g, action = torus_action(3, 4, 1.0, 0.5)
-    doc, out = tmp_path / "torus.json", tmp_path / "full.csv"
+    doc, out = tmp_path / "torus.json", tmp_path / name
     io.save_graph(str(doc), g, standard_conditions(g), action)
-    res = CliRunner().invoke(main, ["spectrum", str(doc), "--kmax", "10", "--grid", "0.05", "-o", str(out)])
+    res = CliRunner().invoke(main, ["spectrum", str(doc), "--kmax", "10", *flags, "-o", str(out)])
     assert res.exit_code == 0, res.output
+    return out, character_blocks(g, standard_conditions(g), action)
+
+
+def test_spectrum_header_counts_evaluations(tmp_path):
+    # the 3x4 torus document at --kmax 10: 7 runs of 5 grid points, cells
+    # of 0.9 pi / L_max, and about four refinement evaluations per root;
+    # 417 in all
+    out, blocks = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
     s = io.load_spectrum(str(out))
     assert int(s.meta["blocks"]) == 12
-    assert int(s.meta["evaluations"]) <= 3100
-    blocks = character_blocks(g, standard_conditions(g), action)
+    assert int(s.meta["evaluations"]) <= 450
     assert s.count() == sum(eigenphase_counter(b)(10.0) for b in blocks.values())
+
+
+def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):
+    # old scripts pass --grid; the locator derives its cell, so every value
+    # writes the same file
+    runs = {"0.05.csv": ["--grid", "0.05"], "0.01.csv": ["--grid", "0.01"], "none.csv": []}
+    outs = [_spectrum_of_the_3x4_document(tmp_path, name, *flags)[0] for name, flags in runs.items()]
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    assert "--grid" not in CliRunner().invoke(main, ["spectrum", "--help"]).output
 
 
 def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
