@@ -12,7 +12,6 @@ import math
 import sys
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import click
 import numpy as np
@@ -23,7 +22,8 @@ from .errors import GridTooCoarse, MalformedList, QgsymError, require_positive
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, standard_conditions
 from .spectra import (
-    Spectrum, _k_grid, compare_spectra, eigenphase_counter, find_roots_real, find_roots_unitary, merge_spectra,
+    SpectralRoot, Spectrum, _k_grid, compare_spectra, eigenphase_counts, find_roots_real, find_roots_unitary,
+    merge_spectra,
 )
 
 
@@ -148,7 +148,7 @@ def _merge_copies(found: dict, keys: dict, kmax: float) -> Spectrum:
     (label -> key), with the label as their source.  The copies go in label
     order, so that merged sources list the labels in that order."""
     parts = [
-        Spectrum(tuple(replace(r, source=label) for r in found[key].roots), kmax)
+        Spectrum(tuple(SpectralRoot(r.k, r.order, label) for r in found[key].roots), kmax)
         for label, key in keys.items()
     ]
     return merge_spectra(parts, tol=1e-7)
@@ -201,11 +201,12 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     Labels s and n1-s (and t and n2-t) give the same closed form, so the
     locator runs once per distinct factor and every label gets a copy of its
     roots.  The header's `eigenphase_count` is the exact root count summed
-    over the labels' 8x8 quotient systems, a certificate for `root_count`.
+    over the labels' 8x8 quotient systems, a certificate for `root_count`;
+    the distinct systems are counted in one stacked `eigvals` call.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
     keys = {f"({sp.s},{sp.t})": (min(sp.s, n1 - sp.s), min(sp.t, n2 - sp.t)) for sp in specs}
-    found, counts = {}, {}
+    found, systems = {}, {}
     for spec, key in zip(specs, keys.values()):
         if key not in found:
             found[key] = find_roots_real(
@@ -215,7 +216,8 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
                 tol=tol,
                 complex_fn=lambda k: quotient.quotient_secular_closed(spec, k),
             )
-            counts[key] = eigenphase_counter(quotient.quotient_system(spec))(kmax)
+            systems[key] = quotient.quotient_system(spec)
+    counts = dict(zip(systems, eigenphase_counts(list(systems.values()), kmax)))
     merged = _merge_copies(found, keys, kmax)
     s = Spectrum(merged.roots, kmax, {
         **next(iter(found.values())).meta,

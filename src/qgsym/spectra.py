@@ -7,23 +7,26 @@ crosses zero at the jump.  The level of every evaluation moves the end of
 equal level, so each root still lies in a bracket narrower than `tol` with
 known levels at both ends, as under bisection.  Bisection steps
 guard the cases where regula falsi stalls, and a level between the end
-levels splits the cell.  `_contour` is one argument-principle pass giving
-the zero count and zero sum in a circle.
+levels splits the cell.  `_contour` is the argument-principle pass: the
+zero counts and zero sums in a batch of circles, from one array call of
+the function on all their points.
 
 - `find_roots_real`: the step function is the sign of f and the value f
   itself (an exact 0.0 inside the grid takes the sign of the point before
-  it); the contour pass over its analytic continuation places touching
-  roots (small minima of |f|), gives every order as a winding number and
-  re-centres multiple roots.
+  it); contour passes over its analytic continuation, one array call each,
+  place the touching roots (small minima of |f|), give every order as a
+  winding number and re-centre the multiple roots.
 - `find_roots_unitary`: exact eigenphase counting for unitary scattering.
   N(k) = (sum of principal eigenphases at the reference point + k * total
   bond length - sum at k) / 2pi is integer-valued and monotone
-  (`eigenphase_counter`); each jump's size is the root's multiplicity.  The
+  (`_eigenphase_steps`); each jump's size is the root's multiplicity.  The
   value is the sum of the eigenphases nearest 0, which all increase.  N is
   exact at every k, so the cell is derived: 0.9 pi / (longest bond length).
   The grid goes to stacked `eigvals` calls of at most MAX_STACK_BYTES of
-  input.  This is the robust path for high-order roots of large systems,
-  and N(k_max) is an exact root count certifying the real locator's output.
+  input.  This is the robust path for high-order roots of large systems.
+  N(k_max) of many systems at once (`eigenphase_counts`, one stacked
+  `eigvals` call) is an exact root count certifying the real locator's
+  output.
 
 Both locators report the points they evaluated, grid included, as
 `meta["evaluations"]`.
@@ -82,30 +85,40 @@ class Spectrum:
 
 
 def _contour(
-    fn: Callable[[np.ndarray], np.ndarray], center: float, radius: float, samples: int
-) -> tuple[int, complex]:
-    """Zero count and zero sum of an analytic function inside a circle.
+    fn: Callable[[np.ndarray], np.ndarray], centers: Sequence[float], radii: Sequence[float], samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero counts and zero sums of an analytic function inside circles.
 
-    Argument principle on `samples` chords: the change of log f around the
-    circle is 2pi i times the zero count, and (1/2pi i) * the contour
-    integral of z f'(z)/f(z) = z d(log f) is the sum of the enclosed zeros.
-    `fn` is evaluated once, on the array of the circle's points.
+    Argument principle on `samples` chords per circle: the change of log f
+    around a circle is 2pi i times its zero count, and (1/2pi i) * the
+    contour integral of z f'(z)/f(z) = z d(log f) is the sum of its zeros.
+    `fn` is evaluated on a (circles, samples + 1) array of the circles'
+    points, once per MAX_STACK_BYTES of points and not at all for no
+    circles.  A circle through a zero raises `GridTooCoarse` naming its
+    centre.
     """
-    zs = center + radius * np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))
-    vals = np.asarray(fn(zs))
-    if np.any(vals == 0):
-        raise GridTooCoarse(f"winding circle at {center} passes through a zero")
-    dlog = np.diff(np.log(np.abs(vals)) + 1j * np.angle(vals))
-    dlog = dlog.real + 1j * ((dlog.imag + np.pi) % TWO_PI - np.pi)
-    zsum = np.sum(0.5 * (zs[:-1] + zs[1:]) * dlog) / (2j * np.pi)
-    return int(round(dlog.imag.sum() / TWO_PI)), complex(zsum)
+    centers, radii = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(radii, dtype=float))
+    counts, zsums = np.empty(len(centers), dtype=int), np.empty(len(centers), dtype=complex)
+    per = max(1, MAX_STACK_BYTES // (16 * (samples + 1)))
+    for j in range(0, len(centers), per):
+        circle = np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))
+        zs = centers[j : j + per, None] + radii[j : j + per, None] * circle
+        vals = np.asarray(fn(zs))
+        hit = np.flatnonzero(np.any(vals == 0, axis=-1))
+        if len(hit):
+            raise GridTooCoarse(f"winding circle at {float(centers[j + hit[0]])} passes through a zero")
+        dlog = np.diff(np.log(np.abs(vals)) + 1j * np.angle(vals), axis=-1)
+        dlog = dlog.real + 1j * ((dlog.imag + np.pi) % TWO_PI - np.pi)
+        zsums[j : j + per] = np.sum(0.5 * (zs[:, :-1] + zs[:, 1:]) * dlog, axis=-1) / (2j * np.pi)
+        counts[j : j + per] = np.rint(dlog.imag.sum(-1) / TWO_PI)
+    return counts, zsums
 
 
 def winding_number(
     fn: Callable[[np.ndarray], np.ndarray], center: float, radius: float, samples: int = 64
 ) -> int:
     """Zero count of an analytic function inside a circle, by argument change."""
-    return _contour(fn, center, radius, samples)[0]
+    return int(_contour(fn, [center], [radius], samples)[0][0])
 
 
 def _k_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -209,9 +222,12 @@ def find_roots_real(
 
     `f` and `complex_fn` take a float or a numpy array of points and return
     the values elementwise, as numpy ufunc expressions do: the grid is
-    evaluated in one call `f(ks)` and each contour circle in one call of
-    `complex_fn`, while refinement and the touching-root check call `f` on
-    single floats.
+    evaluated in one call `f(ks)`, and each contour pass in one call of
+    `complex_fn` on the (circles, samples + 1) points of all its circles
+    (see `_contour`): one for the touching-root candidates, one for the
+    orders of all roots, and two in turn to re-centre the multiple roots.
+    A pass with no circles makes no call.  Refinement and the touching-root
+    check call `f` on single floats.
 
     Sign changes on the grid are closed to width `tol` by `_refine_steps`,
     with f as the value; a grid value of exactly 0.0 inside the grid takes
@@ -254,11 +270,11 @@ def find_roots_real(
     crossing = vals[:-1] * vals[1:] < 0.0
     touch = (absvals[1:-1] <= absvals[:-2]) & (absvals[1:-1] <= absvals[2:])
     touch &= ~crossing[:-1] & ~crossing[1:]
-    for i in np.flatnonzero(touch) + 1:
-        count, zsum = _contour(complex_fn, float(ks[i]), grid_step, 64)
+    candidates = np.flatnonzero(touch) + 1
+    for i, count, zsum in zip(candidates, *_contour(complex_fn, ks[candidates], grid_step, 64)):
         if count < 1:
             continue
-        km = zsum.real / count
+        km = float(zsum.real / count)
         dip = (1.0 if vals[i - 1] > 0 else -1.0) * f(km)
         if dip >= TOL_TOUCH or any(abs(km - r) <= 2 * grid_step for r in roots):
             continue
@@ -267,20 +283,19 @@ def find_roots_real(
         roots.append(km)
 
     roots.sort()
-    out = []
-    for r in roots:
-        if r > k_max + tol:  # the grid may overshoot k_max by half a step
-            continue
-        rad = min([grid_step / 2.0] + [0.45 * abs(r - o) for o in roots if abs(r - o) > 1e-12])
-        order = max(winding_number(complex_fn, r, rad), 1)
-        if order >= 2:
-            # the sign's resolution degrades like eps**(1/order) at a multiple
-            # zero; re-centre twice on the zero sum over the same circle (a
-            # smaller one would drown |f| ~ rad**order in rounding)
-            for _ in range(2):
-                r = float((_contour(complex_fn, r, rad, 128)[1] / order).real)
-        out.append(SpectralRoot(r, order, source))
-    return Spectrum(tuple(out), k_max, {"grid_step": grid_step, "tol": tol, "evaluations": evaluations})
+    kept = np.array([r for r in roots if r <= k_max + tol])  # the grid may overshoot k_max by half a step
+    radii = np.array(
+        [min([grid_step / 2.0] + [0.45 * abs(r - o) for o in roots if abs(r - o) > 1e-12]) for r in kept]
+    )
+    orders = np.maximum(_contour(complex_fn, kept, radii, 64)[0], 1)
+    # the sign's resolution degrades like eps**(1/order) at a multiple zero;
+    # re-centre twice on the zero sum over the same circle (a smaller one
+    # would drown |f| ~ rad**order in rounding)
+    multiple = orders >= 2
+    for _ in range(2):
+        kept[multiple] = _contour(complex_fn, kept[multiple], radii[multiple], 128)[1].real / orders[multiple]
+    out = tuple(SpectralRoot(r, order, source) for r, order in zip(kept, orders))
+    return Spectrum(out, k_max, {"grid_step": grid_step, "tol": tol, "evaluations": evaluations})
 
 
 def _eigenphases(sys: SecularSystem, ks: np.ndarray) -> np.ndarray:
@@ -298,6 +313,17 @@ def _eigenphases(sys: SecularSystem, ks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_unitary(sys: SecularSystem) -> None:
+    defect = sys.unitarity_defect()
+    if defect > 1e-10:
+        raise NonUnitaryScattering(f"|S S^H - I| = {defect:.3e}: eigenphase counting needs a unitary S")
+
+
+def _phase_total(phases: np.ndarray) -> np.ndarray:
+    """P: the sum over the last axis of the phases taken in (0, 2pi]."""
+    return phases.sum(-1) + TWO_PI * (phases < 0.0).sum(-1)
+
+
 def _eigenphase_steps(
     sys: SecularSystem, ks: np.ndarray
 ) -> tuple[Callable[[float], tuple[int, list[float]]], np.ndarray, np.ndarray]:
@@ -309,45 +335,51 @@ def _eigenphase_steps(
     (0, 2pi] as `_eigenphases` places them: each phase advances by k * L in
     all and drops by 2pi when it crosses 1.  The values are the eigenphases
     nearest 0 first, so a jump of m sums the m phases that cross there.
-    Needs a unitary S (`NonUnitaryScattering` otherwise).
+    The step makes one `np.linalg.eigvals` call on the one matrix U(k) and
+    counts in Python floats.  Needs a unitary S (`NonUnitaryScattering`
+    otherwise).
     """
-    defect = sys.unitarity_defect()
-    if defect > 1e-10:
-        raise NonUnitaryScattering(f"|S S^H - I| = {defect:.3e}: eigenphase counting needs a unitary S")
+    _require_unitary(sys)
     l_total = float(sys.lengths.sum())
 
-    def phase_total(phases: np.ndarray) -> np.ndarray:
-        return phases.sum(-1) + TWO_PI * (phases < 0.0).sum(-1)
-
-    def counts(k, phases: np.ndarray) -> np.ndarray:
-        return np.rint((base + k * l_total - phase_total(phases)) / TWO_PI).astype(int)
-
     def step(k: float) -> tuple[int, list[float]]:
-        phases = _eigenphases(sys, np.array([k]))
-        return int(counts(k, phases)[0]), sorted(phases[0].tolist(), key=abs)
+        phases = (np.angle(np.linalg.eigvals(sys.S * np.exp(1j * k * sys.lengths))) - PHASE_EPS).tolist()
+        total = sum(phases) + TWO_PI * sum(p < 0.0 for p in phases)
+        return round((base + k * l_total - total) / TWO_PI), sorted(phases, key=abs)
 
     phases = _eigenphases(sys, ks)
-    base = float(phase_total(phases[0])) - ks[0] * l_total
+    base = float(_phase_total(phases[0])) - ks[0] * l_total
     nearest_first = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1), axis=-1)
-    return step, counts(ks, phases), nearest_first
+    levels = np.rint((base + ks * l_total - _phase_total(phases)) / TWO_PI).astype(int)
+    return step, levels, nearest_first
 
 
-def eigenphase_counter(sys: SecularSystem) -> Callable[[float], int]:
-    """N(k): the number of roots of det(I - S D(k)) in (K_MIN, k], with order.
+def eigenphase_counts(systems: Sequence[SecularSystem], k: float) -> list[int]:
+    """N(k) of each system: the number of roots of det(I - S D(k)) in
+    (K_MIN, k], with order.
 
     The eigenvalues of U(k) = S D(k) move counterclockwise on the unit
     circle and their phases advance by k * (total bond length) in all, so the
     number that crossed 1 follows from the principal phases at K_MIN and at
-    k.  Needs a unitary S (`NonUnitaryScattering` otherwise).
+    k, as in `_eigenphase_steps`.  The systems are of one size; their
+    matrices at both points go to one stacked `np.linalg.eigvals` call, whose
+    input is twice their S matrices.  Needs unitary S
+    (`NonUnitaryScattering` otherwise).
     """
-    step = _eigenphase_steps(sys, np.array([K_MIN]))[0]
-    return lambda k: step(k)[0]
+    for sys in systems:
+        _require_unitary(sys)
+    S = np.stack([sys.S for sys in systems])
+    lengths = np.stack([sys.lengths for sys in systems])
+    d = np.exp(1j * np.array([K_MIN, k])[:, None, None] * lengths)
+    start, end = _phase_total(np.angle(np.linalg.eigvals(S * d[..., None, :])) - PHASE_EPS)
+    l_total = lengths.sum(-1)
+    return np.rint((start - K_MIN * l_total + k * l_total - end) / TWO_PI).astype(int).tolist()
 
 
 def find_roots_unitary(sys: SecularSystem, k_max: float, *, tol: float = 1e-10, source: str = "full") -> Spectrum:
     """Roots of det(I - S D(k)) on (K_MIN, k_max] for unitary S.
 
-    N(k) of `eigenphase_counter` is exact and monotone at every k, and each
+    N(k) of `_eigenphase_steps` is exact and monotone at every k, and each
     jump is a root of order the jump's size, so a cell with equal end counts
     holds no root however wide it is.  The cell, `meta["grid_step"]`, is
     0.9 pi / (longest bond length): no phase turns by half a circle in one

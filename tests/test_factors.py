@@ -1,18 +1,29 @@
-"""The closed forms on arrays, and `factors` run once per distinct closed form."""
+"""The closed forms on arrays, `factors` run once per distinct closed form,
+and the array calls of its contour passes and of its stacked certificate."""
+
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qgsym import (
+    SecularSystem,
     all_quotient_specs,
+    character_blocks,
     find_roots_real,
     merge_spectra,
+    quotient,
     quotient_dispersion_real,
     quotient_secular_closed,
+    quotient_system,
+    standard_conditions,
+    torus_action,
 )
 from qgsym.cli import main
+from qgsym.errors import GridTooCoarse, NonUnitaryScattering
 from qgsym.io import load_spectrum
+from qgsym.spectra import K_MIN, PHASE_EPS, _contour, eigenphase_counts
 
 L1 = 0.5
 L3_BAND = 0.713616028647381  # an incommensurate L3 near 1/sqrt(2), as the 16x16 benchmark draws
@@ -107,4 +118,100 @@ def test_find_roots_real_evaluates_grid_and_circles_in_one_call_each():
     assert [r.order for r in s.roots] == [1, 1, 1]
     assert shapes["f"][0] == (100,)
     assert all(shape == () for shape in shapes["f"][1:])  # bisection steps
-    assert shapes["complex_fn"] == [(65,)] * 3  # one winding circle per root
+    assert shapes["complex_fn"] == [(3, 65)]  # one order pass over the three roots' circles
+
+
+def _one_circle(fn, center, radius, samples):
+    """Zero count and zero sum inside one circle, from one 1-D call of `fn`:
+    the argument principle as it was computed before circles were batched."""
+    zs = center + radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, samples + 1))
+    vals = fn(zs)
+    dlog = np.diff(np.log(np.abs(vals)) + 1j * np.angle(vals))
+    dlog = dlog.real + 1j * ((dlog.imag + math.pi) % (2 * math.pi) - math.pi)
+    return round(dlog.imag.sum() / (2 * math.pi)), np.sum(0.5 * (zs[:-1] + zs[1:]) * dlog) / (2j * math.pi)
+
+
+def test_batched_contour_equals_one_circle_at_a_time():
+    triple = all_quotient_specs(3, 4, L1, 1.0)[0]  # the (0,0) factor: a root of order 3 at 2 pi
+    fns = [
+        lambda z: quotient_secular_closed(triple, z),
+        lambda z: np.sin(z) * (z - 2.0) ** 2,
+    ]
+    centers = [math.pi, 0.3, 2.0, 2.05, 2 * math.pi, 3 * math.pi, 7.8]
+    radii = [0.0025, 0.1, 0.5, 0.01, 0.05, 0.3, 1.2]
+    seen = set()
+    for fn in fns:
+        for samples in (64, 128):
+            counts, zsums = _contour(fn, centers, radii, samples)
+            want = [_one_circle(fn, c, r, samples) for c, r in zip(centers, radii)]
+            assert counts.tolist() == [n for n, _ in want]
+            assert max(abs(z - w) for z, (_, w) in zip(zsums, want)) <= 1e-13
+            seen.update(counts.tolist())
+    assert {0, 1, 2, 3} <= seen
+
+    calls = []
+    counts, zsums = _contour(lambda z: calls.append(z.shape) or np.sin(z), [], [], 64)
+    assert calls == [] and counts.shape == zsums.shape == (0,)
+
+    # the first point of a circle is centre + radius: 0.5 + 0.5 is the zero 1
+    with pytest.raises(GridTooCoarse, match=r"winding circle at 0\.5 passes through a zero"):
+        _contour(lambda z: z - 1.0, [3.0, 0.5, 7.0], [0.1, 0.5, 0.1], 64)
+
+
+def _one_system_count(sys_, k):
+    """N(k) of one system from its own eigvals calls at K_MIN and at k, as the
+    certificate counted each system before the systems were stacked."""
+
+    def phase_total(x):
+        phases = np.angle(np.linalg.eigvals(sys_.S * np.exp(1j * x * sys_.lengths))) - PHASE_EPS
+        return phases.sum() + 2 * math.pi * (phases < 0.0).sum()
+
+    l_total = sys_.lengths.sum()
+    return round((phase_total(K_MIN) - K_MIN * l_total + k * l_total - phase_total(k)) / (2 * math.pi))
+
+
+def _distinct_factor_systems(n1, n2, l3):
+    first = {}
+    for spec in all_quotient_specs(n1, n2, L1, l3):
+        first.setdefault(_group_key(spec), spec)
+    return [quotient_system(spec) for spec in first.values()]
+
+
+def test_stacked_certificate_equals_one_system_at_a_time():
+    g, action = torus_action(3, 4, 1.0, L1)
+    blocks = list(character_blocks(g, standard_conditions(g), action).values())
+    groups = [
+        _distinct_factor_systems(3, 4, 1.0),
+        _distinct_factor_systems(4, 6, 0.61),  # not coprime
+        blocks,
+    ]
+    assert [len(systems) for systems in groups] == [6, 12, 12]
+    mixed = [sys_ for systems in groups for sys_ in systems]
+    for k in (0.5, 2.0, 4.0, 7.3, 10.0):
+        want = [_one_system_count(sys_, k) for sys_ in mixed]
+        assert eigenphase_counts(mixed, k) == want
+        for systems in groups:
+            assert eigenphase_counts(systems, k) == [_one_system_count(sys_, k) for sys_ in systems]
+    assert sum(eigenphase_counts(mixed, 10.0)) > 0
+    lossy = SecularSystem(1.1 * blocks[0].S, blocks[0].lengths)
+    with pytest.raises(NonUnitaryScattering):
+        eigenphase_counts(blocks[:3] + [lossy], 5.0)
+
+
+def test_factors_call_budget(tmp_path, monkeypatch):
+    # per distinct factor: one contour pass for the touching candidates, one
+    # for the orders and two to re-centre multiple roots; and one stacked
+    # eigvals call for the whole certificate, at K_MIN and at k_max
+    closed, eigvals = quotient.quotient_secular_closed, np.linalg.eigvals
+    closed_shapes, eigvals_shapes = [], []
+    monkeypatch.setattr(
+        quotient, "quotient_secular_closed", lambda spec, k: closed_shapes.append(np.shape(k)) or closed(spec, k)
+    )
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals_shapes.append(np.shape(a)) or eigvals(a))
+    s = _run_factors(tmp_path, 16, 16, 0.7101)
+    distinct = int(s.meta["factors"])
+    assert distinct == 81
+    assert 0 < len(closed_shapes) <= 4 * distinct
+    assert all(len(shape) == 2 and shape[1] in (65, 129) for shape in closed_shapes)
+    assert eigvals_shapes == [(2, distinct, 8, 8)]
+    assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"])

@@ -24,7 +24,7 @@ from qgsym.spectra import (
     _eigenphase_steps,
     _eigenphases,
     _refine_steps,
-    eigenphase_counter,
+    eigenphase_counts,
 )
 
 TOL = 1e-10
@@ -84,7 +84,7 @@ def test_unitary_refinement_equals_count_bisection(n1, n2, l1, l3, pick):
     sys_ = _block(n1, n2, l1, l3, pick)
     k_max = 6.0
     s = find_roots_unitary(sys_, k_max, tol=TOL)
-    count = eigenphase_counter(sys_)
+    count = lambda k: eigenphase_counts([sys_], k)[0]
     step = s.meta["grid_step"]
     ks = np.append(np.arange(K_MIN, k_max, step), k_max)
     want = _bisect(count, ks, np.array([count(k) for k in ks]), TOL)
@@ -107,7 +107,7 @@ def test_roots_on_grid_points_and_at_multiples_of_pi_over_4():
         got, evaluations = _refine_steps(counted, ks, levels, values, TOL)
         want = _bisect(lambda k: step(k)[0], ks, levels, TOL)
         _assert_same_jumps(got, want)
-        assert sum(n for _, n in got) == eigenphase_counter(sys_)(ks[-1])
+        assert sum(n for _, n in got) == eigenphase_counts([sys_], ks[-1])[0]
         assert evaluations == len(ks) + len(calls) <= len(ks) + _eval_bound(math.pi / 8) * len(want)
         for k, _ in got:
             j = round(k / (math.pi / 8))
@@ -183,7 +183,7 @@ def test_spectrum_header_counts_evaluations(tmp_path):
     s = io.load_spectrum(str(out))
     assert int(s.meta["blocks"]) == 12
     assert int(s.meta["evaluations"]) <= 450
-    assert s.count() == sum(eigenphase_counter(b)(10.0) for b in blocks.values())
+    assert s.count() == sum(eigenphase_counts(list(blocks.values()), 10.0))
 
 
 def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):
