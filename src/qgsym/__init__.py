@@ -43,6 +43,7 @@ from .scattering import (
     vertex_scattering_standard,
 )
 from .quotient import (
+    QuotientFamily,
     QuotientSpec,
     all_quotient_specs,
     quotient_dispersion_real,
@@ -55,10 +56,14 @@ from .quotient import (
 from .spectra import (
     Spectrum,
     compare_spectra,
-    find_roots_real,
-    find_roots_unitary,
     merge_spectra,
     winding_number,
+)
+from .locators import (
+    find_roots_real,
+    find_roots_real_family,
+    find_roots_unitary,
+    find_roots_unitary_family,
 )
 from .decompose import (
     SampledFunction,

@@ -21,10 +21,9 @@ from .decompose import l2_norm_sq, project, random_function
 from .errors import GridTooCoarse, MalformedList, QgsymError, require_positive
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, standard_conditions
-from .spectra import (
-    SpectralRoot, Spectrum, _k_grid, compare_spectra, eigenphase_counts, find_roots_real, find_roots_unitary,
-    merge_spectra,
-)
+from .locators import eigenphase_counts, find_roots_real_family, find_roots_unitary_family
+from .locators import find_roots_real, find_roots_unitary  # noqa: F401  (names the benchmark's tracer wraps)
+from .spectra import Spectrum, _k_grid, compare_spectra, merge_spectra
 
 
 def handle_errors(fn):
@@ -143,15 +142,10 @@ def _systems_from_doc(path) -> tuple[dict[str, str], dict[str, SecularSystem]]:
     return keys, {label: block for label, block in zip(keys, blocks.values()) if keys[label] == label}
 
 
-def _merge_copies(found: dict, keys: dict, kmax: float) -> Spectrum:
-    """The union of one copy of `found[key]`'s roots per label of `keys`
-    (label -> key), with the label as their source.  The copies go in label
-    order, so that merged sources list the labels in that order."""
-    parts = [
-        Spectrum(tuple(SpectralRoot(r.k, r.order, label) for r in found[key].roots), kmax)
-        for label, key in keys.items()
-    ]
-    return merge_spectra(parts, tol=1e-7)
+def _merge_copies(found: list[Spectrum], keys: dict, runs: dict) -> Spectrum:
+    """The union of one copy of `found[runs[key]]`'s roots per label of `keys`
+    (label -> key), with the label as their source, merged in label order."""
+    return merge_spectra(found, tol=1e-7, copies=[(runs[key], label) for label, key in keys.items()])
 
 
 @main.command("spectrum")
@@ -166,20 +160,23 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
 
     A document that stores its group action is solved on its character
     blocks.  The blocks of a label and of its conjugate have one secular
-    determinant, so the locator runs once per conjugate pair and every label
-    gets a copy of the roots, its label as their source.  The header's
-    `blocks` counts the labels, `distinct_blocks` the runs, and
-    `evaluations` sums over the runs.
+    determinant, so each conjugate pair is solved once, and every label gets
+    a copy of the roots, its label as their source.  All distinct blocks are
+    one family of the unitary locator: each refinement round is one stacked
+    `eigvals` call over the open brackets of every block, per 32 KB of
+    matrices (`spectra.MAX_BATCH_BYTES`).  The header's `blocks` counts the
+    labels, `distinct_blocks` the blocks solved, and `evaluations` sums
+    their evaluation points.
     """
     require_positive(grid=grid)  # checked for old scripts, but the locator derives its cell
     keys, systems = _systems_from_doc(graph_file)
-    found = {key: find_roots_unitary(sys_, kmax, tol=tol) for key, sys_ in systems.items()}
-    merged = _merge_copies(found, keys, kmax)
+    found = find_roots_unitary_family(list(systems.values()), kmax, tol=tol)
+    merged = _merge_copies(found, keys, {key: i for i, key in enumerate(systems)})
     s = Spectrum(merged.roots, kmax, {
-        **next(iter(found.values())).meta,
+        **found[0].meta,
         "blocks": len(keys),
         "distinct_blocks": len(found),
-        "evaluations": sum(f.meta["evaluations"] for f in found.values()),
+        "evaluations": sum(f.meta["evaluations"] for f in found),
     })
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
@@ -198,33 +195,33 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
 def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     """Roots of every quotient factor, labeled by (s, t).
 
-    Labels s and n1-s (and t and n2-t) give the same closed form, so the
-    locator runs once per distinct factor and every label gets a copy of its
-    roots.  The header's `eigenphase_count` is the exact root count summed
-    over the labels' 8x8 quotient systems, a certificate for `root_count`;
-    the distinct systems are counted in one stacked `eigvals` call.
+    Labels s and n1-s (and t and n2-t) give the same closed form, so each
+    distinct factor is solved once and every label gets a copy of its roots.
+    The distinct factors are one family of the real locator: the grid, each
+    refinement round and each contour pass evaluate all of them together,
+    per 32 KB of points (`spectra.MAX_BATCH_BYTES`).  The header's
+    `eigenphase_count` is the exact root count summed over the labels' 8x8
+    quotient systems, a certificate for `root_count`; the distinct systems
+    are counted in one stacked `eigvals` call.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
     keys = {f"({sp.s},{sp.t})": (min(sp.s, n1 - sp.s), min(sp.t, n2 - sp.t)) for sp in specs}
-    found, systems = {}, {}
+    distinct = {}
     for spec, key in zip(specs, keys.values()):
-        if key not in found:
-            found[key] = find_roots_real(
-                lambda k: quotient.quotient_dispersion_real(spec, k),
-                kmax,
-                grid_step=grid,
-                tol=tol,
-                complex_fn=lambda k: quotient.quotient_secular_closed(spec, k),
-            )
-            systems[key] = quotient.quotient_system(spec)
-    counts = dict(zip(systems, eigenphase_counts(list(systems.values()), kmax)))
-    merged = _merge_copies(found, keys, kmax)
+        distinct.setdefault(key, spec)
+    family = quotient.QuotientFamily(distinct.values())
+    found = find_roots_real_family(
+        family.dispersion_real, len(distinct), kmax, grid_step=grid, tol=tol, complex_fn=family.secular_closed
+    )
+    runs = {key: i for i, key in enumerate(distinct)}
+    counts = eigenphase_counts([quotient.quotient_system(spec) for spec in distinct.values()], kmax)
+    merged = _merge_copies(found, keys, runs)
     s = Spectrum(merged.roots, kmax, {
-        **next(iter(found.values())).meta,
+        **found[0].meta,
         "factors": len(found),
-        "evaluations": sum(f.meta["evaluations"] for f in found.values()),
+        "evaluations": sum(f.meta["evaluations"] for f in found),
         "root_count": merged.count(),
-        "eigenphase_count": sum(counts[key] for key in keys.values()),
+        "eigenphase_count": sum(counts[runs[key]] for key in keys.values()),
     })
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
@@ -237,6 +234,7 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
 @handle_errors
 def compare_cmd(spectrum_a, spectrum_b, tol):
     """Compare two spectrum CSV files."""
+    require_positive(tol=tol)
     a = io.load_spectrum(spectrum_a)
     b = io.load_spectrum(spectrum_b)
     rep = compare_spectra(a, b, tol)

@@ -10,6 +10,7 @@ changes no observable (graph, matrices, closed form, spectra).
 
 The closed form and the real dispersion form take a scalar or an array of
 k and return what numpy returns: a numpy scalar or an array.
+`QuotientFamily` evaluates them for many factors in one array call.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -95,10 +97,7 @@ def quotient_system(spec: QuotientSpec, flipped_edges=()) -> SecularSystem:
     return build_secular_system(g, conds, flipped_edges=flipped_edges)
 
 
-def quotient_secular_closed(spec: QuotientSpec, k):
-    """Closed-form secular function of the (s, t) quotient factor."""
-    alpha, beta = spec.coefficients
-    l1, l3 = spec.l1, spec.l3
+def _closed(alpha, beta, l1, l3, k):
     e = lambda x: np.exp(1j * k * x)
     return (
         1.0
@@ -110,15 +109,48 @@ def quotient_secular_closed(spec: QuotientSpec, k):
     )
 
 
+def _dispersion(alpha, beta, l1, l3, k):
+    return np.sin(2 * k * (l1 + l3)) - alpha * np.sin(2 * k * l3) - beta * np.sin(2 * k * l1)
+
+
+def quotient_secular_closed(spec: QuotientSpec, k):
+    """Closed-form secular function of the (s, t) quotient factor."""
+    return _closed(*spec.coefficients, spec.l1, spec.l3, k)
+
+
 def quotient_dispersion_real(spec: QuotientSpec, k):
     """Real dispersion form F(k) with the same zero set as the closed form.
 
     Satisfies Sigma(k) = -2i * exp(2ik(L1+L3)) * F(k); accepts complex k for
     analytic continuation (winding-number order checks).
     """
-    alpha, beta = spec.coefficients
-    l1, l3 = spec.l1, spec.l3
-    return np.sin(2 * k * (l1 + l3)) - alpha * np.sin(2 * k * l3) - beta * np.sin(2 * k * l1)
+    return _dispersion(*spec.coefficients, spec.l1, spec.l3, k)
+
+
+class QuotientFamily:
+    """The closed forms of quotient factors of one torus, as family
+    evaluators of `locators.find_roots_real_family`.
+
+    `which` indexes `specs` and broadcasts against `k`, so one array call
+    evaluates any mix of factors.  The factors share L1 and L3, so the sines
+    of the dispersion form on a grid shared by all members are computed once
+    per call.  Each value equals the one-factor function's bit for bit.
+    """
+
+    def __init__(self, specs: Sequence[QuotientSpec]):
+        specs = tuple(specs)
+        self.l1, self.l3 = specs[0].l1, specs[0].l3
+        if any((spec.l1, spec.l3) != (self.l1, self.l3) for spec in specs):
+            raise ValueError("the factors of a family share L1 and L3")
+        self.alpha, self.beta = np.array([spec.coefficients for spec in specs]).T
+
+    def secular_closed(self, which, k):
+        """`quotient_secular_closed` of the factors `which` at `k`."""
+        return _closed(self.alpha[which], self.beta[which], self.l1, self.l3, k)
+
+    def dispersion_real(self, which, k):
+        """`quotient_dispersion_real` of the factors `which` at `k`."""
+        return _dispersion(self.alpha[which], self.beta[which], self.l1, self.l3, k)
 
 
 def all_quotient_specs(n1, n2, l1, l3, swap_pairing=False):

@@ -1,55 +1,46 @@
-"""Root extraction from secular functions and spectrum bookkeeping.
+"""The shared root-locator core and spectrum bookkeeping.
 
-Both locators run one core, `_refine_steps`: an integer step function is
-evaluated on a grid, and every cell where it changes is closed to width
-`tol` by regula falsi with a bisection safeguard on a continuous value that
-crosses zero at the jump.  The level of every evaluation moves the end of
-equal level, so each root still lies in a bracket narrower than `tol` with
-known levels at both ends, as under bisection.  Bisection steps
-guard the cases where regula falsi stalls, and a level between the end
-levels splits the cell.  `_contour` is the argument-principle pass: the
-zero counts and zero sums in a batch of circles, from one array call of
-the function on all their points.
+The locators of `locators` solve a family of functions at once: the
+distinct quotient factors of `factors`, or the distinct character blocks of
+`spectrum`.  An evaluator takes two arrays that broadcast together,
+`which` (the member of each point) and `k`, so one array call serves every
+member.  Each array call takes at most MAX_BATCH_BYTES of input: a grid
+goes in chunks of members, a contour pass in chunks of circles, a stack of
+`eigvals` in chunks of matrices.
 
-- `find_roots_real`: the step function is the sign of f and the value f
-  itself (an exact 0.0 inside the grid takes the sign of the point before
-  it); contour passes over its analytic continuation, one array call each,
-  place the touching roots (small minima of |f|), give every order as a
-  winding number and re-centre the multiple roots.
-- `find_roots_unitary`: exact eigenphase counting for unitary scattering.
-  N(k) = (sum of principal eigenphases at the reference point + k * total
-  bond length - sum at k) / 2pi is integer-valued and monotone
-  (`_eigenphase_steps`); each jump's size is the root's multiplicity.  The
-  value is the sum of the eigenphases nearest 0, which all increase.  N is
-  exact at every k, so the cell is derived: 0.9 pi / (longest bond length).
-  The grid goes to stacked `eigvals` calls of at most MAX_STACK_BYTES of
-  input.  This is the robust path for high-order roots of large systems.
-  N(k_max) of many systems at once (`eigenphase_counts`, one stacked
-  `eigvals` call) is an exact root count certifying the real locator's
-  output.
+`_refine_steps` closes the jumps of integer step functions.  Every cell of
+a member's grid whose end levels differ is a bracket.  Each round computes
+the next regula-falsi or bisection point of every open bracket of every
+member, evaluates all of them in one call of the step evaluator, and moves
+the end of equal level, so each root still lies in a bracket narrower than
+`tol` with known levels at both ends.  Bisection steps guard the cases
+where regula falsi stalls, and a level between the end levels splits the
+bracket.  A member's points, roots and count do not depend on the other
+members of its family.  `_contour` is the argument-principle pass: the
+zero counts and zero sums in a batch of circles, from array calls on all
+their points.
 
-Both locators report the points they evaluated, grid included, as
-`meta["evaluations"]`.
+`merge_spectra` takes the union of spectra, or of copies of them under
+other sources, and `compare_spectra` pairs two spectra root by root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, GridTooLarge, NonUnitaryScattering, require_positive
-from .scattering import SecularSystem
+from .errors import GridTooCoarse, GridTooLarge
 
 TWO_PI = 2.0 * math.pi
-K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
-TOL_TOUCH = 1e-8  # largest |f| at a local minimum that counts as a touching root
-PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
-MAX_STACK_BYTES = 4 * 2**20  # input of one stacked eigvals call
+MAX_BATCH_BYTES = 2**15  # input of one array call of a locator: points, circle points or matrices
 MAX_GRID_POINTS = 10**7  # largest k grid any locator or scan builds
-_AT_JUMP = ()  # values that are 0 for a jump of any size
+
+# an evaluator of a family: values at the points `k` of the members `which`
+Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -84,41 +75,76 @@ class Spectrum:
         return sum(r.order for r in self.roots if r.k <= K + 1e-12)
 
 
+def _chunked(fn: Evaluator, which: np.ndarray, k: np.ndarray, point_bytes: int) -> np.ndarray:
+    """`fn(which, k)` on 1-D arrays, in calls of at most MAX_BATCH_BYTES of
+    input at `point_bytes` per point, joined along the first axis."""
+    per = max(1, MAX_BATCH_BYTES // point_bytes)
+    if len(k) <= per:
+        return np.asarray(fn(which, k))
+    return np.concatenate([np.asarray(fn(which[j : j + per], k[j : j + per])) for j in range(0, len(k), per)])
+
+
+def _grid_values(f: Evaluator, members: int, ks: np.ndarray):
+    """(members, values of f on the grid `ks`) in chunks of members of at
+    most MAX_BATCH_BYTES of points; a longer grid goes one member at a time,
+    in chunks of points."""
+    points = MAX_BATCH_BYTES // 8
+    per = max(1, points // len(ks))
+    for lo in range(0, members, per):
+        rows = np.arange(lo, min(lo + per, members))
+        parts = [
+            np.broadcast_to(np.asarray(f(rows[:, None], part), dtype=float), (len(rows), len(part)))
+            for part in (ks[j : j + points] for j in range(0, len(ks), points))
+        ]
+        yield rows, parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _through_zero(center: float) -> GridTooCoarse:
+    return GridTooCoarse(f"winding circle at {float(center)} passes through a zero")
+
+
 def _contour(
-    fn: Callable[[np.ndarray], np.ndarray], centers: Sequence[float], radii: Sequence[float], samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero counts and zero sums of an analytic function inside circles.
+    fn: Evaluator, which, centers: Sequence[float], radii: Sequence[float], samples: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero counts and zero sums of analytic functions inside circles, and
+    which circles pass through a zero.
 
     Argument principle on `samples` chords per circle: the change of log f
     around a circle is 2pi i times its zero count, and (1/2pi i) * the
     contour integral of z f'(z)/f(z) = z d(log f) is the sum of its zeros.
-    `fn` is evaluated on a (circles, samples + 1) array of the circles'
-    points, once per MAX_STACK_BYTES of points and not at all for no
-    circles.  A circle through a zero raises `GridTooCoarse` naming its
-    centre.
+    `fn(which, z)` is called with the members as a (circles, 1) array and
+    the circles' points as a (circles, samples + 1) array, once per
+    MAX_BATCH_BYTES of points and not at all for no circles.  A circle on
+    which `fn` is exactly 0 is flagged, and its count and sum mean nothing.
     """
     centers, radii = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(radii, dtype=float))
+    which = np.broadcast_to(np.asarray(which), centers.shape)
     counts, zsums = np.empty(len(centers), dtype=int), np.empty(len(centers), dtype=complex)
-    per = max(1, MAX_STACK_BYTES // (16 * (samples + 1)))
+    through = np.zeros(len(centers), dtype=bool)
+    circle = np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))
+    per = max(1, MAX_BATCH_BYTES // (16 * (samples + 1)))
     for j in range(0, len(centers), per):
-        circle = np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))
         zs = centers[j : j + per, None] + radii[j : j + per, None] * circle
-        vals = np.asarray(fn(zs))
-        hit = np.flatnonzero(np.any(vals == 0, axis=-1))
-        if len(hit):
-            raise GridTooCoarse(f"winding circle at {float(centers[j + hit[0]])} passes through a zero")
+        vals = np.asarray(fn(which[j : j + per, None], zs))
+        hit = np.any(vals == 0, axis=-1)
+        if hit.any():
+            through[j : j + per] = hit
+            vals = np.where(hit[:, None], 1.0, vals)
         dlog = np.diff(np.log(np.abs(vals)) + 1j * np.angle(vals), axis=-1)
         dlog = dlog.real + 1j * ((dlog.imag + np.pi) % TWO_PI - np.pi)
         zsums[j : j + per] = np.sum(0.5 * (zs[:, :-1] + zs[:, 1:]) * dlog, axis=-1) / (2j * np.pi)
         counts[j : j + per] = np.rint(dlog.imag.sum(-1) / TWO_PI)
-    return counts, zsums
+    return counts, zsums, through
 
 
 def winding_number(
     fn: Callable[[np.ndarray], np.ndarray], center: float, radius: float, samples: int = 64
 ) -> int:
     """Zero count of an analytic function inside a circle, by argument change."""
-    return int(_contour(fn, [center], [radius], samples)[0][0])
+    counts, _, through = _contour(lambda which, z: fn(z), 0, [center], [radius], samples)
+    if through[0]:
+        raise _through_zero(center)
+    return int(counts[0])
 
 
 def _k_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -129,294 +155,154 @@ def _k_grid(start: float, stop: float, step: float) -> np.ndarray:
     return np.arange(start, stop, step)
 
 
-def _signed_value(vals: Sequence[float], size: int) -> float:
-    """The continuous value of a jump of `size`: its first |size| entries summed,
-    negated for a falling jump, so that it crosses zero upwards."""
-    total = float(sum(vals[: abs(size)]))
-    return total if size > 0 else -total
+def _signed(sums: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The continuous value of jumps of `size` (nonzero): column |size| - 1 of
+    each row of prefix sums (the last column when |size| is larger), negated
+    for a falling jump, so that it crosses zero upwards."""
+    value = sums[np.arange(len(size)), np.minimum(np.abs(size), sums.shape[1]).astype(int) - 1]
+    return np.where(size > 0, value, -value)
+
+
+Cells = tuple  # (which, a, na, sa, b, nb, sb): member, left end k, level and sums, right end k, level and sums
+
+
+def _grid_cells(which: np.ndarray, ks: np.ndarray, levels: np.ndarray, sums: np.ndarray) -> Cells:
+    """The cells of a family's grids whose end levels differ, as `_refine_steps`
+    takes them.  Each member's points are consecutive and ascending."""
+    i = np.flatnonzero((levels[1:] != levels[:-1]) & (which[1:] == which[:-1]))
+    return which[i], ks[i], levels[i], sums[i], ks[i + 1], levels[i + 1], sums[i + 1]
 
 
 def _refine_steps(
-    step: Callable[[float], tuple[Optional[int], Sequence[float]]],
-    ks: np.ndarray,
-    levels: np.ndarray,
-    values: Sequence[Sequence[float]],
+    step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    cells: Cells,
     tol: float,
-) -> tuple[list[tuple[float, int]], int]:
-    """Every jump of an integer step function on the grid `ks`, as (k, size),
-    and the number of points evaluated, grid included.
+    members: int,
+) -> tuple[list[list[tuple[float, int]]], np.ndarray]:
+    """Every jump of a family of integer step functions, as (k, size) per
+    member, and the number of points evaluated for each member.
 
-    `step(k)` gives the level at k and a sequence of continuous values: for a
-    jump of size m the sum of the first |m| entries (all of them when there
-    are fewer), negated when m < 0, crosses zero at the jump.  A level of
-    None (an exact zero of a sign) takes the level of the bracket's left end.
-    `levels[i], values[i]` is `step(ks[i])`.
+    `cells` are the brackets, each with its member, its ends' k and levels,
+    and at each end a row of prefix sums.  `step(which, k)`, on 1-D arrays,
+    gives the levels of the members `which` at the points `k` (NaN for None)
+    and an (n, width) array of prefix sums: for a jump of size m, column
+    |m| - 1 (the last when |m| is larger), negated when m < 0, crosses zero
+    at the jump.  A level of None (an exact zero of a sign) takes the level
+    of the bracket's left end.
 
-    Each cell whose end levels differ is refined by regula falsi with a
-    bisection safeguard on that value, and every evaluation's level replaces
-    the end of equal level, so the bracket stays exact.  Safeguards:
+    Each round computes the next point of every open bracket, by regula
+    falsi with a bisection safeguard on that value, and evaluates all of
+    them in one call of `step`; every point's level replaces the end of
+    equal level, so the bracket stays exact.  Safeguards:
     - a step closer than 0.4 tol to an end is pushed 0.4 tol from it;
     - a bisection step when the end values do not bracket zero (an exact 0
       at an end does bracket it), or when the last two steps together did
       not halve the bracket;
-    - a level strictly between the end levels splits the cell in two, and
-      the left cell is refined first; at the split point each new cell keeps
-      the value if its level puts it on the right side of zero, else 0.
-    A cell is done when narrower than `tol`.  Its jump is reported where the
-    chord between the end values crosses zero, or at its midpoint when they
-    do not bracket zero: an end often sits on the root itself, on a side
-    that rounding picks, so a midpoint would move by 0.2 tol between two
-    functions a few ulps apart.  Consecutive jumps in one direction whose
-    cells together are narrower than `tol` are one jump, at the midpoint,
-    as a cell of that width would have been: a multiple root splits when a
-    step lands where rounding puts some of its crossings on either side.
+    - a level strictly between the end levels splits the bracket in two,
+      and the right one opens the next round with no step history; at the
+      split point each new bracket keeps the sums if its level puts the
+      value on the right side of zero, else a row of zeros, which is 0 for
+      a jump of any size.
+    A bracket is done when narrower than `tol`.  Its jump is reported where
+    the chord between the end values crosses zero, or at its midpoint when
+    they do not bracket zero: an end often sits on the root itself, on a
+    side that rounding picks, so a midpoint would move by 0.2 tol between
+    two functions a few ulps apart.  Consecutive jumps of a member in one
+    direction whose brackets together are narrower than `tol`, or whose
+    points are closer than `tol`, are one jump, at the midpoint of their
+    brackets, as a bracket of that width would have been: a multiple root
+    splits when a step lands where rounding puts some of its crossings on
+    either side.  Each bracket follows the same points as it would alone.
     """
-    done: list[list] = []  # [a, b, size, k] of the finished cells, ascending
-    calls = 0
-    for i in np.flatnonzero(levels[1:] != levels[:-1]):
-        cells = [(float(ks[i]), int(levels[i]), values[i], float(ks[i + 1]), int(levels[i + 1]), values[i + 1])]
-        while cells:
-            a, na, va, b, nb, vb = cells.pop()
-            fa, fb = _signed_value(va, nb - na), _signed_value(vb, nb - na)
-            before = (math.inf, math.inf)  # the widths before the last two steps
-            while b - a >= tol:
-                width = b - a
-                if fa <= 0.0 <= fb and fa < fb and width <= 0.5 * before[0]:
-                    x = min(max(a - fa * width / (fb - fa), a + 0.4 * tol), b - 0.4 * tol)
-                else:
-                    x = 0.5 * (a + b)
-                nx, vx = step(x)
-                calls += 1
-                nx = na if nx is None else nx
-                if nx == na:
-                    a, va, fa = x, vx, _signed_value(vx, nb - na)
-                elif nx == nb:
-                    b, vb, fb = x, vx, _signed_value(vx, nb - na)
-                else:
-                    right = vx if _signed_value(vx, nb - nx) <= 0.0 else _AT_JUMP
-                    cells.append((x, nx, right, b, nb, vb))
-                    b, nb, vb = x, nx, vx if _signed_value(vx, nx - na) >= 0.0 else _AT_JUMP
-                    fa, fb = _signed_value(va, nb - na), _signed_value(vb, nb - na)
-                before = (before[1], width)
-            size = nb - na
-            if done and done[-1][2] * size > 0 and b - done[-1][0] < tol:
-                first = done[-1][0]
-                done[-1] = [first, b, done[-1][2] + size, 0.5 * (first + b)]
-            elif fa <= 0.0 <= fb and fa < fb:
-                done.append([a, b, size, a - fa * (b - a) / (fb - fa)])
+    which, a, na, sa, b, nb, sb = (np.array(v) for v in cells)
+    before = np.full((2, len(a)), np.inf)  # the widths before the last two steps
+    calls = np.zeros(members, dtype=int)
+    done = []
+    while True:
+        size = nb - na
+        fa, fb, width = _signed(sa, size), _signed(sb, size), b - a
+        closed = width < tol
+        if closed.any():
+            done.append((which[closed], a[closed], b[closed], size[closed], fa[closed], fb[closed]))
+            open_ = ~closed
+            which, a, na, sa, b, nb, sb, fa, fb, width = (
+                v[open_] for v in (which, a, na, sa, b, nb, sb, fa, fb, width)
+            )
+            before = before[:, open_]
+        if not len(a):
+            break
+        x = 0.5 * (a + b)
+        falsi = np.flatnonzero((fa <= 0.0) & (0.0 <= fb) & (fa < fb) & (width <= 0.5 * before[0]))
+        if len(falsi):
+            af, bf, faf, fbf = a[falsi], b[falsi], fa[falsi], fb[falsi]
+            x[falsi] = np.minimum(np.maximum(af - faf * width[falsi] / (fbf - faf), af + 0.4 * tol), bf - 0.4 * tol)
+        nx, sx = step(which, x)
+        calls += np.bincount(which, minlength=members)
+        nx = np.where(np.isnan(nx), na, nx)
+        left, right = nx == na, nx == nb
+        before = np.stack([before[1], width])
+        a, sa = np.where(left, x, a), np.where(left[:, None], sx, sa)
+        b, sb = np.where(right, x, b), np.where(right[:, None], sx, sb)
+        split = np.flatnonzero(~(left | right))
+        if len(split):
+            xs, ns, ss, ls, rs = x[split], nx[split], sx[split], na[split], nb[split]
+            new = (
+                which[split], xs, ns, np.where((_signed(ss, rs - ns) <= 0.0)[:, None], ss, 0.0),
+                b[split], rs, sb[split],
+            )
+            b[split], nb[split] = xs, ns
+            sb[split] = np.where((_signed(ss, ns - ls) >= 0.0)[:, None], ss, 0.0)
+            which, a, na, sa, b, nb, sb = (np.concatenate([v, w]) for v, w in zip((which, a, na, sa, b, nb, sb), new))
+            before = np.concatenate([before, np.full((2, len(split)), np.inf)], axis=1)
+
+    out: list[list] = [[] for _ in range(members)]  # [a, b, size, k] of each member's brackets, ascending
+    if done:
+        which, a, b, size, fa, fb = (np.concatenate(parts) for parts in zip(*done))
+        order = np.lexsort((a, which))
+        for w, a, b, size, fa, fb in zip(*(v[order].tolist() for v in (which, a, b, size, fa, fb))):
+            brackets = out[w]
+            k = a - fa * (b - a) / (fb - fa) if fa <= 0.0 <= fb and fa < fb else 0.5 * (a + b)
+            if brackets and brackets[-1][2] * size > 0 and (b - brackets[-1][0] < tol or k - brackets[-1][3] < tol):
+                first = brackets[-1][0]
+                brackets[-1] = [first, b, brackets[-1][2] + size, 0.5 * (first + b)]
             else:
-                done.append([a, b, size, 0.5 * (a + b)])
-    return [(k, size) for _, _, size, k in done], len(ks) + calls
+                brackets.append([a, b, size, k])
+    return [[(k, int(size)) for _, _, size, k in brackets] for brackets in out], calls
 
 
-def find_roots_real(
-    f: Callable[[np.ndarray], np.ndarray],
-    k_max: float,
-    grid_step: float,
-    tol: float = 1e-10,
-    *,
-    complex_fn: Callable[[np.ndarray], np.ndarray],
-    source: str = "",
+def merge_spectra(
+    spectra: Sequence[Spectrum], tol: float = 1e-7, copies: Optional[Sequence[tuple[int, str]]] = None
 ) -> Spectrum:
-    """Roots of a continuous real function on (0, k_max], with its continuation.
-
-    `f` and `complex_fn` take a float or a numpy array of points and return
-    the values elementwise, as numpy ufunc expressions do: the grid is
-    evaluated in one call `f(ks)`, and each contour pass in one call of
-    `complex_fn` on the (circles, samples + 1) points of all its circles
-    (see `_contour`): one for the touching-root candidates, one for the
-    orders of all roots, and two in turn to re-centre the multiple roots.
-    A pass with no circles makes no call.  Refinement and the touching-root
-    check call `f` on single floats.
-
-    Sign changes on the grid are closed to width `tol` by `_refine_steps`,
-    with f as the value; a grid value of exactly 0.0 inside the grid takes
-    the sign of the point before it.  `meta["evaluations"]` counts the grid
-    points and the refinement's calls of `f`.  An
-    interior local minimum of |f| with no sign change next to it is a
-    touching-root candidate: the zero sum of `complex_fn` in a circle of
-    radius `grid_step` around it gives the mean km of the zeros there.  km is
-    a touching root when |f(km)| < `TOL_TOUCH`; f(km) past zero by more than
-    that means two crossings inside one cell (`GridTooCoarse`).  Every root's
-    order is its winding number, and multiple roots are re-centred on the
-    zero sum.  `k_max` below `grid_step` leaves no grid (`GridTooCoarse`).
-    """
-    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
-    if k_max < grid_step:
-        raise GridTooCoarse(f"k_max = {k_max!r} is below grid_step = {grid_step!r}")
-    ks = _k_grid(grid_step, k_max + grid_step / 2.0, grid_step)
-    if ks[-1] < k_max - 1e-12:
-        ks = np.append(ks, k_max)
-    vals = np.asarray(f(ks))
-
-    # the step evaluator is the sign of f; an exact zero inside the grid takes
-    # the sign of the point before it, one at either end stays a level 0 so
-    # that the change next to it is refined onto it
-    signs = np.sign(vals)
-    before = np.maximum.accumulate(np.where(signs != 0, np.arange(len(signs)), 0))
-    signs[1:-1] = signs[before[1:-1]]
-
-    def sign_at(k: float) -> tuple[Optional[int], tuple[float]]:
-        fk = float(f(k))
-        return (fk > 0.0) - (fk < 0.0) or None, (fk,)
-
-    jumps, evaluations = _refine_steps(sign_at, ks, signs, vals[:, None], tol)
-    roots = [k for k, _ in jumps]
-
-    # touching roots: interior local minima of |f| with no sign change in
-    # either neighbouring cell; a genuine touch has f(km) ~ 0, while a pair
-    # of crossings hidden inside the cells overshoots zero
-    absvals = np.abs(vals)
-    crossing = vals[:-1] * vals[1:] < 0.0
-    touch = (absvals[1:-1] <= absvals[:-2]) & (absvals[1:-1] <= absvals[2:])
-    touch &= ~crossing[:-1] & ~crossing[1:]
-    candidates = np.flatnonzero(touch) + 1
-    for i, count, zsum in zip(candidates, *_contour(complex_fn, ks[candidates], grid_step, 64)):
-        if count < 1:
-            continue
-        km = float(zsum.real / count)
-        dip = (1.0 if vals[i - 1] > 0 else -1.0) * f(km)
-        if dip >= TOL_TOUCH or any(abs(km - r) <= 2 * grid_step for r in roots):
-            continue
-        if dip < -TOL_TOUCH:
-            raise GridTooCoarse(f"two sign changes near k={km}; shrink grid_step")
-        roots.append(km)
-
-    roots.sort()
-    kept = np.array([r for r in roots if r <= k_max + tol])  # the grid may overshoot k_max by half a step
-    radii = np.array(
-        [min([grid_step / 2.0] + [0.45 * abs(r - o) for o in roots if abs(r - o) > 1e-12]) for r in kept]
-    )
-    orders = np.maximum(_contour(complex_fn, kept, radii, 64)[0], 1)
-    # the sign's resolution degrades like eps**(1/order) at a multiple zero;
-    # re-centre twice on the zero sum over the same circle (a smaller one
-    # would drown |f| ~ rad**order in rounding)
-    multiple = orders >= 2
-    for _ in range(2):
-        kept[multiple] = _contour(complex_fn, kept[multiple], radii[multiple], 128)[1].real / orders[multiple]
-    out = tuple(SpectralRoot(r, order, source) for r, order in zip(kept, orders))
-    return Spectrum(out, k_max, {"grid_step": grid_step, "tol": tol, "evaluations": evaluations})
-
-
-def _eigenphases(sys: SecularSystem, ks: np.ndarray) -> np.ndarray:
-    """Eigenphases of U(k) = S D(k) in (-pi, pi], less PHASE_EPS, one row per k.
-
-    An entry is >= 0 once its eigenvalue has crossed 1, so an eigenvalue at
-    exactly 1 counts as about to leave.  The matrices go to one stacked
-    `np.linalg.eigvals` call per MAX_STACK_BYTES of input.
-    """
-    per = max(1, MAX_STACK_BYTES // (16 * sys.size**2))
-    out = np.empty((len(ks), sys.size))
-    for j in range(0, len(ks), per):
-        d = np.exp(1j * ks[j : j + per, None] * sys.lengths)
-        out[j : j + per] = np.angle(np.linalg.eigvals(sys.S * d[:, None, :])) - PHASE_EPS
-    return out
-
-
-def _require_unitary(sys: SecularSystem) -> None:
-    defect = sys.unitarity_defect()
-    if defect > 1e-10:
-        raise NonUnitaryScattering(f"|S S^H - I| = {defect:.3e}: eigenphase counting needs a unitary S")
-
-
-def _phase_total(phases: np.ndarray) -> np.ndarray:
-    """P: the sum over the last axis of the phases taken in (0, 2pi]."""
-    return phases.sum(-1) + TWO_PI * (phases < 0.0).sum(-1)
-
-
-def _eigenphase_steps(
-    sys: SecularSystem, ks: np.ndarray
-) -> tuple[Callable[[float], tuple[int, list[float]]], np.ndarray, np.ndarray]:
-    """The step evaluator of N(k), the root count in (ks[0], k], with its
-    levels and values on `ks`.
-
-    N(k) = (P(ks[0]) - ks[0] * L + k * L - P(k)) / 2pi, where L is the total
-    bond length and P(k) the sum of the eigenphases of U(k) taken in
-    (0, 2pi] as `_eigenphases` places them: each phase advances by k * L in
-    all and drops by 2pi when it crosses 1.  The values are the eigenphases
-    nearest 0 first, so a jump of m sums the m phases that cross there.
-    The step makes one `np.linalg.eigvals` call on the one matrix U(k) and
-    counts in Python floats.  Needs a unitary S (`NonUnitaryScattering`
-    otherwise).
-    """
-    _require_unitary(sys)
-    l_total = float(sys.lengths.sum())
-
-    def step(k: float) -> tuple[int, list[float]]:
-        phases = (np.angle(np.linalg.eigvals(sys.S * np.exp(1j * k * sys.lengths))) - PHASE_EPS).tolist()
-        total = sum(phases) + TWO_PI * sum(p < 0.0 for p in phases)
-        return round((base + k * l_total - total) / TWO_PI), sorted(phases, key=abs)
-
-    phases = _eigenphases(sys, ks)
-    base = float(_phase_total(phases[0])) - ks[0] * l_total
-    nearest_first = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1), axis=-1)
-    levels = np.rint((base + ks * l_total - _phase_total(phases)) / TWO_PI).astype(int)
-    return step, levels, nearest_first
-
-
-def eigenphase_counts(systems: Sequence[SecularSystem], k: float) -> list[int]:
-    """N(k) of each system: the number of roots of det(I - S D(k)) in
-    (K_MIN, k], with order.
-
-    The eigenvalues of U(k) = S D(k) move counterclockwise on the unit
-    circle and their phases advance by k * (total bond length) in all, so the
-    number that crossed 1 follows from the principal phases at K_MIN and at
-    k, as in `_eigenphase_steps`.  The systems are of one size; their
-    matrices at both points go to one stacked `np.linalg.eigvals` call, whose
-    input is twice their S matrices.  Needs unitary S
-    (`NonUnitaryScattering` otherwise).
-    """
-    for sys in systems:
-        _require_unitary(sys)
-    S = np.stack([sys.S for sys in systems])
-    lengths = np.stack([sys.lengths for sys in systems])
-    d = np.exp(1j * np.array([K_MIN, k])[:, None, None] * lengths)
-    start, end = _phase_total(np.angle(np.linalg.eigvals(S * d[..., None, :])) - PHASE_EPS)
-    l_total = lengths.sum(-1)
-    return np.rint((start - K_MIN * l_total + k * l_total - end) / TWO_PI).astype(int).tolist()
-
-
-def find_roots_unitary(sys: SecularSystem, k_max: float, *, tol: float = 1e-10, source: str = "full") -> Spectrum:
-    """Roots of det(I - S D(k)) on (K_MIN, k_max] for unitary S.
-
-    N(k) of `_eigenphase_steps` is exact and monotone at every k, and each
-    jump is a root of order the jump's size, so a cell with equal end counts
-    holds no root however wide it is.  The cell, `meta["grid_step"]`, is
-    0.9 pi / (longest bond length): no phase turns by half a circle in one
-    cell, so the regula-falsi value of `_refine_steps`, the sum of the
-    phases crossing at a jump, stays continuous.  Every evaluation's count
-    keeps the bracket exact, so each root is certified by its end counts.
-    """
-    require_positive(k_max=k_max, tol=tol)
-    step = 0.9 * math.pi / float(sys.lengths.max())
-    ks = np.append(_k_grid(K_MIN, k_max, step), k_max)
-    count_at, levels, values = _eigenphase_steps(sys, ks)
-    jumps, evaluations = _refine_steps(count_at, ks, levels, values, tol)
-    roots = tuple(SpectralRoot(k, n, source) for k, n in jumps)
-    return Spectrum(roots, k_max, {"grid_step": step, "tol": tol, "k_min": K_MIN, "evaluations": evaluations})
-
-
-def merge_spectra(spectra: Sequence[Spectrum], tol: float = 1e-7) -> Spectrum:
     """Multiset union; roots closer than tol coalesce with orders summed.
 
-    A coalesced root names each source once, in the order of `spectra`, so
-    the list does not depend on how its roots fall within `tol`.
+    By default each spectrum is taken once, with its roots' own sources and
+    ranked by its position.  `copies` lists (i, source) pairs instead: one
+    copy of the roots of `spectra[i]` per pair, with that source, ranked by
+    the pair's position, as if each copy were a spectrum of its own.  Roots
+    of equal k go in rank order.  A coalesced root names each source once,
+    in rank order, so the list does not depend on how its roots fall within
+    `tol`.
     """
-    entries = sorted(((r, i) for i, s in enumerate(spectra) for r in s.roots), key=lambda e: e[0].k)
-    k_max = max((s.k_max for s in spectra), default=0.0)
-    merged: list[tuple[SpectralRoot, list[tuple[int, str]]]] = []
-    for r, i in entries:
-        if merged and r.k - merged[-1][0].k <= tol:
-            prev, sources = merged[-1]
-            w = prev.order + r.order
-            merged[-1] = (SpectralRoot((prev.k * prev.order + r.k * r.order) / w, w), sources + [(i, r.source)])
+    if copies is None:
+        entries = [(r.k, i, j, r.order, r.source) for i, s in enumerate(spectra) for j, r in enumerate(s.roots)]
+    else:
+        roots = [[(r.k, r.order) for r in s.roots] for s in spectra]
+        entries = [(k, rank, j, order, src) for rank, (i, src) in enumerate(copies) for j, (k, order) in enumerate(roots[i])]
+    entries.sort()
+    merged: list[list] = []  # [k, order, [(rank, source), ...]]
+    for k, rank, _, order, src in entries:
+        if merged and k - merged[-1][0] <= tol:
+            last = merged[-1]
+            w = last[1] + order
+            last[0], last[1] = (last[0] * last[1] + k * order) / w, w
+            last[2].append((rank, src))
         else:
-            merged.append((r, [(i, r.source)]))
-    roots = tuple(
-        SpectralRoot(r.k, r.order, ",".join(dict.fromkeys(src for _, src in sorted(sources, key=lambda e: e[0]) if src)))
-        for r, sources in merged
+            merged.append([k, order, [(rank, src)]])
+    out = tuple(
+        SpectralRoot(k, order, ",".join(dict.fromkeys(src for _, src in sorted(sources, key=itemgetter(0)) if src)))
+        for k, order, sources in merged
     )
-    return Spectrum(roots, k_max, {"tol": tol})
+    return Spectrum(out, max((s.k_max for s in spectra), default=0.0), {"tol": tol})
 
 
 @dataclass(frozen=True)

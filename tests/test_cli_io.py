@@ -357,6 +357,19 @@ def test_cli_rejects_out_of_range_flags(tmp_path, args, kind):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_compare_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, tol):
+    # a file compared with itself is isospectral at any usable tolerance;
+    # -1 and nan would match nothing and report a wrong answer, not an error
+    fpath = str(tmp_path / "factors.csv")
+    res = CliRunner().invoke(main, ["factors", *TORUS, "--kmax", "7", "-o", fpath])
+    assert res.exit_code == 0, res.output
+    assert CliRunner().invoke(main, ["compare", fpath, fpath]).exit_code == 0
+    res = CliRunner().invoke(main, ["compare", fpath, fpath, "--tol", tol])
+    _assert_usage_error(res, "NonPositiveParameter")
+    assert "isospectral" not in res.output
+
+
 @pytest.mark.parametrize(
     "args, kind",
     [

@@ -1,5 +1,6 @@
-"""The closed forms on arrays, `factors` run once per distinct closed form,
-and the array calls of its contour passes and of its stacked certificate."""
+"""The closed forms on arrays and as one family evaluator, `factors` run once
+per distinct closed form, and the array calls of its grid, refinement
+rounds, contour passes and stacked certificate."""
 
 import math
 
@@ -8,10 +9,12 @@ import pytest
 from click.testing import CliRunner
 
 from qgsym import (
+    QuotientFamily,
     SecularSystem,
     all_quotient_specs,
     character_blocks,
     find_roots_real,
+    find_roots_real_family,
     merge_spectra,
     quotient,
     quotient_dispersion_real,
@@ -23,7 +26,8 @@ from qgsym import (
 from qgsym.cli import main
 from qgsym.errors import GridTooCoarse, NonUnitaryScattering
 from qgsym.io import load_spectrum
-from qgsym.spectra import K_MIN, PHASE_EPS, _contour, eigenphase_counts
+from qgsym.locators import K_MIN, PHASE_EPS, eigenphase_counts
+from qgsym.spectra import _contour, winding_number
 
 L1 = 0.5
 L3_BAND = 0.713616028647381  # an incommensurate L3 near 1/sqrt(2), as the 16x16 benchmark draws
@@ -41,17 +45,34 @@ def _run_factors(tmp_path, n1, n2, l3):
     return load_spectrum(out)
 
 
-@pytest.mark.parametrize("fn", [quotient_dispersion_real, quotient_secular_closed], ids=["dispersion", "closed"])
-def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn):
+@pytest.mark.parametrize(
+    "fn, member",
+    [(quotient_dispersion_real, "dispersion_real"), (quotient_secular_closed, "secular_closed")],
+    ids=["dispersion", "closed"],
+)
+def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn, member):
+    # one factor on scalars and arrays; and the family evaluator that
+    # `factors` builds, as the locator calls it: a (members, 1) column
+    # against a grid or circles, 1-D arrays of mixed members, and scalars
     ks = np.linspace(0.005, 10.0, 401)
     zs = 3.1 + 0.0025 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 65))
-    for spec in all_quotient_specs(3, 4, L1, 1.0) + all_quotient_specs(16, 16, L1, L3_BAND)[::37]:
-        real = fn(spec, ks)
-        assert isinstance(real, np.ndarray) and real.shape == ks.shape
-        assert np.array_equal(real, [fn(spec, float(k)) for k in ks])
-        assert np.array_equal(fn(spec, zs), [fn(spec, complex(z)) for z in zs])
+    for specs in (all_quotient_specs(3, 4, L1, 1.0), all_quotient_specs(16, 16, L1, L3_BAND)[::37]):
+        for spec in specs:
+            real = fn(spec, ks)
+            assert isinstance(real, np.ndarray) and real.shape == ks.shape
+            assert np.array_equal(real, [fn(spec, float(k)) for k in ks])
+            assert np.array_equal(fn(spec, zs), [fn(spec, complex(z)) for z in zs])
+        family = getattr(QuotientFamily(specs), member)
+        rows = np.arange(len(specs))[:, None]
+        assert np.array_equal(family(rows, ks), [fn(spec, ks) for spec in specs])
+        assert np.array_equal(family(rows, zs), [fn(spec, zs) for spec in specs])
+        which = np.arange(len(ks)) % len(specs)
+        assert np.array_equal(family(which, ks), [fn(specs[w], float(k)) for w, k in zip(which, ks)])
+        assert all(family(w, 1.3 + 0.1j) == fn(spec, 1.3 + 0.1j) for w, spec in enumerate(specs))
     assert isinstance(fn(spec, 1.3), float if fn is quotient_dispersion_real else complex)
     assert isinstance(fn(spec, 1.3 + 0.1j), complex)
+    with pytest.raises(ValueError):  # a family is the factors of one torus
+        QuotientFamily(all_quotient_specs(3, 4, L1, 1.0) + all_quotient_specs(3, 4, L1, 0.9))
 
 
 @pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61), (16, 16, L3_BAND)])
@@ -106,19 +127,25 @@ def test_factors_header_certifies_the_root_count(tmp_path, n1, n2, l3, distinct)
 def test_find_roots_real_evaluates_grid_and_circles_in_one_call_each():
     shapes = {"f": [], "complex_fn": []}
 
-    def f(k):
-        shapes["f"].append(np.shape(k))
-        return np.sin(k)
+    def f(which, k):
+        shapes["f"].append((np.shape(which), np.shape(k)))
+        return np.sin(k + 0.5 * which)
 
-    def cf(z):
-        shapes["complex_fn"].append(np.shape(z))
-        return np.sin(z)
+    def cf(which, z):
+        shapes["complex_fn"].append((np.shape(which), np.shape(z)))
+        return np.sin(z + 0.5 * which)
 
-    s = find_roots_real(f, 10.0, 0.1, complex_fn=cf)
-    assert [r.order for r in s.roots] == [1, 1, 1]
-    assert shapes["f"][0] == (100,)
-    assert all(shape == () for shape in shapes["f"][1:])  # bisection steps
-    assert shapes["complex_fn"] == [(3, 65)]  # one order pass over the three roots' circles
+    spectra = find_roots_real_family(f, 2, 10.0, 0.1, complex_fn=cf)
+    assert [[r.order for r in s.roots] for s in spectra] == [[1, 1, 1], [1, 1, 1]]
+    assert shapes["f"][0] == ((2, 1), (100,))  # the grid of both members in one call
+    rounds = shapes["f"][1:]
+    assert rounds[0] == ((6,), (6,))  # the first refinement round moves all six brackets
+    assert all(len(w) == 1 and w == k for w, k in rounds)  # every round on 1-D arrays, no scalar call
+    assert shapes["complex_fn"] == [((6, 1), (6, 65))]  # one order pass over both members' roots
+    for member, s in enumerate(spectra):
+        alone = find_roots_real(lambda k: np.sin(k + 0.5 * member), 10.0, 0.1, complex_fn=lambda z: np.sin(z + 0.5 * member))
+        assert [(r.k, r.order) for r in s.roots] == [(r.k, r.order) for r in alone.roots]
+        assert s.meta == alone.meta
 
 
 def _one_circle(fn, center, radius, samples):
@@ -140,22 +167,31 @@ def test_batched_contour_equals_one_circle_at_a_time():
     centers = [math.pi, 0.3, 2.0, 2.05, 2 * math.pi, 3 * math.pi, 7.8]
     radii = [0.0025, 0.1, 0.5, 0.01, 0.05, 0.3, 1.2]
     seen = set()
-    for fn in fns:
-        for samples in (64, 128):
-            counts, zsums = _contour(fn, centers, radii, samples)
+    for samples in (64, 128):
+        for fn in fns:
+            counts, zsums, through = _contour(lambda which, z: fn(z), 0, centers, radii, samples)
             want = [_one_circle(fn, c, r, samples) for c, r in zip(centers, radii)]
-            assert counts.tolist() == [n for n, _ in want]
+            assert counts.tolist() == [n for n, _ in want] and not through.any()
             assert max(abs(z - w) for z, (_, w) in zip(zsums, want)) <= 1e-13
             seen.update(counts.tolist())
+        # both functions in one pass, `which` picking the function of each circle
+        which = np.arange(2 * len(centers)) % 2
+        both = lambda which, z: np.where(which == 0, fns[0](z), fns[1](z))
+        counts, zsums, _ = _contour(both, which, np.repeat(centers, 2), np.repeat(radii, 2), samples)
+        for w, fn in enumerate(fns):
+            alone = _contour(lambda which, z: fn(z), 0, centers, radii, samples)
+            assert counts[w::2].tolist() == alone[0].tolist() and np.array_equal(zsums[w::2], alone[1])
     assert {0, 1, 2, 3} <= seen
 
     calls = []
-    counts, zsums = _contour(lambda z: calls.append(z.shape) or np.sin(z), [], [], 64)
-    assert calls == [] and counts.shape == zsums.shape == (0,)
+    counts, zsums, through = _contour(lambda which, z: calls.append(z.shape) or np.sin(z), 0, [], [], 64)
+    assert calls == [] and counts.shape == zsums.shape == through.shape == (0,)
 
     # the first point of a circle is centre + radius: 0.5 + 0.5 is the zero 1
+    counts, _, through = _contour(lambda which, z: z - 1.0, 0, [3.0, 0.5, 7.0], [0.1, 0.5, 0.1], 64)
+    assert through.tolist() == [False, True, False] and counts[[0, 2]].tolist() == [0, 0]
     with pytest.raises(GridTooCoarse, match=r"winding circle at 0\.5 passes through a zero"):
-        _contour(lambda z: z - 1.0, [3.0, 0.5, 7.0], [0.1, 0.5, 0.1], 64)
+        winding_number(lambda z: z - 1.0, 0.5, 0.5)
 
 
 def _one_system_count(sys_, k):
@@ -199,19 +235,28 @@ def test_stacked_certificate_equals_one_system_at_a_time():
 
 
 def test_factors_call_budget(tmp_path, monkeypatch):
-    # per distinct factor: one contour pass for the touching candidates, one
-    # for the orders and two to re-centre multiple roots; and one stacked
-    # eigvals call for the whole certificate, at K_MIN and at k_max
-    closed, eigvals = quotient.quotient_secular_closed, np.linalg.eigvals
-    closed_shapes, eigvals_shapes = [], []
+    # the 81 distinct factors are one family: the grid goes in chunks of
+    # members, each refinement round is one call, and each contour pass one
+    # call per chunk of circles; one stacked eigvals call is the whole
+    # certificate, at K_MIN and at k_max
+    real, closed, eigvals = QuotientFamily.dispersion_real, QuotientFamily.secular_closed, np.linalg.eigvals
+    real_shapes, closed_shapes, eigvals_shapes = [], [], []
     monkeypatch.setattr(
-        quotient, "quotient_secular_closed", lambda spec, k: closed_shapes.append(np.shape(k)) or closed(spec, k)
+        QuotientFamily, "dispersion_real",
+        lambda self, which, k: real_shapes.append(np.broadcast_shapes(np.shape(which), np.shape(k))) or real(self, which, k),
+    )
+    monkeypatch.setattr(
+        QuotientFamily, "secular_closed",
+        lambda self, which, k: closed_shapes.append(np.broadcast_shapes(np.shape(which), np.shape(k))) or closed(self, which, k),
     )
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals_shapes.append(np.shape(a)) or eigvals(a))
     s = _run_factors(tmp_path, 16, 16, 0.7101)
     distinct = int(s.meta["factors"])
     assert distinct == 81
-    assert 0 < len(closed_shapes) <= 4 * distinct
+    assert 0 < len(real_shapes) <= 100 and 0 < len(closed_shapes) <= 40
+    assert all(len(shape) >= 1 for shape in real_shapes)  # no call on a scalar float
     assert all(len(shape) == 2 and shape[1] in (65, 129) for shape in closed_shapes)
+    grid_points = sum(math.prod(shape) for shape in real_shapes if len(shape) == 2)
+    assert grid_points == distinct * 2000  # the grid of 0.005 to 10, each member once
     assert eigvals_shapes == [(2, distinct, 8, 8)]
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"])

@@ -1,31 +1,37 @@
 """The shared refinement core `_refine_steps`, checked against plain bisection.
 
 Both locators close each jump of a step function by regula falsi with exact
-levels; a plain bisection of the same step function, kept here, is the
-reference for the roots, their orders and the number of evaluations.
+levels, in rounds over every bracket of a family; a plain bisection of the
+same step function, kept here, is the reference for the roots, their orders
+and the number of evaluations.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from qgsym import character_blocks, find_roots_real, find_roots_unitary, io, standard_conditions, torus_action
+from qgsym import (
+    character_blocks,
+    find_roots_real,
+    find_roots_real_family,
+    find_roots_unitary,
+    find_roots_unitary_family,
+    io,
+    standard_conditions,
+    torus_action,
+)
 from qgsym.cli import main
 from qgsym.errors import GridTooCoarse
 from qgsym.quotient import torus_secular_system
-from qgsym.spectra import (
-    K_MIN,
-    MAX_STACK_BYTES,
-    _eigenphase_steps,
-    _eigenphases,
-    _refine_steps,
-    eigenphase_counts,
-)
+from qgsym.locators import K_MIN, _eigenphase_steps, _eigenphases, eigenphase_counts
+from qgsym.spectra import MAX_BATCH_BYTES, _grid_cells, _refine_steps
 
 TOL = 1e-10
 
@@ -48,6 +54,14 @@ def _bisect(step, ks, levels, tol):
             nm = na if nm is None else nm
             cells += [(m, nm, b, nb), (a, na, m, nm)]
     return out
+
+
+def _count_steps(sys_, ks):
+    """The batched step evaluator of N(k) for `sys_` alone, its levels and
+    prefix sums on `ks`, and its level at one point, for `_bisect`."""
+    which = np.zeros(len(ks), dtype=int)
+    step, levels, sums = _eigenphase_steps([sys_], which, ks)
+    return step, which, levels, sums, lambda k: int(step(np.zeros(1, dtype=int), np.array([k]))[0][0])
 
 
 def _eval_bound(step):
@@ -80,6 +94,7 @@ def _assert_same_jumps(got, want):
 @example(n1=3, n2=4, l1=0.5, l3=1.0, pick=0)  # roots at multiples of pi/4, of order up to 3
 @example(n1=4, n2=6, l1=0.5, l3=1 / math.sqrt(2), pick=7)
 @example(n1=2, n2=2, l1=0.5, l3=0.5, pick=3)
+@example(n1=3, n2=1, l1=1.0, l3=1 / 3, pick=1)  # a double root at pi split into brackets wider than tol
 def test_unitary_refinement_equals_count_bisection(n1, n2, l1, l3, pick):
     sys_ = _block(n1, n2, l1, l3, pick)
     k_max = 6.0
@@ -101,11 +116,12 @@ def test_roots_on_grid_points_and_at_multiples_of_pi_over_4():
     on_grid = 0
     for pick in range(12):
         sys_ = _block(3, 4, 0.5, 1.0, pick)
-        step, levels, values = _eigenphase_steps(sys_, ks)
+        step, which, levels, sums, count_at = _count_steps(sys_, ks)
         calls = []
-        counted = lambda k: calls.append(k) or step(k)
-        got, evaluations = _refine_steps(counted, ks, levels, values, TOL)
-        want = _bisect(lambda k: step(k)[0], ks, levels, TOL)
+        counted = lambda w, k: calls.extend(k.tolist()) or step(w, k)
+        jumps, refined = _refine_steps(counted, _grid_cells(which, ks, levels, sums), TOL, 1)
+        got, evaluations = jumps[0], len(ks) + int(refined[0])
+        want = _bisect(count_at, ks, levels, TOL)
         _assert_same_jumps(got, want)
         assert sum(n for _, n in got) == eigenphase_counts([sys_], ks[-1])[0]
         assert evaluations == len(ks) + len(calls) <= len(ks) + _eval_bound(math.pi / 8) * len(want)
@@ -126,8 +142,8 @@ def test_coarse_cell_holding_several_roots_is_split():
     per_cell = np.histogram([r.k for r in s.roots], bins=cells)[0]
     assert per_cell.max() >= 2
     ks = np.append(np.arange(K_MIN, 10.0, 0.01), 10.0)
-    step, levels, _ = _eigenphase_steps(sys_, ks)
-    want = _bisect(lambda k: step(k)[0], ks, levels, TOL)
+    _, _, levels, _, count_at = _count_steps(sys_, ks)
+    want = _bisect(count_at, ks, levels, TOL)
     _assert_same_jumps([(r.k, r.order) for r in s.roots], want)
 
 
@@ -154,6 +170,77 @@ def test_real_refinement_equals_sign_bisection(amps, freqs, phases, offset):
     assert [r.order for r in s.roots] == [1] * len(want)
     _assert_same_jumps([(r.k, 1) for r in s.roots], [(k, 1) for k, _ in want])
     assert s.meta["evaluations"] - len(ks) <= _eval_bound(grid_step) * len(want)
+
+
+_TERMS = st.tuples(
+    st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+    st.tuples(st.floats(1.0, 2.0), st.floats(2.5, 3.5), st.floats(4.0, 5.0)),
+    st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=3),
+    st.floats(-0.5, 0.5),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(members=st.lists(_TERMS, min_size=2, max_size=5), grid_step=st.sampled_from([0.01, 0.001]))
+def test_a_real_family_equals_its_members_run_alone(members, grid_step):
+    # at grid_step 0.001 each member's grid of 10^4 points goes in two calls
+    amps, freqs, phases = (np.array([m[j] for m in members]) for j in range(3))
+    offsets = np.array([m[3] for m in members])
+
+    def f(which, k):
+        return offsets[which] + sum(amps[which, j] * np.sin(freqs[which, j] * k + phases[which, j]) for j in range(3))
+
+    alone = []
+    for m in range(len(members)):
+        try:
+            alone.append(find_roots_real(lambda k: f(m, k), 10.0, grid_step, TOL, complex_fn=lambda z: f(m, z)))
+        except GridTooCoarse as exc:
+            alone.append(exc)
+    refused = [s for s in alone if isinstance(s, GridTooCoarse)]
+    if refused:
+        # the first refused member's refusal, as if they ran one after another
+        with pytest.raises(GridTooCoarse, match=re.escape(str(refused[0]))):
+            find_roots_real_family(f, len(members), 10.0, grid_step, TOL, complex_fn=f)
+        return
+    family = find_roots_real_family(f, len(members), 10.0, grid_step, TOL, complex_fn=f)
+    for got, want in zip(family, alone):
+        assert [(r.k, r.order) for r in got.roots] == [(r.k, r.order) for r in want.roots]
+        assert got.meta == want.meta
+
+
+def test_a_real_family_raises_the_refusal_of_its_first_refused_member():
+    # members 1 and 2 each hide two crossings in one cell of the 0.1 grid,
+    # member 1 the later pair; solved one after another, member 1 is refused
+    # first, so the family raises its refusal
+    centers, depths = np.array([5.0, 7.03, 3.03]), np.array([1.0, 1e-4, 1e-4])
+    f = lambda which, k: (k - centers[which]) ** 2 - depths[which]
+    with pytest.raises(GridTooCoarse) as alone:
+        find_roots_real(lambda k: f(1, k), 10.0, 0.1, TOL, complex_fn=lambda z: f(1, z))
+    assert "two sign changes near k=7.0" in str(alone.value)
+    with pytest.raises(GridTooCoarse, match=re.escape(str(alone.value))):
+        find_roots_real_family(f, 3, 10.0, 0.1, TOL, complex_fn=f)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.floats(0.3, 1.0), st.floats(0.3, 1.0), st.integers(0, 35)),
+        min_size=2,
+        max_size=5,
+    )
+)
+@example(blocks=[(3, 4, 0.5, 1.0, pick) for pick in range(12)])  # roots of order 3 and more
+def test_a_unitary_family_equals_its_members_run_alone(blocks):
+    # character blocks of tori are all 8x8; lengths differ between tori, so
+    # the members' cells and grids differ
+    systems = [_block(*b) for b in blocks]
+    family = find_roots_unitary_family(systems, 6.0, tol=TOL)
+    for got, sys_ in zip(family, systems):
+        want = find_roots_unitary(sys_, 6.0, tol=TOL)
+        assert [(r.k, r.order) for r in got.roots] == [(r.k, r.order) for r in want.roots]
+        assert got.meta == want.meta
+    if blocks[0][:4] == (3, 4, 0.5, 1.0):
+        assert max(r.order for s in family for r in s.roots) >= 3
 
 
 def test_real_root_on_a_grid_point_takes_one_step():
@@ -186,6 +273,20 @@ def test_spectrum_header_counts_evaluations(tmp_path):
     assert s.count() == sum(eigenphase_counts(list(blocks.values()), 10.0))
 
 
+def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
+    # the 7 distinct blocks of the 3x4 document are one family: their grids
+    # go to one stacked eigvals call and each refinement round to one call
+    # per 32 matrices (MAX_BATCH_BYTES), for the same 417 evaluations as
+    # block by block
+    eigvals, shapes = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
+    out, _ = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
+    assert int(io.load_spectrum(str(out)).meta["evaluations"]) == 417
+    assert 0 < len(shapes) <= 80
+    assert all(len(shape) == 3 and shape[1:] == (8, 8) for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == 417
+
+
 def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):
     # old scripts pass --grid; the locator derives its cell, so every value
     # writes the same file
@@ -197,13 +298,13 @@ def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):
 
 def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
     # the grid of the 96x96 3x4 system at k_max 15 is 301 matrices, 44 MB
-    # stacked at once; in stacks of MAX_STACK_BYTES it peaks under 8 MB
+    # stacked at once; in stacks of MAX_BATCH_BYTES it peaks under 8 MB
     sys_ = torus_secular_system(3, 4, 0.5, 1.0)
     ks = np.append(np.arange(K_MIN, 15.0, 0.05), 15.0)
-    assert len(ks) * sys_.S.size * 16 > 10 * MAX_STACK_BYTES
+    assert len(ks) * sys_.S.size * 16 > 10 * MAX_BATCH_BYTES
     tracemalloc.start()
     try:
-        phases = _eigenphases(sys_, ks)
+        phases = _eigenphases(sys_.S[None], sys_.lengths[None], np.zeros(len(ks), dtype=int), ks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
