@@ -20,10 +20,10 @@ from . import builders, io, quotient
 from .decompose import l2_norm_sq, project, random_function
 from .errors import GridTooCoarse, MalformedList, QgsymError, require_positive
 from .groups import Irrep
-from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, standard_conditions
+from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, secular_dets, standard_conditions
 from .locators import eigenphase_counts, find_roots_real_family, find_roots_unitary_family
 from .locators import find_roots_real, find_roots_unitary  # noqa: F401  (names the benchmark's tracer wraps)
-from .spectra import Spectrum, _k_grid, compare_spectra, merge_spectra
+from .spectra import Spectrum, _k_grid, compare_spectra, isospectral_classes, merge_spectra
 
 
 def handle_errors(fn):
@@ -119,33 +119,20 @@ def build_quotient(n1, n2, l1, l3, s, t, output):
     click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
 
 
-def _systems_from_doc(path) -> tuple[dict[str, str], dict[str, SecularSystem]]:
-    """The document's secular systems: each label's key, and the system of each key.
-
-    A document that stores an action has one character block per irrep
-    label.  A label and its conjugate share one secular determinant (see
-    `character_blocks`), so both get the smaller of the two as their key, and
-    only the keys' blocks are kept.  A document without an action is the
-    dense system under the one label "full".
-    """
+def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
+    """The document's secular system of each label, and the first label of
+    each label's class of one secular determinant (`isospectral_classes`):
+    one character block per irrep label of a stored action, or else the
+    dense system under the one label "full"."""
     g, conds, action = io.load_graph(path)
     if conds is None:
         conds = standard_conditions(g)
     if action is None:
-        return {"full": "full"}, {"full": build_secular_system(g, conds)}
+        return {"full": build_secular_system(g, conds)}, np.zeros(1, dtype=int)
     blocks = character_blocks(g, conds, action)
-    name = lambda labels: f"({','.join(map(str, labels))})"
-    keys = {
-        name(labels): name(min(labels, tuple((-l) % n for l, n in zip(labels, action.orders))))
-        for labels in blocks
-    }
-    return keys, {label: block for label, block in zip(keys, blocks.values()) if keys[label] == label}
-
-
-def _merge_copies(found: list[Spectrum], keys: dict, runs: dict) -> Spectrum:
-    """The union of one copy of `found[runs[key]]`'s roots per label of `keys`
-    (label -> key), with the label as their source, merged in label order."""
-    return merge_spectra(found, tol=1e-7, copies=[(runs[key], label) for label, key in keys.items()])
+    systems = list(blocks.values())
+    first = isospectral_classes(secular_dets(systems), len(systems), systems[0].lengths, systems[0].S.nbytes)
+    return {f"({','.join(map(str, labels))})": block for labels, block in blocks.items()}, first
 
 
 @main.command("spectrum")
@@ -159,24 +146,29 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     """Roots of the secular determinant of a graph document.
 
     A document that stores its group action is solved on its character
-    blocks.  The blocks of a label and of its conjugate have one secular
-    determinant, so each conjugate pair is solved once, and every label gets
-    a copy of the roots, its label as their source.  All distinct blocks are
-    one family of the unitary locator: each refinement round is one stacked
-    `eigvals` call over the open brackets of every block, per 32 KB of
-    matrices (`spectra.MAX_BATCH_BYTES`).  The header's `blocks` counts the
-    labels, `distinct_blocks` the blocks solved, and `evaluations` sums
-    their evaluation points.
+    blocks, once per class of blocks with one secular determinant
+    (`spectra.isospectral_classes`), and every label gets a copy of the
+    roots, its label as their source.  All distinct blocks are one family of
+    the unitary locator: each refinement round is one stacked `eigvals` call
+    over the open brackets of every block, per 32 KB of matrices
+    (`spectra.MAX_BATCH_BYTES`).  The header's `blocks` counts the labels,
+    `distinct_blocks` the blocks solved, `evaluations` sums their evaluation
+    points, and `eigenphase_count`, the exact root count of every label's
+    own block, certifies `root_count`.
     """
     require_positive(grid=grid)  # checked for old scripts, but the locator derives its cell
-    keys, systems = _systems_from_doc(graph_file)
-    found = find_roots_unitary_family(list(systems.values()), kmax, tol=tol)
-    merged = _merge_copies(found, keys, {key: i for i, key in enumerate(systems)})
+    systems, first = _systems_from_doc(graph_file)
+    blocks = list(systems.values())
+    distinct, runs = np.unique(first, return_inverse=True)
+    found = find_roots_unitary_family([blocks[i] for i in distinct], kmax, tol=tol)
+    merged = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), systems)))
     s = Spectrum(merged.roots, kmax, {
         **found[0].meta,
-        "blocks": len(keys),
+        "blocks": len(systems),
         "distinct_blocks": len(found),
         "evaluations": sum(f.meta["evaluations"] for f in found),
+        "root_count": merged.count(),
+        "eigenphase_count": sum(eigenphase_counts(blocks, kmax)),
     })
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
@@ -195,33 +187,31 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
 def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     """Roots of every quotient factor, labeled by (s, t).
 
-    Labels s and n1-s (and t and n2-t) give the same closed form, so each
-    distinct factor is solved once and every label gets a copy of its roots.
-    The distinct factors are one family of the real locator: the grid, each
-    refinement round and each contour pass evaluate all of them together,
-    per 32 KB of points (`spectra.MAX_BATCH_BYTES`).  The header's
-    `eigenphase_count` is the exact root count summed over the labels' 8x8
-    quotient systems, a certificate for `root_count`; the distinct systems
-    are counted in one stacked `eigvals` call.
+    Each class of labels with one closed form (`spectra.isospectral_classes`;
+    s and n1-s, and t and n2-t, always share one) is solved once, and every
+    label gets a copy of its roots.  The distinct factors are one family of
+    the real locator: the grid, each refinement round and each contour pass
+    evaluate all of them together, per 32 KB of points
+    (`spectra.MAX_BATCH_BYTES`).  The header's `eigenphase_count` is the
+    exact root count summed over the labels' 8x8 quotient systems, a
+    certificate for `root_count`; the distinct systems are counted in
+    stacked `eigvals` calls.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
-    keys = {f"({sp.s},{sp.t})": (min(sp.s, n1 - sp.s), min(sp.t, n2 - sp.t)) for sp in specs}
-    distinct = {}
-    for spec, key in zip(specs, keys.values()):
-        distinct.setdefault(key, spec)
-    family = quotient.QuotientFamily(distinct.values())
+    first = isospectral_classes(quotient.QuotientFamily(specs).secular_closed, len(specs), (l1, l3), 16)
+    distinct, runs = np.unique(first, return_inverse=True)
+    family = quotient.QuotientFamily([specs[i] for i in distinct])
     found = find_roots_real_family(
         family.dispersion_real, len(distinct), kmax, grid_step=grid, tol=tol, complex_fn=family.secular_closed
     )
-    runs = {key: i for i, key in enumerate(distinct)}
-    counts = eigenphase_counts([quotient.quotient_system(spec) for spec in distinct.values()], kmax)
-    merged = _merge_copies(found, keys, runs)
+    counts = eigenphase_counts([quotient.quotient_system(specs[i]) for i in distinct], kmax)
+    merged = merge_spectra(found, tol=1e-7, copies=[(run, f"({sp.s},{sp.t})") for run, sp in zip(runs.tolist(), specs)])
     s = Spectrum(merged.roots, kmax, {
         **found[0].meta,
         "factors": len(found),
         "evaluations": sum(f.meta["evaluations"] for f in found),
         "root_count": merged.count(),
-        "eigenphase_count": sum(counts[runs[key]] for key in keys.values()),
+        "eigenphase_count": sum(counts[run] for run in runs.tolist()),
     })
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
@@ -284,19 +274,19 @@ def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
 def scan_cmd(graph_file, kmax, grid, output):
     """Emit (k, |det(I - S D(k))|) plot data, the product over the document's systems.
 
-    One determinant per conjugate pair of character blocks, raised to the
-    number of labels it stands for.
+    One determinant per class of character blocks (`_systems_from_doc`),
+    raised to the number of labels it stands for.
     """
     require_positive(kmax=kmax, grid=grid)
     if kmax < grid:
         raise GridTooCoarse(f"kmax = {kmax!r} is below grid = {grid!r}")
     ks = _k_grid(grid, kmax + grid / 2.0, grid)
-    keys, systems = _systems_from_doc(graph_file)
-    sizes = Counter(keys.values())
+    systems, first = _systems_from_doc(graph_file)
+    blocks, sizes = list(systems.values()), Counter(first.tolist())
     with open(output, "w") as fh:
         fh.write("k,abs_secular\n")
         for k in ks:
-            det = math.prod(secular_det(sys_, float(k)) ** sizes[key] for key, sys_ in systems.items())
+            det = math.prod(secular_det(blocks[i], float(k)) ** n for i, n in sizes.items())
             fh.write(f"{float(k)!r},{abs(det)!r}\n")
     click.echo(f"wrote {output}")
 

@@ -16,8 +16,8 @@ calls, then `_refine_steps` in rounds over every bracket of every member.
   exact at every k, so the cell is derived: 0.9 pi / (longest bond length).
   Each round is one stacked `eigvals` over the open brackets.  This is the
   robust path for high-order roots of large systems.  N(k_max) of many
-  systems at once (`eigenphase_counts`, one stacked `eigvals` call) is an
-  exact root count certifying the real locator's output.
+  systems at once (`eigenphase_counts`, the same count at K_MIN and k_max)
+  is an exact root count certifying a locator's output.
 
 `find_roots_real` and `find_roots_unitary` solve a family of one.  Every
 member's spectrum reports the points evaluated for it, grid included, as
@@ -265,24 +265,12 @@ def _eigenphase_steps(
 
 def eigenphase_counts(systems: Sequence[SecularSystem], k: float) -> list[int]:
     """N(k) of each system: the number of roots of det(I - S D(k)) in
-    (K_MIN, k], with order.
-
-    The eigenvalues of U(k) = S D(k) move counterclockwise on the unit
-    circle and their phases advance by k * (total bond length) in all, so the
-    number that crossed 1 follows from the principal phases at K_MIN and at
-    k, as in `_eigenphase_steps`.  The systems are of one size; their
-    matrices at both points go to one stacked `np.linalg.eigvals` call, whose
-    input is twice their S matrices.  Needs unitary S
-    (`NonUnitaryScattering` otherwise).
+    (K_MIN, k], with order.  These are the levels of `_eigenphase_steps` on
+    the grid K_MIN, k of every system, so the matrices go to `eigvals` per
+    MAX_BATCH_BYTES.  Needs unitary S (`NonUnitaryScattering` otherwise).
     """
-    for sys in systems:
-        _require_unitary(sys)
-    S = np.stack([sys.S for sys in systems])
-    lengths = np.stack([sys.lengths for sys in systems])
-    d = np.exp(1j * np.array([K_MIN, k])[:, None, None] * lengths)
-    start, end = _phase_total(np.angle(np.linalg.eigvals(S * d[..., None, :])) - PHASE_EPS)
-    l_total = lengths.sum(-1)
-    return np.rint((start - K_MIN * l_total + k * l_total - end) / TWO_PI).astype(int).tolist()
+    grid = np.tile([K_MIN, k], len(systems))
+    return _eigenphase_steps(systems, np.repeat(np.arange(len(systems)), 2), grid)[1][1::2].astype(int).tolist()
 
 
 def find_roots_unitary_family(
@@ -294,15 +282,15 @@ def find_roots_unitary_family(
     N(k) of `_eigenphase_steps` is exact and monotone at every k, and each
     jump is a root of order the jump's size, so a cell with equal end counts
     holds no root however wide it is.  A system's cell, `meta["grid_step"]`,
-    is 0.9 pi / (its longest bond length): no phase turns by half a circle
-    in one cell, so the regula-falsi value of `_refine_steps`, the sum of
-    the phases crossing at a jump, stays continuous.  Every evaluation's
-    count keeps the bracket exact, so each root is certified by its end
-    counts.  The grids of all systems go to stacked `eigvals` calls, and so
-    does each refinement round.
+    is 0.9 pi / (its longest bond length), or k_max with no bonds: no phase
+    turns by half a circle in one cell, so the regula-falsi value of
+    `_refine_steps`, the sum of the phases crossing at a jump, stays
+    continuous.  Every evaluation's count keeps the bracket exact, so each
+    root is certified by its end counts.  The grids of all systems go to
+    stacked `eigvals` calls, and so does each refinement round.
     """
     require_positive(k_max=k_max, tol=tol)
-    cells = [0.9 * math.pi / float(sys.lengths.max()) for sys in systems]
+    cells = [0.9 * math.pi / float(sys.lengths.max()) if sys.size else k_max for sys in systems]
     grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in cells]
     which, ks = np.repeat(np.arange(len(grids)), [len(g) for g in grids]), np.concatenate(grids)
     step, levels, sums = _eigenphase_steps(systems, which, ks)

@@ -11,7 +11,7 @@ small character block per irrep, assembled from a few rows of S only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class SecularSystem:
         return self.S.shape[0]
 
     def unitarity_defect(self) -> float:
-        return float(np.max(np.abs(self.S @ self.S.conj().T - np.eye(self.size))))
+        return float(np.max(np.abs(self.S @ self.S.conj().T - np.eye(self.size)), initial=0.0))
 
 
 def _scattering_rows(
@@ -175,7 +175,8 @@ def character_blocks(
     `ActionNotFree`.
 
     The blocks of a label and of its conjugate (each entry l of order n
-    replaced by -l mod n) have one secular determinant.  With standard
+    replaced by -l mod n) have one secular determinant, so they always
+    share a class of `spectra.isospectral_classes`.  With standard
     conditions S = J S^T J, where the bond reversal J commutes with the
     action and with D(k), and the transpose carries the chi-isotypic
     subspace to the conj(chi) one, so det(I - M_chi D(k)) equals
@@ -212,6 +213,14 @@ def secular_det(sys: SecularSystem, k: complex) -> complex:
     """det(I - S D(k)) via dense LU with partial pivoting."""
     M = np.eye(sys.size, dtype=complex) - sys.S * np.exp(1j * k * sys.lengths)[None, :]
     return complex(np.linalg.det(M))
+
+
+def secular_dets(systems: Sequence[SecularSystem]):
+    """det(I - S D(z)) of a family of systems of one size, as an evaluator
+    `fn(which, z)` on 1-D arrays: one stacked `np.linalg.det` call."""
+    S, lengths = np.stack([sys.S for sys in systems]), np.stack([sys.lengths for sys in systems])
+    eye = np.eye(S.shape[-1])
+    return lambda which, z: np.linalg.det(eye - S[which] * np.exp(1j * z[:, None] * lengths[which])[:, None, :])
 
 
 def standard_conditions(g: MetricGraph) -> list[Standard]:

@@ -22,6 +22,7 @@ their points.
 
 `merge_spectra` takes the union of spectra, or of copies of them under
 other sources, and `compare_spectra` pairs two spectra root by root.
+`isospectral_classes` groups the members of a family by secular function.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import GridTooCoarse, GridTooLarge
 TWO_PI = 2.0 * math.pi
 MAX_BATCH_BYTES = 2**15  # input of one array call of a locator: points, circle points or matrices
 MAX_GRID_POINTS = 10**7  # largest k grid any locator or scan builds
+PROBES = np.array([0.93 + 0.61j, 2.17 + 0.37j, 3.41 + 0.83j])  # in units of 1 / (longest bond length)
 
 # an evaluator of a family: values at the points `k` of the members `which`
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -78,10 +80,31 @@ class Spectrum:
 def _chunked(fn: Evaluator, which: np.ndarray, k: np.ndarray, point_bytes: int) -> np.ndarray:
     """`fn(which, k)` on 1-D arrays, in calls of at most MAX_BATCH_BYTES of
     input at `point_bytes` per point, joined along the first axis."""
-    per = max(1, MAX_BATCH_BYTES // point_bytes)
+    per = max(1, MAX_BATCH_BYTES // max(1, point_bytes))
     if len(k) <= per:
         return np.asarray(fn(which, k))
     return np.concatenate([np.asarray(fn(which[j : j + per], k[j : j + per])) for j in range(0, len(k), per)])
+
+
+def isospectral_classes(fn: Evaluator, members: int, lengths: Sequence[float], point_bytes: int) -> np.ndarray:
+    """For each member, the first member whose secular determinant agrees with
+    its own to a relative 1e-9 at every point of PROBES, in units of 1 / (the
+    longest of the bond `lengths`).  `fn(which, z)` goes through `_chunked`
+    at `point_bytes` per point.
+
+    A secular determinant is a polynomial in the exp(i z L_b); two different
+    ones agree at generic points with probability zero (Schwartz 1980,
+    Zippel 1979), and off the real axis a unitary S has no zero.
+    """
+    z = PROBES / max(lengths, default=1.0)
+    values = _chunked(fn, np.repeat(np.arange(members), len(z)), np.tile(z, members), point_bytes).reshape(members, -1)
+    # a member agreeing with member i lies within tol[i, 0] of it in the real part at the first point
+    order = np.argsort(values[:, 0].real)
+    x, tol = values[order, 0].real, 1e-9 * np.abs(values[order])
+    lo, hi = np.searchsorted(x, x - tol[:, 0]), np.searchsorted(x, x + tol[:, 0], side="right")
+    near = order[np.minimum(lo[:, None] + np.arange((hi - lo).max()), hi[:, None] - 1)]
+    agree = np.all(np.abs(values[near] - values[order, None]) <= tol[:, None], axis=-1)
+    return np.where(agree, near, members).min(axis=1)[np.argsort(order)]
 
 
 def _grid_values(f: Evaluator, members: int, ks: np.ndarray):

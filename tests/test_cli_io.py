@@ -95,6 +95,26 @@ def test_cli_build_and_spectrum(tmp_path):
     assert [round(r.k, 6) for r in s.roots] == [round(w, 6) for w in want]
 
 
+@pytest.mark.parametrize("action", [None, {"orders": [2], "generators": [
+    {"vertex_perm": [1, 0], "edge_perm": [], "edge_flip": []}]}], ids=["dense", "blocks"])
+def test_cli_spectrum_of_a_graph_with_no_edges(tmp_path, action):
+    # the determinant of no bonds is 1: no roots, and a scan of 1.0
+    doc = {"format_version": 1, "vertices": [{"id": 0}, {"id": 1}], "edges": []}
+    if action is not None:
+        doc["action"] = action
+    gpath, spath, scan = (str(tmp_path / n) for n in ("empty.json", "empty.csv", "scan.csv"))
+    with open(gpath, "w") as fh:
+        json.dump(doc, fh)
+    res = CliRunner().invoke(main, ["spectrum", gpath, "-o", spath])
+    assert res.exit_code == 0, res.output
+    s = load_spectrum(spath)
+    assert s.roots == () and s.meta["root_count"] == s.meta["eigenphase_count"] == "0"
+    assert s.meta["blocks"] == ("1" if action is None else "2")
+    res = CliRunner().invoke(main, ["scan", gpath, "--kmax", "0.05", "-o", scan])
+    assert res.exit_code == 0, res.output
+    assert [line.split(",")[1] for line in open(scan).read().split()[1:]] == ["1.0"] * 5
+
+
 def test_cli_factors_and_compare(tmp_path):
     runner = CliRunner()
     fpath = str(tmp_path / "factors.csv")

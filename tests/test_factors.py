@@ -27,7 +27,7 @@ from qgsym.cli import main
 from qgsym.errors import GridTooCoarse, NonUnitaryScattering
 from qgsym.io import load_spectrum
 from qgsym.locators import K_MIN, PHASE_EPS, eigenphase_counts
-from qgsym.spectra import _contour, winding_number
+from qgsym.spectra import MAX_BATCH_BYTES, _contour, winding_number
 
 L1 = 0.5
 L3_BAND = 0.713616028647381  # an incommensurate L3 near 1/sqrt(2), as the 16x16 benchmark draws
@@ -94,8 +94,10 @@ def test_labels_of_one_group_share_their_closed_form(n1, n2, l3):
     assert len(first) == want == (n1 // 2 + 1) * (n2 // 2 + 1)
 
 
-@pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61)])
+@pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61), (4, 4, L1)])
 def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
+    # at L1 = L3 the 4x4 torus is symmetric under swapping its cycles, and
+    # (s, t) shares its closed form with (t, s) too
     grouped = _run_factors(tmp_path, n1, n2, l3)
     per_label = merge_spectra(
         [
@@ -113,7 +115,7 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
         assert (g.order, g.source) == (p.order, p.source)
 
 
-@pytest.mark.parametrize("n1, n2, l3, distinct", [(3, 4, 1.0, 6), (16, 16, L3_BAND, 81)])
+@pytest.mark.parametrize("n1, n2, l3, distinct", [(3, 4, 1.0, 6), (16, 16, L3_BAND, 81), (4, 4, L1, 5)])
 def test_factors_header_certifies_the_root_count(tmp_path, n1, n2, l3, distinct):
     # 3x4 at L3 = 1 has triple roots; the certificate counts them with order
     s = _run_factors(tmp_path, n1, n2, l3)
@@ -235,10 +237,12 @@ def test_stacked_certificate_equals_one_system_at_a_time():
 
 
 def test_factors_call_budget(tmp_path, monkeypatch):
-    # the 81 distinct factors are one family: the grid goes in chunks of
-    # members, each refinement round is one call, and each contour pass one
-    # call per chunk of circles; one stacked eigvals call is the whole
-    # certificate, at K_MIN and at k_max
+    # one call of the closed forms of all 256 labels at the three probe
+    # points groups them; the 81 distinct factors are one family: the grid
+    # goes in chunks of members, each refinement round is one call, and each
+    # contour pass one call per chunk of circles; the certificate counts
+    # each distinct factor at K_MIN and at k_max, in stacks of at most
+    # MAX_BATCH_BYTES
     real, closed, eigvals = QuotientFamily.dispersion_real, QuotientFamily.secular_closed, np.linalg.eigvals
     real_shapes, closed_shapes, eigvals_shapes = [], [], []
     monkeypatch.setattr(
@@ -255,8 +259,10 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     assert distinct == 81
     assert 0 < len(real_shapes) <= 100 and 0 < len(closed_shapes) <= 40
     assert all(len(shape) >= 1 for shape in real_shapes)  # no call on a scalar float
-    assert all(len(shape) == 2 and shape[1] in (65, 129) for shape in closed_shapes)
+    assert closed_shapes[0] == (3 * 256,)
+    assert all(len(shape) == 2 and shape[1] in (65, 129) for shape in closed_shapes[1:])
     grid_points = sum(math.prod(shape) for shape in real_shapes if len(shape) == 2)
     assert grid_points == distinct * 2000  # the grid of 0.005 to 10, each member once
-    assert eigvals_shapes == [(2, distinct, 8, 8)]
+    assert all(math.prod(shape) * 16 <= MAX_BATCH_BYTES for shape in eigvals_shapes)
+    assert sum(math.prod(shape[:-2]) for shape in eigvals_shapes) == 2 * distinct
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"])

@@ -263,9 +263,9 @@ def _spectrum_of_the_3x4_document(tmp_path, name, *flags):
 
 
 def test_spectrum_header_counts_evaluations(tmp_path):
-    # the 3x4 torus document at --kmax 10: 7 runs of 5 grid points, cells
+    # the 3x4 torus document at --kmax 10: 6 runs of 5 grid points, cells
     # of 0.9 pi / L_max, and about four refinement evaluations per root;
-    # 417 in all
+    # 335 in all
     out, blocks = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
     s = io.load_spectrum(str(out))
     assert int(s.meta["blocks"]) == 12
@@ -274,17 +274,18 @@ def test_spectrum_header_counts_evaluations(tmp_path):
 
 
 def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
-    # the 7 distinct blocks of the 3x4 document are one family: their grids
+    # the 6 distinct blocks of the 3x4 document are one family: their grids
     # go to one stacked eigvals call and each refinement round to one call
-    # per 32 matrices (MAX_BATCH_BYTES), for the same 417 evaluations as
-    # block by block
+    # per 32 matrices (MAX_BATCH_BYTES), for the same 335 evaluations as
+    # block by block; the certificate adds each of the 12 blocks at K_MIN
+    # and at k_max
     eigvals, shapes = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
     out, _ = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
-    assert int(io.load_spectrum(str(out)).meta["evaluations"]) == 417
+    assert int(io.load_spectrum(str(out)).meta["evaluations"]) == 335
     assert 0 < len(shapes) <= 80
     assert all(len(shape) == 3 and shape[1:] == (8, 8) for shape in shapes)
-    assert sum(shape[0] for shape in shapes) == 417
+    assert sum(shape[0] for shape in shapes) == 335 + 2 * 12
 
 
 def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):
