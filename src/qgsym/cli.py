@@ -135,6 +135,20 @@ def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
     return {f"({','.join(map(str, labels))})": block for labels, block in blocks.items()}, first
 
 
+def _write_classes(output, kmax: float, found: list[Spectrum], runs: np.ndarray, labels, eigenphase_count, **counts):
+    """Merge a copy of `found[runs[i]]` under each `labels[i]`, write it with its header counts, and print a summary."""
+    merged = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), labels)))
+    s = Spectrum(merged.roots, kmax, {
+        **found[0].meta,
+        **counts,
+        "evaluations": sum(f.meta["evaluations"] for f in found),
+        "root_count": merged.count(),
+        "eigenphase_count": eigenphase_count,
+    })
+    io.save_spectrum(output, s)
+    click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
+
+
 @main.command("spectrum")
 @click.argument("graph_file")
 @click.option("--kmax", type=float, default=10.0, show_default=True)
@@ -161,17 +175,8 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     blocks = list(systems.values())
     distinct, runs = np.unique(first, return_inverse=True)
     found = find_roots_unitary_family([blocks[i] for i in distinct], kmax, tol=tol)
-    merged = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), systems)))
-    s = Spectrum(merged.roots, kmax, {
-        **found[0].meta,
-        "blocks": len(systems),
-        "distinct_blocks": len(found),
-        "evaluations": sum(f.meta["evaluations"] for f in found),
-        "root_count": merged.count(),
-        "eigenphase_count": sum(eigenphase_counts(blocks, kmax)),
-    })
-    io.save_spectrum(output, s)
-    click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
+    certificate = sum(eigenphase_counts(blocks, kmax))
+    _write_classes(output, kmax, found, runs, list(systems), certificate, blocks=len(systems), distinct_blocks=len(found))
 
 
 @main.command("factors")
@@ -205,16 +210,8 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
         family.dispersion_real, len(distinct), kmax, grid_step=grid, tol=tol, complex_fn=family.secular_closed
     )
     counts = eigenphase_counts([quotient.quotient_system(specs[i]) for i in distinct], kmax)
-    merged = merge_spectra(found, tol=1e-7, copies=[(run, f"({sp.s},{sp.t})") for run, sp in zip(runs.tolist(), specs)])
-    s = Spectrum(merged.roots, kmax, {
-        **found[0].meta,
-        "factors": len(found),
-        "evaluations": sum(f.meta["evaluations"] for f in found),
-        "root_count": merged.count(),
-        "eigenphase_count": sum(counts[run] for run in runs.tolist()),
-    })
-    io.save_spectrum(output, s)
-    click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
+    labels = [f"({sp.s},{sp.t})" for sp in specs]
+    _write_classes(output, kmax, found, runs, labels, sum(counts[run] for run in runs.tolist()), factors=len(found))
 
 
 @main.command("compare")

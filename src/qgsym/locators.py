@@ -228,8 +228,8 @@ def _eigenphase_steps(
     systems: Sequence[SecularSystem], which: np.ndarray, ks: np.ndarray
 ) -> tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
     """The step evaluator of N(k) for a family of systems of one size, with
-    its levels and prefix sums on the grid `which, ks`, in which each
-    system's points are consecutive and ascending.
+    its levels and prefix sums on the grid `which, ks`, computed as a step
+    computes them; each system's points are consecutive and ascending.
 
     N(k) counts the roots in (first grid point, k]: N(k) = (P(k0) - k0 * L +
     k * L - P(k)) / 2pi, where k0 is the system's first grid point, L its
@@ -247,20 +247,19 @@ def _eigenphase_steps(
     lengths = np.stack([sys.lengths for sys in systems])
     l_total = lengths.sum(-1)
 
-    def levels_at(which: np.ndarray, k: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        return np.rint((base[which] + k * l_total[which] - _phase_total(phases)) / TWO_PI)
+    def levels_and_sums(which: np.ndarray, k: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nearest_first = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1, kind="stable"), axis=-1)
+        levels = np.rint((base[which] + k * l_total[which] - _phase_total(phases)) / TWO_PI)
+        return levels, np.cumsum(nearest_first, axis=-1)
 
     def step(which: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phases = _eigenphases(S, lengths, which, k)
-        nearest_first = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1, kind="stable"), axis=-1)
-        return levels_at(which, k, phases), np.cumsum(nearest_first, axis=-1)
+        return levels_and_sums(which, k, _eigenphases(S, lengths, which, k))
 
     phases = _eigenphases(S, lengths, which, ks)
     first = np.flatnonzero(np.append(True, which[1:] != which[:-1]))
     base = np.zeros(len(systems))
     base[which[first]] = _phase_total(phases[first]) - ks[first] * l_total[which[first]]
-    nearest_first = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1), axis=-1)
-    return step, levels_at(which, ks, phases), np.cumsum(nearest_first, axis=-1)
+    return (step, *levels_and_sums(which, ks, phases))
 
 
 def eigenphase_counts(systems: Sequence[SecularSystem], k: float) -> list[int]:

@@ -92,12 +92,13 @@ def _scattering_rows(
     """The rows `rows` of the bond scattering matrix, and every bond's length.
 
     The bond table is one origin per bond; bond b ends where bond b ^ 1
-    starts.  Each vertex writes its scattering matrix into the block
-    S[out, out ^ 1], rows the bonds leaving it in ascending order and
-    columns their reversals, the bonds arriving; only the rows listed in
-    `rows` are kept, in that order.  `flipped_edges` reverses the
-    orientation convention of the listed edges (bond 2e then runs
-    head-to-tail).
+    starts.  A vertex's scattering matrix fills the block S[out, out ^ 1],
+    rows the bonds leaving it in ascending order and columns their
+    reversals, the bonds arriving; only the rows listed in `rows` are kept,
+    in that order, so the matrix is built only where one of them leaves, and
+    at every vertex whose condition is not `Standard`, to check it.
+    `flipped_edges` reverses the orientation convention of the listed edges
+    (bond 2e then runs head-to-tail).
     """
     cond_by_vertex = {c.vertex: c for c in conditions}
     for v in range(g.n_vertices):
@@ -116,16 +117,15 @@ def _scattering_rows(
         origin[2 * e.id], origin[2 * e.id + 1] = u, v
         lengths[2 * e.id] = lengths[2 * e.id + 1] = e.length
     by_origin = np.argsort(origin, kind="stable")
-    bonds_from = np.split(by_origin, np.cumsum(np.bincount(origin, minlength=g.n_vertices))[:-1])
+    start = np.searchsorted(origin[by_origin], np.arange(g.n_vertices + 1))
     row_of = np.full(nb, -1)
     row_of[rows] = np.arange(len(rows))
 
     S = np.zeros((len(rows), nb), dtype=complex)
-    for v in range(g.n_vertices):
-        cond, out = cond_by_vertex[v], bonds_from[v]
+    checked = {c.vertex for c in cond_by_vertex.values() if not isinstance(c, Standard)}
+    for v in sorted(checked.union(origin[rows].tolist())):
+        cond, out = cond_by_vertex[v], by_origin[start[v] : start[v + 1]]
         if isinstance(cond, Standard):
-            if len(out) == 0:
-                continue  # isolated vertex carries no scattering
             block = vertex_scattering_standard(len(out))
         elif isinstance(cond, QuasiPeriodic):
             ep, eq = cond.edges

@@ -226,16 +226,17 @@ def _refine_steps(
       split point each new bracket keeps the sums if its level puts the
       value on the right side of zero, else a row of zeros, which is 0 for
       a jump of any size.
-    A bracket is done when narrower than `tol`.  Its jump is reported where
-    the chord between the end values crosses zero, or at its midpoint when
-    they do not bracket zero: an end often sits on the root itself, on a
-    side that rounding picks, so a midpoint would move by 0.2 tol between
-    two functions a few ulps apart.  Consecutive jumps of a member in one
-    direction whose brackets together are narrower than `tol`, or whose
-    points are closer than `tol`, are one jump, at the midpoint of their
-    brackets, as a bracket of that width would have been: a multiple root
-    splits when a step lands where rounding puts some of its crossings on
-    either side.  Each bracket follows the same points as it would alone.
+    A bracket is done when narrower than `tol`, or when no float lies
+    strictly between its ends (a `tol` below the float spacing).  Its jump
+    is reported where the chord between the end values crosses zero, or at
+    its midpoint when they do not bracket zero: an end often sits on the
+    root itself, on a side that rounding picks, so a midpoint would move by
+    0.2 tol between two functions a few ulps apart.  Consecutive jumps of a
+    member in one direction whose brackets together are narrower than `tol`,
+    or whose points are closer than `tol`, are one jump, at the midpoint of
+    their brackets, as a bracket of that width would have been: a multiple
+    root splits when a step lands where rounding puts some of its crossings
+    on either side.  Each bracket follows the same points as it would alone.
     """
     which, a, na, sa, b, nb, sb = (np.array(v) for v in cells)
     before = np.full((2, len(a)), np.inf)  # the widths before the last two steps
@@ -244,7 +245,7 @@ def _refine_steps(
     while True:
         size = nb - na
         fa, fb, width = _signed(sa, size), _signed(sb, size), b - a
-        closed = width < tol
+        closed = (width < tol) | (np.nextafter(a, b) >= b)
         if closed.any():
             done.append((which[closed], a[closed], b[closed], size[closed], fa[closed], fb[closed]))
             open_ = ~closed
@@ -294,24 +295,21 @@ def _refine_steps(
 
 
 def merge_spectra(
-    spectra: Sequence[Spectrum], tol: float = 1e-7, copies: Optional[Sequence[tuple[int, str]]] = None
+    spectra: Sequence[Spectrum], tol: float = 1e-7, copies: Optional[Sequence[tuple[int, Optional[str]]]] = None
 ) -> Spectrum:
     """Multiset union; roots closer than tol coalesce with orders summed.
 
-    By default each spectrum is taken once, with its roots' own sources and
-    ranked by its position.  `copies` lists (i, source) pairs instead: one
-    copy of the roots of `spectra[i]` per pair, with that source, ranked by
-    the pair's position, as if each copy were a spectrum of its own.  Roots
-    of equal k go in rank order.  A coalesced root names each source once,
-    in rank order, so the list does not depend on how its roots fall within
-    `tol`.
+    `copies` lists (i, source) pairs: one copy of the roots of `spectra[i]`
+    per pair, ranked by the pair's position, as if each copy were a
+    spectrum of its own.  A copy's roots take its source, or keep their own
+    when the source is None.  The default, None, is every spectrum once in
+    its position with source None.  Roots of equal k go in rank order.  A
+    coalesced root names each source once, in rank order, so the list does
+    not depend on how its roots fall within `tol`.
     """
-    if copies is None:
-        entries = [(r.k, i, j, r.order, r.source) for i, s in enumerate(spectra) for j, r in enumerate(s.roots)]
-    else:
-        roots = [[(r.k, r.order) for r in s.roots] for s in spectra]
-        entries = [(k, rank, j, order, src) for rank, (i, src) in enumerate(copies) for j, (k, order) in enumerate(roots[i])]
-    entries.sort()
+    copies = [(i, None) for i in range(len(spectra))] if copies is None else copies
+    entries = sorted((r.k, rank, j, r.order, r.source if src is None else src)
+                     for rank, (i, src) in enumerate(copies) for j, r in enumerate(spectra[i].roots))
     merged: list[list] = []  # [k, order, [(rank, source), ...]]
     for k, rank, _, order, src in entries:
         if merged and k - merged[-1][0] <= tol:

@@ -1,6 +1,7 @@
 """Character blocks of the bond scattering matrix, checked label by label."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from qgsym import (
     Irrep,
     QuasiPeriodic,
     QuotientSpec,
+    Standard,
     build_secular_system,
     character_blocks,
     circulant_graph,
@@ -25,6 +27,7 @@ from qgsym import (
     standard_conditions,
     torus_action,
 )
+from qgsym import io, scattering
 from qgsym.actions import GeneratorMaps
 from qgsym.cli import main
 from qgsym.errors import ActionNotFree, UnsupportedCondition
@@ -144,3 +147,28 @@ def test_stored_action_with_non_standard_condition_is_refused(tmp_path, command)
         character_blocks(g, conds, action)
     out = _cli_error(tmp_path, graph_to_doc(g, conds, action), command)
     assert "error: UnsupportedCondition" in out
+
+
+def test_blocks_build_the_matrices_of_the_representatives_origins_only(tmp_path, monkeypatch):
+    # the R = 8 orbit representatives of the 2048 bonds of the 16x16 torus
+    # document leave 5 of its 768 vertices: only those build a 2/d - delta
+    g, action = torus_action(16, 16, 1 / math.sqrt(2), 0.5)
+    path = str(tmp_path / "torus.json")
+    io.save_graph(path, g, standard_conditions(g), action)
+    g, conds, action = io.load_graph(path)
+    degrees, standard = [], scattering.vertex_scattering_standard
+    monkeypatch.setattr(scattering, "vertex_scattering_standard", lambda d: degrees.append(d) or standard(d))
+    blocks = character_blocks(g, conds, action)
+    assert len(blocks) == 256 and all(block.size == 8 for block in blocks.values())
+    assert len(degrees) == 5
+
+
+def test_condition_of_a_vertex_no_row_leaves_is_still_checked(tmp_path):
+    # no bond leaves the isolated vertex 2, so no row of S needs its matrix;
+    # its quasi-periodic condition is refused all the same
+    g = make_graph(3, [(0, 1, 1.0), (0, 1, 0.7)])
+    conds = [Standard(0), Standard(1), QuasiPeriodic(2, 1.0, (0, 1))]
+    with pytest.raises(UnsupportedCondition, match="quasi-periodic vertex 2"):
+        build_secular_system(g, conds)
+    out = _cli_error(tmp_path, graph_to_doc(g, conds), "spectrum")
+    assert "error: UnsupportedCondition: quasi-periodic vertex 2" in out

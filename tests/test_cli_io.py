@@ -6,12 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qgsym
-from qgsym import QuotientSpec, cycle_graph, quotient_graph
+from qgsym import QuotientSpec, cycle_graph, cycle_product, quotient_graph, standard_conditions, validate_action
 from qgsym.cli import main
 from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
 from qgsym.io import (
@@ -69,6 +73,51 @@ def test_spectrum_csv_roundtrip_exact(tmp_path):
     assert [(r.k, r.order, r.source) for r in s2.roots] == [
         (r.k, r.order, r.source) for r in sorted(s.roots, key=lambda r: r.k)
     ]
+
+
+_ORDERS, _LENGTHS = st.integers(1, 6), st.floats(0.05, 2.0)
+
+
+def _build_product(path, n1, n2, l1, l3):
+    flags = ["--n1", str(n1), "--n2", str(n2), "--l1", repr(l1), "--l3", repr(l3)]
+    res = CliRunner().invoke(main, ["build", "product", *flags, "-o", path])
+    assert res.exit_code == 0, res.output
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n1=_ORDERS, n2=_ORDERS, l1=_LENGTHS, l3=_LENGTHS)
+def test_product_document_round_trips(n1, n2, l1, l3):
+    # the `build product` document loads back to the graph, conditions and
+    # action it was built from; loading checks the action, and it validates
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "torus.json")
+        _build_product(path, n1, n2, l1, l3)
+        g, conds, action = load_graph(path)
+    want_g, want_action = cycle_product(n1, n2, 2.0 * l3, 2.0 * l1)
+    assert g == want_g
+    assert conds == standard_conditions(want_g)
+    assert action == want_action
+    assert validate_action(g, action).valid
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n1=_ORDERS, n2=_ORDERS, l1=_LENGTHS, l3=_LENGTHS)
+def test_spectrum_csv_round_trips(n1, n2, l1, l3):
+    # a `spectrum` CSV loads to roots that save back to the same rows, and
+    # load again to the same spectrum, every k exact
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, out, again = (str(Path(tmp) / name) for name in ("torus.json", "out.csv", "again.csv"))
+        _build_product(doc, n1, n2, l1, l3)
+        res = CliRunner().invoke(main, ["spectrum", doc, "--kmax", "3", "-o", out])
+        assert res.exit_code == 0, res.output
+        s = load_spectrum(out)
+        save_spectrum(again, s)
+        s2 = load_spectrum(again)
+        rows = [[line for line in open(path) if not line.startswith("#")] for path in (out, again)]
+    assert rows[0] == rows[1]
+    assert s2 == s and s2.roots == s.roots and s2.k_max == s.k_max == 3.0
+    assert s.count() == int(s.meta["root_count"]) == int(s.meta["eigenphase_count"])
+    assert s2.meta.keys() == s.meta.keys()
 
 
 def test_spectrum_csv_contains_lambda_column():

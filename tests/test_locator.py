@@ -311,3 +311,30 @@ def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
         tracemalloc.stop()
     assert phases.shape == (len(ks), 96)
     assert peak < 8e6
+
+
+def test_real_locator_ends_at_a_tol_below_the_float_spacing():
+    # near pi the floats are 4.4e-16 apart, so no bracket is ever narrower
+    # than 1e-300; one with no float strictly inside it is closed instead
+    s = find_roots_real(np.sin, 10.0, 0.1, 1e-300, complex_fn=np.sin)
+    assert [r.order for r in s.roots] == [1, 1, 1]
+    assert s.ks() == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("tol", ["2e-16", "1e-300"])
+@pytest.mark.parametrize("command", ["factors", "spectrum"])
+def test_cli_ends_at_a_tol_below_the_float_spacing(tmp_path, command, tol):
+    # both locators, at k_max 3: the same spectrum as at the default tol
+    runner, doc = CliRunner(), str(tmp_path / "cycle.json")
+    assert runner.invoke(main, ["build", "cycle", "--n", "3", "--len", "1", "-o", doc]).exit_code == 0
+    args = {
+        "factors": ["factors", "--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "0.7"],
+        "spectrum": ["spectrum", doc],
+    }[command] + ["--kmax", "3"]
+    fine, default = str(tmp_path / "fine.csv"), str(tmp_path / "default.csv")
+    for out, flags in ((fine, ["--tol", tol]), (default, [])):
+        res = runner.invoke(main, [*args, *flags, "-o", out])
+        assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["compare", fine, default, "--tol", "1e-9"])
+    assert res.exit_code == 0, res.output
+    assert io.load_spectrum(fine).count() > 0
