@@ -37,6 +37,7 @@ from .scattering import (
     Standard,
     build_secular_system,
     character_blocks,
+    contract_transmissions,
     secular_det,
     standard_conditions,
     vertex_scattering_quasiperiodic,

@@ -8,6 +8,7 @@ stored as (re, im) pairs.  Spectra are CSV with a mandatory header and
 
 from __future__ import annotations
 
+import ast
 import json
 from typing import Optional, TextIO
 
@@ -130,8 +131,20 @@ def save_spectrum(path: str, s: Spectrum) -> None:
         write_spectrum_csv(fh, s)
 
 
+def _header_value(text: str):
+    """A `# key = value` header value as `write_spectrum_csv` wrote it (its
+    `repr`), or the text itself where it is no Python literal."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        return text
+
+
 def read_spectrum_csv(fh: TextIO) -> Spectrum:
-    """Spectrum of a CSV; a row without four fields, a numeric k and an integer order is rejected."""
+    """Spectrum of a CSV; a row without four fields, a numeric k and an integer order is rejected.
+
+    The header's values go to `meta`, all but `k_max`, so that writing the
+    spectrum again gives the same file."""
     meta: dict = {}
     roots = []
     header_seen = False
@@ -142,7 +155,7 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
         if line.startswith("#"):
             if "=" in line:
                 key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
+                meta[key.strip()] = _header_value(val.strip())
             continue
         if not header_seen:
             header_seen = True  # column header row
@@ -153,8 +166,8 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
         except ValueError as exc:
             raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: {exc}") from exc
     try:
-        k_max = float(meta.get("k_max", roots[-1].k if roots else 0.0))
-    except ValueError as exc:
+        k_max = float(meta.pop("k_max", roots[-1].k if roots else 0.0))
+    except (TypeError, ValueError) as exc:
         raise UnsupportedFormat(f"spectrum CSV k_max: {exc}") from exc
     return Spectrum(tuple(roots), k_max, meta)
 

@@ -9,15 +9,19 @@ calls, then `_refine_steps` in rounds over every bracket of every member.
   touching roots (small minima of |f|), give every order as a winding
   number and re-centre the multiple roots.
 - `find_roots_unitary_family`: exact eigenphase counting for unitary
-  scattering.  N(k) = (sum of principal eigenphases at the reference point
+  scattering.  The family is contracted first (`contract_transmissions`:
+  every pure-transmission bond dropped, the determinant unchanged), and
+  each stack of contracted systems of one size is solved together.
+  N(k) = (sum of principal eigenphases at the reference point
   + k * total bond length - sum at k) / 2pi is integer-valued and monotone
   (`_eigenphase_steps`); each jump's size is the root's multiplicity.  The
   value is the sum of the eigenphases nearest 0, which all increase.  N is
-  exact at every k, so the cell is derived: 0.9 pi / (longest bond length).
-  Each round is one stacked `eigvals` over the open brackets.  This is the
-  robust path for high-order roots of large systems.  N(k_max) of many
-  systems at once (`eigenphase_counts`, the same count at K_MIN and k_max)
-  is an exact root count certifying a locator's output.
+  exact at every k, so the cell is derived: 0.9 pi / (longest bond length
+  of the contracted system).  Each round is one stacked `eigvals` over the
+  open brackets.  This is the robust path for high-order roots of large
+  systems.  N(k_max) of many systems at once (`eigenphase_counts`, the same
+  count at K_MIN and k_max of the contracted systems) is an exact root
+  count certifying a locator's output.
 
 `find_roots_real` and `find_roots_unitary` solve a family of one.  Every
 member's spectrum reports the points evaluated for it, grid included, as
@@ -32,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
-from .scattering import SecularSystem
+from .scattering import SecularSystem, contract_transmissions
 from .spectra import (
     TWO_PI, Evaluator, SpectralRoot, Spectrum, _chunked, _contour, _grid_cells, _grid_values, _k_grid, _refine_steps,
     _through_zero,
@@ -262,33 +266,37 @@ def _eigenphase_steps(
     return (step, *levels_and_sums(which, ks, phases))
 
 
+def _contracted_stacks(systems: Sequence[SecularSystem], solve: Callable[[list[SecularSystem]], list]) -> list:
+    """`solve` on each stack of one size of the contracted systems
+    (`contract_transmissions`), its results in the systems' order.  A
+    system's contraction depends on its own S only, and so does each of its
+    results."""
+    contracted = contract_transmissions(systems)
+    out: list = [None] * len(systems)
+    for size in dict.fromkeys(sys.size for sys in contracted):
+        members = [i for i, sys in enumerate(contracted) if sys.size == size]
+        for i, result in zip(members, solve([contracted[i] for i in members])):
+            out[i] = result
+    return out
+
+
 def eigenphase_counts(systems: Sequence[SecularSystem], k: float) -> list[int]:
-    """N(k) of each system: the number of roots of det(I - S D(k)) in
-    (K_MIN, k], with order.  These are the levels of `_eigenphase_steps` on
-    the grid K_MIN, k of every system, so the matrices go to `eigvals` per
+    """N(k) of each system of one size: the number of roots of
+    det(I - S D(k)) in (K_MIN, k], with order.  These are the levels of
+    `_eigenphase_steps` on the grid K_MIN, k of every contracted system
+    (`contract_transmissions`), so the matrices go to `eigvals` per
     MAX_BATCH_BYTES.  Needs unitary S (`NonUnitaryScattering` otherwise).
     """
-    grid = np.tile([K_MIN, k], len(systems))
-    return _eigenphase_steps(systems, np.repeat(np.arange(len(systems)), 2), grid)[1][1::2].astype(int).tolist()
+
+    def counts(stack: list[SecularSystem]) -> list[int]:
+        grid, which = np.tile([K_MIN, k], len(stack)), np.repeat(np.arange(len(stack)), 2)
+        return _eigenphase_steps(stack, which, grid)[1][1::2].astype(int).tolist()
+
+    return _contracted_stacks(systems, counts)
 
 
-def find_roots_unitary_family(
-    systems: Sequence[SecularSystem], k_max: float, *, tol: float = 1e-10, source: str = "full"
-) -> list[Spectrum]:
-    """Roots of det(I - S D(k)) on (K_MIN, k_max] for each of several unitary
-    systems of one size: one spectrum per system.
-
-    N(k) of `_eigenphase_steps` is exact and monotone at every k, and each
-    jump is a root of order the jump's size, so a cell with equal end counts
-    holds no root however wide it is.  A system's cell, `meta["grid_step"]`,
-    is 0.9 pi / (its longest bond length), or k_max with no bonds: no phase
-    turns by half a circle in one cell, so the regula-falsi value of
-    `_refine_steps`, the sum of the phases crossing at a jump, stays
-    continuous.  Every evaluation's count keeps the bracket exact, so each
-    root is certified by its end counts.  The grids of all systems go to
-    stacked `eigvals` calls, and so does each refinement round.
-    """
-    require_positive(k_max=k_max, tol=tol)
+def _unitary_stack(systems: Sequence[SecularSystem], k_max: float, tol: float, source: str) -> list[Spectrum]:
+    """`find_roots_unitary_family` on systems of one size, as they are."""
     cells = [0.9 * math.pi / float(sys.lengths.max()) if sys.size else k_max for sys in systems]
     grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in cells]
     which, ks = np.repeat(np.arange(len(grids)), [len(g) for g in grids]), np.concatenate(grids)
@@ -298,10 +306,34 @@ def find_roots_unitary_family(
         Spectrum(
             tuple(SpectralRoot(k, n, source) for k, n in member),
             k_max,
-            {"grid_step": cell, "tol": tol, "k_min": K_MIN, "evaluations": len(grid) + int(n)},
+            {"grid_step": cell, "tol": tol, "k_min": K_MIN, "bonds": sys.size, "evaluations": len(grid) + int(n)},
         )
-        for member, cell, grid, n in zip(jumps, cells, grids, calls)
+        for member, sys, cell, grid, n in zip(jumps, systems, cells, grids, calls)
     ]
+
+
+def find_roots_unitary_family(
+    systems: Sequence[SecularSystem], k_max: float, *, tol: float = 1e-10, source: str = "full"
+) -> list[Spectrum]:
+    """Roots of det(I - S D(k)) on (K_MIN, k_max] for each of several unitary
+    systems of one size: one spectrum per system.
+
+    The family is contracted first (`contract_transmissions`), and each
+    stack of contracted systems of one size is solved together;
+    `meta["bonds"]` is a system's contracted size.  N(k) of
+    `_eigenphase_steps` is exact and monotone at every k, and each jump is a
+    root of order the jump's size, so a cell with equal end counts holds no
+    root however wide it is.  A system's cell, `meta["grid_step"]`, is
+    0.9 pi / (the longest bond length of the contracted system), or k_max
+    with no bonds: no phase turns by half a circle in one cell, so the
+    regula-falsi value of `_refine_steps`, the sum of the phases crossing at
+    a jump, stays continuous.  Every evaluation's count keeps the bracket
+    exact, so each root is certified by its end counts.  The grids of all
+    systems of a stack go to stacked `eigvals` calls, and so does each
+    refinement round.
+    """
+    require_positive(k_max=k_max, tol=tol)
+    return _contracted_stacks(systems, lambda stack: _unitary_stack(stack, k_max, tol, source))
 
 
 def find_roots_unitary(sys: SecularSystem, k_max: float, *, tol: float = 1e-10, source: str = "full") -> Spectrum:

@@ -191,7 +191,7 @@ def character_blocks(
         )
     _, edge_images, flips = action.table
     bonds = np.arange(2 * g.n_edges)
-    images = 2 * edge_images[:, bonds >> 1] + ((bonds & 1) ^ flips[:, bonds >> 1])
+    images = 2 * np.repeat(edge_images, 2, axis=1) + ((bonds & 1) ^ np.repeat(flips, 2, axis=1))
     fixed = images[1:] == bonds  # row 0 is the identity
     if fixed.any():
         m, b = np.argwhere(fixed)[0].tolist()
@@ -207,6 +207,57 @@ def character_blocks(
         labels: SecularSystem(S=M[(slice(None), *labels)], lengths=rep_lengths)
         for labels in action.elements()
     }
+
+
+def contract_transmissions(systems: Sequence[SecularSystem]) -> list[SecularSystem]:
+    """Each system of one size with its pure-transmission bonds contracted:
+    the same det(I - S D(k)) on fewer bonds, S still unitary and the total
+    length unchanged.
+
+    Bond b passes on to b' != b when |S[b', b]| = 1 and every other entry of
+    row b' and of column b is below 1e-12.  Dropping b' is one Schur step
+    with pivot 1 (column b becomes S[b', b] * S[:, b'], and b takes the
+    length of b' too), so a chain b -> b' -> ... keeps its first bond, with
+    the chain's total length and the column of its last bond times the
+    product of the chain's unit entries.  A closed chain keeps its lowest
+    bond, which then reflects into itself.  The chains follow from a
+    system's pattern of such entries alone, so the systems of one pattern
+    are contracted together by index arrays.
+    """
+    if not systems or not systems[0].size:
+        return list(systems)
+    S, lengths = np.stack([sys.S for sys in systems]), np.stack([sys.lengths for sys in systems])
+    n, mod = S.shape[-1], np.abs(S)
+    lone = mod > 1e-12
+    lone &= (lone.sum(-1, keepdims=True) == 1) & (lone.sum(-2, keepdims=True) == 1)
+    passes = lone & (np.abs(mod - 1.0) <= 1e-12) & ~np.eye(n, dtype=bool)
+    out: list = [None] * len(systems)
+    left = np.arange(len(S))
+    while len(left):
+        same = (passes[left] == passes[left[0]]).all(axis=(1, 2))
+        members, left = left[same], left[~same]
+        to, frm = np.nonzero(passes[members[0]])
+        succ, entered = dict(zip(frm.tolist(), to.tolist())), set(to.tolist())
+        chains, seen = [], set()
+        for head in sorted(range(n), key=entered.__contains__):  # open chains first, then closed ones
+            if head not in seen:
+                chain = [head]
+                while succ.get(chain[-1], head) != head:
+                    chain.append(succ[chain[-1]])
+                seen.update(chain)
+                chains.append(chain)
+        chains.sort()
+        order, tails = [b for c in chains for b in c], [c[-1] for c in chains]
+        starts = np.cumsum([0] + [len(c) for c in chains[:-1]])
+        units = np.ones((len(members), n), dtype=complex)
+        units[:, frm] = S[members][:, to, frm]
+        units[:, tails] = 1.0  # a closed chain's last entry stays in its column
+        phase = np.multiply.reduceat(units[:, order], starts, axis=-1)
+        kept = S[members][:, [[c[0]] for c in chains], tails] * phase[:, None]
+        kept_lengths = np.add.reduceat(lengths[members][:, order], starts, axis=-1)
+        for m, s, l in zip(members.tolist(), kept, kept_lengths):
+            out[m] = SecularSystem(S=s, lengths=l)
+    return out
 
 
 def secular_det(sys: SecularSystem, k: complex) -> complex:

@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qgsym
-from qgsym import QuotientSpec, cycle_graph, cycle_product, quotient_graph, standard_conditions, validate_action
+from qgsym import (
+    QuotientSpec, cycle_graph, cycle_product, quotient_graph, standard_conditions, torus_action, validate_action,
+)
 from qgsym.cli import main
 from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
 from qgsym.io import (
@@ -120,6 +122,28 @@ def test_spectrum_csv_round_trips(n1, n2, l1, l3):
     assert s2.meta.keys() == s.meta.keys()
 
 
+def test_spectrum_csv_saves_back_byte_identical(tmp_path):
+    # header values load as the values written, k_max only as the
+    # spectrum's k_max, so save -> load -> save writes the same bytes
+    g, action = torus_action(3, 4, 1.0, 0.5)
+    doc = str(tmp_path / "torus.json")
+    save_graph(doc, g, standard_conditions(g), action)
+    runs = {
+        "spectrum": ["spectrum", doc, "--kmax", "10"],
+        "factors": ["factors", "--n1", "3", "--n2", "4", "--l1", "0.5", "--l3", "1.0", "--kmax", "10"],
+    }
+    for name, args in runs.items():
+        out, again = str(tmp_path / f"{name}.csv"), str(tmp_path / f"{name}-again.csv")
+        res = CliRunner().invoke(main, [*args, "-o", out])
+        assert res.exit_code == 0, res.output
+        s = load_spectrum(out)
+        assert "k_max" not in s.meta and s.k_max == 10.0
+        assert s.meta["root_count"] == s.meta["eigenphase_count"] == 108
+        save_spectrum(again, s)
+        assert Path(again).read_bytes() == Path(out).read_bytes()
+    assert load_spectrum(str(tmp_path / "spectrum.csv")).meta["blocks"] == 12
+
+
 def test_spectrum_csv_contains_lambda_column():
     s = Spectrum((SpectralRoot(2.0, 1, "x"),), 5.0)
     buf = _io.StringIO()
@@ -157,8 +181,8 @@ def test_cli_spectrum_of_a_graph_with_no_edges(tmp_path, action):
     res = CliRunner().invoke(main, ["spectrum", gpath, "-o", spath])
     assert res.exit_code == 0, res.output
     s = load_spectrum(spath)
-    assert s.roots == () and s.meta["root_count"] == s.meta["eigenphase_count"] == "0"
-    assert s.meta["blocks"] == ("1" if action is None else "2")
+    assert s.roots == () and s.meta["root_count"] == s.meta["eigenphase_count"] == 0
+    assert s.meta["blocks"] == (1 if action is None else 2)
     res = CliRunner().invoke(main, ["scan", gpath, "--kmax", "0.05", "-o", scan])
     assert res.exit_code == 0, res.output
     assert [line.split(",")[1] for line in open(scan).read().split()[1:]] == ["1.0"] * 5
@@ -236,7 +260,7 @@ def test_cli_block_and_dense_paths_agree(tmp_path):
         assert re.fullmatch(r"\(\d,\d\)(,\(\d,\d\))*", r.source), r.source
         assert set(re.findall(r"\(\d,\d\)", r.source)) <= labels
     assert {r.source for r in spectra["dense"].roots} == {"full"}
-    for name, blocks_count in (("blocks", "6"), ("dense", "1")):
+    for name, blocks_count in (("blocks", 6), ("dense", 1)):
         meta = spectra[name].meta
         assert {"grid_step", "tol", "k_min"} <= set(meta) and meta["blocks"] == blocks_count
 

@@ -231,8 +231,8 @@ def test_a_real_family_raises_the_refusal_of_its_first_refused_member():
 )
 @example(blocks=[(3, 4, 0.5, 1.0, pick) for pick in range(12)])  # roots of order 3 and more
 def test_a_unitary_family_equals_its_members_run_alone(blocks):
-    # character blocks of tori are all 8x8; lengths differ between tori, so
-    # the members' cells and grids differ
+    # character blocks of tori are all 8x8, contracted to 4x4; lengths
+    # differ between tori, so the members' cells and grids differ
     systems = [_block(*b) for b in blocks]
     family = find_roots_unitary_family(systems, 6.0, tol=TOL)
     for got, sys_ in zip(family, systems):
@@ -264,8 +264,8 @@ def _spectrum_of_the_3x4_document(tmp_path, name, *flags):
 
 def test_spectrum_header_counts_evaluations(tmp_path):
     # the 3x4 torus document at --kmax 10: 6 runs of 5 grid points, cells
-    # of 0.9 pi / L_max, and about four refinement evaluations per root;
-    # 335 in all
+    # of 0.9 pi / L_max of the contracted 4x4 blocks, and about four
+    # refinement evaluations per root; 327 in all
     out, blocks = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
     s = io.load_spectrum(str(out))
     assert int(s.meta["blocks"]) == 12
@@ -274,18 +274,18 @@ def test_spectrum_header_counts_evaluations(tmp_path):
 
 
 def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
-    # the 6 distinct blocks of the 3x4 document are one family: their grids
-    # go to one stacked eigvals call and each refinement round to one call
-    # per 32 matrices (MAX_BATCH_BYTES), for the same 335 evaluations as
-    # block by block; the certificate adds each of the 12 blocks at K_MIN
-    # and at k_max
+    # the 6 distinct blocks of the 3x4 document, contracted from 8x8 to 4x4,
+    # are one family: their grids go to one stacked eigvals call and each
+    # refinement round to one call per 128 matrices (MAX_BATCH_BYTES), for
+    # the same 327 evaluations as block by block; the certificate adds each
+    # of the 12 blocks at K_MIN and at k_max
     eigvals, shapes = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
     out, _ = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
-    assert int(io.load_spectrum(str(out)).meta["evaluations"]) == 335
+    assert int(io.load_spectrum(str(out)).meta["evaluations"]) == 327
     assert 0 < len(shapes) <= 80
-    assert all(len(shape) == 3 and shape[1:] == (8, 8) for shape in shapes)
-    assert sum(shape[0] for shape in shapes) == 335 + 2 * 12
+    assert all(len(shape) == 3 and shape[1:] == (4, 4) for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == 327 + 2 * 12
 
 
 def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):
