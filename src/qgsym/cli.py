@@ -2,7 +2,9 @@
 
 Validation failures, and files that cannot be read or written, exit with
 code 2 and a machine-readable ``error: <Kind>: <message>`` line on stderr.
-All runs are deterministic given the same flags.
+All runs are deterministic given the same flags.  Every message names its
+stream, `sys.stdout` or `sys.stderr`: with none, `click.echo` caches a
+wrapper per stream that holds an in-memory stream alive for good.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .decompose import l2_norm_sq, project, random_function
 from .errors import GridTooCoarse, MalformedList, QgsymError, require_positive
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, secular_dets, standard_conditions
-from .locators import eigenphase_counts, find_roots_real_family, find_roots_unitary_family
+from .locators import UnitaryFamily, eigenphase_counts, find_roots_real_family
 from .locators import find_roots_real, find_roots_unitary  # noqa: F401  (names the benchmark's tracer wraps)
 from .spectra import Spectrum, _k_grid, compare_spectra, isospectral_classes, merge_spectra
 
@@ -32,7 +34,7 @@ def handle_errors(fn):
         try:
             return fn(*args, **kwargs)
         except (QgsymError, OSError) as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            click.echo(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             sys.exit(2)
 
     return wrapper
@@ -58,7 +60,7 @@ def build_cycle(n, length, output):
         warnings.simplefilter("ignore")
         g, action = builders.cycle_graph(n, length)
     io.save_graph(output, g, standard_conditions(g), action)
-    click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
+    click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges", file=sys.stdout)
 
 
 def _parse_list(flag: str, text: str, kind: type) -> list:
@@ -83,7 +85,7 @@ def build_circulant(n, jumps, lens, output):
     len_list = _parse_list("--lens", lens, float)
     g, action = builders.circulant_graph(n, jump_list, len_list)
     io.save_graph(output, g, standard_conditions(g), action)
-    click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
+    click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges", file=sys.stdout)
 
 
 @build.command("product")
@@ -100,7 +102,7 @@ def build_product(n1, n2, l1, l3, output):
     """
     g, action = builders.cycle_product(n1, n2, 2.0 * l3, 2.0 * l1)
     io.save_graph(output, g, standard_conditions(g), action)
-    click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
+    click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges", file=sys.stdout)
 
 
 @build.command("quotient")
@@ -116,7 +118,7 @@ def build_quotient(n1, n2, l1, l3, s, t, output):
     spec = quotient.QuotientSpec(n1, n2, l1, l3, s, t)
     g, conds = quotient.quotient_graph(spec)
     io.save_graph(output, g, conds)
-    click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges")
+    click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges", file=sys.stdout)
 
 
 def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
@@ -146,7 +148,7 @@ def _write_classes(output, kmax: float, found: list[Spectrum], runs: np.ndarray,
         "eigenphase_count": eigenphase_count,
     })
     io.save_spectrum(output, s)
-    click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity")
+    click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity", file=sys.stdout)
 
 
 @main.command("spectrum")
@@ -174,9 +176,12 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     systems, first = _systems_from_doc(graph_file)
     blocks = list(systems.values())
     distinct, runs = np.unique(first, return_inverse=True)
-    found = find_roots_unitary_family([blocks[i] for i in distinct], kmax, tol=tol)
-    certificate = sum(eigenphase_counts(blocks, kmax))
-    _write_classes(output, kmax, found, runs, list(systems), certificate, blocks=len(systems), distinct_blocks=len(found))
+    family = UnitaryFamily(blocks)
+    found = family.roots(kmax, tol=tol, members=distinct.tolist())
+    _write_classes(
+        output, kmax, found, runs, list(systems), sum(family.counts(kmax)),
+        blocks=len(systems), distinct_blocks=len(found), rounds=max(f.meta["rounds"] for f in found),
+    )
 
 
 @main.command("factors")
@@ -228,7 +233,8 @@ def compare_cmd(spectrum_a, spectrum_b, tol):
     click.echo(
         f"isospectral={rep.isospectral} max_distance={rep.max_distance:.3e} "
         f"count_a={rep.count_a} count_b={rep.count_b} "
-        f"unmatched_a={len(rep.unmatched_a)} unmatched_b={len(rep.unmatched_b)}"
+        f"unmatched_a={len(rep.unmatched_a)} unmatched_b={len(rep.unmatched_b)}",
+        file=sys.stdout,
     )
     sys.exit(0 if rep.isospectral else 1)
 
@@ -259,7 +265,7 @@ def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
                 x = (m + 0.5) * e.length / samples
                 val = complex(comp.values[e.id, m])
                 fh.write(f"{e.id},{m},{x!r},{val.real!r},{val.imag!r}\n")
-    click.echo(f"wrote {output}: component norm^2 = {l2_norm_sq(comp):.6g}")
+    click.echo(f"wrote {output}: component norm^2 = {l2_norm_sq(comp):.6g}", file=sys.stdout)
 
 
 @main.command("scan")
@@ -285,7 +291,7 @@ def scan_cmd(graph_file, kmax, grid, output):
         for k in ks:
             det = math.prod(secular_det(blocks[i], float(k)) ** n for i, n in sizes.items())
             fh.write(f"{float(k)!r},{abs(det)!r}\n")
-    click.echo(f"wrote {output}")
+    click.echo(f"wrote {output}", file=sys.stdout)
 
 
 if __name__ == "__main__":

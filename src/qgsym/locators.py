@@ -9,37 +9,42 @@ calls, then `_refine_steps` in rounds over every bracket of every member.
   touching roots (small minima of |f|), give every order as a winding
   number and re-centre the multiple roots.
 - `find_roots_unitary_family`: exact eigenphase counting for unitary
-  scattering.  The family is contracted first (`contract_transmissions`:
-  every pure-transmission bond dropped, the determinant unchanged), and
-  each stack of contracted systems of one size is solved together.
-  N(k) = (sum of principal eigenphases at the reference point
-  + k * total bond length - sum at k) / 2pi is integer-valued and monotone
-  (`_eigenphase_steps`); each jump's size is the root's multiplicity.  The
-  value is the sum of the eigenphases nearest 0, which all increase.  N is
-  exact at every k, so the cell is derived: 0.9 pi / (longest bond length
-  of the contracted system).  Each round is one stacked `eigvals` over the
-  open brackets.  This is the robust path for high-order roots of large
-  systems.  N(k_max) of many systems at once (`eigenphase_counts`, the same
-  count at K_MIN and k_max of the contracted systems) is an exact root
-  count certifying a locator's output.
+  scattering.  The family is contracted once (`UnitaryFamily`, through
+  `contracted_stacks`: every pure-transmission bond dropped, the
+  determinant unchanged), and each stack of contracted systems of one size
+  is solved together.  N(k) = (sum of principal eigenphases at the
+  reference point + k * total bond length - sum at k) / 2pi is
+  integer-valued and monotone (`_eigenphase_steps`); each jump's size is
+  the root's multiplicity.  The values are the summed distances of the
+  eigenphases nearest the crossing point, below it at a bracket's left end
+  and above it at its right end, and the phases' speeds, between the
+  shortest and the longest bond length, give the reaches that narrow every
+  bracket with no evaluation.  N is exact at every k, so the cell is
+  derived: 0.9 pi / (longest bond length of the contracted system).  Each
+  round is one stacked `eigvals` over the open brackets.  This is the
+  robust path for high-order roots of large systems.  N(k_max) of many
+  systems at once (`eigenphase_counts`, the same count at K_MIN and k_max
+  of the contracted systems) is an exact root count certifying a
+  locator's output; `UnitaryFamily` gives both from one contraction.
 
 `find_roots_real` and `find_roots_unitary` solve a family of one.  Every
 member's spectrum reports the points evaluated for it, grid included, as
-`meta["evaluations"]`.
+`meta["evaluations"]`, and a unitary one the refinement rounds that
+evaluated it as `meta["rounds"]`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
-from .scattering import SecularSystem, contract_transmissions
+from .scattering import SecularSystem, contracted_stacks
 from .spectra import (
-    TWO_PI, Evaluator, SpectralRoot, Spectrum, _chunked, _contour, _grid_cells, _grid_values, _k_grid, _refine_steps,
-    _through_zero,
+    TWO_PI, Evaluator, SpectralRoot, Spectrum, _chunked, _contour, _grid_cells, _grid_values, _k_grid, _no_reach,
+    _refine_steps, _through_zero,
 )
 
 K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
@@ -132,13 +137,16 @@ def find_roots_real_family(
         r, i = np.nonzero(touch)
         candidates.append((rows[r], ks[i + 1], np.where(vals[r, i] > 0, 1.0, -1.0)))
 
-    def sign_at(which: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def sign_at(which: np.ndarray, k: np.ndarray) -> tuple:
         fk = np.asarray(_chunked(f, which, k, 8), dtype=float)
         levels = np.sign(fk)
         levels[levels == 0] = np.nan
-        return levels, fk[:, None]
+        side = (fk[:, None], _no_reach(len(k)))
+        return levels, side, side
 
-    jumps, calls = _refine_steps(sign_at, tuple(np.concatenate(v) for v in zip(*cells)), tol, members)
+    which, a, na, fa, b, nb, fb = (np.concatenate(v) for v in zip(*cells))
+    none = _no_reach(len(a))
+    jumps, calls, _ = _refine_steps(sign_at, (which, a, na, (fa, none), b, nb, (fb, none)), tol, members)
     roots = [[k for k, _ in member] for member in jumps]
 
     refused: dict[int, GridTooCoarse] = {}  # each member's first refusal
@@ -201,15 +209,9 @@ def find_roots_real(
     )[0]
 
 
-def _require_unitary(sys: SecularSystem) -> None:
-    defect = sys.unitarity_defect()
-    if defect > 1e-10:
-        raise NonUnitaryScattering(f"|S S^H - I| = {defect:.3e}: eigenphase counting needs a unitary S")
-
-
-def _phase_total(phases: np.ndarray) -> np.ndarray:
-    """P: the sum over the last axis of the phases taken in (0, 2pi]."""
-    return phases.sum(-1) + TWO_PI * (phases < 0.0).sum(-1)
+def _turned(phases: np.ndarray) -> np.ndarray:
+    """The phases of `_eigenphases` taken in [0, 2pi)."""
+    return np.where(phases < 0.0, phases + TWO_PI, phases)
 
 
 def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -228,88 +230,124 @@ def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.n
     return _chunked(phases, which, ks, S[0].nbytes)
 
 
-def _eigenphase_steps(
-    systems: Sequence[SecularSystem], which: np.ndarray, ks: np.ndarray
-) -> tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-    """The step evaluator of N(k) for a family of systems of one size, with
-    its levels and prefix sums on the grid `which, ks`, computed as a step
-    computes them; each system's points are consecutive and ascending.
+def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
+    """The step evaluator of N(k) for a stack of systems of one size, `S` and
+    `lengths`, with its levels and what each point sees ahead and behind
+    (`_refine_steps`) on the grid `which, ks`, computed as a step computes
+    them; each system's points are consecutive and ascending.
 
     N(k) counts the roots in (first grid point, k]: N(k) = (P(k0) - k0 * L +
     k * L - P(k)) / 2pi, where k0 is the system's first grid point, L its
     total bond length and P(k) the sum of the eigenphases of U(k) taken in
-    (0, 2pi] as `_eigenphases` places them: each phase advances by k * L in
-    all and drops by 2pi when it crosses 1.  The values are the eigenphases
-    nearest 0 first, so a jump of m sums the m phases that cross there.  A
+    [0, 2pi) (`_turned`): each phase advances by k * L in all and drops by
+    2pi when it crosses 0, the crossing point.  Each phase's distance to the
+    crossing point ahead is 2pi less its distance behind, which is its value
+    in [0, 2pi).  A jump of m happens when the m phases nearest the crossing
+    point pass it, so the sums ahead are minus the prefix sums of the
+    distances ahead, ascending, and the sums behind the prefix sums of the
+    distances behind: each crosses zero at the jump it bounds.
+
+    Every eigenphase moves up with speed v^H L v, between the shortest bond
+    length l_min and the longest l_max (Berkolaiko and Kuchment 2013).  So
+    with theta_j the distances ahead, ascending, the level holds to
+    k + theta_1 / l_max and the next m jumps have all happened by
+    k + theta_m / l_min, and behind k the same holds with the distances
+    behind.  Each distance first loses (for a hold) or gains (for a bound) a
+    margin of 16 R eps, R the size, plus 8 times the system's unitarity
+    defect: eigvals moves the phases of a unitary matrix by a few eps.  A
     call of the step makes one stacked `np.linalg.eigvals` call per
     MAX_BATCH_BYTES of matrices.  Needs unitary S (`NonUnitaryScattering`
     otherwise).
     """
-    for sys in systems:
-        _require_unitary(sys)
-    S = np.stack([sys.S for sys in systems])
-    lengths = np.stack([sys.lengths for sys in systems])
+    size = S.shape[-1]
+    defects = np.abs(S @ S.conj().swapaxes(-1, -2) - np.eye(size)).max(axis=(-2, -1), initial=0.0)
+    if defects.max(initial=0.0) > 1e-10:
+        raise NonUnitaryScattering(f"|S S^H - I| = {defects.max():.3e}: eigenphase counting needs a unitary S")
+    margin = 16 * size * np.finfo(float).eps + 8 * defects
     l_total = lengths.sum(-1)
+    l_min, l_max = lengths.min(-1, initial=np.inf), lengths.max(-1, initial=0.0)
 
-    def levels_and_sums(which: np.ndarray, k: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nearest_first = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1, kind="stable"), axis=-1)
-        levels = np.rint((base[which] + k * l_total[which] - _phase_total(phases)) / TWO_PI)
-        return levels, np.cumsum(nearest_first, axis=-1)
+    def evaluate(which: np.ndarray, k: np.ndarray, phases: np.ndarray) -> tuple:
+        turned = np.sort(_turned(phases), axis=-1)  # the distances behind, ascending
+        levels = np.rint((base[which] + k * l_total[which] - turned.sum(-1)) / TWO_PI)
+        slack, slow, fast = margin[which, None], l_min[which, None], l_max[which, None]
 
-    def step(which: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return levels_and_sums(which, k, _eigenphases(S, lengths, which, k))
+        def side(distances: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+            hold = np.maximum(distances[:, :1] - slack, 0.0) / fast
+            return sign * np.cumsum(distances, axis=-1), np.concatenate([hold, (distances + slack) / slow], axis=-1)
+
+        return levels, side(TWO_PI - turned[:, ::-1], -1.0), side(turned, 1.0)
+
+    def step(which: np.ndarray, k: np.ndarray) -> tuple:
+        return evaluate(which, k, _eigenphases(S, lengths, which, k))
 
     phases = _eigenphases(S, lengths, which, ks)
     first = np.flatnonzero(np.append(True, which[1:] != which[:-1]))
-    base = np.zeros(len(systems))
-    base[which[first]] = _phase_total(phases[first]) - ks[first] * l_total[which[first]]
-    return (step, *levels_and_sums(which, ks, phases))
+    base = np.zeros(len(S))
+    base[which[first]] = _turned(phases[first]).sum(-1) - ks[first] * l_total[which[first]]
+    return (step, *evaluate(which, ks, phases))
 
 
-def _contracted_stacks(systems: Sequence[SecularSystem], solve: Callable[[list[SecularSystem]], list]) -> list:
-    """`solve` on each stack of one size of the contracted systems
-    (`contract_transmissions`), its results in the systems' order.  A
-    system's contraction depends on its own S only, and so does each of its
-    results."""
-    contracted = contract_transmissions(systems)
-    out: list = [None] * len(systems)
-    for size in dict.fromkeys(sys.size for sys in contracted):
-        members = [i for i, sys in enumerate(contracted) if sys.size == size]
-        for i, result in zip(members, solve([contracted[i] for i in members])):
-            out[i] = result
-    return out
-
-
-def eigenphase_counts(systems: Sequence[SecularSystem], k: float) -> list[int]:
-    """N(k) of each system of one size: the number of roots of
-    det(I - S D(k)) in (K_MIN, k], with order.  These are the levels of
-    `_eigenphase_steps` on the grid K_MIN, k of every contracted system
-    (`contract_transmissions`), so the matrices go to `eigvals` per
-    MAX_BATCH_BYTES.  Needs unitary S (`NonUnitaryScattering` otherwise).
-    """
-
-    def counts(stack: list[SecularSystem]) -> list[int]:
-        grid, which = np.tile([K_MIN, k], len(stack)), np.repeat(np.arange(len(stack)), 2)
-        return _eigenphase_steps(stack, which, grid)[1][1::2].astype(int).tolist()
-
-    return _contracted_stacks(systems, counts)
-
-
-def _unitary_stack(systems: Sequence[SecularSystem], k_max: float, tol: float, source: str) -> list[Spectrum]:
-    """`find_roots_unitary_family` on systems of one size, as they are."""
-    cells = [0.9 * math.pi / float(sys.lengths.max()) if sys.size else k_max for sys in systems]
+def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float, source: str) -> list[Spectrum]:
+    """`find_roots_unitary_family` on a stack of systems of one size, as they are."""
+    cells = [0.9 * math.pi / float(l.max()) if len(l) else k_max for l in lengths]
     grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in cells]
     which, ks = np.repeat(np.arange(len(grids)), [len(g) for g in grids]), np.concatenate(grids)
-    step, levels, sums = _eigenphase_steps(systems, which, ks)
-    jumps, calls = _refine_steps(step, _grid_cells(which, ks, levels, sums), tol, len(systems))
+    step, *values = _eigenphase_steps(S, lengths, which, ks)
+    jumps, calls, rounds = _refine_steps(step, _grid_cells(which, ks, *values), tol, len(S))
+    meta = {"tol": tol, "k_min": K_MIN, "bonds": S.shape[-1]}
     return [
         Spectrum(
             tuple(SpectralRoot(k, n, source) for k, n in member),
             k_max,
-            {"grid_step": cell, "tol": tol, "k_min": K_MIN, "bonds": sys.size, "evaluations": len(grid) + int(n)},
+            {"grid_step": cell, **meta, "evaluations": len(grid) + int(n), "rounds": int(r)},
         )
-        for member, sys, cell, grid, n in zip(jumps, systems, cells, grids, calls)
+        for member, cell, grid, n, r in zip(jumps, cells, grids, calls, rounds)
     ]
+
+
+class UnitaryFamily:
+    """Unitary secular systems of one size, contracted once
+    (`scattering.contracted_stacks`: every pure-transmission bond dropped,
+    the determinant unchanged) and kept as one stack per contracted size.
+    A system's contraction depends on its own S only, and so does each of
+    its results."""
+
+    def __init__(self, systems: Sequence[SecularSystem]):
+        self.members = len(systems)
+        self.stacks = contracted_stacks(systems)
+
+    def counts(self, k: float) -> list[int]:
+        """N(k) of every system: the number of roots of det(I - S D(k)) in
+        (K_MIN, k], with order.  These are the levels of `_eigenphase_steps`
+        on the grid K_MIN, k of every contracted system, so the matrices go
+        to `eigvals` per MAX_BATCH_BYTES.  Needs unitary S
+        (`NonUnitaryScattering` otherwise)."""
+        out = [0] * self.members
+        for members, S, lengths in self.stacks:
+            grid, which = np.tile([K_MIN, k], len(S)), np.repeat(np.arange(len(S)), 2)
+            for m, n in zip(members.tolist(), _eigenphase_steps(S, lengths, which, grid)[1][1::2].tolist()):
+                out[m] = int(n)
+        return out
+
+    def roots(
+        self, k_max: float, *, tol: float = 1e-10, source: str = "full", members: Optional[Sequence[int]] = None
+    ) -> list[Spectrum]:
+        """`find_roots_unitary_family` of the systems `members` (all by
+        default), one spectrum each in that order."""
+        require_positive(k_max=k_max, tol=tol)
+        members = range(self.members) if members is None else members
+        out: dict[int, Spectrum] = {}
+        for stack, S, lengths in self.stacks:
+            pick = np.flatnonzero(np.isin(stack, members))
+            if len(pick):
+                out.update(zip(stack[pick].tolist(), _unitary_stack(S[pick], lengths[pick], k_max, tol, source)))
+        return [out[m] for m in members]
+
+
+def eigenphase_counts(systems: Sequence[SecularSystem], k: float) -> list[int]:
+    """N(k) of each system of one size: `UnitaryFamily.counts`."""
+    return UnitaryFamily(systems).counts(k)
 
 
 def find_roots_unitary_family(
@@ -318,22 +356,22 @@ def find_roots_unitary_family(
     """Roots of det(I - S D(k)) on (K_MIN, k_max] for each of several unitary
     systems of one size: one spectrum per system.
 
-    The family is contracted first (`contract_transmissions`), and each
-    stack of contracted systems of one size is solved together;
-    `meta["bonds"]` is a system's contracted size.  N(k) of
-    `_eigenphase_steps` is exact and monotone at every k, and each jump is a
-    root of order the jump's size, so a cell with equal end counts holds no
-    root however wide it is.  A system's cell, `meta["grid_step"]`, is
-    0.9 pi / (the longest bond length of the contracted system), or k_max
-    with no bonds: no phase turns by half a circle in one cell, so the
-    regula-falsi value of `_refine_steps`, the sum of the phases crossing at
-    a jump, stays continuous.  Every evaluation's count keeps the bracket
-    exact, so each root is certified by its end counts.  The grids of all
-    systems of a stack go to stacked `eigvals` calls, and so does each
-    refinement round.
+    The family is contracted first (`UnitaryFamily`), and each stack of
+    contracted systems of one size is solved together; `meta["bonds"]` is a
+    system's contracted size.  N(k) of `_eigenphase_steps` is exact and
+    monotone at every k, and each jump is a root of order the jump's size,
+    so a cell with equal end counts holds no root however wide it is.  A
+    system's cell, `meta["grid_step"]`, is 0.9 pi / (the longest bond length
+    of the contracted system), or k_max with no bonds: no phase turns by
+    half a circle in one cell, so the regula-falsi value of `_refine_steps`,
+    the sum of the phases crossing at a jump, stays continuous.  Every
+    evaluation's count keeps the bracket exact, and its reaches move the
+    bracket's ends without an evaluation, so each root is certified by its
+    end counts.  The grids of all systems of a stack go to stacked `eigvals`
+    calls, and so does each refinement round; `meta["rounds"]` counts the
+    rounds that evaluated the system.
     """
-    require_positive(k_max=k_max, tol=tol)
-    return _contracted_stacks(systems, lambda stack: _unitary_stack(stack, k_max, tol, source))
+    return UnitaryFamily(systems).roots(k_max, tol=tol, source=source)
 
 
 def find_roots_unitary(sys: SecularSystem, k_max: float, *, tol: float = 1e-10, source: str = "full") -> Spectrum:

@@ -212,7 +212,18 @@ def character_blocks(
 def contract_transmissions(systems: Sequence[SecularSystem]) -> list[SecularSystem]:
     """Each system of one size with its pure-transmission bonds contracted:
     the same det(I - S D(k)) on fewer bonds, S still unitary and the total
-    length unchanged.
+    length unchanged.  `contracted_stacks`, one system per member."""
+    out: list = [None] * len(systems)
+    for members, S, lengths in contracted_stacks(systems):
+        for m, s, l in zip(members.tolist(), S, lengths):
+            out[m] = SecularSystem(S=s, lengths=l)
+    return out
+
+
+def contracted_stacks(systems: Sequence[SecularSystem]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The systems of one size with their pure-transmission bonds contracted,
+    stacked by contracted size: (members, S, lengths) per size, the sizes in
+    the order of their first member and each stack's members ascending.
 
     Bond b passes on to b' != b when |S[b', b]| = 1 and every other entry of
     row b' and of column b is below 1e-12.  Dropping b' is one Schur step
@@ -224,14 +235,17 @@ def contract_transmissions(systems: Sequence[SecularSystem]) -> list[SecularSyst
     system's pattern of such entries alone, so the systems of one pattern
     are contracted together by index arrays.
     """
-    if not systems or not systems[0].size:
-        return list(systems)
+    if not systems:
+        return []
     S, lengths = np.stack([sys.S for sys in systems]), np.stack([sys.lengths for sys in systems])
-    n, mod = S.shape[-1], np.abs(S)
+    n = S.shape[-1]
+    if not n:
+        return [(np.arange(len(S)), S, lengths)]
+    mod = np.abs(S)
     lone = mod > 1e-12
     lone &= (lone.sum(-1, keepdims=True) == 1) & (lone.sum(-2, keepdims=True) == 1)
     passes = lone & (np.abs(mod - 1.0) <= 1e-12) & ~np.eye(n, dtype=bool)
-    out: list = [None] * len(systems)
+    by_size: dict[int, list] = {}
     left = np.arange(len(S))
     while len(left):
         same = (passes[left] == passes[left[0]]).all(axis=(1, 2))
@@ -255,9 +269,15 @@ def contract_transmissions(systems: Sequence[SecularSystem]) -> list[SecularSyst
         phase = np.multiply.reduceat(units[:, order], starts, axis=-1)
         kept = S[members][:, [[c[0]] for c in chains], tails] * phase[:, None]
         kept_lengths = np.add.reduceat(lengths[members][:, order], starts, axis=-1)
-        for m, s, l in zip(members.tolist(), kept, kept_lengths):
-            out[m] = SecularSystem(S=s, lengths=l)
-    return out
+        by_size.setdefault(len(chains), []).append((members, kept, kept_lengths))
+    stacks = []
+    for parts in by_size.values():
+        if len(parts) > 1:
+            members, kept, kept_lengths = (np.concatenate(v) for v in zip(*parts))
+            order = np.argsort(members)
+            parts = [(members[order], kept[order], kept_lengths[order])]
+        stacks.append(parts[0])
+    return stacks
 
 
 def secular_det(sys: SecularSystem, k: complex) -> complex:

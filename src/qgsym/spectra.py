@@ -13,12 +13,14 @@ a member's grid whose end levels differ is a bracket.  Each round computes
 the next regula-falsi or bisection point of every open bracket of every
 member, evaluates all of them in one call of the step evaluator, and moves
 the end of equal level, so each root still lies in a bracket narrower than
-`tol` with known levels at both ends.  Bisection steps guard the cases
-where regula falsi stalls, and a level between the end levels splits the
-bracket.  A member's points, roots and count do not depend on the other
-members of its family.  `_contour` is the argument-principle pass: the
-zero counts and zero sums in a batch of circles, from array calls on all
-their points.
+`tol` with known levels at both ends.  A monotone step may also report its
+reaches at each point, how far its level holds and by when the next jumps
+have happened; before every round the bracket ends move to them with no
+evaluation.  Bisection steps guard the cases where regula falsi stalls,
+and a level between the end levels splits the bracket.  A member's points,
+roots and count do not depend on the other members of its family.
+`_contour` is the argument-principle pass: the zero counts and zero sums
+in a batch of circles, from array calls on all their points.
 
 `merge_spectra` takes the union of spectra, or of copies of them under
 other sources, and `compare_spectra` pairs two spectra root by root.
@@ -186,112 +188,138 @@ def _signed(sums: np.ndarray, size: np.ndarray) -> np.ndarray:
     return np.where(size > 0, value, -value)
 
 
-Cells = tuple  # (which, a, na, sa, b, nb, sb): member, left end k, level and sums, right end k, level and sums
+def _reach(reaches: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Column m of each row of `reaches`, or inf where m is past its last column."""
+    last = reaches.shape[1] - 1
+    return np.where(m <= last, reaches[np.arange(len(m)), np.minimum(m, last).astype(int)], np.inf)
 
 
-def _grid_cells(which: np.ndarray, ks: np.ndarray, levels: np.ndarray, sums: np.ndarray) -> Cells:
+def _no_reach(n: int) -> np.ndarray:
+    """The reaches of `n` points of a step that certifies nothing past them:
+    its level holds for 0, and no number of jumps is bounded."""
+    return np.tile([0.0, np.inf], (n, 1))
+
+
+Side = tuple  # (sums, reaches) of points, looking ahead or behind
+Cells = tuple  # (which, a, na, ahead of a, b, nb, behind of b) of each bracket
+
+
+def _grid_cells(which: np.ndarray, ks: np.ndarray, levels: np.ndarray, ahead: Side, behind: Side) -> Cells:
     """The cells of a family's grids whose end levels differ, as `_refine_steps`
     takes them.  Each member's points are consecutive and ascending."""
     i = np.flatnonzero((levels[1:] != levels[:-1]) & (which[1:] == which[:-1]))
-    return which[i], ks[i], levels[i], sums[i], ks[i + 1], levels[i + 1], sums[i + 1]
+    a, b = tuple(v[i] for v in ahead), tuple(v[i + 1] for v in behind)
+    return which[i], ks[i], levels[i], a, ks[i + 1], levels[i + 1], b
 
 
 def _refine_steps(
-    step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    cells: Cells,
-    tol: float,
-    members: int,
-) -> tuple[list[list[tuple[float, int]]], np.ndarray]:
+    step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Side, Side]], cells: Cells, tol: float, members: int
+) -> tuple[list[list[tuple[float, int]]], np.ndarray, np.ndarray]:
     """Every jump of a family of integer step functions, as (k, size) per
-    member, and the number of points evaluated for each member.
+    member, and for each member the number of points evaluated and of rounds
+    that evaluated one of them.
 
     `cells` are the brackets, each with its member, its ends' k and levels,
-    and at each end a row of prefix sums.  `step(which, k)`, on 1-D arrays,
-    gives the levels of the members `which` at the points `k` (NaN for None)
-    and an (n, width) array of prefix sums: for a jump of size m, column
-    |m| - 1 (the last when |m| is larger), negated when m < 0, crosses zero
-    at the jump.  A level of None (an exact zero of a sign) takes the level
-    of the bracket's left end.
+    and what its left end sees ahead and its right end behind.
+    `step(which, k)`, on 1-D arrays, gives at the points `k` of the members
+    `which` the levels (NaN for None: a level of None, an exact zero of a
+    sign, takes the level of the bracket's left end), and ahead and behind of
+    each point, (sums, reaches):
+    - sums, an (n, width) array of prefix sums: for a jump of size m that the
+      point bounds on that side, column |m| - 1 (the last when |m| is
+      larger), negated when m < 0, crosses zero at the jump;
+    - reaches, an (n, r) array: the level holds to k + ahead[:, 0] and from
+      k - behind[:, 0]; the next m jumps have all happened by k + ahead[:, m],
+      and the last m after k - behind[:, m] (no bound where m is past the
+      last column).
 
-    Each round computes the next point of every open bracket, by regula
-    falsi with a bisection safeguard on that value, and evaluates all of
-    them in one call of `step`; every point's level replaces the end of
-    equal level, so the bracket stays exact.  Safeguards:
+    Every bracket keeps the points it was last evaluated at, one per level,
+    and its ends move inward to the reaches of those points before every
+    round: a moved end keeps its exact level, since a step that reports
+    reaches is monotone.  `_no_reach` moves no end.  Each round computes the
+    next point of every open bracket, by regula falsi on the chord of its
+    two evaluated points with a bisection safeguard, placed inside the
+    bracket, and evaluates all of them in one call of `step`; every point's
+    level replaces the end of equal level, so the bracket stays exact.
+    Safeguards:
     - a step closer than 0.4 tol to an end is pushed 0.4 tol from it;
-    - a bisection step when the end values do not bracket zero (an exact 0
-      at an end does bracket it), or when the last two steps together did
-      not halve the bracket;
+    - a bisection step when the chord's values do not bracket zero (an
+      exact 0 at an end does bracket it), or when the last two steps
+      together did not halve the bracket;
     - a level strictly between the end levels splits the bracket in two,
-      and the right one opens the next round with no step history; at the
-      split point each new bracket keeps the sums if its level puts the
-      value on the right side of zero, else a row of zeros, which is 0 for
-      a jump of any size.
+      and the right one opens the next round with no step history.
     A bracket is done when narrower than `tol`, or when no float lies
     strictly between its ends (a `tol` below the float spacing).  Its jump
-    is reported where the chord between the end values crosses zero, or at
-    its midpoint when they do not bracket zero: an end often sits on the
-    root itself, on a side that rounding picks, so a midpoint would move by
-    0.2 tol between two functions a few ulps apart.  Consecutive jumps of a
-    member in one direction whose brackets together are narrower than `tol`,
-    or whose points are closer than `tol`, are one jump, at the midpoint of
-    their brackets, as a bracket of that width would have been: a multiple
-    root splits when a step lands where rounding puts some of its crossings
-    on either side.  Each bracket follows the same points as it would alone.
+    is reported where the chord crosses zero, inside the bracket, or at its
+    midpoint when the chord's values do not bracket zero: an end often sits
+    on the root itself, on a side that rounding picks, so a midpoint would
+    move by 0.2 tol between two functions a few ulps apart.  Consecutive
+    jumps of a member in one direction whose brackets together are narrower
+    than `tol`, or whose points are closer than `tol`, are one jump, at the
+    midpoint of their brackets, as a bracket of that width would have been:
+    a multiple root splits when a step lands where rounding puts some of its
+    crossings on either side.  Each bracket follows the same points as it
+    would alone.
     """
-    which, a, na, sa, b, nb, sb = (np.array(v) for v in cells)
+    which, xa, na, (sa, ra), xb, nb, (sb, rb) = cells
+    which, xa, na, sa, ra, xb, nb, sb, rb = (np.array(v) for v in (which, xa, na, sa, ra, xb, nb, sb, rb))
+    a, b = xa.copy(), xb.copy()  # the bracket; xa and xb are its evaluated points
     before = np.full((2, len(a)), np.inf)  # the widths before the last two steps
-    calls = np.zeros(members, dtype=int)
+    calls, rounds = np.zeros(members, dtype=int), np.zeros(members, dtype=int)
     done = []
-    while True:
+    while len(a):
         size = nb - na
+        m = np.abs(size)
+        a = np.maximum(a, np.maximum(xa + ra[:, 0], xb - _reach(rb, m)))
+        b = np.minimum(b, np.minimum(xb - rb[:, 0], xa + _reach(ra, m)))
         fa, fb, width = _signed(sa, size), _signed(sb, size), b - a
         closed = (width < tol) | (np.nextafter(a, b) >= b)
         if closed.any():
-            done.append((which[closed], a[closed], b[closed], size[closed], fa[closed], fb[closed]))
+            done.append(tuple(v[closed] for v in (which, a, b, size, xa, fa, xb, fb)))
             open_ = ~closed
-            which, a, na, sa, b, nb, sb, fa, fb, width = (
-                v[open_] for v in (which, a, na, sa, b, nb, sb, fa, fb, width)
-            )
+            state = (which, a, b, na, nb, xa, sa, ra, xb, sb, rb, fa, fb, width)
+            which, a, b, na, nb, xa, sa, ra, xb, sb, rb, fa, fb, width = (v[open_] for v in state)
             before = before[:, open_]
         if not len(a):
             break
         x = 0.5 * (a + b)
         falsi = np.flatnonzero((fa <= 0.0) & (0.0 <= fb) & (fa < fb) & (width <= 0.5 * before[0]))
         if len(falsi):
-            af, bf, faf, fbf = a[falsi], b[falsi], fa[falsi], fb[falsi]
-            x[falsi] = np.minimum(np.maximum(af - faf * width[falsi] / (fbf - faf), af + 0.4 * tol), bf - 0.4 * tol)
-        nx, sx = step(which, x)
-        calls += np.bincount(which, minlength=members)
+            xf, faf, fbf = xa[falsi], fa[falsi], fb[falsi]
+            chord = xf - faf * (xb[falsi] - xf) / (fbf - faf)
+            x[falsi] = np.minimum(np.maximum(chord, a[falsi] + 0.4 * tol), b[falsi] - 0.4 * tol)
+        nx, (sx, rx), (sy, ry) = step(which, x)
+        evaluated = np.bincount(which, minlength=members)
+        calls += evaluated
+        rounds += evaluated > 0
         nx = np.where(np.isnan(nx), na, nx)
         left, right = nx == na, nx == nb
         before = np.stack([before[1], width])
-        a, sa = np.where(left, x, a), np.where(left[:, None], sx, sa)
-        b, sb = np.where(right, x, b), np.where(right[:, None], sx, sb)
+        a, xa = np.where(left, x, a), np.where(left, x, xa)
+        sa, ra = np.where(left[:, None], sx, sa), np.where(left[:, None], rx, ra)
+        b, xb = np.where(right, x, b), np.where(right, x, xb)
+        sb, rb = np.where(right[:, None], sy, sb), np.where(right[:, None], ry, rb)
         split = np.flatnonzero(~(left | right))
         if len(split):
-            xs, ns, ss, ls, rs = x[split], nx[split], sx[split], na[split], nb[split]
-            new = (
-                which[split], xs, ns, np.where((_signed(ss, rs - ns) <= 0.0)[:, None], ss, 0.0),
-                b[split], rs, sb[split],
-            )
-            b[split], nb[split] = xs, ns
-            sb[split] = np.where((_signed(ss, ns - ls) >= 0.0)[:, None], ss, 0.0)
-            which, a, na, sa, b, nb, sb = (np.concatenate([v, w]) for v, w in zip((which, a, na, sa, b, nb, sb), new))
+            new = tuple(v[split] for v in (which, x, b, nx, nb, x, sx, rx, xb, sb, rb))
+            b[split], nb[split], xb[split], sb[split], rb[split] = x[split], nx[split], x[split], sy[split], ry[split]
+            state = (which, a, b, na, nb, xa, sa, ra, xb, sb, rb)
+            which, a, b, na, nb, xa, sa, ra, xb, sb, rb = (np.concatenate([v, w]) for v, w in zip(state, new))
             before = np.concatenate([before, np.full((2, len(split)), np.inf)], axis=1)
 
     out: list[list] = [[] for _ in range(members)]  # [a, b, size, k] of each member's brackets, ascending
     if done:
-        which, a, b, size, fa, fb = (np.concatenate(parts) for parts in zip(*done))
+        which, a, b, size, xa, fa, xb, fb = (np.concatenate(parts) for parts in zip(*done))
         order = np.lexsort((a, which))
-        for w, a, b, size, fa, fb in zip(*(v[order].tolist() for v in (which, a, b, size, fa, fb))):
+        for w, a, b, size, xa, fa, xb, fb in zip(*(v[order].tolist() for v in (which, a, b, size, xa, fa, xb, fb))):
             brackets = out[w]
-            k = a - fa * (b - a) / (fb - fa) if fa <= 0.0 <= fb and fa < fb else 0.5 * (a + b)
+            k = min(max(xa - fa * (xb - xa) / (fb - fa), a), b) if fa <= 0.0 <= fb and fa < fb else 0.5 * (a + b)
             if brackets and brackets[-1][2] * size > 0 and (b - brackets[-1][0] < tol or k - brackets[-1][3] < tol):
                 first = brackets[-1][0]
                 brackets[-1] = [first, b, brackets[-1][2] + size, 0.5 * (first + b)]
             else:
                 brackets.append([a, b, size, k])
-    return [[(k, int(size)) for _, _, size, k in brackets] for brackets in out], calls
+    return [[(k, int(size)) for _, _, size, k in brackets] for brackets in out], calls, rounds
 
 
 def merge_spectra(

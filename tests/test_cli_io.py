@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import gc
 import io as _io
 import json
 import math
@@ -7,6 +9,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,7 +20,8 @@ from hypothesis import strategies as st
 
 import qgsym
 from qgsym import (
-    QuotientSpec, cycle_graph, cycle_product, quotient_graph, standard_conditions, torus_action, validate_action,
+    QuotientSpec, circulant_graph, cycle_graph, cycle_product, quotient_graph, standard_conditions, torus_action,
+    validate_action,
 )
 from qgsym.cli import main
 from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
@@ -100,6 +105,59 @@ def test_product_document_round_trips(n1, n2, l1, l3):
     assert conds == standard_conditions(want_g)
     assert action == want_action
     assert validate_action(g, action).valid
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 12),
+    jumps=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+    lens=st.lists(_LENGTHS, min_size=3, max_size=3),
+)
+def test_cycle_and_circulant_documents_round_trip(n, jumps, lens):
+    # as the product document: the `build cycle` and `build circulant`
+    # documents load back to the graph, conditions and action they were
+    # built from, and the action validates as the built one does (the
+    # antipodal jump alone reverses its edges, so some circulant actions
+    # are not free)
+    jumps = [j for j in jumps if 2 * j <= n]
+    runs = {"cycle": (["--n", str(n), "--len", repr(lens[0])], lambda: cycle_graph(n, lens[0]))}
+    if jumps:
+        flags = ["--n", str(n), "--jumps", ",".join(map(str, jumps)), "--lens", ",".join(map(repr, lens[: len(jumps)]))]
+        runs["circulant"] = (flags, lambda: circulant_graph(n, jumps, lens[: len(jumps)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, (flags, build) in runs.items():
+            path = str(Path(tmp) / f"{kind}.json")
+            res = CliRunner().invoke(main, ["build", kind, *flags, "-o", path])
+            assert res.exit_code == 0, res.output
+            g, conds, action = load_graph(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # n = 1, 2 cycles are multigraphs
+                want_g, want_action = build()
+            assert g == want_g
+            assert conds == standard_conditions(want_g)
+            assert action == want_action
+            assert validate_action(g, action) == validate_action(want_g, want_action)
+
+
+def test_cli_frees_the_streams_it_writes_to(tmp_path):
+    # click.echo with no stream caches a wrapper per stream, and for an
+    # in-memory stream that wrapper is the stream itself, so every call run
+    # in-process with a fresh stream (as perfbench and CliRunner run them)
+    # kept its buffer for good; the scan is refused, so it writes to stderr
+    doc = str(tmp_path / "cycle.json")
+    refs, build = [], ["build", "cycle", "--n", "3", "--len", "1", "-o", doc]
+    for args in (build, ["scan", doc, "--kmax", "0.5", "--grid", "1"]):
+        out, err = _io.StringIO(), _io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args, standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == 2
+        assert "wrote" in out.getvalue() or "error: GridTooCoarse" in err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -69,7 +69,7 @@ def _system(kind, n1, n2, l1, l3, pick):
 
 def _full_size_count(sys_, k):
     """N(k) of `sys_` at its full size."""
-    return int(_eigenphase_steps([sys_], np.zeros(2, dtype=int), np.array([K_MIN, k]))[1][1])
+    return int(_eigenphase_steps(sys_.S[None], sys_.lengths[None], np.zeros(2, dtype=int), np.array([K_MIN, k]))[1][1])
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -96,7 +96,7 @@ def test_contraction_keeps_the_determinant_counts_and_spectrum(kind, n1, n2, l1,
     for k in (1.3, K_MAX):
         assert eigenphase_counts([sys_], k) == [_full_size_count(sys_, k)]
     got = find_roots_unitary(sys_, K_MAX, tol=TOL)
-    (want,) = _unitary_stack([sys_], K_MAX, TOL, "full")
+    (want,) = _unitary_stack(sys_.S[None], sys_.lengths[None], K_MAX, TOL, "full")
     assert [r.order for r in got.roots] == [r.order for r in want.roots]
     assert max((abs(a.k - b.k) for a, b in zip(got.roots, want.roots)), default=0.0) <= 1e-9
     assert got.meta["bonds"] == small.size and want.meta["bonds"] == sys_.size
@@ -142,3 +142,22 @@ def test_spectrum_header_records_the_contracted_size(tmp_path):
     s = io.load_spectrum(out)
     assert s.meta["bonds"] == 4
     assert s.meta["grid_step"] == 0.9 * math.pi / 2.0
+
+
+def test_spectrum_contracts_its_blocks_once(tmp_path, monkeypatch):
+    # the locator solves the distinct blocks and the certificate counts
+    # every label's block from one contraction of all 12 blocks
+    import qgsym.locators
+
+    stacks, calls = qgsym.locators.contracted_stacks, []
+    counted = lambda systems: calls.append(len(systems)) or stacks(systems)
+    monkeypatch.setattr(qgsym.locators, "contracted_stacks", counted)
+    g, action = torus_action(3, 4, 1.0, 0.5)
+    doc, out = str(tmp_path / "torus.json"), str(tmp_path / "full.csv")
+    io.save_graph(doc, g, standard_conditions(g), action)
+    res = CliRunner().invoke(main, ["spectrum", doc, "--kmax", "10", "-o", out])
+    assert res.exit_code == 0, res.output
+    assert calls == [12]
+    s = io.load_spectrum(out)
+    assert s.meta["distinct_blocks"] == 6
+    assert s.count() == s.meta["root_count"] == s.meta["eigenphase_count"] == 108

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgsym import (
+    SecularSystem,
     character_blocks,
     find_roots_real,
     find_roots_real_family,
@@ -57,11 +58,12 @@ def _bisect(step, ks, levels, tol):
 
 
 def _count_steps(sys_, ks):
-    """The batched step evaluator of N(k) for `sys_` alone, its levels and
-    prefix sums on `ks`, and its level at one point, for `_bisect`."""
+    """The batched step evaluator of N(k) for `sys_` alone and at its full
+    size, its levels and what each point sees ahead and behind on `ks`, and
+    its level at one point, for `_bisect`."""
     which = np.zeros(len(ks), dtype=int)
-    step, levels, sums = _eigenphase_steps([sys_], which, ks)
-    return step, which, levels, sums, lambda k: int(step(np.zeros(1, dtype=int), np.array([k]))[0][0])
+    step, levels, ahead, behind = _eigenphase_steps(sys_.S[None], sys_.lengths[None], which, ks)
+    return step, which, levels, (ahead, behind), lambda k: int(step(np.zeros(1, dtype=int), np.array([k]))[0][0])
 
 
 def _eval_bound(step):
@@ -96,30 +98,66 @@ def _assert_same_jumps(got, want):
 @example(n1=2, n2=2, l1=0.5, l3=0.5, pick=3)
 @example(n1=3, n2=1, l1=1.0, l3=1 / 3, pick=1)  # a double root at pi split into brackets wider than tol
 def test_unitary_refinement_equals_count_bisection(n1, n2, l1, l3, pick):
+    # the reference counts the uncontracted block, so it does not go
+    # through the contraction that the locator uses
     sys_ = _block(n1, n2, l1, l3, pick)
     k_max = 6.0
     s = find_roots_unitary(sys_, k_max, tol=TOL)
-    count = lambda k: eigenphase_counts([sys_], k)[0]
     step = s.meta["grid_step"]
     ks = np.append(np.arange(K_MIN, k_max, step), k_max)
-    want = _bisect(count, ks, np.array([count(k) for k in ks]), TOL)
+    _, _, levels, _, count_at = _count_steps(sys_, ks)
+    want = _bisect(count_at, ks, levels, TOL)
     _assert_same_jumps([(r.k, r.order) for r in s.roots], want)
-    assert s.count() == count(k_max)
+    assert s.count() == levels[-1]
     assert s.meta["evaluations"] - len(ks) <= _eval_bound(step) * len(want)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 6), ratio=st.floats(1.0, 50.0))
+@example(seed=3, size=6, ratio=50.0)
+def test_reaches_hold_against_count_bisection(seed, size, ratio):
+    # a random unitary S (QR of a complex Gaussian) with bond lengths from
+    # 1 / ratio to 1: at every point, count bisection finds no jump where
+    # the reaches say the level holds, and at least m jumps within the
+    # bound on the next m (and the last m) jumps
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    lengths = np.sort(np.concatenate([[1.0 / ratio, 1.0], rng.uniform(1.0 / ratio, 1.0, size - 2)]))
+    sys_ = SecularSystem(q * (np.diag(r) / np.abs(np.diag(r))), rng.permutation(lengths))
+    k_max = 12.0
+    s = find_roots_unitary(sys_, k_max, tol=TOL)
+    ks = np.append(np.arange(K_MIN, k_max, s.meta["grid_step"]), k_max)
+    step, _, levels, _, count_at = _count_steps(sys_, ks)
+    want = _bisect(count_at, ks, levels, TOL)
+    _assert_same_jumps([(r.k, r.order) for r in s.roots], want)
+    assert s.meta["evaluations"] - len(ks) <= _eval_bound(s.meta["grid_step"]) * len(want)
+
+    jumps = np.array([k for k, _ in want])
+    sizes = np.array([n for _, n in want])
+    xs = np.sort(np.concatenate([ks, rng.uniform(K_MIN, k_max, 20), jumps + 1e-7, jumps - 1e-7]))
+    xs = xs[(xs >= K_MIN) & (xs <= k_max)]
+    _, (_, ahead), (_, behind) = step(np.zeros(len(xs), dtype=int), xs)
+    for x, forward, backward in zip(xs, ahead, behind):
+        assert not np.any((x - backward[0] + TOL < jumps) & (jumps < x + forward[0] - TOL))
+        for m in range(1, size + 1):
+            if x + forward[m] < k_max - TOL:
+                assert sizes[(x < jumps + TOL) & (jumps <= x + forward[m] + TOL)].sum() >= m
+            if x - backward[m] > K_MIN + TOL:
+                assert sizes[(x - backward[m] - TOL < jumps) & (jumps <= x + TOL)].sum() >= m
 
 
 def test_roots_on_grid_points_and_at_multiples_of_pi_over_4():
     # every grid point past K_MIN is a multiple of pi/8, and several roots of
     # the 3x4 blocks at L1 = 0.5, L3 = 1 are multiples of pi/4, so evaluations
-    # land on roots; such a jump closes in one step past the root
+    # land on roots; the reaches of such a point close its jump with no step
     ks = np.append(K_MIN, np.arange(1, 81) * (math.pi / 8))
     on_grid = 0
     for pick in range(12):
         sys_ = _block(3, 4, 0.5, 1.0, pick)
-        step, which, levels, sums, count_at = _count_steps(sys_, ks)
+        step, which, levels, sides, count_at = _count_steps(sys_, ks)
         calls = []
         counted = lambda w, k: calls.extend(k.tolist()) or step(w, k)
-        jumps, refined = _refine_steps(counted, _grid_cells(which, ks, levels, sums), TOL, 1)
+        jumps, refined, _ = _refine_steps(counted, _grid_cells(which, ks, levels, *sides), TOL, 1)
         got, evaluations = jumps[0], len(ks) + int(refined[0])
         want = _bisect(count_at, ks, levels, TOL)
         _assert_same_jumps(got, want)
@@ -129,7 +167,7 @@ def test_roots_on_grid_points_and_at_multiples_of_pi_over_4():
             j = round(k / (math.pi / 8))
             if abs(k - j * math.pi / 8) < TOL:
                 on_grid += 1
-                assert sum(ks[j] < x < ks[j] + 1e-6 for x in calls) == 1
+                assert not any(ks[j] - 1e-6 < x < ks[j] + 1e-6 for x in calls)
     assert on_grid >= 100
 
 
@@ -264,8 +302,8 @@ def _spectrum_of_the_3x4_document(tmp_path, name, *flags):
 
 def test_spectrum_header_counts_evaluations(tmp_path):
     # the 3x4 torus document at --kmax 10: 6 runs of 5 grid points, cells
-    # of 0.9 pi / L_max of the contracted 4x4 blocks, and about four
-    # refinement evaluations per root; 327 in all
+    # of 0.9 pi / L_max of the contracted 4x4 blocks, and about two
+    # refinement evaluations per root; 181 in all
     out, blocks = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
     s = io.load_spectrum(str(out))
     assert int(s.meta["blocks"]) == 12
@@ -275,17 +313,18 @@ def test_spectrum_header_counts_evaluations(tmp_path):
 
 def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
     # the 6 distinct blocks of the 3x4 document, contracted from 8x8 to 4x4,
-    # are one family: their grids go to one stacked eigvals call and each
-    # refinement round to one call per 128 matrices (MAX_BATCH_BYTES), for
-    # the same 327 evaluations as block by block; the certificate adds each
-    # of the 12 blocks at K_MIN and at k_max
+    # are one family: their grids go to one stacked eigvals call and each of
+    # the 6 refinement rounds to one call, for the same 181 evaluations as
+    # block by block; the certificate adds one call, each of the 12 blocks
+    # at K_MIN and at k_max
     eigvals, shapes = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
     out, _ = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
-    assert int(io.load_spectrum(str(out)).meta["evaluations"]) == 327
-    assert 0 < len(shapes) <= 80
+    s = io.load_spectrum(str(out))
+    assert (s.meta["evaluations"], s.meta["rounds"]) == (181, 6)
+    assert len(shapes) == 1 + 6 + 1
     assert all(len(shape) == 3 and shape[1:] == (4, 4) for shape in shapes)
-    assert sum(shape[0] for shape in shapes) == 327 + 2 * 12
+    assert sum(shape[0] for shape in shapes) == 181 + 2 * 12
 
 
 def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):
