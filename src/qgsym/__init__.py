@@ -36,6 +36,7 @@ from .scattering import (
     SecularSystem,
     Standard,
     build_secular_system,
+    build_secular_systems,
     character_blocks,
     contract_transmissions,
     secular_det,
@@ -51,6 +52,7 @@ from .quotient import (
     quotient_graph,
     quotient_secular_closed,
     quotient_system,
+    quotient_systems,
     secular_product,
     torus_secular_system,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import builders, io, quotient
 from .decompose import l2_norm_sq, project, random_function
-from .errors import GridTooCoarse, MalformedList, QgsymError, require_positive
+from .errors import CertificateMismatch, GridTooCoarse, MalformedList, QgsymError, require_positive
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_det, secular_dets, standard_conditions
 from .locators import UnitaryFamily, eigenphase_counts, find_roots_real_family
@@ -138,8 +138,14 @@ def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
 
 
 def _write_classes(output, kmax: float, found: list[Spectrum], runs: np.ndarray, labels, eigenphase_count, **counts):
-    """Merge a copy of `found[runs[i]]` under each `labels[i]`, write it with its header counts, and print a summary."""
+    """Merge a copy of `found[runs[i]]` under each `labels[i]`, write it with its header counts, and print a summary.
+    A root count that the eigenphase count does not certify raises `CertificateMismatch`, and no file is written."""
     merged = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), labels)))
+    if merged.count() != eigenphase_count:
+        raise CertificateMismatch(
+            f"{merged.count()} roots with multiplicity on (0, {kmax!r}] against an eigenphase count of "
+            f"{eigenphase_count}; roots closer than the grid step may be merged or missed"
+        )
     s = Spectrum(merged.roots, kmax, {
         **found[0].meta,
         **counts,
@@ -170,7 +176,8 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     (`spectra.MAX_BATCH_BYTES`).  The header's `blocks` counts the labels,
     `distinct_blocks` the blocks solved, `evaluations` sums their evaluation
     points, and `eigenphase_count`, the exact root count of every label's
-    own block, certifies `root_count`.
+    own block, certifies `root_count`: a count that differs exits 2 with
+    `CertificateMismatch` and writes no file.
     """
     require_positive(grid=grid)  # checked for old scripts, but the locator derives its cell
     systems, first = _systems_from_doc(graph_file)
@@ -204,8 +211,10 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     evaluate all of them together, per 32 KB of points
     (`spectra.MAX_BATCH_BYTES`).  The header's `eigenphase_count` is the
     exact root count summed over the labels' 8x8 quotient systems, a
-    certificate for `root_count`; the distinct systems are counted in
-    stacked `eigvals` calls.
+    certificate for `root_count`: the distinct systems come from one
+    stacked assembly (`quotient.quotient_systems`) and are counted in
+    stacked `eigvals` calls.  A count that differs exits 2 with
+    `CertificateMismatch` and writes no file.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
     first = isospectral_classes(quotient.QuotientFamily(specs).secular_closed, len(specs), (l1, l3), 16)
@@ -214,7 +223,7 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     found = find_roots_real_family(
         family.dispersion_real, len(distinct), kmax, grid_step=grid, tol=tol, complex_fn=family.secular_closed
     )
-    counts = eigenphase_counts([quotient.quotient_system(specs[i]) for i in distinct], kmax)
+    counts = eigenphase_counts(quotient.quotient_systems([specs[i] for i in distinct]), kmax)
     labels = [f"({sp.s},{sp.t})" for sp in specs]
     _write_classes(output, kmax, found, runs, labels, sum(counts[run] for run in runs.tolist()), factors=len(found))
 

@@ -79,6 +79,10 @@ class GridTooCoarse(QgsymError):
     pass
 
 
+class CertificateMismatch(QgsymError):
+    """A locator's root count differs from the exact eigenphase count of the same range."""
+
+
 class GridTooLarge(QgsymError):
     """A k grid would hold more points than any run should evaluate."""
 

@@ -8,9 +8,15 @@ phases the other way round produces the factors of the transposed torus,
 which is a different metric graph.  The `swap_pairing` toggle therefore
 changes no observable (graph, matrices, closed form, spectra).
 
+Every factor of one torus has this graph and differs only in its two
+gluing phases, so `quotient_systems` builds the graph once and assembles
+the 8x8 systems of many factors in one `build_secular_systems` call;
+`quotient_system` is its one-factor case.
+
 The closed form and the real dispersion form take a scalar or an array of
 k and return what numpy returns: a numpy scalar or an array.
-`QuotientFamily` evaluates them for many factors in one array call.
+`QuotientFamily` evaluates them for many factors in one array call, and
+computes the dispersion form's three sines of k once per grid.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .scattering import (
     SecularSystem,
     Standard,
     build_secular_system,
+    build_secular_systems,
     standard_conditions,
 )
 
@@ -67,34 +74,60 @@ class QuotientSpec:
         return tuple(float((0.5 * (tau + 1.0 / tau)).real) for tau in (self.phase_l1, self.phase_l3))
 
 
-def quotient_graph(spec: QuotientSpec) -> tuple[MetricGraph, list]:
-    """The 3-vertex quotient graph and its vertex conditions.
+def _shared_lengths(specs: Sequence[QuotientSpec]) -> tuple[float, float]:
+    """(L1, L3) of factors of one torus; `ValueError` if they differ."""
+    l1, l3 = specs[0].l1, specs[0].l3
+    if any((spec.l1, spec.l3) != (l1, l3) for spec in specs):
+        raise ValueError("the factors of a family share L1 and L3")
+    return l1, l3
 
-    Vertex 0 is the original degree-4 vertex; vertex 1 glues the two L1
-    edges (edges 0, 1) with the omega2^t phase, vertex 2 the two L3 edges
-    (edges 2, 3) with the omega1^s phase.
-    """
-    g = make_graph(
+
+def _template(l1: float, l3: float) -> MetricGraph:
+    """The quotient graph that every factor of the torus shares."""
+    return make_graph(
         3,
         [
-            (0, 1, spec.l1),
-            (0, 1, spec.l1),
-            (0, 2, spec.l3),
-            (0, 2, spec.l3),
+            (0, 1, l1),
+            (0, 1, l1),
+            (0, 2, l3),
+            (0, 2, l3),
         ],
         tags=[TAG_ORIGINAL, TAG_DUMMY, TAG_DUMMY],
     )
-    conditions = [
+
+
+def _conditions(spec: QuotientSpec) -> list:
+    return [
         Standard(0),
         QuasiPeriodic(1, spec.phase_l1, (0, 1)),
         QuasiPeriodic(2, spec.phase_l3, (2, 3)),
     ]
-    return g, conditions
+
+
+def quotient_graph(spec: QuotientSpec) -> tuple[MetricGraph, list]:
+    """The 3-vertex quotient graph and its vertex conditions.
+
+    Vertex 0 is the original degree-4 vertex; vertex 1 glues the two L1
+    edges (edges 0, 1) with the omega2^t phase, vertex 2 the two L3
+    edges (edges 2, 3) with the omega1^s phase.
+    """
+    return _template(spec.l1, spec.l3), _conditions(spec)
+
+
+def quotient_systems(specs: Sequence[QuotientSpec], flipped_edges=()) -> list[SecularSystem]:
+    """The 8x8 secular systems of factors of one torus, one per spec: their
+    quotient graph is built once and `build_secular_systems` assembles every
+    factor's gluing phases together."""
+    specs = list(specs)
+    if not specs:
+        return []
+    graph = _template(*_shared_lengths(specs))
+    return build_secular_systems(graph, [_conditions(spec) for spec in specs], flipped_edges=flipped_edges)
 
 
 def quotient_system(spec: QuotientSpec, flipped_edges=()) -> SecularSystem:
-    g, conds = quotient_graph(spec)
-    return build_secular_system(g, conds, flipped_edges=flipped_edges)
+    """`quotient_systems` of one factor."""
+    return quotient_systems([spec], flipped_edges=flipped_edges)[0]
 
 
 def _closed(alpha, beta, l1, l3, k):
@@ -109,8 +142,18 @@ def _closed(alpha, beta, l1, l3, k):
     )
 
 
+def _sines(l1, l3, k):
+    """sin 2k(L1+L3), sin 2kL3 and sin 2kL1: the part of the dispersion form
+    that every factor of one torus shares."""
+    return np.sin(2 * k * (l1 + l3)), np.sin(2 * k * l3), np.sin(2 * k * l1)
+
+
 def _dispersion(alpha, beta, l1, l3, k):
-    return np.sin(2 * k * (l1 + l3)) - alpha * np.sin(2 * k * l3) - beta * np.sin(2 * k * l1)
+    return _combine(alpha, beta, *_sines(l1, l3, k))
+
+
+def _combine(alpha, beta, s13, s3, s1):
+    return s13 - alpha * s3 - beta * s1
 
 
 def quotient_secular_closed(spec: QuotientSpec, k):
@@ -132,25 +175,35 @@ class QuotientFamily:
     evaluators of `locators.find_roots_real_family`.
 
     `which` indexes `specs` and broadcasts against `k`, so one array call
-    evaluates any mix of factors.  The factors share L1 and L3, so the sines
-    of the dispersion form on a grid shared by all members are computed once
-    per call.  Each value equals the one-factor function's bit for bit.
+    evaluates any mix of factors.  The factors share L1 and L3, and so the
+    three sines of the dispersion form: those of the last 1-D array of k
+    are kept (one entry, compared by value), so a grid that the locator
+    evaluates in chunks of members computes them once.  Each value equals
+    the one-factor function's bit for bit.
     """
 
     def __init__(self, specs: Sequence[QuotientSpec]):
         specs = tuple(specs)
-        self.l1, self.l3 = specs[0].l1, specs[0].l3
-        if any((spec.l1, spec.l3) != (self.l1, self.l3) for spec in specs):
-            raise ValueError("the factors of a family share L1 and L3")
+        self.l1, self.l3 = _shared_lengths(specs)
         self.alpha, self.beta = np.array([spec.coefficients for spec in specs]).T
+        self._grid, self._grid_sines = np.empty(0), ()
 
     def secular_closed(self, which, k):
         """`quotient_secular_closed` of the factors `which` at `k`."""
         return _closed(self.alpha[which], self.beta[which], self.l1, self.l3, k)
 
     def dispersion_real(self, which, k):
-        """`quotient_dispersion_real` of the factors `which` at `k`."""
-        return _dispersion(self.alpha[which], self.beta[which], self.l1, self.l3, k)
+        """`quotient_dispersion_real` of the factors `which` at `k`.  The
+        sines of the last 1-D `k` are kept, so the chunks of members that
+        the locator's grid goes in compute them once."""
+        if np.ndim(k) == 1:
+            k = np.asarray(k)
+            if not (self._grid.dtype == k.dtype and np.array_equal(self._grid, k)):
+                self._grid, self._grid_sines = np.array(k), _sines(self.l1, self.l3, k)
+            sines = self._grid_sines
+        else:
+            sines = _sines(self.l1, self.l3, k)
+        return _combine(self.alpha[which], self.beta[which], *sines)
 
 
 def all_quotient_specs(n1, n2, l1, l3, swap_pairing=False):

@@ -83,30 +83,54 @@ class SecularSystem:
         return float(np.max(np.abs(self.S @ self.S.conj().T - np.eye(self.size)), initial=0.0))
 
 
+def _vertex_block(v: int, cond: Condition, out: np.ndarray) -> np.ndarray:
+    """The scattering matrix of vertex v under `cond`, rows the bonds `out`
+    leaving it (ascending) and columns their reversals; raises for a
+    condition that does not fit the vertex."""
+    if isinstance(cond, Standard):
+        return vertex_scattering_standard(len(out))
+    if isinstance(cond, QuasiPeriodic):
+        ep, eq = cond.edges
+        # two bonds leaving on two distinct edges: degree 2, no loop
+        if ep == eq or sorted(out >> 1) != sorted((ep, eq)):
+            raise UnsupportedCondition(
+                f"quasi-periodic vertex {v} needs degree 2 with two distinct non-loop edges {cond.edges}"
+            )
+        block = vertex_scattering_quasiperiodic(cond.tau)  # (p-side, q-side)
+        return block if out[0] >> 1 == ep else block[::-1, ::-1]
+    raise UnsupportedCondition(f"vertex {v}: {type(cond).__name__}")
+
+
 def _scattering_rows(
     g: MetricGraph,
-    conditions: Iterable[Condition],
+    condition_sets: Iterable[Iterable[Condition]],
     rows: np.ndarray,
     flipped_edges: Iterable[int] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows `rows` of the bond scattering matrix, and every bond's length.
+    """The rows `rows` of the bond scattering matrix under each set of
+    conditions, stacked as (sets, rows, bonds), and every bond's length.
 
     The bond table is one origin per bond; bond b ends where bond b ^ 1
     starts.  A vertex's scattering matrix fills the block S[out, out ^ 1],
     rows the bonds leaving it in ascending order and columns their
     reversals, the bonds arriving; only the rows listed in `rows` are kept,
     in that order, so the matrix is built only where one of them leaves, and
-    at every vertex whose condition is not `Standard`, to check it.
-    `flipped_edges` reverses the orientation convention of the listed edges
-    (bond 2e then runs head-to-tail).
+    at every vertex where some set's condition is not `Standard`, to check
+    it.  Each vertex's matrix is built once per distinct condition there and
+    written into every set in one assignment.  `flipped_edges` reverses the
+    orientation convention of the listed edges (bond 2e then runs
+    head-to-tail).
     """
-    cond_by_vertex = {c.vertex: c for c in conditions}
-    for v in range(g.n_vertices):
-        if v not in cond_by_vertex:
-            raise MissingCondition(f"vertex {v} has no condition")
-    stray = sorted(set(cond_by_vertex) - set(range(g.n_vertices)))
-    if stray:
-        raise UnsupportedCondition(f"conditions for vertices {stray} outside the graph")
+    vertices, by_vertex = set(range(g.n_vertices)), []
+    for conditions in condition_sets:
+        cond_by_vertex = {c.vertex: c for c in conditions}
+        if cond_by_vertex.keys() != vertices:
+            missing = sorted(vertices - cond_by_vertex.keys())
+            if missing:
+                raise MissingCondition(f"vertex {missing[0]} has no condition")
+            stray = sorted(cond_by_vertex.keys() - vertices)
+            raise UnsupportedCondition(f"conditions for vertices {stray} outside the graph")
+        by_vertex.append(cond_by_vertex)
 
     flipped = set(flipped_edges)
     nb = 2 * g.n_edges
@@ -121,26 +145,33 @@ def _scattering_rows(
     row_of = np.full(nb, -1)
     row_of[rows] = np.arange(len(rows))
 
-    S = np.zeros((len(rows), nb), dtype=complex)
-    checked = {c.vertex for c in cond_by_vertex.values() if not isinstance(c, Standard)}
-    for v in sorted(checked.union(origin[rows].tolist())):
-        cond, out = cond_by_vertex[v], by_origin[start[v] : start[v + 1]]
-        if isinstance(cond, Standard):
-            block = vertex_scattering_standard(len(out))
-        elif isinstance(cond, QuasiPeriodic):
-            ep, eq = cond.edges
-            # two bonds leaving on two distinct edges: degree 2, no loop
-            if ep == eq or sorted(out >> 1) != sorted((ep, eq)):
-                raise UnsupportedCondition(
-                    f"quasi-periodic vertex {v} needs degree 2 with two distinct non-loop edges {cond.edges}"
-                )
-            out = out if out[0] >> 1 == ep else out[::-1]  # (p-side, q-side)
-            block = vertex_scattering_quasiperiodic(cond.tau)
-        else:
-            raise UnsupportedCondition(f"vertex {v}: {type(cond).__name__}")
+    S = np.zeros((len(by_vertex), len(rows), nb), dtype=complex)
+    checked = {c.vertex for conds in by_vertex for c in conds.values() if not isinstance(c, Standard)}
+    for v in sorted(checked.union(origin[rows].tolist())) if by_vertex else ():
+        out, distinct = by_origin[start[v] : start[v + 1]], {}
+        which = [distinct.setdefault(conds[v], len(distinct)) for conds in by_vertex]
+        blocks = [_vertex_block(v, cond, out) for cond in distinct]
+        # a condition shared by every set is one block, broadcast over the sets
+        block = blocks[0] if len(blocks) == 1 else np.stack(blocks)[which]
         kept = row_of[out] >= 0
-        S[np.ix_(row_of[out[kept]], out ^ 1)] = block[kept]
+        S[:, row_of[out[kept]][:, None], out ^ 1] = block[..., kept, :]
     return S, lengths
+
+
+def build_secular_systems(
+    g: MetricGraph,
+    condition_sets: Iterable[Iterable[Condition]],
+    flipped_edges: Iterable[int] = (),
+) -> list[SecularSystem]:
+    """The dense bond scattering matrix of one graph under each set of
+    per-vertex conditions, all assembled together: one system per set,
+    each S a view of one stacked array, all sharing the lengths.
+
+    The secular determinant is invariant under the re-assembly that
+    `flipped_edges` asks for (see `_scattering_rows`).
+    """
+    S, lengths = _scattering_rows(g, condition_sets, np.arange(2 * g.n_edges), flipped_edges)
+    return [SecularSystem(S=s, lengths=lengths) for s in S]
 
 
 def build_secular_system(
@@ -148,13 +179,8 @@ def build_secular_system(
     conditions: Iterable[Condition],
     flipped_edges: Iterable[int] = (),
 ) -> SecularSystem:
-    """Assemble the dense bond scattering matrix from per-vertex conditions.
-
-    The secular determinant is invariant under the re-assembly that
-    `flipped_edges` asks for (see `_scattering_rows`).
-    """
-    S, lengths = _scattering_rows(g, conditions, np.arange(2 * g.n_edges), flipped_edges)
-    return SecularSystem(S=S, lengths=lengths)
+    """`build_secular_systems` under one set of conditions."""
+    return build_secular_systems(g, [conditions], flipped_edges)[0]
 
 
 def character_blocks(
@@ -198,7 +224,7 @@ def character_blocks(
         raise ActionNotFree(f"element {list(action.elements())[m + 1]} fixes bond {b}")
 
     reps = np.flatnonzero(images.min(axis=0) == bonds)
-    rows, lengths = _scattering_rows(g, conditions, reps)
+    (rows,), lengths = _scattering_rows(g, [conditions], reps)
     # A[i, m, j] = S[r_i, m.r_j], the group axis unravelled into one axis per generator
     A = rows[:, images[:, reps]].reshape(len(reps), *action.orders, len(reps))
     M = np.fft.fftn(A, axes=tuple(range(1, 1 + len(action.orders))))

@@ -566,6 +566,17 @@ def test_cli_factors_rejects_kmax_below_grid(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_cli_factors_refuses_a_root_count_its_certificate_denies(tmp_path):
+    # at L3 = 0.998046875 three roots lie within 0.006 of pi; the real
+    # locator finds one of them, and the eigenphase count says 5, not 3
+    out = str(tmp_path / "f.csv")
+    flags = ["--n1", "1", "--n2", "1", "--l1", "1.0", "--l3", "0.998046875", "--kmax", "5"]
+    res = CliRunner().invoke(main, ["factors", *flags, "-o", out])
+    _assert_usage_error(res, "CertificateMismatch")
+    assert "3 roots" in res.output and "eigenphase count of 5" in res.output
+    assert not os.path.exists(out)
+
+
 def test_cli_scan_rejects_kmax_below_grid(tmp_path):
     gpath, out = str(tmp_path / "c3.json"), str(tmp_path / "scan.csv")
     g, a = cycle_graph(3, 1.0)

@@ -164,15 +164,16 @@ def _reflection_key(labels, orders):
 @example(n1=4, n2=4, l1=0.5, l3=0.5)  # the cycles' transposition joins more labels
 @example(n1=4, n2=6, l1=0.3, l3=0.77)  # not coprime
 @example(n1=2, n2=1, l1=0.5, l3=1 / math.sqrt(2))
-@example(n1=1, n2=1, l1=1.0, l3=0.998046875)  # factors misses two of three roots in 0.006
+@example(n1=1, n2=1, l1=1.0, l3=0.998046875)  # factors misses two of three roots in 0.006 and refuses
 @example(n1=1, n2=1, l1=1.0, l3=0.99999)  # factors merges three roots in 3e-5 into one
 def test_certificates_of_random_tori(n1, n2, l1, l3):
     # every class holds the conjugate and the reflection pairs of its
     # labels, and `spectrum` certifies its root count.  `factors` agrees
     # with it and certifies its count, or refuses two roots in one cell
     # (GridTooCoarse), or spectrum has two roots closer than the real
-    # locator's grid step 0.005, which `factors` may merge or miss: the
-    # known limits of its real locator
+    # locator's grid step 0.005, which `factors` may merge or miss, and
+    # then refuses a count that its certificate does not confirm
+    # (CertificateMismatch): the known limits of its real locator
     flags = ["--n1", str(n1), "--n2", str(n2), "--l1", repr(l1), "--l3", repr(l3)]
     with tempfile.TemporaryDirectory() as tmp:
         doc, full, parts = (str(Path(tmp) / name) for name in ("torus.json", "full.csv", "factors.csv"))
@@ -192,11 +193,16 @@ def test_certificates_of_random_tori(n1, n2, l1, l3):
                 assert {class_of[other] for other in partners} == {class_of[label]}, (label, key.__name__)
 
         res = runner.invoke(main, ["factors", *flags, "--kmax", "5", "-o", parts])
+        close = np.min(np.diff(spectrum.ks()), initial=np.inf) < 0.005
+        if res.exit_code == 2 and "error: CertificateMismatch" in res.output:
+            assert close and not Path(parts).exists(), res.output
+            return
         if res.exit_code == 2:
             assert "error: GridTooCoarse" in res.output
             return
         assert res.exit_code == 0, res.output
         meta = io.load_spectrum(parts).meta
+        assert int(meta["root_count"]) == int(meta["eigenphase_count"])
         compared = runner.invoke(main, ["compare", full, parts, "--tol", "1e-6"])
-        if compared.exit_code != 0 or int(meta["root_count"]) != int(meta["eigenphase_count"]):
-            assert np.min(np.diff(spectrum.ks()), initial=np.inf) < 0.005, (compared.output, meta)
+        if compared.exit_code != 0:
+            assert close, (compared.output, meta)

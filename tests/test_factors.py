@@ -75,6 +75,28 @@ def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn, member):
         QuotientFamily(all_quotient_specs(3, 4, L1, 1.0) + all_quotient_specs(3, 4, L1, 0.9))
 
 
+def test_family_keeps_the_sines_of_its_last_grid_bit_for_bit():
+    # the family keeps the sines of the last 1-D array of k; grids A, B and
+    # A again, with calls of other shapes in between, each equal a fresh
+    # evaluation of every factor
+    specs = all_quotient_specs(16, 16, L1, L3_BAND)[::7]
+    family = QuotientFamily(specs)
+    rows = np.arange(len(specs))[:, None]
+    a, b = np.linspace(0.005, 10.0, 2000), np.linspace(0.01, 7.0, 700)
+    mixed = np.arange(9) % len(specs)
+    refine = np.linspace(2.0, 3.0, 9)
+
+    def fresh(which, k):
+        return quotient._dispersion(family.alpha[which], family.beta[which], L1, L3_BAND, k)
+
+    for which, k in [
+        (rows, a), (rows, b), (rows, a), (mixed, refine), (rows, a), (rows[:3], a),
+        (3, 4.2), (rows, list(b)), (rows, b + 0j), (rows, b),
+    ]:
+        got = family.dispersion_real(which, k)
+        assert got.tobytes() == fresh(which, np.asarray(k)).tobytes()
+
+
 @pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61), (16, 16, L3_BAND)])
 def test_labels_of_one_group_share_their_closed_form(n1, n2, l3):
     # alpha and beta depend on s and t only through cos(2 pi s/n1) and
@@ -242,9 +264,17 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     # goes in chunks of members, each refinement round is one call, and each
     # contour pass one call per chunk of circles; the certificate counts
     # each distinct factor at K_MIN and at k_max, in stacks of at most
-    # MAX_BATCH_BYTES
+    # MAX_BATCH_BYTES, from one stacked assembly of their systems; the
+    # grid's three sines are computed once, not once per chunk of members
     real, closed, eigvals = QuotientFamily.dispersion_real, QuotientFamily.secular_closed, np.linalg.eigvals
-    real_shapes, closed_shapes, eigvals_shapes = [], [], []
+    sines = quotient._sines
+    real_shapes, closed_shapes, eigvals_shapes, sines_shapes = [], [], [], []
+    monkeypatch.setattr(quotient, "_sines", lambda l1, l3, k: sines_shapes.append(np.shape(k)) or sines(l1, l3, k))
+
+    def one_at_a_time(*args, **kwargs):
+        raise AssertionError("factors assembles its systems in one stack")
+
+    monkeypatch.setattr(quotient, "quotient_system", one_at_a_time)
     monkeypatch.setattr(
         QuotientFamily, "dispersion_real",
         lambda self, which, k: real_shapes.append(np.broadcast_shapes(np.shape(which), np.shape(k))) or real(self, which, k),
@@ -263,6 +293,7 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     assert all(len(shape) == 2 and shape[1] in (65, 129) for shape in closed_shapes[1:])
     grid_points = sum(math.prod(shape) for shape in real_shapes if len(shape) == 2)
     assert grid_points == distinct * 2000  # the grid of 0.005 to 10, each member once
+    assert sum(len(shape) == 2 for shape in real_shapes) > 1 and sines_shapes.count((2000,)) == 1
     assert all(math.prod(shape) * 16 <= MAX_BATCH_BYTES for shape in eigvals_shapes)
     assert sum(math.prod(shape[:-2]) for shape in eigvals_shapes) == 2 * distinct
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"])

@@ -13,6 +13,7 @@ from qgsym import (
     quotient_graph,
     quotient_secular_closed,
     quotient_system,
+    quotient_systems,
     secular_det,
     secular_product,
     torus_secular_system,
@@ -111,3 +112,17 @@ def test_quotient_flipped_edges_invariance():
     sys1 = quotient_system(spec, flipped_edges=(0, 3))
     for k in np.linspace(0.2, 12.0, 40):
         assert abs(secular_det(sys0, k) - secular_det(sys1, k)) < 1e-12
+
+
+@pytest.mark.parametrize("n1, n2, l3", [(1, 1, 0.99999), (3, 4, 1.0), (4, 6, 0.61), (16, 16, 0.71676)])
+def test_stacked_quotient_systems_equal_one_spec_at_a_time(n1, n2, l3):
+    specs = all_quotient_specs(n1, n2, 0.5, l3)
+    for flipped in ((), (1, 2)):
+        stacked = quotient_systems(specs, flipped_edges=flipped)
+        assert len(stacked) == len(specs)
+        for spec, sys_ in zip(specs, stacked):
+            one = quotient_system(spec, flipped_edges=flipped)
+            assert sys_.S.tobytes() == one.S.tobytes() and sys_.lengths.tobytes() == one.lengths.tobytes()
+    assert quotient_systems([]) == []
+    with pytest.raises(ValueError):  # the specs of one torus share their quotient graph
+        quotient_systems(all_quotient_specs(3, 4, 0.5, 1.0) + all_quotient_specs(3, 4, 0.5, 0.9))

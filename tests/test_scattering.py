@@ -7,9 +7,12 @@ import pytest
 from qgsym import (
     QuasiPeriodic,
     Standard,
+    all_quotient_specs,
     build_secular_system,
+    build_secular_systems,
     cycle_graph,
     make_graph,
+    quotient_graph,
     secular_det,
     standard_conditions,
     vertex_scattering_quasiperiodic,
@@ -121,3 +124,50 @@ def test_flipped_edges_leave_determinant_invariant():
     sys1 = build_secular_system(g, standard_conditions(g), flipped_edges=(1,))
     for k in np.linspace(0.3, 9.7, 25):
         assert abs(secular_det(sys0, k) - secular_det(sys1, k)) < 1e-12
+
+
+@pytest.mark.parametrize("flipped", [(), (0, 3)], ids=["stored", "flipped"])
+@pytest.mark.parametrize("n1, n2", [(1, 1), (2, 1), (3, 4), (4, 6), (16, 16)])
+def test_stacked_assembly_equals_one_set_at_a_time(n1, n2, flipped):
+    # the quotient graph of a torus under the gluing phases of every label
+    specs = all_quotient_specs(n1, n2, 0.5, 0.71676)
+    g = quotient_graph(specs[0])[0]
+    sets = [quotient_graph(spec)[1] for spec in specs]
+    stacked = build_secular_systems(g, sets, flipped_edges=flipped)
+    assert len(stacked) == len(sets)
+    for conds, sys_ in zip(sets, stacked):
+        one = build_secular_system(g, conds, flipped_edges=flipped)
+        assert sys_.S.tobytes() == one.S.tobytes() and sys_.lengths.tobytes() == one.lengths.tobytes()
+        assert sys_.unitarity_defect() < 1e-12
+
+
+def test_stacked_assembly_mixes_kinds_and_orientations_at_a_vertex():
+    # vertex 1 of a path is standard in one set and quasi-periodic, with
+    # either edge first, in two others; each set gets its own block
+    g = make_graph(3, [(0, 1, 1.0), (1, 2, 0.5)])
+    tau = cmath.exp(1j * math.pi / 3)
+    sets = [
+        standard_conditions(g),
+        [Standard(0), QuasiPeriodic(1, tau, (0, 1)), Standard(2)],
+        [Standard(0), QuasiPeriodic(1, tau, (1, 0)), Standard(2)],
+    ]
+    stacked = build_secular_systems(g, sets)
+    # leaving vertex 1 along edge 0 is bond 1, along edge 1 bond 2
+    blocks = [sys_.S[np.ix_([1, 2], [0, 3])] for sys_ in stacked]
+    assert np.array_equal(blocks[0], vertex_scattering_standard(2))
+    assert np.array_equal(blocks[1], vertex_scattering_quasiperiodic(tau))
+    assert np.array_equal(blocks[2], vertex_scattering_quasiperiodic(tau)[::-1, ::-1])
+    for conds, sys_ in zip(sets, stacked):
+        assert np.array_equal(sys_.S, build_secular_system(g, conds).S)
+    assert build_secular_systems(g, []) == []
+
+
+def test_stacked_assembly_refuses_a_bad_set():
+    g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    good = standard_conditions(g)
+    with pytest.raises(MissingCondition, match="vertex 2"):
+        build_secular_systems(g, [good, [Standard(0), Standard(1)]])
+    with pytest.raises(UnsupportedCondition, match="outside the graph"):
+        build_secular_systems(g, [good, [*good, Standard(3)]])
+    with pytest.raises(UnsupportedCondition, match="quasi-periodic vertex 0"):
+        build_secular_systems(g, [good, [QuasiPeriodic(0, 1.0, (0, 0)), Standard(1), Standard(2)]])
