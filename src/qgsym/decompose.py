@@ -3,9 +3,11 @@
 Functions are stored as per-edge arrays of M complex midpoint samples
 (x_m = (m + 1/2) L / M), which keeps samples off vertices and makes the
 quadrature norm exact for constants.  Projection onto an irrep averages the
-irrep-weighted pull-backs over the whole group; the components reconstruct
-the function, satisfy the Parseval identity, and are equivariant with the
-inverse irrep phase.
+irrep-weighted pull-backs over the whole group, summed on one representative
+edge per group orbit: on the rest of an orbit the component is the
+representative's values carried by the inverse character (the quotient-graph
+picture).  The components reconstruct the function, satisfy the Parseval
+identity, and are equivariant with the inverse irrep phase.
 """
 
 from __future__ import annotations
@@ -63,13 +65,23 @@ def pull_back(f: SampledFunction, a: GraphAction, element) -> SampledFunction:
 
 
 def project(f: SampledFunction, a: GraphAction, irrep) -> SampledFunction:
-    """Irrep component: average of irrep(g) * pull_back(f, g) over the group."""
-    acc = np.zeros_like(f.values)
-    n = 0
-    for element in a.elements():
-        acc += irrep.value(element) * pull_back(f, a, element).values
-        n += 1
-    return SampledFunction(f.graph, acc / n)
+    """Irrep component: the average of irrep(g) * pull_back(f, g) over the group.
+
+    The average is summed only on one edge of each edge orbit, the smallest;
+    on the rest of the orbit the component is carried by the character,
+    f|_{g.e} = irrep(g)^-1 f|_e reversed where g flips e, which holds
+    exactly for any action, edge stabilisers included.
+    """
+    _, edge, flip = a.table
+    chars = np.array([irrep.value(element) for element in a.elements()])
+    reps = np.unique(edge.min(axis=0))
+    images, flips = edge[:, reps], flip[:, reps]
+    both = np.stack([f.values, f.values[:, ::-1]])
+    on_reps = np.tensordot(chars, both[flips.astype(np.intp), images], axes=1) / len(chars)
+    carried = on_reps / chars[:, None, None]
+    out = np.empty_like(f.values)
+    out[images] = np.where(flips[..., None], carried[..., ::-1], carried)
+    return SampledFunction(f.graph, out)
 
 
 def quasi_periodicity_residual(f_st: SampledFunction, a: GraphAction, irrep) -> float:

@@ -16,7 +16,7 @@ the 8x8 systems of many factors in one `build_secular_systems` call;
 The closed form and the real dispersion form take a scalar or an array of
 k and return what numpy returns: a numpy scalar or an array.
 `QuotientFamily` evaluates them for many factors in one array call, and
-computes the dispersion form's three sines of k once per grid.
+computes the dispersion form's three sines of k once per grid part.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .scattering import (
     build_secular_systems,
     standard_conditions,
 )
+from .spectra import MAX_GRID_POINTS
 
 
 @dataclass(frozen=True)
@@ -176,17 +177,20 @@ class QuotientFamily:
 
     `which` indexes `specs` and broadcasts against `k`, so one array call
     evaluates any mix of factors.  The factors share L1 and L3, and so the
-    three sines of the dispersion form: those of the last 1-D array of k
-    are kept (one entry, compared by value), so a grid that the locator
-    evaluates in chunks of members computes them once.  Each value equals
-    the one-factor function's bit for bit.
+    three sines of the dispersion form.  Those of the last 1-D array of k
+    are kept, keyed by its bytes; a new array whose first point lies above
+    the last point kept is a further part of one ascending grid and is kept
+    with them, up to MAX_GRID_POINTS points, and any other new array
+    replaces them.  So a grid that the locator evaluates in chunks of
+    members, or one member at a time in parts, computes them once per part.
+    Each value equals the one-factor function's bit for bit.
     """
 
     def __init__(self, specs: Sequence[QuotientSpec]):
         specs = tuple(specs)
         self.l1, self.l3 = _shared_lengths(specs)
         self.alpha, self.beta = np.array([spec.coefficients for spec in specs]).T
-        self._grid, self._grid_sines = np.empty(0), ()
+        self._kept, self._kept_points, self._top = {}, 0, math.inf
 
     def secular_closed(self, which, k):
         """`quotient_secular_closed` of the factors `which` at `k`."""
@@ -194,13 +198,20 @@ class QuotientFamily:
 
     def dispersion_real(self, which, k):
         """`quotient_dispersion_real` of the factors `which` at `k`.  The
-        sines of the last 1-D `k` are kept, so the chunks of members that
-        the locator's grid goes in compute them once."""
+        sines of a 1-D `k` are kept with those of the earlier parts of its
+        ascending grid, so the chunks of members and the parts that the
+        locator's grid goes in compute them once per part."""
         if np.ndim(k) == 1:
             k = np.asarray(k)
-            if not (self._grid.dtype == k.dtype and np.array_equal(self._grid, k)):
-                self._grid, self._grid_sines = np.array(k), _sines(self.l1, self.l3, k)
-            sines = self._grid_sines
+            key = (k.dtype.str, k.tobytes())
+            sines = self._kept.get(key)
+            if sines is None:
+                real = k.dtype.kind == "f" and len(k) > 0
+                if not (real and k[0] > self._top and self._kept_points + len(k) <= MAX_GRID_POINTS):
+                    self._kept, self._kept_points = {}, 0
+                sines = self._kept[key] = _sines(self.l1, self.l3, k)
+                self._kept_points += len(k)
+                self._top = k[-1] if real else math.inf
         else:
             sines = _sines(self.l1, self.l3, k)
         return _combine(self.alpha[which], self.beta[which], *sines)

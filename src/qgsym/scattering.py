@@ -314,8 +314,10 @@ def secular_det(sys: SecularSystem, k: complex) -> complex:
 
 def secular_dets(systems: Sequence[SecularSystem]):
     """det(I - S D(z)) of a family of systems of one size, as an evaluator
-    `fn(which, z)` on 1-D arrays: one stacked `np.linalg.det` call."""
-    S, lengths = np.stack([sys.S for sys in systems]), np.stack([sys.lengths for sys in systems])
+    `fn(which, z)` on 1-D arrays: one stacked `np.linalg.det` call.  One
+    system, such as a dense `scan`, is used as it is, not copied."""
+    S = np.stack([sys.S for sys in systems]) if len(systems) > 1 else systems[0].S[None]
+    lengths = np.stack([sys.lengths for sys in systems])
     eye = np.eye(S.shape[-1])
     return lambda which, z: np.linalg.det(eye - S[which] * np.exp(1j * z[:, None] * lengths[which])[:, None, :])
 

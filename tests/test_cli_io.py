@@ -11,6 +11,7 @@ import sys
 import tempfile
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,9 @@ from qgsym import (
     QuotientSpec, circulant_graph, cycle_graph, cycle_product, quotient_graph, standard_conditions, torus_action,
     validate_action,
 )
+from qgsym import cli, scattering
 from qgsym.cli import main
+from qgsym.decompose import l2_norm_sq, project
 from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
 from qgsym.io import (
     doc_to_graph,
@@ -35,7 +38,8 @@ from qgsym.io import (
     save_spectrum,
     write_spectrum_csv,
 )
-from qgsym.spectra import SpectralRoot, Spectrum
+from qgsym.scattering import secular_det
+from qgsym.spectra import MAX_BATCH_BYTES, SpectralRoot, Spectrum, _k_grid
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -414,6 +418,67 @@ def test_cli_project_writes_samples(tmp_path):
     # as in `build product`, first-factor half-edges (edge 0 among them) have length l3
     xs = [float(row["x"]) for row in rows if row["edge"] == "0"]
     assert xs == pytest.approx([(m + 0.5) * 1.0 / 20 for m in range(20)], abs=1e-15)
+
+
+def test_cli_project_bytes_equal_one_format_per_row(tmp_path, monkeypatch):
+    # the writer joins each edge's rows and formats each edge length's
+    # `sample_index,x,` prefixes once; its bytes equal one f-string per row
+    # of the component that `project` returned
+    got = []
+    monkeypatch.setattr(cli, "project", lambda *args: got.append(project(*args)) or got[-1])
+    out = str(tmp_path / "proj.csv")
+    res = CliRunner().invoke(main, [
+        "project", "--n1", "2", "--n2", "3", "--l1", "0.5", "--l3", "1.3",
+        "--s", "1", "--t", "2", "--samples", "7", "--seed", "4", "-o", out,
+    ])
+    assert res.exit_code == 0, res.output
+    (comp,) = got
+    lines = [f"# component (1,2); norm_sq = {l2_norm_sq(comp)!r}\n", "edge,sample_index,x,re,im\n"]
+    for e in comp.graph.edges:
+        for m in range(7):
+            x = (m + 0.5) * e.length / 7
+            val = complex(comp.values[e.id, m])
+            lines.append(f"{e.id},{m},{x!r},{val.real!r},{val.imag!r}\n")
+    assert len({e.length for e in comp.graph.edges}) == 2
+    with open(out) as fh:
+        assert fh.read() == "".join(lines)
+
+
+def test_cli_scan_equals_the_per_block_determinant_loop(tmp_path, monkeypatch):
+    # `scan` takes every class's determinant from stacked `secular_dets`
+    # calls of at most MAX_BATCH_BYTES of matrices and never calls
+    # `secular_det`; its bytes equal one `secular_det` per class and k,
+    # multiplied in the same order
+    gpath, out = str(tmp_path / "torus.json"), str(tmp_path / "scan.csv")
+    g, action = torus_action(3, 4, 1.0, 0.5)
+    save_graph(gpath, g, standard_conditions(g), action)
+    systems, first = cli._systems_from_doc(gpath)
+    blocks, sizes = list(systems.values()), Counter(first.tolist())
+    ref = "k,abs_secular\n" + "".join(
+        f"{float(k)!r},{abs(math.prod(secular_det(blocks[i], float(k)) ** n for i, n in sizes.items()))!r}\n"
+        for k in _k_grid(0.05, 5.0 + 0.025, 0.05)
+    )
+
+    def one_at_a_time(*args):
+        raise AssertionError("scan evaluates its determinants in stacks")
+
+    calls, stacked = [], scattering.secular_dets
+
+    def counted(systems):
+        fn = stacked(systems)
+        return lambda which, z: calls.append((len(systems), len(z))) or fn(which, z)
+
+    monkeypatch.setattr(cli, "secular_det", one_at_a_time)
+    monkeypatch.setattr(scattering, "secular_det", one_at_a_time)
+    monkeypatch.setattr(cli, "secular_dets", counted)
+    res = CliRunner().invoke(main, ["scan", gpath, "--kmax", "5", "--grid", "0.05", "-o", out])
+    assert res.exit_code == 0, res.output
+    with open(out) as fh:
+        assert fh.read() == ref
+    # the 12 blocks are grouped into classes at the probe points first
+    scans = [points for n, points in calls if n == len(sizes)]
+    assert 1 < len(sizes) < 12 and all(n in (12, len(sizes)) for n, _ in calls)
+    assert sum(scans) == 100 * len(sizes) and max(scans) * blocks[0].S.nbytes <= MAX_BATCH_BYTES
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qgsym import (
     Irrep,
+    circulant_graph,
     cycle_graph,
     l2_inner,
     l2_norm_sq,
@@ -104,3 +107,34 @@ def test_projection_on_single_cycle():
     assert np.max(np.abs(total - f.values)) < 1e-12 * max(1.0, np.max(np.abs(f.values)))
     for s, c in enumerate(comps):
         assert quasi_periodicity_residual(c, a, Irrep((4,), (s,))) < 1e-13
+
+
+def _project_by_definition(f, a, irrep):
+    """The average of irrep(g) * pull_back(f, g) over the group."""
+    acc = np.zeros_like(f.values)
+    for element in a.elements():
+        acc += irrep.value(element) * pull_back(f, a, element).values
+    return acc / a.group_size
+
+
+@pytest.mark.parametrize(
+    "graph_action",
+    [
+        _torus(),
+        lift_action_subdivided(*cycle_graph(4, 1.0)),
+        # rotation by 4 reverses the antipodal edges: edges with a stabiliser
+        circulant_graph(8, [1, 4], [1.0, 1.3]),
+    ],
+    ids=["torus-2x3", "subdivided-cycle-4", "circulant-8-antipodal"],
+)
+def test_projection_equals_its_definition(graph_action):
+    # `project` sums the average on one edge per orbit and carries it by the
+    # character; it agrees with the average over the whole group for every
+    # label, and the result is equivariant
+    g, a = graph_action
+    f = random_function(g, 13, np.random.default_rng(8))
+    for labels in itertools.product(*map(range, a.orders)):
+        rho = Irrep(a.orders, labels)
+        comp = project(f, a, rho)
+        assert np.max(np.abs(comp.values - _project_by_definition(f, a, rho))) < 1e-13
+        assert quasi_periodicity_residual(comp, a, rho) < 1e-14
