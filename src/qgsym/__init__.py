@@ -38,7 +38,6 @@ from .scattering import (
     build_secular_system,
     build_secular_systems,
     character_blocks,
-    contract_transmissions,
     secular_det,
     standard_conditions,
     vertex_scattering_quasiperiodic,
@@ -66,7 +65,6 @@ from .locators import (
     find_roots_real,
     find_roots_real_family,
     find_roots_unitary,
-    find_roots_unitary_family,
 )
 from .decompose import (
     SampledFunction,

@@ -115,11 +115,11 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
 
     Continuity, discreteness and co-compactness hold automatically for
     finite graphs and are reported as vacuous.  The group law needs one
-    order per generator, commuting generators, and each generator to the
-    power of its order equal to the identity.  Faithfulness is checked
-    combinatorially: no nonidentity element may fix a vertex, fix an edge
-    orientation-preservingly (fixes every interior point), or fix an edge
-    with reversed orientation (fixes the midpoint).
+    positive integer order per generator, commuting generators, and each
+    generator to the power of its order equal to the identity.
+    Faithfulness is checked combinatorially: no nonidentity element may fix
+    a vertex, fix an edge orientation-preservingly (fixes every interior
+    point), or fix an edge with reversed orientation (fixes the midpoint).
     """
     violations: list[tuple[str, str]] = []
     nv, ne = g.n_vertices, g.n_edges
@@ -135,6 +135,9 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
         violations.append(("group_law", "the action has no generators"))
     elif len(a.orders) != len(a.generators):
         violations.append(("group_law", f"{len(a.orders)} orders for {len(a.generators)} generators"))
+    for i, n in enumerate(a.orders):
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            violations.append(("group_law", f"generator {i} has order {n!r}, not a positive integer"))
 
     if not violations:
         for i, (powers, n) in enumerate(zip(a._powers, a.orders)):

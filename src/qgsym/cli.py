@@ -13,7 +13,6 @@ import functools
 import math
 import sys
 import warnings
-from collections import Counter
 
 import click
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import CertificateMismatch, GridTooCoarse, MalformedList, QgsymErro
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_dets, standard_conditions
 from .scattering import secular_det  # noqa: F401  (a name the benchmark's tracer wraps)
-from .locators import UnitaryFamily, eigenphase_counts, find_roots_real_family
+from .locators import UnitaryFamily, find_roots_real_family
 from .locators import find_roots_real, find_roots_unitary  # noqa: F401  (names the benchmark's tracer wraps)
 from .spectra import MAX_BATCH_BYTES, Spectrum, _chunked, _k_grid, compare_spectra, isospectral_classes, merge_spectra
 
@@ -205,12 +204,13 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
 def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     """Roots of every quotient factor, labeled by (s, t).
 
-    Each class of labels with one closed form (`spectra.isospectral_classes`;
-    s and n1-s, and t and n2-t, always share one) is solved once, and every
-    label gets a copy of its roots.  The distinct factors are one family of
-    the real locator: the grid, each refinement round and each contour pass
-    evaluate all of them together, per 32 KB of points
-    (`spectra.MAX_BATCH_BYTES`).  The header's `eigenphase_count` is the
+    Each class of labels with one dispersion form (`spectra.isospectral_classes`
+    over `QuotientFamily.dispersion_real`; s and n1-s, and t and n2-t,
+    always share one) is solved once, and every label gets a copy of its
+    roots.  The distinct factors are one family of the real locator, the
+    dispersion form its own continuation: the grid, each refinement round
+    and each contour pass evaluate all of them together, per 32 KB of
+    points (`spectra.MAX_BATCH_BYTES`).  The header's `eigenphase_count` is the
     exact root count summed over the labels' 8x8 quotient systems, a
     certificate for `root_count`: the distinct systems come from one
     stacked assembly (`quotient.quotient_systems`) and are counted in
@@ -218,13 +218,11 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     `CertificateMismatch` and writes no file.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
-    first = isospectral_classes(quotient.QuotientFamily(specs).secular_closed, len(specs), (l1, l3), 16)
+    first = isospectral_classes(quotient.QuotientFamily(specs).dispersion_real, len(specs), (l1, l3), 16)
     distinct, runs = np.unique(first, return_inverse=True)
     family = quotient.QuotientFamily([specs[i] for i in distinct])
-    found = find_roots_real_family(
-        family.dispersion_real, len(distinct), kmax, grid_step=grid, tol=tol, complex_fn=family.secular_closed
-    )
-    counts = eigenphase_counts(quotient.quotient_systems([specs[i] for i in distinct]), kmax)
+    found = find_roots_real_family(family.dispersion_real, len(distinct), kmax, grid_step=grid, tol=tol)
+    counts = UnitaryFamily(quotient.quotient_systems([specs[i] for i in distinct])).counts(kmax)
     labels = [f"({sp.s},{sp.t})" for sp in specs]
     _write_classes(output, kmax, found, runs, labels, sum(counts[run] for run in runs.tolist()), factors=len(found))
 
@@ -301,8 +299,8 @@ def scan_cmd(graph_file, kmax, grid, output):
         raise GridTooCoarse(f"kmax = {kmax!r} is below grid = {grid!r}")
     ks = _k_grid(grid, kmax + grid / 2.0, grid)
     systems, first = _systems_from_doc(graph_file)
-    blocks, sizes = list(systems.values()), Counter(first.tolist())
-    classes, powers = list(sizes), list(sizes.values())
+    classes, powers = np.unique(first, return_counts=True)  # a class's first label is its lowest
+    blocks, powers = list(systems.values()), powers.tolist()  # Python ints keep the products' bits
     dets, nbytes = secular_dets([blocks[i] for i in classes]), blocks[0].S.nbytes
     which = np.arange(len(classes))
     rows = max(1, MAX_BATCH_BYTES // max(1, nbytes * len(classes)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 from typing import Optional, TextIO
 
 from . import builders
@@ -140,15 +141,28 @@ def _header_value(text: str):
         return text
 
 
+def _numbered_lines(fh: TextIO):
+    """(number, line) of each line of `fh`, from 1; text that cannot be
+    decoded raises `UnsupportedFormat` with the last line read before it."""
+    lineno = 0
+    try:
+        for lineno, line in enumerate(fh, 1):
+            yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise UnsupportedFormat(f"spectrum CSV after line {lineno}: undecodable text: {exc}") from exc
+
+
 def read_spectrum_csv(fh: TextIO) -> Spectrum:
-    """Spectrum of a CSV; a row without four fields, a numeric k and an integer order is rejected.
+    """Spectrum of a CSV; text that is not in the file's encoding, or a row
+    without four fields, a finite positive k and an order of at least 1, is
+    rejected with the line it is on or after.
 
     The header's values go to `meta`, all but `k_max`, so that writing the
     spectrum again gives the same file."""
     meta: dict = {}
     roots = []
     header_seen = False
-    for lineno, line in enumerate(fh, 1):
+    for lineno, line in _numbered_lines(fh):
         line = line.strip()
         if not line:
             continue
@@ -162,9 +176,12 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
             continue
         try:
             k, _lam, order, source = line.split(",", 3)
-            roots.append(SpectralRoot(float(k), int(order), source))
+            root = SpectralRoot(float(k), int(order), source)
         except ValueError as exc:
             raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: {exc}") from exc
+        if not (0.0 < root.k < math.inf and root.order >= 1):
+            raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: k must be finite and positive, the order at least 1")
+        roots.append(root)
     try:
         k_max = float(meta.pop("k_max", roots[-1].k if roots else 0.0))
     except (TypeError, ValueError) as exc:

@@ -5,27 +5,16 @@ calls, then `_refine_steps` in rounds over every bracket of every member.
 
 - `find_roots_real_family`: the step function is the sign of f and the
   value f itself (an exact 0.0 inside the grid takes the sign of the point
-  before it); contour passes over the analytic continuation place the
-  touching roots (small minima of |f|), give every order as a winding
-  number and re-centre the multiple roots.
-- `find_roots_unitary_family`: exact eigenphase counting for unitary
-  scattering.  The family is contracted once (`UnitaryFamily`, through
-  `contracted_stacks`: every pure-transmission bond dropped, the
-  determinant unchanged), and each stack of contracted systems of one size
-  is solved together.  N(k) = (sum of principal eigenphases at the
-  reference point + k * total bond length - sum at k) / 2pi is
-  integer-valued and monotone (`_eigenphase_steps`); each jump's size is
-  the root's multiplicity.  The values are the summed distances of the
-  eigenphases nearest the crossing point, below it at a bracket's left end
-  and above it at its right end, and the phases' speeds, between the
-  shortest and the longest bond length, give the reaches that narrow every
-  bracket with no evaluation.  N is exact at every k, so the cell is
-  derived: 0.9 pi / (longest bond length of the contracted system).  Each
-  round is one stacked `eigvals` over the open brackets.  This is the
-  robust path for high-order roots of large systems.  N(k_max) of many
-  systems at once (`eigenphase_counts`, the same count at K_MIN and k_max
-  of the contracted systems) is an exact root count certifying a
-  locator's output; `UnitaryFamily` gives both from one contraction.
+  before it); f is analytic and takes complex points too, so contour passes
+  over f itself place the touching roots (small minima of |f|), give every
+  order as a winding number and re-centre the multiple roots.
+- `UnitaryFamily`: exact eigenphase counting for unitary scattering.  The
+  family is contracted once (`contracted_stacks`: every pure-transmission
+  bond dropped, the determinant unchanged), and each stack of contracted
+  systems of one size is solved together (`UnitaryFamily.roots`).  N(k) of
+  every system (`UnitaryFamily.counts`) is an exact root count certifying
+  a locator's output.  This is the robust path for high-order roots of
+  large systems.
 
 `find_roots_real` and `find_roots_unitary` solve a family of one.  Every
 member's spectrum reports the points evaluated for it, grid included, as
@@ -74,21 +63,14 @@ def _contour_pass(fn: Evaluator, which, centers, radii, samples: int, refused: d
 
 
 def find_roots_real_family(
-    f: Evaluator,
-    members: int,
-    k_max: float,
-    grid_step: float,
-    tol: float = 1e-10,
-    *,
-    complex_fn: Evaluator,
-    source: str = "",
+    f: Evaluator, members: int, k_max: float, grid_step: float, tol: float = 1e-10, *, source: str = ""
 ) -> list[Spectrum]:
-    """Roots on (0, k_max] of each of `members` continuous real functions,
-    with their continuations: one spectrum per member.
+    """Roots on (0, k_max] of each of `members` analytic functions, real on
+    the real axis: one spectrum per member.
 
-    `f(which, k)` and `complex_fn(which, z)` take an integer array of
-    members and an array of points that broadcast together, and return the
-    values elementwise.  The members share one grid, evaluated in chunks of
+    `f(which, k)` takes an integer array of members and an array of real or
+    complex points that broadcast together, and returns the values
+    elementwise.  The members share one grid, evaluated in chunks of
     members of at most MAX_BATCH_BYTES of points (`rows[:, None]` against
     the grid).  Sign changes are closed to width `tol` by `_refine_steps`,
     with f as the value, in one call of `f` on 1-D arrays per round; a grid
@@ -97,9 +79,9 @@ def find_roots_real_family(
     refinement points.
 
     An interior local minimum of |f| with no sign change next to it is a
-    touching-root candidate: the zero sum of `complex_fn` in a circle of
-    radius `grid_step` around it gives the mean km of the zeros there.  km is
-    a touching root when |f(km)| < `TOL_TOUCH`; f(km) past zero by more than
+    touching-root candidate: the zero sum of `f` in a circle of radius
+    `grid_step` around it gives the mean km of the zeros there.  km is a
+    touching root when |f(km)| < `TOL_TOUCH`; f(km) past zero by more than
     that means two crossings inside one cell (`GridTooCoarse`).  Every root's
     order is its winding number, and multiple roots are re-centred on the
     zero sum.  Each stage covers all members at once: a contour pass
@@ -151,7 +133,7 @@ def find_roots_real_family(
 
     refused: dict[int, GridTooCoarse] = {}  # each member's first refusal
     which, centers, before_sign = (np.concatenate(v) for v in zip(*candidates))
-    counts, zsums = _contour_pass(complex_fn, which, centers, grid_step, 64, refused)
+    counts, zsums = _contour_pass(f, which, centers, grid_step, 64, refused)
     inside = np.flatnonzero(counts >= 1)
     which, km, before_sign = which[inside], zsums.real[inside] / counts[inside], before_sign[inside]
     dips = before_sign * _chunked(f, which, km, 8) if len(km) else km
@@ -169,13 +151,13 @@ def find_roots_real_family(
     radii = _circle_radii(which, centers, grid_step)
     kept = centers <= k_max + tol  # the grid may overshoot k_max by half a step
     which, centers, radii = which[kept], centers[kept], radii[kept]
-    orders = np.maximum(_contour_pass(complex_fn, which, centers, radii, 64, refused)[0], 1)
+    orders = np.maximum(_contour_pass(f, which, centers, radii, 64, refused)[0], 1)
     # the sign's resolution degrades like eps**(1/order) at a multiple zero;
     # re-centre twice on the zero sum over the same circle (a smaller one
     # would drown |f| ~ rad**order in rounding)
     for _ in range(2):
         multiple = np.flatnonzero((orders >= 2) & ~np.isin(which, list(refused)))
-        zsums = _contour_pass(complex_fn, which[multiple], centers[multiple], radii[multiple], 128, refused)[1]
+        zsums = _contour_pass(f, which[multiple], centers[multiple], radii[multiple], 128, refused)[1]
         centers[multiple] = zsums.real / orders[multiple]
     if refused:
         raise refused[min(refused)]
@@ -192,21 +174,12 @@ def find_roots_real_family(
 
 
 def find_roots_real(
-    f: Callable[[np.ndarray], np.ndarray],
-    k_max: float,
-    grid_step: float,
-    tol: float = 1e-10,
-    *,
-    complex_fn: Callable[[np.ndarray], np.ndarray],
-    source: str = "",
+    f: Callable[[np.ndarray], np.ndarray], k_max: float, grid_step: float, tol: float = 1e-10, *, source: str = ""
 ) -> Spectrum:
-    """Roots of a continuous real function on (0, k_max], with its
-    continuation: `find_roots_real_family` on a family of one.  `f` and
-    `complex_fn` take numpy arrays of points and return the values
-    elementwise."""
-    return find_roots_real_family(
-        lambda which, k: f(k), 1, k_max, grid_step, tol, complex_fn=lambda which, z: complex_fn(z), source=source
-    )[0]
+    """Roots of an analytic function, real on the real axis, on (0, k_max]:
+    `find_roots_real_family` on a family of one.  `f` takes a numpy array
+    of real or complex points and returns the values elementwise."""
+    return find_roots_real_family(lambda which, k: f(k), 1, k_max, grid_step, tol, source=source)[0]
 
 
 def _turned(phases: np.ndarray) -> np.ndarray:
@@ -289,7 +262,7 @@ def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks:
 
 
 def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float, source: str) -> list[Spectrum]:
-    """`find_roots_unitary_family` on a stack of systems of one size, as they are."""
+    """`UnitaryFamily.roots` of a stack of systems of one size, as they are."""
     cells = [0.9 * math.pi / float(l.max()) if len(l) else k_max for l in lengths]
     grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in cells]
     which, ks = np.repeat(np.arange(len(grids)), [len(g) for g in grids]), np.concatenate(grids)
@@ -333,8 +306,24 @@ class UnitaryFamily:
     def roots(
         self, k_max: float, *, tol: float = 1e-10, source: str = "full", members: Optional[Sequence[int]] = None
     ) -> list[Spectrum]:
-        """`find_roots_unitary_family` of the systems `members` (all by
-        default), one spectrum each in that order."""
+        """Roots of det(I - S D(k)) on (K_MIN, k_max] of the systems
+        `members` (all by default), one spectrum each in that order.
+
+        Each stack of contracted systems of one size is solved together;
+        `meta["bonds"]` is a system's contracted size.  N(k) of
+        `_eigenphase_steps` is exact and monotone at every k, and each jump
+        is a root of order the jump's size, so a cell with equal end counts
+        holds no root however wide it is.  A system's cell,
+        `meta["grid_step"]`, is 0.9 pi / (the longest bond length of the
+        contracted system), or k_max with no bonds: no phase turns by half a
+        circle in one cell, so the regula-falsi value of `_refine_steps`,
+        the sum of the phases crossing at a jump, stays continuous.  Every
+        evaluation's count keeps the bracket exact, and its reaches move the
+        bracket's ends without an evaluation, so each root is certified by
+        its end counts.  The grids of all systems of a stack go to stacked
+        `eigvals` calls, and so does each refinement round;
+        `meta["rounds"]` counts the rounds that evaluated the system.
+        """
         require_positive(k_max=k_max, tol=tol)
         members = range(self.members) if members is None else members
         out: dict[int, Spectrum] = {}
@@ -345,36 +334,7 @@ class UnitaryFamily:
         return [out[m] for m in members]
 
 
-def eigenphase_counts(systems: Sequence[SecularSystem], k: float) -> list[int]:
-    """N(k) of each system of one size: `UnitaryFamily.counts`."""
-    return UnitaryFamily(systems).counts(k)
-
-
-def find_roots_unitary_family(
-    systems: Sequence[SecularSystem], k_max: float, *, tol: float = 1e-10, source: str = "full"
-) -> list[Spectrum]:
-    """Roots of det(I - S D(k)) on (K_MIN, k_max] for each of several unitary
-    systems of one size: one spectrum per system.
-
-    The family is contracted first (`UnitaryFamily`), and each stack of
-    contracted systems of one size is solved together; `meta["bonds"]` is a
-    system's contracted size.  N(k) of `_eigenphase_steps` is exact and
-    monotone at every k, and each jump is a root of order the jump's size,
-    so a cell with equal end counts holds no root however wide it is.  A
-    system's cell, `meta["grid_step"]`, is 0.9 pi / (the longest bond length
-    of the contracted system), or k_max with no bonds: no phase turns by
-    half a circle in one cell, so the regula-falsi value of `_refine_steps`,
-    the sum of the phases crossing at a jump, stays continuous.  Every
-    evaluation's count keeps the bracket exact, and its reaches move the
-    bracket's ends without an evaluation, so each root is certified by its
-    end counts.  The grids of all systems of a stack go to stacked `eigvals`
-    calls, and so does each refinement round; `meta["rounds"]` counts the
-    rounds that evaluated the system.
-    """
-    return UnitaryFamily(systems).roots(k_max, tol=tol, source=source)
-
-
 def find_roots_unitary(sys: SecularSystem, k_max: float, *, tol: float = 1e-10, source: str = "full") -> Spectrum:
     """Roots of det(I - S D(k)) on (K_MIN, k_max] for unitary S:
-    `find_roots_unitary_family` on a family of one."""
-    return find_roots_unitary_family([sys], k_max, tol=tol, source=source)[0]
+    `UnitaryFamily.roots` of a family of one."""
+    return UnitaryFamily([sys]).roots(k_max, tol=tol, source=source)[0]

@@ -14,9 +14,11 @@ the 8x8 systems of many factors in one `build_secular_systems` call;
 `quotient_system` is its one-factor case.
 
 The closed form and the real dispersion form take a scalar or an array of
-k and return what numpy returns: a numpy scalar or an array.
-`QuotientFamily` evaluates them for many factors in one array call, and
-computes the dispersion form's three sines of k once per grid part.
+k and return what numpy returns: a numpy scalar or an array.  The two differ
+by the factor -2i exp(2ik(L1+L3)), which has no zero, so the dispersion form
+is its own analytic continuation with the closed form's zeros and orders.
+`QuotientFamily` evaluates it for many factors in one array call, and
+computes its three sines of k once per grid part.
 """
 
 from __future__ import annotations
@@ -172,8 +174,9 @@ def quotient_dispersion_real(spec: QuotientSpec, k):
 
 
 class QuotientFamily:
-    """The closed forms of quotient factors of one torus, as family
-    evaluators of `locators.find_roots_real_family`.
+    """The dispersion forms of quotient factors of one torus, as a family
+    evaluator of `spectra.isospectral_classes` and
+    `locators.find_roots_real_family`.
 
     `which` indexes `specs` and broadcasts against `k`, so one array call
     evaluates any mix of factors.  The factors share L1 and L3, and so the
@@ -191,10 +194,6 @@ class QuotientFamily:
         self.l1, self.l3 = _shared_lengths(specs)
         self.alpha, self.beta = np.array([spec.coefficients for spec in specs]).T
         self._kept, self._kept_points, self._top = {}, 0, math.inf
-
-    def secular_closed(self, which, k):
-        """`quotient_secular_closed` of the factors `which` at `k`."""
-        return _closed(self.alpha[which], self.beta[which], self.l1, self.l3, k)
 
     def dispersion_real(self, which, k):
         """`quotient_dispersion_real` of the factors `which` at `k`.  The

@@ -235,17 +235,6 @@ def character_blocks(
     }
 
 
-def contract_transmissions(systems: Sequence[SecularSystem]) -> list[SecularSystem]:
-    """Each system of one size with its pure-transmission bonds contracted:
-    the same det(I - S D(k)) on fewer bonds, S still unitary and the total
-    length unchanged.  `contracted_stacks`, one system per member."""
-    out: list = [None] * len(systems)
-    for members, S, lengths in contracted_stacks(systems):
-        for m, s, l in zip(members.tolist(), S, lengths):
-            out[m] = SecularSystem(S=s, lengths=l)
-    return out
-
-
 def contracted_stacks(systems: Sequence[SecularSystem]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The systems of one size with their pure-transmission bonds contracted,
     stacked by contracted size: (members, S, lengths) per size, the sizes in

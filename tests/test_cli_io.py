@@ -514,6 +514,22 @@ def test_cli_rejects_invalid_stored_action(tmp_path, field, value):
     _assert_usage_error(_spectrum_of_doc(tmp_path, doc), "InvalidAction")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "scan"])
+@pytest.mark.parametrize("order", [0, -2])
+def test_cli_rejects_an_action_order_below_one(tmp_path, command, order):
+    # order 0 left an empty element table, and -2 indexed a missing power
+    g, a = cycle_graph(4, 1.0)
+    doc = graph_to_doc(g, action=a)
+    doc["action"]["orders"] = [order]
+    with pytest.raises(InvalidAction, match="not a positive integer"):
+        doc_to_graph(doc)
+    gpath, out = str(tmp_path / "g.json"), str(tmp_path / "out.csv")
+    with open(gpath, "w") as fh:
+        json.dump(doc, fh)
+    _assert_usage_error(CliRunner().invoke(main, [command, gpath, "-o", out]), "InvalidAction")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("damage", ["not-json", "no-vertices", "no-edges", "not-an-object"])
 def test_cli_rejects_malformed_documents(tmp_path, damage):
     g, a = cycle_graph(3, 1.0)
@@ -621,6 +637,31 @@ def test_cli_compare_rejects_malformed_csv_rows(tmp_path, row):
     with pytest.raises(UnsupportedFormat):
         load_spectrum(path)
     _assert_usage_error(CliRunner().invoke(main, ["compare", path, path]), "UnsupportedFormat")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"# k_max = 5.0\nk,lambda,order,source_label\n\xff\xfe,1.0,1,(0,0)\n",
+        b"# k_max = 5.0\nk,lambda,order,source_label\n1.0,1.0,-3,(0,0)\n",
+        b"# k_max = 5.0\nk,lambda,order,source_label\n1.0,1.0,0,(0,0)\n",
+        b"# k_max = 5.0\nk,lambda,order,source_label\nnan,nan,1,(0,0)\n",
+        b"# k_max = 5.0\nk,lambda,order,source_label\ninf,inf,1,(0,0)\n",
+        b"# k_max = 5.0\nk,lambda,order,source_label\n-1.0,1.0,1,(0,0)\n",
+    ],
+    ids=["undecodable", "negative-order", "zero-order", "nan-k", "inf-k", "negative-k"],
+)
+def test_cli_compare_rejects_unusable_csv_rows(tmp_path, content):
+    # each used to load: undecodable bytes escaped as UnicodeDecodeError, and
+    # the rest made compare report a count or an unmatched root with exit 1
+    path, good = str(tmp_path / "bad.csv"), str(tmp_path / "good.csv")
+    with open(path, "wb") as fh:
+        fh.write(content)
+    save_spectrum(good, Spectrum((SpectralRoot(1.0, 1, "(0,0)"),), 5.0))
+    with pytest.raises(UnsupportedFormat, match="line"):
+        load_spectrum(path)
+    for pair in ([path, good], [good, path]):
+        _assert_usage_error(CliRunner().invoke(main, ["compare", *pair]), "UnsupportedFormat")
 
 
 def test_cli_factors_rejects_kmax_below_grid(tmp_path):

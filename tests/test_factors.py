@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgsym import (
     QuotientFamily,
@@ -26,8 +28,8 @@ from qgsym import (
 from qgsym.cli import main
 from qgsym.errors import GridTooCoarse, NonUnitaryScattering
 from qgsym.io import load_spectrum
-from qgsym.locators import K_MIN, PHASE_EPS, eigenphase_counts
-from qgsym.spectra import MAX_BATCH_BYTES, _contour, winding_number
+from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily
+from qgsym.spectra import MAX_BATCH_BYTES, _contour, isospectral_classes, winding_number
 
 L1 = 0.5
 L3_BAND = 0.713616028647381  # an incommensurate L3 near 1/sqrt(2), as the 16x16 benchmark draws
@@ -45,15 +47,12 @@ def _run_factors(tmp_path, n1, n2, l3):
     return load_spectrum(out)
 
 
-@pytest.mark.parametrize(
-    "fn, member",
-    [(quotient_dispersion_real, "dispersion_real"), (quotient_secular_closed, "secular_closed")],
-    ids=["dispersion", "closed"],
-)
-def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn, member):
-    # one factor on scalars and arrays; and the family evaluator that
-    # `factors` builds, as the locator calls it: a (members, 1) column
-    # against a grid or circles, 1-D arrays of mixed members, and scalars
+@pytest.mark.parametrize("fn", [quotient_dispersion_real, quotient_secular_closed], ids=["dispersion", "closed"])
+def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn):
+    # one factor on scalars and arrays; and, for the dispersion form, the
+    # family evaluator that `factors` builds, as the locator calls it: a
+    # (members, 1) column against a grid or circles, 1-D arrays of mixed
+    # members, and scalars
     ks = np.linspace(0.005, 10.0, 401)
     zs = 3.1 + 0.0025 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 65))
     for specs in (all_quotient_specs(3, 4, L1, 1.0), all_quotient_specs(16, 16, L1, L3_BAND)[::37]):
@@ -62,13 +61,14 @@ def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn, member):
             assert isinstance(real, np.ndarray) and real.shape == ks.shape
             assert np.array_equal(real, [fn(spec, float(k)) for k in ks])
             assert np.array_equal(fn(spec, zs), [fn(spec, complex(z)) for z in zs])
-        family = getattr(QuotientFamily(specs), member)
-        rows = np.arange(len(specs))[:, None]
-        assert np.array_equal(family(rows, ks), [fn(spec, ks) for spec in specs])
-        assert np.array_equal(family(rows, zs), [fn(spec, zs) for spec in specs])
-        which = np.arange(len(ks)) % len(specs)
-        assert np.array_equal(family(which, ks), [fn(specs[w], float(k)) for w, k in zip(which, ks)])
-        assert all(family(w, 1.3 + 0.1j) == fn(spec, 1.3 + 0.1j) for w, spec in enumerate(specs))
+        if fn is quotient_dispersion_real:
+            family = QuotientFamily(specs).dispersion_real
+            rows = np.arange(len(specs))[:, None]
+            assert np.array_equal(family(rows, ks), [fn(spec, ks) for spec in specs])
+            assert np.array_equal(family(rows, zs), [fn(spec, zs) for spec in specs])
+            which = np.arange(len(ks)) % len(specs)
+            assert np.array_equal(family(which, ks), [fn(specs[w], float(k)) for w, k in zip(which, ks)])
+            assert all(family(w, 1.3 + 0.1j) == fn(spec, 1.3 + 0.1j) for w, spec in enumerate(specs))
     assert isinstance(fn(spec, 1.3), float if fn is quotient_dispersion_real else complex)
     assert isinstance(fn(spec, 1.3 + 0.1j), complex)
     with pytest.raises(ValueError):  # a family is the factors of one torus
@@ -130,6 +130,31 @@ def test_labels_of_one_group_share_their_closed_form(n1, n2, l3):
     assert len(first) == want == (n1 // 2 + 1) * (n2 // 2 + 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n1=st.integers(1, 16),
+    n2=st.integers(1, 16),
+    l3=st.one_of(st.sampled_from([L1, 1.0, 0.61, 0.99999, 1 / math.sqrt(2)]), st.floats(0.69, 0.72)),
+)
+@example(n1=1, n2=1, l3=0.99999)
+@example(n1=1, n2=7, l3=0.7017)
+@example(n1=4, n2=6, l3=0.61)  # orders not coprime
+@example(n1=12, n2=16, l3=1.0)
+@example(n1=4, n2=4, l3=L1)  # L1 = L3: (s, t) and (t, s) share a class
+@example(n1=16, n2=16, l3=L3_BAND)
+def test_dispersion_and_closed_forms_give_the_same_classes(n1, n2, l3):
+    # `factors` groups its labels by the dispersion form F; the closed form
+    # is F times -2i exp(2ik(L1+L3)), the same factor for every label, so the
+    # classes of the probe values are the same
+    specs = all_quotient_specs(n1, n2, L1, l3)
+    closed = lambda which, z: np.array([quotient_secular_closed(specs[w], x) for w, x in zip(which.tolist(), z.tolist())])
+    by_closed = isospectral_classes(closed, len(specs), (L1, l3), 16)
+    by_dispersion = isospectral_classes(QuotientFamily(specs).dispersion_real, len(specs), (L1, l3), 16)
+    assert by_dispersion.tolist() == by_closed.tolist()
+    if n1 == n2 >= 2 and l3 == L1:
+        assert len(set(by_closed.tolist())) < len({_group_key(spec) for spec in specs})
+
+
 @pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61), (4, 4, L1)])
 def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
     # at L1 = L3 the 4x4 torus is symmetric under swapping its cycles, and
@@ -137,10 +162,7 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
     grouped = _run_factors(tmp_path, n1, n2, l3)
     per_label = merge_spectra(
         [
-            find_roots_real(
-                lambda k: quotient_dispersion_real(spec, k), 10.0, 0.005,
-                complex_fn=lambda z: quotient_secular_closed(spec, z), source=f"({spec.s},{spec.t})",
-            )
+            find_roots_real(lambda k: quotient_dispersion_real(spec, k), 10.0, 0.005, source=f"({spec.s},{spec.t})")
             for spec in all_quotient_specs(n1, n2, L1, l3)
         ],
         tol=1e-7,
@@ -163,25 +185,21 @@ def test_factors_header_certifies_the_root_count(tmp_path, n1, n2, l3, distinct)
 
 
 def test_find_roots_real_evaluates_grid_and_circles_in_one_call_each():
-    shapes = {"f": [], "complex_fn": []}
+    shapes = []
 
     def f(which, k):
-        shapes["f"].append((np.shape(which), np.shape(k)))
+        shapes.append((np.shape(which), np.shape(k)))
         return np.sin(k + 0.5 * which)
 
-    def cf(which, z):
-        shapes["complex_fn"].append((np.shape(which), np.shape(z)))
-        return np.sin(z + 0.5 * which)
-
-    spectra = find_roots_real_family(f, 2, 10.0, 0.1, complex_fn=cf)
+    spectra = find_roots_real_family(f, 2, 10.0, 0.1)
     assert [[r.order for r in s.roots] for s in spectra] == [[1, 1, 1], [1, 1, 1]]
-    assert shapes["f"][0] == ((2, 1), (100,))  # the grid of both members in one call
-    rounds = shapes["f"][1:]
+    assert shapes[0] == ((2, 1), (100,))  # the grid of both members in one call
+    rounds = shapes[1:-1]
     assert rounds[0] == ((6,), (6,))  # the first refinement round moves all six brackets
     assert all(len(w) == 1 and w == k for w, k in rounds)  # every round on 1-D arrays, no scalar call
-    assert shapes["complex_fn"] == [((6, 1), (6, 65))]  # one order pass over both members' roots
+    assert shapes[-1] == ((6, 1), (6, 65))  # one order pass over both members' roots
     for member, s in enumerate(spectra):
-        alone = find_roots_real(lambda k: np.sin(k + 0.5 * member), 10.0, 0.1, complex_fn=lambda z: np.sin(z + 0.5 * member))
+        alone = find_roots_real(lambda k: np.sin(k + 0.5 * member), 10.0, 0.1)
         assert [(r.k, r.order) for r in s.roots] == [(r.k, r.order) for r in alone.roots]
         assert s.meta == alone.meta
 
@@ -263,13 +281,13 @@ def test_stacked_certificate_equals_one_system_at_a_time():
     mixed = [sys_ for systems in groups for sys_ in systems]
     for k in (0.5, 2.0, 4.0, 7.3, 10.0):
         want = [_one_system_count(sys_, k) for sys_ in mixed]
-        assert eigenphase_counts(mixed, k) == want
+        assert UnitaryFamily(mixed).counts(k) == want
         for systems in groups:
-            assert eigenphase_counts(systems, k) == [_one_system_count(sys_, k) for sys_ in systems]
-    assert sum(eigenphase_counts(mixed, 10.0)) > 0
+            assert UnitaryFamily(systems).counts(k) == [_one_system_count(sys_, k) for sys_ in systems]
+    assert sum(UnitaryFamily(mixed).counts(10.0)) > 0
     lossy = SecularSystem(1.1 * blocks[0].S, blocks[0].lengths)
     with pytest.raises(NonUnitaryScattering):
-        eigenphase_counts(blocks[:3] + [lossy], 5.0)
+        UnitaryFamily(blocks[:3] + [lossy]).counts(5.0)
 
 
 def test_a_grid_in_parts_computes_its_sines_once_per_part(tmp_path, monkeypatch):
@@ -288,16 +306,16 @@ def test_a_grid_in_parts_computes_its_sines_once_per_part(tmp_path, monkeypatch)
 
 
 def test_factors_call_budget(tmp_path, monkeypatch):
-    # one call of the closed forms of all 256 labels at the three probe
+    # one call of the dispersion forms of all 256 labels at the three probe
     # points groups them; the 81 distinct factors are one family: the grid
     # goes in chunks of members, each refinement round is one call, and each
     # contour pass one call per chunk of circles; the certificate counts
     # each distinct factor at K_MIN and at k_max, in stacks of at most
     # MAX_BATCH_BYTES, from one stacked assembly of their systems; the
     # grid's three sines are computed once, not once per chunk of members
-    real, closed, eigvals = QuotientFamily.dispersion_real, QuotientFamily.secular_closed, np.linalg.eigvals
+    real, eigvals = QuotientFamily.dispersion_real, np.linalg.eigvals
     sines = quotient._sines
-    real_shapes, closed_shapes, eigvals_shapes, sines_shapes = [], [], [], []
+    real_shapes, eigvals_shapes, sines_shapes = [], [], []
     monkeypatch.setattr(quotient, "_sines", lambda l1, l3, k: sines_shapes.append(np.shape(k)) or sines(l1, l3, k))
 
     def one_at_a_time(*args, **kwargs):
@@ -308,21 +326,18 @@ def test_factors_call_budget(tmp_path, monkeypatch):
         QuotientFamily, "dispersion_real",
         lambda self, which, k: real_shapes.append(np.broadcast_shapes(np.shape(which), np.shape(k))) or real(self, which, k),
     )
-    monkeypatch.setattr(
-        QuotientFamily, "secular_closed",
-        lambda self, which, k: closed_shapes.append(np.broadcast_shapes(np.shape(which), np.shape(k))) or closed(self, which, k),
-    )
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals_shapes.append(np.shape(a)) or eigvals(a))
     s = _run_factors(tmp_path, 16, 16, 0.7101)
     distinct = int(s.meta["factors"])
     assert distinct == 81
-    assert 0 < len(real_shapes) <= 100 and 0 < len(closed_shapes) <= 40
+    assert 0 < len(real_shapes) <= 140
     assert all(len(shape) >= 1 for shape in real_shapes)  # no call on a scalar float
-    assert closed_shapes[0] == (3 * 256,)
-    assert all(len(shape) == 2 and shape[1] in (65, 129) for shape in closed_shapes[1:])
-    grid_points = sum(math.prod(shape) for shape in real_shapes if len(shape) == 2)
-    assert grid_points == distinct * 2000  # the grid of 0.005 to 10, each member once
-    assert sum(len(shape) == 2 for shape in real_shapes) > 1 and sines_shapes.count((2000,)) == 1
+    assert real_shapes[0] == (3 * 256,)  # the probes
+    circles = [shape for shape in real_shapes if len(shape) == 2 and shape[1] in (65, 129)]
+    grid = [shape for shape in real_shapes if len(shape) == 2 and shape[1] not in (65, 129)]
+    assert 0 < len(circles) <= 39
+    assert sum(math.prod(shape) for shape in grid) == distinct * 2000  # the grid of 0.005 to 10, each member once
+    assert len(grid) > 1 and sines_shapes.count((2000,)) == 1
     assert all(math.prod(shape) * 16 <= MAX_BATCH_BYTES for shape in eigvals_shapes)
     assert sum(math.prod(shape[:-2]) for shape in eigvals_shapes) == 2 * distinct
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"])

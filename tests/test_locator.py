@@ -23,7 +23,6 @@ from qgsym import (
     find_roots_real,
     find_roots_real_family,
     find_roots_unitary,
-    find_roots_unitary_family,
     io,
     standard_conditions,
     torus_action,
@@ -31,7 +30,7 @@ from qgsym import (
 from qgsym.cli import main
 from qgsym.errors import GridTooCoarse
 from qgsym.quotient import torus_secular_system
-from qgsym.locators import K_MIN, _eigenphase_steps, _eigenphases, eigenphase_counts
+from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases
 from qgsym.spectra import MAX_BATCH_BYTES, _grid_cells, _refine_steps
 
 TOL = 1e-10
@@ -161,7 +160,7 @@ def test_roots_on_grid_points_and_at_multiples_of_pi_over_4():
         got, evaluations = jumps[0], len(ks) + int(refined[0])
         want = _bisect(count_at, ks, levels, TOL)
         _assert_same_jumps(got, want)
-        assert sum(n for _, n in got) == eigenphase_counts([sys_], ks[-1])[0]
+        assert sum(n for _, n in got) == UnitaryFamily([sys_]).counts(ks[-1])[0]
         assert evaluations == len(ks) + len(calls) <= len(ks) + _eval_bound(math.pi / 8) * len(want)
         for k, _ in got:
             j = round(k / (math.pi / 8))
@@ -198,7 +197,7 @@ def test_real_refinement_equals_sign_bisection(amps, freqs, phases, offset):
 
     grid_step, k_max = 0.01, 10.0
     try:
-        s = find_roots_real(f, k_max, grid_step, TOL, complex_fn=f)
+        s = find_roots_real(f, k_max, grid_step, TOL)
     except GridTooCoarse:
         assume(False)  # two crossings in one cell: refused, not located
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
@@ -231,16 +230,16 @@ def test_a_real_family_equals_its_members_run_alone(members, grid_step):
     alone = []
     for m in range(len(members)):
         try:
-            alone.append(find_roots_real(lambda k: f(m, k), 10.0, grid_step, TOL, complex_fn=lambda z: f(m, z)))
+            alone.append(find_roots_real(lambda k: f(m, k), 10.0, grid_step, TOL))
         except GridTooCoarse as exc:
             alone.append(exc)
     refused = [s for s in alone if isinstance(s, GridTooCoarse)]
     if refused:
         # the first refused member's refusal, as if they ran one after another
         with pytest.raises(GridTooCoarse, match=re.escape(str(refused[0]))):
-            find_roots_real_family(f, len(members), 10.0, grid_step, TOL, complex_fn=f)
+            find_roots_real_family(f, len(members), 10.0, grid_step, TOL)
         return
-    family = find_roots_real_family(f, len(members), 10.0, grid_step, TOL, complex_fn=f)
+    family = find_roots_real_family(f, len(members), 10.0, grid_step, TOL)
     for got, want in zip(family, alone):
         assert [(r.k, r.order) for r in got.roots] == [(r.k, r.order) for r in want.roots]
         assert got.meta == want.meta
@@ -253,10 +252,10 @@ def test_a_real_family_raises_the_refusal_of_its_first_refused_member():
     centers, depths = np.array([5.0, 7.03, 3.03]), np.array([1.0, 1e-4, 1e-4])
     f = lambda which, k: (k - centers[which]) ** 2 - depths[which]
     with pytest.raises(GridTooCoarse) as alone:
-        find_roots_real(lambda k: f(1, k), 10.0, 0.1, TOL, complex_fn=lambda z: f(1, z))
+        find_roots_real(lambda k: f(1, k), 10.0, 0.1, TOL)
     assert "two sign changes near k=7.0" in str(alone.value)
     with pytest.raises(GridTooCoarse, match=re.escape(str(alone.value))):
-        find_roots_real_family(f, 3, 10.0, 0.1, TOL, complex_fn=f)
+        find_roots_real_family(f, 3, 10.0, 0.1, TOL)
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -272,7 +271,7 @@ def test_a_unitary_family_equals_its_members_run_alone(blocks):
     # character blocks of tori are all 8x8, contracted to 4x4; lengths
     # differ between tori, so the members' cells and grids differ
     systems = [_block(*b) for b in blocks]
-    family = find_roots_unitary_family(systems, 6.0, tol=TOL)
+    family = UnitaryFamily(systems).roots(6.0, tol=TOL)
     for got, sys_ in zip(family, systems):
         want = find_roots_unitary(sys_, 6.0, tol=TOL)
         assert [(r.k, r.order) for r in got.roots] == [(r.k, r.order) for r in want.roots]
@@ -285,7 +284,7 @@ def test_real_root_on_a_grid_point_takes_one_step():
     # f = 0.0 exactly at the grid point 0.5 brackets the root with a value of
     # exactly 0 at an end: regula falsi closes it, no bisection
     f = lambda k: k - 0.5
-    s = find_roots_real(f, 1.0, 0.1, TOL, complex_fn=f)
+    s = find_roots_real(f, 1.0, 0.1, TOL)
     assert [r.order for r in s.roots] == [1]
     assert abs(s.roots[0].k - 0.5) < TOL
     assert s.meta["evaluations"] == 10 + 1
@@ -308,7 +307,7 @@ def test_spectrum_header_counts_evaluations(tmp_path):
     s = io.load_spectrum(str(out))
     assert int(s.meta["blocks"]) == 12
     assert int(s.meta["evaluations"]) <= 450
-    assert s.count() == sum(eigenphase_counts(list(blocks.values()), 10.0))
+    assert s.count() == sum(UnitaryFamily(list(blocks.values())).counts(10.0))
 
 
 def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
@@ -355,7 +354,7 @@ def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
 def test_real_locator_ends_at_a_tol_below_the_float_spacing():
     # near pi the floats are 4.4e-16 apart, so no bracket is ever narrower
     # than 1e-300; one with no float strictly inside it is closed instead
-    s = find_roots_real(np.sin, 10.0, 0.1, 1e-300, complex_fn=np.sin)
+    s = find_roots_real(np.sin, 10.0, 0.1, 1e-300)
     assert [r.order for r in s.roots] == [1, 1, 1]
     assert s.ks() == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)
 

@@ -14,7 +14,6 @@ from qgsym import (
     find_roots_unitary,
     merge_spectra,
     quotient_dispersion_real,
-    quotient_secular_closed,
     quotient_system,
     standard_conditions,
     winding_number,
@@ -24,7 +23,7 @@ from qgsym.spectra import SpectralRoot
 
 
 def test_find_roots_real_simple_sine():
-    s = find_roots_real(np.sin, 10.0, 0.1, complex_fn=np.sin)
+    s = find_roots_real(np.sin, 10.0, 0.1)
     want = [math.pi, 2 * math.pi, 3 * math.pi]
     assert len(s.roots) == 3
     for r, w in zip(s.roots, want):
@@ -34,8 +33,7 @@ def test_find_roots_real_simple_sine():
 
 def test_find_roots_real_touching_root():
     f = lambda k: 1.0 - np.cos(k)  # double zeros at 2*pi*m, no sign change
-    cf = lambda z: 1.0 - np.cos(z)
-    s = find_roots_real(f, 14.0, 0.1, complex_fn=cf)
+    s = find_roots_real(f, 14.0, 0.1)
     assert [r.order for r in s.roots] == [2, 2]
     assert s.roots[0].k == pytest.approx(2 * math.pi, abs=1e-8)
     assert s.roots[1].k == pytest.approx(4 * math.pi, abs=1e-8)
@@ -52,9 +50,9 @@ def test_find_roots_real_touching_root():
     ids=["near-real-pair", "order-2", "order-4", "touch-next-to-sign-root"],
 )
 def test_touching_roots_are_placed_on_the_zero_sum(f, want):
-    # the polynomials are their own continuations; a pair of zeros 1e-3 off
-    # the real axis leaves |f| above TOL_TOUCH at their mean, so it is no root
-    s = find_roots_real(f, 10.0, 0.1, complex_fn=f)
+    # a pair of zeros 1e-3 off the real axis leaves |f| above TOL_TOUCH at
+    # their mean, so it is no root
+    s = find_roots_real(f, 10.0, 0.1)
     assert [r.order for r in s.roots] == [o for _, o in want]
     for r, (k, _) in zip(s.roots, want):
         assert r.k == pytest.approx(k, abs=1e-10)
@@ -64,20 +62,17 @@ def test_grid_too_coarse_on_hidden_double_crossing():
     # two near-coincident simple roots dipping just below zero inside one cell
     f = lambda k: (k - 5.05) ** 2 - 1e-6
     with pytest.raises(GridTooCoarse):
-        find_roots_real(f, 10.0, 0.1, complex_fn=f)
+        find_roots_real(f, 10.0, 0.1)
 
 
 def test_multiple_roots_are_recentred_to_tol():
     # the 3x4 torus at L1 = 0.5, L3 = 1 has triple roots at m*pi in the
-    # factors (0,0) and (0,2), at the CLI's grid and with the closed form
+    # factors (0,0) and (0,2), at the CLI's grid
     specs = {(sp.s, sp.t): sp for sp in all_quotient_specs(3, 4, 0.5, 1.0)}
     triples = []
     for key in [(0, 0), (0, 2)]:
         spec = specs[key]
-        s = find_roots_real(
-            lambda k: quotient_dispersion_real(spec, k), 10.0, 0.005,
-            complex_fn=lambda z: quotient_secular_closed(spec, z),
-        )
+        s = find_roots_real(lambda k: quotient_dispersion_real(spec, k), 10.0, 0.005)
         triples += [r.k for r in s.roots if r.order == 3]
     assert len(triples) == 3
     for k in triples:
@@ -147,28 +142,28 @@ def test_weyl_count_sanity():
 
 
 def test_roots_exclude_zero_and_respect_kmax():
-    s = find_roots_real(np.sin, 2 * math.pi, 0.1, complex_fn=np.sin)
+    s = find_roots_real(np.sin, 2 * math.pi, 0.1)
     assert all(r.k > 0 for r in s.roots)
     assert all(r.k <= 2 * math.pi + 1e-9 for r in s.roots)
     assert len(s.roots) == 2
 
 
 @pytest.mark.parametrize(
-    "f, cf, order",
+    "f, order",
     [
-        (lambda k: k - 0.5, lambda z: z - 0.5, 1),
-        (lambda k: 0.5 - k, lambda z: 0.5 - z, 1),
-        (lambda k: (k - 0.5) ** 2, lambda z: (z - 0.5) ** 2, 2),
-        (lambda k: -((k - 0.5) ** 2), lambda z: -((z - 0.5) ** 2), 2),
-        (lambda k: (k - 0.5) ** 3, lambda z: (z - 0.5) ** 3, 3),
+        (lambda k: k - 0.5, 1),
+        (lambda k: 0.5 - k, 1),
+        (lambda k: (k - 0.5) ** 2, 2),
+        (lambda k: -((k - 0.5) ** 2), 2),
+        (lambda k: (k - 0.5) ** 3, 3),
     ],
     ids=["winding-rising", "winding-falling", "winding-touch-above", "winding-touch-below", "winding-triple"],
 )
-def test_root_on_an_exact_grid_point(f, cf, order):
+def test_root_on_an_exact_grid_point(f, order):
     # a grid value of exactly 0.0 takes the sign of the point before it, so a
     # crossing is bisected once and a touch is left to the touching-root scan
     assert 0.5 in np.arange(0.1, 1.0 + 0.05, 0.1)
-    s = find_roots_real(f, 1.0, 0.1, complex_fn=cf)
+    s = find_roots_real(f, 1.0, 0.1)
     assert len(s.roots) == 1
     assert s.roots[0].k == pytest.approx(0.5, abs=1e-10)
     assert s.roots[0].order == order
@@ -179,10 +174,7 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
     # dispersion roots equal the eigenphase roots of its 8x8 secular system
     for n1, n2, l3 in [(3, 4, 1 / math.sqrt(2)), (4, 6, 0.61)]:
         for spec in all_quotient_specs(n1, n2, 0.5, l3):
-            real = find_roots_real(
-                lambda k: quotient_dispersion_real(spec, k), 6.0, 0.005,
-                complex_fn=lambda z: quotient_secular_closed(spec, z),
-            )
+            real = find_roots_real(lambda k: quotient_dispersion_real(spec, k), 6.0, 0.005)
             unitary = find_roots_unitary(quotient_system(spec), 6.0)
             res = compare_spectra(real, unitary, tol=1e-8)
             assert res.isospectral, ((spec.s, spec.t), res)
@@ -192,6 +184,6 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
 @pytest.mark.parametrize("root", [0.1, 1.0], ids=["first-point", "last-point"])
 def test_root_on_an_end_of_the_grid(root):
     for f in (lambda k: k - root, lambda k: root - k):
-        s = find_roots_real(f, 1.0, 0.1, complex_fn=f)
+        s = find_roots_real(f, 1.0, 0.1)
         assert [r.order for r in s.roots] == [1]
         assert s.roots[0].k == pytest.approx(root, abs=1e-10)
