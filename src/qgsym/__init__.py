@@ -65,6 +65,7 @@ from .locators import (
     find_roots_real,
     find_roots_real_family,
     find_roots_unitary,
+    UnitaryFamily,
 )
 from .decompose import (
     SampledFunction,

@@ -141,28 +141,16 @@ def _header_value(text: str):
         return text
 
 
-def _numbered_lines(fh: TextIO):
-    """(number, line) of each line of `fh`, from 1; text that cannot be
-    decoded raises `UnsupportedFormat` with the last line read before it."""
-    lineno = 0
-    try:
-        for lineno, line in enumerate(fh, 1):
-            yield lineno, line
-    except UnicodeDecodeError as exc:
-        raise UnsupportedFormat(f"spectrum CSV after line {lineno}: undecodable text: {exc}") from exc
-
-
 def read_spectrum_csv(fh: TextIO) -> Spectrum:
-    """Spectrum of a CSV; text that is not in the file's encoding, or a row
-    without four fields, a finite positive k and an order of at least 1, is
-    rejected with the line it is on or after.
+    """Spectrum of a CSV; a row without four fields, a finite positive k and
+    an order of at least 1 is rejected with the line it is on.
 
     The header's values go to `meta`, all but `k_max`, so that writing the
     spectrum again gives the same file."""
     meta: dict = {}
     roots = []
     header_seen = False
-    for lineno, line in _numbered_lines(fh):
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
             continue
@@ -191,4 +179,7 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
 
 def load_spectrum(path: str) -> Spectrum:
     with open(path) as fh:
-        return read_spectrum_csv(fh)
+        try:
+            return read_spectrum_csv(fh)
+        except UnicodeDecodeError as exc:
+            raise UnsupportedFormat(f"spectrum CSV line ?: undecodable text: {exc}") from exc

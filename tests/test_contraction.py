@@ -66,16 +66,6 @@ def _system(kind, n1, n2, l1, l3, pick):
         return _blocks(*cycle_product(n1, n2, 2 * l3, 2 * l1), pick)
 
 
-def _contracted(systems):
-    """Each system with its pure-transmission bonds contracted, one per
-    member, unstacked from `contracted_stacks`."""
-    out = [None] * len(systems)
-    for members, S, lengths in contracted_stacks(systems):
-        for m, s, l in zip(members.tolist(), S, lengths):
-            out[m] = SecularSystem(S=s, lengths=l)
-    return out
-
-
 def _full_size_count(sys_, k):
     """N(k) of `sys_` at its full size."""
     return int(_eigenphase_steps(sys_.S[None], sys_.lengths[None], np.zeros(2, dtype=int), np.array([K_MIN, k]))[1][1])
@@ -95,11 +85,13 @@ def _full_size_count(sys_, k):
 @example(kind="circulant", n1=3, n2=1, l1=0.5, l3=0.7, pick=1)  # degree 3, nothing to contract
 def test_contraction_keeps_the_determinant_counts_and_spectrum(kind, n1, n2, l1, l3, pick):
     sys_ = _system(kind, n1, n2, l1, l3, pick)
-    (small,) = _contracted([sys_])
+    ((_, S, lengths),) = contracted_stacks([sys_])
+    small = SecularSystem(S[0], lengths[0])
     assert small.size <= sys_.size
     assert small.lengths.sum() == pytest.approx(sys_.lengths.sum(), rel=1e-14)
     assert small.unitarity_defect() <= 1e-12
-    assert _contracted([small])[0].size == small.size
+    ((_, again, _),) = contracted_stacks([small])
+    assert again.shape[-1] == small.size
     for z in (*(PROBES / sys_.lengths.max()), 2.7 + 0.4j, 7.1 + 0.05j):
         assert abs(secular_det(small, z) - secular_det(sys_, z)) <= 1e-12 * abs(secular_det(sys_, z))
     for k in (1.3, K_MAX):
@@ -118,7 +110,8 @@ def test_a_unit_entry_beside_a_small_one_stays():
     # in row 0, so bond 1 is not dropped; bond 2 only passes bond 1 on
     S = np.array([[1e-6, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
     sys_ = SecularSystem(S, np.array([0.5, 0.7, 1.1]))
-    (small,) = _contracted([sys_])
+    ((_, S_small, lengths),) = contracted_stacks([sys_])
+    small = SecularSystem(S_small[0], lengths[0])
     assert small.size == 2 and small.lengths.tolist() == [0.5, 1.8]
     for z in (0.3 + 0.2j, 2.9 + 0.7j):
         assert abs(secular_det(small, z) - secular_det(sys_, z)) <= 1e-12 * abs(secular_det(sys_, z))
@@ -131,7 +124,8 @@ def test_a_mixed_pattern_family_equals_its_members_run_alone():
     torus = [_system("torus block", 3, 4, 0.5, 1.0, pick) for pick in (5, 0)]
     systems = [torus[0], _blocks(g, action, 2), torus[1]]
     assert [s.size for s in systems] == [8, 8, 8]
-    assert [s.size for s in _contracted(systems)] == [4, 8, 4]
+    stacks = contracted_stacks(systems)
+    assert [(members.tolist(), S.shape[-1]) for members, S, _ in stacks] == [([0, 2], 4), ([1], 8)]
     family = UnitaryFamily(systems).roots(K_MAX, tol=TOL)
     for got, sys_ in zip(family, systems):
         want = find_roots_unitary(sys_, K_MAX, tol=TOL)
