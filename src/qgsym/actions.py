@@ -2,9 +2,13 @@
 
 An action is stored per generator as a vertex permutation, an edge
 permutation, and per-edge orientation flags (True when the generator reverses
-the parameterization of that edge).  The acting group is a product of cyclic
-factors with commuting generators, so every element's maps are read from one
-element table built from the generators' powers.
+the parameterization of that edge).  To compute, a generator is one
+permutation of the V vertices followed by the 2E bonds, bond 2e + d going to
+2e' + (d ^ flip), so composing maps is plain indexing.  The acting group is a
+product of cyclic factors with commuting generators.  `GraphAction.orbits`
+keeps the lowest point of each orbit and its images under every element,
+swept by each generator's powers in turn: the data of the quotient graph,
+with no map of every element built.
 """
 
 from __future__ import annotations
@@ -19,10 +23,6 @@ import numpy as np
 
 from .graphs import MetricGraph, subdivide_midpoints
 
-# (vertex images, edge images, edge flips), each with the vertex or edge
-# index on the last axis
-Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 @dataclass(frozen=True)
 class GeneratorMaps:
@@ -34,25 +34,23 @@ class GeneratorMaps:
     def from_arrays(cls, vertex, edge, flip) -> "GeneratorMaps":
         return cls(tuple(vertex.tolist()), tuple(edge.tolist()), tuple(flip.tolist()))
 
-    def arrays(self) -> Arrays:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         vertex, edge = (np.asarray(p, dtype=np.intp) for p in (self.vertex_perm, self.edge_perm))
         return vertex, edge, np.asarray(self.edge_flip, dtype=bool)
 
+    def points(self) -> np.ndarray:
+        """The map as one permutation of the vertices followed by the bonds."""
+        vertex, edge, flip = self.arrays()
+        bonds = 2 * np.repeat(edge, 2) + (np.arange(2 * len(edge)) & 1 ^ np.repeat(flip, 2))
+        return np.concatenate([vertex, len(vertex) + bonds])
 
-def _identity(gen: GeneratorMaps) -> Arrays:
-    """Identity maps on the vertices and edges that `gen` acts on."""
-    ne = len(gen.edge_perm)
-    return np.arange(len(gen.vertex_perm)), np.arange(ne), np.zeros(ne, dtype=bool)
 
-
-def _then(first: Arrays, second: Arrays) -> Arrays:
-    """Maps of 'apply first, then second', broadcast over the leading axes."""
-    (v1, e1, f1), (v2, e2, f2) = first, second
-    return (
-        np.take_along_axis(v2, v1, axis=-1),
-        np.take_along_axis(e2, e1, axis=-1),
-        f1 ^ np.take_along_axis(f2, e1, axis=-1),
-    )
+def _power(p: np.ndarray, n: int) -> np.ndarray:
+    """The permutation p applied n times, by repeated squaring."""
+    out = np.arange(len(p))
+    while n:
+        out, p, n = (p[out] if n & 1 else out), p[p], n >> 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,34 +71,42 @@ class GraphAction:
     def elements(self) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(*(range(n) for n in self.orders))
 
-    def index(self, element: tuple[int, ...]) -> int:
-        """Row of `element`, reduced mod the orders, in `table`."""
-        return int(np.ravel_multi_index(element, self.orders, mode="wrap"))
+    @cached_property
+    def _points(self) -> tuple[np.ndarray, ...]:
+        return tuple(gen.points() for gen in self.generators)
 
     @cached_property
-    def _powers(self) -> tuple[Arrays, ...]:
-        """Powers 0..n of each generator of order n, stacked on a leading axis."""
-        out = []
-        for gen, n in zip(self.generators, self.orders):
-            rows, step = [_identity(gen)], gen.arrays()
-            for _ in range(n):
-                rows.append(_then(rows[-1], step))
-            out.append(tuple(np.stack(x) for x in zip(*rows)))
-        return tuple(out)
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, images): the lowest point of each orbit, ascending, and its
+        image under every element, shape (|G|, R) in `elements()` order.  Each
+        point takes the lowest label of its images under the generators until
+        none changes; each generator's powers carry the images one factor on."""
+        points, low, last = self._points, np.arange(len(self._points[0])), None
+        while not np.array_equal(low, last):
+            last = low
+            for p in points:
+                low = np.minimum(low, low[p])
+        reps = np.flatnonzero(low == np.arange(len(low)))
+        images = reps[None]
+        for p, n in zip(points, self.orders):
+            rows = [images]
+            for _ in range(n - 1):
+                rows.append(p[rows[-1]])
+            images = np.stack(rows, axis=1).reshape(len(images) * n, len(reps))
+        return reps, images
 
-    @cached_property
-    def table(self) -> Arrays:
-        """Maps of every element, one row each in `elements()` order."""
-        first = self.generators[0] if self.generators else GeneratorMaps((), (), ())
-        table = tuple(x[None] for x in _identity(first))
-        for powers, n in zip(self._powers, self.orders):
-            step = _then(tuple(x[:, None] for x in table), tuple(x[None, :n] for x in powers))
-            table = tuple(x.reshape(x.shape[0] * n, x.shape[-1]) for x in step)
-        return table
+    def bond_orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """`orbits` of the bonds alone, in bond numbers: bond b is point V + b."""
+        (reps, images), nv = self.orbits, len(self.generators[0].vertex_perm)
+        return reps[reps >= nv] - nv, images[:, reps >= nv] - nv
 
     def maps(self, element: tuple[int, ...]) -> GeneratorMaps:
-        row = self.index(element)
-        return GeneratorMaps.from_arrays(*(x[row] for x in self.table))
+        """The maps of `element`, each entry reduced mod its order."""
+        nv, image = len(self.generators[0].vertex_perm), np.arange(len(self._points[0]))
+        for p, n, power in zip(self._points, self.orders, element):
+            image = _power(p, power % n)[image]
+        bonds = image[nv::2] - nv
+        return GeneratorMaps.from_arrays(image[:nv], bonds >> 1, (bonds & 1).astype(bool))
 
 
 @dataclass(frozen=True)
@@ -111,15 +117,17 @@ class ActionReport:
 
 
 def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
-    """Exhaustively check the group-action axioms on a finite graph.
+    """Check the group-action axioms on a finite graph.
 
     Continuity, discreteness and co-compactness hold automatically for
     finite graphs and are reported as vacuous.  The group law needs one
     positive integer order per generator, commuting generators, and each
-    generator to the power of its order equal to the identity.
-    Faithfulness is checked combinatorially: no nonidentity element may fix
-    a vertex, fix an edge orientation-preservingly (fixes every interior
-    point), or fix an edge with reversed orientation (fixes the midpoint).
+    generator to the power of its order equal to the identity; with it,
+    generators that preserve adjacency and lengths make every element do so.
+    Faithfulness, checked only where the group law holds, is combinatorial:
+    no nonidentity element may fix a vertex, fix an edge
+    orientation-preservingly (fixes every interior point), or fix an edge
+    with reversed orientation (fixes the midpoint).
     """
     violations: list[tuple[str, str]] = []
     nv, ne = g.n_vertices, g.n_edges
@@ -140,18 +148,18 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
             violations.append(("group_law", f"generator {i} has order {n!r}, not a positive integer"))
 
     if not violations:
-        for i, (powers, n) in enumerate(zip(a._powers, a.orders)):
-            if not all(np.array_equal(x[n], x[0]) for x in powers):
+        for i, (p, n) in enumerate(zip(a._points, a.orders)):
+            if not np.array_equal(_power(p, n), np.arange(len(p))):
                 violations.append(("group_law", f"generator {i} to the power {n} is not the identity"))
-        gens = [gen.arrays() for gen in a.generators]
-        for i, j in itertools.combinations(range(len(gens)), 2):
-            if not all(map(np.array_equal, _then(gens[i], gens[j]), _then(gens[j], gens[i]))):
+        for (i, p), (j, q) in itertools.combinations(enumerate(a._points), 2):
+            if not np.array_equal(p[q], q[p]):
                 violations.append(("group_law", f"generators {i} and {j} do not commute"))
+        group_law = not violations
 
         # structure preservation: endpoints and lengths
         ends = np.array([(e.u, e.v) for e in g.edges], dtype=np.intp).reshape(ne, 2)
         length = g.edge_lengths()
-        for i, (vp, ep, fl) in enumerate(gens):
+        for i, (vp, ep, fl) in enumerate(gen.arrays() for gen in a.generators):
             mapped, expected = vp[ends], np.where(fl[:, None], ends[ep, ::-1], ends[ep])
             bad_ends = (mapped != expected).any(axis=1)
             bad_length = np.abs(length[ep] - length) > 1e-12 * np.maximum(1.0, length)
@@ -162,18 +170,20 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
                 if bad_length[e]:
                     violations.append(("length", f"generator {i}, edge {e}: length {length[e]} maps to {length[ep[e]]}"))
 
-        # faithfulness over the whole group; row 0 is the identity
-        vp, ep, fl = a.table
-        fixes_vertex = vp[1:] == np.arange(nv)
-        fixes_edge = ep[1:] == np.arange(ne)
-        elements = list(a.elements())[1:]
-        for r in np.flatnonzero(fixes_vertex.any(axis=1) | fixes_edge.any(axis=1)).tolist():
-            if fixes_vertex[r].any():
-                violations.append(("faithfulness", f"element {elements[r]} fixes vertex {int(fixes_vertex[r].argmax())}"))
-            else:
-                e = int(fixes_edge[r].argmax())
-                what = "midpoint of" if fl[r + 1, e] else "every point of"
-                violations.append(("faithfulness", f"element {elements[r]} fixes {what} edge {e}"))
+        # faithfulness on the orbit representatives, whose stabilisers are those
+        # of their whole orbits (row 0 is the identity); a flipped edge is fixed
+        if group_law:
+            reps, images = a.orbits
+            cell = lambda x: np.where(x < nv, x, (x + nv) >> 1)  # bond 2e + d of edge e -> nv + e
+            fixes = cell(images[1:]) == cell(reps)
+            elements = list(a.elements())[1:]
+            for r in np.flatnonzero(fixes.any(axis=1)).tolist():
+                i = int(fixes[r].argmax())  # the lowest vertex fixed, else the lowest edge
+                if reps[i] < nv:
+                    violations.append(("faithfulness", f"element {elements[r]} fixes vertex {reps[i]}"))
+                else:
+                    what = "midpoint of" if images[r + 1, i] != reps[i] else "every point of"
+                    violations.append(("faithfulness", f"element {elements[r]} fixes {what} edge {(reps[i] - nv) >> 1}"))
 
     return ActionReport(
         valid=not violations,

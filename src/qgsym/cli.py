@@ -233,7 +233,10 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 @handle_errors
 def compare_cmd(spectrum_a, spectrum_b, tol):
-    """Compare two spectrum CSV files."""
+    """Compare two spectrum CSV files.
+
+    Roots are compared over each file's whole k_max, not up to the smaller
+    one: a root that one file has above the other's k_max is unmatched."""
     require_positive(tol=tol)
     a = io.load_spectrum(spectrum_a)
     b = io.load_spectrum(spectrum_b)

@@ -58,8 +58,8 @@ def l2_inner(f: SampledFunction, g: SampledFunction) -> complex:
 
 def pull_back(f: SampledFunction, a: GraphAction, element) -> SampledFunction:
     """(pull_back f)|_e = f|_{g.e}, samples reversed where g flips the edge."""
-    row = a.index(tuple(element))
-    out, flip = f.values[a.table[1][row]], a.table[2][row]
+    _, edge, flip = a.maps(element).arrays()
+    out = f.values[edge]
     out[flip] = out[flip, ::-1]
     return SampledFunction(f.graph, out)
 
@@ -72,12 +72,12 @@ def project(f: SampledFunction, a: GraphAction, irrep) -> SampledFunction:
     f|_{g.e} = irrep(g)^-1 f|_e reversed where g flips e, which holds
     exactly for any action, edge stabilisers included.
     """
-    _, edge, flip = a.table
+    reps, bonds = a.bond_orbits()
+    bonds = bonds[:, reps % 2 == 0]  # an edge orbit's lowest edge e is represented by its bond 2e
+    images, flips = bonds >> 1, bonds & 1
     chars = np.array([irrep.value(element) for element in a.elements()])
-    reps = np.unique(edge.min(axis=0))
-    images, flips = edge[:, reps], flip[:, reps]
     both = np.stack([f.values, f.values[:, ::-1]])
-    on_reps = np.tensordot(chars, both[flips.astype(np.intp), images], axes=1) / len(chars)
+    on_reps = np.tensordot(chars, both[flips, images], axes=1) / len(chars)
     carried = on_reps / chars[:, None, None]
     out = np.empty_like(f.values)
     out[images] = np.where(flips[..., None], carried[..., ::-1], carried)

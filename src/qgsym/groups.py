@@ -72,8 +72,3 @@ class Irrep:
     def value(self, element: tuple[int, ...]) -> complex:
         values = (irrep_value(n, s, k) for n, s, k in zip(self.orders, self.labels, element))
         return functools.reduce(operator.mul, values)
-
-
-def ProductIrrep(n1: int, n2: int, s: int, t: int) -> Irrep:
-    """The irrep (s, t) of G_n1 x G_n2, in the two-factor call form."""
-    return Irrep((n1, n2), (s, t))

@@ -143,13 +143,16 @@ def _header_value(text: str):
 
 def read_spectrum_csv(fh: TextIO) -> Spectrum:
     """Spectrum of a CSV; a row without four fields, a finite positive k and
-    an order of at least 1 is rejected with the line it is on.
+    an order of at least 1 is rejected with the line it is on, and so is a
+    `k_max` that is not finite and positive or lies below a row's k by more
+    than the header's `tol` (a located root may sit that far above k_max).
 
     The header's values go to `meta`, all but `k_max`, so that writing the
-    spectrum again gives the same file."""
+    spectrum again gives the same file; k_max defaults to the largest k."""
     meta: dict = {}
     roots = []
     header_seen = False
+    k_max_line = ""
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
@@ -158,6 +161,8 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
             if "=" in line:
                 key, _, val = line[1:].partition("=")
                 meta[key.strip()] = _header_value(val.strip())
+                if key.strip() == "k_max":
+                    k_max_line = f"line {lineno} {line!r}"
             continue
         if not header_seen:
             header_seen = True  # column header row
@@ -170,11 +175,14 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
         if not (0.0 < root.k < math.inf and root.order >= 1):
             raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: k must be finite and positive, the order at least 1")
         roots.append(root)
-    try:
-        k_max = float(meta.pop("k_max", roots[-1].k if roots else 0.0))
-    except (TypeError, ValueError) as exc:
-        raise UnsupportedFormat(f"spectrum CSV k_max: {exc}") from exc
-    return Spectrum(tuple(roots), k_max, meta)
+    top = max((root.k for root in roots), default=0.0)
+    if "k_max" not in meta:
+        return Spectrum(tuple(roots), top, meta)
+    k_max, tol = meta.pop("k_max"), meta.get("tol")
+    slack = tol if isinstance(tol, float) else 0.0
+    if not (isinstance(k_max, (int, float)) and 0.0 < k_max < math.inf and top <= k_max + slack):
+        raise UnsupportedFormat(f"spectrum CSV {k_max_line}: k_max must be finite, positive and not below a row's k")
+    return Spectrum(tuple(roots), float(k_max), meta)
 
 
 def load_spectrum(path: str) -> Spectrum:

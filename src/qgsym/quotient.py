@@ -117,7 +117,7 @@ def quotient_graph(spec: QuotientSpec) -> tuple[MetricGraph, list]:
     return _template(spec.l1, spec.l3), _conditions(spec)
 
 
-def quotient_systems(specs: Sequence[QuotientSpec], flipped_edges=()) -> list[SecularSystem]:
+def quotient_systems(specs: Sequence[QuotientSpec]) -> list[SecularSystem]:
     """The 8x8 secular systems of factors of one torus, one per spec: their
     quotient graph is built once and `build_secular_systems` assembles every
     factor's gluing phases together."""
@@ -125,12 +125,12 @@ def quotient_systems(specs: Sequence[QuotientSpec], flipped_edges=()) -> list[Se
     if not specs:
         return []
     graph = _template(*_shared_lengths(specs))
-    return build_secular_systems(graph, [_conditions(spec) for spec in specs], flipped_edges=flipped_edges)
+    return build_secular_systems(graph, [_conditions(spec) for spec in specs])
 
 
-def quotient_system(spec: QuotientSpec, flipped_edges=()) -> SecularSystem:
+def quotient_system(spec: QuotientSpec) -> SecularSystem:
     """`quotient_systems` of one factor."""
-    return quotient_systems([spec], flipped_edges=flipped_edges)[0]
+    return quotient_systems([spec])[0]
 
 
 def _closed(alpha, beta, l1, l3, k):

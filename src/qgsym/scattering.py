@@ -105,21 +105,18 @@ def _scattering_rows(
     g: MetricGraph,
     condition_sets: Iterable[Iterable[Condition]],
     rows: np.ndarray,
-    flipped_edges: Iterable[int] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows `rows` of the bond scattering matrix under each set of
     conditions, stacked as (sets, rows, bonds), and every bond's length.
 
-    The bond table is one origin per bond; bond b ends where bond b ^ 1
-    starts.  A vertex's scattering matrix fills the block S[out, out ^ 1],
+    Each bond has one origin, and bond b ends where bond b ^ 1 starts.
+    A vertex's scattering matrix fills the block S[out, out ^ 1],
     rows the bonds leaving it in ascending order and columns their
     reversals, the bonds arriving; only the rows listed in `rows` are kept,
     in that order, so the matrix is built only where one of them leaves, and
     at every vertex where some set's condition is not `Standard`, to check
     it.  Each vertex's matrix is built once per distinct condition there and
-    written into every set in one assignment.  `flipped_edges` reverses the
-    orientation convention of the listed edges (bond 2e then runs
-    head-to-tail).
+    written into every set in one assignment.
     """
     vertices, by_vertex = set(range(g.n_vertices)), []
     for conditions in condition_sets:
@@ -132,13 +129,11 @@ def _scattering_rows(
             raise UnsupportedCondition(f"conditions for vertices {stray} outside the graph")
         by_vertex.append(cond_by_vertex)
 
-    flipped = set(flipped_edges)
     nb = 2 * g.n_edges
     origin = np.empty(nb, dtype=int)
     lengths = np.empty(nb, dtype=float)
     for e in g.edges:
-        u, v = (e.v, e.u) if e.id in flipped else (e.u, e.v)
-        origin[2 * e.id], origin[2 * e.id + 1] = u, v
+        origin[2 * e.id], origin[2 * e.id + 1] = e.u, e.v
         lengths[2 * e.id] = lengths[2 * e.id + 1] = e.length
     by_origin = np.argsort(origin, kind="stable")
     start = np.searchsorted(origin[by_origin], np.arange(g.n_vertices + 1))
@@ -158,29 +153,17 @@ def _scattering_rows(
     return S, lengths
 
 
-def build_secular_systems(
-    g: MetricGraph,
-    condition_sets: Iterable[Iterable[Condition]],
-    flipped_edges: Iterable[int] = (),
-) -> list[SecularSystem]:
+def build_secular_systems(g: MetricGraph, condition_sets: Iterable[Iterable[Condition]]) -> list[SecularSystem]:
     """The dense bond scattering matrix of one graph under each set of
     per-vertex conditions, all assembled together: one system per set,
-    each S a view of one stacked array, all sharing the lengths.
-
-    The secular determinant is invariant under the re-assembly that
-    `flipped_edges` asks for (see `_scattering_rows`).
-    """
-    S, lengths = _scattering_rows(g, condition_sets, np.arange(2 * g.n_edges), flipped_edges)
+    each S a view of one stacked array, all sharing the lengths."""
+    S, lengths = _scattering_rows(g, condition_sets, np.arange(2 * g.n_edges))
     return [SecularSystem(S=s, lengths=lengths) for s in S]
 
 
-def build_secular_system(
-    g: MetricGraph,
-    conditions: Iterable[Condition],
-    flipped_edges: Iterable[int] = (),
-) -> SecularSystem:
+def build_secular_system(g: MetricGraph, conditions: Iterable[Condition]) -> SecularSystem:
     """`build_secular_systems` under one set of conditions."""
-    return build_secular_systems(g, [conditions], flipped_edges)[0]
+    return build_secular_systems(g, [conditions])[0]
 
 
 def character_blocks(
@@ -215,18 +198,16 @@ def character_blocks(
             f"vertex {other[0].vertex}: character blocks need standard conditions, "
             f"not {type(other[0]).__name__}"
         )
-    _, edge_images, flips = action.table
-    bonds = np.arange(2 * g.n_edges)
-    images = 2 * np.repeat(edge_images, 2, axis=1) + ((bonds & 1) ^ np.repeat(flips, 2, axis=1))
-    fixed = images[1:] == bonds  # row 0 is the identity
+    reps, images = action.bond_orbits()
+    # row 0 is the identity; an abelian group fixes a whole orbit alike
+    fixed = images[1:] == reps
     if fixed.any():
-        m, b = np.argwhere(fixed)[0].tolist()
-        raise ActionNotFree(f"element {list(action.elements())[m + 1]} fixes bond {b}")
+        m, i = np.argwhere(fixed)[0].tolist()
+        raise ActionNotFree(f"element {list(action.elements())[m + 1]} fixes bond {reps[i]}")
 
-    reps = np.flatnonzero(images.min(axis=0) == bonds)
     (rows,), lengths = _scattering_rows(g, [conditions], reps)
     # A[i, m, j] = S[r_i, m.r_j], the group axis unravelled into one axis per generator
-    A = rows[:, images[:, reps]].reshape(len(reps), *action.orders, len(reps))
+    A = rows[:, images].reshape(len(reps), *action.orders, len(reps))
     M = np.fft.fftn(A, axes=tuple(range(1, 1 + len(action.orders))))
     rep_lengths = lengths[reps]
     return {

@@ -89,7 +89,7 @@ def test_blocks_are_S_on_isotypic_vectors():
 def test_16x16_blocks_assemble_no_dense_matrix():
     g, action = torus_action(16, 16, 0.7136160, 0.5)
     conds = standard_conditions(g)
-    action.table  # built once with the action, before the blocks
+    action.orbits  # built once with the action, before the blocks
     tracemalloc.start()
     try:
         character_blocks(g, conds, action)

@@ -648,11 +648,16 @@ def test_cli_compare_rejects_malformed_csv_rows(tmp_path, row):
         b"# k_max = 5.0\nk,lambda,order,source_label\nnan,nan,1,(0,0)\n",
         b"# k_max = 5.0\nk,lambda,order,source_label\ninf,inf,1,(0,0)\n",
         b"# k_max = 5.0\nk,lambda,order,source_label\n-1.0,1.0,1,(0,0)\n",
+        b"# k_max = nan\nk,lambda,order,source_label\n1.0,1.0,1,(0,0)\n",
+        b"# k_max = -3.0\nk,lambda,order,source_label\n1.0,1.0,1,(0,0)\n",
+        b"# tol = 1e-10\n# k_max = 0.5\nk,lambda,order,source_label\n1.0,1.0,1,(0,0)\n",
     ],
-    ids=["undecodable", "negative-order", "zero-order", "nan-k", "inf-k", "negative-k"],
+    ids=["undecodable", "negative-order", "zero-order", "nan-k", "inf-k", "negative-k",
+         "nan-kmax", "negative-kmax", "kmax-below-a-root"],
 )
 def test_cli_compare_rejects_unusable_csv_rows(tmp_path, content):
-    # each used to load: undecodable bytes escaped as UnicodeDecodeError, and
+    # each used to load: undecodable bytes escaped as UnicodeDecodeError, the
+    # bad k_max headers made compare answer isospectral=True with exit 0, and
     # the rest made compare report a count or an unmatched root with exit 1
     path, good = str(tmp_path / "bad.csv"), str(tmp_path / "good.csv")
     with open(path, "wb") as fh:
@@ -662,6 +667,35 @@ def test_cli_compare_rejects_unusable_csv_rows(tmp_path, content):
         load_spectrum(path)
     for pair in ([path, good], [good, path]):
         _assert_usage_error(CliRunner().invoke(main, ["compare", *pair]), "UnsupportedFormat")
+
+
+def test_spectrum_csv_keeps_a_root_within_its_tol_above_k_max(tmp_path):
+    # the real locator keeps a root up to its tolerance above k_max
+    path = str(tmp_path / "s.csv")
+    s = Spectrum((SpectralRoot(5.0 + 5e-11, 1, "(0,0)"),), 5.0, {"tol": 1e-10})
+    save_spectrum(path, s)
+    assert load_spectrum(path) == s
+
+
+def test_spectrum_csv_without_k_max_takes_its_largest_k():
+    # the last row's k used to stand in, below the first row here
+    s = read_spectrum_csv(_io.StringIO("k,lambda,order,source_label\n2.0,4.0,1,a\n1.0,1.0,1,b\n"))
+    assert s.k_max == 2.0 and [r.k for r in s.roots] == [2.0, 1.0]
+
+
+def test_cli_compare_counts_roots_over_each_files_whole_k_max(tmp_path):
+    gpath, low, high = (str(tmp_path / name) for name in ("c3.json", "low.csv", "high.csv"))
+    g, a = cycle_graph(3, 1.0)
+    save_graph(gpath, g, standard_conditions(g), a)
+    for out, kmax in ((low, "6"), (high, "9")):
+        assert CliRunner().invoke(main, ["spectrum", gpath, "--kmax", kmax, "-o", out]).exit_code == 0
+    assert "each file's whole k_max" in " ".join(CliRunner().invoke(main, ["compare", "--help"]).output.split())
+    res = CliRunner().invoke(main, ["compare", low, high])
+    above = [k for k in load_spectrum(high).expanded() if k > 6.0]
+    assert res.exit_code == 1 and above
+    assert f"unmatched_a=0 unmatched_b={len(above)}" in res.output
+    rep = qgsym.compare_spectra(load_spectrum(low), load_spectrum(high), 1e-6)
+    assert list(rep.unmatched_b) == above
 
 
 def test_cli_factors_rejects_kmax_below_grid(tmp_path):

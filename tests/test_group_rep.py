@@ -10,7 +10,6 @@ from qgsym import (
     irrep_value,
 )
 from qgsym.errors import LabelOutOfRange, NotCoprime
-from qgsym.groups import ProductIrrep
 
 
 def test_irrep_value_is_root_of_unity():
@@ -60,7 +59,6 @@ def test_product_irrep_value_splits():
     for s in range(n1):
         for t in range(n2):
             rho = Irrep((n1, n2), (s, t))
-            assert ProductIrrep(n1, n2, s, t) == rho
             for ka in range(n1):
                 for io in range(n2):
                     want = irrep_value(n1, s, ka) * irrep_value(n2, t, io)

@@ -9,6 +9,9 @@ from qgsym import (
     QuotientSpec,
     Standard,
     all_quotient_specs,
+    build_secular_system,
+    build_secular_systems,
+    make_graph,
     quotient_dispersion_real,
     quotient_graph,
     quotient_secular_closed,
@@ -109,7 +112,9 @@ def test_full_torus_determinant_factorizes():
 def test_quotient_flipped_edges_invariance():
     spec = QuotientSpec(3, 4, 0.5, 1.0, 2, 1)
     sys0 = quotient_system(spec)
-    sys1 = quotient_system(spec, flipped_edges=(0, 3))
+    # the quotient graph with edges 0 and 3 stored the other way round
+    reversed_graph = make_graph(3, [(1, 0, 0.5), (0, 1, 0.5), (0, 2, 1.0), (2, 0, 1.0)])
+    sys1 = build_secular_system(reversed_graph, quotient_graph(spec)[1])
     for k in np.linspace(0.2, 12.0, 40):
         assert abs(secular_det(sys0, k) - secular_det(sys1, k)) < 1e-12
 
@@ -117,12 +122,17 @@ def test_quotient_flipped_edges_invariance():
 @pytest.mark.parametrize("n1, n2, l3", [(1, 1, 0.99999), (3, 4, 1.0), (4, 6, 0.61), (16, 16, 0.71676)])
 def test_stacked_quotient_systems_equal_one_spec_at_a_time(n1, n2, l3):
     specs = all_quotient_specs(n1, n2, 0.5, l3)
-    for flipped in ((), (1, 2)):
-        stacked = quotient_systems(specs, flipped_edges=flipped)
-        assert len(stacked) == len(specs)
-        for spec, sys_ in zip(specs, stacked):
-            one = quotient_system(spec, flipped_edges=flipped)
-            assert sys_.S.tobytes() == one.S.tobytes() and sys_.lengths.tobytes() == one.lengths.tobytes()
+    stacked = quotient_systems(specs)
+    assert len(stacked) == len(specs)
+    for spec, sys_ in zip(specs, stacked):
+        one = quotient_system(spec)
+        assert sys_.S.tobytes() == one.S.tobytes() and sys_.lengths.tobytes() == one.lengths.tobytes()
+    # with edges 1 and 2 stored the other way round
+    g = make_graph(3, [(0, 1, 0.5), (1, 0, 0.5), (2, 0, l3), (0, 2, l3)])
+    sets = [quotient_graph(spec)[1] for spec in specs]
+    for conds, sys_ in zip(sets, build_secular_systems(g, sets)):
+        one = build_secular_system(g, conds)
+        assert sys_.S.tobytes() == one.S.tobytes() and sys_.lengths.tobytes() == one.lengths.tobytes()
     assert quotient_systems([]) == []
     with pytest.raises(ValueError):  # the specs of one torus share their quotient graph
         quotient_systems(all_quotient_specs(3, 4, 0.5, 1.0) + all_quotient_specs(3, 4, 0.5, 0.9))
