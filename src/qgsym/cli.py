@@ -137,18 +137,18 @@ def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
     return {f"({','.join(map(str, labels))})": block for labels, block in blocks.items()}, first
 
 
-def _write_classes(output, kmax: float, found: list[Spectrum], runs: np.ndarray, labels, eigenphase_count, **counts):
-    """Merge a copy of `found[runs[i]]` under each `labels[i]`, write it with its header counts, and print a summary.
-    A root count that the eigenphase count does not certify raises `CertificateMismatch`, and no file is written."""
+def _write_classes(output, kmax: float, found: list[Spectrum], runs: np.ndarray, labels, eigenphase_count, **header):
+    """Merge a copy of `found[runs[i]]` under each `labels[i]`, write it with `header`, the summed evaluations and
+    the two counts, and print a summary.  A root count that the eigenphase count does not certify raises
+    `CertificateMismatch`, and no file is written."""
     merged = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), labels)))
     if merged.count() != eigenphase_count:
         raise CertificateMismatch(
             f"{merged.count()} roots with multiplicity on (0, {kmax!r}] against an eigenphase count of "
-            f"{eigenphase_count}; roots closer than the grid step may be merged or missed"
+            f"{eigenphase_count}"
         )
     s = Spectrum(merged.roots, kmax, {
-        **found[0].meta,
-        **counts,
+        **header,
         "evaluations": sum(f.meta["evaluations"] for f in found),
         "root_count": merged.count(),
         "eigenphase_count": eigenphase_count,
@@ -187,7 +187,8 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     found = family.roots(kmax, tol=tol, members=distinct.tolist())
     _write_classes(
         output, kmax, found, runs, list(systems), sum(family.counts(kmax)),
-        blocks=len(systems), distinct_blocks=len(found), rounds=max(f.meta["rounds"] for f in found),
+        **(found[0].meta | {"rounds": max(f.meta["rounds"] for f in found)}),
+        blocks=len(systems), distinct_blocks=len(found),
     )
 
 
@@ -207,24 +208,29 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     Each class of labels with one dispersion form (`spectra.isospectral_classes`
     over `QuotientFamily.dispersion_real`; s and n1-s, and t and n2-t,
     always share one) is solved once, and every label gets a copy of its
-    roots.  The distinct factors are one family of the real locator, the
-    dispersion form its own continuation: the grid, each refinement round
-    and each contour pass evaluate all of them together, per 32 KB of
-    points (`spectra.MAX_BATCH_BYTES`).  The header's `eigenphase_count` is the
-    exact root count summed over the labels' 8x8 quotient systems, a
-    certificate for `root_count`: the distinct systems come from one
-    stacked assembly (`quotient.quotient_systems`) and are counted in
-    stacked `eigvals` calls.  A count that differs exits 2 with
+    roots.  The distinct factors are one family of the real locator: the
+    grid and each refinement round of their sign changes evaluate all of
+    them together, per 32 KB of points (`spectra.MAX_BATCH_BYTES`).  Their
+    8x8 quotient systems come from one stacked assembly
+    (`quotient.quotient_systems`) and are counted in stacked `eigvals`
+    calls: a factor with as many sign changes as its exact eigenphase count
+    N(k_max) has found every root, and any other is solved again by the
+    unitary locator on its system (`fallbacks` in the header counts them).
+    The header's `eigenphase_count`, N(k_max) summed over the labels,
+    certifies `root_count`: a count that differs exits 2 with
     `CertificateMismatch` and writes no file.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
     first = isospectral_classes(quotient.QuotientFamily(specs).dispersion_real, len(specs), (l1, l3), 16)
     distinct, runs = np.unique(first, return_inverse=True)
     family = quotient.QuotientFamily([specs[i] for i in distinct])
-    found = find_roots_real_family(family.dispersion_real, len(distinct), kmax, grid_step=grid, tol=tol)
-    counts = UnitaryFamily(quotient.quotient_systems([specs[i] for i in distinct])).counts(kmax)
+    systems = UnitaryFamily(quotient.quotient_systems([specs[i] for i in distinct]))
+    found = find_roots_real_family(family.dispersion_real, systems, kmax, grid_step=grid, tol=tol)
     labels = [f"({sp.s},{sp.t})" for sp in specs]
-    _write_classes(output, kmax, found, runs, labels, sum(counts[run] for run in runs.tolist()), factors=len(found))
+    _write_classes(
+        output, kmax, found, runs, labels, sum(found[run].meta["eigenphase_count"] for run in runs.tolist()),
+        grid_step=grid, tol=tol, factors=len(found), fallbacks=sum(f.meta["fallback"] for f in found),
+    )
 
 
 @main.command("compare")

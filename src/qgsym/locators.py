@@ -3,11 +3,13 @@
 Both run the core of `spectra`: a grid of every member in chunked array
 calls, then `_refine_steps` in rounds over every bracket of every member.
 
-- `find_roots_real_family`: the step function is the sign of f and the
-  value f itself (an exact 0.0 inside the grid takes the sign of the point
-  before it); f is analytic and takes complex points too, so contour passes
-  over f itself place the touching roots (small minima of |f|), give every
-  order as a winding number and re-centre the multiple roots.
+- `find_roots_real_family`: the secular functions of a `UnitaryFamily`,
+  each given as a real function on the real axis.  `_sign_roots` closes
+  every sign change, with the sign of f as the step and f itself as the
+  value (an exact 0.0 inside the grid takes the sign of the point before
+  it).  Every zero of a secular function is real and N(k) counts them with
+  order, so a member whose sign changes number N(k_max) has found them all,
+  each simple; any other member is solved again by `UnitaryFamily.roots`.
 - `UnitaryFamily`: exact eigenphase counting for unitary scattering.  The
   family is contracted once (`contracted_stacks`: every pure-transmission
   bond dropped, the determinant unchanged), and each stack of contracted
@@ -32,64 +34,29 @@ import numpy as np
 from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
 from .scattering import SecularSystem, contracted_stacks
 from .spectra import (
-    TWO_PI, Evaluator, SpectralRoot, Spectrum, _chunked, _contour, _grid_cells, _grid_values, _k_grid, _no_reach,
-    _refine_steps, _through_zero,
+    TWO_PI, Evaluator, SpectralRoot, Spectrum, _chunked, _grid_cells, _grid_values, _k_grid, _no_reach, _refine_steps,
 )
 
 K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
-TOL_TOUCH = 1e-8  # largest |f| at a local minimum that counts as a touching root
 PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
 
 
-def _circle_radii(which: np.ndarray, ks: np.ndarray, grid_step: float) -> np.ndarray:
-    """The radius of each root's order circle: 0.45 times the distance to the
-    nearest other root of its member, at most grid_step / 2.  Each member's
-    roots are consecutive and ascending."""
-    gaps = np.diff(ks)
-    gaps[which[1:] != which[:-1]] = np.inf
-    nearest = np.full(len(ks), np.inf)
-    nearest[1:] = gaps
-    nearest[:-1] = np.minimum(nearest[:-1], gaps)
-    return np.minimum(grid_step / 2.0, 0.45 * nearest)
+def _sign_roots(f: Evaluator, members: int, k_max: float, grid_step: float, tol: float, source: str) -> list[Spectrum]:
+    """The sign changes of each of `members` functions, real on the real
+    axis, on a grid from `grid_step` to `k_max`: one spectrum per member, a
+    root of order 1 for each.
 
-
-def _contour_pass(fn: Evaluator, which, centers, radii, samples: int, refused: dict) -> tuple[np.ndarray, np.ndarray]:
-    """`_contour`; a member with a circle through a zero is refused there,
-    unless it was refused before."""
-    counts, zsums, through = _contour(fn, which, centers, radii, samples)
-    for w, c in zip(which[through].tolist(), centers[through]):
-        refused.setdefault(w, _through_zero(c))
-    return counts, zsums
-
-
-def find_roots_real_family(
-    f: Evaluator, members: int, k_max: float, grid_step: float, tol: float = 1e-10, *, source: str = ""
-) -> list[Spectrum]:
-    """Roots on (0, k_max] of each of `members` analytic functions, real on
-    the real axis: one spectrum per member.
-
-    `f(which, k)` takes an integer array of members and an array of real or
-    complex points that broadcast together, and returns the values
-    elementwise.  The members share one grid, evaluated in chunks of
-    members of at most MAX_BATCH_BYTES of points (`rows[:, None]` against
-    the grid).  Sign changes are closed to width `tol` by `_refine_steps`,
-    with f as the value, in one call of `f` on 1-D arrays per round; a grid
-    value of exactly 0.0 inside the grid takes the sign of the point before
-    it.  `meta["evaluations"]` counts the member's grid points and
-    refinement points.
-
-    An interior local minimum of |f| with no sign change next to it is a
-    touching-root candidate: the zero sum of `f` in a circle of radius
-    `grid_step` around it gives the mean km of the zeros there.  km is a
-    touching root when |f(km)| < `TOL_TOUCH`; f(km) past zero by more than
-    that means two crossings inside one cell (`GridTooCoarse`).  Every root's
-    order is its winding number, and multiple roots are re-centred on the
-    zero sum.  Each stage covers all members at once: a contour pass
-    (`_contour`) over the touching candidates, one call of `f` at their km,
-    a pass for the orders and two passes to re-centre; a pass with no
-    circles makes no call.  When members are refused, the first refused
-    member's first refusal is raised, as if they ran one after another.
-    `k_max` below `grid_step` leaves no grid (`GridTooCoarse`).
+    `f(which, k)` takes an integer array of members and an array of points
+    that broadcast together, and returns the values elementwise.  The
+    members share one grid, evaluated in chunks of members of at most
+    MAX_BATCH_BYTES of points (`rows[:, None]` against the grid).  Sign
+    changes are closed to width `tol` by `_refine_steps`, with f as the
+    value, in one call of `f` on 1-D arrays per round; a grid value of
+    exactly 0.0 inside the grid takes the sign of the point before it.  A
+    bracket holds an odd number of zeros, and a cell may hide an even number;
+    a root that closes above k_max is dropped.  `meta["evaluations"]` counts
+    the member's grid points and refinement points.  `k_max` below
+    `grid_step` leaves no grid (`GridTooCoarse`).
     """
     require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     if k_max < grid_step:
@@ -98,7 +65,7 @@ def find_roots_real_family(
     if ks[-1] < k_max - 1e-12:
         ks = np.append(ks, k_max)
 
-    cells, candidates = [], []
+    cells = []
     for rows, vals in _grid_values(f, members, ks):
         # the step evaluator is the sign of f; an exact zero inside the grid
         # takes the sign of the point before it, one at either end stays a
@@ -109,15 +76,6 @@ def find_roots_real_family(
             signs[:, 1:-1] = np.take_along_axis(signs, before, axis=1)[:, 1:-1]
         r, i = np.nonzero(signs[:, 1:] != signs[:, :-1])
         cells.append((rows[r], ks[i], signs[r, i], vals[r, i, None], ks[i + 1], signs[r, i + 1], vals[r, i + 1, None]))
-        # touching roots: interior local minima of |f| with no sign change in
-        # either neighbouring cell; a genuine touch has f(km) ~ 0, while a pair
-        # of crossings hidden inside the cells overshoots zero
-        absvals = np.abs(vals)
-        crossing = vals[:, :-1] * vals[:, 1:] < 0.0
-        touch = (absvals[:, 1:-1] <= absvals[:, :-2]) & (absvals[:, 1:-1] <= absvals[:, 2:])
-        touch &= ~crossing[:, :-1] & ~crossing[:, 1:]
-        r, i = np.nonzero(touch)
-        candidates.append((rows[r], ks[i + 1], np.where(vals[r, i] > 0, 1.0, -1.0)))
 
     def sign_at(which: np.ndarray, k: np.ndarray) -> tuple:
         fk = np.asarray(_chunked(f, which, k, 8), dtype=float)
@@ -129,57 +87,54 @@ def find_roots_real_family(
     which, a, na, fa, b, nb, fb = (np.concatenate(v) for v in zip(*cells))
     none = _no_reach(len(a))
     jumps, calls, _ = _refine_steps(sign_at, (which, a, na, (fa, none), b, nb, (fb, none)), tol, members)
-    roots = [[k for k, _ in member] for member in jumps]
-
-    refused: dict[int, GridTooCoarse] = {}  # each member's first refusal
-    which, centers, before_sign = (np.concatenate(v) for v in zip(*candidates))
-    counts, zsums = _contour_pass(f, which, centers, grid_step, 64, refused)
-    inside = np.flatnonzero(counts >= 1)
-    which, km, before_sign = which[inside], zsums.real[inside] / counts[inside], before_sign[inside]
-    dips = before_sign * _chunked(f, which, km, 8) if len(km) else km
-    for w, k, dip in zip(which.tolist(), km.tolist(), dips.tolist()):
-        if w in refused or dip >= TOL_TOUCH or any(abs(k - r) <= 2 * grid_step for r in roots[w]):
-            continue
-        if dip < -TOL_TOUCH:
-            refused[w] = GridTooCoarse(f"two sign changes near k={k}; shrink grid_step")
-            continue
-        roots[w].append(k)
-
-    solved = [w for w in range(members) if w not in refused]
-    which = np.repeat(np.array(solved, dtype=int), [len(roots[w]) for w in solved])
-    centers = np.array([k for w in solved for k in sorted(roots[w])], dtype=float)
-    radii = _circle_radii(which, centers, grid_step)
-    kept = centers <= k_max + tol  # the grid may overshoot k_max by half a step
-    which, centers, radii = which[kept], centers[kept], radii[kept]
-    orders = np.maximum(_contour_pass(f, which, centers, radii, 64, refused)[0], 1)
-    # the sign's resolution degrades like eps**(1/order) at a multiple zero;
-    # re-centre twice on the zero sum over the same circle (a smaller one
-    # would drown |f| ~ rad**order in rounding)
-    for _ in range(2):
-        multiple = np.flatnonzero((orders >= 2) & ~np.isin(which, list(refused)))
-        zsums = _contour_pass(f, which[multiple], centers[multiple], radii[multiple], 128, refused)[1]
-        centers[multiple] = zsums.real / orders[multiple]
-    if refused:
-        raise refused[min(refused)]
-
-    bounds = np.searchsorted(which, np.arange(members + 1))
     return [
         Spectrum(
-            tuple(SpectralRoot(k, order, source) for k, order in zip(centers[lo:hi].tolist(), orders[lo:hi].tolist())),
+            tuple(SpectralRoot(k, 1, source) for k, _ in member if k <= k_max),
             k_max,
             {"grid_step": grid_step, "tol": tol, "evaluations": len(ks) + int(n)},
         )
-        for lo, hi, n in zip(bounds[:-1], bounds[1:], calls)
+        for member, n in zip(jumps, calls)
     ]
 
 
+def find_roots_real_family(
+    f: Evaluator, systems: UnitaryFamily, k_max: float, grid_step: float, tol: float = 1e-10, *, source: str = ""
+) -> list[Spectrum]:
+    """Roots on (0, k_max] of the secular functions of `systems`, one
+    spectrum per member of the family.
+
+    `f(m, k)`, a family evaluator as `_sign_roots` takes it, must be real on
+    the real axis with the zeros of system m's det(I - S D(k)).  Every such
+    zero is real, N(k_max) counts them with order (`UnitaryFamily.counts`),
+    and a sign-change bracket holds an odd number of them; so a member with
+    as many sign changes as N(k_max) has one simple zero in each bracket and
+    none elsewhere.  Every other member is solved again by
+    `UnitaryFamily.roots`, which is exact, in one call.  Each spectrum's
+    `meta` has the scan's `grid_step` and `tol`, the points evaluated for
+    the member by the scan and the unitary locator (`evaluations`), its
+    `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
+    """
+    found = _sign_roots(f, systems.members, k_max, grid_step, tol, source)
+    counts = systems.counts(k_max)
+    short = [m for m, (s, n) in enumerate(zip(found, counts)) if len(s.roots) != n]
+    for m, exact in zip(short, systems.roots(k_max, tol=tol, source=source, members=short)):
+        evaluations = found[m].meta["evaluations"] + exact.meta["evaluations"]
+        found[m] = Spectrum(exact.roots, k_max, {**found[m].meta, "evaluations": evaluations})
+    for m, (s, n) in enumerate(zip(found, counts)):
+        s.meta.update(eigenphase_count=n, fallback=m in short)
+    return found
+
+
 def find_roots_real(
-    f: Callable[[np.ndarray], np.ndarray], k_max: float, grid_step: float, tol: float = 1e-10, *, source: str = ""
+    f: Callable[[np.ndarray], np.ndarray], system: SecularSystem, k_max: float, grid_step: float,
+    tol: float = 1e-10, *, source: str = "",
 ) -> Spectrum:
-    """Roots of an analytic function, real on the real axis, on (0, k_max]:
-    `find_roots_real_family` on a family of one.  `f` takes a numpy array
-    of real or complex points and returns the values elementwise."""
-    return find_roots_real_family(lambda which, k: f(k), 1, k_max, grid_step, tol, source=source)[0]
+    """Roots on (0, k_max] of the secular function of `system`:
+    `find_roots_real_family` on a family of one.  `f` takes a numpy array of
+    real points, returns the values elementwise, and has the zeros of the
+    system's det(I - S D(k))."""
+    family = UnitaryFamily([system])
+    return find_roots_real_family(lambda which, k: f(k), family, k_max, grid_step, tol, source=source)[0]
 
 
 def _turned(phases: np.ndarray) -> np.ndarray:

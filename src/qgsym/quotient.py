@@ -167,8 +167,8 @@ def quotient_secular_closed(spec: QuotientSpec, k):
 def quotient_dispersion_real(spec: QuotientSpec, k):
     """Real dispersion form F(k) with the same zero set as the closed form.
 
-    Satisfies Sigma(k) = -2i * exp(2ik(L1+L3)) * F(k); accepts complex k for
-    analytic continuation (winding-number order checks).
+    Satisfies Sigma(k) = -2i * exp(2ik(L1+L3)) * F(k); accepts complex k, as
+    the probes of `spectra.isospectral_classes` take it.
     """
     return _dispersion(*spec.coefficients, spec.l1, spec.l3, k)
 

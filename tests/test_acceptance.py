@@ -48,7 +48,8 @@ def _report(name, ok, detail):
 
 
 def _factor_spectrum(spec, k_max, grid_step=0.02):
-    return find_roots_real(lambda k: quotient_dispersion_real(spec, k), k_max, grid_step, source=f"({spec.s},{spec.t})")
+    f = lambda k: quotient_dispersion_real(spec, k)
+    return find_roots_real(f, quotient_system(spec), k_max, grid_step, source=f"({spec.s},{spec.t})")
 
 
 def test_trivial_factor_roots_match_closed_form():

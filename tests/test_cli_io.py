@@ -706,15 +706,33 @@ def test_cli_factors_rejects_kmax_below_grid(tmp_path):
     assert not os.path.exists(out)
 
 
-def test_cli_factors_refuses_a_root_count_its_certificate_denies(tmp_path):
-    # at L3 = 0.998046875 three roots lie within 0.006 of pi; the real
-    # locator finds one of them, and the eigenphase count says 5, not 3
-    out = str(tmp_path / "f.csv")
-    flags = ["--n1", "1", "--n2", "1", "--l1", "1.0", "--l3", "0.998046875", "--kmax", "5"]
-    res = CliRunner().invoke(main, ["factors", *flags, "-o", out])
-    _assert_usage_error(res, "CertificateMismatch")
-    assert "3 roots" in res.output and "eigenphase count of 5" in res.output
-    assert not os.path.exists(out)
+@pytest.mark.parametrize(
+    "n1, l1, l3, kmax",
+    [
+        (1, 1.0, 0.998046875, 5),  # three roots within 0.006 of pi: one sign change
+        (1, 1.0, 0.99999, 5),  # three roots within 3e-5 of pi: one sign change
+        (16, 0.5, 0.7087064079442846, 10),  # two sign changes inside one cell of the grid
+        (16, 0.5, 0.706465, 10),
+        (16, 0.5, 0.706431, 10),
+    ],
+)
+def test_cli_factors_solves_close_roots_again_on_their_quotient_system(tmp_path, n1, l1, l3, kmax):
+    # roots closer than the grid step leave a factor with fewer sign changes
+    # than its eigenphase count; it is solved again by the unitary locator,
+    # and `factors` equals `spectrum` of the product document
+    flags = ["--n1", str(n1), "--n2", str(n1), "--l1", repr(l1), "--l3", repr(l3)]
+    doc, full, parts = (str(tmp_path / name) for name in ("torus.json", "full.csv", "factors.csv"))
+    runner = CliRunner()
+    assert runner.invoke(main, ["build", "product", *flags, "-o", doc]).exit_code == 0
+    res = runner.invoke(main, ["spectrum", doc, "--kmax", str(kmax), "-o", full])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["factors", *flags, "--kmax", str(kmax), "-o", parts])
+    assert res.exit_code == 0, res.output
+    want, got = load_spectrum(full), load_spectrum(parts)
+    assert int(got.meta["fallbacks"]) >= 1
+    assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == want.count()
+    assert [r.order for r in got.roots] == [r.order for r in want.roots]
+    assert max(abs(a.k - b.k) for a, b in zip(got.roots, want.roots)) <= 1e-9
 
 
 def test_cli_scan_rejects_kmax_below_grid(tmp_path):

@@ -1,6 +1,6 @@
 """The closed forms on arrays and as one family evaluator, `factors` run once
 per distinct closed form, and the array calls of its grid, refinement
-rounds, contour passes and stacked certificate."""
+rounds and stacked certificate; the batched contour of `winding_number`."""
 
 import math
 
@@ -162,7 +162,10 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
     grouped = _run_factors(tmp_path, n1, n2, l3)
     per_label = merge_spectra(
         [
-            find_roots_real(lambda k: quotient_dispersion_real(spec, k), 10.0, 0.005, source=f"({spec.s},{spec.t})")
+            find_roots_real(
+                lambda k: quotient_dispersion_real(spec, k), quotient_system(spec), 10.0, 0.005,
+                source=f"({spec.s},{spec.t})",
+            )
             for spec in all_quotient_specs(n1, n2, L1, l3)
         ],
         tol=1e-7,
@@ -175,31 +178,40 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
 
 @pytest.mark.parametrize("n1, n2, l3, distinct", [(3, 4, 1.0, 6), (16, 16, L3_BAND, 81), (4, 4, L1, 5)])
 def test_factors_header_certifies_the_root_count(tmp_path, n1, n2, l3, distinct):
-    # 3x4 at L3 = 1 has triple roots; the certificate counts them with order
+    # 3x4 at L3 = 1 has triple roots; the certificate counts them with order,
+    # and the two factors that hold them are solved again on their systems,
+    # as are two of 4x4 at L1 = L3; at generic lengths no factor falls back
     s = _run_factors(tmp_path, n1, n2, l3)
     assert int(s.meta["factors"]) == distinct
+    assert int(s.meta["fallbacks"]) == (0 if l3 == L3_BAND else 2)
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"]) == s.count()
     assert float(s.meta["grid_step"]) == 0.005 and float(s.meta["tol"]) == 1e-10
     if l3 == 1.0:
         assert max(r.order for r in s.roots) >= 3
 
 
-def test_find_roots_real_evaluates_grid_and_circles_in_one_call_each():
+def test_find_roots_real_evaluates_its_grid_in_one_call_and_no_circle():
+    # two Dirichlet intervals of lengths 1 and 1/2 and two functions with
+    # their zeros, pi m and 2 pi m: the grid of both members in one call,
+    # every refinement round one call on 1-D arrays, no call on complex
+    # points, and the certificate agrees, so nothing falls back
     shapes = []
 
     def f(which, k):
-        shapes.append((np.shape(which), np.shape(k)))
-        return np.sin(k + 0.5 * which)
+        shapes.append((np.shape(which), np.shape(k), np.asarray(k).dtype.kind))
+        return np.sin(k / (1.0 + which))
 
-    spectra = find_roots_real_family(f, 2, 10.0, 0.1)
-    assert [[r.order for r in s.roots] for s in spectra] == [[1, 1, 1], [1, 1, 1]]
-    assert shapes[0] == ((2, 1), (100,))  # the grid of both members in one call
-    rounds = shapes[1:-1]
-    assert rounds[0] == ((6,), (6,))  # the first refinement round moves all six brackets
-    assert all(len(w) == 1 and w == k for w, k in rounds)  # every round on 1-D arrays, no scalar call
-    assert shapes[-1] == ((6, 1), (6, 65))  # one order pass over both members' roots
+    reflect = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
+    systems = [SecularSystem(reflect, np.full(2, length)) for length in (1.0, 0.5)]
+    spectra = find_roots_real_family(f, UnitaryFamily(systems), 10.0, 0.1)
+    assert [[r.order for r in s.roots] for s in spectra] == [[1, 1, 1], [1]]
+    assert [(s.meta["eigenphase_count"], s.meta["fallback"]) for s in spectra] == [(3, False), (1, False)]
+    assert shapes[0] == ((2, 1), (100,), "f")  # the grid of both members in one call
+    rounds = shapes[1:]
+    assert rounds[0][:2] == ((4,), (4,))  # the first refinement round moves all four brackets
+    assert all(len(w) == 1 and w == k and kind == "f" for w, k, kind in rounds)  # 1-D and real, no circle
     for member, s in enumerate(spectra):
-        alone = find_roots_real(lambda k: np.sin(k + 0.5 * member), 10.0, 0.1)
+        alone = find_roots_real(lambda k: np.sin(k / (1.0 + member)), systems[member], 10.0, 0.1)
         assert [(r.k, r.order) for r in s.roots] == [(r.k, r.order) for r in alone.roots]
         assert s.meta == alone.meta
 
@@ -308,10 +320,10 @@ def test_a_grid_in_parts_computes_its_sines_once_per_part(tmp_path, monkeypatch)
 def test_factors_call_budget(tmp_path, monkeypatch):
     # one call of the dispersion forms of all 256 labels at the three probe
     # points groups them; the 81 distinct factors are one family: the grid
-    # goes in chunks of members, each refinement round is one call, and each
-    # contour pass one call per chunk of circles; the certificate counts
-    # each distinct factor at K_MIN and at k_max, in stacks of at most
-    # MAX_BATCH_BYTES, from one stacked assembly of their systems; the
+    # goes in chunks of members, each refinement round is one call, and no
+    # call is made on circles; the certificate counts each distinct factor
+    # at K_MIN and at k_max, in stacks of at most MAX_BATCH_BYTES, from one
+    # stacked assembly of their systems, and no factor falls back; the
     # grid's three sines are computed once, not once per chunk of members
     real, eigvals = QuotientFamily.dispersion_real, np.linalg.eigvals
     sines = quotient._sines
@@ -331,11 +343,11 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     distinct = int(s.meta["factors"])
     assert distinct == 81
     circles = [shape for shape in real_shapes if len(shape) == 2 and shape[1] in (65, 129)]
-    assert 0 < len(real_shapes) - 1 - len(circles) <= 100  # the grid chunks, refinement rounds and dips
+    assert 0 < len(real_shapes) - 1 - len(circles) <= 100  # the grid chunks and refinement rounds
     assert all(len(shape) >= 1 for shape in real_shapes)  # no call on a scalar float
     assert real_shapes[0] == (3 * 256,)  # the probes
     grid = [shape for shape in real_shapes if len(shape) == 2 and shape[1] not in (65, 129)]
-    assert 0 < len(circles) <= 39
+    assert circles == []
     assert sum(math.prod(shape) for shape in grid) == distinct * 2000  # the grid of 0.005 to 10, each member once
     assert len(grid) > 1 and sines_shapes.count((2000,)) == 1
     assert all(math.prod(shape) * 16 <= MAX_BATCH_BYTES for shape in eigvals_shapes)

@@ -7,7 +7,6 @@ and the number of evaluations.
 """
 
 import math
-import re
 import tracemalloc
 import warnings
 
@@ -20,17 +19,14 @@ from hypothesis import strategies as st
 from qgsym import (
     SecularSystem,
     character_blocks,
-    find_roots_real,
-    find_roots_real_family,
     find_roots_unitary,
     io,
     standard_conditions,
     torus_action,
 )
 from qgsym.cli import main
-from qgsym.errors import GridTooCoarse
 from qgsym.quotient import torus_secular_system
-from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases
+from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases, _sign_roots
 from qgsym.spectra import MAX_BATCH_BYTES, _grid_cells, _refine_steps
 
 TOL = 1e-10
@@ -196,10 +192,7 @@ def test_real_refinement_equals_sign_bisection(amps, freqs, phases, offset):
         return offset + sum(a * np.sin(w * k + p) for a, w, p in zip(amps, freqs, phases))
 
     grid_step, k_max = 0.01, 10.0
-    try:
-        s = find_roots_real(f, k_max, grid_step, TOL)
-    except GridTooCoarse:
-        assume(False)  # two crossings in one cell: refused, not located
+    s = _sign_roots(lambda which, k: f(k), 1, k_max, grid_step, TOL, "")[0]
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
     signs = np.sign(f(ks))
     assume(np.all(signs != 0))
@@ -227,35 +220,11 @@ def test_a_real_family_equals_its_members_run_alone(members, grid_step):
     def f(which, k):
         return offsets[which] + sum(amps[which, j] * np.sin(freqs[which, j] * k + phases[which, j]) for j in range(3))
 
-    alone = []
-    for m in range(len(members)):
-        try:
-            alone.append(find_roots_real(lambda k: f(m, k), 10.0, grid_step, TOL))
-        except GridTooCoarse as exc:
-            alone.append(exc)
-    refused = [s for s in alone if isinstance(s, GridTooCoarse)]
-    if refused:
-        # the first refused member's refusal, as if they ran one after another
-        with pytest.raises(GridTooCoarse, match=re.escape(str(refused[0]))):
-            find_roots_real_family(f, len(members), 10.0, grid_step, TOL)
-        return
-    family = find_roots_real_family(f, len(members), 10.0, grid_step, TOL)
+    alone = [_sign_roots(lambda which, k: f(m, k), 1, 10.0, grid_step, TOL, "")[0] for m in range(len(members))]
+    family = _sign_roots(f, len(members), 10.0, grid_step, TOL, "")
     for got, want in zip(family, alone):
         assert [(r.k, r.order) for r in got.roots] == [(r.k, r.order) for r in want.roots]
         assert got.meta == want.meta
-
-
-def test_a_real_family_raises_the_refusal_of_its_first_refused_member():
-    # members 1 and 2 each hide two crossings in one cell of the 0.1 grid,
-    # member 1 the later pair; solved one after another, member 1 is refused
-    # first, so the family raises its refusal
-    centers, depths = np.array([5.0, 7.03, 3.03]), np.array([1.0, 1e-4, 1e-4])
-    f = lambda which, k: (k - centers[which]) ** 2 - depths[which]
-    with pytest.raises(GridTooCoarse) as alone:
-        find_roots_real(lambda k: f(1, k), 10.0, 0.1, TOL)
-    assert "two sign changes near k=7.0" in str(alone.value)
-    with pytest.raises(GridTooCoarse, match=re.escape(str(alone.value))):
-        find_roots_real_family(f, 3, 10.0, 0.1, TOL)
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -283,8 +252,7 @@ def test_a_unitary_family_equals_its_members_run_alone(blocks):
 def test_real_root_on_a_grid_point_takes_one_step():
     # f = 0.0 exactly at the grid point 0.5 brackets the root with a value of
     # exactly 0 at an end: regula falsi closes it, no bisection
-    f = lambda k: k - 0.5
-    s = find_roots_real(f, 1.0, 0.1, TOL)
+    s = _sign_roots(lambda which, k: k - 0.5, 1, 1.0, 0.1, TOL, "")[0]
     assert [r.order for r in s.roots] == [1]
     assert abs(s.roots[0].k - 0.5) < TOL
     assert s.meta["evaluations"] == 10 + 1
@@ -354,7 +322,7 @@ def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
 def test_real_locator_ends_at_a_tol_below_the_float_spacing():
     # near pi the floats are 4.4e-16 apart, so no bracket is ever narrower
     # than 1e-300; one with no float strictly inside it is closed instead
-    s = find_roots_real(np.sin, 10.0, 0.1, 1e-300)
+    s = _sign_roots(lambda which, k: np.sin(k), 1, 10.0, 0.1, 1e-300, "")[0]
     assert [r.order for r in s.roots] == [1, 1, 1]
     assert s.ks() == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)
 

@@ -18,13 +18,30 @@ from qgsym import (
     standard_conditions,
     winding_number,
 )
-from qgsym.errors import GridTooCoarse, NonUnitaryScattering, QgsymError
+from qgsym.errors import NonUnitaryScattering, QgsymError
+from qgsym.locators import _sign_roots
 from qgsym.spectra import SpectralRoot
 
 
+def _dirichlet_interval():
+    """A bond of length 1 with Dirichlet ends: det(I - S D(k)) = 1 - exp(2ik)
+    has a simple zero at every multiple of pi, as sin k has."""
+    return SecularSystem(np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex), np.ones(2))
+
+
+def _scan(f, k_max, grid_step, tol=1e-10):
+    """The sign changes of one function of arrays (`locators._sign_roots`)."""
+    return _sign_roots(lambda which, k: f(k), 1, k_max, grid_step, tol, "")[0]
+
+
 def test_find_roots_real_simple_sine():
-    s = find_roots_real(np.sin, 10.0, 0.1)
+    # the sign changes of sin are its zeros, three of them, and as many as
+    # the eigenphase count of the interval: they stand
     want = [math.pi, 2 * math.pi, 3 * math.pi]
+    scan = _scan(np.sin, 10.0, 0.1)
+    s = find_roots_real(np.sin, _dirichlet_interval(), 10.0, 0.1)
+    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (3, False)
+    assert s.roots == scan.roots and s.meta["evaluations"] == scan.meta["evaluations"]
     assert len(s.roots) == 3
     for r, w in zip(s.roots, want):
         assert r.k == pytest.approx(w, abs=1e-9)
@@ -32,51 +49,50 @@ def test_find_roots_real_simple_sine():
 
 
 def test_find_roots_real_touching_root():
-    f = lambda k: 1.0 - np.cos(k)  # double zeros at 2*pi*m, no sign change
-    s = find_roots_real(f, 14.0, 0.1)
+    # 1 - cos k has double zeros at 2 pi m and no sign change: they are the
+    # roots of a cycle of length 1, whose eigenphase count (4 on (0, 14])
+    # sees them, so the member is solved again by the unitary locator
+    g, _ = cycle_graph(3, 1.0 / 3.0)
+    s = find_roots_real(lambda k: 1.0 - np.cos(k), build_secular_system(g, standard_conditions(g)), 14.0, 0.1)
+    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (4, True)
     assert [r.order for r in s.roots] == [2, 2]
     assert s.roots[0].k == pytest.approx(2 * math.pi, abs=1e-8)
     assert s.roots[1].k == pytest.approx(4 * math.pi, abs=1e-8)
 
 
 @pytest.mark.parametrize(
-    "f, want",
-    [
-        (lambda k: (k - 5.05) ** 2 + 1e-6, []),
-        (lambda k: (k - 5.05) ** 2 + 1e-10, [(5.05, 2)]),
-        (lambda k: (k - 2.345) ** 4, [(2.345, 4)]),
-        (lambda k: (k - 3.0) * (k - 3.31) ** 2, [(3.0, 1), (3.31, 2)]),
-    ],
-    ids=["near-real-pair", "order-2", "order-4", "touch-next-to-sign-root"],
+    "f",
+    [lambda k: (k - 5.05) ** 2 + 1e-6, lambda k: (k - 5.05) ** 2 - 1e-6],
+    ids=["near-real-pair", "hidden-double-crossing"],
 )
-def test_touching_roots_are_placed_on_the_zero_sum(f, want):
-    # a pair of zeros 1e-3 off the real axis leaves |f| above TOL_TOUCH at
-    # their mean, so it is no root
-    s = find_roots_real(f, 10.0, 0.1)
-    assert [r.order for r in s.roots] == [o for _, o in want]
-    for r, (k, _) in zip(s.roots, want):
-        assert r.k == pytest.approx(k, abs=1e-10)
+def test_a_scan_sees_no_pair_of_zeros_inside_one_cell(f):
+    # neither a pair of zeros 1e-3 off the real axis nor two crossings 2e-3
+    # apart inside one cell of the 0.1 grid changes the sign between grid
+    # points; for a secular function the eigenphase count sees what the
+    # scan misses (test_find_roots_real_touching_root)
+    s = _scan(f, 10.0, 0.1)
+    assert s.roots == ()
 
 
-def test_grid_too_coarse_on_hidden_double_crossing():
-    # two near-coincident simple roots dipping just below zero inside one cell
-    f = lambda k: (k - 5.05) ** 2 - 1e-6
-    with pytest.raises(GridTooCoarse):
-        find_roots_real(f, 10.0, 0.1)
-
-
-def test_multiple_roots_are_recentred_to_tol():
-    # the 3x4 torus at L1 = 0.5, L3 = 1 has triple roots at m*pi in the
-    # factors (0,0) and (0,2), at the CLI's grid
-    specs = {(sp.s, sp.t): sp for sp in all_quotient_specs(3, 4, 0.5, 1.0)}
-    triples = []
-    for key in [(0, 0), (0, 2)]:
-        spec = specs[key]
-        s = find_roots_real(lambda k: quotient_dispersion_real(spec, k), 10.0, 0.005)
-        triples += [r.k for r in s.roots if r.order == 3]
-    assert len(triples) == 3
-    for k in triples:
-        assert abs(k - round(k / math.pi) * math.pi) < 1e-11
+@pytest.mark.parametrize("l1", [0.25, 0.5])
+def test_multiple_roots_of_quotient_factors_are_certified(l1):
+    # the 3x4 torus at L3 = 1 has roots of order 2 (at L1 = 0.25) and 3 at
+    # multiples of pi, where the sign changes fall short of the eigenphase
+    # count; those factors, and only those, are solved again, and every
+    # factor equals the unitary locator on its own system
+    orders = set()
+    for spec in all_quotient_specs(3, 4, l1, 1.0):
+        system = quotient_system(spec)
+        s = find_roots_real(lambda k: quotient_dispersion_real(spec, k), system, 10.0, 0.005)
+        want = find_roots_unitary(system, 10.0, source="")
+        assert [r.order for r in s.roots] == [r.order for r in want.roots]
+        assert max((abs(a.k - b.k) for a, b in zip(s.roots, want.roots)), default=0.0) <= 1e-9
+        multiple = [r.k for r in s.roots if r.order >= 2]
+        assert s.meta["fallback"] == bool(multiple) and s.count() == s.meta["eigenphase_count"]
+        for k in multiple:
+            assert abs(k - round(k / math.pi) * math.pi) < 1e-11
+        orders.update(r.order for r in s.roots)
+    assert orders == ({1, 2, 3} if l1 == 0.25 else {1, 3})
 
 
 def test_winding_number_counts_order():
@@ -142,31 +158,21 @@ def test_weyl_count_sanity():
 
 
 def test_roots_exclude_zero_and_respect_kmax():
-    s = find_roots_real(np.sin, 2 * math.pi, 0.1)
+    s = _scan(np.sin, 2 * math.pi, 0.1)
     assert all(r.k > 0 for r in s.roots)
-    assert all(r.k <= 2 * math.pi + 1e-9 for r in s.roots)
+    assert all(r.k <= 2 * math.pi for r in s.roots)
     assert len(s.roots) == 2
 
 
-@pytest.mark.parametrize(
-    "f, order",
-    [
-        (lambda k: k - 0.5, 1),
-        (lambda k: 0.5 - k, 1),
-        (lambda k: (k - 0.5) ** 2, 2),
-        (lambda k: -((k - 0.5) ** 2), 2),
-        (lambda k: (k - 0.5) ** 3, 3),
-    ],
-    ids=["winding-rising", "winding-falling", "winding-touch-above", "winding-touch-below", "winding-triple"],
-)
-def test_root_on_an_exact_grid_point(f, order):
+@pytest.mark.parametrize("f", [lambda k: k - 0.5, lambda k: 0.5 - k], ids=["rising", "falling"])
+def test_root_on_an_exact_grid_point(f):
     # a grid value of exactly 0.0 takes the sign of the point before it, so a
-    # crossing is bisected once and a touch is left to the touching-root scan
+    # crossing is bisected once
     assert 0.5 in np.arange(0.1, 1.0 + 0.05, 0.1)
-    s = find_roots_real(f, 1.0, 0.1)
+    s = _scan(f, 1.0, 0.1)
     assert len(s.roots) == 1
     assert s.roots[0].k == pytest.approx(0.5, abs=1e-10)
-    assert s.roots[0].order == order
+    assert s.roots[0].order == 1
 
 
 def test_real_and_unitary_locators_agree_on_quotient_factors():
@@ -174,8 +180,9 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
     # dispersion roots equal the eigenphase roots of its 8x8 secular system
     for n1, n2, l3 in [(3, 4, 1 / math.sqrt(2)), (4, 6, 0.61)]:
         for spec in all_quotient_specs(n1, n2, 0.5, l3):
-            real = find_roots_real(lambda k: quotient_dispersion_real(spec, k), 6.0, 0.005)
             unitary = find_roots_unitary(quotient_system(spec), 6.0)
+            real = find_roots_real(lambda k: quotient_dispersion_real(spec, k), quotient_system(spec), 6.0, 0.005)
+            assert not real.meta["fallback"], (spec.s, spec.t)
             res = compare_spectra(real, unitary, tol=1e-8)
             assert res.isospectral, ((spec.s, spec.t), res)
             assert res.count_a > 0
@@ -184,6 +191,6 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
 @pytest.mark.parametrize("root", [0.1, 1.0], ids=["first-point", "last-point"])
 def test_root_on_an_end_of_the_grid(root):
     for f in (lambda k: k - root, lambda k: root - k):
-        s = find_roots_real(f, 1.0, 0.1)
+        s = _scan(f, 1.0, 0.1)
         assert [r.order for r in s.roots] == [1]
         assert s.roots[0].k == pytest.approx(root, abs=1e-10)
