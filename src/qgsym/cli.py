@@ -216,9 +216,10 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     calls: a factor with as many sign changes as its exact eigenphase count
     N(k_max) has found every root, and any other is solved again by the
     unitary locator on its system (`fallbacks` in the header counts them).
-    The header's `eigenphase_count`, N(k_max) summed over the labels,
-    certifies `root_count`: a count that differs exits 2 with
-    `CertificateMismatch` and writes no file.
+    The header's `rounds` is the most refinement rounds of any factor, its
+    fallback's included.  The header's `eigenphase_count`, N(k_max) summed
+    over the labels, certifies `root_count`: a count that differs exits 2
+    with `CertificateMismatch` and writes no file.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
     first = isospectral_classes(quotient.QuotientFamily(specs).dispersion_real, len(specs), (l1, l3), 16)
@@ -230,6 +231,7 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     _write_classes(
         output, kmax, found, runs, labels, sum(found[run].meta["eigenphase_count"] for run in runs.tolist()),
         grid_step=grid, tol=tol, factors=len(found), fallbacks=sum(f.meta["fallback"] for f in found),
+        rounds=max(f.meta["rounds"] for f in found),
     )
 
 

@@ -20,8 +20,8 @@ calls, then `_refine_steps` in rounds over every bracket of every member.
 
 `find_roots_real` and `find_roots_unitary` solve a family of one.  Every
 member's spectrum reports the points evaluated for it, grid included, as
-`meta["evaluations"]`, and a unitary one the refinement rounds that
-evaluated it as `meta["rounds"]`.
+`meta["evaluations"]`, and the refinement rounds that evaluated it as
+`meta["rounds"]`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def _sign_roots(f: Evaluator, members: int, k_max: float, grid_step: float, tol:
     exactly 0.0 inside the grid takes the sign of the point before it.  A
     bracket holds an odd number of zeros, and a cell may hide an even number;
     a root that closes above k_max is dropped.  `meta["evaluations"]` counts
-    the member's grid points and refinement points.  `k_max` below
+    the member's grid points and refinement points, and `meta["rounds"]` the
+    refinement rounds that evaluated the member.  `k_max` below
     `grid_step` leaves no grid (`GridTooCoarse`).
     """
     require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
@@ -86,14 +87,14 @@ def _sign_roots(f: Evaluator, members: int, k_max: float, grid_step: float, tol:
 
     which, a, na, fa, b, nb, fb = (np.concatenate(v) for v in zip(*cells))
     none = _no_reach(len(a))
-    jumps, calls, _ = _refine_steps(sign_at, (which, a, na, (fa, none), b, nb, (fb, none)), tol, members)
+    jumps, calls, rounds = _refine_steps(sign_at, (which, a, na, (fa, none), b, nb, (fb, none)), tol, members)
     return [
         Spectrum(
             tuple(SpectralRoot(k, 1, source) for k, _ in member if k <= k_max),
             k_max,
-            {"grid_step": grid_step, "tol": tol, "evaluations": len(ks) + int(n)},
+            {"grid_step": grid_step, "tol": tol, "evaluations": len(ks) + int(n), "rounds": int(r)},
         )
-        for member, n in zip(jumps, calls)
+        for member, n, r in zip(jumps, calls, rounds)
     ]
 
 
@@ -111,15 +112,16 @@ def find_roots_real_family(
     none elsewhere.  Every other member is solved again by
     `UnitaryFamily.roots`, which is exact, in one call.  Each spectrum's
     `meta` has the scan's `grid_step` and `tol`, the points evaluated for
-    the member by the scan and the unitary locator (`evaluations`), its
+    the member by the scan and the unitary locator (`evaluations`) and the
+    refinement rounds of both that evaluated it (`rounds`), its
     `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
     """
     found = _sign_roots(f, systems.members, k_max, grid_step, tol, source)
     counts = systems.counts(k_max)
     short = [m for m, (s, n) in enumerate(zip(found, counts)) if len(s.roots) != n]
     for m, exact in zip(short, systems.roots(k_max, tol=tol, source=source, members=short)):
-        evaluations = found[m].meta["evaluations"] + exact.meta["evaluations"]
-        found[m] = Spectrum(exact.roots, k_max, {**found[m].meta, "evaluations": evaluations})
+        evaluations, rounds = (found[m].meta[key] + exact.meta[key] for key in ("evaluations", "rounds"))
+        found[m] = Spectrum(exact.roots, k_max, {**found[m].meta, "evaluations": evaluations, "rounds": rounds})
     for m, (s, n) in enumerate(zip(found, counts)):
         s.meta.update(eigenphase_count=n, fallback=m in short)
     return found

@@ -10,20 +10,23 @@ goes in chunks of members, a contour pass in chunks of circles, a stack of
 
 `_refine_steps` closes the jumps of integer step functions.  Every cell of
 a member's grid whose end levels differ is a bracket.  Each round computes
-the next regula-falsi or bisection point of every open bracket of every
-member, evaluates all of them in one call of the step evaluator, and moves
-the end of equal level, so each root still lies in a bracket narrower than
-`tol` with known levels at both ends.  A monotone step may also report its
-reaches at each point, how far its level holds and by when the next jumps
-have happened; before every round the bracket ends move to them with no
-evaluation.  Bisection steps guard the cases where regula falsi stalls,
-and a level between the end levels splits the bracket.  A member's points,
-roots and count do not depend on the other members of its family.
+the next Anderson-Björk (modified regula falsi) or bisection point of
+every open bracket of every member, evaluates all of them in one call of
+the step evaluator, and moves the end of equal level, so each root still
+lies in a bracket narrower than `tol` with known levels at both ends.  A
+monotone step may also report its reaches at each point, how far its level
+holds and by when the next jumps have happened; before every round the
+bracket ends move to them with no evaluation.  Bisection steps guard the
+cases where the modified regula falsi stalls, and a level between the end
+levels splits the bracket.  The closed brackets become each member's jumps
+in array code.  A member's points, roots and count do not depend on the
+other members of its family.
 `_contour` is the argument-principle pass: the zero counts and zero sums
 in a batch of circles, from array calls on all their points.
 
 `merge_spectra` takes the union of spectra, or of copies of them under
-other sources, and `compare_spectra` pairs two spectra root by root.
+other sources, with one entry per root of each distinct spectrum, and
+`compare_spectra` pairs two spectra root by root.
 `isospectral_classes` groups the members of a family by secular function.
 """
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,15 +50,20 @@ PROBES = np.array([0.93 + 0.61j, 2.17 + 0.37j, 3.41 + 0.83j])  # in units of 1 /
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class SpectralRoot:
+class _Root(NamedTuple):
     k: float
     order: int
     source: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "order", int(self.order))
+
+class SpectralRoot(_Root):
+    """A root of a spectrum: an immutable (k, order, source) tuple, with k
+    taken as a float and order as an int."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: float, order: int, source: str = "") -> "SpectralRoot":
+        return tuple.__new__(cls, (float(k), int(order), source))
 
 
 @dataclass(frozen=True)
@@ -237,34 +245,45 @@ def _refine_steps(
     and its ends move inward to the reaches of those points before every
     round: a moved end keeps its exact level, since a step that reports
     reaches is monotone.  `_no_reach` moves no end.  Each round computes the
-    next point of every open bracket, by regula falsi on the chord of its
-    two evaluated points with a bisection safeguard, placed inside the
-    bracket, and evaluates all of them in one call of `step`; every point's
-    level replaces the end of equal level, so the bracket stays exact.
+    next point of every open bracket, placed inside the bracket, and
+    evaluates all of them in one call of `step`; every point's level
+    replaces the end of equal level, so the bracket stays exact.  The point
+    is the Anderson-Björk step (Anderson and Björk 1973): regula falsi on
+    the chord of the two evaluated points with their values weighted.  Each
+    weight starts at 1 and goes back to 1 when its end is replaced; a step
+    that replaces the same end as the step before it multiplies the kept
+    end's weight by m = 1 - f(x) / f(replaced end), or by 0.5 when m is not
+    in (0, 1], so regula falsi no longer converges from one side only.
     Safeguards:
     - a step closer than 0.4 tol to an end is pushed 0.4 tol from it;
-    - a bisection step when the chord's values do not bracket zero (an
-      exact 0 at an end does bracket it), or when the last two steps
+    - a bisection step when the weighted values do not bracket zero (an
+      exact 0 at an end does bracket it), or when the last three steps
       together did not halve the bracket;
-    - a level strictly between the end levels splits the bracket in two,
-      and the right one opens the next round with no step history.
+    - a level strictly between the end levels splits the bracket in two;
+      both open the next round with weights 1, and the right one with no
+      step history.
     A bracket is done when narrower than `tol`, or when no float lies
     strictly between its ends (a `tol` below the float spacing).  Its jump
-    is reported where the chord crosses zero, inside the bracket, or at its
-    midpoint when the chord's values do not bracket zero: an end often sits
-    on the root itself, on a side that rounding picks, so a midpoint would
-    move by 0.2 tol between two functions a few ulps apart.  Consecutive
+    is reported where the unweighted chord crosses zero, inside the
+    bracket, or at its midpoint when the chord's values do not bracket
+    zero: an end often sits on the root itself, on a side that rounding
+    picks, so a midpoint would move by 0.2 tol between two functions a few
+    ulps apart.  Consecutive
     jumps of a member in one direction whose brackets together are narrower
     than `tol`, or whose points are closer than `tol`, are one jump, at the
     midpoint of their brackets, as a bracket of that width would have been:
     a multiple root splits when a step lands where rounding puts some of its
-    crossings on either side.  Each bracket follows the same points as it
-    would alone.
+    crossings on either side.  The jumps are assembled in array code, and
+    this merge runs in Python only for a member with consecutive jumps of
+    one direction closer than `tol` (`_jumps`).  Each bracket follows the
+    same points as it would alone.
     """
     which, xa, na, (sa, ra), xb, nb, (sb, rb) = cells
     which, xa, na, sa, ra, xb, nb, sb, rb = (np.array(v) for v in (which, xa, na, sa, ra, xb, nb, sb, rb))
     a, b = xa.copy(), xb.copy()  # the bracket; xa and xb are its evaluated points
-    before = np.full((2, len(a)), np.inf)  # the widths before the last two steps
+    wa, wb = np.ones(len(a)), np.ones(len(a))  # the weights of the values at xa and xb
+    last = np.zeros(len(a), dtype=int)  # the end the last step replaced: 1 left, 2 right, 0 none
+    before = np.full((3, len(a)), np.inf)  # the widths before the last three steps
     calls, rounds = np.zeros(members, dtype=int), np.zeros(members, dtype=int)
     done = []
     while len(a):
@@ -277,16 +296,17 @@ def _refine_steps(
         if closed.any():
             done.append(tuple(v[closed] for v in (which, a, b, size, xa, fa, xb, fb)))
             open_ = ~closed
-            state = (which, a, b, na, nb, xa, sa, ra, xb, sb, rb, fa, fb, width)
-            which, a, b, na, nb, xa, sa, ra, xb, sb, rb, fa, fb, width = (v[open_] for v in state)
+            state = (which, a, b, na, nb, xa, sa, ra, xb, sb, rb, wa, wb, last, size, fa, fb, width)
+            which, a, b, na, nb, xa, sa, ra, xb, sb, rb, wa, wb, last, size, fa, fb, width = (v[open_] for v in state)
             before = before[:, open_]
         if not len(a):
             break
         x = 0.5 * (a + b)
-        falsi = np.flatnonzero((fa <= 0.0) & (0.0 <= fb) & (fa < fb) & (width <= 0.5 * before[0]))
+        ga, gb = wa * fa, wb * fb
+        falsi = np.flatnonzero((ga <= 0.0) & (0.0 <= gb) & (ga < gb) & (width <= 0.5 * before[0]))
         if len(falsi):
-            xf, faf, fbf = xa[falsi], fa[falsi], fb[falsi]
-            chord = xf - faf * (xb[falsi] - xf) / (fbf - faf)
+            xf, gaf, gbf = xa[falsi], ga[falsi], gb[falsi]
+            chord = xf - gaf * (xb[falsi] - xf) / (gbf - gaf)
             x[falsi] = np.minimum(np.maximum(chord, a[falsi] + 0.4 * tol), b[falsi] - 0.4 * tol)
         nx, (sx, rx), (sy, ry) = step(which, x)
         evaluated = np.bincount(which, minlength=members)
@@ -294,32 +314,57 @@ def _refine_steps(
         rounds += evaluated > 0
         nx = np.where(np.isnan(nx), na, nx)
         left, right = nx == na, nx == nb
-        before = np.stack([before[1], width])
+        # Anderson-Björk: a step that replaces the end the step before it
+        # replaced scales the kept end's weight by 1 - f(x) / f(replaced end)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 1.0 - _signed(np.where(left[:, None], sx, sy), size) / np.where(left, fa, fb)
+        again, last = last == left + 2 * right, left + 2 * right
+        scale = np.where(again, np.where((scale > 0.0) & (scale <= 1.0), scale, 0.5), 1.0)
+        wa, wb = np.where(right, wa * scale, 1.0), np.where(left, wb * scale, 1.0)
+        before = np.stack([before[1], before[2], width])
         a, xa = np.where(left, x, a), np.where(left, x, xa)
         sa, ra = np.where(left[:, None], sx, sa), np.where(left[:, None], rx, ra)
         b, xb = np.where(right, x, b), np.where(right, x, xb)
         sb, rb = np.where(right[:, None], sy, sb), np.where(right[:, None], ry, rb)
         split = np.flatnonzero(~(left | right))
         if len(split):
-            new = tuple(v[split] for v in (which, x, b, nx, nb, x, sx, rx, xb, sb, rb))
+            new = tuple(v[split] for v in (which, x, b, nx, nb, x, sx, rx, xb, sb, rb, wa, wb, last))
             b[split], nb[split], xb[split], sb[split], rb[split] = x[split], nx[split], x[split], sy[split], ry[split]
-            state = (which, a, b, na, nb, xa, sa, ra, xb, sb, rb)
-            which, a, b, na, nb, xa, sa, ra, xb, sb, rb = (np.concatenate([v, w]) for v, w in zip(state, new))
-            before = np.concatenate([before, np.full((2, len(split)), np.inf)], axis=1)
+            state = (which, a, b, na, nb, xa, sa, ra, xb, sb, rb, wa, wb, last)
+            which, a, b, na, nb, xa, sa, ra, xb, sb, rb, wa, wb, last = (
+                np.concatenate([v, w]) for v, w in zip(state, new)
+            )
+            before = np.concatenate([before, np.full((3, len(split)), np.inf)], axis=1)
+    return _jumps(done, tol, members), calls, rounds
 
-    out: list[list] = [[] for _ in range(members)]  # [a, b, size, k] of each member's brackets, ascending
-    if done:
-        which, a, b, size, xa, fa, xb, fb = (np.concatenate(parts) for parts in zip(*done))
-        order = np.lexsort((a, which))
-        for w, a, b, size, xa, fa, xb, fb in zip(*(v[order].tolist() for v in (which, a, b, size, xa, fa, xb, fb))):
-            brackets = out[w]
-            k = min(max(xa - fa * (xb - xa) / (fb - fa), a), b) if fa <= 0.0 <= fb and fa < fb else 0.5 * (a + b)
-            if brackets and brackets[-1][2] * size > 0 and (b - brackets[-1][0] < tol or k - brackets[-1][3] < tol):
+
+def _jumps(done: list[tuple], tol: float, members: int) -> list[list[tuple[float, int]]]:
+    """The jumps of each member, ascending, from the closed brackets `done`
+    of `_refine_steps`: parts of (which, a, b, size, xa, fa, xb, fb)."""
+    if not done:
+        return [[] for _ in range(members)]
+    which, a, b, size, xa, fa, xb, fb = (np.concatenate(parts) for parts in zip(*done))
+    order = np.lexsort((a, which))
+    which, a, b, size, xa, fa, xb, fb = (v[order] for v in (which, a, b, size, xa, fa, xb, fb))
+    chord = (fa <= 0.0) & (0.0 <= fb) & (fa < fb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(chord, np.minimum(np.maximum(xa - fa * (xb - xa) / (fb - fa), a), b), 0.5 * (a + b))
+    bounds = np.searchsorted(which, np.arange(members + 1)).tolist()
+    ks, sizes = k.tolist(), size.astype(int).tolist()
+    out = [list(zip(ks[lo:hi], sizes[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # only a member with consecutive jumps of one direction closer than tol can merge them
+    near = (which[1:] == which[:-1]) & (size[1:] * size[:-1] > 0) & (a[1:] - b[:-1] < tol)
+    for w in dict.fromkeys(which[1:][near].tolist()):
+        brackets: list[list] = []  # [a, b, size, k]
+        lo, hi = bounds[w], bounds[w + 1]
+        for a_, b_, n, k_ in zip(a[lo:hi].tolist(), b[lo:hi].tolist(), sizes[lo:hi], ks[lo:hi]):
+            if brackets and brackets[-1][2] * n > 0 and (b_ - brackets[-1][0] < tol or k_ - brackets[-1][3] < tol):
                 first = brackets[-1][0]
-                brackets[-1] = [first, b, brackets[-1][2] + size, 0.5 * (first + b)]
+                brackets[-1] = [first, b_, brackets[-1][2] + n, 0.5 * (first + b_)]
             else:
-                brackets.append([a, b, size, k])
-    return [[(k, int(size)) for _, _, size, k in brackets] for brackets in out], calls, rounds
+                brackets.append([a_, b_, n, k_])
+        out[w] = [(k_, n) for _, _, n, k_ in brackets]
+    return out
 
 
 def merge_spectra(
@@ -331,27 +376,46 @@ def merge_spectra(
     per pair, ranked by the pair's position, as if each copy were a
     spectrum of its own.  A copy's roots take its source, or keep their own
     when the source is None.  The default, None, is every spectrum once in
-    its position with source None.  Roots of equal k go in rank order.  A
-    coalesced root names each source once, in rank order, so the list does
-    not depend on how its roots fall within `tol`.
+    its position with source None.  Each root of a spectrum copied is one
+    entry, its order weighted by the spectrum's number of copies, so equal
+    copies are not averaged with each other and a row of one spectrum's
+    root has that root's k.  Roots of equal k go in the rank order of their
+    spectra's first copies.  A coalesced root names the source of each copy
+    once, in rank order, so the list does not depend on how its roots fall
+    within `tol`.
     """
     copies = [(i, None) for i in range(len(spectra))] if copies is None else copies
-    entries = sorted((r.k, rank, j, r.order, r.source if src is None else src)
-                     for rank, (i, src) in enumerate(copies) for j, r in enumerate(spectra[i].roots))
-    merged: list[list] = []  # [k, order, [(rank, source), ...]]
-    for k, rank, _, order, src in entries:
+    held: dict[int, list] = {}  # the (rank, source) of each copy of each spectrum, by rank
+    for rank, (i, src) in enumerate(copies):
+        held.setdefault(i, []).append((rank, src))
+    # one entry per root of each spectrum copied, weighted by its copies, ranked by its first copy
+    entries = sorted((r.k, ranks[0][0], j, i, r) for i, ranks in held.items() for j, r in enumerate(spectra[i].roots))
+    merged: list[list] = []  # [k, order, [(i, root), ...]]
+    for k, _, _, i, root in entries:
+        order = root.order * len(held[i])
         if merged and k - merged[-1][0] <= tol:
             last = merged[-1]
             w = last[1] + order
             last[0], last[1] = (last[0] * last[1] + k * order) / w, w
-            last[2].append((rank, src))
+            last[2].append((i, root))
         else:
-            merged.append([k, order, [(rank, src)]])
-    out = tuple(
-        SpectralRoot(k, order, ",".join(dict.fromkeys(src for _, src in sorted(sources, key=itemgetter(0)) if src)))
-        for k, order, sources in merged
-    )
+            merged.append([k, order, [(i, root)]])
+    # the sources of the copies of one spectrum, where every copy names its own
+    named = {i: _joined(ranks) for i, ranks in held.items() if all(src is not None for _, src in ranks)}
+
+    def sources(parts: list) -> str:
+        if len(parts) == 1 and parts[0][0] in named:
+            return named[parts[0][0]]
+        pairs = [(rank, root.source if src is None else src) for i, root in parts for rank, src in held[i]]
+        return _joined(sorted(pairs, key=itemgetter(0)))
+
+    out = tuple(SpectralRoot(k, order, sources(parts)) for k, order, parts in merged)
     return Spectrum(out, max((s.k_max for s in spectra), default=0.0), {"tol": tol})
+
+
+def _joined(sources: list[tuple[int, str]]) -> str:
+    """The nonempty sources of (rank, source) pairs in rank order, each once."""
+    return ",".join(dict.fromkeys(src for _, src in sources if src))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from qgsym import (
 from qgsym.cli import main
 from qgsym.errors import GridTooCoarse, NonUnitaryScattering
 from qgsym.io import load_spectrum
-from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily
+from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily, _sign_roots
 from qgsym.spectra import MAX_BATCH_BYTES, _contour, isospectral_classes, winding_number
 
 L1 = 0.5
@@ -190,6 +190,27 @@ def test_factors_header_certifies_the_root_count(tmp_path, n1, n2, l3, distinct)
         assert max(r.order for r in s.roots) >= 3
 
 
+def test_factors_header_reports_the_refinement_rounds(tmp_path):
+    # the sign changes of the 81 distinct 16x16 factors close in at most 6
+    # rounds (11 with plain regula falsi and a two-step bisection guard)
+    s = _run_factors(tmp_path, 16, 16, 0.7017025651372872)
+    assert int(s.meta["fallbacks"]) == 0
+    assert 1 <= int(s.meta["rounds"]) <= 6
+
+
+def test_a_factor_that_falls_back_reports_the_rounds_of_both_locators():
+    # the (0,0) factor of 3x4 at L3 = 1 has a triple root at 2 pi, one sign
+    # change short of its eigenphase count, so it is solved again on its system
+    spec = all_quotient_specs(3, 4, L1, 1.0)[0]
+    f = QuotientFamily([spec]).dispersion_real
+    systems = UnitaryFamily([quotient_system(spec)])
+    (got,) = find_roots_real_family(f, systems, 10.0, 0.005)
+    (signs,), (exact,) = _sign_roots(f, 1, 10.0, 0.005, 1e-10, ""), systems.roots(10.0, tol=1e-10, source="")
+    assert got.meta["fallback"] and got.roots == exact.roots
+    assert got.meta["rounds"] == signs.meta["rounds"] + exact.meta["rounds"] > exact.meta["rounds"]
+    assert got.meta["evaluations"] == signs.meta["evaluations"] + exact.meta["evaluations"]
+
+
 def test_find_roots_real_evaluates_its_grid_in_one_call_and_no_circle():
     # two Dirichlet intervals of lengths 1 and 1/2 and two functions with
     # their zeros, pi m and 2 pi m: the grid of both members in one call,
@@ -343,7 +364,7 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     distinct = int(s.meta["factors"])
     assert distinct == 81
     circles = [shape for shape in real_shapes if len(shape) == 2 and shape[1] in (65, 129)]
-    assert 0 < len(real_shapes) - 1 - len(circles) <= 100  # the grid chunks and refinement rounds
+    assert 0 < len(real_shapes) - 1 - len(circles) <= 41 + 6  # the 41 grid chunks and at most 6 refinement rounds
     assert all(len(shape) >= 1 for shape in real_shapes)  # no call on a scalar float
     assert real_shapes[0] == (3 * 256,)  # the probes
     grid = [shape for shape in real_shapes if len(shape) == 2 and shape[1] not in (65, 129)]

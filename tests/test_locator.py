@@ -1,9 +1,10 @@
 """The shared refinement core `_refine_steps`, checked against plain bisection.
 
-Both locators close each jump of a step function by regula falsi with exact
-levels, in rounds over every bracket of a family; a plain bisection of the
-same step function, kept here, is the reference for the roots, their orders
-and the number of evaluations.
+Both locators close each jump of a step function by the Anderson-Björk
+modified regula falsi with exact levels, in rounds over every bracket of a
+family; a plain bisection of the same step function, kept here, is the
+reference for the roots, their orders and the number of evaluations, and a
+loop over the closed brackets is the reference for their assembly.
 """
 
 import math
@@ -27,7 +28,7 @@ from qgsym import (
 from qgsym.cli import main
 from qgsym.quotient import torus_secular_system
 from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases, _sign_roots
-from qgsym.spectra import MAX_BATCH_BYTES, _grid_cells, _refine_steps
+from qgsym.spectra import MAX_BATCH_BYTES, _grid_cells, _jumps, _refine_steps
 
 TOL = 1e-10
 
@@ -249,6 +250,82 @@ def test_a_unitary_family_equals_its_members_run_alone(blocks):
         assert max(r.order for s in family for r in s.roots) >= 3
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    roots=st.lists(st.floats(0.6, 9.4), min_size=1, max_size=4),
+    signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+)
+@example(roots=[3.3], signs=(1.0, 1.0))
+def test_one_sided_regula_falsi_stays_within_the_bisection_bound(roots, signs):
+    # +-expm1(+-40 (k - r)) on a grid of 0.5 changes by a factor of up to
+    # e^20 across a cell and is convex or concave throughout, so plain
+    # regula falsi would replace one end only; the modified steps and the
+    # bisection guard still close each root as sign bisection does, within
+    # the bisection bound of evaluations
+    r, (outer, inner) = np.array(roots), signs
+
+    def f(which, k):
+        return outer * np.expm1(inner * 40.0 * (k - r[which]))
+
+    grid_step, k_max = 0.5, 10.0
+    spectra = _sign_roots(f, len(r), k_max, grid_step, TOL, "")
+    ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
+    for m, s in enumerate(spectra):
+        signs_m = np.sign(f(m, ks))
+        assume(np.all(signs_m != 0))
+        want = _bisect(lambda k: int(np.sign(f(m, k))) or None, ks, signs_m, TOL)
+        assert len(want) == 1
+        _assert_same_jumps([(root.k, root.order) for root in s.roots], [(k, 1) for k, _ in want])
+        assert s.meta["evaluations"] - len(ks) <= _eval_bound(grid_step)
+
+
+def _jumps_by_loop(done, tol, members):
+    """The jumps of the closed brackets `done`, one bracket at a time in
+    Python: the reference for the array assembly of `_jumps`."""
+    which, a, b, size, xa, fa, xb, fb = (np.concatenate(parts) for parts in zip(*done))
+    out = [[] for _ in range(members)]
+    order = np.lexsort((a, which))
+    for w, a, b, size, xa, fa, xb, fb in zip(*(v[order].tolist() for v in (which, a, b, size, xa, fa, xb, fb))):
+        brackets = out[w]
+        k = min(max(xa - fa * (xb - xa) / (fb - fa), a), b) if fa <= 0.0 <= fb and fa < fb else 0.5 * (a + b)
+        if brackets and brackets[-1][2] * size > 0 and (b - brackets[-1][0] < tol or k - brackets[-1][3] < tol):
+            first = brackets[-1][0]
+            brackets[-1] = [first, b, brackets[-1][2] + size, 0.5 * (first + b)]
+        else:
+            brackets.append([a, b, size, k])
+    return [[(k, int(size)) for _, _, size, k in brackets] for brackets in out]
+
+
+_BRACKET = st.tuples(
+    st.sampled_from([0.0, 0.2, 0.9, 1.5, 30.0]),  # the gap to the bracket before, in tol
+    st.floats(0.0, 0.99),  # the width, in tol
+    st.sampled_from([-2, -1, 1, 2, 3]),  # the jump
+    st.floats(0.0, 1.0), st.floats(-1.0, 0.3),  # xa below a, in tol, and its value
+    st.floats(0.0, 1.0), st.floats(-0.3, 1.0),  # xb above b, in tol, and its value
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(members=st.lists(st.lists(_BRACKET, max_size=8), min_size=1, max_size=3), parts=st.integers(1, 4))
+def test_jumps_assembled_in_arrays_equal_the_loop_bit_for_bit(members, parts):
+    # consecutive brackets of a member closer than tol, of one direction or
+    # not, with chord values that bracket zero or do not, closed over
+    # several rounds
+    tol, rows = 1e-3, []
+    for w, brackets in enumerate(members):
+        b = 1.0
+        for gap, width, size, below, fa, above, fb in brackets:
+            a = b + gap * tol
+            b = a + width * tol
+            rows.append((w, a, b, float(size), a - below * tol, fa, b + above * tol, fb))
+    assume(rows)
+    rows = [rows[j] for j in np.random.default_rng(len(rows)).permutation(len(rows))]
+    cuts = np.linspace(0, len(rows), parts + 1).astype(int)
+    done = [tuple(np.array(v) for v in zip(*rows[lo:hi])) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+    done = [(w.astype(int), *rest) for w, *rest in done]
+    assert _jumps(done, tol, len(members)) == _jumps_by_loop(done, tol, len(members))
+
+
 def test_real_root_on_a_grid_point_takes_one_step():
     # f = 0.0 exactly at the grid point 0.5 brackets the root with a value of
     # exactly 0 at an end: regula falsi closes it, no bisection
@@ -270,7 +347,7 @@ def _spectrum_of_the_3x4_document(tmp_path, name, *flags):
 def test_spectrum_header_counts_evaluations(tmp_path):
     # the 3x4 torus document at --kmax 10: 6 runs of 5 grid points, cells
     # of 0.9 pi / L_max of the contracted 4x4 blocks, and about two
-    # refinement evaluations per root; 181 in all
+    # refinement evaluations per root; 155 in all
     out, blocks = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
     s = io.load_spectrum(str(out))
     assert int(s.meta["blocks"]) == 12
@@ -281,17 +358,17 @@ def test_spectrum_header_counts_evaluations(tmp_path):
 def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
     # the 6 distinct blocks of the 3x4 document, contracted from 8x8 to 4x4,
     # are one family: their grids go to one stacked eigvals call and each of
-    # the 6 refinement rounds to one call, for the same 181 evaluations as
+    # the 4 refinement rounds to one call, for the same 155 evaluations as
     # block by block; the certificate adds one call, each of the 12 blocks
     # at K_MIN and at k_max
     eigvals, shapes = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
     out, _ = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
     s = io.load_spectrum(str(out))
-    assert (s.meta["evaluations"], s.meta["rounds"]) == (181, 6)
-    assert len(shapes) == 1 + 6 + 1
+    assert (s.meta["evaluations"], s.meta["rounds"]) == (155, 4)
+    assert len(shapes) == 1 + 4 + 1
     assert all(len(shape) == 3 and shape[1:] == (4, 4) for shape in shapes)
-    assert sum(shape[0] for shape in shapes) == 181 + 2 * 12
+    assert sum(shape[0] for shape in shapes) == 155 + 2 * 12
 
 
 def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):

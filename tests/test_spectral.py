@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgsym import (
     SecularSystem,
@@ -133,6 +135,51 @@ def test_merge_spectra_coalesces_nearby_roots():
     assert [r.order for r in m.roots] == [2, 1, 2]
     assert m.roots[0].k == pytest.approx(1.0 + 2e-8, abs=1e-9)
     assert "a" in m.roots[0].source and "b" in m.roots[0].source
+
+
+_ROOTS = st.lists(
+    st.tuples(
+        st.integers(1, 30),  # the root's place on a lattice of 0.01
+        st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 3e-8, -4e-8]),  # exact ties and near-ties within tol
+        st.integers(1, 3),
+        st.sampled_from(["", "a", "b"]),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=st.lists(_ROOTS, min_size=1, max_size=4),
+    copies=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([None, "", "x", "y", "z"])), max_size=8),
+)
+def test_merging_copies_equals_merging_each_copy_built(parts, copies):
+    # every copy built as a spectrum of its own and merged once each is the
+    # reference: the same rows, orders and sources, and k within 4 ulp
+    spectra = [
+        Spectrum(tuple(SpectralRoot(0.01 * j + d, order, src) for j, d, order, src in sorted(roots)), 1.0)
+        for roots in parts
+    ]
+    copies = [(i % len(spectra), src) for i, src in copies]
+    built = [
+        Spectrum(tuple(SpectralRoot(r.k, r.order, r.source if src is None else src) for r in spectra[i].roots), 1.0)
+        for i, src in copies
+    ]
+    got, want = merge_spectra(spectra, tol=1e-7, copies=copies), merge_spectra(built, tol=1e-7)
+    assert [(r.order, r.source) for r in got.roots] == [(r.order, r.source) for r in want.roots]
+    assert all(abs(g.k - w.k) <= 4 * math.ulp(w.k) for g, w in zip(got.roots, want.roots))
+
+
+def test_spectral_root_is_an_immutable_tuple_of_float_int_and_source():
+    r = SpectralRoot(np.float64(1.5), np.int64(2), "a")
+    assert type(r.k) is float and type(r.order) is int
+    assert r == SpectralRoot(k=1.5, order=2.0, source="a")
+    assert hash(r) == hash(SpectralRoot(1.5, 2, "a"))
+    assert r != SpectralRoot(1.5, 2, "b") and r != SpectralRoot(1.5, 3, "a")
+    assert repr(r) == "SpectralRoot(k=1.5, order=2, source='a')"
+    assert SpectralRoot(1, 1).source == "" and type(SpectralRoot(1, 1).k) is float
+    with pytest.raises(AttributeError):
+        r.k = 2.0
 
 
 def test_compare_spectra_matching_and_mismatch():
