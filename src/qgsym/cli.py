@@ -213,13 +213,14 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     them together, per 32 KB of points (`spectra.MAX_BATCH_BYTES`).  Their
     8x8 quotient systems come from one stacked assembly
     (`quotient.quotient_systems`) and are counted in stacked `eigvals`
-    calls: a factor with as many sign changes as its exact eigenphase count
-    N(k_max) has found every root, and any other is solved again by the
-    unitary locator on its system (`fallbacks` in the header counts them).
-    The header's `rounds` is the most refinement rounds of any factor, its
-    fallback's included.  The header's `eigenphase_count`, N(k_max) summed
-    over the labels, certifies `root_count`: a count that differs exits 2
-    with `CertificateMismatch` and writes no file.
+    calls first: a factor with no exact zero on its grid and as many sign
+    changes as its exact eigenphase count N(k_max) has found every root once
+    refined, unless one closes above k_max, and any other is solved by the
+    unitary locator on its system (`fallbacks` in the header counts them).  The header's `rounds`
+    is the most refinement rounds of any factor, by either locator.  The
+    header's `eigenphase_count`, N(k_max) summed over the labels, certifies
+    `root_count`: a count that differs exits 2 with `CertificateMismatch`
+    and writes no file.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
     first = isospectral_classes(quotient.QuotientFamily(specs).dispersion_real, len(specs), (l1, l3), 16)

@@ -1,15 +1,17 @@
 """The real and the unitary root locators, each for a family of functions.
 
 Both run the core of `spectra`: a grid of every member in chunked array
-calls, then `_refine_steps` in rounds over every bracket of every member.
+calls, then `_refine_steps` in rounds over the brackets of every member.
 
 - `find_roots_real_family`: the secular functions of a `UnitaryFamily`,
-  each given as a real function on the real axis.  `_sign_roots` closes
-  every sign change, with the sign of f as the step and f itself as the
-  value (an exact 0.0 inside the grid takes the sign of the point before
-  it).  Every zero of a secular function is real and N(k) counts them with
-  order, so a member whose sign changes number N(k_max) has found them all,
-  each simple; any other member is solved again by `UnitaryFamily.roots`.
+  each given as a real function on the real axis.  Every zero of a secular
+  function is real and N(k) counts them with order, so a member whose grid
+  holds no exact 0.0 and as many sign changes as N(k_max) has found them
+  all, each simple.  The counts come first: `_sign_roots` closes the sign
+  changes of those members only, with the level f >= 0 as the step and f
+  itself as the value.  Every other member goes straight to
+  `UnitaryFamily.roots`, and so does a refined member that keeps fewer
+  than N(k_max) roots on (0, k_max] (its grid can end past k_max).
 - `UnitaryFamily`: exact eigenphase counting for unitary scattering.  The
   family is contracted once (`contracted_stacks`: every pure-transmission
   bond dropped, the determinant unchanged), and each stack of contracted
@@ -34,67 +36,69 @@ import numpy as np
 from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
 from .scattering import SecularSystem, contracted_stacks
 from .spectra import (
-    TWO_PI, Evaluator, SpectralRoot, Spectrum, _chunked, _grid_cells, _grid_values, _k_grid, _no_reach, _refine_steps,
+    TWO_PI, Evaluator, SpectralRoot, Spectrum, _chunked, _grid_cells, _grid_values, _k_grid, _refine_steps,
 )
 
 K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
 PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
 
 
-def _sign_roots(f: Evaluator, members: int, k_max: float, grid_step: float, tol: float, source: str) -> list[Spectrum]:
-    """The sign changes of each of `members` functions, real on the real
-    axis, on a grid from `grid_step` to `k_max`: one spectrum per member, a
-    root of order 1 for each.
+def _sign_roots(
+    f: Evaluator, counts: Sequence[int], k_max: float, grid_step: float, tol: float, source: str
+) -> list[Spectrum]:
+    """The sign changes on a grid from `grid_step` to `k_max` of functions
+    real on the real axis, one per entry of `counts`: one spectrum per
+    function, with a root of order 1 for each sign change of a function
+    that its grid certifies.
 
     `f(which, k)` takes an integer array of members and an array of points
     that broadcast together, and returns the values elementwise.  The
     members share one grid, evaluated in chunks of members of at most
-    MAX_BATCH_BYTES of points (`rows[:, None]` against the grid).  Sign
-    changes are closed to width `tol` by `_refine_steps`, with f as the
-    value, in one call of `f` on 1-D arrays per round; a grid value of
-    exactly 0.0 inside the grid takes the sign of the point before it.  A
-    bracket holds an odd number of zeros, and a cell may hide an even number;
-    a root that closes above k_max is dropped.  `meta["evaluations"]` counts
-    the member's grid points and refinement points, and `meta["rounds"]` the
-    refinement rounds that evaluated the member.  `k_max` below
-    `grid_step` leaves no grid (`GridTooCoarse`).
+    MAX_BATCH_BYTES of points (`rows[:, None]` against the grid).  A member
+    is certified when its grid holds no exact 0.0 and exactly its count of
+    sign changes; the sign changes of the certified members, and only
+    those, are closed to width `tol` by `_refine_steps`, with the level
+    `f >= 0` as the step and f as the value, in one call of `f` on 1-D
+    arrays per round.  A root that closes above k_max is dropped.  Every
+    other member's spectrum has no roots and `meta["fallback"]`.
+    `meta["evaluations"]` counts the member's grid points and refinement
+    points, and `meta["rounds"]` the refinement rounds that evaluated the
+    member.  `k_max` below `grid_step` leaves no grid (`GridTooCoarse`).
     """
-    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     if k_max < grid_step:
         raise GridTooCoarse(f"k_max = {k_max!r} is below grid_step = {grid_step!r}")
     ks = _k_grid(grid_step, k_max + grid_step / 2.0, grid_step)
     if ks[-1] < k_max - 1e-12:
         ks = np.append(ks, k_max)
 
-    cells = []
+    members, cells = len(counts), []
+    zero = np.zeros(members, dtype=bool)  # the members with an exact 0.0 on their grid
     for rows, vals in _grid_values(f, members, ks):
-        # the step evaluator is the sign of f; an exact zero inside the grid
-        # takes the sign of the point before it, one at either end stays a
-        # level 0 so that the change next to it is refined onto it
-        signs = np.sign(vals)
-        if not signs[:, 1:-1].all():
-            before = np.maximum.accumulate(np.where(signs != 0, np.arange(len(ks)), 0), axis=1)
-            signs[:, 1:-1] = np.take_along_axis(signs, before, axis=1)[:, 1:-1]
-        r, i = np.nonzero(signs[:, 1:] != signs[:, :-1])
-        cells.append((rows[r], ks[i], signs[r, i], vals[r, i, None], ks[i + 1], signs[r, i + 1], vals[r, i + 1, None]))
+        zero[rows] = ~vals.all(axis=1)
+        r, i = np.nonzero(np.diff(vals >= 0.0, axis=1))
+        cells.append((rows[r], ks[i], vals[r, i, None], ks[i + 1], vals[r, i + 1, None]))
+    which, a, fa, b, fb = (np.concatenate(v) for v in zip(*cells))
+    certified = ~zero & (np.bincount(which, minlength=members) == np.asarray(counts))
+    which, a, fa, b, fb = (v[certified[which]] for v in (which, a, fa, b, fb))
+
+    def level(values: np.ndarray) -> np.ndarray:
+        return 1.0 * (values[:, 0] >= 0.0)
 
     def sign_at(which: np.ndarray, k: np.ndarray) -> tuple:
-        fk = np.asarray(_chunked(f, which, k, 8), dtype=float)
-        levels = np.sign(fk)
-        levels[levels == 0] = np.nan
-        side = (fk[:, None], _no_reach(len(k)))
-        return levels, side, side
+        fk = np.asarray(_chunked(f, which, k, 8), dtype=float)[:, None]
+        side = (fk, np.zeros_like(fk))  # the level holds for 0, and no jump is bounded
+        return level(fk), side, side
 
-    which, a, na, fa, b, nb, fb = (np.concatenate(v) for v in zip(*cells))
-    none = _no_reach(len(a))
-    jumps, calls, rounds = _refine_steps(sign_at, (which, a, na, (fa, none), b, nb, (fb, none)), tol, members)
+    flat = np.zeros_like(fa)
+    cells = (which, a, level(fa), (fa, flat), b, level(fb), (fb, flat))
+    jumps, calls, rounds = _refine_steps(sign_at, cells, tol, members)
     return [
         Spectrum(
             tuple(SpectralRoot(k, 1, source) for k, _ in member if k <= k_max),
             k_max,
-            {"grid_step": grid_step, "tol": tol, "evaluations": len(ks) + int(n), "rounds": int(r)},
+            {"grid_step": grid_step, "tol": tol, "evaluations": len(ks) + int(n), "rounds": int(r), "fallback": not ok},
         )
-        for member, n, r in zip(jumps, calls, rounds)
+        for member, n, r, ok in zip(jumps, calls, rounds, certified.tolist())
     ]
 
 
@@ -108,22 +112,28 @@ def find_roots_real_family(
     the real axis with the zeros of system m's det(I - S D(k)).  Every such
     zero is real, N(k_max) counts them with order (`UnitaryFamily.counts`),
     and a sign-change bracket holds an odd number of them; so a member with
-    as many sign changes as N(k_max) has one simple zero in each bracket and
-    none elsewhere.  Every other member is solved again by
-    `UnitaryFamily.roots`, which is exact, in one call.  Each spectrum's
-    `meta` has the scan's `grid_step` and `tol`, the points evaluated for
-    the member by the scan and the unitary locator (`evaluations`) and the
-    refinement rounds of both that evaluated it (`rounds`), its
-    `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
+    no exact zero on its grid and as many sign changes as N(k_max) has one
+    simple zero in each bracket and none elsewhere.  The counts come first,
+    so only such members are refined (`_sign_roots`).  The grid can end up
+    to grid_step / 2 past k_max, and a root that closes above k_max is
+    dropped, so a refined member keeps its roots only if their number is
+    still N(k_max).  Every other member is solved by `UnitaryFamily.roots`,
+    which is exact, in one call.  Each spectrum's `meta` has the scan's
+    `grid_step` and `tol`, the points evaluated for the member by the scan
+    and the unitary locator (`evaluations`), the refinement rounds that
+    evaluated it (`rounds`), its `eigenphase_count` N(k_max), and whether it
+    fell back (`fallback`).
     """
-    found = _sign_roots(f, systems.members, k_max, grid_step, tol, source)
+    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     counts = systems.counts(k_max)
-    short = [m for m, (s, n) in enumerate(zip(found, counts)) if len(s.roots) != n]
+    found = _sign_roots(f, counts, k_max, grid_step, tol, source)
+    short = [m for m, (s, n) in enumerate(zip(found, counts)) if s.meta["fallback"] or len(s.roots) != n]
     for m, exact in zip(short, systems.roots(k_max, tol=tol, source=source, members=short)):
         evaluations, rounds = (found[m].meta[key] + exact.meta[key] for key in ("evaluations", "rounds"))
-        found[m] = Spectrum(exact.roots, k_max, {**found[m].meta, "evaluations": evaluations, "rounds": rounds})
-    for m, (s, n) in enumerate(zip(found, counts)):
-        s.meta.update(eigenphase_count=n, fallback=m in short)
+        meta = {**found[m].meta, "evaluations": evaluations, "rounds": rounds, "fallback": True}
+        found[m] = Spectrum(exact.roots, k_max, meta)
+    for s, n in zip(found, counts):
+        s.meta["eigenphase_count"] = n
     return found
 
 

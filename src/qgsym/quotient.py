@@ -5,8 +5,7 @@ degree-4 vertex with the standard condition, and two degree-2 vertices with
 quasi-periodic gluing phases.  The phase on the L1 pair is omega2^t and the
 phase on the L3 pair is omega1^s; this assignment is forced — attaching the
 phases the other way round produces the factors of the transposed torus,
-which is a different metric graph.  The `swap_pairing` toggle therefore
-changes no observable (graph, matrices, closed form, spectra).
+which is a different metric graph.
 
 Every factor of one torus has this graph and differs only in its two
 gluing phases, so `quotient_systems` builds the graph once and assembles
@@ -53,7 +52,6 @@ class QuotientSpec:
     l3: float
     s: int
     t: int
-    swap_pairing: bool = False
 
     def __post_init__(self) -> None:
         for name in ("l1", "l3"):
@@ -63,12 +61,12 @@ class QuotientSpec:
 
     @property
     def phase_l1(self) -> complex:
-        """Gluing phase on the two L1 edges (pairing-independent)."""
+        """Gluing phase on the two L1 edges."""
         return irrep_value(self.n2, self.t, 1)
 
     @property
     def phase_l3(self) -> complex:
-        """Gluing phase on the two L3 edges (pairing-independent)."""
+        """Gluing phase on the two L3 edges."""
         return irrep_value(self.n1, self.s, 1)
 
     @cached_property
@@ -216,13 +214,9 @@ class QuotientFamily:
         return _combine(self.alpha[which], self.beta[which], *sines)
 
 
-def all_quotient_specs(n1, n2, l1, l3, swap_pairing=False):
+def all_quotient_specs(n1, n2, l1, l3):
     require_positive(n1=n1, n2=n2)
-    return [
-        QuotientSpec(n1, n2, l1, l3, s, t, swap_pairing)
-        for s in range(n1)
-        for t in range(n2)
-    ]
+    return [QuotientSpec(n1, n2, l1, l3, s, t) for s in range(n1) for t in range(n2)]
 
 
 def secular_product(n1: int, n2: int, l1: float, l3: float, k: complex) -> complex:

@@ -5,8 +5,7 @@ distinct quotient factors of `factors`, or the distinct character blocks of
 `spectrum`.  An evaluator takes two arrays that broadcast together,
 `which` (the member of each point) and `k`, so one array call serves every
 member.  Each array call takes at most MAX_BATCH_BYTES of input: a grid
-goes in chunks of members, a contour pass in chunks of circles, a stack of
-`eigvals` in chunks of matrices.
+goes in chunks of members, a stack of `eigvals` in chunks of matrices.
 
 `_refine_steps` closes the jumps of integer step functions.  Every cell of
 a member's grid whose end levels differ is a bracket.  Each round computes
@@ -21,8 +20,8 @@ cases where the modified regula falsi stalls, and a level between the end
 levels splits the bracket.  The closed brackets become each member's jumps
 in array code.  A member's points, roots and count do not depend on the
 other members of its family.
-`_contour` is the argument-principle pass: the zero counts and zero sums
-in a batch of circles, from array calls on all their points.
+`winding_number` counts the zeros inside one circle by the argument
+principle.
 
 `merge_spectra` takes the union of spectra, or of copies of them under
 other sources, with one entry per root of each distinct spectrum, and
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import GridTooCoarse, GridTooLarge
 
 TWO_PI = 2.0 * math.pi
-MAX_BATCH_BYTES = 2**15  # input of one array call of a locator: points, circle points or matrices
+MAX_BATCH_BYTES = 2**15  # input of one array call of a locator: points or matrices
 MAX_GRID_POINTS = 10**7  # largest k grid any locator or scan builds
 PROBES = np.array([0.93 + 0.61j, 2.17 + 0.37j, 3.41 + 0.83j])  # in units of 1 / (longest bond length)
 
@@ -132,52 +131,18 @@ def _grid_values(f: Evaluator, members: int, ks: np.ndarray):
         yield rows, parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _through_zero(center: float) -> GridTooCoarse:
-    return GridTooCoarse(f"winding circle at {float(center)} passes through a zero")
-
-
-def _contour(
-    fn: Evaluator, which, centers: Sequence[float], radii: Sequence[float], samples: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero counts and zero sums of analytic functions inside circles, and
-    which circles pass through a zero.
-
-    Argument principle on `samples` chords per circle: the change of log f
-    around a circle is 2pi i times its zero count, and (1/2pi i) * the
-    contour integral of z f'(z)/f(z) = z d(log f) is the sum of its zeros.
-    `fn(which, z)` is called with the members as a (circles, 1) array and
-    the circles' points as a (circles, samples + 1) array, once per
-    MAX_BATCH_BYTES of points and not at all for no circles.  A circle on
-    which `fn` is exactly 0 is flagged, and its count and sum mean nothing.
-    """
-    centers, radii = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(radii, dtype=float))
-    which = np.broadcast_to(np.asarray(which), centers.shape)
-    counts, zsums = np.empty(len(centers), dtype=int), np.empty(len(centers), dtype=complex)
-    through = np.zeros(len(centers), dtype=bool)
-    circle = np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))
-    per = max(1, MAX_BATCH_BYTES // (16 * (samples + 1)))
-    for j in range(0, len(centers), per):
-        zs = centers[j : j + per, None] + radii[j : j + per, None] * circle
-        vals = np.asarray(fn(which[j : j + per, None], zs))
-        hit = np.any(vals == 0, axis=-1)
-        if hit.any():
-            through[j : j + per] = hit
-            vals = np.where(hit[:, None], 1.0, vals)
-        dlog = np.diff(np.log(np.abs(vals)) + 1j * np.angle(vals), axis=-1)
-        dlog = dlog.real + 1j * ((dlog.imag + np.pi) % TWO_PI - np.pi)
-        zsums[j : j + per] = np.sum(0.5 * (zs[:, :-1] + zs[:, 1:]) * dlog, axis=-1) / (2j * np.pi)
-        counts[j : j + per] = np.rint(dlog.imag.sum(-1) / TWO_PI)
-    return counts, zsums, through
-
-
 def winding_number(
     fn: Callable[[np.ndarray], np.ndarray], center: float, radius: float, samples: int = 64
 ) -> int:
-    """Zero count of an analytic function inside a circle, by argument change."""
-    counts, _, through = _contour(lambda which, z: fn(z), 0, [center], [radius], samples)
-    if through[0]:
-        raise _through_zero(center)
-    return int(counts[0])
+    """Zero count of an analytic function inside a circle: the change of its
+    argument along `samples` chords of the circle, over 2pi, from one call
+    of `fn` on the circle's points.  A circle on which `fn` is exactly 0
+    raises `GridTooCoarse`."""
+    vals = np.asarray(fn(center + radius * np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))))
+    if np.any(vals == 0):
+        raise GridTooCoarse(f"winding circle at {float(center)} passes through a zero")
+    turns = (np.diff(np.angle(vals)) + np.pi) % TWO_PI - np.pi
+    return int(np.rint(turns.sum() / TWO_PI))
 
 
 def _k_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -202,12 +167,6 @@ def _reach(reaches: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(m <= last, reaches[np.arange(len(m)), np.minimum(m, last).astype(int)], np.inf)
 
 
-def _no_reach(n: int) -> np.ndarray:
-    """The reaches of `n` points of a step that certifies nothing past them:
-    its level holds for 0, and no number of jumps is bounded."""
-    return np.tile([0.0, np.inf], (n, 1))
-
-
 Side = tuple  # (sums, reaches) of points, looking ahead or behind
 Cells = tuple  # (which, a, na, ahead of a, b, nb, behind of b) of each bracket
 
@@ -230,9 +189,7 @@ def _refine_steps(
     `cells` are the brackets, each with its member, its ends' k and levels,
     and what its left end sees ahead and its right end behind.
     `step(which, k)`, on 1-D arrays, gives at the points `k` of the members
-    `which` the levels (NaN for None: a level of None, an exact zero of a
-    sign, takes the level of the bracket's left end), and ahead and behind of
-    each point, (sums, reaches):
+    `which` the levels, and ahead and behind of each point, (sums, reaches):
     - sums, an (n, width) array of prefix sums: for a jump of size m that the
       point bounds on that side, column |m| - 1 (the last when |m| is
       larger), negated when m < 0, crosses zero at the jump;
@@ -244,11 +201,13 @@ def _refine_steps(
     Every bracket keeps the points it was last evaluated at, one per level,
     and its ends move inward to the reaches of those points before every
     round: a moved end keeps its exact level, since a step that reports
-    reaches is monotone.  `_no_reach` moves no end.  Each round computes the
-    next point of every open bracket, placed inside the bracket, and
-    evaluates all of them in one call of `step`; every point's level
-    replaces the end of equal level, so the bracket stays exact.  The point
-    is the Anderson-Björk step (Anderson and Björk 1973): regula falsi on
+    reaches is monotone.  The sign step of `locators._sign_roots` reports
+    one column of zeros, so its level holds for 0 and no jump is bounded:
+    it moves no end.  Each round computes the next point of every open
+    bracket, placed inside the bracket, and evaluates all of them in one
+    call of `step`; every point's level replaces the end of equal level, so
+    the bracket stays exact.
+    The point is the Anderson-Björk step (Anderson and Björk 1973): regula falsi on
     the chord of the two evaluated points with their values weighted.  Each
     weight starts at 1 and goes back to 1 when its end is replaced; a step
     that replaces the same end as the step before it multiplies the kept
@@ -312,7 +271,6 @@ def _refine_steps(
         evaluated = np.bincount(which, minlength=members)
         calls += evaluated
         rounds += evaluated > 0
-        nx = np.where(np.isnan(nx), na, nx)
         left, right = nx == na, nx == nb
         # Anderson-Björk: a step that replaces the end the step before it
         # replaced scales the kept end's weight by 1 - f(x) / f(replaced end)

@@ -256,20 +256,3 @@ def test_irrep_orthogonality_sums_exhaustive():
         f"identity exact: {identity_ok}; max off-identity |sum| = {worst:.2e}",
     )
 
-
-def test_phase_pairing_toggle_permutes_but_preserves_union():
-    plain = [_factor_spectrum(sp, 15.0) for sp in all_quotient_specs(3, 4, L1, L3)]
-    swapped = [
-        _factor_spectrum(sp, 15.0)
-        for sp in all_quotient_specs(3, 4, L1, L3, swap_pairing=True)
-    ]
-    a = merge_spectra(plain, tol=1e-7)
-    b = merge_spectra(swapped, tol=1e-7)
-    res = compare_spectra(a, b, tol=1e-9)
-    ok = res.isospectral
-    _report(
-        "swapping the phase-to-direction pairing leaves the merged spectrum fixed",
-        ok,
-        f"{res.count_a} vs {res.count_b} roots, max pair distance = "
-        f"{res.max_distance:.2e}",
-    )

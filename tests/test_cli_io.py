@@ -28,6 +28,7 @@ from qgsym import cli, scattering
 from qgsym.cli import main
 from qgsym.decompose import l2_norm_sq, project
 from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
+from qgsym.locators import UnitaryFamily
 from qgsym.io import (
     doc_to_graph,
     graph_to_doc,
@@ -734,6 +735,36 @@ def test_cli_factors_solves_close_roots_again_on_their_quotient_system(tmp_path,
     assert [r.order for r in got.roots] == [r.order for r in want.roots]
     assert max(abs(a.k - b.k) for a, b in zip(got.roots, want.roots)) <= 1e-9
 
+
+
+def _losing_a_root(locate):
+    """`locate`, a locator of a family, with the first root of its first
+    spectrum dropped."""
+
+    def lossy(*args, **kwargs):
+        found = locate(*args, **kwargs)
+        found[0] = Spectrum(found[0].roots[1:], found[0].k_max, found[0].meta)
+        return found
+
+    return lossy
+
+
+@pytest.mark.parametrize("command", ["factors", "spectrum"])
+def test_cli_refuses_a_root_count_its_certificate_denies(tmp_path, monkeypatch, command):
+    # a locator that loses one root leaves the merged root count short of the
+    # eigenphase count: the command exits 2 and writes no file
+    doc, out = str(tmp_path / "torus.json"), str(tmp_path / "out.csv")
+    assert CliRunner().invoke(main, ["build", "product", *TORUS, "-o", doc]).exit_code == 0
+    if command == "factors":
+        monkeypatch.setattr(cli, "find_roots_real_family", _losing_a_root(cli.find_roots_real_family))
+        args = ["factors", *TORUS]
+    else:
+        monkeypatch.setattr(UnitaryFamily, "roots", _losing_a_root(UnitaryFamily.roots))
+        args = ["spectrum", doc]
+    res = CliRunner().invoke(main, [*args, "-o", out])
+    _assert_usage_error(res, "CertificateMismatch")
+    assert "against an eigenphase count of" in res.output
+    assert not os.path.exists(out)
 
 def test_cli_scan_rejects_kmax_below_grid(tmp_path):
     gpath, out = str(tmp_path / "c3.json"), str(tmp_path / "scan.csv")

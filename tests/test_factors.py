@@ -1,6 +1,6 @@
 """The closed forms on arrays and as one family evaluator, `factors` run once
 per distinct closed form, and the array calls of its grid, refinement
-rounds and stacked certificate; the batched contour of `winding_number`."""
+rounds and stacked certificate; `winding_number` on one circle."""
 
 import math
 
@@ -29,7 +29,7 @@ from qgsym.cli import main
 from qgsym.errors import GridTooCoarse, NonUnitaryScattering
 from qgsym.io import load_spectrum
 from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily, _sign_roots
-from qgsym.spectra import MAX_BATCH_BYTES, _contour, isospectral_classes, winding_number
+from qgsym.spectra import MAX_BATCH_BYTES, isospectral_classes, winding_number
 
 L1 = 0.5
 L3_BAND = 0.713616028647381  # an incommensurate L3 near 1/sqrt(2), as the 16x16 benchmark draws
@@ -200,15 +200,40 @@ def test_factors_header_reports_the_refinement_rounds(tmp_path):
 
 def test_a_factor_that_falls_back_reports_the_rounds_of_both_locators():
     # the (0,0) factor of 3x4 at L3 = 1 has a triple root at 2 pi, one sign
-    # change short of its eigenphase count, so it is solved again on its system
+    # change short of its eigenphase count, so it is solved on its system
+    # straight after the grid: the real locator adds its grid points and no
+    # refinement round
     spec = all_quotient_specs(3, 4, L1, 1.0)[0]
-    f = QuotientFamily([spec]).dispersion_real
+    family, calls = QuotientFamily([spec]), []
+    f = lambda which, k: calls.append(np.shape(k)) or family.dispersion_real(which, k)
     systems = UnitaryFamily([quotient_system(spec)])
     (got,) = find_roots_real_family(f, systems, 10.0, 0.005)
-    (signs,), (exact,) = _sign_roots(f, 1, 10.0, 0.005, 1e-10, ""), systems.roots(10.0, tol=1e-10, source="")
+    assert calls == [(2000,)]
+    (signs,), (exact,) = _sign_roots(f, systems.counts(10.0), 10.0, 0.005, 1e-10, ""), systems.roots(10.0, source="")
+    assert signs.roots == () and (signs.meta["evaluations"], signs.meta["rounds"]) == (2000, 0)
     assert got.meta["fallback"] and got.roots == exact.roots
-    assert got.meta["rounds"] == signs.meta["rounds"] + exact.meta["rounds"] > exact.meta["rounds"]
+    assert got.meta["rounds"] == signs.meta["rounds"] + exact.meta["rounds"] == exact.meta["rounds"]
     assert got.meta["evaluations"] == signs.meta["evaluations"] + exact.meta["evaluations"]
+
+
+def test_factors_that_fall_back_take_no_real_refinement_rounds(tmp_path):
+    # the two 3x4 factors with triple roots at L3 = 1 are solved by the
+    # unitary locator without being refined first, so the header's rounds
+    # are those of the other factors' sign changes or of the fallback;
+    # the rows equal `spectrum` of the product document
+    flags = ["--n1", "3", "--n2", "4", "--l1", repr(L1), "--l3", "1.0", "--kmax", "15"]
+    doc, full, parts = (str(tmp_path / name) for name in ("torus.json", "full.csv", "factors.csv"))
+    runner = CliRunner()
+    assert runner.invoke(main, ["build", "product", *flags[:-2], "-o", doc]).exit_code == 0
+    for args in (["spectrum", doc, *flags[-2:], "-o", full], ["factors", *flags, "-o", parts]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    want, got = load_spectrum(full), load_spectrum(parts)
+    assert (int(got.meta["fallbacks"]), int(got.meta["factors"])) == (2, 6)
+    assert 1 <= int(got.meta["rounds"]) <= 6
+    assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == want.count()
+    assert [r.order for r in got.roots] == [r.order for r in want.roots]
+    assert max(abs(a.k - b.k) for a, b in zip(got.roots, want.roots)) <= 1e-9
 
 
 def test_find_roots_real_evaluates_its_grid_in_one_call_and_no_circle():
@@ -238,16 +263,16 @@ def test_find_roots_real_evaluates_its_grid_in_one_call_and_no_circle():
 
 
 def _one_circle(fn, center, radius, samples):
-    """Zero count and zero sum inside one circle, from one 1-D call of `fn`:
-    the argument principle as it was computed before circles were batched."""
+    """Zero count inside one circle, from one 1-D call of `fn`: the change
+    of log f along `samples` chords, over 2 pi i."""
     zs = center + radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, samples + 1))
     vals = fn(zs)
     dlog = np.diff(np.log(np.abs(vals)) + 1j * np.angle(vals))
     dlog = dlog.real + 1j * ((dlog.imag + math.pi) % (2 * math.pi) - math.pi)
-    return round(dlog.imag.sum() / (2 * math.pi)), np.sum(0.5 * (zs[:-1] + zs[1:]) * dlog) / (2j * math.pi)
+    return round(dlog.imag.sum() / (2 * math.pi))
 
 
-def test_batched_contour_equals_one_circle_at_a_time():
+def test_winding_number_equals_one_circle_at_a_time():
     triple = all_quotient_specs(3, 4, L1, 1.0)[0]  # the (0,0) factor: a root of order 3 at 2 pi
     fns = [
         lambda z: quotient_secular_closed(triple, z),
@@ -258,27 +283,13 @@ def test_batched_contour_equals_one_circle_at_a_time():
     seen = set()
     for samples in (64, 128):
         for fn in fns:
-            counts, zsums, through = _contour(lambda which, z: fn(z), 0, centers, radii, samples)
-            want = [_one_circle(fn, c, r, samples) for c, r in zip(centers, radii)]
-            assert counts.tolist() == [n for n, _ in want] and not through.any()
-            assert max(abs(z - w) for z, (_, w) in zip(zsums, want)) <= 1e-13
-            seen.update(counts.tolist())
-        # both functions in one pass, `which` picking the function of each circle
-        which = np.arange(2 * len(centers)) % 2
-        both = lambda which, z: np.where(which == 0, fns[0](z), fns[1](z))
-        counts, zsums, _ = _contour(both, which, np.repeat(centers, 2), np.repeat(radii, 2), samples)
-        for w, fn in enumerate(fns):
-            alone = _contour(lambda which, z: fn(z), 0, centers, radii, samples)
-            assert counts[w::2].tolist() == alone[0].tolist() and np.array_equal(zsums[w::2], alone[1])
+            counts = [winding_number(fn, c, r, samples) for c, r in zip(centers, radii)]
+            assert counts == [_one_circle(fn, c, r, samples) for c, r in zip(centers, radii)]
+            seen.update(counts)
     assert {0, 1, 2, 3} <= seen
 
-    calls = []
-    counts, zsums, through = _contour(lambda which, z: calls.append(z.shape) or np.sin(z), 0, [], [], 64)
-    assert calls == [] and counts.shape == zsums.shape == through.shape == (0,)
-
     # the first point of a circle is centre + radius: 0.5 + 0.5 is the zero 1
-    counts, _, through = _contour(lambda which, z: z - 1.0, 0, [3.0, 0.5, 7.0], [0.1, 0.5, 0.1], 64)
-    assert through.tolist() == [False, True, False] and counts[[0, 2]].tolist() == [0, 0]
+    assert [winding_number(lambda z: z - 1.0, c, r) for c, r in ((3.0, 0.1), (7.0, 0.1))] == [0, 0]
     with pytest.raises(GridTooCoarse, match=r"winding circle at 0\.5 passes through a zero"):
         winding_number(lambda z: z - 1.0, 0.5, 0.5)
 

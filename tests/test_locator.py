@@ -27,7 +27,7 @@ from qgsym import (
 )
 from qgsym.cli import main
 from qgsym.quotient import torus_secular_system
-from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases, _sign_roots
+from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases, _sign_roots, find_roots_real_family
 from qgsym.spectra import MAX_BATCH_BYTES, _grid_cells, _jumps, _refine_steps
 
 TOL = 1e-10
@@ -35,7 +35,7 @@ TOL = 1e-10
 
 def _bisect(step, ks, levels, tol):
     """Every jump of `step` on the grid `ks`, as (k, size), by plain bisection
-    to width `tol`; a level of None takes the level of the cell's left end."""
+    to width `tol`."""
     out = []
     for i in np.flatnonzero(levels[1:] != levels[:-1]):
         cells = [(float(ks[i]), int(levels[i]), float(ks[i + 1]), int(levels[i + 1]))]
@@ -48,7 +48,6 @@ def _bisect(step, ks, levels, tol):
                 continue
             m = 0.5 * (a + b)
             nm = step(m)
-            nm = na if nm is None else nm
             cells += [(m, nm, b, nb), (a, na, m, nm)]
     return out
 
@@ -181,6 +180,11 @@ def test_coarse_cell_holding_several_roots_is_split():
     _assert_same_jumps([(r.k, r.order) for r in s.roots], want)
 
 
+def _level(values):
+    """The level of the sign step of `_sign_roots`: 1 where f >= 0, else 0."""
+    return (np.asarray(values) >= 0.0).astype(int)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     amps=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
@@ -193,14 +197,41 @@ def test_real_refinement_equals_sign_bisection(amps, freqs, phases, offset):
         return offset + sum(a * np.sin(w * k + p) for a, w, p in zip(amps, freqs, phases))
 
     grid_step, k_max = 0.01, 10.0
-    s = _sign_roots(lambda which, k: f(k), 1, k_max, grid_step, TOL, "")[0]
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
-    signs = np.sign(f(ks))
-    assume(np.all(signs != 0))
-    want = _bisect(lambda k: int(np.sign(f(k))) or None, ks, signs, TOL)
+    assume(np.all(f(ks) != 0))
+    want = _bisect(lambda k: int(_level(f(k))), ks, _level(f(ks)), TOL)
+    s = _sign_roots(lambda which, k: f(k), [len(want)], k_max, grid_step, TOL, "")[0]
+    assert not s.meta["fallback"]
     assert [r.order for r in s.roots] == [1] * len(want)
     _assert_same_jumps([(r.k, 1) for r in s.roots], [(k, 1) for k, _ in want])
     assert s.meta["evaluations"] - len(ks) <= _eval_bound(grid_step) * len(want)
+
+
+def test_triple_roots_in_rounding_noise_are_closed_at_one_of_their_sign_changes():
+    # sin k + sin 3k + sin 4k is exactly 0.0 at the float pi, where it has a
+    # triple root (so has 3 pi): there f is about -6 (k - pi)^3 and rounding
+    # sets its sign within about 3e-6 of the root.  The locator and sign
+    # bisection, both with the level f >= 0, each close one of the sign
+    # changes there, and agree within tol at every simple root
+    def f(k):
+        return np.sin(k) + np.sin(3 * k) + np.sin(4 * k)
+
+    assert f(np.array([math.pi]))[0] == 0.0
+    grid_step, k_max = 0.01, 10.0
+    ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
+    want = _bisect(lambda k: int(_level(f(k))), ks, _level(f(ks)), TOL)
+    s = _sign_roots(lambda which, k: f(k), [len(want)], k_max, grid_step, TOL, "")[0]
+    assert len(want) == 9 and [r.order for r in s.roots] == [1] * 9 and not s.meta["fallback"]
+
+    def near_a_triple_root(k):
+        return min(abs(k - math.pi), abs(k - 3 * math.pi)) < 1e-5
+
+    assert sum(near_a_triple_root(r.k) for r in s.roots) == 2
+    for root, (k_ref, _) in zip(s.roots, want):
+        if near_a_triple_root(root.k):
+            assert near_a_triple_root(k_ref)
+        else:
+            assert abs(root.k - k_ref) <= 2 * TOL
 
 
 _TERMS = st.tuples(
@@ -221,8 +252,16 @@ def test_a_real_family_equals_its_members_run_alone(members, grid_step):
     def f(which, k):
         return offsets[which] + sum(amps[which, j] * np.sin(freqs[which, j] * k + phases[which, j]) for j in range(3))
 
-    alone = [_sign_roots(lambda which, k: f(m, k), 1, 10.0, grid_step, TOL, "")[0] for m in range(len(members))]
-    family = _sign_roots(f, len(members), 10.0, grid_step, TOL, "")
+    # every member certified by its own sign changes but the first, whose
+    # count is one too many, so that it is not refined
+    ks = np.arange(grid_step, 10.0 + grid_step / 2.0, grid_step)
+    counts = [int(np.count_nonzero(np.diff(_level(f(m, ks))))) for m in range(len(members))]
+    counts[0] += 1
+    alone = [
+        _sign_roots(lambda which, k: f(m, k), [n], 10.0, grid_step, TOL, "")[0] for m, n in enumerate(counts)
+    ]
+    family = _sign_roots(f, counts, 10.0, grid_step, TOL, "")
+    assert [s.meta["fallback"] for s in family] == [True] + [False] * (len(members) - 1)
     for got, want in zip(family, alone):
         assert [(r.k, r.order) for r in got.roots] == [(r.k, r.order) for r in want.roots]
         assert got.meta == want.meta
@@ -268,12 +307,11 @@ def test_one_sided_regula_falsi_stays_within_the_bisection_bound(roots, signs):
         return outer * np.expm1(inner * 40.0 * (k - r[which]))
 
     grid_step, k_max = 0.5, 10.0
-    spectra = _sign_roots(f, len(r), k_max, grid_step, TOL, "")
+    spectra = _sign_roots(f, [1] * len(r), k_max, grid_step, TOL, "")
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
     for m, s in enumerate(spectra):
-        signs_m = np.sign(f(m, ks))
-        assume(np.all(signs_m != 0))
-        want = _bisect(lambda k: int(np.sign(f(m, k))) or None, ks, signs_m, TOL)
+        assume(np.all(f(m, ks) != 0))
+        want = _bisect(lambda k: int(_level(f(m, k))), ks, _level(f(m, ks)), TOL)
         assert len(want) == 1
         _assert_same_jumps([(root.k, root.order) for root in s.roots], [(k, 1) for k, _ in want])
         assert s.meta["evaluations"] - len(ks) <= _eval_bound(grid_step)
@@ -326,13 +364,40 @@ def test_jumps_assembled_in_arrays_equal_the_loop_bit_for_bit(members, parts):
     assert _jumps(done, tol, len(members)) == _jumps_by_loop(done, tol, len(members))
 
 
-def test_real_root_on_a_grid_point_takes_one_step():
-    # f = 0.0 exactly at the grid point 0.5 brackets the root with a value of
-    # exactly 0 at an end: regula falsi closes it, no bisection
-    s = _sign_roots(lambda which, k: k - 0.5, 1, 1.0, 0.1, TOL, "")[0]
+def test_real_root_on_a_grid_point_takes_one_step(calls_of, dirichlet_neumann):
+    # f = 0.0 exactly at the grid point 0.5 certifies nothing, so the grid is
+    # the one call of f, and the member's system, a Dirichlet-Neumann bond
+    # of length pi with its one root on (0, 1] at 0.5, is solved instead
+    f, calls = calls_of(lambda which, k: k - 0.5)
+    family = UnitaryFamily([dirichlet_neumann(math.pi)])
+    (s,), (exact,) = find_roots_real_family(f, family, 1.0, 0.1, TOL), family.roots(1.0, tol=TOL, source="")
+    assert len(calls) == 1 and calls[0].shape == (10,)
+    assert s.meta["fallback"] and s.roots == exact.roots
     assert [r.order for r in s.roots] == [1]
     assert abs(s.roots[0].k - 0.5) < TOL
-    assert s.meta["evaluations"] == 10 + 1
+    assert (s.meta["evaluations"], s.meta["rounds"]) == (10 + exact.meta["evaluations"], exact.meta["rounds"])
+
+
+def test_a_member_with_a_wrong_count_is_not_refined(calls_of):
+    # sin k has three sign changes on (0, 10], not four: the grid is the one
+    # call of f, and the member has no roots and is marked to fall back
+    counted, calls = calls_of(lambda which, k: np.sin(k))
+    (s,) = _sign_roots(counted, [4], 10.0, 0.1, TOL, "")
+    assert len(calls) == 1 and calls[0].shape == (100,)
+    assert s.roots == () and s.meta["fallback"]
+    assert (s.meta["evaluations"], s.meta["rounds"]) == (100, 0)
+
+
+@pytest.mark.parametrize("f", [lambda which, k: k - 0.375, lambda which, k: 0.375 - k], ids=["rising", "falling"])
+def test_an_exact_zero_at_a_refinement_point_is_the_root(f, calls_of):
+    # on the 0.25 grid the first chord of the bracket [0.25, 0.5] lands on
+    # 0.375 exactly, where f is 0.0: its level is that of f >= 0, so it
+    # replaces one end with the value 0, and the chord reports that point
+    counted, calls = calls_of(f)
+    (s,) = _sign_roots(counted, [1], 1.0, 0.25, TOL, "")
+    assert calls[1].tolist() == [0.375]
+    assert s.ks() == [0.375] and not s.meta["fallback"]
+    assert s.meta["evaluations"] == 4 + len(calls) - 1
 
 
 def _spectrum_of_the_3x4_document(tmp_path, name, *flags):
@@ -399,7 +464,7 @@ def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
 def test_real_locator_ends_at_a_tol_below_the_float_spacing():
     # near pi the floats are 4.4e-16 apart, so no bracket is ever narrower
     # than 1e-300; one with no float strictly inside it is closed instead
-    s = _sign_roots(lambda which, k: np.sin(k), 1, 10.0, 0.1, 1e-300, "")[0]
+    s = _sign_roots(lambda which, k: np.sin(k), [3], 10.0, 0.1, 1e-300, "")[0]
     assert [r.order for r in s.roots] == [1, 1, 1]
     assert s.ks() == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)
 

@@ -39,8 +39,6 @@ def test_quotient_phases_are_roots_of_unity():
     spec = QuotientSpec(3, 4, 0.5, 1.0, 1, 2)
     assert abs(spec.phase_l1 - cmath.exp(2j * math.pi * 2 / 4)) < 1e-14
     assert abs(spec.phase_l3 - cmath.exp(2j * math.pi * 1 / 3)) < 1e-14
-    swapped = QuotientSpec(3, 4, 0.5, 1.0, 1, 2, swap_pairing=True)
-    assert (swapped.phase_l1, swapped.phase_l3) == (spec.phase_l1, spec.phase_l3)
 
 
 def test_closed_form_matches_matrix_determinant():

@@ -31,16 +31,17 @@ def _dirichlet_interval():
     return SecularSystem(np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex), np.ones(2))
 
 
-def _scan(f, k_max, grid_step, tol=1e-10):
-    """The sign changes of one function of arrays (`locators._sign_roots`)."""
-    return _sign_roots(lambda which, k: f(k), 1, k_max, grid_step, tol, "")[0]
+def _scan(f, count, k_max, grid_step, tol=1e-10):
+    """The sign changes of one function of arrays (`locators._sign_roots`),
+    certified by `count`."""
+    return _sign_roots(lambda which, k: f(k), [count], k_max, grid_step, tol, "")[0]
 
 
 def test_find_roots_real_simple_sine():
     # the sign changes of sin are its zeros, three of them, and as many as
     # the eigenphase count of the interval: they stand
     want = [math.pi, 2 * math.pi, 3 * math.pi]
-    scan = _scan(np.sin, 10.0, 0.1)
+    scan = _scan(np.sin, 3, 10.0, 0.1)
     s = find_roots_real(np.sin, _dirichlet_interval(), 10.0, 0.1)
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (3, False)
     assert s.roots == scan.roots and s.meta["evaluations"] == scan.meta["evaluations"]
@@ -72,8 +73,8 @@ def test_a_scan_sees_no_pair_of_zeros_inside_one_cell(f):
     # apart inside one cell of the 0.1 grid changes the sign between grid
     # points; for a secular function the eigenphase count sees what the
     # scan misses (test_find_roots_real_touching_root)
-    s = _scan(f, 10.0, 0.1)
-    assert s.roots == ()
+    s = _scan(f, 0, 10.0, 0.1)
+    assert s.roots == () and not s.meta["fallback"]
 
 
 @pytest.mark.parametrize("l1", [0.25, 0.5])
@@ -204,20 +205,35 @@ def test_weyl_count_sanity():
     assert s.count(15.0) == 14  # 7 roots of order 2
 
 
+@pytest.mark.parametrize("k_max", [6.2, 2 * math.pi - 1e-11], ids=["past-kmax", "within-tol-of-kmax"])
+def test_a_certified_member_whose_root_closes_above_kmax_falls_back(k_max):
+    # the 4.0 grid is [4, 8]: its one sign change, 2 pi, matches N(k_max) = 1
+    # (the root pi), but it closes above k_max and is dropped, so the member
+    # keeps no root and the unitary locator finds pi instead
+    assert _scan(np.sin, 1, k_max, 4.0).roots == ()
+    s = find_roots_real(np.sin, _dirichlet_interval(), k_max, 4.0)
+    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, True)
+    assert [r.order for r in s.roots] == [1]
+    assert s.roots[0].k == pytest.approx(math.pi, abs=1e-10)
+
+
 def test_roots_exclude_zero_and_respect_kmax():
-    s = _scan(np.sin, 2 * math.pi, 0.1)
+    s = _scan(np.sin, 2, 2 * math.pi, 0.1)
     assert all(r.k > 0 for r in s.roots)
     assert all(r.k <= 2 * math.pi for r in s.roots)
     assert len(s.roots) == 2
 
 
 @pytest.mark.parametrize("f", [lambda k: k - 0.5, lambda k: 0.5 - k], ids=["rising", "falling"])
-def test_root_on_an_exact_grid_point(f):
-    # a grid value of exactly 0.0 takes the sign of the point before it, so a
-    # crossing is bisected once
+def test_root_on_an_exact_grid_point(f, calls_of, dirichlet_neumann):
+    # a grid value of exactly 0.0 certifies nothing: the member is solved by
+    # the unitary locator on its system, whose one root on (0, 1] is 0.5,
+    # and f is called on the grid only
     assert 0.5 in np.arange(0.1, 1.0 + 0.05, 0.1)
-    s = _scan(f, 1.0, 0.1)
-    assert len(s.roots) == 1
+    counted, calls = calls_of(f)
+    s = find_roots_real(counted, dirichlet_neumann(math.pi), 1.0, 0.1)
+    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, True)
+    assert len(calls) == 1 and len(s.roots) == 1
     assert s.roots[0].k == pytest.approx(0.5, abs=1e-10)
     assert s.roots[0].order == 1
 
@@ -235,9 +251,30 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
             assert res.count_a > 0
 
 
-@pytest.mark.parametrize("root", [0.1, 1.0], ids=["first-point", "last-point"])
-def test_root_on_an_end_of_the_grid(root):
+@pytest.mark.parametrize(
+    "root, k_max",
+    [
+        (0.1, 0.2),
+        (1.0, 1.0 + 1e-12),
+        pytest.param(
+            1.0, 1.0,
+            marks=pytest.mark.xfail(
+                strict=True, reason="the unitary locator counts no root at exactly k_max (FOUND in CHANGES.md)"
+            ),
+        ),
+    ],
+    ids=["first-point", "last-point", "last-point-at-kmax"],
+)
+def test_root_on_an_end_of_the_grid(root, k_max, calls_of, dirichlet_neumann):
+    # an exact 0.0 at either end of the 0.1 grid sends the member to the
+    # unitary locator on a system whose one root on (0, k_max] is `root`,
+    # with no refinement call of f; the last grid point is 1.0, and in
+    # `last-point` k_max lies past it by more than the unitary locator's
+    # 3e-13 phase margin, while `last-point-at-kmax` puts the root at k_max
+    system = dirichlet_neumann(math.pi / (2 * root))
     for f in (lambda k: k - root, lambda k: root - k):
-        s = _scan(f, 1.0, 0.1)
+        counted, calls = calls_of(f)
+        s = find_roots_real(counted, system, k_max, 0.1)
+        assert (s.meta["eigenphase_count"], s.meta["fallback"], len(calls)) == (1, True, 1)
         assert [r.order for r in s.roots] == [1]
         assert s.roots[0].k == pytest.approx(root, abs=1e-10)
