@@ -215,9 +215,9 @@ def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
     (`quotient.quotient_systems`) and are counted in stacked `eigvals`
     calls first: a factor with no exact zero on its grid and as many sign
     changes as its exact eigenphase count N(k_max) has found every root once
-    refined, unless one closes above k_max, and any other is solved by the
-    unitary locator on its system (`fallbacks` in the header counts them).  The header's `rounds`
-    is the most refinement rounds of any factor, by either locator.  The
+    refined, and any other is solved by the unitary locator on its system
+    (`fallbacks` in the header counts them).  The header's `rounds` is the
+    most refinement rounds of any factor, by either locator.  The
     header's `eigenphase_count`, N(k_max) summed over the labels, certifies
     `root_count`: a count that differs exits 2 with `CertificateMismatch`
     and writes no file.

@@ -10,8 +10,7 @@ calls, then `_refine_steps` in rounds over the brackets of every member.
   all, each simple.  The counts come first: `_sign_roots` closes the sign
   changes of those members only, with the level f >= 0 as the step and f
   itself as the value.  Every other member goes straight to
-  `UnitaryFamily.roots`, and so does a refined member that keeps fewer
-  than N(k_max) roots on (0, k_max] (its grid can end past k_max).
+  `UnitaryFamily.roots`.
 - `UnitaryFamily`: exact eigenphase counting for unitary scattering.  The
   family is contracted once (`contracted_stacks`: every pure-transmission
   bond dropped, the determinant unchanged), and each stack of contracted
@@ -53,30 +52,30 @@ def _sign_roots(
 
     `f(which, k)` takes an integer array of members and an array of points
     that broadcast together, and returns the values elementwise.  The
-    members share one grid, evaluated in chunks of members of at most
-    MAX_BATCH_BYTES of points (`rows[:, None]` against the grid).  A member
-    is certified when its grid holds no exact 0.0 and exactly its count of
-    sign changes; the sign changes of the certified members, and only
-    those, are closed to width `tol` by `_refine_steps`, with the level
-    `f >= 0` as the step and f as the value, in one call of `f` on 1-D
-    arrays per round.  A root that closes above k_max is dropped.  Every
-    other member's spectrum has no roots and `meta["fallback"]`.
+    members share one grid, which ends at k_max, evaluated part by part and
+    each part in chunks of members (`spectra._grid_values`, `rows[:, None]`
+    against the part).  A member is certified when its grid holds no exact
+    0.0 and exactly its count of sign changes; the sign changes of the
+    certified members, and only those, are closed to width `tol` by
+    `_refine_steps`, with the level `f >= 0` as the step and f as the
+    value, in one call of `f` on 1-D arrays per round.  Every jump is
+    reported inside its bracket, so a certified member keeps its count of
+    roots, all on (0, k_max].  Every other member's spectrum has no roots
+    and `meta["fallback"]`.
     `meta["evaluations"]` counts the member's grid points and refinement
     points, and `meta["rounds"]` the refinement rounds that evaluated the
     member.  `k_max` below `grid_step` leaves no grid (`GridTooCoarse`).
     """
     if k_max < grid_step:
         raise GridTooCoarse(f"k_max = {k_max!r} is below grid_step = {grid_step!r}")
-    ks = _k_grid(grid_step, k_max + grid_step / 2.0, grid_step)
-    if ks[-1] < k_max - 1e-12:
-        ks = np.append(ks, k_max)
+    ks = np.append(_k_grid(grid_step, k_max - grid_step / 2.0, grid_step), k_max)
 
     members, cells = len(counts), []
     zero = np.zeros(members, dtype=bool)  # the members with an exact 0.0 on their grid
-    for rows, vals in _grid_values(f, members, ks):
-        zero[rows] = ~vals.all(axis=1)
+    for rows, part, vals in _grid_values(f, members, ks):
+        zero[rows] |= ~vals.all(axis=1)
         r, i = np.nonzero(np.diff(vals >= 0.0, axis=1))
-        cells.append((rows[r], ks[i], vals[r, i, None], ks[i + 1], vals[r, i + 1, None]))
+        cells.append((rows[r], part[i], vals[r, i, None], part[i + 1], vals[r, i + 1, None]))
     which, a, fa, b, fb = (np.concatenate(v) for v in zip(*cells))
     certified = ~zero & (np.bincount(which, minlength=members) == np.asarray(counts))
     which, a, fa, b, fb = (v[certified[which]] for v in (which, a, fa, b, fb))
@@ -94,7 +93,7 @@ def _sign_roots(
     jumps, calls, rounds = _refine_steps(sign_at, cells, tol, members)
     return [
         Spectrum(
-            tuple(SpectralRoot(k, 1, source) for k, _ in member if k <= k_max),
+            tuple(SpectralRoot(k, 1, source) for k, _ in member),
             k_max,
             {"grid_step": grid_step, "tol": tol, "evaluations": len(ks) + int(n), "rounds": int(r), "fallback": not ok},
         )
@@ -114,23 +113,20 @@ def find_roots_real_family(
     and a sign-change bracket holds an odd number of them; so a member with
     no exact zero on its grid and as many sign changes as N(k_max) has one
     simple zero in each bracket and none elsewhere.  The counts come first,
-    so only such members are refined (`_sign_roots`).  The grid can end up
-    to grid_step / 2 past k_max, and a root that closes above k_max is
-    dropped, so a refined member keeps its roots only if their number is
-    still N(k_max).  Every other member is solved by `UnitaryFamily.roots`,
-    which is exact, in one call.  Each spectrum's `meta` has the scan's
-    `grid_step` and `tol`, the points evaluated for the member by the scan
-    and the unitary locator (`evaluations`), the refinement rounds that
-    evaluated it (`rounds`), its `eigenphase_count` N(k_max), and whether it
-    fell back (`fallback`).
+    so only such members are refined (`_sign_roots`), and every other
+    member is solved by `UnitaryFamily.roots`, which is exact, in one call.
+    Each spectrum's `meta` has the scan's `grid_step` and `tol`, the points
+    evaluated for the member by the scan and the unitary locator
+    (`evaluations`), the refinement rounds that evaluated it (`rounds`), its
+    `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
     """
     require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
     counts = systems.counts(k_max)
     found = _sign_roots(f, counts, k_max, grid_step, tol, source)
-    short = [m for m, (s, n) in enumerate(zip(found, counts)) if s.meta["fallback"] or len(s.roots) != n]
+    short = [m for m, s in enumerate(found) if s.meta["fallback"]]
     for m, exact in zip(short, systems.roots(k_max, tol=tol, source=source, members=short)):
         evaluations, rounds = (found[m].meta[key] + exact.meta[key] for key in ("evaluations", "rounds"))
-        meta = {**found[m].meta, "evaluations": evaluations, "rounds": rounds, "fallback": True}
+        meta = {**found[m].meta, "evaluations": evaluations, "rounds": rounds}
         found[m] = Spectrum(exact.roots, k_max, meta)
     for s, n in zip(found, counts):
         s.meta["eigenphase_count"] = n

@@ -17,7 +17,7 @@ k and return what numpy returns: a numpy scalar or an array.  The two differ
 by the factor -2i exp(2ik(L1+L3)), which has no zero, so the dispersion form
 is its own analytic continuation with the closed form's zeros and orders.
 `QuotientFamily` evaluates it for many factors in one array call, and
-computes its three sines of k once per grid part.
+keeps its three sines of the last array of k.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .scattering import (
     build_secular_systems,
     standard_conditions,
 )
-from .spectra import MAX_GRID_POINTS
 
 
 @dataclass(frozen=True)
@@ -178,37 +177,27 @@ class QuotientFamily:
 
     `which` indexes `specs` and broadcasts against `k`, so one array call
     evaluates any mix of factors.  The factors share L1 and L3, and so the
-    three sines of the dispersion form.  Those of the last 1-D array of k
-    are kept, keyed by its bytes; a new array whose first point lies above
-    the last point kept is a further part of one ascending grid and is kept
-    with them, up to MAX_GRID_POINTS points, and any other new array
-    replaces them.  So a grid that the locator evaluates in chunks of
-    members, or one member at a time in parts, computes them once per part.
-    Each value equals the one-factor function's bit for bit.
+    three sines of the dispersion form: those of the last 1-D array of k
+    are kept, keyed by its bytes, so calls on one array for chunk after
+    chunk of factors compute them once.  Each value equals the one-factor
+    function's bit for bit.
     """
 
     def __init__(self, specs: Sequence[QuotientSpec]):
         specs = tuple(specs)
         self.l1, self.l3 = _shared_lengths(specs)
         self.alpha, self.beta = np.array([spec.coefficients for spec in specs]).T
-        self._kept, self._kept_points, self._top = {}, 0, math.inf
+        self._last = None, None  # the key and the sines of the last 1-D k
 
     def dispersion_real(self, which, k):
-        """`quotient_dispersion_real` of the factors `which` at `k`.  The
-        sines of a 1-D `k` are kept with those of the earlier parts of its
-        ascending grid, so the chunks of members and the parts that the
-        locator's grid goes in compute them once per part."""
+        """`quotient_dispersion_real` of the factors `which` at `k`; the
+        sines of a 1-D `k` are those of the last call when its bytes match."""
         if np.ndim(k) == 1:
             k = np.asarray(k)
             key = (k.dtype.str, k.tobytes())
-            sines = self._kept.get(key)
-            if sines is None:
-                real = k.dtype.kind == "f" and len(k) > 0
-                if not (real and k[0] > self._top and self._kept_points + len(k) <= MAX_GRID_POINTS):
-                    self._kept, self._kept_points = {}, 0
-                sines = self._kept[key] = _sines(self.l1, self.l3, k)
-                self._kept_points += len(k)
-                self._top = k[-1] if real else math.inf
+            if key != self._last[0]:
+                self._last = key, _sines(self.l1, self.l3, k)
+            sines = self._last[1]
         else:
             sines = _sines(self.l1, self.l3, k)
         return _combine(self.alpha[which], self.beta[which], *sines)

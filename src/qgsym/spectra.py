@@ -5,7 +5,8 @@ distinct quotient factors of `factors`, or the distinct character blocks of
 `spectrum`.  An evaluator takes two arrays that broadcast together,
 `which` (the member of each point) and `k`, so one array call serves every
 member.  Each array call takes at most MAX_BATCH_BYTES of input: a grid
-goes in chunks of members, a stack of `eigvals` in chunks of matrices.
+goes in parts of points and each part in chunks of members, a stack of
+`eigvals` in chunks of matrices.
 
 `_refine_steps` closes the jumps of integer step functions.  Every cell of
 a member's grid whose end levels differ is a bracket.  Each round computes
@@ -71,9 +72,6 @@ class Spectrum:
     k_max: float
     meta: dict = field(default_factory=dict, compare=False)
 
-    def ks(self) -> list[float]:
-        return [r.k for r in self.roots]
-
     def expanded(self) -> list[float]:
         """Roots repeated by order, sorted ascending."""
         out = []
@@ -117,18 +115,18 @@ def isospectral_classes(fn: Evaluator, members: int, lengths: Sequence[float], p
 
 
 def _grid_values(f: Evaluator, members: int, ks: np.ndarray):
-    """(members, values of f on the grid `ks`) in chunks of members of at
-    most MAX_BATCH_BYTES of points; a longer grid goes one member at a time,
-    in chunks of points."""
+    """(members, part, values of f on the part) over the grid `ks`, part by
+    part: each part has at most MAX_BATCH_BYTES of points and shares its
+    first point with the end of the part before it, so every cell of the
+    grid lies in exactly one part.  A part goes in chunks of members of at
+    most MAX_BATCH_BYTES of points, or one member at a time."""
     points = MAX_BATCH_BYTES // 8
-    per = max(1, points // len(ks))
-    for lo in range(0, members, per):
-        rows = np.arange(lo, min(lo + per, members))
-        parts = [
-            np.broadcast_to(np.asarray(f(rows[:, None], part), dtype=float), (len(rows), len(part)))
-            for part in (ks[j : j + points] for j in range(0, len(ks), points))
-        ]
-        yield rows, parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    for start in range(0, max(1, len(ks) - 1), points - 1):
+        part = ks[start : start + points]
+        per = max(1, points // len(part))
+        for lo in range(0, members, per):
+            rows = np.arange(lo, min(lo + per, members))
+            yield rows, part, np.broadcast_to(np.asarray(f(rows[:, None], part), dtype=float), (len(rows), len(part)))
 
 
 def winding_number(

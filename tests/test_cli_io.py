@@ -333,8 +333,8 @@ def test_cli_block_and_dense_paths_agree(tmp_path):
 
 
 def test_cli_factors_drop_roots_above_kmax(tmp_path):
-    # the (0,0) factor's root 2*pi/3 = 2.0944 lies in the real locator's last
-    # grid cell (2.090, 2.095] but above k_max
+    # the (0,0) factor's root 2*pi/3 = 2.0944 lies within one grid step above
+    # k_max, past the real locator's grid, which ends at k_max
     runner = CliRunner()
     gpath, full, parts = (str(tmp_path / n) for n in ("torus.json", "full.csv", "factors.csv"))
     flags = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
@@ -347,7 +347,7 @@ def test_cli_factors_drop_roots_above_kmax(tmp_path):
     for args in steps:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, (args[0], res.output)
-    assert max(load_spectrum(parts).ks()) <= 2.0935
+    assert max(r.k for r in load_spectrum(parts).roots) <= 2.0935
 
 
 def _spectrum_of_doc(tmp_path, doc):

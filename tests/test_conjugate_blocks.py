@@ -196,6 +196,22 @@ def test_certificates_of_random_tori(n1, n2, l1, l3):
         assert compared.exit_code == 0, (compared.output, meta)
 
 
+def _factors_equal_spectrum(flags, kmax):
+    """`factors` at `kmax` equals `spectrum` of the product document in rows
+    and orders, with k within 1e-9, and its root count is certified."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, full, parts = (str(Path(tmp) / name) for name in ("torus.json", "full.csv", "factors.csv"))
+        runner = CliRunner()
+        assert runner.invoke(main, ["build", "product", *flags, "-o", doc]).exit_code == 0
+        for command, out in ((["spectrum", doc], full), (["factors", *flags], parts)):
+            res = runner.invoke(main, [*command, "--kmax", repr(kmax), "-o", out])
+            assert res.exit_code == 0, res.output
+        want, got = io.load_spectrum(full), io.load_spectrum(parts)
+    assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == want.count()
+    assert [r.order for r in got.roots] == [r.order for r in want.roots]
+    assert max((abs(a.k - b.k) for a, b in zip(got.roots, want.roots)), default=0.0) <= 1e-9
+
+
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(torus=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 4), (4, 4)]), j=st.integers(1, 28))
 @example(torus=(2, 2), j=10)
@@ -204,17 +220,23 @@ def test_certificates_of_random_tori(n1, n2, l1, l3):
 @example(torus=(2, 2), j=25)
 def test_factors_at_near_commensurate_lengths(torus, j):
     # at L1 = 1 and L3 = 1 - 2^-j, clusters of roots closer than the grid
-    # step gather at multiples of pi: `factors` equals `spectrum` of the
-    # product document in rows and orders, with k within 1e-9
+    # step gather at multiples of pi
     flags = ["--n1", str(torus[0]), "--n2", str(torus[1]), "--l1", "1.0", "--l3", repr(1.0 - 2.0**-j)]
-    with tempfile.TemporaryDirectory() as tmp:
-        doc, full, parts = (str(Path(tmp) / name) for name in ("torus.json", "full.csv", "factors.csv"))
-        runner = CliRunner()
-        assert runner.invoke(main, ["build", "product", *flags, "-o", doc]).exit_code == 0
-        for command, out in ((["spectrum", doc], full), (["factors", *flags], parts)):
-            res = runner.invoke(main, [*command, "--kmax", "5", "-o", out])
-            assert res.exit_code == 0, res.output
-        want, got = io.load_spectrum(full), io.load_spectrum(parts)
-    assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == want.count()
-    assert [r.order for r in got.roots] == [r.order for r in want.roots]
-    assert max((abs(a.k - b.k) for a, b in zip(got.roots, want.roots)), default=0.0) <= 1e-9
+    _factors_equal_spectrum(flags, 5.0)
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    torus=st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 4)]),
+    l3=st.floats(0.55, 0.95),
+    kmax=st.floats(0.006, 12.0).filter(lambda k: abs(k / 0.005 - round(k / 0.005)) > 1e-6),
+)
+@example(torus=(2, 3), l3=0.61, kmax=6.968957447774937)  # 1e-11 above a root of the (0,1) factor
+@example(torus=(2, 3), l3=0.61, kmax=6.968957447754937)  # 1e-11 below it, 0.001 short of a grid point
+@example(torus=(2, 3), l3=0.61, kmax=0.007)  # under 1.5 grid steps: the grid is k_max alone
+def test_factors_at_kmax_off_the_grid(torus, l3, kmax):
+    # the real locator's 0.005 grid ends at k_max, with a last cell between
+    # half a step and a step and a half wide; a root on either side of k_max
+    # is kept or left out as the unitary locator of `spectrum` does
+    flags = ["--n1", str(torus[0]), "--n2", str(torus[1]), "--l1", "0.5", "--l3", repr(l3)]
+    _factors_equal_spectrum(flags, kmax)

@@ -75,7 +75,7 @@ def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn):
         QuotientFamily(all_quotient_specs(3, 4, L1, 1.0) + all_quotient_specs(3, 4, L1, 0.9))
 
 
-def test_family_keeps_the_sines_of_its_last_grid_bit_for_bit(monkeypatch):
+def test_family_keeps_the_sines_of_its_last_grid_bit_for_bit():
     # the family keeps the sines of the last 1-D array of k; grids A, B and
     # A again, with calls of other shapes in between, each equal a fresh
     # evaluation of every factor
@@ -95,20 +95,6 @@ def test_family_keeps_the_sines_of_its_last_grid_bit_for_bit(monkeypatch):
     ]:
         got = family.dispersion_real(which, k)
         assert got.tobytes() == fresh(which, np.asarray(k)).tobytes()
-
-    # the two parts of one ascending grid, as a grid longer than one array
-    # call goes, are kept together and computed once each; an array that
-    # does not continue them replaces them, and so does a part past the cap
-    low, high = a[:1500], a[1500:]
-    expected = {id(k): fresh(rows, k).tobytes() for k in (low, high, refine)}
-    sines, count = quotient._sines, []
-    monkeypatch.setattr(quotient, "_sines", lambda *args: count.append(1) or sines(*args))
-    for cap, calls in [(10**7, [1, 2, 2, 2, 3, 4]), (1800, [1, 2, 3, 4, 5, 6])]:
-        monkeypatch.setattr(quotient, "MAX_GRID_POINTS", cap)
-        family, count[:] = QuotientFamily(specs), []
-        for k, n in zip((low, high, low, high, refine, low), calls):
-            assert family.dispersion_real(rows, k).tobytes() == expected[id(k)]
-            assert len(count) == n
 
 
 @pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61), (16, 16, L3_BAND)])
@@ -335,9 +321,10 @@ def test_stacked_certificate_equals_one_system_at_a_time():
 
 
 def test_a_grid_in_parts_computes_its_sines_once_per_part(tmp_path, monkeypatch):
-    # a grid of more than MAX_BATCH_BYTES // 8 = 4096 points goes one member
-    # at a time in parts; the family keeps every part's sines, so each part
-    # computes them once, not once per member
+    # a grid of more than MAX_BATCH_BYTES // 8 = 4096 points goes part by
+    # part, consecutive parts sharing a point, and each part one member at a
+    # time; the family keeps the last part's sines, so each part computes
+    # them once, not once per member
     sines, shapes = quotient._sines, []
     monkeypatch.setattr(quotient, "_sines", lambda l1, l3, k: shapes.append(np.shape(k)) or sines(l1, l3, k))
     out = str(tmp_path / "factors.csv")
@@ -346,7 +333,7 @@ def test_a_grid_in_parts_computes_its_sines_once_per_part(tmp_path, monkeypatch)
     ])
     assert res.exit_code == 0, res.output
     assert int(load_spectrum(out).meta["factors"]) > 1
-    assert shapes.count((4096,)) == shapes.count((1904,)) == 1
+    assert shapes.count((4096,)) == shapes.count((1905,)) == 1
 
 
 def test_factors_call_budget(tmp_path, monkeypatch):

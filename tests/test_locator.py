@@ -396,7 +396,7 @@ def test_an_exact_zero_at_a_refinement_point_is_the_root(f, calls_of):
     counted, calls = calls_of(f)
     (s,) = _sign_roots(counted, [1], 1.0, 0.25, TOL, "")
     assert calls[1].tolist() == [0.375]
-    assert s.ks() == [0.375] and not s.meta["fallback"]
+    assert [r.k for r in s.roots] == [0.375] and not s.meta["fallback"]
     assert s.meta["evaluations"] == 4 + len(calls) - 1
 
 
@@ -466,7 +466,7 @@ def test_real_locator_ends_at_a_tol_below_the_float_spacing():
     # than 1e-300; one with no float strictly inside it is closed instead
     s = _sign_roots(lambda which, k: np.sin(k), [3], 10.0, 0.1, 1e-300, "")[0]
     assert [r.order for r in s.roots] == [1, 1, 1]
-    assert s.ks() == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)
+    assert [r.k for r in s.roots] == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("tol", ["2e-16", "1e-300"])

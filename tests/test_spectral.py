@@ -126,7 +126,6 @@ def test_spectrum_bookkeeping():
     s = Spectrum((SpectralRoot(1.0, 2, "a"), SpectralRoot(2.0, 1, "b")), 5.0)
     assert s.count() == 3
     assert s.expanded() == [1.0, 1.0, 2.0]
-    assert s.ks() == [1.0, 2.0]
 
 
 def test_merge_spectra_coalesces_nearby_roots():
@@ -206,22 +205,73 @@ def test_weyl_count_sanity():
 
 
 @pytest.mark.parametrize("k_max", [6.2, 2 * math.pi - 1e-11], ids=["past-kmax", "within-tol-of-kmax"])
-def test_a_certified_member_whose_root_closes_above_kmax_falls_back(k_max):
-    # the 4.0 grid is [4, 8]: its one sign change, 2 pi, matches N(k_max) = 1
-    # (the root pi), but it closes above k_max and is dropped, so the member
-    # keeps no root and the unitary locator finds pi instead
-    assert _scan(np.sin, 1, k_max, 4.0).roots == ()
-    s = find_roots_real(np.sin, _dirichlet_interval(), k_max, 4.0)
+def test_a_sign_change_past_kmax_is_off_the_grid(k_max, calls_of):
+    # the 4.0 grid is [4.0, k_max]: the sign change of sin at 2 pi lies past
+    # its end, so the grid has none against N(k_max) = 1 (the root pi); the
+    # member falls back with no refinement round and one call of f, and the
+    # unitary locator finds pi
+    scan = _scan(np.sin, 1, k_max, 4.0)
+    assert scan.roots == () and scan.meta["fallback"]
+    assert (scan.meta["evaluations"], scan.meta["rounds"]) == (2, 0)
+    counted, calls = calls_of(np.sin)
+    s = find_roots_real(counted, _dirichlet_interval(), k_max, 4.0)
+    assert [c.tolist() for c in calls] == [[4.0, k_max]]
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, True)
     assert [r.order for r in s.roots] == [1]
     assert s.roots[0].k == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_roots_exclude_zero_and_respect_kmax():
-    s = _scan(np.sin, 2, 2 * math.pi, 0.1)
-    assert all(r.k > 0 for r in s.roots)
-    assert all(r.k <= 2 * math.pi for r in s.roots)
-    assert len(s.roots) == 2
+    # the grid ends at k_max: at the float 2 pi, 2.4e-16 below 2 pi, sin's
+    # second zero lies past it, and 0.05 further the last cell holds it
+    for k_max, want in [(2 * math.pi, [math.pi]), (2 * math.pi + 0.05, [math.pi, 2 * math.pi])]:
+        s = _scan(np.sin, len(want), k_max, 0.1)
+        assert not s.meta["fallback"]
+        assert all(r.k > 0 for r in s.roots)
+        assert all(r.k <= k_max for r in s.roots)
+        assert [r.k for r in s.roots] == pytest.approx(want, rel=0, abs=1e-9)
+
+
+def test_a_root_in_the_last_cell_before_an_off_grid_kmax_is_kept(calls_of, dirichlet_neumann):
+    # the 0.005 grid ends 7.300, 7.3037: the root 7.3035 lies in that last
+    # cell, and the member is certified and refined
+    counted, calls = calls_of(lambda k: k - 7.3035)
+    s = find_roots_real(counted, dirichlet_neumann(math.pi / (2 * 7.3035)), 7.3037, 0.005)
+    assert calls[0][-2:].tolist() == pytest.approx([7.3, 7.3037], rel=0, abs=1e-12)
+    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, False)
+    assert len(calls) > 1 and [r.order for r in s.roots] == [1]
+    assert s.roots[0].k == pytest.approx(7.3035, rel=0, abs=1e-10)
+
+
+def _two_part_grid():
+    """The 0.005 grid at k_max 30: 6000 points, in the parts ks[:4096] and
+    ks[4095:], which share the point ks[4095] = 20.48."""
+    ks = np.append(np.arange(0.005, 30.0 - 0.0025, 0.005), 30.0)
+    assert len(ks) == 6000 and ks[4095] == pytest.approx(20.48, abs=1e-12)
+    return ks
+
+
+def test_sign_changes_beside_the_point_two_parts_share_are_found_once(calls_of):
+    # one zero in the last cell of the first part and one in the first cell
+    # of the second: each is found once
+    ks = _two_part_grid()
+    want = [0.5 * (ks[4094] + ks[4095]), 0.5 * (ks[4095] + ks[4096])]
+    counted, calls = calls_of(lambda k: (k - want[0]) * (k - want[1]))
+    s = _scan(counted, 2, 30.0, 0.005)
+    assert [c.shape for c in calls[:2]] == [(4096,), (1905,)]
+    assert calls[0][-1] == calls[1][0] == ks[4095]
+    assert not s.meta["fallback"] and s.meta["evaluations"] == 6000 + sum(map(len, calls[2:]))
+    assert [r.k for r in s.roots] == pytest.approx(want, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("at", [1000, 4095, 5000], ids=["first-part", "shared-point", "second-part"])
+def test_an_exact_zero_in_either_part_sends_the_member_to_the_fallback(at):
+    # one sign change, as many as the count, but an exact 0.0 on the grid:
+    # wherever it lies, the member is not certified
+    ks = _two_part_grid()
+    s = _scan(lambda k: k - ks[at], 1, 30.0, 0.005)
+    assert s.roots == () and s.meta["fallback"]
+    assert (s.meta["evaluations"], s.meta["rounds"]) == (6000, 0)
 
 
 @pytest.mark.parametrize("f", [lambda k: k - 0.5, lambda k: 0.5 - k], ids=["rising", "falling"])
@@ -252,12 +302,12 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
 
 
 @pytest.mark.parametrize(
-    "root, k_max",
+    "root, k_max, refined",
     [
-        (0.1, 0.2),
-        (1.0, 1.0 + 1e-12),
+        (0.1, 0.2, False),
+        (1.0, 1.0 + 1e-12, True),
         pytest.param(
-            1.0, 1.0,
+            1.0, 1.0, False,
             marks=pytest.mark.xfail(
                 strict=True, reason="the unitary locator counts no root at exactly k_max (FOUND in CHANGES.md)"
             ),
@@ -265,16 +315,18 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
     ],
     ids=["first-point", "last-point", "last-point-at-kmax"],
 )
-def test_root_on_an_end_of_the_grid(root, k_max, calls_of, dirichlet_neumann):
-    # an exact 0.0 at either end of the 0.1 grid sends the member to the
+def test_root_on_an_end_of_the_grid(root, k_max, refined, calls_of, dirichlet_neumann):
+    # the 0.1 grid runs from 0.1 to k_max, through 0.9.  An exact 0.0 at its
+    # first point, or at its last with k_max = 1.0, sends the member to the
     # unitary locator on a system whose one root on (0, k_max] is `root`,
-    # with no refinement call of f; the last grid point is 1.0, and in
-    # `last-point` k_max lies past it by more than the unitary locator's
-    # 3e-13 phase margin, while `last-point-at-kmax` puts the root at k_max
+    # with no refinement call of f; in `last-point` the last grid point is
+    # k_max = 1 + 1e-12, so the root lies inside the last cell and is refined
     system = dirichlet_neumann(math.pi / (2 * root))
     for f in (lambda k: k - root, lambda k: root - k):
         counted, calls = calls_of(f)
         s = find_roots_real(counted, system, k_max, 0.1)
-        assert (s.meta["eigenphase_count"], s.meta["fallback"], len(calls)) == (1, True, 1)
+        assert calls[0][-1] == k_max
+        assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, not refined)
+        assert len(calls) > 1 if refined else len(calls) == 1
         assert [r.order for r in s.roots] == [1]
         assert s.roots[0].k == pytest.approx(root, abs=1e-10)
