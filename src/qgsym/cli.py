@@ -19,13 +19,15 @@ import numpy as np
 
 from . import builders, io, quotient
 from .decompose import l2_norm_sq, project, random_function
-from .errors import CertificateMismatch, GridTooCoarse, MalformedList, QgsymError, require_positive
+from .errors import CertificateMismatch, GridTooCoarse, GridTooLarge, MalformedList, QgsymError, require_positive
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_dets, standard_conditions
 from .scattering import secular_det  # noqa: F401  (a name the benchmark's tracer wraps)
 from .locators import UnitaryFamily, find_roots_real_family
 from .locators import find_roots_real, find_roots_unitary  # noqa: F401  (names the benchmark's tracer wraps)
-from .spectra import MAX_BATCH_BYTES, Spectrum, _chunked, _k_grid, compare_spectra, isospectral_classes, merge_spectra
+from .spectra import (
+    MAX_BATCH_BYTES, MAX_GRID_POINTS, Spectrum, _chunked, _k_grid, compare_spectra, isospectral_classes, merge_spectra,
+)
 
 
 def handle_errors(fn):
@@ -271,24 +273,26 @@ def compare_cmd(spectrum_a, spectrum_b, tol):
 @click.option("-o", "--output", default="projection.csv", show_default=True)
 @handle_errors
 def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
-    """Project a random function onto one irrep component; emit samples."""
+    """Project a random function onto one irrep component; emit samples.
+
+    The function has `samples` points per edge; more than MAX_GRID_POINTS
+    in all is refused with `GridTooLarge` before anything is allocated.
+    `io.write_samples_csv` writes the rows, every float as its `repr`, with
+    array arithmetic in passes of MAX_BATCH_BYTES: its time per sample is
+    the same at every label, however much the component's rows repeat.
+    """
     g, action = builders.torus_action(n1, n2, l3, l1)
+    require_positive(samples=samples)
+    if g.n_edges * samples > MAX_GRID_POINTS:
+        raise GridTooLarge(f"{g.n_edges} edges of {samples} samples are over {MAX_GRID_POINTS} points")
     rng = np.random.default_rng(seed)
     f = random_function(g, samples, rng)
     irrep = Irrep((n1, n2), (s, t))
     comp = project(f, action, irrep)
     norm_sq = l2_norm_sq(comp)
-    prefixes = {}
-    with open(output, "w") as fh:
-        fh.write(f"# component ({s},{t}); norm_sq = {norm_sq!r}\n")
-        fh.write("edge,sample_index,x,re,im\n")
-        for e, row in zip(g.edges, comp.values):
-            if e.length not in prefixes:
-                prefixes[e.length] = [f"{m},{(m + 0.5) * e.length / samples!r}," for m in range(samples)]
-            fh.write("".join(
-                f"{e.id},{prefix}{re!r},{im!r}\n"
-                for prefix, re, im in zip(prefixes[e.length], row.real.tolist(), row.imag.tolist())
-            ))
+    with open(output, "wb") as fh:
+        fh.write(f"# component ({s},{t}); norm_sq = {norm_sq!r}\n".encode())
+        io.write_samples_csv(fh, comp)
     click.echo(f"wrote {output}: component norm^2 = {norm_sq:.6g}", file=sys.stdout)
 
 

@@ -1,9 +1,10 @@
-"""Persistence formats: graph documents (JSON) and spectra (CSV).
+"""Persistence formats: graph documents (JSON), spectra and sampled functions (CSV).
 
 Graph documents are schema-versioned JSON with vertices, edges, optional
 per-vertex condition annotations, and an optional group action.  Phases are
 stored as (re, im) pairs.  Spectra are CSV with a mandatory header and
-'#'-prefixed metadata comment lines, rows sorted by k.
+'#'-prefixed metadata comment lines, rows sorted by k.  A sampled function
+is CSV with one row per edge and sample, every float written as its `repr`.
 """
 
 from __future__ import annotations
@@ -11,14 +12,17 @@ from __future__ import annotations
 import ast
 import json
 import math
-from typing import Optional, TextIO
+from typing import BinaryIO, Optional, TextIO
+
+import numpy as np
 
 from . import builders
 from .actions import GeneratorMaps, GraphAction
+from .decompose import SampledFunction
 from .errors import UnsupportedCondition, UnsupportedFormat
 from .graphs import MetricGraph, Vertex, Edge
 from .scattering import Condition, QuasiPeriodic, Standard
-from .spectra import SpectralRoot, Spectrum
+from .spectra import MAX_BATCH_BYTES, SpectralRoot, Spectrum
 
 FORMAT_VERSION = 1
 
@@ -191,3 +195,125 @@ def load_spectrum(path: str) -> Spectrum:
             return read_spectrum_csv(fh)
         except UnicodeDecodeError as exc:
             raise UnsupportedFormat(f"spectrum CSV line ?: undecodable text: {exc}") from exc
+
+
+# Tables of `_repr_bytes`.  A field is six native words of four ASCII bytes:
+# sign, "0.", the zeros after the point, the leading digit and four groups of
+# four digits; NUL marks a byte that is not written.
+_POW10 = 10.0 ** np.arange(23)  # exact: 5**22 < 2**53
+_POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)  # Dekker's split, 2**27 + 1
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _words(texts) -> np.ndarray:
+    return np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in texts), dtype=np.uint32)
+
+
+def _quads() -> tuple[np.ndarray, np.ndarray]:
+    """The words "0000" to "9999", and the same with their trailing zeros NUL."""
+    digits = np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    text = (digits + ord("0")).astype(np.uint8)
+    kept = np.flip(np.logical_or.accumulate(np.flip(digits != 0, axis=1), axis=1), axis=1)
+    return text.view(np.uint32).ravel(), (text * kept).view(np.uint32).ravel()
+
+
+_SIGN_POINT = _words(sign + "0." + "0"[:zeros] for sign in ("\0", "-") for zeros in range(4))
+_ZEROS_LEAD = _words("00"[: max(zeros - 1, 0)].ljust(3, "\0") + str(lead) for zeros in range(4) for lead in range(10))
+_QUAD, _QUAD_END = _quads()  # the last group written has no trailing zeros
+
+
+def _repr_bytes(x: np.ndarray) -> np.ndarray:
+    """`repr` of each float of the 1-D float64 array `x`, as a (len(x), 24)
+    uint8 array of ASCII, NUL-padded (24 bytes hold every float's `repr`).
+
+    A float of magnitude in [1e-4, 1) that is not a power of two takes array
+    arithmetic.  Its `repr` is "0.", -1 - e zeros and the shortest digits
+    that read back as it, where 10**e <= |x| < 10**(e+1), and of the
+    shortest the nearest.  For k = 15, 16, 17 the k digits nearest to |x| are
+    D = round(|x| * 10**s), s = k - 1 - e, from the exact product of |x| and
+    10**s as a Dekker double-double.  They read back as x iff
+    |D - |x| * 10**s| < ulp(x) / 2 * 10**s, and k = 17 always does.  The
+    first k that does gives the digits: at 15, D without its trailing zeros,
+    since a shorter string that reads back is the unique 15-digit point
+    within half an ulp.  A float whose distance lies within 1e-9 of a tie or
+    of that bound, or whose D leaves [10**(k-1), 10**k) (e off by one near a
+    power of ten), and every other float, goes through `repr`.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0) & (x.view(np.int64) & (2**52 - 1) != 0)
+    a = np.where(fast, a, 0.5)
+    e = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.intp)
+    a_hi = 134217729.0 * a - (134217729.0 * a - a)
+    a_lo = a - a_hi
+    half_ulp = np.spacing(a) / 2
+    digits = np.zeros(len(x), dtype=np.int64)  # 17 digits, the shortest left-aligned
+    todo = np.ones(len(x), dtype=bool)
+    for k in (15, 16, 17):
+        s = k - 1 - e
+        hi = a * _POW10[s]
+        lo = ((a_hi * _POW10_HI[s] - hi) + a_hi * _POW10_LO[s] + a_lo * _POW10_HI[s]) + a_lo * _POW10_LO[s]
+        d = np.rint(hi)
+        r = (hi - d) + lo
+        step = np.rint(r)
+        d = d.astype(np.int64) + step.astype(np.int64)
+        off = np.abs(r - step)  # |D - |x| * 10**s|, to within 1e-15
+        unsure = (off > 0.5 - 1e-9) | (d < 10 ** (k - 1)) | (d >= 10**k)
+        done = todo
+        if k < 17:
+            bound = half_ulp * _POW10[s]
+            unsure |= np.abs(off - bound) < 1e-9
+            done = todo & (off < bound)
+        fast &= ~(todo & unsure)
+        digits = np.where(done, d * 10 ** (17 - k), digits)
+        todo &= ~done
+    digits[~fast] = 10**16
+    lead, rest = np.divmod(digits, 10**16)
+    quads = [rest // 10**12, rest // 10**8 % 10**4, rest // 10**4 % 10**4, rest % 10**4]
+    last = np.maximum.reduce([(i + 1) * (q != 0) for i, q in enumerate(quads)])
+    zeros = -1 - e
+    out = np.empty((len(x), 6), dtype=np.uint32)
+    out[:, 0] = _SIGN_POINT[4 * (x < 0) + zeros]
+    out[:, 1] = _ZEROS_LEAD[10 * zeros + lead]
+    for i, q in enumerate(quads, 1):  # the groups after the last nonzero one are NUL
+        out[:, 1 + i] = np.where(i < last, _QUAD[q], _QUAD_END[q])
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        out[slow] = np.array([repr(v).encode() for v in x[slow].tolist()], dtype="S24").view(np.uint8).reshape(-1, 24)
+    return out
+
+
+def write_samples_csv(fh: BinaryIO, f: SampledFunction) -> None:
+    """The rows `edge,sample_index,x,re,im` of a sampled function to a binary
+    file: x = (m + 0.5) * length / samples is the midpoint of sample m, and
+    every float is written as its `repr`.
+
+    Each pass takes MAX_BATCH_BYTES of complex samples in edge-major order,
+    formats them with `_repr_bytes` into one NUL-padded byte matrix of whole
+    lines (edge id, the edge length's `sample_index,x,` prefix, re, im),
+    reused from pass to pass, and writes its bytes other than NUL.  The work
+    per sample does not depend on the values.
+    """
+    g, samples = f.graph, f.samples
+    values = np.ascontiguousarray(f.values, dtype=np.complex128).reshape(-1)
+    lengths = sorted({e.length for e in g.edges})
+    which = np.array([lengths.index(e.length) for e in g.edges], dtype=np.intp)
+    heads = np.array([f"{e.id},".encode() for e in g.edges])
+    prefixes = np.array([f"{m},{(m + 0.5) * length / samples!r},".encode() for length in lengths for m in range(samples)])
+    heads, prefixes = (a.view(np.uint8).reshape(len(a), -1) for a in (heads, prefixes))
+    wh, wp = heads.shape[1], prefixes.shape[1]
+    per = MAX_BATCH_BYTES // 16
+    lines = np.empty((per, wh + wp + 50), dtype=np.uint8)
+    lines[:, wh + wp + 24] = ord(",")
+    lines[:, -1] = ord("\n")
+    fh.write(b"edge,sample_index,x,re,im\n")
+    for j in range(0, len(values), per):
+        n = min(per, len(values) - j)
+        edge, m = np.divmod(np.arange(j, j + n), samples)
+        text = _repr_bytes(values[j : j + n].view(np.float64)).reshape(n, 48)
+        lines[:n, :wh] = heads[edge]
+        lines[:n, wh : wh + wp] = prefixes[which[edge] * samples + m]
+        lines[:n, wh + wp : wh + wp + 24] = text[:, :24]
+        lines[:n, wh + wp + 25 : -1] = text[:, 24:]
+        block = lines[:n]
+        fh.write(block[block != 0])

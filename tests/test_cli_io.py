@@ -14,6 +14,7 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -24,9 +25,9 @@ from qgsym import (
     QuotientSpec, circulant_graph, cycle_graph, cycle_product, quotient_graph, standard_conditions, torus_action,
     validate_action,
 )
-from qgsym import cli, scattering
+from qgsym import cli, io, scattering
 from qgsym.cli import main
-from qgsym.decompose import l2_norm_sq, project
+from qgsym.decompose import SampledFunction, l2_norm_sq, project
 from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
 from qgsym.locators import UnitaryFamily
 from qgsym.io import (
@@ -421,28 +422,89 @@ def test_cli_project_writes_samples(tmp_path):
     assert xs == pytest.approx([(m + 0.5) * 1.0 / 20 for m in range(20)], abs=1e-15)
 
 
-def test_cli_project_bytes_equal_one_format_per_row(tmp_path, monkeypatch):
-    # the writer joins each edge's rows and formats each edge length's
-    # `sample_index,x,` prefixes once; its bytes equal one f-string per row
-    # of the component that `project` returned
+def _one_format_per_row(comp, label, samples):
+    """The `project` CSV of `comp` written with one `repr` f-string per row."""
+    lines = [f"# component {label}; norm_sq = {l2_norm_sq(comp)!r}\n", "edge,sample_index,x,re,im\n"]
+    for e in comp.graph.edges:
+        for m in range(samples):
+            x = (m + 0.5) * e.length / samples
+            val = complex(comp.values[e.id, m])
+            lines.append(f"{e.id},{m},{x!r},{val.real!r},{val.imag!r}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, s, t",
+    [(2, 3, s, t) for s in range(2) for t in range(3)] + [(4, 4, 0, 0), (4, 4, 2, 2), (4, 4, 1, 3)],
+)
+def test_cli_project_bytes_equal_one_format_per_row(tmp_path, monkeypatch, n1, n2, s, t):
+    # the writer formats whole lines with array arithmetic; its bytes equal
+    # one f-string per row of the component that `project` returned, at labels
+    # whose rows repeat heavily and at labels whose rows hardly repeat
     got = []
     monkeypatch.setattr(cli, "project", lambda *args: got.append(project(*args)) or got[-1])
     out = str(tmp_path / "proj.csv")
     res = CliRunner().invoke(main, [
-        "project", "--n1", "2", "--n2", "3", "--l1", "0.5", "--l3", "1.3",
-        "--s", "1", "--t", "2", "--samples", "7", "--seed", "4", "-o", out,
+        "project", "--n1", str(n1), "--n2", str(n2), "--l1", "0.5", "--l3", "1.3",
+        "--s", str(s), "--t", str(t), "--samples", "7", "--seed", "4", "-o", out,
     ])
     assert res.exit_code == 0, res.output
     (comp,) = got
-    lines = [f"# component (1,2); norm_sq = {l2_norm_sq(comp)!r}\n", "edge,sample_index,x,re,im\n"]
-    for e in comp.graph.edges:
-        for m in range(7):
-            x = (m + 0.5) * e.length / 7
-            val = complex(comp.values[e.id, m])
-            lines.append(f"{e.id},{m},{x!r},{val.real!r},{val.imag!r}\n")
     assert len({e.length for e in comp.graph.edges}) == 2
     with open(out) as fh:
-        assert fh.read() == "".join(lines)
+        assert fh.read() == _one_format_per_row(comp, f"({s},{t})", 7)
+
+
+# floats for every branch of `io._repr_bytes`: signed zeros; 1 to 17 digits;
+# the ends of [1e-4, 1), the floats beside them and beside 1e-3 and 1e-2;
+# powers of two; and through `repr`, floats >= 1 or < 1e-4, nan and infinities
+REPR_CASES = [
+    0.0, -0.0, 0.1, -0.25, 0.5, 1 / 3, -2 / 3, 0.30000000000000004, 0.1234567890123456, 0.12345678901234568,
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), math.nextafter(1.0, 0.0), -0.001,
+    math.nextafter(0.001, 0.0), math.nextafter(0.01, 1.0), 2.0**-10, 0.75, 1.0, -1.5, 123.456, 1e16, 1e-5,
+    -3.0e-7, 5e-324, math.nan, math.inf, -math.inf, 0.0123, 0.9999999999999999, 0.000123456789,
+]
+
+
+def test_cli_project_writes_every_float_as_its_repr(tmp_path, monkeypatch):
+    # edges 0 and 1 (length l3) differ only in the sign of a zero and edge 12
+    # (length l1) repeats edge 0's row at other x; seven samples per pass, so
+    # the passes split edges and the last one is short
+    values = np.array(REPR_CASES).view(np.complex128)  # re and im in turn
+    got = []
+
+    def fake_project(f, action, irrep):
+        rows = np.zeros_like(f.values)
+        rows[[0, 2, 3, 4]] = values.reshape(4, 4)
+        rows[[1, 12]] = rows[0]
+        rows[1, 0] = complex(-0.0, rows[0, 0].imag)
+        got.append(SampledFunction(f.graph, rows))
+        return got[-1]
+
+    monkeypatch.setattr(cli, "project", fake_project)
+    monkeypatch.setattr(io, "MAX_BATCH_BYTES", 16 * 7)
+    out = str(tmp_path / "proj.csv")
+    res = CliRunner().invoke(main, [
+        "project", "--n1", "2", "--n2", "3", "--l1", "0.5", "--l3", "1.3",
+        "--s", "0", "--t", "0", "--samples", "4", "-o", out,
+    ])
+    assert res.exit_code == 0, res.output
+    (comp,) = got
+    edges = comp.graph.edges
+    assert edges[0].length == edges[1].length != edges[12].length and len(edges) * 4 % 7 != 0
+    with open(out) as fh:
+        text = fh.read()
+    assert text == _one_format_per_row(comp, "(0,0)", 4)
+    lines, x = text.splitlines(), 0.5 * 1.3 / 4
+    assert lines[2] == f"0,0,{x!r},0.0,-0.0" and lines[6] == f"1,0,{x!r},-0.0,-0.0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-4, 1.0, exclude_max=True) | st.floats(-1.0, -1e-4, exclude_min=True) | st.floats(),
+                max_size=50))
+def test_repr_bytes_are_the_reprs(xs):
+    fields = io._repr_bytes(np.array(xs, dtype=np.float64))
+    assert [bytes(f).replace(b"\0", b"").decode() for f in fields] == [repr(x) for x in xs]
 
 
 def test_cli_scan_equals_the_per_block_determinant_loop(tmp_path, monkeypatch):
@@ -570,6 +632,9 @@ TORUS = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
         (["scan", "GRAPH", "--kmax", "inf"], "NonPositiveParameter"),
         (["scan", "GRAPH", "--grid", "0"], "NonPositiveParameter"),
         (["project", *TORUS, "--s", "0", "--t", "0", "--samples", "0"], "NonPositiveParameter"),
+        (["project", *TORUS, "--s", "0", "--t", "0", "--samples", "-1"], "NonPositiveParameter"),
+        (["project", "--n1", "1", "--n2", "1", "--l1", "0.5", "--l3", "1.0", "--s", "0", "--t", "0",
+          "--samples", "1000000000000"], "GridTooLarge"),
         (["spectrum", "GRAPH", "--kmax", "1e300"], "GridTooLarge"),
         (["factors", *TORUS, "--kmax", "1e300"], "GridTooLarge"),
         (["factors", *TORUS, "--grid", "1e-300"], "GridTooLarge"),
@@ -577,7 +642,8 @@ TORUS = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
     ],
     ids=["factors-kmax", "factors-kmax-inf", "factors-grid", "factors-n1", "factors-tol", "factors-l1-nan",
          "factors-l1-negative", "factors-l3-inf", "spectrum-kmax-inf", "spectrum-grid", "spectrum-tol",
-         "scan-kmax-inf", "scan-grid", "project-samples", "spectrum-kmax-huge", "factors-kmax-huge",
+         "scan-kmax-inf", "scan-grid", "project-samples", "project-samples-negative", "project-samples-huge",
+         "spectrum-kmax-huge", "factors-kmax-huge",
          "factors-grid-tiny", "scan-kmax-huge"],
 )
 def test_cli_rejects_out_of_range_flags(tmp_path, args, kind):
