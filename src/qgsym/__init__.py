@@ -63,7 +63,6 @@ from .spectra import (
 )
 from .locators import (
     find_roots_real,
-    find_roots_real_family,
     find_roots_unitary,
     UnitaryFamily,
 )

@@ -23,8 +23,8 @@ from .errors import CertificateMismatch, GridTooCoarse, GridTooLarge, MalformedL
 from .groups import Irrep
 from .scattering import SecularSystem, build_secular_system, character_blocks, secular_dets, standard_conditions
 from .scattering import secular_det  # noqa: F401  (a name the benchmark's tracer wraps)
-from .locators import UnitaryFamily, find_roots_real_family
-from .locators import find_roots_real, find_roots_unitary  # noqa: F401  (names the benchmark's tracer wraps)
+from .locators import UnitaryFamily, find_roots_real
+from .locators import find_roots_unitary  # noqa: F401  (a name the benchmark's tracer wraps)
 from .spectra import (
     MAX_BATCH_BYTES, MAX_GRID_POINTS, Spectrum, _chunked, _k_grid, compare_spectra, isospectral_classes, merge_spectra,
 )
@@ -200,40 +200,41 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
 @click.option("--l1", type=float, required=True)
 @click.option("--l3", type=float, required=True)
 @click.option("--kmax", type=float, default=10.0, show_default=True)
-@click.option("--grid", type=float, default=0.005, show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("-o", "--output", default="factors.csv", show_default=True)
 @handle_errors
-def factors_cmd(n1, n2, l1, l3, kmax, grid, tol, output):
+def factors_cmd(n1, n2, l1, l3, kmax, tol, output):
     """Roots of every quotient factor, labeled by (s, t).
 
     Each class of labels with one dispersion form (`spectra.isospectral_classes`
     over `QuotientFamily.dispersion_real`; s and n1-s, and t and n2-t,
     always share one) is solved once, and every label gets a copy of its
-    roots.  The distinct factors are one family of the real locator: the
-    grid and each refinement round of their sign changes evaluate all of
-    them together, per 32 KB of points (`spectra.MAX_BATCH_BYTES`).  Their
+    roots.  The distinct factors are one family of the real locator
+    (`locators.find_roots_real`): a factor's roots are its roots at the
+    zeros of sin 2kL1 and sin 2kL3, of exact orders, and one simple root
+    between each two consecutive poles of its two-loop form, so no grid is
+    scanned; each refinement round evaluates every factor together.  Their
     8x8 quotient systems come from one stacked assembly
     (`quotient.quotient_systems`) and are counted in stacked `eigvals`
-    calls first: a factor with no exact zero on its grid and as many sign
-    changes as its exact eigenphase count N(k_max) has found every root once
-    refined, and any other is solved by the unitary locator on its system
+    calls first: a factor whose roots do not number its exact eigenphase
+    count N(k_max) is solved by the unitary locator on its system
     (`fallbacks` in the header counts them).  The header's `rounds` is the
     most refinement rounds of any factor, by either locator.  The
     header's `eigenphase_count`, N(k_max) summed over the labels, certifies
     `root_count`: a count that differs exits 2 with `CertificateMismatch`
-    and writes no file.
+    and writes no file.  A k_max past 10^7 sine zeros exits 2 with
+    `GridTooLarge`.
     """
     specs = quotient.all_quotient_specs(n1, n2, l1, l3)
     first = isospectral_classes(quotient.QuotientFamily(specs).dispersion_real, len(specs), (l1, l3), 16)
     distinct, runs = np.unique(first, return_inverse=True)
-    family = quotient.QuotientFamily([specs[i] for i in distinct])
-    systems = UnitaryFamily(quotient.quotient_systems([specs[i] for i in distinct]))
-    found = find_roots_real_family(family.dispersion_real, systems, kmax, grid_step=grid, tol=tol)
+    factors = [specs[i] for i in distinct]
+    systems = UnitaryFamily(quotient.quotient_systems(factors))
+    found = find_roots_real(quotient.QuotientFamily(factors), systems, kmax, tol=tol)
     labels = [f"({sp.s},{sp.t})" for sp in specs]
     _write_classes(
         output, kmax, found, runs, labels, sum(found[run].meta["eigenphase_count"] for run in runs.tolist()),
-        grid_step=grid, tol=tol, factors=len(found), fallbacks=sum(f.meta["fallback"] for f in found),
+        tol=tol, factors=len(found), fallbacks=sum(f.meta["fallback"] for f in found),
         rounds=max(f.meta["rounds"] for f in found),
     )
 

@@ -1,16 +1,16 @@
 """The real and the unitary root locators, each for a family of functions.
 
-Both run the core of `spectra`: a grid of every member in chunked array
-calls, then `_refine_steps` in rounds over the brackets of every member.
+Both close the brackets of every member together with `_refine_steps`, the
+core of `spectra`, in rounds of one array call.
 
-- `find_roots_real_family`: the secular functions of a `UnitaryFamily`,
-  each given as a real function on the real axis.  Every zero of a secular
-  function is real and N(k) counts them with order, so a member whose grid
-  holds no exact 0.0 and as many sign changes as N(k_max) has found them
-  all, each simple.  The counts come first: `_sign_roots` closes the sign
-  changes of those members only, with the level f >= 0 as the step and f
-  itself as the value.  Every other member goes straight to
-  `UnitaryFamily.roots`.
+- `find_roots_real`: the quotient factors of `factors`, from their two-loop
+  form G (`quotient.QuotientFamily`).  G strictly decreases between its
+  poles, so a member's roots are its sine-zero roots, whose orders are
+  exact, and one simple root between each two consecutive poles: no grid.
+  Each member's count is known before any refinement, so only the members
+  whose count is their exact eigenphase count N(k_max) are refined, with
+  the level G >= 0 as the step and arctan G as the value.  Every other
+  member goes straight to `UnitaryFamily.roots`.
 - `UnitaryFamily`: exact eigenphase counting for unitary scattering.  The
   family is contracted once (`contracted_stacks`: every pure-transmission
   bond dropped, the determinant unchanged), and each stack of contracted
@@ -19,130 +19,93 @@ calls, then `_refine_steps` in rounds over the brackets of every member.
   a locator's output.  This is the robust path for high-order roots of
   large systems.
 
-`find_roots_real` and `find_roots_unitary` solve a family of one.  Every
-member's spectrum reports the points evaluated for it, grid included, as
-`meta["evaluations"]`, and the refinement rounds that evaluated it as
-`meta["rounds"]`.
+`find_roots_unitary` solves a family of one.  Every member's spectrum
+reports the points evaluated for it as `meta["evaluations"]`, and the
+refinement rounds that evaluated it as `meta["rounds"]`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, NonUnitaryScattering, require_positive
+from .errors import NonUnitaryScattering, require_positive
+from .quotient import QuotientFamily
 from .scattering import SecularSystem, contracted_stacks
-from .spectra import (
-    TWO_PI, Evaluator, SpectralRoot, Spectrum, _chunked, _grid_cells, _grid_values, _k_grid, _refine_steps,
-)
+from .spectra import TWO_PI, SpectralRoot, Spectrum, _chunked, _grid_cells, _k_grid, _refine_steps
 
 K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
 PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
 
 
-def _sign_roots(
-    f: Evaluator, counts: Sequence[int], k_max: float, grid_step: float, tol: float, source: str
+def find_roots_real(
+    family: QuotientFamily, systems: UnitaryFamily, k_max: float, tol: float = 1e-10, *, source: str = ""
 ) -> list[Spectrum]:
-    """The sign changes on a grid from `grid_step` to `k_max` of functions
-    real on the real axis, one per entry of `counts`: one spectrum per
-    function, with a root of order 1 for each sign change of a function
-    that its grid certifies.
+    """Roots on (0, k_max] of the dispersion forms of `family`, whose
+    quotient systems are `systems`, one spectrum per member in that order.
 
-    `f(which, k)` takes an integer array of members and an array of points
-    that broadcast together, and returns the values elementwise.  The
-    members share one grid, which ends at k_max, evaluated part by part and
-    each part in chunks of members (`spectra._grid_values`, `rows[:, None]`
-    against the part).  A member is certified when its grid holds no exact
-    0.0 and exactly its count of sign changes; the sign changes of the
-    certified members, and only those, are closed to width `tol` by
-    `_refine_steps`, with the level `f >= 0` as the step and f as the
-    value, in one call of `f` on 1-D arrays per round.  Every jump is
-    reported inside its bracket, so a certified member keeps its count of
-    roots, all on (0, k_max].  Every other member's spectrum has no roots
-    and `meta["fallback"]`.
-    `meta["evaluations"]` counts the member's grid points and refinement
-    points, and `meta["rounds"]` the refinement rounds that evaluated the
-    member.  `k_max` below `grid_step` leaves no grid (`GridTooCoarse`).
+    A member's roots are its roots at the sine zeros, with their orders
+    (`QuotientFamily.sine_zeros`), and one simple root of G in each bracket
+    from 0 or a pole to the next pole or to k_max.  G falls from +inf at each
+    pole, and at 0 unless every c_i = 1 (the trivial factor: G(0+) = 0, and
+    its first bracket holds no root), to -inf at the next pole, so the
+    bracket cut at k_max holds a root exactly when G(k_max) <= 0, and a
+    bracket with a sine zero where G is 0 holds that root alone.  So each
+    member's count comes first, from G at k_max, and only the members whose
+    count is their N(k_max) (`UnitaryFamily.counts`) are refined: all their
+    brackets in one `_refine_steps` call, with the level G >= 0 as the step
+    and arctan G, +-pi/2 at the poles, as the value, in calls of at most
+    MAX_BATCH_BYTES of points.  Every other member is solved by one
+    `UnitaryFamily.roots` call.  Each spectrum's `meta` has `tol`, the points
+    evaluated for the member by either locator (`evaluations`), the rounds
+    that evaluated it (`rounds`), its `eigenphase_count` N(k_max), and
+    whether it fell back (`fallback`).
     """
-    if k_max < grid_step:
-        raise GridTooCoarse(f"k_max = {k_max!r} is below grid_step = {grid_step!r}")
-    ks = np.append(_k_grid(grid_step, k_max - grid_step / 2.0, grid_step), k_max)
+    require_positive(k_max=k_max, tol=tol)
+    zeros, poles, orders, settled = family.sine_zeros(k_max)
+    members, last = len(poles), len(zeros) + 1
+    g_max = _chunked(family.pole_form, np.arange(members), np.full(members, float(k_max)), 8)
+    # each member's bracket ends, member by member: 0, its poles and k_max
+    ends = np.pad(poles, ((0, 0), (1, 1)), constant_values=True)
+    which, col = np.nonzero(ends)
+    x = np.concatenate([[0.0], zeros, [k_max]])[col]
+    opens = np.append(which[1:] == which[:-1], False)  # the end opens a bracket that holds a root of G
+    opens &= (col > 0) | ~family.one.all(axis=1)[which]  # not the trivial factor's first
+    opens[(np.cumsum(ends) - 1).reshape(ends.shape)[:, 1:-1][settled]] = False  # its root is a sine zero's
+    cut = opens & np.append(col[1:] == last, False)
+    opens[cut] = (x[cut] < k_max) & (g_max[which[cut]] <= 0.0)
+    counts = systems.counts(k_max)
+    certified = np.bincount(which[opens], minlength=members) + orders.sum(axis=1) == counts
 
-    members, cells = len(counts), []
-    zero = np.zeros(members, dtype=bool)  # the members with an exact 0.0 on their grid
-    for rows, part, vals in _grid_values(f, members, ks):
-        zero[rows] |= ~vals.all(axis=1)
-        r, i = np.nonzero(np.diff(vals >= 0.0, axis=1))
-        cells.append((rows[r], part[i], vals[r, i, None], part[i + 1], vals[r, i + 1, None]))
-    which, a, fa, b, fb = (np.concatenate(v) for v in zip(*cells))
-    certified = ~zero & (np.bincount(which, minlength=members) == np.asarray(counts))
-    which, a, fa, b, fb = (v[certified[which]] for v in (which, a, fa, b, fb))
-
-    def level(values: np.ndarray) -> np.ndarray:
-        return 1.0 * (values[:, 0] >= 0.0)
+    i = np.flatnonzero(opens & certified[which])
+    fb = np.where(col[i + 1] == last, np.arctan(g_max[which[i]]), -0.5 * math.pi)[:, None]
+    fa, flat = np.full_like(fb, 0.5 * math.pi), np.zeros_like(fb)
 
     def sign_at(which: np.ndarray, k: np.ndarray) -> tuple:
-        fk = np.asarray(_chunked(f, which, k, 8), dtype=float)[:, None]
-        side = (fk, np.zeros_like(fk))  # the level holds for 0, and no jump is bounded
-        return level(fk), side, side
+        value = np.arctan(_chunked(family.pole_form, which, k, 8))[:, None]
+        side = (value, np.zeros_like(value))  # the level holds for 0, and no jump is bounded
+        return 1.0 * (value[:, 0] >= 0.0), side, side
 
-    flat = np.zeros_like(fa)
-    cells = (which, a, level(fa), (fa, flat), b, level(fb), (fb, flat))
+    cells = (which[i], x[i], np.ones(len(i)), (fa, flat), x[i + 1], np.zeros(len(i)), (fb, flat))
     jumps, calls, rounds = _refine_steps(sign_at, cells, tol, members)
-    return [
+    on, at = np.nonzero(orders)
+    bounds = np.searchsorted(on, np.arange(members + 1)).tolist()
+    on_zeros = list(zip(zeros[at].tolist(), orders[on, at].tolist()))
+    found = [
         Spectrum(
-            tuple(SpectralRoot(k, 1, source) for k, _ in member),
+            tuple(SpectralRoot(k, n, source) for k, n in sorted(on_zeros[lo:hi] + [(k, 1) for k, _ in member])),
             k_max,
-            {"grid_step": grid_step, "tol": tol, "evaluations": len(ks) + int(n), "rounds": int(r), "fallback": not ok},
+            {"tol": tol, "evaluations": 1 + int(n), "rounds": int(r), "eigenphase_count": count, "fallback": not ok},
         )
-        for member, n, r, ok in zip(jumps, calls, rounds, certified.tolist())
+        for member, lo, hi, n, r, count, ok in zip(jumps, bounds[:-1], bounds[1:], calls, rounds, counts, certified)
     ]
-
-
-def find_roots_real_family(
-    f: Evaluator, systems: UnitaryFamily, k_max: float, grid_step: float, tol: float = 1e-10, *, source: str = ""
-) -> list[Spectrum]:
-    """Roots on (0, k_max] of the secular functions of `systems`, one
-    spectrum per member of the family.
-
-    `f(m, k)`, a family evaluator as `_sign_roots` takes it, must be real on
-    the real axis with the zeros of system m's det(I - S D(k)).  Every such
-    zero is real, N(k_max) counts them with order (`UnitaryFamily.counts`),
-    and a sign-change bracket holds an odd number of them; so a member with
-    no exact zero on its grid and as many sign changes as N(k_max) has one
-    simple zero in each bracket and none elsewhere.  The counts come first,
-    so only such members are refined (`_sign_roots`), and every other
-    member is solved by `UnitaryFamily.roots`, which is exact, in one call.
-    Each spectrum's `meta` has the scan's `grid_step` and `tol`, the points
-    evaluated for the member by the scan and the unitary locator
-    (`evaluations`), the refinement rounds that evaluated it (`rounds`), its
-    `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
-    """
-    require_positive(k_max=k_max, grid_step=grid_step, tol=tol)
-    counts = systems.counts(k_max)
-    found = _sign_roots(f, counts, k_max, grid_step, tol, source)
-    short = [m for m, s in enumerate(found) if s.meta["fallback"]]
+    short = np.flatnonzero(~certified).tolist()
     for m, exact in zip(short, systems.roots(k_max, tol=tol, source=source, members=short)):
         evaluations, rounds = (found[m].meta[key] + exact.meta[key] for key in ("evaluations", "rounds"))
-        meta = {**found[m].meta, "evaluations": evaluations, "rounds": rounds}
-        found[m] = Spectrum(exact.roots, k_max, meta)
-    for s, n in zip(found, counts):
-        s.meta["eigenphase_count"] = n
+        found[m] = Spectrum(exact.roots, k_max, {**found[m].meta, "evaluations": evaluations, "rounds": rounds})
     return found
-
-
-def find_roots_real(
-    f: Callable[[np.ndarray], np.ndarray], system: SecularSystem, k_max: float, grid_step: float,
-    tol: float = 1e-10, *, source: str = "",
-) -> Spectrum:
-    """Roots on (0, k_max] of the secular function of `system`:
-    `find_roots_real_family` on a family of one.  `f` takes a numpy array of
-    real points, returns the values elementwise, and has the zeros of the
-    system's det(I - S D(k))."""
-    family = UnitaryFamily([system])
-    return find_roots_real_family(lambda which, k: f(k), family, k_max, grid_step, tol, source=source)[0]
 
 
 def _turned(phases: np.ndarray) -> np.ndarray:

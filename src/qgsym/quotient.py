@@ -16,8 +16,10 @@ The closed form and the real dispersion form take a scalar or an array of
 k and return what numpy returns: a numpy scalar or an array.  The two differ
 by the factor -2i exp(2ik(L1+L3)), which has no zero, so the dispersion form
 is its own analytic continuation with the closed form's zeros and orders.
-`QuotientFamily` evaluates it for many factors in one array call, and
-keeps its three sines of the last array of k.
+`QuotientFamily` evaluates it for many factors in one array call, and gives
+what decides each factor's real roots: the sine zeros that every factor of
+the torus shares, which of them are poles of its two-loop form G and the
+order of its root at each, and a stable evaluator of G.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .builders import torus_action
-from .errors import NonPositiveLength, require_positive
+from .errors import GridTooLarge, NonPositiveLength, require_positive
 from .graphs import TAG_DUMMY, TAG_ORIGINAL, MetricGraph, make_graph
 from .groups import irrep_value
 from .scattering import (
@@ -41,6 +43,7 @@ from .scattering import (
     build_secular_systems,
     standard_conditions,
 )
+from .spectra import MAX_GRID_POINTS
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,12 @@ class QuotientSpec:
         return tuple(float((0.5 * (tau + 1.0 / tau)).real) for tau in (self.phase_l1, self.phase_l3))
 
 
-def _shared_lengths(specs: Sequence[QuotientSpec]) -> tuple[float, float]:
-    """(L1, L3) of factors of one torus; `ValueError` if they differ."""
-    l1, l3 = specs[0].l1, specs[0].l3
-    if any((spec.l1, spec.l3) != (l1, l3) for spec in specs):
-        raise ValueError("the factors of a family share L1 and L3")
-    return l1, l3
+def _torus(specs: Sequence[QuotientSpec]) -> tuple[int, int, float, float]:
+    """(n1, n2, L1, L3) of factors of one torus; `ValueError` if they differ."""
+    torus = specs[0].n1, specs[0].n2, specs[0].l1, specs[0].l3
+    if any((spec.n1, spec.n2, spec.l1, spec.l3) != torus for spec in specs):
+        raise ValueError("the factors of a family share n1, n2, L1 and L3")
+    return torus
 
 
 def _template(l1: float, l3: float) -> MetricGraph:
@@ -121,7 +124,7 @@ def quotient_systems(specs: Sequence[QuotientSpec]) -> list[SecularSystem]:
     specs = list(specs)
     if not specs:
         return []
-    graph = _template(*_shared_lengths(specs))
+    graph = _template(*_torus(specs)[2:])
     return build_secular_systems(graph, [_conditions(spec) for spec in specs])
 
 
@@ -142,18 +145,8 @@ def _closed(alpha, beta, l1, l3, k):
     )
 
 
-def _sines(l1, l3, k):
-    """sin 2k(L1+L3), sin 2kL3 and sin 2kL1: the part of the dispersion form
-    that every factor of one torus shares."""
-    return np.sin(2 * k * (l1 + l3)), np.sin(2 * k * l3), np.sin(2 * k * l1)
-
-
 def _dispersion(alpha, beta, l1, l3, k):
-    return _combine(alpha, beta, *_sines(l1, l3, k))
-
-
-def _combine(alpha, beta, s13, s3, s1):
-    return s13 - alpha * s3 - beta * s1
+    return np.sin(2 * k * (l1 + l3)) - alpha * np.sin(2 * k * l3) - beta * np.sin(2 * k * l1)
 
 
 def quotient_secular_closed(spec: QuotientSpec, k):
@@ -172,35 +165,93 @@ def quotient_dispersion_real(spec: QuotientSpec, k):
 
 class QuotientFamily:
     """The dispersion forms of quotient factors of one torus, as a family
-    evaluator of `spectra.isospectral_classes` and
-    `locators.find_roots_real_family`.
+    evaluator of `spectra.isospectral_classes`, and what decides their roots
+    for `locators.find_roots_real`.
 
     `which` indexes `specs` and broadcasts against `k`, so one array call
-    evaluates any mix of factors.  The factors share L1 and L3, and so the
-    three sines of the dispersion form: those of the last 1-D array of k
-    are kept, keyed by its bytes, so calls on one array for chunk after
-    chunk of factors compute them once.  Each value equals the one-factor
+    evaluates any mix of factors; each value equals the one-factor
     function's bit for bit.
+
+    With the loop lengths (l1, l2) = (2 L1, 2 L3) and (c1, c2) = (alpha,
+    beta), F(k) = (cos kl1 - c1) sin kl2 + (cos kl2 - c2) sin kl1 is the
+    secular function of two loops at one standard vertex, so
+    G = F / (sin kl1 sin kl2) = g1 + g2, g_i = (cos kl_i - c_i) / sin kl_i.
+    Each g_i strictly decreases between its poles (Berkolaiko and Kuchment
+    2013), so G has one simple root between consecutive poles, and every
+    other root of F lies on a zero of a sine.  c1 comes from t and n2, c2
+    from s and n1; c_i = 1 exactly where the label is 0, and c_i = -1
+    exactly where twice the label is the order.
     """
 
     def __init__(self, specs: Sequence[QuotientSpec]):
         specs = tuple(specs)
-        self.l1, self.l3 = _shared_lengths(specs)
+        n1, n2, self.l1, self.l3 = _torus(specs)
         self.alpha, self.beta = np.array([spec.coefficients for spec in specs]).T
-        self._last = None, None  # the key and the sines of the last 1-D k
+        self.lengths, self.orders = (2.0 * self.l1, 2.0 * self.l3), (n2, n1)
+        labels = np.array([(spec.t, spec.s) for spec in specs]).reshape(-1, 2)
+        self.labels, self.one, self.minus = labels, labels == 0, 2 * labels == self.orders
 
     def dispersion_real(self, which, k):
-        """`quotient_dispersion_real` of the factors `which` at `k`; the
-        sines of a 1-D `k` are those of the last call when its bytes match."""
-        if np.ndim(k) == 1:
-            k = np.asarray(k)
-            key = (k.dtype.str, k.tobytes())
-            if key != self._last[0]:
-                self._last = key, _sines(self.l1, self.l3, k)
-            sines = self._last[1]
-        else:
-            sines = _sines(self.l1, self.l3, k)
-        return _combine(self.alpha[which], self.beta[which], *sines)
+        """`quotient_dispersion_real` of the factors `which` at `k`."""
+        return _dispersion(self.alpha[which], self.beta[which], self.l1, self.l3, k)
+
+    def pole_form(self, which, k):
+        """G of the factors `which` at real `k`, each term in its half-angle
+        form g_i = ((1 - c_i) - (1 + c_i) t^2) / 2t, t = tan(k l_i / 2): that
+        is -t where c_i = 1 and 1/t where c_i = -1, so no term is 0/0 at a
+        sine zero where it is regular."""
+        out = 0.0
+        for length, c in zip(self.lengths, (self.alpha, self.beta)):
+            t, c = np.tan(0.5 * length * k), c[which]
+            out = out + ((1.0 - c) - (1.0 + c) * t * t) / (2.0 * t)
+        return out
+
+    def sine_zeros(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The zeros k0 = p pi / l_i <= k_max of the two sines, ascending,
+        which every factor shares, and for each factor and zero: whether G
+        has a pole there, the order of F's root there, and whether G is 0
+        there, each decided exactly.
+
+        Both sines vanish at the zeros (p1, p2) = (a j, b j), l1 / l2 = a / b
+        in lowest terms on the floats.  Term i has a pole where its sine
+        vanishes unless c_i = (-1)^p_i.  F's order at k0 is the number of
+        sines that vanish there, less 1 if either has a pole, plus 1 where G
+        is 0: where both vanish with no pole, or where one term vanishes
+        with no pole and the other is 0, cos(k0 l_j) = c_j, which holds for
+        cos(p pi r / d) = cos(2 pi u / n) with l_j / l_i = r / d exactly when
+        d divides p n and (r p n / d -+ 2u) is a multiple of 2n.  More than
+        MAX_GRID_POINTS zeros raise `GridTooLarge` before any is allocated.
+        """
+        l1, l2 = self.lengths
+        if k_max * (l1 + l2) / math.pi > MAX_GRID_POINTS:
+            raise GridTooLarge(f"k_max = {k_max!r} leaves over {MAX_GRID_POINTS} zeros of sin 2kL1 and sin 2kL3")
+        (n1, d1), (n2, d2) = l1.as_integer_ratio(), l2.as_integer_ratio()
+        g = math.gcd(n1 * d2, d1 * n2)
+        a, b = n1 * d2 // g, d1 * n2 // g  # l1 / l2 = a / b in lowest terms
+        p1, p2 = (np.arange(1, int(k_max * length / math.pi) + 2) for length in self.lengths)
+        k1, k2 = p1 * math.pi / l1, p2 * math.pi / l2
+        shared = a <= len(p1) and b <= len(p2)  # some (a j, b j) lie in range
+        q = np.zeros_like(p1)  # the zero of sin kl2 at each zero of sin kl1, or 0
+        if shared:
+            q[a - 1 :: a] = np.arange(1, len(p1) // a + 1) * b
+        in1, in2 = k1 <= k_max, (k2 <= k_max) & ((p2 % b != 0) if shared else True)
+        k = np.concatenate([k1[in1], k2[in2]])
+        order = np.argsort(k, kind="stable")
+        k, p = k[order], np.concatenate([np.stack([p1, q], axis=-1)[in1], np.stack([0 * p2, p2], axis=-1)[in2]])[order]
+
+        vanish = p > 0
+        regular = np.where(p % 2 == 0, self.one[:, None], self.minus[:, None])  # c_i = (-1)^p_i
+        poles = (vanish & ~regular).any(axis=-1)
+        alone = np.zeros(poles.shape, dtype=bool)  # one term vanishes, and the other is 0
+        for i, (r, d) in enumerate(((b, a), (a, b))):
+            n, u = self.orders[1 - i], self.labels[:, 1 - i, None]
+            if d <= int(p[:, i].max(initial=0)) * n:
+                pn = p[:, i] * n
+                mod = (r % (2 * n)) * (pn // d) % (2 * n)
+                hits = ((mod - 2 * u) % (2 * n) == 0) | ((mod + 2 * u) % (2 * n) == 0)
+                alone |= hits & (pn % d == 0) & vanish[:, i] & ~vanish[:, 1 - i]
+        zero = ~poles & (vanish.all(axis=-1) | alone)
+        return k, poles, vanish.sum(axis=-1) - poles + zero, zero
 
 
 def all_quotient_specs(n1, n2, l1, l3):

@@ -4,12 +4,12 @@ The locators of `locators` solve a family of functions at once: the
 distinct quotient factors of `factors`, or the distinct character blocks of
 `spectrum`.  An evaluator takes two arrays that broadcast together,
 `which` (the member of each point) and `k`, so one array call serves every
-member.  Each array call takes at most MAX_BATCH_BYTES of input: a grid
-goes in parts of points and each part in chunks of members, a stack of
-`eigvals` in chunks of matrices.
+member.  Each array call takes at most MAX_BATCH_BYTES of input (`_chunked`):
+points, or a stack of `eigvals` in chunks of matrices.
 
-`_refine_steps` closes the jumps of integer step functions.  Every cell of
-a member's grid whose end levels differ is a bracket.  Each round computes
+`_refine_steps` closes the jumps of integer step functions.  Each bracket
+has a member and two ends of different levels: a cell of the member's grid
+(`_grid_cells`), or an interval between two poles.  Each round computes
 the next Anderson-Björk (modified regula falsi) or bisection point of
 every open bracket of every member, evaluates all of them in one call of
 the step evaluator, and moves the end of equal level, so each root still
@@ -43,7 +43,7 @@ from .errors import GridTooCoarse, GridTooLarge
 
 TWO_PI = 2.0 * math.pi
 MAX_BATCH_BYTES = 2**15  # input of one array call of a locator: points or matrices
-MAX_GRID_POINTS = 10**7  # largest k grid any locator or scan builds
+MAX_GRID_POINTS = 10**7  # largest k grid any locator or scan builds, or set of sine zeros of `factors`
 PROBES = np.array([0.93 + 0.61j, 2.17 + 0.37j, 3.41 + 0.83j])  # in units of 1 / (longest bond length)
 
 # an evaluator of a family: values at the points `k` of the members `which`
@@ -112,21 +112,6 @@ def isospectral_classes(fn: Evaluator, members: int, lengths: Sequence[float], p
     near = order[np.minimum(lo[:, None] + np.arange((hi - lo).max()), hi[:, None] - 1)]
     agree = np.all(np.abs(values[near] - values[order, None]) <= tol[:, None], axis=-1)
     return np.where(agree, near, members).min(axis=1)[np.argsort(order)]
-
-
-def _grid_values(f: Evaluator, members: int, ks: np.ndarray):
-    """(members, part, values of f on the part) over the grid `ks`, part by
-    part: each part has at most MAX_BATCH_BYTES of points and shares its
-    first point with the end of the part before it, so every cell of the
-    grid lies in exactly one part.  A part goes in chunks of members of at
-    most MAX_BATCH_BYTES of points, or one member at a time."""
-    points = MAX_BATCH_BYTES // 8
-    for start in range(0, max(1, len(ks) - 1), points - 1):
-        part = ks[start : start + points]
-        per = max(1, points // len(part))
-        for lo in range(0, members, per):
-            rows = np.arange(lo, min(lo + per, members))
-            yield rows, part, np.broadcast_to(np.asarray(f(rows[:, None], part), dtype=float), (len(rows), len(part)))
 
 
 def winding_number(
@@ -199,9 +184,9 @@ def _refine_steps(
     Every bracket keeps the points it was last evaluated at, one per level,
     and its ends move inward to the reaches of those points before every
     round: a moved end keeps its exact level, since a step that reports
-    reaches is monotone.  The sign step of `locators._sign_roots` reports
-    one column of zeros, so its level holds for 0 and no jump is bounded:
-    it moves no end.  Each round computes the next point of every open
+    reaches is monotone.  The sign step of `locators.find_roots_real`
+    reports one column of zeros, so its level holds for 0 and no jump is
+    bounded: it moves no end.  Each round computes the next point of every open
     bracket, placed inside the bracket, and evaluates all of them in one
     call of `step`; every point's level replaces the end of equal level, so
     the bracket stays exact.

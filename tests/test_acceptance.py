@@ -12,7 +12,9 @@ from scipy.stats import qmc
 
 from qgsym import (
     Irrep,
+    QuotientFamily,
     QuotientSpec,
+    UnitaryFamily,
     all_quotient_specs,
     build_secular_system,
     compare_spectra,
@@ -24,7 +26,6 @@ from qgsym import (
     product_circulant_isomorphism,
     project,
     quasi_periodicity_residual,
-    quotient_dispersion_real,
     quotient_graph,
     quotient_secular_closed,
     quotient_system,
@@ -47,9 +48,9 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _factor_spectrum(spec, k_max, grid_step=0.02):
-    f = lambda k: quotient_dispersion_real(spec, k)
-    return find_roots_real(f, quotient_system(spec), k_max, grid_step, source=f"({spec.s},{spec.t})")
+def _factor_spectrum(spec, k_max):
+    systems = UnitaryFamily([quotient_system(spec)])
+    return find_roots_real(QuotientFamily([spec]), systems, k_max, source=f"({spec.s},{spec.t})")[0]
 
 
 def test_trivial_factor_roots_match_closed_form():

@@ -620,7 +620,6 @@ TORUS = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
     [
         (["factors", *TORUS, "--kmax", "-1"], "NonPositiveParameter"),
         (["factors", *TORUS, "--kmax", "inf"], "NonPositiveParameter"),
-        (["factors", *TORUS, "--grid", "0"], "NonPositiveParameter"),
         (["factors", "--n1", "0", "--n2", "2", "--l1", "0.5", "--l3", "1.0"], "NonPositiveParameter"),
         (["factors", *TORUS, "--tol", "0"], "NonPositiveParameter"),
         (["factors", "--n1", "2", "--n2", "2", "--l1", "nan", "--l3", "1.0"], "NonPositiveLength"),
@@ -637,14 +636,12 @@ TORUS = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]
           "--samples", "1000000000000"], "GridTooLarge"),
         (["spectrum", "GRAPH", "--kmax", "1e300"], "GridTooLarge"),
         (["factors", *TORUS, "--kmax", "1e300"], "GridTooLarge"),
-        (["factors", *TORUS, "--grid", "1e-300"], "GridTooLarge"),
         (["scan", "GRAPH", "--kmax", "1e300"], "GridTooLarge"),
     ],
-    ids=["factors-kmax", "factors-kmax-inf", "factors-grid", "factors-n1", "factors-tol", "factors-l1-nan",
+    ids=["factors-kmax", "factors-kmax-inf", "factors-n1", "factors-tol", "factors-l1-nan",
          "factors-l1-negative", "factors-l3-inf", "spectrum-kmax-inf", "spectrum-grid", "spectrum-tol",
          "scan-kmax-inf", "scan-grid", "project-samples", "project-samples-negative", "project-samples-huge",
-         "spectrum-kmax-huge", "factors-kmax-huge",
-         "factors-grid-tiny", "scan-kmax-huge"],
+         "spectrum-kmax-huge", "factors-kmax-huge", "scan-kmax-huge"],
 )
 def test_cli_rejects_out_of_range_flags(tmp_path, args, kind):
     gpath = str(tmp_path / "c3.json")
@@ -765,42 +762,56 @@ def test_cli_compare_counts_roots_over_each_files_whole_k_max(tmp_path):
     assert list(rep.unmatched_b) == above
 
 
+def _factors_and_spectrum(tmp_path, flags, kmax):
+    """`factors` with `flags` at `kmax` and `spectrum` of the product document
+    at `kmax`: (factors, spectrum), checked to agree in rows and orders, k
+    within 1e-9, with a certified root count."""
+    doc, full, parts = (str(tmp_path / name) for name in ("torus.json", "full.csv", "factors.csv"))
+    runner = CliRunner()
+    assert runner.invoke(main, ["build", "product", *flags, "-o", doc]).exit_code == 0
+    for args in (["spectrum", doc, "--kmax", kmax, "-o", full], ["factors", *flags, "--kmax", kmax, "-o", parts]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    want, got = load_spectrum(full), load_spectrum(parts)
+    assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == want.count()
+    assert [r.order for r in got.roots] == [r.order for r in want.roots]
+    assert max((abs(a.k - b.k) for a, b in zip(got.roots, want.roots)), default=0.0) <= 1e-9
+    return got, want
+
+
 def test_cli_factors_rejects_kmax_below_grid(tmp_path):
-    out = str(tmp_path / "f.csv")
-    res = CliRunner().invoke(main, ["factors", *TORUS, "--kmax", "0.001", "-o", out])
-    _assert_usage_error(res, "GridTooCoarse")
-    assert "0.001" in res.output and "0.005" in res.output
-    assert not os.path.exists(out)
+    # a k_max of 0.001, once below the real locator's grid step and refused,
+    # is below every pole: each factor's one bracket ends at k_max
+    got, want = _factors_and_spectrum(tmp_path, TORUS, "0.001")
+    assert got.roots == want.roots == () and int(got.meta["fallbacks"]) == 0
 
 
 @pytest.mark.parametrize(
     "n1, l1, l3, kmax",
     [
-        (1, 1.0, 0.998046875, 5),  # three roots within 0.006 of pi: one sign change
-        (1, 1.0, 0.99999, 5),  # three roots within 3e-5 of pi: one sign change
-        (16, 0.5, 0.7087064079442846, 10),  # two sign changes inside one cell of the grid
+        (1, 1.0, 0.998046875, 5),  # three roots within 0.006 of pi
+        (1, 1.0, 0.99999, 5),  # three roots within 3e-5 of pi
+        (16, 0.5, 0.7087064079442846, 10),  # two roots within 0.005 of each other
         (16, 0.5, 0.706465, 10),
         (16, 0.5, 0.706431, 10),
     ],
 )
 def test_cli_factors_solves_close_roots_again_on_their_quotient_system(tmp_path, n1, l1, l3, kmax):
-    # roots closer than the grid step leave a factor with fewer sign changes
-    # than its eigenphase count; it is solved again by the unitary locator,
-    # and `factors` equals `spectrum` of the product document
+    # roots closer than any grid step lie between distinct poles of G, each
+    # in its own bracket, so no factor is solved again by the unitary
+    # locator, and `factors` equals `spectrum` of the product document
     flags = ["--n1", str(n1), "--n2", str(n1), "--l1", repr(l1), "--l3", repr(l3)]
-    doc, full, parts = (str(tmp_path / name) for name in ("torus.json", "full.csv", "factors.csv"))
-    runner = CliRunner()
-    assert runner.invoke(main, ["build", "product", *flags, "-o", doc]).exit_code == 0
-    res = runner.invoke(main, ["spectrum", doc, "--kmax", str(kmax), "-o", full])
-    assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["factors", *flags, "--kmax", str(kmax), "-o", parts])
-    assert res.exit_code == 0, res.output
-    want, got = load_spectrum(full), load_spectrum(parts)
-    assert int(got.meta["fallbacks"]) >= 1
-    assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == want.count()
-    assert [r.order for r in got.roots] == [r.order for r in want.roots]
-    assert max(abs(a.k - b.k) for a, b in zip(got.roots, want.roots)) <= 1e-9
+    got, _ = _factors_and_spectrum(tmp_path, flags, str(kmax))
+    assert int(got.meta["fallbacks"]) == 0
 
+
+def test_cli_factors_falls_back_at_a_sine_zero_on_kmax(tmp_path):
+    # k_max = pi + 1e-14 holds the root of the factor (0,1) on the zero pi
+    # of sin 2kL1, but the eigenphase count, like `spectrum`, does not
+    # (FOUND in CHANGES.md): that factor is the one solved again
+    flags = ["--n1", "1", "--n2", "2", "--l1", "0.5", "--l3", "0.61"]
+    got, _ = _factors_and_spectrum(tmp_path, flags, "3.1415926535898033")
+    assert int(got.meta["fallbacks"]) == 1
 
 
 def _losing_a_root(locate):
@@ -822,7 +833,7 @@ def test_cli_refuses_a_root_count_its_certificate_denies(tmp_path, monkeypatch, 
     doc, out = str(tmp_path / "torus.json"), str(tmp_path / "out.csv")
     assert CliRunner().invoke(main, ["build", "product", *TORUS, "-o", doc]).exit_code == 0
     if command == "factors":
-        monkeypatch.setattr(cli, "find_roots_real_family", _losing_a_root(cli.find_roots_real_family))
+        monkeypatch.setattr(cli, "find_roots_real", _losing_a_root(cli.find_roots_real))
         args = ["factors", *TORUS]
     else:
         monkeypatch.setattr(UnitaryFamily, "roots", _losing_a_root(UnitaryFamily.roots))

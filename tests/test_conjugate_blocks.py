@@ -229,14 +229,18 @@ def test_factors_at_near_commensurate_lengths(torus, j):
 @given(
     torus=st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 4)]),
     l3=st.floats(0.55, 0.95),
-    kmax=st.floats(0.006, 12.0).filter(lambda k: abs(k / 0.005 - round(k / 0.005)) > 1e-6),
+    kmax=st.floats(0.006, 12.0),
 )
 @example(torus=(2, 3), l3=0.61, kmax=6.968957447774937)  # 1e-11 above a root of the (0,1) factor
-@example(torus=(2, 3), l3=0.61, kmax=6.968957447754937)  # 1e-11 below it, 0.001 short of a grid point
-@example(torus=(2, 3), l3=0.61, kmax=0.007)  # under 1.5 grid steps: the grid is k_max alone
+@example(torus=(2, 3), l3=0.61, kmax=6.968957447754937)  # 1e-11 below it
+@example(torus=(2, 3), l3=0.61, kmax=0.007)  # below every pole
+@example(torus=(1, 2), l3=0.61, kmax=math.pi)  # a sine zero on k_max
+@example(torus=(1, 2), l3=0.61, kmax=math.pi + 1e-14)  # one 1e-14 below k_max
+@example(torus=(2, 2), l3=0.5, kmax=2 * math.pi)  # zeros of both sines on k_max
 def test_factors_at_kmax_off_the_grid(torus, l3, kmax):
-    # the real locator's 0.005 grid ends at k_max, with a last cell between
-    # half a step and a step and a half wide; a root on either side of k_max
-    # is kept or left out as the unitary locator of `spectrum` does
+    # the bracket of G that k_max cuts holds a root exactly when G(k_max) <=
+    # 0, and a sine zero at or just below k_max is a root of the order rule
+    # that the eigenphase count may not hold; a root on either side of
+    # k_max is kept or left out as the unitary locator of `spectrum` does
     flags = ["--n1", str(torus[0]), "--n2", str(torus[1]), "--l1", "0.5", "--l3", repr(l3)]
     _factors_equal_spectrum(flags, kmax)

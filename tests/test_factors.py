@@ -1,6 +1,6 @@
 """The closed forms on arrays and as one family evaluator, `factors` run once
-per distinct closed form, and the array calls of its grid, refinement
-rounds and stacked certificate; `winding_number` on one circle."""
+per distinct closed form, and the array calls of its real locator, its
+refinement rounds and stacked certificate; `winding_number` on one circle."""
 
 import math
 
@@ -16,19 +16,20 @@ from qgsym import (
     all_quotient_specs,
     character_blocks,
     find_roots_real,
-    find_roots_real_family,
     merge_spectra,
     quotient,
     quotient_dispersion_real,
     quotient_secular_closed,
     quotient_system,
+    quotient_systems,
     standard_conditions,
     torus_action,
 )
 from qgsym.cli import main
 from qgsym.errors import GridTooCoarse, NonUnitaryScattering
 from qgsym.io import load_spectrum
-from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily, _sign_roots
+from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily
+from qgsym.quotient import QuotientSpec
 from qgsym.spectra import MAX_BATCH_BYTES, isospectral_classes, winding_number
 
 L1 = 0.5
@@ -50,9 +51,8 @@ def _run_factors(tmp_path, n1, n2, l3):
 @pytest.mark.parametrize("fn", [quotient_dispersion_real, quotient_secular_closed], ids=["dispersion", "closed"])
 def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn):
     # one factor on scalars and arrays; and, for the dispersion form, the
-    # family evaluator that `factors` builds, as the locator calls it: a
-    # (members, 1) column against a grid or circles, 1-D arrays of mixed
-    # members, and scalars
+    # family evaluator that `factors` builds: a (members, 1) column against
+    # real points or circles, 1-D arrays of mixed members, and scalars
     ks = np.linspace(0.005, 10.0, 401)
     zs = 3.1 + 0.0025 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 65))
     for specs in (all_quotient_specs(3, 4, L1, 1.0), all_quotient_specs(16, 16, L1, L3_BAND)[::37]):
@@ -73,28 +73,6 @@ def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn):
     assert isinstance(fn(spec, 1.3 + 0.1j), complex)
     with pytest.raises(ValueError):  # a family is the factors of one torus
         QuotientFamily(all_quotient_specs(3, 4, L1, 1.0) + all_quotient_specs(3, 4, L1, 0.9))
-
-
-def test_family_keeps_the_sines_of_its_last_grid_bit_for_bit():
-    # the family keeps the sines of the last 1-D array of k; grids A, B and
-    # A again, with calls of other shapes in between, each equal a fresh
-    # evaluation of every factor
-    specs = all_quotient_specs(16, 16, L1, L3_BAND)[::7]
-    family = QuotientFamily(specs)
-    rows = np.arange(len(specs))[:, None]
-    a, b = np.linspace(0.005, 10.0, 2000), np.linspace(0.01, 7.0, 700)
-    mixed = np.arange(9) % len(specs)
-    refine = np.linspace(2.0, 3.0, 9)
-
-    def fresh(which, k):
-        return quotient._dispersion(family.alpha[which], family.beta[which], L1, L3_BAND, k)
-
-    for which, k in [
-        (rows, a), (rows, b), (rows, a), (mixed, refine), (rows, a), (rows[:3], a),
-        (3, 4.2), (rows, list(b)), (rows, b + 0j), (rows, b),
-    ]:
-        got = family.dispersion_real(which, k)
-        assert got.tobytes() == fresh(which, np.asarray(k)).tobytes()
 
 
 @pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61), (16, 16, L3_BAND)])
@@ -149,9 +127,8 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
     per_label = merge_spectra(
         [
             find_roots_real(
-                lambda k: quotient_dispersion_real(spec, k), quotient_system(spec), 10.0, 0.005,
-                source=f"({spec.s},{spec.t})",
-            )
+                QuotientFamily([spec]), UnitaryFamily([quotient_system(spec)]), 10.0, source=f"({spec.s},{spec.t})"
+            )[0]
             for spec in all_quotient_specs(n1, n2, L1, l3)
         ],
         tol=1e-7,
@@ -165,48 +142,81 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
 @pytest.mark.parametrize("n1, n2, l3, distinct", [(3, 4, 1.0, 6), (16, 16, L3_BAND, 81), (4, 4, L1, 5)])
 def test_factors_header_certifies_the_root_count(tmp_path, n1, n2, l3, distinct):
     # 3x4 at L3 = 1 has triple roots; the certificate counts them with order,
-    # and the two factors that hold them are solved again on their systems,
-    # as are two of 4x4 at L1 = L3; at generic lengths no factor falls back
+    # and the order rule at the sine zeros finds them, so no factor falls
+    # back, nor at L1 = L3 or at generic lengths
     s = _run_factors(tmp_path, n1, n2, l3)
     assert int(s.meta["factors"]) == distinct
-    assert int(s.meta["fallbacks"]) == (0 if l3 == L3_BAND else 2)
+    assert int(s.meta["fallbacks"]) == 0
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"]) == s.count()
-    assert float(s.meta["grid_step"]) == 0.005 and float(s.meta["tol"]) == 1e-10
+    assert float(s.meta["tol"]) == 1e-10 and "grid_step" not in s.meta
     if l3 == 1.0:
         assert max(r.order for r in s.roots) >= 3
 
 
 def test_factors_header_reports_the_refinement_rounds(tmp_path):
-    # the sign changes of the 81 distinct 16x16 factors close in at most 6
-    # rounds (11 with plain regula falsi and a two-step bisection guard)
+    # the 518 brackets of the 81 distinct 16x16 factors, each from one pole
+    # of G to the next, close in at most 16 rounds (15 measured)
     s = _run_factors(tmp_path, 16, 16, 0.7017025651372872)
     assert int(s.meta["fallbacks"]) == 0
-    assert 1 <= int(s.meta["rounds"]) <= 6
+    assert 1 <= int(s.meta["rounds"]) <= 16
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n1=st.integers(1, 4),
+    n2=st.integers(1, 6),
+    lengths=st.one_of(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda qp: (qp[0] / 8, qp[1] / 8)),
+        st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
+    ),
+)
+@example(n1=3, n2=4, lengths=(0.5, 1.0))  # triple roots at multiples of pi
+@example(n1=3, n2=4, lengths=(0.25, 1.0))  # double roots too
+@example(n1=4, n2=6, lengths=(0.375, 0.625))
+@example(n1=4, n2=4, lengths=(0.5, 0.5))
+@example(n1=4, n2=6, lengths=(0.5, 0.61))
+def test_pole_rule_equals_the_unitary_locator_factor_by_factor(n1, n2, lengths):
+    # L3 / L1 = p / q with p, q <= 5 on dyadic lengths, where the sines share
+    # zeros and orders above 1 occur, and generic lengths: every distinct
+    # factor's roots from its poles and sine zeros, with no fallback, equal
+    # the eigenphase roots of its quotient system, orders included
+    l1, l3 = lengths
+    first = {}
+    for spec in all_quotient_specs(n1, n2, l1, l3):
+        first.setdefault(_group_key(spec), spec)
+    specs = list(first.values())
+    systems = UnitaryFamily(quotient_systems(specs))
+    for spec, got, want in zip(specs, find_roots_real(QuotientFamily(specs), systems, 10.0), systems.roots(10.0)):
+        assert not got.meta["fallback"], (spec.s, spec.t)
+        assert [r.order for r in got.roots] == [r.order for r in want.roots], (spec.s, spec.t)
+        assert max((abs(a.k - b.k) for a, b in zip(got.roots, want.roots)), default=0.0) <= 1e-9
+    if (n1, n2, l1, l3) == (3, 4, 0.25, 1.0):
+        assert {r.order for s in systems.roots(10.0) for r in s.roots} == {1, 2, 3}
 
 
 def test_a_factor_that_falls_back_reports_the_rounds_of_both_locators():
-    # the (0,0) factor of 3x4 at L3 = 1 has a triple root at 2 pi, one sign
-    # change short of its eigenphase count, so it is solved on its system
-    # straight after the grid: the real locator adds its grid points and no
-    # refinement round
-    spec = all_quotient_specs(3, 4, L1, 1.0)[0]
+    # the (0,1) factor of 1x2 at L1 = 0.5 has a root at the float pi, a zero
+    # of sin 2kL1, which the eigenphase count at k_max = pi + 1e-14 does
+    # not hold (FOUND in CHANGES.md), so it is solved on its system straight
+    # after its count: the real locator adds its one evaluation of G at
+    # k_max and no refinement round
+    spec, k_max = QuotientSpec(1, 2, L1, 0.61, 0, 1), 3.1415926535898033
     family, calls = QuotientFamily([spec]), []
-    f = lambda which, k: calls.append(np.shape(k)) or family.dispersion_real(which, k)
+    form = family.pole_form
+    family.pole_form = lambda which, k: calls.append(np.shape(k)) or form(which, k)
     systems = UnitaryFamily([quotient_system(spec)])
-    (got,) = find_roots_real_family(f, systems, 10.0, 0.005)
-    assert calls == [(2000,)]
-    (signs,), (exact,) = _sign_roots(f, systems.counts(10.0), 10.0, 0.005, 1e-10, ""), systems.roots(10.0, source="")
-    assert signs.roots == () and (signs.meta["evaluations"], signs.meta["rounds"]) == (2000, 0)
+    (got,), (exact,) = find_roots_real(family, systems, k_max), systems.roots(k_max, source="")
+    assert calls == [(1,)]
     assert got.meta["fallback"] and got.roots == exact.roots
-    assert got.meta["rounds"] == signs.meta["rounds"] + exact.meta["rounds"] == exact.meta["rounds"]
-    assert got.meta["evaluations"] == signs.meta["evaluations"] + exact.meta["evaluations"]
+    assert got.meta["rounds"] == exact.meta["rounds"]
+    assert got.meta["evaluations"] == 1 + exact.meta["evaluations"]
 
 
 def test_factors_that_fall_back_take_no_real_refinement_rounds(tmp_path):
-    # the two 3x4 factors with triple roots at L3 = 1 are solved by the
-    # unitary locator without being refined first, so the header's rounds
-    # are those of the other factors' sign changes or of the fallback;
-    # the rows equal `spectrum` of the product document
+    # the two 3x4 factors with triple roots at L3 = 1 take their orders from
+    # the sine zeros, so none is solved by the unitary locator, and the
+    # header's rounds are those of the brackets of G; the rows equal
+    # `spectrum` of the product document
     flags = ["--n1", "3", "--n2", "4", "--l1", repr(L1), "--l3", "1.0", "--kmax", "15"]
     doc, full, parts = (str(tmp_path / name) for name in ("torus.json", "full.csv", "factors.csv"))
     runner = CliRunner()
@@ -215,37 +225,11 @@ def test_factors_that_fall_back_take_no_real_refinement_rounds(tmp_path):
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
     want, got = load_spectrum(full), load_spectrum(parts)
-    assert (int(got.meta["fallbacks"]), int(got.meta["factors"])) == (2, 6)
-    assert 1 <= int(got.meta["rounds"]) <= 6
+    assert (int(got.meta["fallbacks"]), int(got.meta["factors"])) == (0, 6)
+    assert 1 <= int(got.meta["rounds"]) <= 12
     assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == want.count()
     assert [r.order for r in got.roots] == [r.order for r in want.roots]
     assert max(abs(a.k - b.k) for a, b in zip(got.roots, want.roots)) <= 1e-9
-
-
-def test_find_roots_real_evaluates_its_grid_in_one_call_and_no_circle():
-    # two Dirichlet intervals of lengths 1 and 1/2 and two functions with
-    # their zeros, pi m and 2 pi m: the grid of both members in one call,
-    # every refinement round one call on 1-D arrays, no call on complex
-    # points, and the certificate agrees, so nothing falls back
-    shapes = []
-
-    def f(which, k):
-        shapes.append((np.shape(which), np.shape(k), np.asarray(k).dtype.kind))
-        return np.sin(k / (1.0 + which))
-
-    reflect = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-    systems = [SecularSystem(reflect, np.full(2, length)) for length in (1.0, 0.5)]
-    spectra = find_roots_real_family(f, UnitaryFamily(systems), 10.0, 0.1)
-    assert [[r.order for r in s.roots] for s in spectra] == [[1, 1, 1], [1]]
-    assert [(s.meta["eigenphase_count"], s.meta["fallback"]) for s in spectra] == [(3, False), (1, False)]
-    assert shapes[0] == ((2, 1), (100,), "f")  # the grid of both members in one call
-    rounds = shapes[1:]
-    assert rounds[0][:2] == ((4,), (4,))  # the first refinement round moves all four brackets
-    assert all(len(w) == 1 and w == k and kind == "f" for w, k, kind in rounds)  # 1-D and real, no circle
-    for member, s in enumerate(spectra):
-        alone = find_roots_real(lambda k: np.sin(k / (1.0 + member)), systems[member], 10.0, 0.1)
-        assert [(r.k, r.order) for r in s.roots] == [(r.k, r.order) for r in alone.roots]
-        assert s.meta == alone.meta
 
 
 def _one_circle(fn, center, radius, samples):
@@ -320,34 +304,16 @@ def test_stacked_certificate_equals_one_system_at_a_time():
         UnitaryFamily(blocks[:3] + [lossy]).counts(5.0)
 
 
-def test_a_grid_in_parts_computes_its_sines_once_per_part(tmp_path, monkeypatch):
-    # a grid of more than MAX_BATCH_BYTES // 8 = 4096 points goes part by
-    # part, consecutive parts sharing a point, and each part one member at a
-    # time; the family keeps the last part's sines, so each part computes
-    # them once, not once per member
-    sines, shapes = quotient._sines, []
-    monkeypatch.setattr(quotient, "_sines", lambda l1, l3, k: shapes.append(np.shape(k)) or sines(l1, l3, k))
-    out = str(tmp_path / "factors.csv")
-    res = CliRunner().invoke(main, [
-        "factors", "--n1", "3", "--n2", "4", "--l1", repr(L1), "--l3", "1.0", "--kmax", "30", "-o", out,
-    ])
-    assert res.exit_code == 0, res.output
-    assert int(load_spectrum(out).meta["factors"]) > 1
-    assert shapes.count((4096,)) == shapes.count((1905,)) == 1
-
-
 def test_factors_call_budget(tmp_path, monkeypatch):
     # one call of the dispersion forms of all 256 labels at the three probe
-    # points groups them; the 81 distinct factors are one family: the grid
-    # goes in chunks of members, each refinement round is one call, and no
-    # call is made on circles; the certificate counts each distinct factor
-    # at K_MIN and at k_max, in stacks of at most MAX_BATCH_BYTES, from one
-    # stacked assembly of their systems, and no factor falls back; the
-    # grid's three sines are computed once, not once per chunk of members
-    real, eigvals = QuotientFamily.dispersion_real, np.linalg.eigvals
-    sines = quotient._sines
-    real_shapes, eigvals_shapes, sines_shapes = [], [], []
-    monkeypatch.setattr(quotient, "_sines", lambda l1, l3, k: sines_shapes.append(np.shape(k)) or sines(l1, l3, k))
+    # points groups them; the 81 distinct factors are one family: G at
+    # k_max of every factor is one call, each refinement round is one call
+    # on 1-D arrays, and no call is made on circles; the certificate counts
+    # each distinct factor at K_MIN and at k_max, in stacks of at most
+    # MAX_BATCH_BYTES, from one stacked assembly of their systems, and no
+    # factor falls back
+    real, form, eigvals = QuotientFamily.dispersion_real, QuotientFamily.pole_form, np.linalg.eigvals
+    real_shapes, form_shapes, eigvals_shapes = [], [], []
 
     def one_at_a_time(*args, **kwargs):
         raise AssertionError("factors assembles its systems in one stack")
@@ -357,18 +323,21 @@ def test_factors_call_budget(tmp_path, monkeypatch):
         QuotientFamily, "dispersion_real",
         lambda self, which, k: real_shapes.append(np.broadcast_shapes(np.shape(which), np.shape(k))) or real(self, which, k),
     )
+    monkeypatch.setattr(
+        QuotientFamily, "pole_form",
+        lambda self, which, k: form_shapes.append((np.shape(which), np.shape(k), np.asarray(k).dtype.kind))
+        or form(self, which, k),
+    )
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals_shapes.append(np.shape(a)) or eigvals(a))
     s = _run_factors(tmp_path, 16, 16, 0.7101)
     distinct = int(s.meta["factors"])
-    assert distinct == 81
-    circles = [shape for shape in real_shapes if len(shape) == 2 and shape[1] in (65, 129)]
-    assert 0 < len(real_shapes) - 1 - len(circles) <= 41 + 6  # the 41 grid chunks and at most 6 refinement rounds
-    assert all(len(shape) >= 1 for shape in real_shapes)  # no call on a scalar float
-    assert real_shapes[0] == (3 * 256,)  # the probes
-    grid = [shape for shape in real_shapes if len(shape) == 2 and shape[1] not in (65, 129)]
-    assert circles == []
-    assert sum(math.prod(shape) for shape in grid) == distinct * 2000  # the grid of 0.005 to 10, each member once
-    assert len(grid) > 1 and sines_shapes.count((2000,)) == 1
+    assert distinct == 81 and int(s.meta["fallbacks"]) == 0
+    assert real_shapes == [(3 * 256,)]  # the probes
+    assert form_shapes[0] == ((distinct,), (distinct,), "f")  # G at k_max
+    rounds = form_shapes[1:]
+    assert len(rounds) == int(s.meta["rounds"]) <= 16
+    assert all(len(w) == 1 and w == k and kind == "f" for w, k, kind in rounds)  # 1-D and real, no circle
+    assert int(s.meta["evaluations"]) == sum(math.prod(k) for _, k, _ in form_shapes) < 10_000
     assert all(math.prod(shape) * 16 <= MAX_BATCH_BYTES for shape in eigvals_shapes)
     assert sum(math.prod(shape[:-2]) for shape in eigvals_shapes) == 2 * distinct
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"])

@@ -18,16 +18,20 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgsym import (
+    QuotientFamily,
     SecularSystem,
     character_blocks,
+    find_roots_real,
     find_roots_unitary,
     io,
+    quotient_system,
+    quotient_systems,
     standard_conditions,
     torus_action,
 )
 from qgsym.cli import main
-from qgsym.quotient import torus_secular_system
-from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases, _sign_roots, find_roots_real_family
+from qgsym.quotient import QuotientSpec, torus_secular_system
+from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases
 from qgsym.spectra import MAX_BATCH_BYTES, _grid_cells, _jumps, _refine_steps
 
 TOL = 1e-10
@@ -181,8 +185,26 @@ def test_coarse_cell_holding_several_roots_is_split():
 
 
 def _level(values):
-    """The level of the sign step of `_sign_roots`: 1 where f >= 0, else 0."""
+    """The level of a sign step: 1 where f >= 0, else 0."""
     return (np.asarray(values) >= 0.0).astype(int)
+
+
+def _sign_roots(f, members, ks, tol):
+    """Every sign change of `members` functions on the grid `ks`, closed by
+    `_refine_steps` with the level f >= 0 as the step and f as the value, as
+    `find_roots_real` closes the brackets of G: each member's jumps, and the
+    points and the rounds that evaluated it.  `f(which, k)` takes arrays of
+    members and points; its first call is the grid of every member."""
+    which, k = np.repeat(np.arange(members), len(ks)), np.tile(ks, members)
+    values = np.asarray(f(which, k), dtype=float)
+    side = (values[:, None], np.zeros((len(values), 1)))
+
+    def sign_at(which, k):
+        fk = np.asarray(f(which, k), dtype=float)[:, None]
+        side = (fk, np.zeros_like(fk))  # the level holds for 0, and no jump is bounded
+        return _level(fk[:, 0]), side, side
+
+    return _refine_steps(sign_at, _grid_cells(which, k, _level(values), side, side), tol, members)
 
 
 @settings(max_examples=25, deadline=None)
@@ -200,11 +222,10 @@ def test_real_refinement_equals_sign_bisection(amps, freqs, phases, offset):
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
     assume(np.all(f(ks) != 0))
     want = _bisect(lambda k: int(_level(f(k))), ks, _level(f(ks)), TOL)
-    s = _sign_roots(lambda which, k: f(k), [len(want)], k_max, grid_step, TOL, "")[0]
-    assert not s.meta["fallback"]
-    assert [r.order for r in s.roots] == [1] * len(want)
-    _assert_same_jumps([(r.k, 1) for r in s.roots], [(k, 1) for k, _ in want])
-    assert s.meta["evaluations"] - len(ks) <= _eval_bound(grid_step) * len(want)
+    (jumps,), (calls,), _ = _sign_roots(lambda which, k: f(k), 1, ks, TOL)
+    assert [abs(n) for _, n in jumps] == [1] * len(want)
+    _assert_same_jumps([(k, 1) for k, _ in jumps], [(k, 1) for k, _ in want])
+    assert calls <= _eval_bound(grid_step) * len(want)
 
 
 def test_triple_roots_in_rounding_noise_are_closed_at_one_of_their_sign_changes():
@@ -220,18 +241,18 @@ def test_triple_roots_in_rounding_noise_are_closed_at_one_of_their_sign_changes(
     grid_step, k_max = 0.01, 10.0
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
     want = _bisect(lambda k: int(_level(f(k))), ks, _level(f(ks)), TOL)
-    s = _sign_roots(lambda which, k: f(k), [len(want)], k_max, grid_step, TOL, "")[0]
-    assert len(want) == 9 and [r.order for r in s.roots] == [1] * 9 and not s.meta["fallback"]
+    (jumps,), _, _ = _sign_roots(lambda which, k: f(k), 1, ks, TOL)
+    assert len(want) == 9 and [abs(n) for _, n in jumps] == [1] * 9
 
     def near_a_triple_root(k):
         return min(abs(k - math.pi), abs(k - 3 * math.pi)) < 1e-5
 
-    assert sum(near_a_triple_root(r.k) for r in s.roots) == 2
-    for root, (k_ref, _) in zip(s.roots, want):
-        if near_a_triple_root(root.k):
+    assert sum(near_a_triple_root(k) for k, _ in jumps) == 2
+    for (k, _), (k_ref, _) in zip(jumps, want):
+        if near_a_triple_root(k):
             assert near_a_triple_root(k_ref)
         else:
-            assert abs(root.k - k_ref) <= 2 * TOL
+            assert abs(k - k_ref) <= 2 * TOL
 
 
 _TERMS = st.tuples(
@@ -245,26 +266,19 @@ _TERMS = st.tuples(
 @settings(max_examples=20, deadline=None)
 @given(members=st.lists(_TERMS, min_size=2, max_size=5), grid_step=st.sampled_from([0.01, 0.001]))
 def test_a_real_family_equals_its_members_run_alone(members, grid_step):
-    # at grid_step 0.001 each member's grid of 10^4 points goes in two calls
+    # the sign changes of every member closed together: each member's
+    # jumps, points and rounds are those it takes alone
     amps, freqs, phases = (np.array([m[j] for m in members]) for j in range(3))
     offsets = np.array([m[3] for m in members])
 
     def f(which, k):
         return offsets[which] + sum(amps[which, j] * np.sin(freqs[which, j] * k + phases[which, j]) for j in range(3))
 
-    # every member certified by its own sign changes but the first, whose
-    # count is one too many, so that it is not refined
     ks = np.arange(grid_step, 10.0 + grid_step / 2.0, grid_step)
-    counts = [int(np.count_nonzero(np.diff(_level(f(m, ks))))) for m in range(len(members))]
-    counts[0] += 1
-    alone = [
-        _sign_roots(lambda which, k: f(m, k), [n], 10.0, grid_step, TOL, "")[0] for m, n in enumerate(counts)
-    ]
-    family = _sign_roots(f, counts, 10.0, grid_step, TOL, "")
-    assert [s.meta["fallback"] for s in family] == [True] + [False] * (len(members) - 1)
-    for got, want in zip(family, alone):
-        assert [(r.k, r.order) for r in got.roots] == [(r.k, r.order) for r in want.roots]
-        assert got.meta == want.meta
+    jumps, calls, rounds = _sign_roots(f, len(members), ks, TOL)
+    for m in range(len(members)):
+        (alone,), (n,), (r,) = _sign_roots(lambda which, k: f(m, k), 1, ks, TOL)
+        assert (jumps[m], calls[m], rounds[m]) == (alone, n, r)
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -307,14 +321,14 @@ def test_one_sided_regula_falsi_stays_within_the_bisection_bound(roots, signs):
         return outer * np.expm1(inner * 40.0 * (k - r[which]))
 
     grid_step, k_max = 0.5, 10.0
-    spectra = _sign_roots(f, [1] * len(r), k_max, grid_step, TOL, "")
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
-    for m, s in enumerate(spectra):
+    jumps, calls, _ = _sign_roots(f, len(r), ks, TOL)
+    for m in range(len(r)):
         assume(np.all(f(m, ks) != 0))
         want = _bisect(lambda k: int(_level(f(m, k))), ks, _level(f(m, ks)), TOL)
         assert len(want) == 1
-        _assert_same_jumps([(root.k, root.order) for root in s.roots], [(k, 1) for k, _ in want])
-        assert s.meta["evaluations"] - len(ks) <= _eval_bound(grid_step)
+        _assert_same_jumps([(k, 1) for k, _ in jumps[m]], [(k, 1) for k, _ in want])
+        assert calls[m] <= _eval_bound(grid_step)
 
 
 def _jumps_by_loop(done, tol, members):
@@ -364,28 +378,23 @@ def test_jumps_assembled_in_arrays_equal_the_loop_bit_for_bit(members, parts):
     assert _jumps(done, tol, len(members)) == _jumps_by_loop(done, tol, len(members))
 
 
-def test_real_root_on_a_grid_point_takes_one_step(calls_of, dirichlet_neumann):
-    # f = 0.0 exactly at the grid point 0.5 certifies nothing, so the grid is
-    # the one call of f, and the member's system, a Dirichlet-Neumann bond
-    # of length pi with its one root on (0, 1] at 0.5, is solved instead
-    f, calls = calls_of(lambda which, k: k - 0.5)
-    family = UnitaryFamily([dirichlet_neumann(math.pi)])
-    (s,), (exact,) = find_roots_real_family(f, family, 1.0, 0.1, TOL), family.roots(1.0, tol=TOL, source="")
-    assert len(calls) == 1 and calls[0].shape == (10,)
-    assert s.meta["fallback"] and s.roots == exact.roots
-    assert [r.order for r in s.roots] == [1]
-    assert abs(s.roots[0].k - 0.5) < TOL
-    assert (s.meta["evaluations"], s.meta["rounds"]) == (10 + exact.meta["evaluations"], exact.meta["rounds"])
-
-
-def test_a_member_with_a_wrong_count_is_not_refined(calls_of):
-    # sin k has three sign changes on (0, 10], not four: the grid is the one
-    # call of f, and the member has no roots and is marked to fall back
-    counted, calls = calls_of(lambda which, k: np.sin(k))
-    (s,) = _sign_roots(counted, [4], 10.0, 0.1, TOL, "")
-    assert len(calls) == 1 and calls[0].shape == (100,)
-    assert s.roots == () and s.meta["fallback"]
-    assert (s.meta["evaluations"], s.meta["rounds"]) == (100, 0)
+def test_a_member_with_a_wrong_count_is_not_refined():
+    # at k_max = pi + 1e-14 the factor (0,1) of 1x2 at L1 = 0.5 has a root
+    # on the sine zero pi that the eigenphase count does not hold (FOUND in
+    # CHANGES.md): its count is one too many, so after G at k_max every
+    # evaluation is of the factor (0,0), and (0,1) has the unitary
+    # locator's roots
+    specs, k_max = [QuotientSpec(1, 2, 0.5, 0.61, 0, t) for t in (0, 1)], 3.1415926535898033
+    family, calls = QuotientFamily(specs), []
+    form = family.pole_form
+    family.pole_form = lambda which, k: calls.append(np.array(which)) or form(which, k)
+    systems = UnitaryFamily(quotient_systems(specs))
+    refined, fallen = find_roots_real(family, systems, k_max, TOL)
+    assert calls[0].tolist() == [0, 1] and len(calls) > 1 and all(set(w.tolist()) == {0} for w in calls[1:])
+    assert not refined.meta["fallback"] and fallen.meta["fallback"]
+    (exact,) = systems.roots(k_max, tol=TOL, source="", members=[1])
+    assert fallen.roots == exact.roots
+    assert (fallen.meta["evaluations"], fallen.meta["rounds"]) == (1 + exact.meta["evaluations"], exact.meta["rounds"])
 
 
 @pytest.mark.parametrize("f", [lambda which, k: k - 0.375, lambda which, k: 0.375 - k], ids=["rising", "falling"])
@@ -394,10 +403,10 @@ def test_an_exact_zero_at_a_refinement_point_is_the_root(f, calls_of):
     # 0.375 exactly, where f is 0.0: its level is that of f >= 0, so it
     # replaces one end with the value 0, and the chord reports that point
     counted, calls = calls_of(f)
-    (s,) = _sign_roots(counted, [1], 1.0, 0.25, TOL, "")
+    (jumps,), (n,), _ = _sign_roots(counted, 1, np.arange(0.25, 1.0 + 0.125, 0.25), TOL)
     assert calls[1].tolist() == [0.375]
-    assert [r.k for r in s.roots] == [0.375] and not s.meta["fallback"]
-    assert s.meta["evaluations"] == 4 + len(calls) - 1
+    assert [k for k, _ in jumps] == [0.375]
+    assert n == len(calls) - 1
 
 
 def _spectrum_of_the_3x4_document(tmp_path, name, *flags):
@@ -463,8 +472,12 @@ def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
 
 def test_real_locator_ends_at_a_tol_below_the_float_spacing():
     # near pi the floats are 4.4e-16 apart, so no bracket is ever narrower
-    # than 1e-300; one with no float strictly inside it is closed instead
-    s = _sign_roots(lambda which, k: np.sin(k), [3], 10.0, 0.1, 1e-300, "")[0]
+    # than 1e-300; one with no float strictly inside it is closed instead.
+    # The factor (0,1) of 1x2 at L1 = L3 = 1/4 has F = sin k: G has the
+    # roots pi and 3 pi, and 2 pi is a sine zero
+    spec = QuotientSpec(1, 2, 0.25, 0.25, 0, 1)
+    (s,) = find_roots_real(QuotientFamily([spec]), UnitaryFamily([quotient_system(spec)]), 10.0, 1e-300)
+    assert not s.meta["fallback"]
     assert [r.order for r in s.roots] == [1, 1, 1]
     assert [r.k for r in s.roots] == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)
 

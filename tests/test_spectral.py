@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgsym import (
+    QuotientFamily,
     SecularSystem,
     Spectrum,
+    UnitaryFamily,
     all_quotient_specs,
     build_secular_system,
     compare_spectra,
@@ -15,36 +17,36 @@ from qgsym import (
     find_roots_real,
     find_roots_unitary,
     merge_spectra,
-    quotient_dispersion_real,
     quotient_system,
+    quotient_systems,
     standard_conditions,
     winding_number,
 )
 from qgsym.errors import NonUnitaryScattering, QgsymError
-from qgsym.locators import _sign_roots
+from qgsym.quotient import QuotientSpec
 from qgsym.spectra import SpectralRoot
 
 
-def _dirichlet_interval():
-    """A bond of length 1 with Dirichlet ends: det(I - S D(k)) = 1 - exp(2ik)
-    has a simple zero at every multiple of pi, as sin k has."""
-    return SecularSystem(np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex), np.ones(2))
+def _real(specs, k_max, tol=1e-10):
+    """`find_roots_real` of the quotient factors `specs` as one family."""
+    return find_roots_real(QuotientFamily(specs), UnitaryFamily(quotient_systems(specs)), k_max, tol)
 
 
-def _scan(f, count, k_max, grid_step, tol=1e-10):
-    """The sign changes of one function of arrays (`locators._sign_roots`),
-    certified by `count`."""
-    return _sign_roots(lambda which, k: f(k), [count], k_max, grid_step, tol, "")[0]
+def _sine():
+    """The factor (0,1) of the 1x2 torus at L1 = L3 = 1/4, whose dispersion
+    form is F(k) = (cos k/2 + 1) sin k/2 + (cos k/2 - 1) sin k/2 = sin k."""
+    return QuotientSpec(1, 2, 0.25, 0.25, 0, 1)
 
 
 def test_find_roots_real_simple_sine():
-    # the sign changes of sin are its zeros, three of them, and as many as
-    # the eigenphase count of the interval: they stand
+    # G = cot(k/4) - tan(k/4) has its poles at 2 pi m, where both sines
+    # vanish and one term has a pole: pi and 3 pi are the roots of G
+    # between them, 2 pi is a sine-zero root of order 2 - 1
     want = [math.pi, 2 * math.pi, 3 * math.pi]
-    scan = _scan(np.sin, 3, 10.0, 0.1)
-    s = find_roots_real(np.sin, _dirichlet_interval(), 10.0, 0.1)
+    (s,) = _real([_sine()], 10.0)
+    ks = np.linspace(0.0, 10.0, 101)
+    assert np.allclose(QuotientFamily([_sine()]).dispersion_real(0, ks), np.sin(ks), rtol=0, atol=1e-15)
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (3, False)
-    assert s.roots == scan.roots and s.meta["evaluations"] == scan.meta["evaluations"]
     assert len(s.roots) == 3
     for r, w in zip(s.roots, want):
         assert r.k == pytest.approx(w, abs=1e-9)
@@ -52,46 +54,34 @@ def test_find_roots_real_simple_sine():
 
 
 def test_find_roots_real_touching_root():
-    # 1 - cos k has double zeros at 2 pi m and no sign change: they are the
-    # roots of a cycle of length 1, whose eigenphase count (4 on (0, 14])
-    # sees them, so the member is solved again by the unitary locator
-    g, _ = cycle_graph(3, 1.0 / 3.0)
-    s = find_roots_real(lambda k: 1.0 - np.cos(k), build_secular_system(g, standard_conditions(g)), 14.0, 0.1)
-    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (4, True)
-    assert [r.order for r in s.roots] == [2, 2]
-    assert s.roots[0].k == pytest.approx(2 * math.pi, abs=1e-8)
-    assert s.roots[1].k == pytest.approx(4 * math.pi, abs=1e-8)
-
-
-@pytest.mark.parametrize(
-    "f",
-    [lambda k: (k - 5.05) ** 2 + 1e-6, lambda k: (k - 5.05) ** 2 - 1e-6],
-    ids=["near-real-pair", "hidden-double-crossing"],
-)
-def test_a_scan_sees_no_pair_of_zeros_inside_one_cell(f):
-    # neither a pair of zeros 1e-3 off the real axis nor two crossings 2e-3
-    # apart inside one cell of the 0.1 grid changes the sign between grid
-    # points; for a secular function the eigenphase count sees what the
-    # scan misses (test_find_roots_real_touching_root)
-    s = _scan(f, 0, 10.0, 0.1)
-    assert s.roots == () and not s.meta["fallback"]
+    # the factor (1,0) of the 3x1 torus at L1 = 3/2, L3 = 1/2: sin 3k has a
+    # zero at 2 pi/3 where its term is regular, and there the other term,
+    # cos k + 1/2, is 0 too, so F = (cos 3k - 1) sin k + (cos k + 1/2) sin 3k
+    # touches 0 with no sign change; so at 4 pi/3.  The order rule gives
+    # both double roots, and the unitary locator agrees on every root
+    spec = QuotientSpec(3, 1, 1.5, 0.5, 1, 0)
+    (s,) = _real([spec], 5.0)
+    exact = find_roots_unitary(quotient_system(spec), 5.0)
+    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (6, False)
+    assert [r.order for r in s.roots] == [r.order for r in exact.roots]
+    assert [r.k for r in s.roots if r.order == 2] == pytest.approx([2 * math.pi / 3, 4 * math.pi / 3], abs=1e-12)
+    assert max(abs(a.k - b.k) for a, b in zip(s.roots, exact.roots)) <= 1e-9
 
 
 @pytest.mark.parametrize("l1", [0.25, 0.5])
 def test_multiple_roots_of_quotient_factors_are_certified(l1):
     # the 3x4 torus at L3 = 1 has roots of order 2 (at L1 = 0.25) and 3 at
-    # multiples of pi, where the sign changes fall short of the eigenphase
-    # count; those factors, and only those, are solved again, and every
-    # factor equals the unitary locator on its own system
+    # multiples of pi, on the zeros of its sines; the order rule finds them
+    # with no fallback, and every factor equals the unitary locator on its
+    # own system
     orders = set()
-    for spec in all_quotient_specs(3, 4, l1, 1.0):
-        system = quotient_system(spec)
-        s = find_roots_real(lambda k: quotient_dispersion_real(spec, k), system, 10.0, 0.005)
-        want = find_roots_unitary(system, 10.0, source="")
+    specs = all_quotient_specs(3, 4, l1, 1.0)
+    for spec, s in zip(specs, _real(specs, 10.0)):
+        want = find_roots_unitary(quotient_system(spec), 10.0, source="")
         assert [r.order for r in s.roots] == [r.order for r in want.roots]
         assert max((abs(a.k - b.k) for a, b in zip(s.roots, want.roots)), default=0.0) <= 1e-9
         multiple = [r.k for r in s.roots if r.order >= 2]
-        assert s.meta["fallback"] == bool(multiple) and s.count() == s.meta["eigenphase_count"]
+        assert not s.meta["fallback"] and s.count() == s.meta["eigenphase_count"]
         for k in multiple:
             assert abs(k - round(k / math.pi) * math.pi) < 1e-11
         orders.update(r.order for r in s.roots)
@@ -205,96 +195,48 @@ def test_weyl_count_sanity():
 
 
 @pytest.mark.parametrize("k_max", [6.2, 2 * math.pi - 1e-11], ids=["past-kmax", "within-tol-of-kmax"])
-def test_a_sign_change_past_kmax_is_off_the_grid(k_max, calls_of):
-    # the 4.0 grid is [4.0, k_max]: the sign change of sin at 2 pi lies past
-    # its end, so the grid has none against N(k_max) = 1 (the root pi); the
-    # member falls back with no refinement round and one call of f, and the
-    # unitary locator finds pi
-    scan = _scan(np.sin, 1, k_max, 4.0)
-    assert scan.roots == () and scan.meta["fallback"]
-    assert (scan.meta["evaluations"], scan.meta["rounds"]) == (2, 0)
-    counted, calls = calls_of(np.sin)
-    s = find_roots_real(counted, _dirichlet_interval(), k_max, 4.0)
-    assert [c.tolist() for c in calls] == [[4.0, k_max]]
-    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, True)
+def test_a_sign_change_past_kmax_is_off_the_grid(k_max):
+    # F = sin k changes sign at the sine zero 2 pi, past k_max, so 2 pi is
+    # not among the sine zeros: the bracket of G from 0 ends at k_max, where
+    # G < 0, and holds the one root pi; G is evaluated at k_max first, and
+    # the count is certified by N(k_max) = 1
+    family, calls = QuotientFamily([_sine()]), []
+    form = family.pole_form
+    family.pole_form = lambda which, k: calls.append(np.array(k)) or form(which, k)
+    assert family.sine_zeros(k_max)[0].size == 0
+    (s,) = find_roots_real(family, UnitaryFamily([quotient_system(_sine())]), k_max)
+    assert calls[0].tolist() == [k_max] and s.meta["evaluations"] == sum(map(len, calls))
+    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, False)
     assert [r.order for r in s.roots] == [1]
     assert s.roots[0].k == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_roots_exclude_zero_and_respect_kmax():
-    # the grid ends at k_max: at the float 2 pi, 2.4e-16 below 2 pi, sin's
-    # second zero lies past it, and 0.05 further the last cell holds it
-    for k_max, want in [(2 * math.pi, [math.pi]), (2 * math.pi + 0.05, [math.pi, 2 * math.pi])]:
-        s = _scan(np.sin, len(want), k_max, 0.1)
-        assert not s.meta["fallback"]
+    # F = sin k.  At the float 2 pi the sine zero is k_max itself, which the
+    # eigenphase count does not hold (FOUND in CHANGES.md), so the factor
+    # falls back to the unitary locator; 0.05 further the sine zero is a
+    # root.  The root 3 pi of G is held where G(k_max) <= 0, 1e-11 past it,
+    # and not 1e-11 before it
+    for k_max, want, fallback in [
+        (2 * math.pi, [math.pi], True),
+        (2 * math.pi + 0.05, [math.pi, 2 * math.pi], False),
+        (3 * math.pi - 1e-11, [math.pi, 2 * math.pi], False),
+        (3 * math.pi + 1e-11, [math.pi, 2 * math.pi, 3 * math.pi], False),
+    ]:
+        (s,) = _real([_sine()], k_max)
+        assert s.meta["fallback"] == fallback
         assert all(r.k > 0 for r in s.roots)
         assert all(r.k <= k_max for r in s.roots)
         assert [r.k for r in s.roots] == pytest.approx(want, rel=0, abs=1e-9)
-
-
-def test_a_root_in_the_last_cell_before_an_off_grid_kmax_is_kept(calls_of, dirichlet_neumann):
-    # the 0.005 grid ends 7.300, 7.3037: the root 7.3035 lies in that last
-    # cell, and the member is certified and refined
-    counted, calls = calls_of(lambda k: k - 7.3035)
-    s = find_roots_real(counted, dirichlet_neumann(math.pi / (2 * 7.3035)), 7.3037, 0.005)
-    assert calls[0][-2:].tolist() == pytest.approx([7.3, 7.3037], rel=0, abs=1e-12)
-    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, False)
-    assert len(calls) > 1 and [r.order for r in s.roots] == [1]
-    assert s.roots[0].k == pytest.approx(7.3035, rel=0, abs=1e-10)
-
-
-def _two_part_grid():
-    """The 0.005 grid at k_max 30: 6000 points, in the parts ks[:4096] and
-    ks[4095:], which share the point ks[4095] = 20.48."""
-    ks = np.append(np.arange(0.005, 30.0 - 0.0025, 0.005), 30.0)
-    assert len(ks) == 6000 and ks[4095] == pytest.approx(20.48, abs=1e-12)
-    return ks
-
-
-def test_sign_changes_beside_the_point_two_parts_share_are_found_once(calls_of):
-    # one zero in the last cell of the first part and one in the first cell
-    # of the second: each is found once
-    ks = _two_part_grid()
-    want = [0.5 * (ks[4094] + ks[4095]), 0.5 * (ks[4095] + ks[4096])]
-    counted, calls = calls_of(lambda k: (k - want[0]) * (k - want[1]))
-    s = _scan(counted, 2, 30.0, 0.005)
-    assert [c.shape for c in calls[:2]] == [(4096,), (1905,)]
-    assert calls[0][-1] == calls[1][0] == ks[4095]
-    assert not s.meta["fallback"] and s.meta["evaluations"] == 6000 + sum(map(len, calls[2:]))
-    assert [r.k for r in s.roots] == pytest.approx(want, rel=0, abs=1e-10)
-
-
-@pytest.mark.parametrize("at", [1000, 4095, 5000], ids=["first-part", "shared-point", "second-part"])
-def test_an_exact_zero_in_either_part_sends_the_member_to_the_fallback(at):
-    # one sign change, as many as the count, but an exact 0.0 on the grid:
-    # wherever it lies, the member is not certified
-    ks = _two_part_grid()
-    s = _scan(lambda k: k - ks[at], 1, 30.0, 0.005)
-    assert s.roots == () and s.meta["fallback"]
-    assert (s.meta["evaluations"], s.meta["rounds"]) == (6000, 0)
-
-
-@pytest.mark.parametrize("f", [lambda k: k - 0.5, lambda k: 0.5 - k], ids=["rising", "falling"])
-def test_root_on_an_exact_grid_point(f, calls_of, dirichlet_neumann):
-    # a grid value of exactly 0.0 certifies nothing: the member is solved by
-    # the unitary locator on its system, whose one root on (0, 1] is 0.5,
-    # and f is called on the grid only
-    assert 0.5 in np.arange(0.1, 1.0 + 0.05, 0.1)
-    counted, calls = calls_of(f)
-    s = find_roots_real(counted, dirichlet_neumann(math.pi), 1.0, 0.1)
-    assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, True)
-    assert len(calls) == 1 and len(s.roots) == 1
-    assert s.roots[0].k == pytest.approx(0.5, abs=1e-10)
-    assert s.roots[0].order == 1
 
 
 def test_real_and_unitary_locators_agree_on_quotient_factors():
     # non-coprime orders and incommensurate lengths: every quotient factor's
     # dispersion roots equal the eigenphase roots of its 8x8 secular system
     for n1, n2, l3 in [(3, 4, 1 / math.sqrt(2)), (4, 6, 0.61)]:
-        for spec in all_quotient_specs(n1, n2, 0.5, l3):
+        specs = all_quotient_specs(n1, n2, 0.5, l3)
+        for spec, real in zip(specs, _real(specs, 6.0)):
             unitary = find_roots_unitary(quotient_system(spec), 6.0)
-            real = find_roots_real(lambda k: quotient_dispersion_real(spec, k), quotient_system(spec), 6.0, 0.005)
             assert not real.meta["fallback"], (spec.s, spec.t)
             res = compare_spectra(real, unitary, tol=1e-8)
             assert res.isospectral, ((spec.s, spec.t), res)
@@ -302,31 +244,26 @@ def test_real_and_unitary_locators_agree_on_quotient_factors():
 
 
 @pytest.mark.parametrize(
-    "root, k_max, refined",
+    "root, k_max",
     [
-        (0.1, 0.2, False),
-        (1.0, 1.0 + 1e-12, True),
+        (1.0, 1.0 + 1e-12),
         pytest.param(
-            1.0, 1.0, False,
+            1.0, 1.0,
             marks=pytest.mark.xfail(
                 strict=True, reason="the unitary locator counts no root at exactly k_max (FOUND in CHANGES.md)"
             ),
         ),
     ],
-    ids=["first-point", "last-point", "last-point-at-kmax"],
+    ids=["last-point", "last-point-at-kmax"],
 )
-def test_root_on_an_end_of_the_grid(root, k_max, refined, calls_of, dirichlet_neumann):
-    # the 0.1 grid runs from 0.1 to k_max, through 0.9.  An exact 0.0 at its
-    # first point, or at its last with k_max = 1.0, sends the member to the
-    # unitary locator on a system whose one root on (0, k_max] is `root`,
-    # with no refinement call of f; in `last-point` the last grid point is
-    # k_max = 1 + 1e-12, so the root lies inside the last cell and is refined
+def test_root_on_an_end_of_the_grid(root, k_max, dirichlet_neumann):
+    # the unitary locator's grid ends at k_max, and its one root on
+    # (0, k_max] is `root`: in `last-point` 1e-12 inside the last cell, and
+    # in `last-point-at-kmax` on k_max itself, where no eigenphase has
+    # crossed by more than PHASE_EPS, so neither the count nor the roots
+    # hold it
     system = dirichlet_neumann(math.pi / (2 * root))
-    for f in (lambda k: k - root, lambda k: root - k):
-        counted, calls = calls_of(f)
-        s = find_roots_real(counted, system, k_max, 0.1)
-        assert calls[0][-1] == k_max
-        assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, not refined)
-        assert len(calls) > 1 if refined else len(calls) == 1
-        assert [r.order for r in s.roots] == [1]
-        assert s.roots[0].k == pytest.approx(root, abs=1e-10)
+    s = find_roots_unitary(system, k_max)
+    assert UnitaryFamily([system]).counts(k_max) == [1]
+    assert [r.order for r in s.roots] == [1]
+    assert s.roots[0].k == pytest.approx(root, abs=1e-10)
