@@ -9,8 +9,9 @@ core of `spectra`, in rounds of one array call.
   exact, and one simple root between each two consecutive poles: no grid.
   Each member's count is known before any refinement, so only the members
   whose count is their exact eigenphase count N(k_max) are refined, with
-  the level G >= 0 as the step and arctan G as the value.  Every other
-  member goes straight to `UnitaryFamily.roots`.
+  the level G >= 0 as the step and arctan G as the value, by Newton steps
+  on G from a start that the poles' residues fix.  Every other member goes
+  straight to `UnitaryFamily.roots`.
 - `UnitaryFamily`: exact eigenphase counting for unitary scattering.  The
   family is contracted once (`contracted_stacks`: every pure-transmission
   bond dropped, the determinant unchanged), and each stack of contracted
@@ -57,20 +58,26 @@ def find_roots_real(
     count is their N(k_max) (`UnitaryFamily.counts`) are refined: all their
     brackets in one `_refine_steps` call, with the level G >= 0 as the step
     and arctan G, +-pi/2 at the poles, as the value, in calls of at most
-    MAX_BATCH_BYTES of points.  Every other member is solved by one
-    `UnitaryFamily.roots` call.  Each spectrum's `meta` has `tol`, the points
-    evaluated for the member by either locator (`evaluations`), the rounds
-    that evaluated it (`rounds`), its `eigenphase_count` N(k_max), and
-    whether it fell back (`fallback`).
+    MAX_BATCH_BYTES of points.  Near a pole a with residue r_a (`sine_zeros`,
+    and `residue_at_zero` at 0) G is about r_a / (k - a), so a bracket between
+    two poles starts at the root of their two terms, (r_a b + r_b a) /
+    (r_a + r_b), and the bracket cut at k_max at the Newton point from
+    G(k_max).  Each evaluation gives G' with G and proposes the Newton point
+    k - G / G', which `_refine_steps` takes under its guard.  Every other
+    member is solved by one `UnitaryFamily.roots` call.  Each spectrum's
+    `meta` has `tol`, the points evaluated for the member by either locator
+    (`evaluations`), the rounds that evaluated it (`rounds`), its
+    `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
     """
     require_positive(k_max=k_max, tol=tol)
-    zeros, poles, orders, settled = family.sine_zeros(k_max)
-    members, last = len(poles), len(zeros) + 1
-    g_max = _chunked(family.pole_form, np.arange(members), np.full(members, float(k_max)), 8)
-    # each member's bracket ends, member by member: 0, its poles and k_max
-    ends = np.pad(poles, ((0, 0), (1, 1)), constant_values=True)
+    zeros, residues, orders, settled = family.sine_zeros(k_max)
+    members, last = len(residues), len(zeros) + 1
+    g_max, slope_max = _chunked(family.pole_form, np.arange(members), np.full(members, float(k_max)), 8).T
+    # each member's bracket ends, member by member: 0, its poles and k_max, and G's residue at each but k_max
+    ends = np.pad(residues > 0.0, ((0, 0), (1, 1)), constant_values=True)
     which, col = np.nonzero(ends)
     x = np.concatenate([[0.0], zeros, [k_max]])[col]
+    r = np.concatenate([family.residue_at_zero[:, None], residues, np.zeros((members, 1))], axis=1)[ends]
     opens = np.append(which[1:] == which[:-1], False)  # the end opens a bracket that holds a root of G
     opens &= (col > 0) | ~family.one.all(axis=1)[which]  # not the trivial factor's first
     opens[(np.cumsum(ends) - 1).reshape(ends.shape)[:, 1:-1][settled]] = False  # its root is a sine zero's
@@ -80,15 +87,19 @@ def find_roots_real(
     certified = np.bincount(which[opens], minlength=members) + orders.sum(axis=1) == counts
 
     i = np.flatnonzero(opens & certified[which])
-    fb = np.where(col[i + 1] == last, np.arctan(g_max[which[i]]), -0.5 * math.pi)[:, None]
+    fb = np.where(cut[i], np.arctan(g_max[which[i]]), -0.5 * math.pi)[:, None]
     fa, flat = np.full_like(fb, 0.5 * math.pi), np.zeros_like(fb)
+    # the root of the two poles' terms r / (k - pole), or the Newton point from k_max
+    newton = k_max - (g_max / slope_max)[which[i]]
+    first = np.where(cut[i], newton, (r[i] * x[i + 1] + r[i + 1] * x[i]) / (r[i] + r[i + 1]))
 
     def sign_at(which: np.ndarray, k: np.ndarray) -> tuple:
-        value = np.arctan(_chunked(family.pole_form, which, k, 8))[:, None]
+        g, slope = _chunked(family.pole_form, which, k, 8).T
+        value = np.arctan(g)[:, None]
         side = (value, np.zeros_like(value))  # the level holds for 0, and no jump is bounded
-        return 1.0 * (value[:, 0] >= 0.0), side, side
+        return 1.0 * (value[:, 0] >= 0.0), side, side, k - g / slope
 
-    cells = (which[i], x[i], np.ones(len(i)), (fa, flat), x[i + 1], np.zeros(len(i)), (fb, flat))
+    cells = (which[i], x[i], np.ones(len(i)), (fa, flat), x[i + 1], np.zeros(len(i)), (fb, flat), first)
     jumps, calls, rounds = _refine_steps(sign_at, cells, tol, members)
     on, at = np.nonzero(orders)
     bounds = np.searchsorted(on, np.arange(members + 1)).tolist()

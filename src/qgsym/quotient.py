@@ -74,7 +74,14 @@ class QuotientSpec:
     @cached_property
     def coefficients(self) -> tuple[float, float]:
         """(alpha, beta) = Re((tau + 1/tau) / 2) of the L1 and the L3 phase."""
-        return tuple(float((0.5 * (tau + 1.0 / tau)).real) for tau in (self.phase_l1, self.phase_l3))
+        return _coefficient(self.n2, self.t), _coefficient(self.n1, self.s)
+
+
+def _coefficient(n: int, label: int) -> float:
+    """Re((tau + 1/tau) / 2) of the gluing phase tau = irrep_value(n, label, 1):
+    alpha of the label t of n2, and beta of the label s of n1."""
+    tau = irrep_value(n, label, 1)
+    return float((0.5 * (tau + 1.0 / tau)).real)
 
 
 def _torus(specs: Sequence[QuotientSpec]) -> tuple[int, int, float, float]:
@@ -163,6 +170,12 @@ def quotient_dispersion_real(spec: QuotientSpec, k):
     return _dispersion(*spec.coefficients, spec.l1, spec.l3, k)
 
 
+def _coefficients(n: int, labels: np.ndarray) -> np.ndarray:
+    """`_coefficient` of each of `labels` of n, computed once per distinct label."""
+    distinct, inverse = np.unique(labels, return_inverse=True)
+    return np.array([_coefficient(n, label) for label in distinct.tolist()])[inverse]
+
+
 class QuotientFamily:
     """The dispersion forms of quotient factors of one torus, as a family
     evaluator of `spectra.isospectral_classes`, and what decides their roots
@@ -186,9 +199,10 @@ class QuotientFamily:
     def __init__(self, specs: Sequence[QuotientSpec]):
         specs = tuple(specs)
         n1, n2, self.l1, self.l3 = _torus(specs)
-        self.alpha, self.beta = np.array([spec.coefficients for spec in specs]).T
         self.lengths, self.orders = (2.0 * self.l1, 2.0 * self.l3), (n2, n1)
         labels = np.array([(spec.t, spec.s) for spec in specs]).reshape(-1, 2)
+        # alpha depends on t alone and beta on s alone: one of each per distinct label
+        self.alpha, self.beta = (_coefficients(n, labels[:, i]) for i, n in enumerate(self.orders))
         self.labels, self.one, self.minus = labels, labels == 0, 2 * labels == self.orders
 
     def dispersion_real(self, which, k):
@@ -196,28 +210,41 @@ class QuotientFamily:
         return _dispersion(self.alpha[which], self.beta[which], self.l1, self.l3, k)
 
     def pole_form(self, which, k):
-        """G of the factors `which` at real `k`, each term in its half-angle
-        form g_i = ((1 - c_i) - (1 + c_i) t^2) / 2t, t = tan(k l_i / 2): that
-        is -t where c_i = 1 and 1/t where c_i = -1, so no term is 0/0 at a
-        sine zero where it is regular."""
-        out = 0.0
+        """G of the factors `which` at real `k` and its derivative G', stacked
+        on a last axis of two.  Each term is in its half-angle form
+        g_i = ((1 - c_i) - (1 + c_i) t^2) / 2t, t = tan(k l_i / 2): that is
+        -t where c_i = 1 and 1/t where c_i = -1, so no term is 0/0 at a sine
+        zero where it is regular; its derivative is
+        g_i' = -(l_i / 2) (1 + t^2) ((1 - c_i) / 2t^2 + (1 + c_i) / 2) < 0."""
+        g = slope = 0.0
         for length, c in zip(self.lengths, (self.alpha, self.beta)):
             t, c = np.tan(0.5 * length * k), c[which]
-            out = out + ((1.0 - c) - (1.0 + c) * t * t) / (2.0 * t)
-        return out
+            tt = t * t
+            g = g + ((1.0 - c) - (1.0 + c) * tt) / (2.0 * t)
+            slope = slope - 0.5 * length * (1.0 + tt) * ((1.0 - c) / (2.0 * tt) + 0.5 * (1.0 + c))
+        return np.stack([g, slope], axis=-1)
+
+    @property
+    def residue_at_zero(self) -> np.ndarray:
+        """The residue of G at k = 0 of each factor, sum (1 - c_i) / l_i: 0
+        for the trivial factor alone, where every c_i = 1."""
+        return (1.0 - self.alpha) / self.lengths[0] + (1.0 - self.beta) / self.lengths[1]
 
     def sine_zeros(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The zeros k0 = p pi / l_i <= k_max of the two sines, ascending,
-        which every factor shares, and for each factor and zero: whether G
-        has a pole there, the order of F's root there, and whether G is 0
-        there, each decided exactly.
+        which every factor shares, and for each factor and zero: the residue
+        of G there, 0 exactly where G has no pole, the order of F's root
+        there, and whether G is 0 there, each decided exactly.
 
         Both sines vanish at the zeros (p1, p2) = (a j, b j), l1 / l2 = a / b
         in lowest terms on the floats.  Term i has a pole where its sine
-        vanishes unless c_i = (-1)^p_i.  F's order at k0 is the number of
-        sines that vanish there, less 1 if either has a pole, plus 1 where G
-        is 0: where both vanish with no pole, or where one term vanishes
-        with no pole and the other is 0, cos(k0 l_j) = c_j, which holds for
+        vanishes unless c_i = (-1)^p_i; the residue of G is the sum of
+        (1 - c_i (-1)^p_i) / l_i over the terms with a pole, and positive, as
+        the float c_i of any other label lies strictly inside (-1, 1).  F's
+        order at k0 is the number of sines that vanish there, less 1 if
+        either has a pole, plus 1 where G is 0: where both vanish with no
+        pole, or where one term vanishes with no pole and the other is 0,
+        cos(k0 l_j) = c_j, which holds for
         cos(p pi r / d) = cos(2 pi u / n) with l_j / l_i = r / d exactly when
         d divides p n and (r p n / d -+ 2u) is a multiple of 2n.  More than
         MAX_GRID_POINTS zeros raise `GridTooLarge` before any is allocated.
@@ -241,7 +268,10 @@ class QuotientFamily:
 
         vanish = p > 0
         regular = np.where(p % 2 == 0, self.one[:, None], self.minus[:, None])  # c_i = (-1)^p_i
-        poles = (vanish & ~regular).any(axis=-1)
+        pole = vanish & ~regular
+        poles = pole.any(axis=-1)
+        c = np.stack([self.alpha, self.beta], axis=-1)[:, None]
+        residues = np.where(pole, (1.0 - c * (1 - 2 * (p % 2))) / np.array(self.lengths), 0.0).sum(axis=-1)
         alone = np.zeros(poles.shape, dtype=bool)  # one term vanishes, and the other is 0
         for i, (r, d) in enumerate(((b, a), (a, b))):
             n, u = self.orders[1 - i], self.labels[:, 1 - i, None]
@@ -251,7 +281,7 @@ class QuotientFamily:
                 hits = ((mod - 2 * u) % (2 * n) == 0) | ((mod + 2 * u) % (2 * n) == 0)
                 alone |= hits & (pn % d == 0) & vanish[:, i] & ~vanish[:, 1 - i]
         zero = ~poles & (vanish.all(axis=-1) | alone)
-        return k, poles, vanish.sum(axis=-1) - poles + zero, zero
+        return k, residues, vanish.sum(axis=-1) - poles + zero, zero
 
 
 def all_quotient_specs(n1, n2, l1, l3):

@@ -16,11 +16,15 @@ the step evaluator, and moves the end of equal level, so each root still
 lies in a bracket narrower than `tol` with known levels at both ends.  A
 monotone step may also report its reaches at each point, how far its level
 holds and by when the next jumps have happened; before every round the
-bracket ends move to them with no evaluation.  Bisection steps guard the
-cases where the modified regula falsi stalls, and a level between the end
-levels splits the bracket.  The closed brackets become each member's jumps
-in array code.  A member's points, roots and count do not depend on the
-other members of its family.
+bracket ends move to them with no evaluation.  A caller may also give each
+bracket a first point and have the step propose the next point at every
+point it evaluates, such as a Newton point; a proposal inside the bracket
+takes the place of the Anderson-Björk point while the guard on its step
+sizes and the bracket's width holds.  Bisection steps guard the cases
+where the modified regula falsi or the proposals stall, and a level
+between the end levels splits the bracket.  The closed brackets become
+each member's jumps in array code.  A member's points, roots and count do
+not depend on the other members of its family.
 `winding_number` counts the zeros inside one circle by the argument
 principle.
 
@@ -151,7 +155,7 @@ def _reach(reaches: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 Side = tuple  # (sums, reaches) of points, looking ahead or behind
-Cells = tuple  # (which, a, na, ahead of a, b, nb, behind of b) of each bracket
+Cells = tuple  # (which, a, na, ahead of a, b, nb, behind of b[, first point]) of each bracket
 
 
 def _grid_cells(which: np.ndarray, ks: np.ndarray, levels: np.ndarray, ahead: Side, behind: Side) -> Cells:
@@ -163,16 +167,19 @@ def _grid_cells(which: np.ndarray, ks: np.ndarray, levels: np.ndarray, ahead: Si
 
 
 def _refine_steps(
-    step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Side, Side]], cells: Cells, tol: float, members: int
+    step: Callable[[np.ndarray, np.ndarray], tuple], cells: Cells, tol: float, members: int
 ) -> tuple[list[list[tuple[float, int]]], np.ndarray, np.ndarray]:
     """Every jump of a family of integer step functions, as (k, size) per
     member, and for each member the number of points evaluated and of rounds
     that evaluated one of them.
 
     `cells` are the brackets, each with its member, its ends' k and levels,
-    and what its left end sees ahead and its right end behind.
+    and what its left end sees ahead and its right end behind, and may end
+    with a first point for each bracket (NaN for none).
     `step(which, k)`, on 1-D arrays, gives at the points `k` of the members
-    `which` the levels, and ahead and behind of each point, (sums, reaches):
+    `which` the levels, ahead and behind of each point, and with first
+    points a proposed next point for each point.  Ahead and behind are
+    each (sums, reaches):
     - sums, an (n, width) array of prefix sums: for a jump of size m that the
       point bounds on that side, column |m| - 1 (the last when |m| is
       larger), negated when m < 0, crosses zero at the jump;
@@ -204,6 +211,18 @@ def _refine_steps(
     - a level strictly between the end levels splits the bracket in two;
       both open the next round with weights 1, and the right one with no
       step history.
+    With first points, a bracket's first point and then the point proposed
+    at its last evaluated point replace the Anderson-Björk step when they
+    lie in the closed bracket; one outside it, or NaN, leaves the step as
+    above.  A proposal within 0.4 tol of an end is pushed 0.4 tol inside,
+    so a proposal that has converged closes its bracket in one more round;
+    it is taken only when the step before it took a proposal that needed
+    no push, since it moves the bracket by 0.4 tol when the root is not
+    there.  Any other proposal is taken when it lies at most half as far
+    from the last evaluated point as the step to that point, or the last
+    three steps halved the bracket, so Newton steps that converge from one
+    side, moving one end only, go on; otherwise the round bisects.  A step
+    that returns no proposal costs no array work for them.
     A bracket is done when narrower than `tol`, or when no float lies
     strictly between its ends (a `tol` below the float spacing).  Its jump
     is reported where the unweighted chord crosses zero, inside the
@@ -220,12 +239,16 @@ def _refine_steps(
     one direction closer than `tol` (`_jumps`).  Each bracket follows the
     same points as it would alone.
     """
-    which, xa, na, (sa, ra), xb, nb, (sb, rb) = cells
+    which, xa, na, (sa, ra), xb, nb, (sb, rb), *first = cells
     which, xa, na, sa, ra, xb, nb, sb, rb = (np.array(v) for v in (which, xa, na, sa, ra, xb, nb, sb, rb))
     a, b = xa.copy(), xb.copy()  # the bracket; xa and xb are its evaluated points
     wa, wb = np.ones(len(a)), np.ones(len(a))  # the weights of the values at xa and xb
     last = np.zeros(len(a), dtype=int)  # the end the last step replaced: 1 left, 2 right, 0 none
     before = np.full((3, len(a)), np.inf)  # the widths before the last three steps
+    # with first points: the proposed next point, the point evaluated last, the size of the step to
+    # it, and whether that step took a proposal that needed no push from an end (none yet: inf)
+    unset = np.full(len(a), np.inf)
+    guide = first and (np.array(first[0], dtype=float), unset, unset, np.ones(len(a), bool))
     calls, rounds = np.zeros(members, dtype=int), np.zeros(members, dtype=int)
     done = []
     while len(a):
@@ -241,16 +264,27 @@ def _refine_steps(
             state = (which, a, b, na, nb, xa, sa, ra, xb, sb, rb, wa, wb, last, size, fa, fb, width)
             which, a, b, na, nb, xa, sa, ra, xb, sb, rb, wa, wb, last, size, fa, fb, width = (v[open_] for v in state)
             before = before[:, open_]
+            guide = guide and tuple(v[open_] for v in guide)
         if not len(a):
             break
         x = 0.5 * (a + b)
         ga, gb = wa * fa, wb * fb
-        falsi = np.flatnonzero((ga <= 0.0) & (0.0 <= gb) & (ga < gb) & (width <= 0.5 * before[0]))
+        halved = width <= 0.5 * before[0]
+        falsi = np.flatnonzero((ga <= 0.0) & (0.0 <= gb) & (ga < gb) & halved)
         if len(falsi):
             xf, gaf, gbf = xa[falsi], ga[falsi], gb[falsi]
             chord = xf - gaf * (xb[falsi] - xf) / (gbf - gaf)
             x[falsi] = np.minimum(np.maximum(chord, a[falsi] + 0.4 * tol), b[falsi] - 0.4 * tol)
-        nx, (sx, rx), (sy, ry) = step(which, x)
+        if guide:
+            p, xl, moved, free = guide
+            px = np.minimum(np.maximum(p, a + 0.4 * tol), b - 0.4 * tol)
+            interior = (a + 0.4 * tol < p) & (p < b - 0.4 * tol)
+            pushed = free & (a <= p) & (p <= b) & (a < px) & (px < b)  # strictly inside at any tol
+            take = np.where(interior, halved | (np.abs(p - xl) <= 0.5 * moved), pushed)
+            x = np.where(take, px, x)
+        nx, (sx, rx), (sy, ry), *proposed = step(which, x)
+        if guide:
+            guide = (proposed[0], x, np.abs(x - xl), take & interior)
         evaluated = np.bincount(which, minlength=members)
         calls += evaluated
         rounds += evaluated > 0
@@ -276,6 +310,7 @@ def _refine_steps(
                 np.concatenate([v, w]) for v, w in zip(state, new)
             )
             before = np.concatenate([before, np.full((3, len(split)), np.inf)], axis=1)
+            guide = guide and tuple(np.append(v, v[split]) for v in guide)
     return _jumps(done, tol, members), calls, rounds
 
 

@@ -331,6 +331,71 @@ def test_one_sided_regula_falsi_stays_within_the_bisection_bound(roots, signs):
         assert calls[m] <= _eval_bound(grid_step)
 
 
+# proposals that no safeguard should follow blindly: each takes the points
+# just evaluated, the call's number, and each member's first cell and its
+# bracket as the evaluations so far show it
+_ADVERSARIES = {
+    "nan": lambda k, n, cell, ends: np.full(len(k), np.nan),
+    "outside": lambda k, n, cell, ends: ends[1] + 1.0,
+    "on-the-end-just-evaluated": lambda k, n, cell, ends: k.copy(),
+    "on-the-other-end": lambda k, n, cell, ends: np.where(k == ends[0], ends[1], ends[0]),
+    "alternating": lambda k, n, cell, ends: cell[0] + (0.3 if n % 2 else 0.7) * (cell[1] - cell[0]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    roots=st.lists(st.floats(0.6, 9.4), min_size=1, max_size=4),
+    signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+    kind=st.sampled_from(sorted(_ADVERSARIES)),
+)
+@example(roots=[3.3], signs=(1.0, 1.0), kind="on-the-end-just-evaluated")
+@example(roots=[3.3], signs=(-1.0, 1.0), kind="on-the-other-end")
+def test_any_proposal_stays_within_the_bisection_bound(roots, signs, kind):
+    # the steep one-sided functions above, closed by the sign step with a
+    # first point and a proposal after every evaluation that are NaN, past
+    # the bracket, on one of its ends, or two fixed points in turn: the
+    # guard still closes each root as sign bisection does, within the
+    # bisection bound of evaluations.  An end taken as given moves the
+    # bracket by 0.4 tol a round, so without the guard the step stops the
+    # run once the bound is passed
+    r, (outer, inner) = np.array(roots), signs
+    propose = _ADVERSARIES[kind]
+
+    def f(which, k):
+        return outer * np.expm1(inner * 40.0 * (k - r[which]))
+
+    grid_step, k_max = 0.5, 10.0
+    ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
+    which, k = np.repeat(np.arange(len(r)), len(ks)), np.tile(ks, len(r))
+    values = f(which, k)
+    side = (values[:, None], np.zeros((len(values), 1)))
+    cells = _grid_cells(which, k, _level(values), side, side)
+    for m in range(len(r)):
+        assume(np.all(f(m, ks) != 0))
+    assert cells[0].tolist() == list(range(len(r)))  # one cell per member
+    first_cell, left = np.array([cells[1], cells[4]]), cells[2]
+    ends, calls = first_cell.copy(), [0]
+
+    def step(which, k):
+        calls[0] += 1
+        assert calls[0] <= _eval_bound(grid_step), "the guard let the proposals stall the bracket"
+        fk = f(which, k)
+        level = _level(fk)
+        on_left = level == left[which]
+        ends[0, which[on_left]], ends[1, which[~on_left]] = k[on_left], k[~on_left]
+        side = (fk[:, None], np.zeros((len(k), 1)))
+        return level, side, side, propose(k, calls[0], first_cell[:, which], ends[:, which])
+
+    first = propose(first_cell[0], 0, first_cell, first_cell)
+    jumps, evaluated, _ = _refine_steps(step, (*cells, first), TOL, len(r))
+    for m in range(len(r)):
+        want = _bisect(lambda k: int(_level(f(m, k))), ks, _level(f(m, ks)), TOL)
+        assert len(want) == 1
+        _assert_same_jumps([(k, 1) for k, _ in jumps[m]], [(k, 1) for k, _ in want])
+        assert evaluated[m] <= _eval_bound(grid_step)
+
+
 def _jumps_by_loop(done, tol, members):
     """The jumps of the closed brackets `done`, one bracket at a time in
     Python: the reference for the array assembly of `_jumps`."""
@@ -443,6 +508,27 @@ def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
     assert len(shapes) == 1 + 4 + 1
     assert all(len(shape) == 3 and shape[1:] == (4, 4) for shape in shapes)
     assert sum(shape[0] for shape in shapes) == 155 + 2 * 12
+
+
+@pytest.mark.parametrize(
+    "n1, n2, l3, counts",
+    [(3, 4, "1.0", (108, 155, 4)), (16, 16, "0.7017025651372872", (1834, 2056, 5))],
+    ids=["3x4", "16x16"],
+)
+def test_spectrum_of_the_product_documents_keeps_its_counts(tmp_path, n1, n2, l3, counts):
+    # the unitary locator passes no first point and no proposal to the
+    # refinement core, so its points are those of the midpoint and
+    # Anderson-Bjork steps alone: the root count, evaluations and rounds of
+    # `spectrum` on the product documents at k_max 10 stay as they were
+    # before the real locator's Newton steps
+    runner, doc, out = CliRunner(), str(tmp_path / "torus.json"), str(tmp_path / "full.csv")
+    flags = ["--n1", str(n1), "--n2", str(n2), "--l1", "0.5", "--l3", l3]
+    assert runner.invoke(main, ["build", "product", *flags, "-o", doc]).exit_code == 0
+    res = runner.invoke(main, ["spectrum", doc, "--kmax", "10", "-o", out])
+    assert res.exit_code == 0, res.output
+    s = io.load_spectrum(out)
+    assert (s.count(), int(s.meta["evaluations"]), int(s.meta["rounds"])) == counts
+    assert int(s.meta["eigenphase_count"]) == s.count()
 
 
 def test_spectrum_grid_flag_is_accepted_and_ignored(tmp_path):
