@@ -157,8 +157,7 @@ def validate_action(g: MetricGraph, a: GraphAction) -> ActionReport:
         group_law = not violations
 
         # structure preservation: endpoints and lengths
-        ends = np.array([(e.u, e.v) for e in g.edges], dtype=np.intp).reshape(ne, 2)
-        length = g.edge_lengths()
+        ends, length = g.ends, g.lengths
         for i, (vp, ep, fl) in enumerate(gen.arrays() for gen in a.generators):
             mapped, expected = vp[ends], np.where(fl[:, None], ends[ep, ::-1], ends[ep])
             bad_ends = (mapped != expected).any(axis=1)

@@ -23,7 +23,7 @@ from .errors import (
     NotCoprime,
     require_positive,
 )
-from .graphs import MetricGraph, make_graph
+from .graphs import TAG_ORIGINAL, MetricGraph, make_graph
 from .groups import crt_index
 
 # axioms a builder-produced action must satisfy; faithfulness is advisory
@@ -95,7 +95,7 @@ def circulant_graph(
     return g, action
 
 
-def product_vertex_id(i: int, j: int, n2: int) -> int:
+def product_vertex_id(i, j, n2: int):
     return i * n2 + j
 
 
@@ -107,14 +107,12 @@ def cartesian_product(g1: MetricGraph, g2: MetricGraph) -> MetricGraph:
     of g2 across each g1 vertex.
     """
     n1, n2 = g1.n_vertices, g2.n_vertices
-    edges = []
-    for e in g1.edges:
-        for j in range(n2):
-            edges.append((product_vertex_id(e.u, j, n2), product_vertex_id(e.v, j, n2), e.length))
-    for e in g2.edges:
-        for i in range(n1):
-            edges.append((product_vertex_id(i, e.u, n2), product_vertex_id(i, e.v, n2), e.length))
-    return make_graph(n1 * n2, edges)
+    ends = np.concatenate([
+        product_vertex_id(g1.ends[:, None, :], np.arange(n2)[:, None], n2).reshape(-1, 2),
+        product_vertex_id(np.arange(n1)[:, None], g2.ends[:, None, :], n2).reshape(-1, 2),
+    ])
+    lengths = np.concatenate([np.repeat(g1.lengths, n2), np.repeat(g2.lengths, n1)])
+    return MetricGraph((TAG_ORIGINAL,) * (n1 * n2), ends, lengths)
 
 
 def product_action(
@@ -193,18 +191,15 @@ def product_circulant_isomorphism(
 
     mapping = [crt_index(n1, n2, i // n2, i % n2) for i in range(n1 * n2)]
 
-    def edge_multiset(g: MetricGraph, relabel=None):
-        out = {}
-        for e in g.edges:
-            u = relabel[e.u] if relabel else e.u
-            v = relabel[e.v] if relabel else e.v
-            key = (min(u, v), max(u, v), round(e.length, 12))
-            out[key] = out.get(key, 0) + 1
-        return out
+    def edge_table(g: MetricGraph, relabel: np.ndarray) -> np.ndarray:
+        """Rows (min end, max end, rounded length) under `relabel`, sorted."""
+        table = np.column_stack([np.sort(relabel[g.ends], axis=1), np.round(g.lengths, 12)])
+        return table[np.lexsort(table.T[::-1])]
 
-    mapped = edge_multiset(prod, mapping)
-    target = edge_multiset(circ)
-    if mapped != target:
-        witness = next(iter(set(mapped) ^ set(target)))
+    mapped = edge_table(prod, np.array(mapping))
+    target = edge_table(circ, np.arange(n1 * n2))
+    bad = np.flatnonzero((mapped != target).any(axis=1))
+    if len(bad):
+        witness = tuple(min(mapped[bad[0]].tolist(), target[bad[0]].tolist()))
         raise IsomorphismCheckFailed(f"edge mismatch under CRT map, witness {witness}")
     return mapping, prod, circ

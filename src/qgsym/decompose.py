@@ -47,12 +47,12 @@ def random_function(g: MetricGraph, samples: int, rng: np.random.Generator) -> S
 
 def l2_norm_sq(f: SampledFunction) -> float:
     """Midpoint-quadrature squared norm, summed over edges."""
-    L = f.graph.edge_lengths()
+    L = f.graph.lengths
     return float(np.sum(L / f.samples * np.sum(np.abs(f.values) ** 2, axis=1)))
 
 
 def l2_inner(f: SampledFunction, g: SampledFunction) -> complex:
-    L = f.graph.edge_lengths()
+    L = f.graph.lengths
     return complex(np.sum(L / f.samples * np.sum(np.conj(f.values) * g.values, axis=1)))
 
 

@@ -1,15 +1,18 @@
 """Metric-graph data model.
 
 A metric graph is a finite multigraph whose edges carry positive lengths and
-are identified with real intervals.  Every edge yields a reversal pair of
-directed bonds; bond ``2*e`` runs from the stored tail of edge ``e`` to its
-head, bond ``2*e + 1`` the other way.  Loops and parallel edges are
-representable (quotient graphs need them).
+are identified with real intervals.  It is its vertex tags, one per vertex,
+and two read-only arrays: `ends`, row e the tail and head of edge e, and
+`lengths`, entry e the length of edge e.  An edge is its row, so its id is
+its row number, and a graph document's edges are placed by their ids
+(`io.doc_to_graph`).  Every edge yields a reversal pair of directed bonds;
+bond ``2*e`` runs from the tail of edge ``e`` to its head, bond
+``2*e + 1`` the other way.  Loops and parallel edges are representable
+(quotient graphs need them).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -22,67 +25,51 @@ TAG_ORIGINAL = "original"
 TAG_DUMMY = "dummy"
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    tag: str = TAG_ORIGINAL
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    u: int
-    v: int
-    length: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricGraph:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+    tags: tuple[str, ...]
+    ends: np.ndarray  # (E, 2) intp, edge e runs from ends[e, 0] to ends[e, 1]
+    lengths: np.ndarray  # (E,) float64
 
     def __post_init__(self) -> None:
-        ids = [v.id for v in self.vertices]
-        if ids != list(range(len(ids))):
-            raise DanglingEndpoint("vertex ids must be dense 0..n-1")
-        n = len(ids)
-        seen = set()
-        for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise DanglingEndpoint(f"edge {e.id} references missing vertex")
-            if not (math.isfinite(e.length) and e.length > 0):
-                raise NonPositiveLength(f"edge {e.id} has length {e.length}")
-            if e.id in seen:
-                raise DanglingEndpoint(f"duplicate edge id {e.id}")
-            seen.add(e.id)
-        if sorted(seen) != list(range(len(self.edges))):
-            raise DanglingEndpoint("edge ids must be dense 0..m-1")
+        tags = tuple(self.tags)
+        ends = np.array(self.ends, dtype=np.intp).reshape(-1, 2)
+        lengths = np.array(self.lengths, dtype=float).reshape(-1)
+        if len(lengths) != len(ends):
+            raise ValueError(f"{len(ends)} edges with {len(lengths)} lengths")
+        dangling = np.flatnonzero(((ends < 0) | (ends >= len(tags))).any(axis=1))
+        if len(dangling):
+            raise DanglingEndpoint(f"edge {dangling[0]} references missing vertex")
+        short = np.flatnonzero(~(np.isfinite(lengths) & (lengths > 0)))
+        if len(short):
+            raise NonPositiveLength(f"edge {short[0]} has length {lengths[short[0]]}")
+        ends.flags.writeable = lengths.flags.writeable = False
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "lengths", lengths)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MetricGraph) and self.tags == other.tags
+                and np.array_equal(self.ends, other.ends) and np.array_equal(self.lengths, other.lengths))
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.tags)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.lengths)
 
     @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n_vertices
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return tuple(deg)
+    def _degrees(self) -> np.ndarray:
+        return np.bincount(self.ends.ravel(), minlength=self.n_vertices)
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return int(self._degrees[v])
 
     @property
     def total_length(self) -> float:
-        return float(sum(e.length for e in self.edges))
-
-    def edge_lengths(self) -> np.ndarray:
-        return np.array([e.length for e in self.edges], dtype=float)
+        return float(self.lengths.sum())
 
 
 def make_graph(
@@ -91,11 +78,11 @@ def make_graph(
     tags: Optional[Sequence[str]] = None,
 ) -> MetricGraph:
     """Build a validated metric graph from (u, v, length) triples."""
+    rows = list(edges)
+    table = np.array(rows, dtype=float).reshape(len(rows), 3)
     if tags is None:
         tags = [TAG_ORIGINAL] * n_vertices
-    vertices = tuple(Vertex(i, tag) for i, tag in enumerate(tags))
-    edata = tuple(Edge(j, u, v, float(L)) for j, (u, v, L) in enumerate(edges))
-    return MetricGraph(vertices, edata)
+    return MetricGraph(tags, table[:, :2], table[:, 2])
 
 
 def subdivide_midpoints(g: MetricGraph) -> MetricGraph:
@@ -104,13 +91,6 @@ def subdivide_midpoints(g: MetricGraph) -> MetricGraph:
     Edge ``j`` of length L becomes edges ``2j`` (tail half) and ``2j + 1``
     (head half), each of length L/2, joined at dummy vertex ``n + j``.
     """
-    n = g.n_vertices
-    vertices = list(g.vertices)
-    for e in g.edges:
-        vertices.append(Vertex(n + e.id, TAG_DUMMY))
-    edges = []
-    for e in g.edges:
-        d = n + e.id
-        edges.append(Edge(2 * e.id, e.u, d, e.length / 2.0))
-        edges.append(Edge(2 * e.id + 1, d, e.v, e.length / 2.0))
-    return MetricGraph(tuple(vertices), tuple(edges))
+    mid = g.n_vertices + np.arange(g.n_edges)
+    ends = np.stack([g.ends[:, 0], mid, mid, g.ends[:, 1]], axis=1)
+    return MetricGraph(g.tags + (TAG_DUMMY,) * g.n_edges, ends, np.repeat(g.lengths / 2.0, 2))

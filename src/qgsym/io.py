@@ -19,8 +19,8 @@ import numpy as np
 from . import builders
 from .actions import GeneratorMaps, GraphAction
 from .decompose import SampledFunction
-from .errors import UnsupportedCondition, UnsupportedFormat
-from .graphs import MetricGraph, Vertex, Edge
+from .errors import DanglingEndpoint, UnsupportedCondition, UnsupportedFormat
+from .graphs import TAG_ORIGINAL, MetricGraph
 from .scattering import Condition, QuasiPeriodic, Standard
 from .spectra import MAX_BATCH_BYTES, SpectralRoot, Spectrum
 
@@ -34,9 +34,10 @@ def graph_to_doc(
 ) -> dict:
     doc: dict = {
         "format_version": FORMAT_VERSION,
-        "vertices": [{"id": v.id, "tag": v.tag} for v in g.vertices],
+        "vertices": [{"id": i, "tag": tag} for i, tag in enumerate(g.tags)],
         "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "length": e.length} for e in g.edges
+            {"id": e, "u": u, "v": v, "length": length}
+            for e, ((u, v), length) in enumerate(zip(g.ends.tolist(), g.lengths.tolist()))
         ],
     }
     if conditions is not None:
@@ -76,10 +77,16 @@ def doc_to_graph(doc: dict) -> tuple[MetricGraph, Optional[list[Condition]], Opt
     if doc.get("format_version") != FORMAT_VERSION:
         raise UnsupportedFormat(f"format_version {doc.get('format_version')!r}, expected {FORMAT_VERSION}")
     try:
-        g = MetricGraph(
-            tuple(Vertex(v["id"], v.get("tag", "original")) for v in doc["vertices"]),
-            tuple(Edge(e["id"], e["u"], e["v"], float(e["length"])) for e in doc["edges"]),
-        )
+        vertices, edges = doc["vertices"], doc["edges"]
+        if _integers([v["id"] for v in vertices], "vertex id").tolist() != list(range(len(vertices))):
+            raise DanglingEndpoint("vertex ids must be dense 0..n-1")
+        ids = _integers([e["id"] for e in edges], "edge id")
+        if sorted(ids.tolist()) != list(range(len(ids))):
+            raise DanglingEndpoint("edge ids must be a permutation of 0..m-1")
+        ends, lengths = np.empty((len(ids), 2), dtype=np.intp), np.empty(len(ids))
+        ends[ids] = _integers([e[end] for e in edges for end in ("u", "v")], "endpoint").reshape(-1, 2)
+        lengths[ids] = [float(e["length"]) for e in edges]
+        g = MetricGraph([v.get("tag", TAG_ORIGINAL) for v in vertices], ends, lengths)
         conditions = [_doc_to_condition(c) for c in doc["conditions"]] if "conditions" in doc else None
         action = None
         if "action" in doc:
@@ -91,11 +98,19 @@ def doc_to_graph(doc: dict) -> tuple[MetricGraph, Optional[list[Condition]], Opt
                     for gm in doc["action"]["generators"]
                 ),
             )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise UnsupportedFormat(f"malformed graph document: {type(exc).__name__}: {exc}") from exc
     if action is not None:
         builders.check_structural(g, action, "graph document action")
     return g, conditions, action
+
+
+def _integers(values: list, what: str) -> np.ndarray:
+    """`values` as an intp array; a value that is not a JSON integer is refused."""
+    for x in values:
+        if type(x) is not int:
+            raise UnsupportedFormat(f"{what} {x!r} is not an integer")
+    return np.array(values, dtype=np.intp)
 
 
 def _doc_to_condition(c: dict) -> Condition:
@@ -296,10 +311,9 @@ def write_samples_csv(fh: BinaryIO, f: SampledFunction) -> None:
     """
     g, samples = f.graph, f.samples
     values = np.ascontiguousarray(f.values, dtype=np.complex128).reshape(-1)
-    lengths = sorted({e.length for e in g.edges})
-    which = np.array([lengths.index(e.length) for e in g.edges], dtype=np.intp)
-    heads = np.array([f"{e.id},".encode() for e in g.edges])
-    prefixes = np.array([f"{m},{(m + 0.5) * length / samples!r},".encode() for length in lengths for m in range(samples)])
+    lengths, which = np.unique(g.lengths, return_inverse=True)
+    heads = np.array([f"{e},".encode() for e in range(g.n_edges)])
+    prefixes = np.array([f"{m},{(m + 0.5) * length / samples!r},".encode() for length in lengths.tolist() for m in range(samples)])
     heads, prefixes = (a.view(np.uint8).reshape(len(a), -1) for a in (heads, prefixes))
     wh, wp = heads.shape[1], prefixes.shape[1]
     per = MAX_BATCH_BYTES // 16

@@ -130,11 +130,7 @@ def _scattering_rows(
         by_vertex.append(cond_by_vertex)
 
     nb = 2 * g.n_edges
-    origin = np.empty(nb, dtype=int)
-    lengths = np.empty(nb, dtype=float)
-    for e in g.edges:
-        origin[2 * e.id], origin[2 * e.id + 1] = e.u, e.v
-        lengths[2 * e.id] = lengths[2 * e.id + 1] = e.length
+    origin, lengths = g.ends.ravel(), np.repeat(g.lengths, 2)
     by_origin = np.argsort(origin, kind="stable")
     start = np.searchsorted(origin[by_origin], np.arange(g.n_vertices + 1))
     row_of = np.full(nb, -1)

@@ -152,12 +152,11 @@ def test_bond_orientation_does_not_change_secular_function():
 def test_product_graph_isomorphic_and_isospectral_to_circulant():
     mapping, gp, gc = product_circulant_isomorphism(3, 4, 1.0, 1.0)
     remaining = [
-        (min(e.u, e.v), max(e.u, e.v), round(e.length, 12)) for e in gc.edges
+        (min(u, v), max(u, v), round(length, 12)) for (u, v), length in zip(gc.ends.tolist(), gc.lengths.tolist())
     ]
     adjacency_ok = True
-    for e in gp.edges:
-        key = (min(mapping[e.u], mapping[e.v]), max(mapping[e.u], mapping[e.v]),
-               round(e.length, 12))
+    for (u, v), length in zip(gp.ends.tolist(), gp.lengths.tolist()):
+        key = (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]), round(length, 12))
         if key in remaining:
             remaining.remove(key)
         else:

@@ -87,14 +87,15 @@ def exhaustive_validate(g, a) -> list[tuple[str, str]]:
         if compose(gi, gj) != compose(gj, gi):
             violations.append(("group_law", f"generators {i} and {j} do not commute"))
     for i, gen in enumerate(a.generators):
-        for e in g.edges:
-            image = g.edges[gen.edge_perm[e.id]]
-            mapped = (gen.vertex_perm[e.u], gen.vertex_perm[e.v])
-            expected = (image.v, image.u) if gen.edge_flip[e.id] else (image.u, image.v)
+        ends, lengths = g.ends.tolist(), g.lengths.tolist()
+        for e, (u, v) in enumerate(ends):
+            image = gen.edge_perm[e]
+            mapped = (gen.vertex_perm[u], gen.vertex_perm[v])
+            expected = tuple(ends[image][::-1]) if gen.edge_flip[e] else tuple(ends[image])
             if mapped != expected:
-                violations.append(("adjacency", f"generator {i}, edge {e.id}: endpoints map to {mapped}, image edge has {expected}"))
-            if abs(image.length - e.length) > 1e-12 * max(1.0, e.length):
-                violations.append(("length", f"generator {i}, edge {e.id}: length {e.length} maps to {image.length}"))
+                violations.append(("adjacency", f"generator {i}, edge {e}: endpoints map to {mapped}, image edge has {expected}"))
+            if abs(lengths[image] - lengths[e]) > 1e-12 * max(1.0, lengths[e]):
+                violations.append(("length", f"generator {i}, edge {e}: length {lengths[e]} maps to {lengths[image]}"))
     for element in list(a.elements())[1:]:
         m = naive_maps(a, element)
         vertices = [v for v in range(nv) if m.vertex_perm[v] == v]

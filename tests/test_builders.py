@@ -22,8 +22,8 @@ from qgsym.errors import DuplicateJump, InvalidAction, IsomorphismCheckFailed, J
 def _to_nx(g):
     G = nx.MultiGraph()
     G.add_nodes_from(range(g.n_vertices))
-    for e in g.edges:
-        G.add_edge(e.u, e.v, length=round(e.length, 12))
+    for (u, v), length in zip(g.ends.tolist(), g.lengths.tolist()):
+        G.add_edge(u, v, length=round(length, 12))
     return G
 
 
@@ -41,7 +41,7 @@ def test_cycle_degenerate_orders_warn_but_work():
         g1, _ = cycle_graph(1, 1.0)
         g2, _ = cycle_graph(2, 1.0)
     assert len(w) == 2
-    assert g1.n_edges == 1 and g1.edges[0].u == g1.edges[0].v == 0  # a loop
+    assert g1.n_edges == 1 and g1.ends.tolist() == [[0, 0]]  # a loop
     assert g2.n_edges == 2 and g2.n_vertices == 2  # a digon
 
 
@@ -50,9 +50,7 @@ def test_circulant_graph_structure():
     assert g.n_vertices == 12
     assert g.n_edges == 24
     # neighbor sets follow the jumps
-    nbrs0 = sorted(
-        e.v if e.u == 0 else e.u for e in g.edges if 0 in (e.u, e.v)
-    )
+    nbrs0 = sorted(v if u == 0 else u for u, v in g.ends.tolist() if 0 in (u, v))
     assert nbrs0 == [3, 4, 8, 9]
     assert validate_action(g, a).valid
 
@@ -80,8 +78,8 @@ def test_cartesian_product_structure():
     assert product_vertex_id(2, 3, 4) == 11
     # edge between (0,0) and (1,0) exists with the first factor's length
     vids = {product_vertex_id(0, 0, 4), product_vertex_id(1, 0, 4)}
-    match = [e for e in gp.edges if {e.u, e.v} == vids]
-    assert len(match) == 1 and match[0].length == pytest.approx(1.0)
+    match = [e for e, (u, v) in enumerate(gp.ends.tolist()) if {u, v} == vids]
+    assert len(match) == 1 and gp.lengths[match[0]] == pytest.approx(1.0)
 
 
 def test_product_action_is_valid_and_commutes():
@@ -113,10 +111,10 @@ def test_crt_isomorphism_preserves_adjacency_and_lengths():
     mapping, gp, gc = product_circulant_isomorphism(3, 4, 1.0, 2.0)
     assert sorted(mapping) == list(range(12))
     # push every product edge through the map and find it in the circulant
-    remaining = [(min(e.u, e.v), max(e.u, e.v), round(e.length, 12)) for e in gc.edges]
-    for e in gp.edges:
-        u, v = mapping[e.u], mapping[e.v]
-        key = (min(u, v), max(u, v), round(e.length, 12))
+    remaining = [(min(u, v), max(u, v), round(length, 12)) for (u, v), length in zip(gc.ends.tolist(), gc.lengths.tolist())]
+    for (u, v), length in zip(gp.ends.tolist(), gp.lengths.tolist()):
+        u, v = mapping[u], mapping[v]
+        key = (min(u, v), max(u, v), round(length, 12))
         assert key in remaining
         remaining.remove(key)
     assert remaining == []

@@ -28,7 +28,7 @@ from qgsym import (
 from qgsym import cli, io, scattering
 from qgsym.cli import main
 from qgsym.decompose import SampledFunction, l2_norm_sq, project
-from qgsym.errors import InvalidAction, UnsupportedCondition, UnsupportedFormat
+from qgsym.errors import DanglingEndpoint, InvalidAction, UnsupportedCondition, UnsupportedFormat
 from qgsym.locators import UnitaryFamily
 from qgsym.io import (
     doc_to_graph,
@@ -50,9 +50,8 @@ def test_graph_json_roundtrip(tmp_path):
     save_graph(path, g, conditions=None, action=a)
     g2, conds2, a2 = load_graph(path)
     assert g2.n_vertices == g.n_vertices
-    assert [(e.u, e.v, e.length) for e in g2.edges] == [
-        (e.u, e.v, e.length) for e in g.edges
-    ]
+    assert g2.ends.tolist() == g.ends.tolist()
+    assert g2.lengths.tolist() == g.lengths.tolist()
     assert conds2 is None
     assert a2.orders == a.orders
     assert a2.generators == a.generators
@@ -425,11 +424,11 @@ def test_cli_project_writes_samples(tmp_path):
 def _one_format_per_row(comp, label, samples):
     """The `project` CSV of `comp` written with one `repr` f-string per row."""
     lines = [f"# component {label}; norm_sq = {l2_norm_sq(comp)!r}\n", "edge,sample_index,x,re,im\n"]
-    for e in comp.graph.edges:
+    for e, length in enumerate(comp.graph.lengths.tolist()):
         for m in range(samples):
-            x = (m + 0.5) * e.length / samples
-            val = complex(comp.values[e.id, m])
-            lines.append(f"{e.id},{m},{x!r},{val.real!r},{val.imag!r}\n")
+            x = (m + 0.5) * length / samples
+            val = complex(comp.values[e, m])
+            lines.append(f"{e},{m},{x!r},{val.real!r},{val.imag!r}\n")
     return "".join(lines)
 
 
@@ -450,7 +449,7 @@ def test_cli_project_bytes_equal_one_format_per_row(tmp_path, monkeypatch, n1, n
     ])
     assert res.exit_code == 0, res.output
     (comp,) = got
-    assert len({e.length for e in comp.graph.edges}) == 2
+    assert len(set(comp.graph.lengths.tolist())) == 2
     with open(out) as fh:
         assert fh.read() == _one_format_per_row(comp, f"({s},{t})", 7)
 
@@ -490,8 +489,8 @@ def test_cli_project_writes_every_float_as_its_repr(tmp_path, monkeypatch):
     ])
     assert res.exit_code == 0, res.output
     (comp,) = got
-    edges = comp.graph.edges
-    assert edges[0].length == edges[1].length != edges[12].length and len(edges) * 4 % 7 != 0
+    lengths = comp.graph.lengths
+    assert lengths[0] == lengths[1] != lengths[12] and len(lengths) * 4 % 7 != 0
     with open(out) as fh:
         text = fh.read()
     assert text == _one_format_per_row(comp, "(0,0)", 4)
@@ -593,10 +592,16 @@ def test_cli_rejects_an_action_order_below_one(tmp_path, command, order):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("damage", ["not-json", "no-vertices", "no-edges", "not-an-object"])
+@pytest.mark.parametrize("damage", [
+    "not-json", "no-vertices", "no-edges", "not-an-object", "float-edge-id", "fractional-endpoint",
+    "duplicate-edge-id",
+])
 def test_cli_rejects_malformed_documents(tmp_path, damage):
+    # ids and endpoints are JSON integers, and the edge ids a permutation of
+    # 0..m-1: `"id": 0.0` is no id, and `"u": 1.5` is not read as vertex 1
     g, a = cycle_graph(3, 1.0)
     doc = graph_to_doc(g, action=a)
+    kind = DanglingEndpoint if damage == "duplicate-edge-id" else UnsupportedFormat
     gpath = str(tmp_path / "g.json")
     with open(gpath, "w") as fh:
         if damage == "not-json":
@@ -604,12 +609,39 @@ def test_cli_rejects_malformed_documents(tmp_path, damage):
         elif damage == "not-an-object":
             json.dump([doc], fh)
         else:
-            del doc[damage[3:]]
+            if damage == "float-edge-id":
+                doc["edges"][0]["id"] = 0.0
+            elif damage == "fractional-endpoint":
+                doc["edges"][1]["u"] = 1.5
+            elif damage == "duplicate-edge-id":
+                doc["edges"][1]["id"] = 0
+            else:
+                del doc[damage[3:]]
             json.dump(doc, fh)
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(kind):
         load_graph(gpath)
     res = CliRunner().invoke(main, ["spectrum", gpath, "-o", str(tmp_path / "s.csv")])
-    _assert_usage_error(res, "UnsupportedFormat")
+    _assert_usage_error(res, kind.__name__)
+
+
+def test_a_document_places_each_edge_at_the_row_of_its_id(tmp_path):
+    # the edges of a document may come in any order: the action's edge
+    # permutation and the conditions name edges by id, so a product document
+    # with its edge list reversed is the same graph with the same spectrum
+    gpath, rpath = str(tmp_path / "torus.json"), str(tmp_path / "reversed.json")
+    _build_product(gpath, 3, 4, 0.5, 1.0)
+    with open(gpath) as fh:
+        doc = json.load(fh)
+    doc["edges"].reverse()
+    with open(rpath, "w") as fh:
+        json.dump(doc, fh)
+    assert load_graph(rpath)[0] == load_graph(gpath)[0]
+    spectra = []
+    for path in (gpath, rpath):
+        res = CliRunner().invoke(main, ["spectrum", path, "--kmax", "8", "-o", path + ".csv"])
+        assert res.exit_code == 0, res.output
+        spectra.append(Path(path + ".csv").read_bytes())
+    assert spectra[0] == spectra[1]
 
 
 TORUS = ["--n1", "2", "--n2", "2", "--l1", "0.5", "--l3", "1.0"]

@@ -28,7 +28,7 @@ def test_quotient_graph_template():
     g, conds = quotient_graph(spec)
     assert g.n_vertices == 3
     assert g.n_edges == 4
-    lengths = sorted(e.length for e in g.edges)
+    lengths = sorted(g.lengths.tolist())
     assert lengths == [0.5, 0.5, 1.0, 1.0]
     kinds = {type(c) for c in conds}
     assert kinds == {Standard, QuasiPeriodic}

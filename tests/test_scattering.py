@@ -55,8 +55,8 @@ def test_system_unitarity_and_connectivity():
     assert sys.size == 6
     assert sys.unitarity_defect() < 1e-12
     # bond 2e runs u -> v along edge e, bond 2e+1 runs v -> u
-    origin = [end for e in g.edges for end in (e.u, e.v)]
-    terminus = [end for e in g.edges for end in (e.v, e.u)]
+    origin = g.ends.ravel().tolist()
+    terminus = g.ends[:, ::-1].ravel().tolist()
     # S[b, b'] = 2/d - [b = reversal of b'] when b' feeds into b's origin, else 0
     for b in range(6):
         d = g.degree(origin[b])
@@ -132,8 +132,10 @@ def test_stacked_assembly_equals_one_set_at_a_time(n1, n2, flipped):
     # the quotient graph of a torus under the gluing phases of every label,
     # with the edges in `flipped` stored the other way round
     specs = all_quotient_specs(n1, n2, 0.5, 0.71676)
-    stored = quotient_graph(specs[0])[0].edges
-    g = make_graph(3, [(e.v, e.u, e.length) if e.id in flipped else (e.u, e.v, e.length) for e in stored])
+    stored = quotient_graph(specs[0])[0]
+    ends = stored.ends.tolist()
+    g = make_graph(3, [(v, u, length) if e in flipped else (u, v, length)
+                       for e, ((u, v), length) in enumerate(zip(ends, stored.lengths.tolist()))])
     sets = [quotient_graph(spec)[1] for spec in specs]
     stacked = build_secular_systems(g, sets)
     assert len(stacked) == len(sets)
