@@ -144,19 +144,19 @@ def _write_classes(output, kmax: float, found: list[Spectrum], runs: np.ndarray,
     the two counts, and print a summary.  A root count that the eigenphase count does not certify raises
     `CertificateMismatch`, and no file is written."""
     merged = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), labels)))
-    if merged.count() != eigenphase_count:
+    count = merged.count()
+    if count != eigenphase_count:
         raise CertificateMismatch(
-            f"{merged.count()} roots with multiplicity on (0, {kmax!r}] against an eigenphase count of "
-            f"{eigenphase_count}"
+            f"{count} roots with multiplicity on (0, {kmax!r}] against an eigenphase count of {eigenphase_count}"
         )
-    s = Spectrum(merged.roots, kmax, {
+    s = Spectrum(merged.k, merged.order, merged.source, kmax, {
         **header,
         "evaluations": sum(f.meta["evaluations"] for f in found),
-        "root_count": merged.count(),
+        "root_count": count,
         "eigenphase_count": eigenphase_count,
     })
     io.save_spectrum(output, s)
-    click.echo(f"wrote {output}: {len(s.roots)} roots, {s.count()} with multiplicity", file=sys.stdout)
+    click.echo(f"wrote {output}: {len(s.k)} roots, {count} with multiplicity", file=sys.stdout)
 
 
 @main.command("spectrum")

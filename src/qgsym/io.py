@@ -22,7 +22,7 @@ from .decompose import SampledFunction
 from .errors import DanglingEndpoint, UnsupportedCondition, UnsupportedFormat
 from .graphs import TAG_ORIGINAL, MetricGraph
 from .scattering import Condition, QuasiPeriodic, Standard
-from .spectra import MAX_BATCH_BYTES, SpectralRoot, Spectrum
+from .spectra import MAX_BATCH_BYTES, Spectrum
 
 FORMAT_VERSION = 1
 
@@ -87,14 +87,17 @@ def doc_to_graph(doc: dict) -> tuple[MetricGraph, Optional[list[Condition]], Opt
         ends[ids] = _integers([e[end] for e in edges for end in ("u", "v")], "endpoint").reshape(-1, 2)
         lengths[ids] = [float(e["length"]) for e in edges]
         g = MetricGraph([v.get("tag", TAG_ORIGINAL) for v in vertices], ends, lengths)
-        conditions = [_doc_to_condition(c) for c in doc["conditions"]] if "conditions" in doc else None
+        conditions = _doc_to_conditions(doc["conditions"]) if "conditions" in doc else None
         action = None
         if "action" in doc:
             action = GraphAction(
-                tuple(map(int, doc["action"]["orders"])),
+                tuple(_integers(doc["action"]["orders"], "order").tolist()),
                 tuple(
-                    GeneratorMaps(tuple(map(int, gm["vertex_perm"])), tuple(map(int, gm["edge_perm"])),
-                                  tuple(map(bool, gm["edge_flip"])))
+                    GeneratorMaps(
+                        tuple(_integers(gm["vertex_perm"], "vertex_perm entry").tolist()),
+                        tuple(_integers(gm["edge_perm"], "edge_perm entry").tolist()),
+                        _booleans(gm["edge_flip"], "edge_flip entry"),
+                    )
                     for gm in doc["action"]["generators"]
                 ),
             )
@@ -113,13 +116,33 @@ def _integers(values: list, what: str) -> np.ndarray:
     return np.array(values, dtype=np.intp)
 
 
-def _doc_to_condition(c: dict) -> Condition:
-    if c["type"] == "standard":
-        return Standard(c["vertex"])
-    if c["type"] == "quasi_periodic":
-        re, im = c["phase"]
-        return QuasiPeriodic(c["vertex"], complex(re, im), tuple(c["edges"]))
-    raise UnsupportedCondition(f"vertex {c.get('vertex')}: condition type {c['type']!r}")
+def _booleans(values: list, what: str) -> tuple[bool, ...]:
+    """`values` as a tuple; a value that is not a JSON boolean is refused."""
+    for x in values:
+        if type(x) is not bool:
+            raise UnsupportedFormat(f"{what} {x!r} is not a boolean")
+    return tuple(values)
+
+
+def _doc_to_conditions(docs: list) -> list[Condition]:
+    """The conditions of a document.  Every vertex, and every edge of a
+    quasi-periodic condition, must be a JSON integer: one `_integers` check
+    for the vertices and one for the edges of the whole document."""
+    edges = [c["edges"] if c["type"] == "quasi_periodic" else () for c in docs]
+    vertices = _integers([c["vertex"] for c in docs], "condition vertex").tolist()
+    ids = _integers([e for pair in edges for e in pair], "condition edge").tolist()
+    out: list[Condition] = []
+    at = 0  # the first edge of the next quasi-periodic condition in `ids`
+    for c, vertex, pair in zip(docs, vertices, edges):
+        if c["type"] == "standard":
+            out.append(Standard(vertex))
+        elif c["type"] == "quasi_periodic":
+            re, im = c["phase"]
+            out.append(QuasiPeriodic(vertex, complex(re, im), tuple(ids[at : at + len(pair)])))
+            at += len(pair)
+        else:
+            raise UnsupportedCondition(f"vertex {vertex}: condition type {c['type']!r}")
+    return out
 
 
 def save_graph(path: str, g: MetricGraph, conditions=None, action=None) -> None:
@@ -142,8 +165,11 @@ def write_spectrum_csv(fh: TextIO, s: Spectrum) -> None:
         fh.write(f"# {key} = {val!r}\n")
     fh.write(f"# k_max = {s.k_max!r}\n")
     fh.write("k,lambda,order,source_label\n")
-    for r in sorted(s.roots, key=lambda r: r.k):
-        fh.write(f"{r.k!r},{r.k * r.k!r},{r.order},{r.source}\n")
+    k, order, source = s.k, s.order, s.source
+    if np.any(k[1:] < k[:-1]):  # rows by k, roots of equal k in their order
+        by = np.argsort(k, kind="stable")
+        k, order, source = k[by], order[by], [source[i] for i in by.tolist()]
+    fh.write("".join(f"{x!r},{x * x!r},{n},{src}\n" for x, n, src in zip(k.tolist(), order.tolist(), source)))
 
 
 def save_spectrum(path: str, s: Spectrum) -> None:
@@ -169,7 +195,7 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
     The header's values go to `meta`, all but `k_max`, so that writing the
     spectrum again gives the same file; k_max defaults to the largest k."""
     meta: dict = {}
-    roots = []
+    ks, orders, sources = [], [], []
     header_seen = False
     k_max_line = ""
     for lineno, line in enumerate(fh, 1):
@@ -188,20 +214,22 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
             continue
         try:
             k, _lam, order, source = line.split(",", 3)
-            root = SpectralRoot(float(k), int(order), source)
+            k, order = float(k), int(order)
         except ValueError as exc:
             raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: {exc}") from exc
-        if not (0.0 < root.k < math.inf and root.order >= 1):
+        if not (0.0 < k < math.inf and order >= 1):
             raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: k must be finite and positive, the order at least 1")
-        roots.append(root)
-    top = max((root.k for root in roots), default=0.0)
+        ks.append(k)
+        orders.append(order)
+        sources.append(source)
+    top = max(ks, default=0.0)
     if "k_max" not in meta:
-        return Spectrum(tuple(roots), top, meta)
+        return Spectrum(ks, orders, sources, top, meta)
     k_max, tol = meta.pop("k_max"), meta.get("tol")
     slack = tol if isinstance(tol, float) else 0.0
     if not (isinstance(k_max, (int, float)) and 0.0 < k_max < math.inf and top <= k_max + slack):
         raise UnsupportedFormat(f"spectrum CSV {k_max_line}: k_max must be finite, positive and not below a row's k")
-    return Spectrum(tuple(roots), float(k_max), meta)
+    return Spectrum(ks, orders, sources, float(k_max), meta)
 
 
 def load_spectrum(path: str) -> Spectrum:

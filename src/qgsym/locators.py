@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NonUnitaryScattering, require_positive
 from .quotient import QuotientFamily
 from .scattering import SecularSystem, contracted_stacks
-from .spectra import TWO_PI, SpectralRoot, Spectrum, _chunked, _grid_cells, _k_grid, _refine_steps
+from .spectra import TWO_PI, Spectrum, _chunked, _grid_cells, _k_grid, _refine_steps
 
 K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
 PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
@@ -100,22 +100,30 @@ def find_roots_real(
         return 1.0 * (value[:, 0] >= 0.0), side, side, k - g / slope
 
     cells = (which[i], x[i], np.ones(len(i)), (fa, flat), x[i + 1], np.zeros(len(i)), (fb, flat), first)
-    jumps, calls, rounds = _refine_steps(sign_at, cells, tol, members)
+    (refined, roots, _), calls, rounds = _refine_steps(sign_at, cells, tol, members)
+    # every member's roots at the sine zeros and its simple roots of G, by member, then k, then order
     on, at = np.nonzero(orders)
-    bounds = np.searchsorted(on, np.arange(members + 1)).tolist()
-    on_zeros = list(zip(zeros[at].tolist(), orders[on, at].tolist()))
+    member = np.concatenate([on, refined])
+    roots = np.concatenate([zeros[at], roots])
+    order = np.concatenate([orders[on, at], np.ones(len(refined), dtype=np.int64)])
+    by = np.lexsort((order, roots, member))
+    member, roots, order = member[by], roots[by], order[by]
+    roots.flags.writeable = order.flags.writeable = False  # each member's spectrum holds a slice
+    bounds = np.searchsorted(member, np.arange(members + 1)).tolist()
     found = [
         Spectrum(
-            tuple(SpectralRoot(k, n, source) for k, n in sorted(on_zeros[lo:hi] + [(k, 1) for k, _ in member])),
-            k_max,
-            {"tol": tol, "evaluations": 1 + int(n), "rounds": int(r), "eigenphase_count": count, "fallback": not ok},
+            roots[lo:hi], order[lo:hi], (source,) * (hi - lo), k_max,
+            {"tol": tol, "evaluations": 1 + n, "rounds": r, "eigenphase_count": count, "fallback": not ok},
         )
-        for member, lo, hi, n, r, count, ok in zip(jumps, bounds[:-1], bounds[1:], calls, rounds, counts, certified)
+        for lo, hi, n, r, count, ok in zip(
+            bounds[:-1], bounds[1:], calls.tolist(), rounds.tolist(), counts, certified.tolist()
+        )
     ]
     short = np.flatnonzero(~certified).tolist()
     for m, exact in zip(short, systems.roots(k_max, tol=tol, source=source, members=short)):
         evaluations, rounds = (found[m].meta[key] + exact.meta[key] for key in ("evaluations", "rounds"))
-        found[m] = Spectrum(exact.roots, k_max, {**found[m].meta, "evaluations": evaluations, "rounds": rounds})
+        meta = {**found[m].meta, "evaluations": evaluations, "rounds": rounds}
+        found[m] = Spectrum(exact.k, exact.order, exact.source, k_max, meta)
     return found
 
 
@@ -204,15 +212,16 @@ def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float,
     grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in cells]
     which, ks = np.repeat(np.arange(len(grids)), [len(g) for g in grids]), np.concatenate(grids)
     step, *values = _eigenphase_steps(S, lengths, which, ks)
-    jumps, calls, rounds = _refine_steps(step, _grid_cells(which, ks, *values), tol, len(S))
+    (on, roots, size), calls, rounds = _refine_steps(step, _grid_cells(which, ks, *values), tol, len(S))
+    roots.flags.writeable = size.flags.writeable = False  # each system's spectrum holds a slice
+    bounds = np.searchsorted(on, np.arange(len(S) + 1)).tolist()
     meta = {"tol": tol, "k_min": K_MIN, "bonds": S.shape[-1]}
     return [
         Spectrum(
-            tuple(SpectralRoot(k, n, source) for k, n in member),
-            k_max,
-            {"grid_step": cell, **meta, "evaluations": len(grid) + int(n), "rounds": int(r)},
+            roots[lo:hi], size[lo:hi], (source,) * (hi - lo), k_max,
+            {"grid_step": cell, **meta, "evaluations": len(grid) + n, "rounds": r},
         )
-        for member, cell, grid, n, r in zip(jumps, cells, grids, calls, rounds)
+        for lo, hi, cell, grid, n, r in zip(bounds[:-1], bounds[1:], cells, grids, calls.tolist(), rounds.tolist())
     ]
 
 

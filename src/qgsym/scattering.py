@@ -281,11 +281,18 @@ def secular_det(sys: SecularSystem, k: complex) -> complex:
 def secular_dets(systems: Sequence[SecularSystem]):
     """det(I - S D(z)) of a family of systems of one size, as an evaluator
     `fn(which, z)` on 1-D arrays: one stacked `np.linalg.det` call.  One
-    system, such as a dense `scan`, is used as it is, not copied."""
-    S = np.stack([sys.S for sys in systems]) if len(systems) > 1 else systems[0].S[None]
+    system, such as a dense `scan`, is used as it is, not copied.  Each call
+    forms I - S D(z) in place in the one stack that `S[which]` copies."""
+    S = (np.stack([sys.S for sys in systems]) if len(systems) > 1 else systems[0].S[None]).astype(complex, copy=False)
     lengths = np.stack([sys.lengths for sys in systems])
     eye = np.eye(S.shape[-1])
-    return lambda which, z: np.linalg.det(eye - S[which] * np.exp(1j * z[:, None] * lengths[which])[:, None, :])
+
+    def dets(which: np.ndarray, z: np.ndarray) -> np.ndarray:
+        M = S[which]
+        M *= np.exp(1j * z[:, None] * lengths[which])[:, None, :]
+        return np.linalg.det(np.subtract(eye, M, out=M))
+
+    return dets
 
 
 def standard_conditions(g: MetricGraph) -> list[Standard]:

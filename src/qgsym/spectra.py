@@ -28,9 +28,13 @@ not depend on the other members of its family.
 `winding_number` counts the zeros inside one circle by the argument
 principle.
 
+A `Spectrum` is its root arrays, `k`, `order` and `source`, row i root i:
+each locator member's spectrum is a slice of its family's arrays.
 `merge_spectra` takes the union of spectra, or of copies of them under
-other sources, with one entry per root of each distinct spectrum, and
-`compare_spectra` pairs two spectra root by root.
+other sources, with one entry per root of each distinct spectrum, sorted
+in arrays; it runs Python only inside runs of entries at most `tol`
+apart, where roots coalesce.  `compare_spectra` pairs two spectra root by
+root.
 `isospectral_classes` groups the members of a family by secular function.
 """
 
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,38 +58,55 @@ PROBES = np.array([0.93 + 0.61j, 2.17 + 0.37j, 3.41 + 0.83j])  # in units of 1 /
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-class _Root(NamedTuple):
-    k: float
-    order: int
-    source: str = ""
-
-
-class SpectralRoot(_Root):
-    """A root of a spectrum: an immutable (k, order, source) tuple, with k
-    taken as a float and order as an int."""
-
-    __slots__ = ()
-
-    def __new__(cls, k: float, order: int, source: str = "") -> "SpectralRoot":
-        return tuple.__new__(cls, (float(k), int(order), source))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    roots: tuple[SpectralRoot, ...]
-    k_max: float
-    meta: dict = field(default_factory=dict, compare=False)
+    """The roots of a spectrum as three read-only arrays, row i root i: `k`
+    (float64, ascending as the locators and `merge_spectra` build it),
+    `order` (int64) and `source`, a tuple of str.  An array given that is
+    already read-only, such as a locator's slice of its family's roots, is
+    kept as it is, and any other is copied.  Equality compares the roots
+    and `k_max`, not `meta`."""
 
-    def expanded(self) -> list[float]:
-        """Roots repeated by order, sorted ascending."""
-        out = []
-        for r in self.roots:
-            out.extend([r.k] * r.order)
-        return sorted(out)
+    k: np.ndarray
+    order: np.ndarray
+    source: tuple
+    k_max: float
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        k, order, source = _read_only(self.k, np.float64), _read_only(self.order, np.int64), tuple(self.source)
+        if not (k.ndim == order.ndim == 1 and len(k) == len(order) == len(source)):
+            raise ValueError(
+                f"a spectrum has one k, order and source per root, not {len(k)}, {len(order)} and {len(source)}"
+            )
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "source", source)
+
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return (
+            self.source == other.source and self.k_max == other.k_max
+            and np.array_equal(self.k, other.k) and np.array_equal(self.order, other.order)
+        )
+
+    def expanded(self) -> np.ndarray:
+        """Each root's k repeated by its order."""
+        return np.repeat(self.k, self.order)
 
     def count(self, K: Optional[float] = None) -> int:
         K = self.k_max if K is None else K
-        return sum(r.order for r in self.roots if r.k <= K + 1e-12)
+        return int(self.order[self.k <= K + 1e-12].sum())
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """`values` as a read-only array of `dtype`: itself when it is one, else a copy."""
+    out = np.asarray(values, dtype=dtype)
+    if out.flags.writeable:
+        out = out.copy()
+        out.flags.writeable = False
+    return out
 
 
 def _chunked(fn: Evaluator, which: np.ndarray, k: np.ndarray, point_bytes: int) -> np.ndarray:
@@ -168,10 +189,10 @@ def _grid_cells(which: np.ndarray, ks: np.ndarray, levels: np.ndarray, ahead: Si
 
 def _refine_steps(
     step: Callable[[np.ndarray, np.ndarray], tuple], cells: Cells, tol: float, members: int
-) -> tuple[list[list[tuple[float, int]]], np.ndarray, np.ndarray]:
-    """Every jump of a family of integer step functions, as (k, size) per
-    member, and for each member the number of points evaluated and of rounds
-    that evaluated one of them.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Every jump of a family of integer step functions, as the arrays
+    (which, k, size) of `_jumps`, and for each member the number of points
+    evaluated and of rounds that evaluated one of them.
 
     `cells` are the brackets, each with its member, its ends' k and levels,
     and what its left end sees ahead and its right end behind, and may end
@@ -311,36 +332,39 @@ def _refine_steps(
             )
             before = np.concatenate([before, np.full((3, len(split)), np.inf)], axis=1)
             guide = guide and tuple(np.append(v, v[split]) for v in guide)
-    return _jumps(done, tol, members), calls, rounds
+    return _jumps(done, tol), calls, rounds
 
 
-def _jumps(done: list[tuple], tol: float, members: int) -> list[list[tuple[float, int]]]:
-    """The jumps of each member, ascending, from the closed brackets `done`
-    of `_refine_steps`: parts of (which, a, b, size, xa, fa, xb, fb)."""
+def _jumps(done: list[tuple], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The jumps of a family as arrays (which, k, size), by member and each
+    member's ascending, from the closed brackets `done` of `_refine_steps`:
+    parts of (which, a, b, size, xa, fa, xb, fb)."""
     if not done:
-        return [[] for _ in range(members)]
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64)
     which, a, b, size, xa, fa, xb, fb = (np.concatenate(parts) for parts in zip(*done))
     order = np.lexsort((a, which))
     which, a, b, size, xa, fa, xb, fb = (v[order] for v in (which, a, b, size, xa, fa, xb, fb))
     chord = (fa <= 0.0) & (0.0 <= fb) & (fa < fb)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.where(chord, np.minimum(np.maximum(xa - fa * (xb - xa) / (fb - fa), a), b), 0.5 * (a + b))
-    bounds = np.searchsorted(which, np.arange(members + 1)).tolist()
-    ks, sizes = k.tolist(), size.astype(int).tolist()
-    out = [list(zip(ks[lo:hi], sizes[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    size = size.astype(np.int64)
     # only a member with consecutive jumps of one direction closer than tol can merge them
     near = (which[1:] == which[:-1]) & (size[1:] * size[:-1] > 0) & (a[1:] - b[:-1] < tol)
-    for w in dict.fromkeys(which[1:][near].tolist()):
+    parts, kept = [], 0
+    for w in np.unique(which[1:][near]).tolist():
+        lo, hi = np.searchsorted(which, [w, w + 1]).tolist()
         brackets: list[list] = []  # [a, b, size, k]
-        lo, hi = bounds[w], bounds[w + 1]
-        for a_, b_, n, k_ in zip(a[lo:hi].tolist(), b[lo:hi].tolist(), sizes[lo:hi], ks[lo:hi]):
+        for a_, b_, n, k_ in zip(a[lo:hi].tolist(), b[lo:hi].tolist(), size[lo:hi].tolist(), k[lo:hi].tolist()):
             if brackets and brackets[-1][2] * n > 0 and (b_ - brackets[-1][0] < tol or k_ - brackets[-1][3] < tol):
                 first = brackets[-1][0]
                 brackets[-1] = [first, b_, brackets[-1][2] + n, 0.5 * (first + b_)]
             else:
                 brackets.append([a_, b_, n, k_])
-        out[w] = [(k_, n) for _, _, n, k_ in brackets]
-    return out
+        parts.append((which[kept:lo], k[kept:lo], size[kept:lo]))
+        parts.append(([w] * len(brackets), [k_ for *_, k_ in brackets], [n for _, _, n, _ in brackets]))
+        kept = hi
+    parts.append((which[kept:], k[kept:], size[kept:]))
+    return tuple(np.concatenate(v) for v in zip(*parts))
 
 
 def merge_spectra(
@@ -359,34 +383,67 @@ def merge_spectra(
     spectra's first copies.  A coalesced root names the source of each copy
     once, in rank order, so the list does not depend on how its roots fall
     within `tol`.
+
+    The entries are sorted in arrays, and each entry joins the last row
+    while it lies within `tol` of the row's running weighted mean.  That
+    mean lies at or, by rounding, a few ulps above the row's last k, so
+    only entries within `tol` of the entry before them, and the entry after
+    a row of more than one, are merged in Python.
     """
     copies = [(i, None) for i in range(len(spectra))] if copies is None else copies
     held: dict[int, list] = {}  # the (rank, source) of each copy of each spectrum, by rank
     for rank, (i, src) in enumerate(copies):
         held.setdefault(i, []).append((rank, src))
-    # one entry per root of each spectrum copied, weighted by its copies, ranked by its first copy
-    entries = sorted((r.k, ranks[0][0], j, i, r) for i, ranks in held.items() for j, r in enumerate(spectra[i].roots))
-    merged: list[list] = []  # [k, order, [(i, root), ...]]
-    for k, _, _, i, root in entries:
-        order = root.order * len(held[i])
-        if merged and k - merged[-1][0] <= tol:
-            last = merged[-1]
-            w = last[1] + order
-            last[0], last[1] = (last[0] * last[1] + k * order) / w, w
-            last[2].append((i, root))
-        else:
-            merged.append([k, order, [(i, root)]])
-    # the sources of the copies of one spectrum, where every copy names its own
-    named = {i: _joined(ranks) for i, ranks in held.items() if all(src is not None for _, src in ranks)}
+    keys = list(held)  # in the rank order of their first copies
+    sizes = [len(spectra[i].k) for i in keys]
+    # one entry per root of each spectrum copied, weighted by its copies: a stable sort by k keeps entries of
+    # equal k in the rank order of their spectra's first copies, and each spectrum's in its own order
+    k = np.concatenate([np.zeros(0), *(spectra[i].k for i in keys)])
+    by = np.argsort(k, kind="stable")
+    k = k[by]
+    part = np.repeat(np.arange(len(keys)), sizes)[by]  # the place in `keys` of each entry's spectrum
+    order = np.concatenate([np.zeros(0, np.int64), *(spectra[i].order for i in keys)])[by]
+    order *= np.array([len(held[i]) for i in keys], dtype=np.int64)[part]
 
-    def sources(parts: list) -> str:
-        if len(parts) == 1 and parts[0][0] in named:
-            return named[parts[0][0]]
-        pairs = [(rank, root.source if src is None else src) for i, root in parts for rank, src in held[i]]
-        return _joined(sorted(pairs, key=itemgetter(0)))
+    joins = np.diff(k) <= tol  # entry p + 1 lies within tol of entry p
+    first = np.ones(len(k), dtype=bool)  # the first entry of each row
+    first[1:] = ~joins
+    means = {}  # the k of each row of more than one entry, by its first entry
+    end = 0
+    for i in np.flatnonzero(joins).tolist():
+        if i < end:
+            continue
+        head, mean, weight, end = i, float(k[i]), int(order[i]), i + 1  # entry i opens a row
+        while end < len(k):
+            x, n = float(k[end]), int(order[end])
+            if x - mean <= tol:
+                mean, weight = (mean * weight + x * n) / (weight + n), weight + n
+                means[head] = mean
+                first[end] = False
+            elif joins[end - 1]:
+                head, mean, weight = end, x, n
+                first[end] = True
+            else:
+                break
+            end += 1
 
-    out = tuple(SpectralRoot(k, order, sources(parts)) for k, order, parts in merged)
-    return Spectrum(out, max((s.k_max for s in spectra), default=0.0), {"tol": tol})
+    starts = np.flatnonzero(first)
+    stops = np.append(starts[1:], len(k))
+    k, order = k[starts], np.add.reduceat(order, starts)
+    k[np.searchsorted(starts, list(means))] = list(means.values())
+    # a row of one root of a spectrum whose every copy names a source takes their sources, joined once
+    named = np.array([all(src is not None for _, src in held[i]) for i in keys], dtype=bool)
+    source = np.array([_joined(held[i]) if n else "" for i, n in zip(keys, named)], dtype=object)[part[starts]]
+    offsets = np.cumsum([0, *sizes]).tolist()
+    rows = np.flatnonzero((stops - starts > 1) | ~named[part[starts]])
+    for row, lo, hi in zip(rows.tolist(), starts[rows].tolist(), stops[rows].tolist()):
+        pairs = [
+            (rank, spectra[keys[at]].source[j - offsets[at]] if src is None else src)
+            for at, j in zip(part[lo:hi].tolist(), by[lo:hi].tolist())
+            for rank, src in held[keys[at]]
+        ]
+        source[row] = _joined(sorted(pairs, key=itemgetter(0)))
+    return Spectrum(k, order, source.tolist(), max((s.k_max for s in spectra), default=0.0), {"tol": tol})
 
 
 def _joined(sources: list[tuple[int, str]]) -> str:
@@ -406,7 +463,7 @@ class SpectrumComparison:
 
 def compare_spectra(a: Spectrum, b: Spectrum, tol: float) -> SpectrumComparison:
     """Greedy sorted pairing of the order-expanded root multisets."""
-    xs, ys = list(a.expanded()), list(b.expanded())
+    xs, ys = np.sort(a.expanded()).tolist(), np.sort(b.expanded()).tolist()
     i = j = 0
     max_dist = 0.0
     un_a, un_b = [], []

@@ -41,7 +41,7 @@ from qgsym.io import (
     write_spectrum_csv,
 )
 from qgsym.scattering import secular_det
-from qgsym.spectra import MAX_BATCH_BYTES, SpectralRoot, Spectrum, _k_grid
+from qgsym.spectra import MAX_BATCH_BYTES, Spectrum, _k_grid
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -73,18 +73,14 @@ def test_graph_doc_with_quasiperiodic_conditions():
 
 
 def test_spectrum_csv_roundtrip_exact(tmp_path):
-    s = Spectrum(
-        (SpectralRoot(math.pi, 2, "full"), SpectralRoot(1.234567890123456789, 1, "(0,1)")),
-        10.0,
-        {"grid_step": 0.05},
-    )
+    s = Spectrum([math.pi, 1.234567890123456789], [2, 1], ["full", "(0,1)"], 10.0, {"grid_step": 0.05})
     path = str(tmp_path / "s.csv")
     save_spectrum(path, s)
     s2 = load_spectrum(path)
     assert s2.k_max == s.k_max
-    assert [(r.k, r.order, r.source) for r in s2.roots] == [
-        (r.k, r.order, r.source) for r in sorted(s.roots, key=lambda r: r.k)
-    ]
+    by = np.argsort(s.k, kind="stable")
+    assert s2.k.tolist() == s.k[by].tolist() and s2.order.tolist() == s.order[by].tolist()
+    assert s2.source == tuple(s.source[i] for i in by)
 
 
 _ORDERS, _LENGTHS = st.integers(1, 6), st.floats(0.05, 2.0)
@@ -180,7 +176,8 @@ def test_spectrum_csv_round_trips(n1, n2, l1, l3):
         s2 = load_spectrum(again)
         rows = [[line for line in open(path) if not line.startswith("#")] for path in (out, again)]
     assert rows[0] == rows[1]
-    assert s2 == s and s2.roots == s.roots and s2.k_max == s.k_max == 3.0
+    assert s2 == s and s2.k.tolist() == s.k.tolist() and s2.order.tolist() == s.order.tolist()
+    assert s2.source == s.source and s2.k_max == s.k_max == 3.0
     assert s.count() == int(s.meta["root_count"]) == int(s.meta["eigenphase_count"])
     assert s2.meta.keys() == s.meta.keys()
 
@@ -208,7 +205,7 @@ def test_spectrum_csv_saves_back_byte_identical(tmp_path):
 
 
 def test_spectrum_csv_contains_lambda_column():
-    s = Spectrum((SpectralRoot(2.0, 1, "x"),), 5.0)
+    s = Spectrum([2.0], [1], ["x"], 5.0)
     buf = _io.StringIO()
     write_spectrum_csv(buf, s)
     text = buf.getvalue()
@@ -228,7 +225,7 @@ def test_cli_build_and_spectrum(tmp_path):
     assert res.exit_code == 0, res.output
     s = load_spectrum(spath)
     want = [2 * math.pi / 3, 4 * math.pi / 3, 2 * math.pi]
-    assert [round(r.k, 6) for r in s.roots] == [round(w, 6) for w in want]
+    assert [round(k, 6) for k in s.k.tolist()] == [round(w, 6) for w in want]
 
 
 @pytest.mark.parametrize("action", [None, {"orders": [2], "generators": [
@@ -244,7 +241,7 @@ def test_cli_spectrum_of_a_graph_with_no_edges(tmp_path, action):
     res = CliRunner().invoke(main, ["spectrum", gpath, "-o", spath])
     assert res.exit_code == 0, res.output
     s = load_spectrum(spath)
-    assert s.roots == () and s.meta["root_count"] == s.meta["eigenphase_count"] == 0
+    assert len(s.k) == len(s.order) == len(s.source) == 0 and s.meta["root_count"] == s.meta["eigenphase_count"] == 0
     assert s.meta["blocks"] == (1 if action is None else 2)
     res = CliRunner().invoke(main, ["scan", gpath, "--kmax", "0.05", "-o", scan])
     assert res.exit_code == 0, res.output
@@ -267,9 +264,7 @@ def test_cli_factors_and_compare(tmp_path):
     assert "isospectral" in res.output.lower()
 
     # and not to a shifted copy
-    shifted = Spectrum(
-        tuple(SpectralRoot(r.k + 0.5, r.order, r.source) for r in s.roots), s.k_max
-    )
+    shifted = Spectrum(s.k + 0.5, s.order, s.source, s.k_max)
     spath = str(tmp_path / "shifted.csv")
     save_spectrum(spath, shifted)
     res = runner.invoke(main, ["compare", fpath, spath])
@@ -319,10 +314,10 @@ def test_cli_block_and_dense_paths_agree(tmp_path):
     assert res.exit_code == 0, res.output
     assert spectra["blocks"].count() == spectra["dense"].count() > 0
     labels = {f"({s},{t})" for s in range(2) for t in range(3)}
-    for r in spectra["blocks"].roots:  # merged roots join their labels with commas
-        assert re.fullmatch(r"\(\d,\d\)(,\(\d,\d\))*", r.source), r.source
-        assert set(re.findall(r"\(\d,\d\)", r.source)) <= labels
-    assert {r.source for r in spectra["dense"].roots} == {"full"}
+    for source in spectra["blocks"].source:  # merged roots join their labels with commas
+        assert re.fullmatch(r"\(\d,\d\)(,\(\d,\d\))*", source), source
+        assert set(re.findall(r"\(\d,\d\)", source)) <= labels
+    assert set(spectra["dense"].source) == {"full"}
     for name, blocks_count in (("blocks", 6), ("dense", 1)):
         meta = spectra[name].meta
         assert {"grid_step", "tol", "k_min"} <= set(meta) and meta["blocks"] == blocks_count
@@ -347,7 +342,7 @@ def test_cli_factors_drop_roots_above_kmax(tmp_path):
     for args in steps:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, (args[0], res.output)
-    assert max(r.k for r in load_spectrum(parts).roots) <= 2.0935
+    assert load_spectrum(parts).k.max() <= 2.0935
 
 
 def _spectrum_of_doc(tmp_path, doc):
@@ -594,13 +589,23 @@ def test_cli_rejects_an_action_order_below_one(tmp_path, command, order):
 
 @pytest.mark.parametrize("damage", [
     "not-json", "no-vertices", "no-edges", "not-an-object", "float-edge-id", "fractional-endpoint",
-    "duplicate-edge-id",
+    "duplicate-edge-id", "fractional-vertex-perm", "string-edge-perm", "fractional-order", "non-boolean-flip",
+    "float-condition-vertex", "float-condition-edges",
 ])
 def test_cli_rejects_malformed_documents(tmp_path, damage):
-    # ids and endpoints are JSON integers, and the edge ids a permutation of
-    # 0..m-1: `"id": 0.0` is no id, and `"u": 1.5` is not read as vertex 1
-    g, a = cycle_graph(3, 1.0)
-    doc = graph_to_doc(g, action=a)
+    # ids, endpoints, the action's orders and permutations, and the vertex
+    # and edges of a condition are JSON integers, the action's flips JSON
+    # booleans, and the edge ids a permutation of 0..m-1: `"id": 0.0` is no
+    # id, `"u": 1.5` is not read as vertex 1, and `"vertex": 1.0` on a
+    # quasi-periodic condition once ended in an IndexError traceback
+    if "condition" in damage:
+        g, conds = quotient_graph(QuotientSpec(3, 4, 0.5, 1.0, 1, 2))
+        doc = graph_to_doc(g, conds)
+        qp = next(c for c in doc["conditions"] if c["type"] == "quasi_periodic")
+    else:
+        g, a = cycle_graph(3, 1.0)
+        doc = graph_to_doc(g, action=a)
+        gm = doc["action"]["generators"][0]
     kind = DanglingEndpoint if damage == "duplicate-edge-id" else UnsupportedFormat
     gpath = str(tmp_path / "g.json")
     with open(gpath, "w") as fh:
@@ -615,6 +620,18 @@ def test_cli_rejects_malformed_documents(tmp_path, damage):
                 doc["edges"][1]["u"] = 1.5
             elif damage == "duplicate-edge-id":
                 doc["edges"][1]["id"] = 0
+            elif damage == "fractional-vertex-perm":
+                gm["vertex_perm"] = [1.5, 2, 0]
+            elif damage == "string-edge-perm":
+                gm["edge_perm"] = ["1", 2, 0]
+            elif damage == "fractional-order":
+                doc["action"]["orders"] = [3.9]
+            elif damage == "non-boolean-flip":
+                gm["edge_flip"] = ["", 0, None]
+            elif damage == "float-condition-vertex":
+                qp["vertex"] = float(qp["vertex"])
+            elif damage == "float-condition-edges":
+                qp["edges"] = [float(e) for e in qp["edges"]]
             else:
                 del doc[damage[3:]]
             json.dump(doc, fh)
@@ -758,7 +775,7 @@ def test_cli_compare_rejects_unusable_csv_rows(tmp_path, content):
     path, good = str(tmp_path / "bad.csv"), str(tmp_path / "good.csv")
     with open(path, "wb") as fh:
         fh.write(content)
-    save_spectrum(good, Spectrum((SpectralRoot(1.0, 1, "(0,0)"),), 5.0))
+    save_spectrum(good, Spectrum([1.0], [1], ["(0,0)"], 5.0))
     with pytest.raises(UnsupportedFormat, match="line"):
         load_spectrum(path)
     for pair in ([path, good], [good, path]):
@@ -768,7 +785,7 @@ def test_cli_compare_rejects_unusable_csv_rows(tmp_path, content):
 def test_spectrum_csv_keeps_a_root_within_its_tol_above_k_max(tmp_path):
     # the real locator keeps a root up to its tolerance above k_max
     path = str(tmp_path / "s.csv")
-    s = Spectrum((SpectralRoot(5.0 + 5e-11, 1, "(0,0)"),), 5.0, {"tol": 1e-10})
+    s = Spectrum([5.0 + 5e-11], [1], ["(0,0)"], 5.0, {"tol": 1e-10})
     save_spectrum(path, s)
     assert load_spectrum(path) == s
 
@@ -776,7 +793,7 @@ def test_spectrum_csv_keeps_a_root_within_its_tol_above_k_max(tmp_path):
 def test_spectrum_csv_without_k_max_takes_its_largest_k():
     # the last row's k used to stand in, below the first row here
     s = read_spectrum_csv(_io.StringIO("k,lambda,order,source_label\n2.0,4.0,1,a\n1.0,1.0,1,b\n"))
-    assert s.k_max == 2.0 and [r.k for r in s.roots] == [2.0, 1.0]
+    assert s.k_max == 2.0 and s.k.tolist() == [2.0, 1.0]
 
 
 def test_cli_compare_counts_roots_over_each_files_whole_k_max(tmp_path):
@@ -806,8 +823,8 @@ def _factors_and_spectrum(tmp_path, flags, kmax):
         assert res.exit_code == 0, res.output
     want, got = load_spectrum(full), load_spectrum(parts)
     assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == want.count()
-    assert [r.order for r in got.roots] == [r.order for r in want.roots]
-    assert max((abs(a.k - b.k) for a, b in zip(got.roots, want.roots)), default=0.0) <= 1e-9
+    assert got.order.tolist() == want.order.tolist()
+    assert np.abs(got.k - want.k).max(initial=0.0) <= 1e-9
     return got, want
 
 
@@ -815,7 +832,7 @@ def test_cli_factors_rejects_kmax_below_grid(tmp_path):
     # a k_max of 0.001, once below the real locator's grid step and refused,
     # is below every pole: each factor's one bracket ends at k_max
     got, want = _factors_and_spectrum(tmp_path, TORUS, "0.001")
-    assert got.roots == want.roots == () and int(got.meta["fallbacks"]) == 0
+    assert len(got.k) == len(want.k) == 0 and int(got.meta["fallbacks"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -852,7 +869,8 @@ def _losing_a_root(locate):
 
     def lossy(*args, **kwargs):
         found = locate(*args, **kwargs)
-        found[0] = Spectrum(found[0].roots[1:], found[0].k_max, found[0].meta)
+        s = found[0]
+        found[0] = Spectrum(s.k[1:], s.order[1:], s.source[1:], s.k_max, s.meta)
         return found
 
     return lossy

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qgsym import (
     vertex_scattering_standard,
 )
 from qgsym.errors import MissingCondition, NonUnitPhase, UnsupportedCondition, ZeroDegree
+from qgsym.scattering import SecularSystem, secular_dets
 
 
 def _unitary(M):
@@ -175,3 +177,30 @@ def test_stacked_assembly_refuses_a_bad_set():
         build_secular_systems(g, [good, [*good, Standard(3)]])
     with pytest.raises(UnsupportedCondition, match="quasi-periodic vertex 0"):
         build_secular_systems(g, [good, [QuasiPeriodic(0, 1.0, (0, 0)), Standard(1), Standard(2)]])
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_secular_dets_form_the_matrices_in_the_one_stack_they_copy(members):
+    # the determinants are those of I - S[which] * D(z) bit for bit, no
+    # system's S changes (one system is used as it is, not copied), and a
+    # call holds one stack of matrices at its peak, not two
+    rng = np.random.default_rng(11)
+    n, points = 128, 32
+    systems = [
+        SecularSystem(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), rng.uniform(0.5, 1.5, n))
+        for _ in range(members)
+    ]
+    kept = [sys_.S.copy() for sys_ in systems]
+    which, z = rng.integers(0, members, points), rng.uniform(0.0, 10.0, points) + 0.1j
+    S, lengths = np.stack([sys_.S for sys_ in systems]), np.stack([sys_.lengths for sys_ in systems])
+    want = np.linalg.det(np.eye(n) - S[which] * np.exp(1j * z[:, None] * lengths[which])[:, None, :])
+    dets = secular_dets(systems)
+    assert dets(which, z).tobytes() == want.tobytes()
+    assert all(np.array_equal(sys_.S, S0) for sys_, S0 in zip(systems, kept))
+    tracemalloc.start()
+    try:
+        dets(which, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * points * n * n * 16

@@ -24,7 +24,6 @@ from qgsym import (
 )
 from qgsym.errors import NonUnitaryScattering, QgsymError
 from qgsym.quotient import QuotientSpec
-from qgsym.spectra import SpectralRoot
 
 
 def _real(specs, k_max, tol=1e-10):
@@ -47,10 +46,9 @@ def test_find_roots_real_simple_sine():
     ks = np.linspace(0.0, 10.0, 101)
     assert np.allclose(QuotientFamily([_sine()]).dispersion_real(0, ks), np.sin(ks), rtol=0, atol=1e-15)
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (3, False)
-    assert len(s.roots) == 3
-    for r, w in zip(s.roots, want):
-        assert r.k == pytest.approx(w, abs=1e-9)
-        assert r.order == 1
+    assert len(s.k) == 3
+    assert s.k.tolist() == pytest.approx(want, abs=1e-9)
+    assert s.order.tolist() == [1, 1, 1]
 
 
 def test_find_roots_real_touching_root():
@@ -63,9 +61,9 @@ def test_find_roots_real_touching_root():
     (s,) = _real([spec], 5.0)
     exact = find_roots_unitary(quotient_system(spec), 5.0)
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (6, False)
-    assert [r.order for r in s.roots] == [r.order for r in exact.roots]
-    assert [r.k for r in s.roots if r.order == 2] == pytest.approx([2 * math.pi / 3, 4 * math.pi / 3], abs=1e-12)
-    assert max(abs(a.k - b.k) for a, b in zip(s.roots, exact.roots)) <= 1e-9
+    assert s.order.tolist() == exact.order.tolist()
+    assert s.k[s.order == 2].tolist() == pytest.approx([2 * math.pi / 3, 4 * math.pi / 3], abs=1e-12)
+    assert np.abs(s.k - exact.k).max() <= 1e-9
 
 
 @pytest.mark.parametrize("l1", [0.25, 0.5])
@@ -78,13 +76,13 @@ def test_multiple_roots_of_quotient_factors_are_certified(l1):
     specs = all_quotient_specs(3, 4, l1, 1.0)
     for spec, s in zip(specs, _real(specs, 10.0)):
         want = find_roots_unitary(quotient_system(spec), 10.0, source="")
-        assert [r.order for r in s.roots] == [r.order for r in want.roots]
-        assert max((abs(a.k - b.k) for a, b in zip(s.roots, want.roots)), default=0.0) <= 1e-9
-        multiple = [r.k for r in s.roots if r.order >= 2]
+        assert s.order.tolist() == want.order.tolist()
+        assert np.abs(s.k - want.k).max(initial=0.0) <= 1e-9
+        multiple = s.k[s.order >= 2].tolist()
         assert not s.meta["fallback"] and s.count() == s.meta["eigenphase_count"]
         for k in multiple:
             assert abs(k - round(k / math.pi) * math.pi) < 1e-11
-        orders.update(r.order for r in s.roots)
+        orders.update(s.order.tolist())
     assert orders == ({1, 2, 3} if l1 == 0.25 else {1, 3})
 
 
@@ -98,10 +96,9 @@ def test_find_roots_unitary_cycle():
     sys = build_secular_system(g, standard_conditions(g))
     s = find_roots_unitary(sys, 15.0)
     want = [2 * math.pi * m / 3 for m in range(1, 8)]
-    assert len(s.roots) == 7
-    for r, w in zip(s.roots, want):
-        assert r.k == pytest.approx(w, abs=1e-9)
-        assert r.order == 2
+    assert len(s.k) == 7
+    assert s.k.tolist() == pytest.approx(want, abs=1e-9)
+    assert s.order.tolist() == [2] * 7
 
 
 def test_find_roots_unitary_rejects_non_unitary_system():
@@ -113,18 +110,18 @@ def test_find_roots_unitary_rejects_non_unitary_system():
 
 
 def test_spectrum_bookkeeping():
-    s = Spectrum((SpectralRoot(1.0, 2, "a"), SpectralRoot(2.0, 1, "b")), 5.0)
+    s = Spectrum([1.0, 2.0], [2, 1], ["a", "b"], 5.0)
     assert s.count() == 3
-    assert s.expanded() == [1.0, 1.0, 2.0]
+    assert s.expanded().tolist() == [1.0, 1.0, 2.0]
 
 
 def test_merge_spectra_coalesces_nearby_roots():
-    a = Spectrum((SpectralRoot(1.0, 1, "a"), SpectralRoot(3.0, 1, "a")), 5.0)
-    b = Spectrum((SpectralRoot(1.0 + 4e-8, 1, "b"), SpectralRoot(4.0, 2, "b")), 5.0)
+    a = Spectrum([1.0, 3.0], [1, 1], ["a", "a"], 5.0)
+    b = Spectrum([1.0 + 4e-8, 4.0], [1, 2], ["b", "b"], 5.0)
     m = merge_spectra([a, b], tol=1e-7)
-    assert [r.order for r in m.roots] == [2, 1, 2]
-    assert m.roots[0].k == pytest.approx(1.0 + 2e-8, abs=1e-9)
-    assert "a" in m.roots[0].source and "b" in m.roots[0].source
+    assert m.order.tolist() == [2, 1, 2]
+    assert m.k[0] == pytest.approx(1.0 + 2e-8, abs=1e-9)
+    assert "a" in m.source[0] and "b" in m.source[0]
 
 
 _ROOTS = st.lists(
@@ -147,41 +144,145 @@ def test_merging_copies_equals_merging_each_copy_built(parts, copies):
     # every copy built as a spectrum of its own and merged once each is the
     # reference: the same rows, orders and sources, and k within 4 ulp
     spectra = [
-        Spectrum(tuple(SpectralRoot(0.01 * j + d, order, src) for j, d, order, src in sorted(roots)), 1.0)
-        for roots in parts
+        Spectrum([0.01 * j + d for j, d, _, _ in rows], [n for *_, n, _ in rows], [src for *_, src in rows], 1.0)
+        for rows in map(sorted, parts)
     ]
     copies = [(i % len(spectra), src) for i, src in copies]
     built = [
-        Spectrum(tuple(SpectralRoot(r.k, r.order, r.source if src is None else src) for r in spectra[i].roots), 1.0)
+        Spectrum(spectra[i].k, spectra[i].order, spectra[i].source if src is None else [src] * len(spectra[i].k), 1.0)
         for i, src in copies
     ]
     got, want = merge_spectra(spectra, tol=1e-7, copies=copies), merge_spectra(built, tol=1e-7)
-    assert [(r.order, r.source) for r in got.roots] == [(r.order, r.source) for r in want.roots]
-    assert all(abs(g.k - w.k) <= 4 * math.ulp(w.k) for g, w in zip(got.roots, want.roots))
+    assert got.order.tolist() == want.order.tolist() and got.source == want.source
+    assert all(abs(g - w) <= 4 * math.ulp(w) for g, w in zip(got.k.tolist(), want.k.tolist()))
 
 
-def test_spectral_root_is_an_immutable_tuple_of_float_int_and_source():
-    r = SpectralRoot(np.float64(1.5), np.int64(2), "a")
-    assert type(r.k) is float and type(r.order) is int
-    assert r == SpectralRoot(k=1.5, order=2.0, source="a")
-    assert hash(r) == hash(SpectralRoot(1.5, 2, "a"))
-    assert r != SpectralRoot(1.5, 2, "b") and r != SpectralRoot(1.5, 3, "a")
-    assert repr(r) == "SpectralRoot(k=1.5, order=2, source='a')"
-    assert SpectralRoot(1, 1).source == "" and type(SpectralRoot(1, 1).k) is float
+def _merge_by_entry(spectra, tol, copies=None):
+    """`merge_spectra` one entry at a time in Python, as it was before it
+    sorted arrays: the reference for its rows, as (k, order, source), and
+    its k_max."""
+    copies = [(i, None) for i in range(len(spectra))] if copies is None else copies
+    held = {}
+    for rank, (i, src) in enumerate(copies):
+        held.setdefault(i, []).append((rank, src))
+    entries = sorted(
+        (k, ranks[0][0], j, i, (k, n, src))
+        for i, ranks in held.items()
+        for j, (k, n, src) in enumerate(zip(spectra[i].k.tolist(), spectra[i].order.tolist(), spectra[i].source))
+    )
+    merged = []
+    for k, _, _, i, root in entries:
+        order = root[1] * len(held[i])
+        if merged and k - merged[-1][0] <= tol:
+            last = merged[-1]
+            w = last[1] + order
+            last[0], last[1] = (last[0] * last[1] + k * order) / w, w
+            last[2].append((i, root))
+        else:
+            merged.append([k, order, [(i, root)]])
+
+    def joined(pairs):
+        return ",".join(dict.fromkeys(src for _, src in pairs if src))
+
+    named = {i: joined(ranks) for i, ranks in held.items() if all(src is not None for _, src in ranks)}
+
+    def sources(parts):
+        if len(parts) == 1 and parts[0][0] in named:
+            return named[parts[0][0]]
+        pairs = [(rank, root[2] if src is None else src) for i, root in parts for rank, src in held[i]]
+        return joined(sorted(pairs, key=lambda pair: pair[0]))
+
+    return [(k, order, sources(parts)) for k, order, parts in merged], max((s.k_max for s in spectra), default=0.0)
+
+
+def _assert_merge_is_the_reference(spectra, tol, copies=None):
+    got = merge_spectra(spectra, tol=tol, copies=copies)
+    rows, k_max = _merge_by_entry(spectra, tol, copies)
+    assert got.k.tobytes() == np.array([k for k, _, _ in rows], dtype=float).tobytes()  # the same bits
+    assert (got.order.tolist(), got.source, got.k_max) == ([n for _, n, _ in rows], tuple(s for *_, s in rows), k_max)
+
+
+# steps between consecutive roots of a spectrum, in units of tol: ties, chains
+# of steps under tol that are longer than tol in all, and steps just past tol
+_STEPS = st.sampled_from([0.0, 0.0, 0.3, 0.45, 0.7, 0.99, 1.0, 1.01, 2.5, 40.0])
+_SPECTRUM = st.lists(
+    st.tuples(_STEPS, st.integers(-2, 2), st.integers(1, 3), st.sampled_from(["", "a", "b", "c"])), max_size=7
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(_SPECTRUM, min_size=1, max_size=4),
+    starts=st.lists(st.sampled_from([0.1, 0.1, 1.0, 3.7]), min_size=4, max_size=4),
+    copies=st.one_of(
+        st.none(),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([None, None, "", "x", "y"])), max_size=8),
+    ),
+)
+def test_merge_equals_the_entry_by_entry_merge_bit_for_bit(parts, starts, copies):
+    # each root is the last one plus a step of the spectrum's start, nudged
+    # by a few ulps, so that roots of different spectra tie, chain and fall
+    # just either side of tol; some spectra are empty, and a copy's source
+    # may be None or empty, or repeat a spectrum
+    tol, spectra = 1e-7, []
+    for rows, start in zip(parts, starts):
+        k, ks = start, []
+        for step, ulps, _, _ in rows:
+            k += step * tol
+            for _ in range(abs(ulps)):
+                k = math.nextafter(k, math.copysign(math.inf, ulps))
+            ks.append(k)
+        ks.sort()
+        spectra.append(Spectrum(ks, [n for *_, n, _ in rows], [src for *_, src in rows], 1.0 + len(rows)))
+    copies = None if copies is None else [(i % len(spectra), src) for i, src in copies]
+    _assert_merge_is_the_reference(spectra, tol, copies)
+
+
+def test_merge_follows_a_mean_rounded_above_the_rows_last_k():
+    # (0.1 * 1 + 0.1 * 2) / 3 rounds to 0.10000000000000002, so a root more
+    # than tol above 0.1, but within tol of that mean, joins its row
+    tol, a = 1e-7, 0.1
+    c = a + tol
+    while c - a <= tol:
+        c = math.nextafter(c, math.inf)
+    spectra = [Spectrum([a], [1], ["a"], 1.0), Spectrum([a], [2], ["b"], 1.0), Spectrum([c], [1], ["c"], 1.0)]
+    assert len(merge_spectra(spectra, tol=tol).k) == 1
+    _assert_merge_is_the_reference(spectra, tol)
+    _assert_merge_is_the_reference(spectra, tol, [(2, "z"), (0, None), (1, "y"), (0, "")])
+
+
+def test_merge_of_no_roots():
+    empty = Spectrum([], [], [], 2.0)
+    for spectra, copies in (([], None), ([empty], None), ([empty, empty], [(1, "x"), (1, None)]), ([empty], [])):
+        _assert_merge_is_the_reference(spectra, 1e-7, copies)
+    assert merge_spectra([empty, Spectrum([1.0], [1], ["a"], 3.0)], copies=[(0, "x")]).k_max == 3.0
+
+
+def test_spectrum_roots_are_read_only_arrays_of_float_int_and_source():
+    k, order = np.array([1.5]), np.array([2])
+    s = Spectrum(k, order, ["a"], 5.0, {"tol": 1e-7})
+    assert s.k.dtype == np.float64 and s.order.dtype == np.int64 and s.source == ("a",)
+    assert s == Spectrum(k=[1.5], order=[2.0], source=("a",), k_max=5.0)  # meta is not compared
+    assert s != Spectrum([1.5], [2], ["b"], 5.0) and s != Spectrum([1.5], [3], ["a"], 5.0)
+    assert s != Spectrum([1.5], [2], ["a"], 6.0)
+    assert Spectrum([1], [1], [""], 1.0).k.dtype == np.float64
+    k[0], order[0] = 2.0, 3  # the spectrum holds copies
+    assert (s.k.tolist(), s.order.tolist()) == ([1.5], [2])
+    with pytest.raises(ValueError):
+        s.k[0] = 2.0
     with pytest.raises(AttributeError):
-        r.k = 2.0
+        s.k = np.array([2.0])
+    with pytest.raises(ValueError):
+        Spectrum([1.0, 2.0], [1], ["a", "b"], 5.0)
 
 
 def test_compare_spectra_matching_and_mismatch():
-    a = Spectrum((SpectralRoot(1.0, 2, ""), SpectralRoot(2.0, 1, "")), 5.0)
-    b = Spectrum(
-        (SpectralRoot(1.0 + 1e-9, 1, ""), SpectralRoot(1.0 - 1e-9, 1, ""), SpectralRoot(2.0, 1, "")),
-        5.0,
-    )
+    a = Spectrum([1.0, 2.0], [2, 1], ["", ""], 5.0)
+    b = Spectrum([1.0 + 1e-9, 1.0 - 1e-9, 2.0], [1, 1, 1], ["", "", ""], 5.0)
     res = compare_spectra(a, b, tol=1e-6)
     assert res.isospectral
     assert res.max_distance < 1e-8
-    bad = Spectrum((SpectralRoot(1.0, 2, ""), SpectralRoot(2.5, 1, "")), 5.0)
+    bad = Spectrum([1.0, 2.5], [2, 1], ["", ""], 5.0)
     res2 = compare_spectra(a, bad, tol=1e-6)
     assert not res2.isospectral
     assert 2.0 in res2.unmatched_a and 2.5 in res2.unmatched_b
@@ -207,8 +308,8 @@ def test_a_sign_change_past_kmax_is_off_the_grid(k_max):
     (s,) = find_roots_real(family, UnitaryFamily([quotient_system(_sine())]), k_max)
     assert calls[0].tolist() == [k_max] and s.meta["evaluations"] == sum(map(len, calls))
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, False)
-    assert [r.order for r in s.roots] == [1]
-    assert s.roots[0].k == pytest.approx(math.pi, abs=1e-10)
+    assert s.order.tolist() == [1]
+    assert s.k[0] == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_roots_exclude_zero_and_respect_kmax():
@@ -225,9 +326,9 @@ def test_roots_exclude_zero_and_respect_kmax():
     ]:
         (s,) = _real([_sine()], k_max)
         assert s.meta["fallback"] == fallback
-        assert all(r.k > 0 for r in s.roots)
-        assert all(r.k <= k_max for r in s.roots)
-        assert [r.k for r in s.roots] == pytest.approx(want, rel=0, abs=1e-9)
+        assert all(s.k > 0)
+        assert all(s.k <= k_max)
+        assert s.k.tolist() == pytest.approx(want, rel=0, abs=1e-9)
 
 
 def test_real_and_unitary_locators_agree_on_quotient_factors():
@@ -265,5 +366,5 @@ def test_root_on_an_end_of_the_grid(root, k_max, dirichlet_neumann):
     system = dirichlet_neumann(math.pi / (2 * root))
     s = find_roots_unitary(system, k_max)
     assert UnitaryFamily([system]).counts(k_max) == [1]
-    assert [r.order for r in s.roots] == [1]
-    assert s.roots[0].k == pytest.approx(root, abs=1e-10)
+    assert s.order.tolist() == [1]
+    assert s.k[0] == pytest.approx(root, abs=1e-10)
