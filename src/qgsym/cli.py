@@ -206,34 +206,30 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
 def factors_cmd(n1, n2, l1, l3, kmax, tol, output):
     """Roots of every quotient factor, labeled by (s, t).
 
-    Each class of labels with one dispersion form (`spectra.isospectral_classes`
-    over `QuotientFamily.dispersion_real`; s and n1-s, and t and n2-t,
-    always share one) is solved once, and every label gets a copy of its
-    roots.  The distinct factors are one family of the real locator
+    The labels are one `quotient.QuotientFamily`.  Each class of labels with
+    one dispersion form (`QuotientFamily.classes`, from the coefficients
+    alone) is solved once, and every label gets a copy of its roots.  The
+    distinct factors are one family of the real locator
     (`locators.find_roots_real`): a factor's roots are its roots at the
     zeros of sin 2kL1 and sin 2kL3, of exact orders, and one simple root
-    between each two consecutive poles of its two-loop form, so no grid is
-    scanned; each refinement round evaluates every factor together.  Their
-    8x8 quotient systems come from one stacked assembly
-    (`quotient.quotient_systems`) and are counted in stacked `eigvals`
-    calls first: a factor whose roots do not number its exact eigenphase
-    count N(k_max) is solved by the unitary locator on its system
-    (`fallbacks` in the header counts them).  The header's `rounds` is the
-    most refinement rounds of any factor, by either locator.  The
-    header's `eigenphase_count`, N(k_max) summed over the labels, certifies
-    `root_count`: a count that differs exits 2 with `CertificateMismatch`
-    and writes no file.  A k_max past 10^7 sine zeros exits 2 with
-    `GridTooLarge`.
+    between each two consecutive poles of its two-loop form, with no grid.
+    Their closed-form 4x4 systems (`QuotientFamily.bouquets`) are counted in
+    stacked `eigvals` calls first: a factor whose roots do not number its
+    exact eigenphase count N(k_max) is solved by the unitary locator on its
+    system (`fallbacks` counts them).  `rounds` is the most refinement
+    rounds of any factor, by either locator.  `eigenphase_count`, N(k_max)
+    summed over the labels, certifies `root_count`: a count that differs
+    exits 2 with `CertificateMismatch` and writes no file.  A k_max past
+    10^7 sine zeros exits 2 with `GridTooLarge`.
     """
-    specs = quotient.all_quotient_specs(n1, n2, l1, l3)
-    first = isospectral_classes(quotient.QuotientFamily(specs).dispersion_real, len(specs), (l1, l3), 16)
-    distinct, runs = np.unique(first, return_inverse=True)
-    factors = [specs[i] for i in distinct]
-    systems = UnitaryFamily(quotient.quotient_systems(factors))
-    found = find_roots_real(quotient.QuotientFamily(factors), systems, kmax, tol=tol)
-    labels = [f"({sp.s},{sp.t})" for sp in specs]
+    require_positive(n1=n1, n2=n2)
+    labels = np.stack(np.divmod(np.arange(n1 * n2), n2), axis=-1)  # (s, t), s first
+    distinct, runs = np.unique(quotient.QuotientFamily(n1, n2, l1, l3, labels).classes(), return_inverse=True)
+    factors = quotient.QuotientFamily(n1, n2, l1, l3, labels[distinct])
+    found = find_roots_real(factors, UnitaryFamily(stacks=[factors.bouquets()]), kmax, tol=tol)
+    counts = np.array([f.meta["eigenphase_count"] for f in found])
     _write_classes(
-        output, kmax, found, runs, labels, sum(found[run].meta["eigenphase_count"] for run in runs.tolist()),
+        output, kmax, found, runs, [f"({s},{t})" for s, t in labels.tolist()], int(counts[runs].sum()),
         tol=tol, factors=len(found), fallbacks=sum(f.meta["fallback"] for f in found),
         rounds=max(f.meta["rounds"] for f in found),
     )

@@ -188,9 +188,10 @@ def _header_value(text: str):
 
 def read_spectrum_csv(fh: TextIO) -> Spectrum:
     """Spectrum of a CSV; a row without four fields, a finite positive k and
-    an order of at least 1 is rejected with the line it is on, and so is a
-    `k_max` that is not finite and positive or lies below a row's k by more
-    than the header's `tol` (a located root may sit that far above k_max).
+    an order from 1 to the largest int64 is rejected with the line it is on,
+    and so is a `k_max` that is not finite and positive or lies below a
+    row's k by more than the header's `tol` (a located root may sit that
+    far above k_max).
 
     The header's values go to `meta`, all but `k_max`, so that writing the
     spectrum again gives the same file; k_max defaults to the largest k."""
@@ -217,8 +218,8 @@ def read_spectrum_csv(fh: TextIO) -> Spectrum:
             k, order = float(k), int(order)
         except ValueError as exc:
             raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: {exc}") from exc
-        if not (0.0 < k < math.inf and order >= 1):
-            raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: k must be finite and positive, the order at least 1")
+        if not (0.0 < k < math.inf and 1 <= order < 2**63):  # a `Spectrum` holds int64 orders
+            raise UnsupportedFormat(f"spectrum CSV line {lineno} {line!r}: k must be finite and positive, the order in [1, 2**63)")
         ks.append(k)
         orders.append(order)
         sources.append(source)

@@ -4,21 +4,14 @@ Both close the brackets of every member together with `_refine_steps`, the
 core of `spectra`, in rounds of one array call.
 
 - `find_roots_real`: the quotient factors of `factors`, from their two-loop
-  form G (`quotient.QuotientFamily`).  G strictly decreases between its
-  poles, so a member's roots are its sine-zero roots, whose orders are
-  exact, and one simple root between each two consecutive poles: no grid.
-  Each member's count is known before any refinement, so only the members
-  whose count is their exact eigenphase count N(k_max) are refined, with
-  the level G >= 0 as the step and arctan G as the value, by Newton steps
-  on G from a start that the poles' residues fix.  Every other member goes
-  straight to `UnitaryFamily.roots`.
-- `UnitaryFamily`: exact eigenphase counting for unitary scattering.  The
-  family is contracted once (`contracted_stacks`: every pure-transmission
-  bond dropped, the determinant unchanged), and each stack of contracted
-  systems of one size is solved together (`UnitaryFamily.roots`).  N(k) of
-  every system (`UnitaryFamily.counts`) is an exact root count certifying
-  a locator's output.  This is the robust path for high-order roots of
-  large systems.
+  form G (`quotient.QuotientFamily`): each member's sine-zero roots, of
+  exact orders, and one simple root of G between each two consecutive
+  poles, with no grid.
+- `UnitaryFamily`: exact eigenphase counting for unitary scattering, on
+  stacks of systems of one size, contracted once (`contracted_stacks`) or
+  given as they are.  N(k) of every system (`UnitaryFamily.counts`) is an
+  exact root count certifying a locator's output.  This is the robust path
+  for high-order roots of large systems.
 
 `find_roots_unitary` solves a family of one.  Every member's spectrum
 reports the points evaluated for it as `meta["evaluations"]`, and the
@@ -45,7 +38,7 @@ def find_roots_real(
     family: QuotientFamily, systems: UnitaryFamily, k_max: float, tol: float = 1e-10, *, source: str = ""
 ) -> list[Spectrum]:
     """Roots on (0, k_max] of the dispersion forms of `family`, whose
-    quotient systems are `systems`, one spectrum per member in that order.
+    secular systems are `systems`, one spectrum per member in that order.
 
     A member's roots are its roots at the sine zeros, with their orders
     (`QuotientFamily.sine_zeros`), and one simple root of G in each bracket
@@ -228,13 +221,14 @@ def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float,
 class UnitaryFamily:
     """Unitary secular systems of one size, contracted once
     (`scattering.contracted_stacks`: every pure-transmission bond dropped,
-    the determinant unchanged) and kept as one stack per contracted size.
-    A system's contraction depends on its own S only, and so does each of
-    its results."""
+    the determinant unchanged) and kept as one stack per contracted size,
+    or `stacks` of (members, S, lengths) with nothing to contract, as they
+    are.  A system's contraction depends on its own S only, and so does
+    each of its results."""
 
-    def __init__(self, systems: Sequence[SecularSystem]):
-        self.members = len(systems)
-        self.stacks = contracted_stacks(systems)
+    def __init__(self, systems: Sequence[SecularSystem] = (), stacks: Optional[list] = None):
+        self.stacks = contracted_stacks(systems) if stacks is None else stacks
+        self.members = sum(len(members) for members, _, _ in self.stacks)
 
     def counts(self, k: float) -> list[int]:
         """N(k) of every system: the number of roots of det(I - S D(k)) in

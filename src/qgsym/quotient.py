@@ -5,21 +5,22 @@ degree-4 vertex with the standard condition, and two degree-2 vertices with
 quasi-periodic gluing phases.  The phase on the L1 pair is omega2^t and the
 phase on the L3 pair is omega1^s; this assignment is forced — attaching the
 phases the other way round produces the factors of the transposed torus,
-which is a different metric graph.
+which is a different metric graph.  `quotient_graph` writes this graph, and
+`quotient_systems` assembles its 8x8 systems of many factors in one call.
 
-Every factor of one torus has this graph and differs only in its two
-gluing phases, so `quotient_systems` builds the graph once and assembles
-the 8x8 systems of many factors in one `build_secular_systems` call;
-`quotient_system` is its one-factor case.
+The degree-2 vertices only pass waves on, so every factor is two loops of
+lengths 2 L1 and 2 L3 at one standard vertex, and only the two gluing phases
+change from label to label (Band, Parzanchevski and Ben-Shach 2009).
+`QuotientFamily` is the factors of one torus as label arrays: the labels fix
+which factors share a dispersion form, each factor's 4x4 two-loop system in
+closed form, and what decides its real roots: the sine zeros that every
+factor shares, which of them are poles of its two-loop form G and the order
+of its root at each, and a stable evaluator of G.
 
 The closed form and the real dispersion form take a scalar or an array of
-k and return what numpy returns: a numpy scalar or an array.  The two differ
-by the factor -2i exp(2ik(L1+L3)), which has no zero, so the dispersion form
-is its own analytic continuation with the closed form's zeros and orders.
-`QuotientFamily` evaluates it for many factors in one array call, and gives
-what decides each factor's real roots: the sine zeros that every factor of
-the torus shares, which of them are poles of its two-loop form G and the
-order of its root at each, and a stable evaluator of G.
+k and return what numpy returns.  The two differ by the factor
+-2i exp(2ik(L1+L3)), which has no zero, so the dispersion form is its own
+analytic continuation with the closed form's zeros and orders.
 """
 
 from __future__ import annotations
@@ -74,44 +75,16 @@ class QuotientSpec:
     @cached_property
     def coefficients(self) -> tuple[float, float]:
         """(alpha, beta) = Re((tau + 1/tau) / 2) of the L1 and the L3 phase."""
-        return _coefficient(self.n2, self.t), _coefficient(self.n1, self.s)
+        return _gluing(self.n2, self.t)[2], _gluing(self.n1, self.s)[2]
 
 
-def _coefficient(n: int, label: int) -> float:
-    """Re((tau + 1/tau) / 2) of the gluing phase tau = irrep_value(n, label, 1):
-    alpha of the label t of n2, and beta of the label s of n1."""
+def _gluing(n: int, label: int) -> tuple[complex, complex, float]:
+    """tau = irrep_value(n, label, 1), 1 / tau and Re((tau + 1/tau) / 2) in
+    Python scalars, as `vertex_scattering_quasiperiodic` takes them: alpha of
+    the label t of n2, and beta of the label s of n1."""
     tau = irrep_value(n, label, 1)
-    return float((0.5 * (tau + 1.0 / tau)).real)
-
-
-def _torus(specs: Sequence[QuotientSpec]) -> tuple[int, int, float, float]:
-    """(n1, n2, L1, L3) of factors of one torus; `ValueError` if they differ."""
-    torus = specs[0].n1, specs[0].n2, specs[0].l1, specs[0].l3
-    if any((spec.n1, spec.n2, spec.l1, spec.l3) != torus for spec in specs):
-        raise ValueError("the factors of a family share n1, n2, L1 and L3")
-    return torus
-
-
-def _template(l1: float, l3: float) -> MetricGraph:
-    """The quotient graph that every factor of the torus shares."""
-    return make_graph(
-        3,
-        [
-            (0, 1, l1),
-            (0, 1, l1),
-            (0, 2, l3),
-            (0, 2, l3),
-        ],
-        tags=[TAG_ORIGINAL, TAG_DUMMY, TAG_DUMMY],
-    )
-
-
-def _conditions(spec: QuotientSpec) -> list:
-    return [
-        Standard(0),
-        QuasiPeriodic(1, spec.phase_l1, (0, 1)),
-        QuasiPeriodic(2, spec.phase_l3, (2, 3)),
-    ]
+    inverse = 1.0 / tau
+    return tau, inverse, float((0.5 * (tau + inverse)).real)
 
 
 def quotient_graph(spec: QuotientSpec) -> tuple[MetricGraph, list]:
@@ -121,18 +94,24 @@ def quotient_graph(spec: QuotientSpec) -> tuple[MetricGraph, list]:
     edges (edges 0, 1) with the omega2^t phase, vertex 2 the two L3
     edges (edges 2, 3) with the omega1^s phase.
     """
-    return _template(spec.l1, spec.l3), _conditions(spec)
+    edges = [(0, 1, spec.l1), (0, 1, spec.l1), (0, 2, spec.l3), (0, 2, spec.l3)]
+    return make_graph(3, edges, tags=[TAG_ORIGINAL, TAG_DUMMY, TAG_DUMMY]), _conditions(spec)
+
+
+def _conditions(spec: QuotientSpec) -> list:
+    return [Standard(0), QuasiPeriodic(1, spec.phase_l1, (0, 1)), QuasiPeriodic(2, spec.phase_l3, (2, 3))]
 
 
 def quotient_systems(specs: Sequence[QuotientSpec]) -> list[SecularSystem]:
-    """The 8x8 secular systems of factors of one torus, one per spec: their
-    quotient graph is built once and `build_secular_systems` assembles every
+    """The 8x8 secular systems of factors of one torus, one per spec, which
+    share their quotient graph: `build_secular_systems` assembles every
     factor's gluing phases together."""
     specs = list(specs)
     if not specs:
         return []
-    graph = _template(*_torus(specs)[2:])
-    return build_secular_systems(graph, [_conditions(spec) for spec in specs])
+    if len({(spec.n1, spec.n2, spec.l1, spec.l3) for spec in specs}) > 1:
+        raise ValueError("the factors of one call share n1, n2, L1 and L3")
+    return build_secular_systems(quotient_graph(specs[0])[0], [_conditions(spec) for spec in specs])
 
 
 def quotient_system(spec: QuotientSpec) -> SecularSystem:
@@ -164,26 +143,26 @@ def quotient_secular_closed(spec: QuotientSpec, k):
 def quotient_dispersion_real(spec: QuotientSpec, k):
     """Real dispersion form F(k) with the same zero set as the closed form.
 
-    Satisfies Sigma(k) = -2i * exp(2ik(L1+L3)) * F(k); accepts complex k, as
-    the probes of `spectra.isospectral_classes` take it.
+    Satisfies Sigma(k) = -2i * exp(2ik(L1+L3)) * F(k); accepts complex k.
     """
     return _dispersion(*spec.coefficients, spec.l1, spec.l3, k)
 
 
-def _coefficients(n: int, labels: np.ndarray) -> np.ndarray:
-    """`_coefficient` of each of `labels` of n, computed once per distinct label."""
+def _glued(n: int, labels: np.ndarray) -> np.ndarray:
+    """`_gluing` of each of `labels` of n, one row each, computed once per distinct label."""
     distinct, inverse = np.unique(labels, return_inverse=True)
-    return np.array([_coefficient(n, label) for label in distinct.tolist()])[inverse]
+    return np.array([_gluing(n, label) for label in distinct.tolist()]).reshape(-1, 3)[inverse]
+
+
+# the standard vertex of two loops: 2/4 less 1 where a bond meets its own reversal
+_BOUQUET = 0.5 - np.eye(4)[[1, 0, 3, 2]]
 
 
 class QuotientFamily:
-    """The dispersion forms of quotient factors of one torus, as a family
-    evaluator of `spectra.isospectral_classes`, and what decides their roots
-    for `locators.find_roots_real`.
-
-    `which` indexes `specs` and broadcasts against `k`, so one array call
-    evaluates any mix of factors; each value equals the one-factor
-    function's bit for bit.
+    """The quotient factors (s, t) = `labels[i]` of the n1 x n2 torus with
+    half-lengths L1 and L3, an (n, 2) integer array.  The lengths are checked
+    once, and the gluing phases and coefficients computed once per distinct
+    label.  The evaluators take `which`, the members, broadcast against `k`.
 
     With the loop lengths (l1, l2) = (2 L1, 2 L3) and (c1, c2) = (alpha,
     beta), F(k) = (cos kl1 - c1) sin kl2 + (cos kl2 - c2) sin kl1 is the
@@ -196,18 +175,40 @@ class QuotientFamily:
     exactly where twice the label is the order.
     """
 
-    def __init__(self, specs: Sequence[QuotientSpec]):
-        specs = tuple(specs)
-        n1, n2, self.l1, self.l3 = _torus(specs)
-        self.lengths, self.orders = (2.0 * self.l1, 2.0 * self.l3), (n2, n1)
-        labels = np.array([(spec.t, spec.s) for spec in specs]).reshape(-1, 2)
-        # alpha depends on t alone and beta on s alone: one of each per distinct label
-        self.alpha, self.beta = (_coefficients(n, labels[:, i]) for i, n in enumerate(self.orders))
-        self.labels, self.one, self.minus = labels, labels == 0, 2 * labels == self.orders
+    def __init__(self, n1: int, n2: int, l1: float, l3: float, labels):
+        for name, length in (("l1", l1), ("l3", l3)):
+            if not (math.isfinite(length) and length > 0):
+                raise NonPositiveLength(f"{name} = {length!r} must be finite and positive")
+        self.labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+        self.lengths, self.orders = (2.0 * l1, 2.0 * l3), (n2, n1)
+        loops = self.labels[:, ::-1]  # the L1 loop is glued by t of n2, the L3 loop by s of n1
+        glued = [_glued(n, loops[:, i]) for i, n in enumerate(self.orders)]
+        self.alpha, self.beta = (g[:, 2].real.copy() for g in glued)
+        self.phases = np.concatenate([g[:, :2] for g in glued], axis=1)  # (tau1, 1/tau1, tau3, 1/tau3)
+        self.one, self.minus = loops == 0, 2 * loops == self.orders
 
-    def dispersion_real(self, which, k):
-        """`quotient_dispersion_real` of the factors `which` at `k`."""
-        return _dispersion(self.alpha[which], self.beta[which], self.l1, self.l3, k)
+    def classes(self) -> np.ndarray:
+        """For each member, the first member with its dispersion form.  F
+        weighs sin k(l1 + l2), sin kl2 and sin kl1 by 1, c1 and c2, so two
+        members share F exactly when they share (c1, c2), or c1 + c2 when
+        l1 = l2.  Each key's sorted values split at gaps above 1e-12, which
+        joins the few-ulp spread of one cosine computed from two labels."""
+        keys = [self.alpha + self.beta] if self.lengths[0] == self.lengths[1] else [self.alpha, self.beta]
+        ids = np.zeros(len(self.labels), dtype=np.int64)
+        for key in keys:
+            order = np.argsort(key, kind="stable")
+            ids[order] = ids[order] * len(ids) + np.cumsum(np.diff(key[order], prepend=key[order[:1]]) > 1e-12)
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        return first[inverse]
+
+    def bouquets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The members' systems as one (members, S, lengths) stack: bonds
+        (loop 1 out, loop 1 back, loop 2 out, loop 2 back) of lengths (l1,
+        l1, l2, l2), S[i, j] = W[i, j] u_j, W = 2/4 less 1 where j reverses
+        i, u = (tau1, 1/tau1, tau3, 1/tau3).  This is `quotient_systems` with
+        its pass-through bonds contracted, bit for bit."""
+        lengths = np.repeat(self.lengths, 2)
+        return np.arange(len(self.labels)), _BOUQUET * self.phases[:, None, :], np.tile(lengths, (len(self.labels), 1))
 
     def pole_form(self, which, k):
         """G of the factors `which` at real `k` and its derivative G', stacked
@@ -274,7 +275,7 @@ class QuotientFamily:
         residues = np.where(pole, (1.0 - c * (1 - 2 * (p % 2))) / np.array(self.lengths), 0.0).sum(axis=-1)
         alone = np.zeros(poles.shape, dtype=bool)  # one term vanishes, and the other is 0
         for i, (r, d) in enumerate(((b, a), (a, b))):
-            n, u = self.orders[1 - i], self.labels[:, 1 - i, None]
+            n, u = self.orders[1 - i], self.labels[:, i, None]
             if d <= int(p[:, i].max(initial=0)) * n:
                 pn = p[:, i] * n
                 mod = (r % (2 * n)) * (pn // d) % (2 * n)

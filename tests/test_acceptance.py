@@ -50,7 +50,8 @@ def _report(name, ok, detail):
 
 def _factor_spectrum(spec, k_max):
     systems = UnitaryFamily([quotient_system(spec)])
-    return find_roots_real(QuotientFamily([spec]), systems, k_max, source=f"({spec.s},{spec.t})")[0]
+    family = QuotientFamily(spec.n1, spec.n2, spec.l1, spec.l3, [(spec.s, spec.t)])
+    return find_roots_real(family, systems, k_max, source=f"({spec.s},{spec.t})")[0]
 
 
 def test_trivial_factor_roots_match_closed_form():

@@ -782,6 +782,19 @@ def test_cli_compare_rejects_unusable_csv_rows(tmp_path, content):
         _assert_usage_error(CliRunner().invoke(main, ["compare", *pair]), "UnsupportedFormat")
 
 
+def test_cli_compare_refuses_an_order_past_int64(tmp_path):
+    # a Spectrum holds its orders as int64: an order of 10^20 used to end
+    # in an OverflowError traceback; the largest int64 still loads
+    path, top = str(tmp_path / "big.csv"), str(tmp_path / "top.csv")
+    for name, order in ((path, 10**20), (top, 2**63 - 1)):
+        with open(name, "w") as fh:
+            fh.write(f"k,lambda,order,source_label\n1.0,1.0,{order},a\n")
+    with pytest.raises(UnsupportedFormat, match="line 2 '1.0,1.0,100000000000000000000,a'"):
+        load_spectrum(path)
+    _assert_usage_error(CliRunner().invoke(main, ["compare", path, path]), "UnsupportedFormat")
+    assert load_spectrum(top).order.tolist() == [2**63 - 1]
+
+
 def test_spectrum_csv_keeps_a_root_within_its_tol_above_k_max(tmp_path):
     # the real locator keeps a root up to its tolerance above k_max
     path = str(tmp_path / "s.csv")

@@ -16,6 +16,7 @@ from qgsym import (
     all_quotient_specs,
     character_blocks,
     find_roots_real,
+    cli,
     merge_spectra,
     quotient,
     quotient_dispersion_real,
@@ -26,7 +27,7 @@ from qgsym import (
     torus_action,
 )
 from qgsym.cli import main
-from qgsym.errors import GridTooCoarse, NonUnitaryScattering
+from qgsym.errors import GridTooCoarse, NonPositiveLength, NonUnitaryScattering
 from qgsym.io import load_spectrum
 from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily
 from qgsym.quotient import QuotientSpec
@@ -40,6 +41,11 @@ def _group_key(spec):
     return (min(spec.s, spec.n1 - spec.s), min(spec.t, spec.n2 - spec.t))
 
 
+def _labels(n1, n2):
+    """Every label (s, t) of the n1 x n2 torus, in the order of `all_quotient_specs`."""
+    return np.indices((n1, n2)).reshape(2, -1).T
+
+
 def _run_factors(tmp_path, n1, n2, l3):
     out = str(tmp_path / f"factors-{n1}x{n2}.csv")
     flags = ["--n1", str(n1), "--n2", str(n2), "--l1", repr(L1), "--l3", repr(l3)]
@@ -50,9 +56,7 @@ def _run_factors(tmp_path, n1, n2, l3):
 
 @pytest.mark.parametrize("fn", [quotient_dispersion_real, quotient_secular_closed], ids=["dispersion", "closed"])
 def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn):
-    # one factor on scalars and arrays; and, for the dispersion form, the
-    # family evaluator that `factors` builds: a (members, 1) column against
-    # real points or circles, 1-D arrays of mixed members, and scalars
+    # one factor on scalars and arrays, real points or circles
     ks = np.linspace(0.005, 10.0, 401)
     zs = 3.1 + 0.0025 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 65))
     for specs in (all_quotient_specs(3, 4, L1, 1.0), all_quotient_specs(16, 16, L1, L3_BAND)[::37]):
@@ -61,31 +65,25 @@ def test_closed_forms_on_arrays_equal_scalar_calls_bit_for_bit(fn):
             assert isinstance(real, np.ndarray) and real.shape == ks.shape
             assert np.array_equal(real, [fn(spec, float(k)) for k in ks])
             assert np.array_equal(fn(spec, zs), [fn(spec, complex(z)) for z in zs])
-        if fn is quotient_dispersion_real:
-            family = QuotientFamily(specs).dispersion_real
-            rows = np.arange(len(specs))[:, None]
-            assert np.array_equal(family(rows, ks), [fn(spec, ks) for spec in specs])
-            assert np.array_equal(family(rows, zs), [fn(spec, zs) for spec in specs])
-            which = np.arange(len(ks)) % len(specs)
-            assert np.array_equal(family(which, ks), [fn(specs[w], float(k)) for w, k in zip(which, ks)])
-            assert all(family(w, 1.3 + 0.1j) == fn(spec, 1.3 + 0.1j) for w, spec in enumerate(specs))
     assert isinstance(fn(spec, 1.3), float if fn is quotient_dispersion_real else complex)
     assert isinstance(fn(spec, 1.3 + 0.1j), complex)
-    with pytest.raises(ValueError):  # a family is the factors of one torus
-        QuotientFamily(all_quotient_specs(3, 4, L1, 1.0) + all_quotient_specs(3, 4, L1, 0.9))
+    with pytest.raises(NonPositiveLength, match="l3 = -1.0"):  # a family checks its lengths once
+        QuotientFamily(3, 4, L1, -1.0, _labels(3, 4))
 
 
 def test_family_coefficients_are_computed_once_per_label(monkeypatch):
-    # alpha depends on t alone and beta on s alone, so the 256 factors of
-    # 16x16 take 16 phases of each order, not two per factor, and every
-    # coefficient equals its factor's own bit for bit
+    # alpha and tau1 depend on t alone, and beta and tau3 on s alone, so the
+    # 256 factors of 16x16 take 16 phases of each order, not two per factor,
+    # and every coefficient and phase equals its factor's own bit for bit
     specs = all_quotient_specs(16, 16, L1, L3_BAND)
     want = np.array([spec.coefficients for spec in specs]).T
+    phases = np.array([(sp.phase_l1, 1.0 / sp.phase_l1, sp.phase_l3, 1.0 / sp.phase_l3) for sp in specs])
     value, calls = quotient.irrep_value, []
     monkeypatch.setattr(quotient, "irrep_value", lambda *args: calls.append(args) or value(*args))
-    family = QuotientFamily(specs)
+    family = QuotientFamily(16, 16, L1, L3_BAND, _labels(16, 16))
     assert len(calls) == 16 + 16
     assert family.alpha.tobytes() == want[0].tobytes() and family.beta.tobytes() == want[1].tobytes()
+    assert family.phases.tobytes() == phases.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -102,8 +100,7 @@ def test_pole_form_slope_and_residues(n1, n2, lengths):
     # G' equals the central difference of G away from the poles, and at 0
     # and each zero of a sine the residue of `residue_at_zero` and
     # `sine_zeros` is the limit of (k - k0) G(k): 0 where G has no pole
-    specs = all_quotient_specs(n1, n2, *lengths)
-    family, rows = QuotientFamily(specs), np.arange(len(specs))[:, None]
+    family, rows = QuotientFamily(n1, n2, *lengths, _labels(n1, n2)), np.arange(n1 * n2)[:, None]
     l1, l2 = family.lengths
     ks = np.linspace(0.05, 6.0, 400)
     ks = ks[(np.abs(np.sin(ks * l1)) > 0.2) & (np.abs(np.sin(ks * l2)) > 0.2)]
@@ -158,12 +155,74 @@ def test_dispersion_and_closed_forms_give_the_same_classes(n1, n2, l3):
     # is F times -2i exp(2ik(L1+L3)), the same factor for every label, so the
     # classes of the probe values are the same
     specs = all_quotient_specs(n1, n2, L1, l3)
-    closed = lambda which, z: np.array([quotient_secular_closed(specs[w], x) for w, x in zip(which.tolist(), z.tolist())])
-    by_closed = isospectral_classes(closed, len(specs), (L1, l3), 16)
-    by_dispersion = isospectral_classes(QuotientFamily(specs).dispersion_real, len(specs), (L1, l3), 16)
+    by_closed = isospectral_classes(_one_at_a_time(quotient_secular_closed, specs), len(specs), (L1, l3), 16)
+    by_dispersion = _probe_classes(specs)
     assert by_dispersion.tolist() == by_closed.tolist()
     if n1 == n2 >= 2 and l3 == L1:
         assert len(set(by_closed.tolist())) < len({_group_key(spec) for spec in specs})
+
+
+def _one_at_a_time(fn, specs):
+    """`fn` of `specs` as a family evaluator, one scalar call per point."""
+    return lambda which, z: np.array([fn(specs[w], x) for w, x in zip(which.tolist(), z.tolist())])
+
+
+def _probe_classes(specs):
+    """The classes of `isospectral_classes` over the dispersion forms of the factors `specs` of one torus."""
+    lengths = specs[0].l1, specs[0].l3
+    return isospectral_classes(_one_at_a_time(quotient_dispersion_real, specs), len(specs), lengths, 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n1=st.integers(1, 16),
+    n2=st.integers(1, 16),
+    lengths=st.one_of(
+        st.floats(0.2, 1.5).map(lambda x: (x, x)),  # L1 = L3
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda qp: (qp[0] / 8, qp[1] / 8)),
+        st.tuples(st.floats(0.2, 1.5), st.floats(0.2, 1.5)).filter(lambda ls: abs(ls[0] - ls[1]) > 1e-3),
+    ),
+)
+@example(n1=30, n2=20, lengths=(0.5, 0.5))  # keys rounded to 12 digits split two sums 1.1e-15 apart here
+@example(n1=4, n2=8, lengths=(0.5, 0.5))  # 11 classes: more merge than the reflections and the swap
+@example(n1=16, n2=16, lengths=(L1, L3_BAND))
+def test_coefficient_classes_equal_the_probe_classes(n1, n2, lengths):
+    # two labels share F exactly when they share (alpha, beta), or
+    # alpha + beta at L1 = L3: the gaps of the sorted keys give the same
+    # first member of every class as the probes of the dispersion forms
+    family = QuotientFamily(n1, n2, *lengths, _labels(n1, n2))
+    assert family.classes().tolist() == _probe_classes(all_quotient_specs(n1, n2, *lengths)).tolist()
+    if (n1, n2, lengths) == (4, 8, (0.5, 0.5)):
+        assert len(set(family.classes().tolist())) == 11
+
+
+@pytest.mark.parametrize(
+    "n1, n2, l1, l3, kmax",
+    [(6, 6, L1, L1, 10.0), (4, 8, L1, L1, 10.0), (1, 2, L1, 0.61, 3.1415926535898033)],
+    ids=["6x6-equal-lengths", "4x8-equal-lengths", "1x2-one-fallback"],
+)
+def test_factors_rows_equal_the_probe_and_template_path(tmp_path, n1, n2, l1, l3, kmax):
+    # `factors` takes its classes from the coefficients and its certificate
+    # systems in closed form; the path it replaced, rebuilt here (probe
+    # classes, the template graph's 8x8 systems, the real locator), writes
+    # the same rows, orders, sources and headers
+    specs = all_quotient_specs(n1, n2, l1, l3)
+    labels = [(spec.s, spec.t) for spec in specs]
+    first = _probe_classes(specs)
+    distinct, runs = np.unique(first, return_inverse=True)
+    family = QuotientFamily(n1, n2, l1, l3, [labels[i] for i in distinct])
+    found = find_roots_real(family, UnitaryFamily(quotient_systems([specs[i] for i in distinct])), kmax)
+    want = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), [f"({s},{t})" for s, t in labels])))
+    out = str(tmp_path / "factors.csv")
+    flags = ["--n1", str(n1), "--n2", str(n2), "--l1", repr(l1), "--l3", repr(l3), "--kmax", repr(kmax)]
+    res = CliRunner().invoke(main, ["factors", *flags, "-o", out])
+    assert res.exit_code == 0, res.output
+    got = load_spectrum(out)
+    assert got.k.tobytes() == want.k.tobytes()
+    assert (got.order.tolist(), got.source) == (want.order.tolist(), want.source)
+    assert int(got.meta["factors"]) == len(found)
+    assert int(got.meta["fallbacks"]) == sum(f.meta["fallback"] for f in found) == (n1 == 1)
+    assert int(got.meta["eigenphase_count"]) == sum(found[run].meta["eigenphase_count"] for run in runs.tolist())
 
 
 @pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61), (4, 4, L1)])
@@ -174,7 +233,8 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
     per_label = merge_spectra(
         [
             find_roots_real(
-                QuotientFamily([spec]), UnitaryFamily([quotient_system(spec)]), 10.0, source=f"({spec.s},{spec.t})"
+                QuotientFamily(n1, n2, L1, l3, [(spec.s, spec.t)]), UnitaryFamily([quotient_system(spec)]), 10.0,
+                source=f"({spec.s},{spec.t})",
             )[0]
             for spec in all_quotient_specs(n1, n2, L1, l3)
         ],
@@ -234,8 +294,9 @@ def test_pole_rule_equals_the_unitary_locator_factor_by_factor(n1, n2, lengths):
     for spec in all_quotient_specs(n1, n2, l1, l3):
         first.setdefault(_group_key(spec), spec)
     specs = list(first.values())
+    family = QuotientFamily(n1, n2, l1, l3, [(spec.s, spec.t) for spec in specs])
     systems = UnitaryFamily(quotient_systems(specs))
-    for spec, got, want in zip(specs, find_roots_real(QuotientFamily(specs), systems, 10.0), systems.roots(10.0)):
+    for spec, got, want in zip(specs, find_roots_real(family, systems, 10.0), systems.roots(10.0)):
         assert not got.meta["fallback"], (spec.s, spec.t)
         assert got.order.tolist() == want.order.tolist(), (spec.s, spec.t)
         assert np.abs(got.k - want.k).max(initial=0.0) <= 1e-9
@@ -250,7 +311,7 @@ def test_a_factor_that_falls_back_reports_the_rounds_of_both_locators():
     # after its count: the real locator adds its one evaluation of G at
     # k_max and no refinement round
     spec, k_max = QuotientSpec(1, 2, L1, 0.61, 0, 1), 3.1415926535898033
-    family, calls = QuotientFamily([spec]), []
+    family, calls = QuotientFamily(1, 2, L1, 0.61, [(0, 1)]), []
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.shape(k)) or form(which, k)
     systems = UnitaryFamily([quotient_system(spec)])
@@ -360,24 +421,22 @@ def _with_slope(values, k):
 
 
 def test_factors_call_budget(tmp_path, monkeypatch):
-    # one call of the dispersion forms of all 256 labels at the three probe
-    # points groups them; the 81 distinct factors are one family: G and G'
+    # the coefficients of all 256 labels group them, with no call of the
+    # dispersion forms; the 81 distinct factors are one family: G and G'
     # at k_max of every factor is one call, each refinement round is one
     # call on 1-D arrays, and no call is made on circles; the certificate counts
     # each distinct factor at K_MIN and at k_max, in stacks of at most
-    # MAX_BATCH_BYTES, from one stacked assembly of their systems, and no
-    # factor falls back
-    real, form, eigvals = QuotientFamily.dispersion_real, QuotientFamily.pole_form, np.linalg.eigvals
-    real_shapes, form_shapes, eigvals_shapes = [], [], []
+    # MAX_BATCH_BYTES, from their closed-form systems, with no graph
+    # assembled, and no factor falls back
+    form, eigvals = QuotientFamily.pole_form, np.linalg.eigvals
+    form_shapes, eigvals_shapes = [], []
 
-    def one_at_a_time(*args, **kwargs):
-        raise AssertionError("factors assembles its systems in one stack")
+    def refused(*args, **kwargs):
+        raise AssertionError("factors takes its classes from the coefficients and its systems in closed form")
 
-    monkeypatch.setattr(quotient, "quotient_system", one_at_a_time)
-    monkeypatch.setattr(
-        QuotientFamily, "dispersion_real",
-        lambda self, which, k: real_shapes.append(np.broadcast_shapes(np.shape(which), np.shape(k))) or real(self, which, k),
-    )
+    for name in ("quotient_system", "quotient_systems", "build_secular_systems"):
+        monkeypatch.setattr(quotient, name, refused)
+    monkeypatch.setattr(cli, "isospectral_classes", refused)
     monkeypatch.setattr(
         QuotientFamily, "pole_form",
         lambda self, which, k: form_shapes.append((np.shape(which), np.shape(k), np.asarray(k).dtype.kind))
@@ -387,7 +446,6 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     s = _run_factors(tmp_path, 16, 16, 0.7101)
     distinct = int(s.meta["factors"])
     assert distinct == 81 and int(s.meta["fallbacks"]) == 0
-    assert real_shapes == [(3 * 256,)]  # the probes
     assert form_shapes[0] == ((distinct,), (distinct,), "f")  # G at k_max
     rounds = form_shapes[1:]
     assert len(rounds) == int(s.meta["rounds"]) <= 11

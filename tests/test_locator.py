@@ -459,7 +459,7 @@ def test_a_member_with_a_wrong_count_is_not_refined():
     # evaluation is of the factor (0,0), and (0,1) has the unitary
     # locator's roots
     specs, k_max = [QuotientSpec(1, 2, 0.5, 0.61, 0, t) for t in (0, 1)], 3.1415926535898033
-    family, calls = QuotientFamily(specs), []
+    family, calls = QuotientFamily(1, 2, 0.5, 0.61, [(0, 0), (0, 1)]), []
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.array(which)) or form(which, k)
     systems = UnitaryFamily(quotient_systems(specs))
@@ -571,7 +571,8 @@ def test_real_locator_ends_at_a_tol_below_the_float_spacing():
     # The factor (0,1) of 1x2 at L1 = L3 = 1/4 has F = sin k: G has the
     # roots pi and 3 pi, and 2 pi is a sine zero
     spec = QuotientSpec(1, 2, 0.25, 0.25, 0, 1)
-    (s,) = find_roots_real(QuotientFamily([spec]), UnitaryFamily([quotient_system(spec)]), 10.0, 1e-300)
+    family = QuotientFamily(1, 2, 0.25, 0.25, [(0, 1)])
+    (s,) = find_roots_real(family, UnitaryFamily([quotient_system(spec)]), 10.0, 1e-300)
     assert not s.meta["fallback"]
     assert s.order.tolist() == [1, 1, 1]
     assert s.k.tolist() == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)

@@ -6,7 +6,9 @@ import pytest
 
 from qgsym import (
     QuasiPeriodic,
+    QuotientFamily,
     QuotientSpec,
+    SecularSystem,
     Standard,
     all_quotient_specs,
     build_secular_system,
@@ -21,6 +23,10 @@ from qgsym import (
     secular_product,
     torus_secular_system,
 )
+from qgsym.scattering import contracted_stacks, secular_dets
+from qgsym.spectra import PROBES
+
+L3_BAND = 0.7017025651372872  # the incommensurate L3 of the 16x16 measurements
 
 
 def test_quotient_graph_template():
@@ -134,3 +140,47 @@ def test_stacked_quotient_systems_equal_one_spec_at_a_time(n1, n2, l3):
     assert quotient_systems([]) == []
     with pytest.raises(ValueError):  # the specs of one torus share their quotient graph
         quotient_systems(all_quotient_specs(3, 4, 0.5, 1.0) + all_quotient_specs(3, 4, 0.5, 0.9))
+
+
+def _family(specs):
+    spec = specs[0]
+    return QuotientFamily(spec.n1, spec.n2, spec.l1, spec.l3, [(sp.s, sp.t) for sp in specs])
+
+
+@pytest.mark.parametrize(
+    "n1, n2, l1, l3",
+    [
+        (16, 16, 0.5, L3_BAND),
+        (64, 64, 0.5, L3_BAND),
+        (3, 4, 0.5, 1.0),
+        (5, 7, 0.5, 0.7017),
+        (1, 2, 0.5, 0.61),
+        (6, 6, 0.5, 0.5),  # L1 = L3
+        (4, 8, 0.5, 0.5),
+        (12, 8, 0.5, 0.5),
+    ],
+)
+def test_bouquets_are_the_contracted_quotient_systems_bit_for_bit(n1, n2, l1, l3):
+    # the closed-form 4x4 stack is the 8x8 systems of the template graph with
+    # their pass-through bonds contracted: one stack, S and lengths equal to
+    # the bit, the reciprocal phases included
+    specs = all_quotient_specs(n1, n2, l1, l3)
+    members, S, lengths = _family(specs).bouquets()
+    ((want_members, want_S, want_lengths),) = contracted_stacks(quotient_systems(specs))
+    assert members.tolist() == want_members.tolist() == list(range(n1 * n2))
+    assert S.shape == (n1 * n2, 4, 4) and S.tobytes() == want_S.tobytes()
+    assert lengths.tobytes() == want_lengths.tobytes()
+    assert np.allclose(np.abs(S), 0.5, rtol=0, atol=1e-15)  # nothing to contract
+
+
+@pytest.mark.parametrize("n1, n2, l1, l3", [(3, 4, 0.5, 1.0), (5, 7, 0.5, 0.7017), (4, 8, 0.5, 0.5)])
+def test_bouquet_determinants_equal_the_quotient_systems(n1, n2, l1, l3):
+    # det(I - S D(z)) of the 4x4 bouquet equals that of the 8x8 quotient
+    # system at complex probes, with the unit constant
+    specs = all_quotient_specs(n1, n2, l1, l3)
+    _, S, lengths = _family(specs).bouquets()
+    z = np.concatenate([PROBES, PROBES.conj(), [7.3 + 0.05j]]) / (2 * max(l1, l3))
+    which, points = np.repeat(np.arange(len(specs)), len(z)), np.tile(z, len(specs))
+    small = secular_dets([SecularSystem(s, l) for s, l in zip(S, lengths)])(which, points)
+    big = secular_dets(quotient_systems(specs))(which, points)
+    assert np.allclose(small, big, rtol=1e-12, atol=0)

@@ -17,6 +17,7 @@ from qgsym import (
     find_roots_real,
     find_roots_unitary,
     merge_spectra,
+    quotient_dispersion_real,
     quotient_system,
     quotient_systems,
     standard_conditions,
@@ -27,8 +28,10 @@ from qgsym.quotient import QuotientSpec
 
 
 def _real(specs, k_max, tol=1e-10):
-    """`find_roots_real` of the quotient factors `specs` as one family."""
-    return find_roots_real(QuotientFamily(specs), UnitaryFamily(quotient_systems(specs)), k_max, tol)
+    """`find_roots_real` of the quotient factors `specs` of one torus as one family."""
+    torus = specs[0].n1, specs[0].n2, specs[0].l1, specs[0].l3
+    family = QuotientFamily(*torus, [(spec.s, spec.t) for spec in specs])
+    return find_roots_real(family, UnitaryFamily(quotient_systems(specs)), k_max, tol)
 
 
 def _sine():
@@ -44,7 +47,7 @@ def test_find_roots_real_simple_sine():
     want = [math.pi, 2 * math.pi, 3 * math.pi]
     (s,) = _real([_sine()], 10.0)
     ks = np.linspace(0.0, 10.0, 101)
-    assert np.allclose(QuotientFamily([_sine()]).dispersion_real(0, ks), np.sin(ks), rtol=0, atol=1e-15)
+    assert np.allclose(quotient_dispersion_real(_sine(), ks), np.sin(ks), rtol=0, atol=1e-15)
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (3, False)
     assert len(s.k) == 3
     assert s.k.tolist() == pytest.approx(want, abs=1e-9)
@@ -301,7 +304,7 @@ def test_a_sign_change_past_kmax_is_off_the_grid(k_max):
     # not among the sine zeros: the bracket of G from 0 ends at k_max, where
     # G < 0, and holds the one root pi; G is evaluated at k_max first, and
     # the count is certified by N(k_max) = 1
-    family, calls = QuotientFamily([_sine()]), []
+    family, calls = QuotientFamily(1, 2, 0.25, 0.25, [(0, 1)]), []
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.array(k)) or form(which, k)
     assert family.sine_zeros(k_max)[0].size == 0
