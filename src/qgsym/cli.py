@@ -252,7 +252,7 @@ def compare_cmd(spectrum_a, spectrum_b, tol):
     click.echo(
         f"isospectral={rep.isospectral} max_distance={rep.max_distance:.3e} "
         f"count_a={rep.count_a} count_b={rep.count_b} "
-        f"unmatched_a={len(rep.unmatched_a)} unmatched_b={len(rep.unmatched_b)}",
+        f"unmatched_a={sum(n for _, n in rep.unmatched_a)} unmatched_b={sum(n for _, n in rep.unmatched_b)}",
         file=sys.stdout,
     )
     sys.exit(0 if rep.isospectral else 1)

@@ -1,7 +1,8 @@
 """The real and the unitary root locators, each for a family of functions.
 
-Both close the brackets of every member together with `_refine_steps`, the
-core of `spectra`, in rounds of one array call.
+Both close the brackets of every member together, in rounds of one array
+call: the real one with `_newton_brackets`, the unitary one with
+`_refine_steps`.
 
 - `find_roots_real`: the quotient factors of `factors`, from their two-loop
   form G (`quotient.QuotientFamily`): each member's sine-zero roots, of
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import NonUnitaryScattering, require_positive
 from .quotient import QuotientFamily
 from .scattering import SecularSystem, contracted_stacks
-from .spectra import TWO_PI, Spectrum, _chunked, _grid_cells, _k_grid, _refine_steps
+from .spectra import TWO_PI, Spectrum, _chunked, _grid_cells, _k_grid, _newton_brackets, _refine_steps
 
 K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
 PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
@@ -49,15 +50,12 @@ def find_roots_real(
     bracket with a sine zero where G is 0 holds that root alone.  So each
     member's count comes first, from G at k_max, and only the members whose
     count is their N(k_max) (`UnitaryFamily.counts`) are refined: all their
-    brackets in one `_refine_steps` call, with the level G >= 0 as the step
-    and arctan G, +-pi/2 at the poles, as the value, in calls of at most
-    MAX_BATCH_BYTES of points.  Near a pole a with residue r_a (`sine_zeros`,
-    and `residue_at_zero` at 0) G is about r_a / (k - a), so a bracket between
-    two poles starts at the root of their two terms, (r_a b + r_b a) /
-    (r_a + r_b), and the bracket cut at k_max at the Newton point from
-    G(k_max).  Each evaluation gives G' with G and proposes the Newton point
-    k - G / G', which `_refine_steps` takes under its guard.  Every other
-    member is solved by one `UnitaryFamily.roots` call.  Each spectrum's
+    brackets in one `_newton_brackets` call on G and G' (`pole_form`).  Near
+    a pole a with residue r_a (`sine_zeros`, and `residue_at_zero` at 0) G
+    is about r_a / (k - a), so a bracket between two poles starts at the
+    root of their two terms, (r_a b + r_b a) / (r_a + r_b), and the bracket
+    cut at k_max at the Newton point from G(k_max).  Every other member is
+    solved by one `UnitaryFamily.roots` call.  Each spectrum's
     `meta` has `tol`, the points evaluated for the member by either locator
     (`evaluations`), the rounds that evaluated it (`rounds`), its
     `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
@@ -80,20 +78,13 @@ def find_roots_real(
     certified = np.bincount(which[opens], minlength=members) + orders.sum(axis=1) == counts
 
     i = np.flatnonzero(opens & certified[which])
-    fb = np.where(cut[i], np.arctan(g_max[which[i]]), -0.5 * math.pi)[:, None]
-    fa, flat = np.full_like(fb, 0.5 * math.pi), np.zeros_like(fb)
-    # the root of the two poles' terms r / (k - pole), or the Newton point from k_max
+    # G from +inf at 0 or a pole to -inf at the next pole, or to G(k_max); the first point is the root of
+    # the two poles' terms r / (k - pole), or the Newton point from k_max
+    fb = np.where(cut[i], g_max[which[i]], -np.inf)
     newton = k_max - (g_max / slope_max)[which[i]]
     first = np.where(cut[i], newton, (r[i] * x[i + 1] + r[i + 1] * x[i]) / (r[i] + r[i + 1]))
-
-    def sign_at(which: np.ndarray, k: np.ndarray) -> tuple:
-        g, slope = _chunked(family.pole_form, which, k, 8).T
-        value = np.arctan(g)[:, None]
-        side = (value, np.zeros_like(value))  # the level holds for 0, and no jump is bounded
-        return 1.0 * (value[:, 0] >= 0.0), side, side, k - g / slope
-
-    cells = (which[i], x[i], np.ones(len(i)), (fa, flat), x[i + 1], np.zeros(len(i)), (fb, flat), first)
-    (refined, roots, _), calls, rounds = _refine_steps(sign_at, cells, tol, members)
+    brackets = (which[i], x[i], np.full(len(i), np.inf), x[i + 1], fb)
+    (refined, roots, _), calls, rounds = _newton_brackets(family.pole_form, brackets, first, tol, members)
     # every member's roots at the sine zeros and its simple roots of G, by member, then k, then order
     on, at = np.nonzero(orders)
     member = np.concatenate([on, refined])

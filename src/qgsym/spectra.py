@@ -7,24 +7,18 @@ distinct quotient factors of `factors`, or the distinct character blocks of
 member.  Each array call takes at most MAX_BATCH_BYTES of input (`_chunked`):
 points, or a stack of `eigvals` in chunks of matrices.
 
-`_refine_steps` closes the jumps of integer step functions.  Each bracket
-has a member and two ends of different levels: a cell of the member's grid
-(`_grid_cells`), or an interval between two poles.  Each round computes
-the next Anderson-Björk (modified regula falsi) or bisection point of
-every open bracket of every member, evaluates all of them in one call of
-the step evaluator, and moves the end of equal level, so each root still
-lies in a bracket narrower than `tol` with known levels at both ends.  A
-monotone step may also report its reaches at each point, how far its level
-holds and by when the next jumps have happened; before every round the
-bracket ends move to them with no evaluation.  A caller may also give each
-bracket a first point and have the step propose the next point at every
-point it evaluates, such as a Newton point; a proposal inside the bracket
-takes the place of the Anderson-Björk point while the guard on its step
-sizes and the bracket's width holds.  Bisection steps guard the cases
-where the modified regula falsi or the proposals stall, and a level
-between the end levels splits the bracket.  The closed brackets become
-each member's jumps in array code.  A member's points, roots and count do
-not depend on the other members of its family.
+`_refine_steps` closes the jumps of integer step functions, such as the
+eigenphase count N(k), in the cells of each member's grid whose end levels
+differ (`_grid_cells`).  Each round evaluates the next Anderson-Björk
+(modified regula falsi) or bisection point of every open bracket of every
+member in one call and moves the end of equal level; a monotone step's
+reaches move the ends with no evaluation, and a level between the end
+levels splits the bracket.  `_newton_brackets` closes the one sign change
+of a falling function in each bracket, such as the two-loop form G
+between two poles, by Newton steps under the ITP bound.  `_jumps` turns
+the closed brackets of either into each member's roots in array code.  A
+member's points, roots and count do not depend on the other members of its
+family.
 `winding_number` counts the zeros inside one circle by the argument
 principle.
 
@@ -34,7 +28,7 @@ each locator member's spectrum is a slice of its family's arrays.
 other sources, with one entry per root of each distinct spectrum, sorted
 in arrays; it runs Python only inside runs of entries at most `tol`
 apart, where roots coalesce.  `compare_spectra` pairs two spectra root by
-root.
+root, in runs of copies.
 `isospectral_classes` groups the members of a family by secular function.
 """
 
@@ -52,6 +46,7 @@ from .errors import GridTooCoarse, GridTooLarge
 TWO_PI = 2.0 * math.pi
 MAX_BATCH_BYTES = 2**15  # input of one array call of a locator: points or matrices
 MAX_GRID_POINTS = 10**7  # largest k grid any locator or scan builds, or set of sine zeros of `factors`
+ITP_N0 = 12  # the ITP slack: `_newton_brackets` takes at most ITP_N0 + 1 evaluations more than bisection
 PROBES = np.array([0.93 + 0.61j, 2.17 + 0.37j, 3.41 + 0.83j])  # in units of 1 / (longest bond length)
 
 # an evaluator of a family: values at the points `k` of the members `which`
@@ -176,7 +171,7 @@ def _reach(reaches: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 Side = tuple  # (sums, reaches) of points, looking ahead or behind
-Cells = tuple  # (which, a, na, ahead of a, b, nb, behind of b[, first point]) of each bracket
+Cells = tuple  # (which, a, na, ahead of a, b, nb, behind of b) of each bracket
 
 
 def _grid_cells(which: np.ndarray, ks: np.ndarray, levels: np.ndarray, ahead: Side, behind: Side) -> Cells:
@@ -195,11 +190,9 @@ def _refine_steps(
     evaluated and of rounds that evaluated one of them.
 
     `cells` are the brackets, each with its member, its ends' k and levels,
-    and what its left end sees ahead and its right end behind, and may end
-    with a first point for each bracket (NaN for none).
+    and what its left end sees ahead and its right end behind.
     `step(which, k)`, on 1-D arrays, gives at the points `k` of the members
-    `which` the levels, ahead and behind of each point, and with first
-    points a proposed next point for each point.  Ahead and behind are
+    `which` the levels, ahead and behind of each point.  Ahead and behind are
     each (sums, reaches):
     - sums, an (n, width) array of prefix sums: for a jump of size m that the
       point bounds on that side, column |m| - 1 (the last when |m| is
@@ -212,12 +205,10 @@ def _refine_steps(
     Every bracket keeps the points it was last evaluated at, one per level,
     and its ends move inward to the reaches of those points before every
     round: a moved end keeps its exact level, since a step that reports
-    reaches is monotone.  The sign step of `locators.find_roots_real`
-    reports one column of zeros, so its level holds for 0 and no jump is
-    bounded: it moves no end.  Each round computes the next point of every open
-    bracket, placed inside the bracket, and evaluates all of them in one
-    call of `step`; every point's level replaces the end of equal level, so
-    the bracket stays exact.
+    reaches is monotone; a step whose reaches are 0 moves no end.  Each
+    round computes the next point of every open bracket, placed inside the
+    bracket, and evaluates all of them in one call of `step`; every point's
+    level replaces the end of equal level, so the bracket stays exact.
     The point is the Anderson-Björk step (Anderson and Björk 1973): regula falsi on
     the chord of the two evaluated points with their values weighted.  Each
     weight starts at 1 and goes back to 1 when its end is replaced; a step
@@ -232,44 +223,17 @@ def _refine_steps(
     - a level strictly between the end levels splits the bracket in two;
       both open the next round with weights 1, and the right one with no
       step history.
-    With first points, a bracket's first point and then the point proposed
-    at its last evaluated point replace the Anderson-Björk step when they
-    lie in the closed bracket; one outside it, or NaN, leaves the step as
-    above.  A proposal within 0.4 tol of an end is pushed 0.4 tol inside,
-    so a proposal that has converged closes its bracket in one more round;
-    it is taken only when the step before it took a proposal that needed
-    no push, since it moves the bracket by 0.4 tol when the root is not
-    there.  Any other proposal is taken when it lies at most half as far
-    from the last evaluated point as the step to that point, or the last
-    three steps halved the bracket, so Newton steps that converge from one
-    side, moving one end only, go on; otherwise the round bisects.  A step
-    that returns no proposal costs no array work for them.
     A bracket is done when narrower than `tol`, or when no float lies
-    strictly between its ends (a `tol` below the float spacing).  Its jump
-    is reported where the unweighted chord crosses zero, inside the
-    bracket, or at its midpoint when the chord's values do not bracket
-    zero: an end often sits on the root itself, on a side that rounding
-    picks, so a midpoint would move by 0.2 tol between two functions a few
-    ulps apart.  Consecutive
-    jumps of a member in one direction whose brackets together are narrower
-    than `tol`, or whose points are closer than `tol`, are one jump, at the
-    midpoint of their brackets, as a bracket of that width would have been:
-    a multiple root splits when a step lands where rounding puts some of its
-    crossings on either side.  The jumps are assembled in array code, and
-    this merge runs in Python only for a member with consecutive jumps of
-    one direction closer than `tol` (`_jumps`).  Each bracket follows the
-    same points as it would alone.
+    strictly between its ends (a `tol` below the float spacing), and
+    `_jumps` reports its jump.  Each bracket follows the same points as it
+    would alone.
     """
-    which, xa, na, (sa, ra), xb, nb, (sb, rb), *first = cells
+    which, xa, na, (sa, ra), xb, nb, (sb, rb) = cells
     which, xa, na, sa, ra, xb, nb, sb, rb = (np.array(v) for v in (which, xa, na, sa, ra, xb, nb, sb, rb))
     a, b = xa.copy(), xb.copy()  # the bracket; xa and xb are its evaluated points
     wa, wb = np.ones(len(a)), np.ones(len(a))  # the weights of the values at xa and xb
     last = np.zeros(len(a), dtype=int)  # the end the last step replaced: 1 left, 2 right, 0 none
     before = np.full((3, len(a)), np.inf)  # the widths before the last three steps
-    # with first points: the proposed next point, the point evaluated last, the size of the step to
-    # it, and whether that step took a proposal that needed no push from an end (none yet: inf)
-    unset = np.full(len(a), np.inf)
-    guide = first and (np.array(first[0], dtype=float), unset, unset, np.ones(len(a), bool))
     calls, rounds = np.zeros(members, dtype=int), np.zeros(members, dtype=int)
     done = []
     while len(a):
@@ -285,27 +249,16 @@ def _refine_steps(
             state = (which, a, b, na, nb, xa, sa, ra, xb, sb, rb, wa, wb, last, size, fa, fb, width)
             which, a, b, na, nb, xa, sa, ra, xb, sb, rb, wa, wb, last, size, fa, fb, width = (v[open_] for v in state)
             before = before[:, open_]
-            guide = guide and tuple(v[open_] for v in guide)
         if not len(a):
             break
         x = 0.5 * (a + b)
         ga, gb = wa * fa, wb * fb
-        halved = width <= 0.5 * before[0]
-        falsi = np.flatnonzero((ga <= 0.0) & (0.0 <= gb) & (ga < gb) & halved)
+        falsi = np.flatnonzero((ga <= 0.0) & (0.0 <= gb) & (ga < gb) & (width <= 0.5 * before[0]))
         if len(falsi):
             xf, gaf, gbf = xa[falsi], ga[falsi], gb[falsi]
             chord = xf - gaf * (xb[falsi] - xf) / (gbf - gaf)
             x[falsi] = np.minimum(np.maximum(chord, a[falsi] + 0.4 * tol), b[falsi] - 0.4 * tol)
-        if guide:
-            p, xl, moved, free = guide
-            px = np.minimum(np.maximum(p, a + 0.4 * tol), b - 0.4 * tol)
-            interior = (a + 0.4 * tol < p) & (p < b - 0.4 * tol)
-            pushed = free & (a <= p) & (p <= b) & (a < px) & (px < b)  # strictly inside at any tol
-            take = np.where(interior, halved | (np.abs(p - xl) <= 0.5 * moved), pushed)
-            x = np.where(take, px, x)
-        nx, (sx, rx), (sy, ry), *proposed = step(which, x)
-        if guide:
-            guide = (proposed[0], x, np.abs(x - xl), take & interior)
+        nx, (sx, rx), (sy, ry) = step(which, x)
         evaluated = np.bincount(which, minlength=members)
         calls += evaluated
         rounds += evaluated > 0
@@ -331,14 +284,72 @@ def _refine_steps(
                 np.concatenate([v, w]) for v, w in zip(state, new)
             )
             before = np.concatenate([before, np.full((3, len(split)), np.inf)], axis=1)
-            guide = guide and tuple(np.append(v, v[split]) for v in guide)
+    return _jumps(done, tol), calls, rounds
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a Newton point that is no number is not taken
+def _newton_brackets(
+    f: Evaluator, brackets: tuple, first: np.ndarray, tol: float, members: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """The falling sign change of f in each bracket, as `_refine_steps`
+    reports its jumps (size -1), from `brackets` (which, a, fa, b, fb): each
+    bracket's member, ends and f there, fa >= 0 > fb (+-inf at a pole).
+    `f(which, k)` gives f and f' stacked on a last axis of two.
+
+    Each round evaluates one point of every open bracket in one `_chunked`
+    call of `f` and moves the end of its sign.  The point is `first`, then
+    the Newton point k - f / f' of the point evaluated last when it lies in
+    the closed bracket and no farther from that point than the step to it,
+    or the last three steps halved the bracket; else the midpoint.  The
+    point is projected onto the ITP interval (Oliveira and Takahashi 2020),
+    of radius tol/2 * 2^(n + ITP_N0 - j) - width/2 about the midpoint at
+    evaluation j, n = ceil(log2(first width / tol)), and pushed 0.4 tol and
+    at least one float inside the ends: any Newton points close a bracket
+    within n + ITP_N0 + 1 evaluations.  A bracket is done as in
+    `_refine_steps`; its root is on the chord of -arctan f, finite at a pole.
+    """
+    which, a, fa, b, fb = (np.asarray(v) for v in brackets)
+    p, last, short = np.asarray(first, dtype=float), np.full(len(a), np.inf), np.ones(len(a), dtype=bool)
+    n = np.ceil(np.log2(np.maximum(b - a, tol)) - math.log2(tol)).astype(int) + ITP_N0
+    w3 = w2 = w1 = np.full(len(a), np.inf)  # the widths before the last three steps
+    calls, rounds = np.zeros(members, dtype=int), np.zeros(members, dtype=int)
+    done, j = [], 0
+    while len(a):
+        width = b - a
+        closed = (width < tol) | (np.nextafter(a, b) >= b)
+        if closed.any():
+            done.append(tuple(v[closed] for v in (which, a, b, fa, fb)))
+            state = (which, a, fa, b, fb, p, last, short, n, width, w3, w2, w1)
+            which, a, fa, b, fb, p, last, short, n, width, w3, w2, w1 = (v[~closed] for v in state)
+        if not len(a):
+            break
+        mid, radius = 0.5 * (a + b), np.ldexp(tol, n - j - 1) - 0.5 * width  # the ITP interval
+        x = np.where((a <= p) & (p <= b) & (short | (width <= 0.5 * w3)), p, mid)
+        x = np.minimum(np.maximum(x, mid - radius), mid + radius)
+        lo, hi = np.maximum(a + 0.4 * tol, np.nextafter(a, b)), np.minimum(b - 0.4 * tol, np.nextafter(b, a))
+        x = np.minimum(np.maximum(x, lo), hi)
+        value, slope = _chunked(f, which, x, 8).T
+        evaluated = np.bincount(which, minlength=members)
+        calls, rounds = calls + evaluated, rounds + (evaluated > 0)
+        p = x - value / slope
+        short, last, w3, w2, w1, j = np.abs(p - x) <= np.abs(x - last), x, w2, w1, width, j + 1
+        left = value >= 0.0
+        a, fa, b, fb = np.where(left, x, a), np.where(left, value, fa), np.where(left, b, x), np.where(left, fb, value)
+    done = [(w, a, b, np.full(len(w), -1), a, -np.arctan(fa), b, -np.arctan(fb)) for w, a, b, fa, fb in done]
     return _jumps(done, tol), calls, rounds
 
 
 def _jumps(done: list[tuple], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The jumps of a family as arrays (which, k, size), by member and each
-    member's ascending, from the closed brackets `done` of `_refine_steps`:
-    parts of (which, a, b, size, xa, fa, xb, fb)."""
+    member's ascending, from closed brackets: parts of (which, a, b, size,
+    xa, fa, xb, fb), fa and fb signed to rise through zero.  A jump is where
+    the chord of (xa, fa) and (xb, fb) crosses zero in [a, b], or at the
+    midpoint when they do not bracket zero: an end often sits on the root,
+    on a side that rounding picks.  Consecutive jumps of a member in one
+    direction whose brackets together are narrower than `tol`, or whose
+    points are closer, are one jump at the midpoint of their brackets: a
+    multiple root splits when rounding puts some of its crossings on either
+    side.  This merge runs in Python only for such members."""
     if not done:
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64)
     which, a, b, size, xa, fa, xb, fb = (np.concatenate(parts) for parts in zip(*done))
@@ -457,35 +468,29 @@ class SpectrumComparison:
     max_distance: float
     count_a: int
     count_b: int
-    unmatched_a: tuple[float, ...]
-    unmatched_b: tuple[float, ...]
+    unmatched_a: tuple[tuple[float, int], ...]  # (k, multiplicity) of each root left unpaired
+    unmatched_b: tuple[tuple[float, int], ...]
 
 
 def compare_spectra(a: Spectrum, b: Spectrum, tol: float) -> SpectrumComparison:
-    """Greedy sorted pairing of the order-expanded root multisets."""
-    xs, ys = np.sort(a.expanded()).tolist(), np.sort(b.expanded()).tolist()
+    """Greedy sorted pairing of the order-expanded root multisets, run by
+    run with no order expanded: runs within `tol` pair min(left) copies."""
+    xs, ys = ([[k, n] for k, n in sorted(zip(s.k.tolist(), s.order.tolist()))] for s in (a, b))
     i = j = 0
-    max_dist = 0.0
-    un_a, un_b = [], []
+    max_dist, un_a, un_b = 0.0, [], []
     while i < len(xs) and j < len(ys):
-        d = xs[i] - ys[j]
-        if abs(d) <= tol:
-            max_dist = max(max_dist, abs(d))
-            i += 1
-            j += 1
-        elif d < 0:
-            un_a.append(xs[i])
+        (x, n), (y, m) = xs[i], ys[j]
+        if abs(x - y) <= tol:
+            max_dist = max(max_dist, abs(x - y))
+            xs[i][1], ys[j][1] = n - min(n, m), m - min(n, m)
+            i, j = i + (n <= m), j + (m <= n)
+        elif x < y:
+            un_a.append((x, n))
             i += 1
         else:
-            un_b.append(ys[j])
+            un_b.append((y, m))
             j += 1
-    un_a.extend(xs[i:])
-    un_b.extend(ys[j:])
-    return SpectrumComparison(
-        isospectral=(len(xs) == len(ys) and not un_a and not un_b),
-        max_distance=max_dist,
-        count_a=len(xs),
-        count_b=len(ys),
-        unmatched_a=tuple(un_a),
-        unmatched_b=tuple(un_b),
-    )
+    un_a.extend(map(tuple, xs[i:]))
+    un_b.extend(map(tuple, ys[j:]))
+    counts = sum(a.order.tolist()), sum(b.order.tolist())
+    return SpectrumComparison(not un_a and not un_b, max_dist, *counts, tuple(un_a), tuple(un_b))

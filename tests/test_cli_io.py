@@ -795,6 +795,21 @@ def test_cli_compare_refuses_an_order_past_int64(tmp_path):
     assert load_spectrum(top).order.tolist() == [2**63 - 1]
 
 
+def test_cli_compare_pairs_orders_without_expanding_them(tmp_path):
+    # compare used to repeat each root by its order: the largest int64 ended
+    # in a ValueError traceback with exit 1, and 3e9 asked for 22 GiB
+    path, other = str(tmp_path / "top.csv"), str(tmp_path / "other.csv")
+    for name, rows in ((path, [(1.0, 2**63 - 1)]), (other, [(1.0, 3 * 10**9), (2.0, 1)])):
+        with open(name, "w") as fh:
+            fh.write("k,lambda,order,source_label\n" + "".join(f"{k},{k * k},{n},a\n" for k, n in rows))
+    res = CliRunner().invoke(main, ["compare", path, path])
+    assert res.exit_code == 0, res.output
+    assert f"isospectral=True max_distance=0.000e+00 count_a={2**63 - 1} count_b={2**63 - 1}" in res.output
+    res = CliRunner().invoke(main, ["compare", path, other])
+    assert res.exit_code == 1, res.output
+    assert f"unmatched_a={2**63 - 1 - 3 * 10**9} unmatched_b=1" in res.output
+
+
 def test_spectrum_csv_keeps_a_root_within_its_tol_above_k_max(tmp_path):
     # the real locator keeps a root up to its tolerance above k_max
     path = str(tmp_path / "s.csv")
@@ -821,7 +836,7 @@ def test_cli_compare_counts_roots_over_each_files_whole_k_max(tmp_path):
     assert res.exit_code == 1 and above
     assert f"unmatched_a=0 unmatched_b={len(above)}" in res.output
     rep = qgsym.compare_spectra(load_spectrum(low), load_spectrum(high), 1e-6)
-    assert list(rep.unmatched_b) == above
+    assert [k for k, n in rep.unmatched_b for _ in range(n)] == sorted(above)
 
 
 def _factors_and_spectrum(tmp_path, flags, kmax):

@@ -1,10 +1,12 @@
-"""The shared refinement core `_refine_steps`, checked against plain bisection.
+"""The refinement loops of the locators, checked against plain bisection.
 
-Both locators close each jump of a step function by the Anderson-Björk
-modified regula falsi with exact levels, in rounds over every bracket of a
-family; a plain bisection of the same step function, kept here, is the
-reference for the roots, their orders and the number of evaluations, and a
-loop over the closed brackets is the reference for their assembly.
+The unitary locator closes each jump of a step function by the
+Anderson-Björk modified regula falsi with exact levels (`_refine_steps`),
+and the real locator each falling sign change by Newton steps under the ITP
+bound (`_newton_brackets`), in rounds over every bracket of a family; a
+plain bisection of the same step function, kept here, is the reference for
+the roots, their orders and the number of evaluations, and a loop over the
+closed brackets is the reference for their assembly.
 """
 
 import math
@@ -32,7 +34,7 @@ from qgsym import (
 from qgsym.cli import main
 from qgsym.quotient import QuotientSpec, torus_secular_system
 from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases
-from qgsym.spectra import MAX_BATCH_BYTES, _grid_cells, _jumps, _refine_steps
+from qgsym.spectra import ITP_N0, MAX_BATCH_BYTES, _grid_cells, _jumps, _newton_brackets, _refine_steps
 
 TOL = 1e-10
 
@@ -198,9 +200,9 @@ def _level(values):
 
 def _sign_roots(f, members, ks, tol):
     """Every sign change of `members` functions on the grid `ks`, closed by
-    `_refine_steps` with the level f >= 0 as the step and f as the value, as
-    `find_roots_real` closes the brackets of G: each member's jumps as a
-    list of (k, size), and the points and the rounds that evaluated it.  `f(which, k)` takes arrays of
+    `_refine_steps` with the level f >= 0 as the step, f as the value and
+    no reaches: each member's jumps as a list of (k, size), and the points
+    and the rounds that evaluated it.  `f(which, k)` takes arrays of
     members and points; its first call is the grid of every member."""
     which, k = np.repeat(np.arange(members), len(ks)), np.tile(ks, members)
     values = np.asarray(f(which, k), dtype=float)
@@ -346,6 +348,7 @@ _ADVERSARIES = {
     "nan": lambda k, n, cell, ends: np.full(len(k), np.nan),
     "outside": lambda k, n, cell, ends: ends[1] + 1.0,
     "on-the-end-just-evaluated": lambda k, n, cell, ends: k.copy(),
+    "near-the-end-just-evaluated": lambda k, n, cell, ends: np.where(k == ends[0], k + 0.5 * TOL, k - 0.5 * TOL),
     "on-the-other-end": lambda k, n, cell, ends: np.where(k == ends[0], ends[1], ends[0]),
     "alternating": lambda k, n, cell, ends: cell[0] + (0.3 if n % 2 else 0.7) * (cell[1] - cell[0]),
 }
@@ -354,19 +357,22 @@ _ADVERSARIES = {
 @settings(max_examples=40, deadline=None)
 @given(
     roots=st.lists(st.floats(0.6, 9.4), min_size=1, max_size=4),
-    signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+    signs=st.sampled_from([(1.0, -1.0), (-1.0, 1.0)]),
     kind=st.sampled_from(sorted(_ADVERSARIES)),
 )
-@example(roots=[3.3], signs=(1.0, 1.0), kind="on-the-end-just-evaluated")
-@example(roots=[3.3], signs=(-1.0, 1.0), kind="on-the-other-end")
+@example(roots=[3.3], signs=(-1.0, 1.0), kind="on-the-end-just-evaluated")
+@example(roots=[3.3], signs=(1.0, -1.0), kind="on-the-other-end")
+@example(roots=[3.3], signs=(-1.0, 1.0), kind="near-the-end-just-evaluated")
+@example(roots=[3.3], signs=(1.0, -1.0), kind="near-the-end-just-evaluated")
 def test_any_proposal_stays_within_the_bisection_bound(roots, signs, kind):
-    # the steep one-sided functions above, closed by the sign step with a
-    # first point and a proposal after every evaluation that are NaN, past
-    # the bracket, on one of its ends, or two fixed points in turn: the
-    # guard still closes each root as sign bisection does, within the
-    # bisection bound of evaluations.  An end taken as given moves the
-    # bracket by 0.4 tol a round, so without the guard the step stops the
-    # run once the bound is passed
+    # the falling steep one-sided functions above, closed by Newton steps
+    # whose first point and every Newton point are NaN, past the bracket,
+    # on one of its ends or 0.5 tol inside the end just evaluated, or two
+    # fixed points in turn: the ITP bound still closes each root as sign
+    # bisection does, within n + ITP_N0 + 1 evaluations, n = 33 halvings
+    # of the cell, below the bisection bound.  An end taken as given moves
+    # the bracket by 0.4 tol a round, so without the bound the evaluator
+    # stops the run once the bisection bound is passed
     r, (outer, inner) = np.array(roots), signs
     propose = _ADVERSARIES[kind]
 
@@ -375,34 +381,71 @@ def test_any_proposal_stays_within_the_bisection_bound(roots, signs, kind):
 
     grid_step, k_max = 0.5, 10.0
     ks = np.arange(grid_step, k_max + grid_step / 2.0, grid_step)
-    which, k = np.repeat(np.arange(len(r)), len(ks)), np.tile(ks, len(r))
-    values = f(which, k)
-    side = (values[:, None], np.zeros((len(values), 1)))
-    cells = _grid_cells(which, k, _level(values), side, side)
     for m in range(len(r)):
         assume(np.all(f(m, ks) != 0))
-    assert cells[0].tolist() == list(range(len(r)))  # one cell per member
-    first_cell, left = np.array([cells[1], cells[4]]), cells[2]
+    above = np.searchsorted(ks, r)  # the grid point above each root
+    first_cell = np.array([ks[above - 1], ks[above]])
     ends, calls = first_cell.copy(), [0]
 
-    def step(which, k):
+    def proposing(which, k):
         calls[0] += 1
-        assert calls[0] <= _eval_bound(grid_step), "the guard let the proposals stall the bracket"
+        assert calls[0] <= _eval_bound(grid_step), "the bound let the proposals stall the bracket"
         fk = f(which, k)
-        level = _level(fk)
-        on_left = level == left[which]
-        ends[0, which[on_left]], ends[1, which[~on_left]] = k[on_left], k[~on_left]
-        side = (fk[:, None], np.zeros((len(k), 1)))
-        return level, side, side, propose(k, calls[0], first_cell[:, which], ends[:, which])
+        left = fk >= 0.0
+        ends[0, which[left]], ends[1, which[~left]] = k[left], k[~left]
+        with np.errstate(divide="ignore", invalid="ignore"):  # f' such that k - f / f' is the proposal
+            return np.stack([fk, fk / (k - propose(k, calls[0], first_cell[:, which], ends[:, which]))], axis=-1)
 
+    members = np.arange(len(r))
+    brackets = (members, first_cell[0], f(members, first_cell[0]), first_cell[1], f(members, first_cell[1]))
     first = propose(first_cell[0], 0, first_cell, first_cell)
-    jumps, evaluated, _ = _refine_steps(step, (*cells, first), TOL, len(r))
+    jumps, evaluated, _ = _newton_brackets(proposing, brackets, first, TOL, len(r))
     jumps = _by_member(jumps, len(r))
     for m in range(len(r)):
         want = _bisect(lambda k: int(_level(f(m, k))), ks, _level(f(m, ks)), TOL)
         assert len(want) == 1
         _assert_same_jumps([(k, 1) for k, _ in jumps[m]], [(k, 1) for k, _ in want])
-        assert evaluated[m] <= _eval_bound(grid_step)
+        assert evaluated[m] <= math.ceil(math.log2(grid_step / TOL)) + ITP_N0 + 1 < _eval_bound(grid_step)
+
+
+def _newton_roots(f, members, ks, tol):
+    """The falling sign changes of `members` functions on the grid `ks`,
+    closed by `_newton_brackets` from the Newton point of each cell's left
+    end, as `find_roots_real` closes the brackets of G: each member's roots
+    as a list of (k, size), and the points and the rounds that evaluated
+    it.  `f(which, k)` gives f and f' stacked on a last axis of two."""
+    which, k = np.repeat(np.arange(members), len(ks)), np.tile(ks, members)
+    value, slope = np.asarray(f(which, k)).T
+    i = np.flatnonzero((value[:-1] >= 0.0) & (value[1:] < 0.0) & (which[:-1] == which[1:]))
+    brackets = (which[i], k[i], value[i], k[i + 1], value[i + 1])
+    jumps, calls, rounds = _newton_brackets(f, brackets, k[i] - value[i] / slope[i], tol, members)
+    return _by_member(jumps, members), calls, rounds
+
+
+@settings(max_examples=20, deadline=None)
+@given(members=st.lists(_TERMS, min_size=2, max_size=5), grid_step=st.sampled_from([0.01, 0.001]))
+def test_a_newton_family_equals_its_members_run_alone(members, grid_step):
+    # the falling sign changes of every member closed together by Newton
+    # steps: each member's roots, points and rounds are those it takes
+    # alone, and its roots are those of sign bisection
+    amps, freqs, phases = (np.array([m[j] for m in members]) for j in range(3))
+    offsets = np.array([m[3] for m in members])
+
+    def f(which, k):
+        angles = [freqs[which, j] * k + phases[which, j] for j in range(3)]
+        value = offsets[which] + sum(amps[which, j] * np.sin(angles[j]) for j in range(3))
+        slope = sum(amps[which, j] * freqs[which, j] * np.cos(angles[j]) for j in range(3))
+        return np.stack([value, slope], axis=-1)
+
+    ks = np.arange(grid_step, 10.0 + grid_step / 2.0, grid_step)
+    roots, calls, rounds = _newton_roots(f, len(members), ks, TOL)
+    for m in range(len(members)):
+        (alone,), (n,), (r,) = _newton_roots(lambda which, k: f(m, k), 1, ks, TOL)
+        assert (roots[m], calls[m], rounds[m]) == (alone, n, r)
+        values = f(m, ks)[:, 0]
+        assume(np.all(values != 0))
+        falling = [(k, n) for k, n in _bisect(lambda k: int(_level(f(m, k)[0])), ks, _level(values), TOL) if n < 0]
+        _assert_same_jumps(alone, falling)
 
 
 def _jumps_by_loop(done, tol, members):

@@ -288,7 +288,44 @@ def test_compare_spectra_matching_and_mismatch():
     bad = Spectrum([1.0, 2.5], [2, 1], ["", ""], 5.0)
     res2 = compare_spectra(a, bad, tol=1e-6)
     assert not res2.isospectral
-    assert 2.0 in res2.unmatched_a and 2.5 in res2.unmatched_b
+    assert (2.0, 1) in res2.unmatched_a and (2.5, 1) in res2.unmatched_b
+
+
+def _compare_expanded(a, b, tol):
+    """The greedy sorted pairing of the order-expanded root lists, one root
+    at a time: (max distance, unmatched of a, unmatched of b)."""
+    xs, ys = np.sort(a.expanded()).tolist(), np.sort(b.expanded()).tolist()
+    i = j = 0
+    max_dist, un_a, un_b = 0.0, [], []
+    while i < len(xs) and j < len(ys):
+        d = xs[i] - ys[j]
+        if abs(d) <= tol:
+            max_dist, i, j = max(max_dist, abs(d)), i + 1, j + 1
+        elif d < 0:
+            un_a, i = un_a + [xs[i]], i + 1
+        else:
+            un_b, j = un_b + [ys[j]], j + 1
+    return max_dist, un_a + xs[i:], un_b + ys[j:]
+
+
+_ROWS = st.lists(st.tuples(st.integers(0, 12).map(lambda q: q * 0.25), st.integers(1, 4)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_a=_ROWS, rows_b=_ROWS, shift=st.sampled_from([0.0, 1e-9, -1e-9, 0.2]), tol=st.sampled_from([1e-6, 0.3]))
+def test_compare_by_runs_equals_the_expanded_pairing(rows_a, rows_b, shift, tol):
+    # roots on a 0.25 grid, some shared, with orders up to 4 and equal k in
+    # several rows, shifted by less or more than tol: pairing runs of copies
+    # matches the expanded pairing root for root
+    a = Spectrum([k for k, _ in rows_a], [n for _, n in rows_a], [""] * len(rows_a), 5.0)
+    b = Spectrum([k + shift for k, _ in rows_b], [n for _, n in rows_b], [""] * len(rows_b), 5.0)
+    res = compare_spectra(a, b, tol)
+    max_dist, un_a, un_b = _compare_expanded(a, b, tol)
+    assert res.max_distance == max_dist
+    assert [k for k, n in res.unmatched_a for _ in range(n)] == un_a
+    assert [k for k, n in res.unmatched_b for _ in range(n)] == un_b
+    assert (res.count_a, res.count_b) == (len(a.expanded()), len(b.expanded()))
+    assert res.isospectral == (len(a.expanded()) == len(b.expanded()) and not un_a and not un_b)
 
 
 def test_weyl_count_sanity():
