@@ -56,6 +56,7 @@ from .quotient import (
     torus_secular_system,
 )
 from .spectra import (
+    Roots,
     Spectrum,
     compare_spectra,
     merge_spectra,

@@ -39,22 +39,27 @@ def check_structural(g: MetricGraph, a: GraphAction, what: str) -> None:
         raise InvalidAction(f"{what}: {bad[0][1]}")
 
 
+def _cycle(n: int, length: float) -> tuple[MetricGraph, GraphAction]:
+    """Cycle on n vertices with equal edge lengths and its rotation action, unchecked."""
+    require_positive(n=n)
+    if length <= 0:
+        raise NonPositiveLength(f"cycle edge length {length}")
+    # edge i runs from i to i + 1, so the rotation carries it onto edge i + 1
+    # without reversing it; for the digon it swaps the two parallel edges
+    g = make_graph(n, [(i, (i + 1) % n, length) for i in range(n)])
+    step = tuple((i + 1) % n for i in range(n))
+    return g, GraphAction((n,), (GeneratorMaps(step, step, (False,) * n),))
+
+
 def cycle_graph(n: int, length: float) -> tuple[MetricGraph, GraphAction]:
     """Cycle on n vertices with equal edge lengths and its rotation action.
 
     n = 1 yields a single loop, n = 2 a digon; both are flagged with a
     warning since they are multigraphs.
     """
-    require_positive(n=n)
-    if length <= 0:
-        raise NonPositiveLength(f"cycle edge length {length}")
+    g, action = _cycle(n, length)
     if n < 3:
         warnings.warn(f"cycle with n={n} is a multigraph (loop/digon)", stacklevel=2)
-    # edge i runs from i to i + 1, so the rotation carries it onto edge i + 1
-    # without reversing it; for the digon it swaps the two parallel edges
-    g = make_graph(n, [(i, (i + 1) % n, length) for i in range(n)])
-    step = tuple((i + 1) % n for i in range(n))
-    action = GraphAction((n,), (GeneratorMaps(step, step, (False,) * n),))
     check_structural(g, action, f"cycle_graph({n})")
     return g, action
 
@@ -162,10 +167,11 @@ def torus_action(
 
     Full edge lengths are 2*l1_half along the first-factor direction and
     2*l3_half along the second, so each subdivided half-edge has the
-    quotient-graph lengths l1_half and l3_half.
+    quotient-graph lengths l1_half and l3_half.  The action is checked once,
+    as it is returned: the cycles and their product are built unchecked.
     """
-    prod, act = cycle_product(n1, n2, 2.0 * l1_half, 2.0 * l3_half)
-    g_sub, act_sub = lift_action_subdivided(prod, act)
+    (c1, a1), (c2, a2) = _cycle(n1, 2.0 * l1_half), _cycle(n2, 2.0 * l3_half)
+    g_sub, act_sub = lift_action_subdivided(cartesian_product(c1, c2), product_action(c1, a1, c2, a2))
     check_structural(g_sub, act_sub, f"torus_action({n1}, {n2})")
     return g_sub, act_sub
 

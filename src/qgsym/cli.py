@@ -26,7 +26,7 @@ from .scattering import secular_det  # noqa: F401  (a name the benchmark's trace
 from .locators import UnitaryFamily, find_roots_real
 from .locators import find_roots_unitary  # noqa: F401  (a name the benchmark's tracer wraps)
 from .spectra import (
-    MAX_BATCH_BYTES, MAX_GRID_POINTS, Spectrum, _chunked, _k_grid, compare_spectra, isospectral_classes, merge_spectra,
+    MAX_BATCH_BYTES, MAX_GRID_POINTS, Roots, Spectrum, _chunked, _k_grid, compare_spectra, isospectral_classes, merge_spectra,
 )
 
 
@@ -139,21 +139,18 @@ def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
     return {f"({','.join(map(str, labels))})": block for labels, block in blocks.items()}, first
 
 
-def _write_classes(output, kmax: float, found: list[Spectrum], runs: np.ndarray, labels, eigenphase_count, **header):
-    """Merge a copy of `found[runs[i]]` under each `labels[i]`, write it with `header`, the summed evaluations and
-    the two counts, and print a summary.  A root count that the eigenphase count does not certify raises
+def _write_classes(output, kmax: float, found: Roots, runs: np.ndarray, labels, eigenphase_count, **header):
+    """Merge a copy of the roots of member `runs[i]` of `found` under each `labels[i]`, write it with `header`
+    and the two counts, and print a summary.  A root count that the eigenphase count does not certify raises
     `CertificateMismatch`, and no file is written."""
-    merged = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), labels)))
+    merged = merge_spectra(found, tol=1e-7, runs=runs, labels=labels)
     count = merged.count()
     if count != eigenphase_count:
         raise CertificateMismatch(
             f"{count} roots with multiplicity on (0, {kmax!r}] against an eigenphase count of {eigenphase_count}"
         )
     s = Spectrum(merged.k, merged.order, merged.source, kmax, {
-        **header,
-        "evaluations": sum(f.meta["evaluations"] for f in found),
-        "root_count": count,
-        "eigenphase_count": eigenphase_count,
+        **header, "root_count": count, "eigenphase_count": eigenphase_count,
     })
     io.save_spectrum(output, s)
     click.echo(f"wrote {output}: {len(s.k)} roots, {count} with multiplicity", file=sys.stdout)
@@ -188,8 +185,10 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     family = UnitaryFamily(blocks)
     found = family.roots(kmax, tol=tol, members=distinct.tolist())
     _write_classes(
-        output, kmax, found, runs, list(systems), sum(family.counts(kmax)),
-        **(found[0].meta | {"rounds": max(f.meta["rounds"] for f in found)}),
+        output, kmax, Roots.of(found), runs, list(systems), sum(family.counts(kmax)),
+        **found[0].meta | {
+            "rounds": max(f.meta["rounds"] for f in found), "evaluations": sum(f.meta["evaluations"] for f in found),
+        },
         blocks=len(systems), distinct_blocks=len(found),
     )
 
@@ -227,11 +226,11 @@ def factors_cmd(n1, n2, l1, l3, kmax, tol, output):
     distinct, runs = np.unique(quotient.QuotientFamily(n1, n2, l1, l3, labels).classes(), return_inverse=True)
     factors = quotient.QuotientFamily(n1, n2, l1, l3, labels[distinct])
     found = find_roots_real(factors, UnitaryFamily(stacks=[factors.bouquets()]), kmax, tol=tol)
-    counts = np.array([f.meta["eigenphase_count"] for f in found])
+    meta, tails = found.meta, [f"{t})" for t in range(n2)]
     _write_classes(
-        output, kmax, found, runs, [f"({s},{t})" for s, t in labels.tolist()], int(counts[runs].sum()),
-        tol=tol, factors=len(found), fallbacks=sum(f.meta["fallback"] for f in found),
-        rounds=max(f.meta["rounds"] for f in found),
+        output, kmax, found, runs, [head + tail for head in [f"({s}," for s in range(n1)] for tail in tails],
+        int(meta["eigenphase_count"][runs].sum()), tol=tol, factors=found.members,
+        fallbacks=int(meta["fallback"].sum()), rounds=int(meta["rounds"].max()), evaluations=int(meta["evaluations"].sum()),
     )
 
 

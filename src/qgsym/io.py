@@ -161,15 +161,40 @@ def load_graph(path: str):
 
 
 def write_spectrum_csv(fh: TextIO, s: Spectrum) -> None:
+    """The header, then one row `k,lambda,order,source_label` per root, by
+    k, roots of equal k in their order: k and lambda = k * k as their
+    `repr`, in passes of MAX_BATCH_BYTES of k (`_spectrum_rows`)."""
     for key, val in sorted(s.meta.items()):
         fh.write(f"# {key} = {val!r}\n")
     fh.write(f"# k_max = {s.k_max!r}\n")
     fh.write("k,lambda,order,source_label\n")
     k, order, source = s.k, s.order, s.source
-    if np.any(k[1:] < k[:-1]):  # rows by k, roots of equal k in their order
+    if np.any(k[1:] < k[:-1]):
         by = np.argsort(k, kind="stable")
         k, order, source = k[by], order[by], [source[i] for i in by.tolist()]
-    fh.write("".join(f"{x!r},{x * x!r},{n},{src}\n" for x, n, src in zip(k.tolist(), order.tolist(), source)))
+    per = MAX_BATCH_BYTES // 8
+    for lo in range(0, len(k), per):
+        fh.write(_spectrum_rows(k[lo : lo + per], order[lo : lo + per], source[lo : lo + per]))
+
+
+def _spectrum_rows(k: np.ndarray, order: np.ndarray, source) -> str:
+    """The CSV rows of the roots `k`, `order` and `source`.
+
+    k and k * k are formatted by one `_repr_bytes` call, and each distinct
+    order once, into a byte matrix of each row's fields before its source;
+    its bytes other than NUL are split into rows, and each row's source is
+    joined on."""
+    values, at = np.unique(order, return_inverse=True)
+    orders = np.array([str(n).encode() for n in values.tolist()])
+    width = orders.itemsize
+    head = np.zeros((len(k), 52 + width), dtype=np.uint8)  # "k,lambda,order," and a row end, with NULs to drop
+    floats = _repr_bytes(np.concatenate([k, k * k]))
+    head[:, :24], head[:, 25:49] = floats[: len(k)], floats[len(k) :]
+    head[:, 50:-2] = orders.view(np.uint8).reshape(-1, width)[at]
+    head[:, [24, 49, -2]] = ord(",")
+    head[:, -1] = ord("\n")
+    heads = head[head != 0].tobytes().decode().split("\n")
+    return "\n".join(map(str.__add__, heads, source)) + "\n"
 
 
 def save_spectrum(path: str, s: Spectrum) -> None:
@@ -243,7 +268,9 @@ def load_spectrum(path: str) -> Spectrum:
 
 # Tables of `_repr_bytes`.  A field is six native words of four ASCII bytes:
 # sign, "0.", the zeros after the point, the leading digit and four groups of
-# four digits; NUL marks a byte that is not written.
+# four digits; NUL marks a byte that is not written.  Where e >= 0 the field
+# is also three little-endian 64-bit words, and the rows of the tables by e
+# are such words.
 _POW10 = 10.0 ** np.arange(23)  # exact: 5**22 < 2**53
 _POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)  # Dekker's split, 2**27 + 1
 _POW10_LO = _POW10 - _POW10_HI
@@ -264,62 +291,95 @@ def _quads() -> tuple[np.ndarray, np.ndarray]:
 _SIGN_POINT = _words(sign + "0." + "0"[:zeros] for sign in ("\0", "-") for zeros in range(4))
 _ZEROS_LEAD = _words("00"[: max(zeros - 1, 0)].ljust(3, "\0") + str(lead) for zeros in range(4) for lead in range(10))
 _QUAD, _QUAD_END = _quads()  # the last group written has no trailing zeros
+_QUAD_WORD = np.frombuffer(_QUAD.tobytes(), dtype="<u4").astype(np.uint64)  # a group as the low half of a word
+_LOW = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)  # a word's lowest b bytes
+# the words of the point at byte 7 + e of a field, and of the point and a zero, by 2 e and 2 e + 1
+_POINT = np.frombuffer(
+    b"".join((b"\0" * (7 + e) + point).ljust(24, b"\0") for e in range(16) for point in (b".", b".0")), dtype="<u8"
+).reshape(-1, 3).T.astype(np.uint64)
 
 
 def _repr_bytes(x: np.ndarray) -> np.ndarray:
     """`repr` of each float of the 1-D float64 array `x`, as a (len(x), 24)
-    uint8 array of ASCII, NUL-padded (24 bytes hold every float's `repr`).
+    uint8 array of ASCII with NULs to drop (24 bytes hold every float's
+    `repr`).
 
-    A float of magnitude in [1e-4, 1) that is not a power of two takes array
-    arithmetic.  Its `repr` is "0.", -1 - e zeros and the shortest digits
-    that read back as it, where 10**e <= |x| < 10**(e+1), and of the
-    shortest the nearest.  For k = 15, 16, 17 the k digits nearest to |x| are
-    D = round(|x| * 10**s), s = k - 1 - e, from the exact product of |x| and
-    10**s as a Dekker double-double.  They read back as x iff
-    |D - |x| * 10**s| < ulp(x) / 2 * 10**s, and k = 17 always does.  The
-    first k that does gives the digits: at 15, D without its trailing zeros,
-    since a shorter string that reads back is the unique 15-digit point
-    within half an ulp.  A float whose distance lies within 1e-9 of a tie or
-    of that bound, or whose D leaves [10**(k-1), 10**k) (e off by one near a
-    power of ten), and every other float, goes through `repr`.
+    A float of magnitude in [1e-4, 1e16) that is not a power of two takes
+    array arithmetic.  Its `repr` is fixed-point, with the shortest digits
+    that read back as it, and of the shortest the nearest, where
+    10**e <= |x| < 10**(e+1): for e < 0, "0.", -1 - e zeros and the
+    digits; for e >= 0, the first e + 1 digits, with zeros past the last,
+    the point and the rest, at least one digit.  The 17 digits nearest to
+    |x| are D = round(|x| * 10**s), s = 16 - e, from the exact product of
+    |x| and 10**s as a Dekker double-double, with the rest
+    r = |x| * 10**s - D; the k = 16 and 15 digits nearest to |x| round
+    D // 10**j + (D % 10**j + r) / 10**j, j = 17 - k.  The k digits read
+    back as x iff they lie within ulp(x) / 2 of it, and 17 always do; the
+    fewest that do give the digits: at 15, those without their trailing
+    zeros, since a shorter string that reads back is the unique 15-digit
+    point within half an ulp.  A float whose distance at a k taken or
+    passed over lies within 1e-9 of a tie between two digits that read
+    back or of that bound, or whose digits leave k digits (e off by one
+    near a power of ten), and every other float, goes through `repr`.
+
+    The digits go to six native words of four bytes; where e >= 0 the
+    field is also three little-endian 64-bit words, whose first e + 1
+    digits move one byte down to make room for the point after them.
     """
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1.0) & (x.view(np.int64) & (2**52 - 1) != 0)
+    fast = (a >= 1e-4) & (a < 1e16) & (x.view(np.int64) & (2**52 - 1) != 0)
     a = np.where(fast, a, 0.5)
-    e = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.intp)
+    e = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
     a_hi = 134217729.0 * a - (134217729.0 * a - a)
     a_lo = a - a_hi
     half_ulp = np.spacing(a) / 2
-    digits = np.zeros(len(x), dtype=np.int64)  # 17 digits, the shortest left-aligned
-    todo = np.ones(len(x), dtype=bool)
-    for k in (15, 16, 17):
-        s = k - 1 - e
-        hi = a * _POW10[s]
-        lo = ((a_hi * _POW10_HI[s] - hi) + a_hi * _POW10_LO[s] + a_lo * _POW10_HI[s]) + a_lo * _POW10_LO[s]
-        d = np.rint(hi)
-        r = (hi - d) + lo
-        step = np.rint(r)
-        d = d.astype(np.int64) + step.astype(np.int64)
-        off = np.abs(r - step)  # |D - |x| * 10**s|, to within 1e-15
-        unsure = (off > 0.5 - 1e-9) | (d < 10 ** (k - 1)) | (d >= 10**k)
-        done = todo
-        if k < 17:
-            bound = half_ulp * _POW10[s]
-            unsure |= np.abs(off - bound) < 1e-9
-            done = todo & (off < bound)
-        fast &= ~(todo & unsure)
-        digits = np.where(done, d * 10 ** (17 - k), digits)
-        todo &= ~done
+    s = 16 - e  # the 17 digits nearest to |x| are D = round(|x| * 10**s), |x| * 10**s - D = r
+    hi = a * _POW10[s]
+    lo = ((a_hi * _POW10_HI[s] - hi) + a_hi * _POW10_LO[s] + a_lo * _POW10_HI[s]) + a_lo * _POW10_LO[s]
+    d = np.rint(hi)
+    r = (hi - d) + lo
+    step = np.rint(r)
+    d = d.astype(np.int64) + step.astype(np.int64)
+    r -= step
+    fast &= (d >= 10**16) & (d < 10**17)
+    sure = np.abs(r) < 0.5 - 1e-9  # of the digits taken, and of every longer one tried
+    digits, half = d, half_ulp * _POW10[s]  # 17 digits, the shortest left-aligned; half an ulp in units of D
+    for j in (1, 2):  # 16, then 15 digits: |x| * 10**(s - j) = D // 10**j + (D % 10**j + r) / 10**j
+        q, m = np.divmod(d, 10**j)
+        t = (m + r) / 10**j
+        up = t > 0.5
+        q += up
+        off, bound = np.abs(t - up), half / 10**j
+        ok = (np.minimum(off, bound) < 0.5 - 1e-9) & (np.abs(off - bound) > 1e-9) & (q < 10 ** (17 - j))
+        reads = off < bound
+        sure = np.where(reads, ok, sure & ok)
+        digits = np.where(reads, q * 10**j, digits)
+    fast &= sure
     digits[~fast] = 10**16
     lead, rest = np.divmod(digits, 10**16)
-    quads = [rest // 10**12, rest // 10**8 % 10**4, rest // 10**4 % 10**4, rest % 10**4]
-    last = np.maximum.reduce([(i + 1) * (q != 0) for i, q in enumerate(quads)])
-    zeros = -1 - e
+    left = [rest % 10**12, rest % 10**8, rest % 10**4]  # the digits after each of the first three groups
+    quads = [rest // 10**12, left[0] // 10**8, left[1] // 10**4, left[2]]
+    zeros = np.maximum(-1 - e, 0)
     out = np.empty((len(x), 6), dtype=np.uint32)
     out[:, 0] = _SIGN_POINT[4 * (x < 0) + zeros]
     out[:, 1] = _ZEROS_LEAD[10 * zeros + lead]
-    for i, q in enumerate(quads, 1):  # the groups after the last nonzero one are NUL
-        out[:, 1 + i] = np.where(i < last, _QUAD[q], _QUAD_END[q])
+    for i, q in enumerate(quads[:3], 2):  # a group with no nonzero digit after it has no trailing zeros
+        out[:, i] = np.where(left[i - 2] == 0, _QUAD_END[q], _QUAD[q])
+    out[:, 5] = _QUAD_END[quads[3]]
+    whole = np.flatnonzero(e >= 0)
+    if len(whole):  # as three words: the first e + 1 digits move one byte down, and the point follows them
+        whole = slice(None) if len(whole) == len(x) else whole
+        e, q = e[whole], [q[whole] for q in quads]
+        words = out.view("<u8")
+        first, second, third = (words[whole, j] for j in range(3))  # sign and lead, the groups 1-2 and 3-4
+        ones, twos = _LOW[np.minimum(e, 8)], _LOW[np.maximum(e - 8, 0)]  # the integer digits' bytes in 2 and 3
+        second, ints = second & ~ones, (_QUAD_WORD[q[0]] | _QUAD_WORD[q[1]] << np.uint64(32)) & ones
+        third, more = third & ~twos, (_QUAD_WORD[q[2]] | _QUAD_WORD[q[3]] << np.uint64(32)) & twos
+        point = [table[2 * e + ((second | third) == 0)] for table in _POINT]  # with a zero where no digit follows
+        eight, top = np.uint64(8), np.uint64(56)
+        words[whole, 0] = (first & np.uint64(0xFF)) | (first >> eight & ~_LOW[6]) | ints << top | point[0]
+        words[whole, 1] = ints >> eight | more << top | second | point[1]
+        words[whole, 2] = more >> eight | third | point[2]
     out = out.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if len(slow):

@@ -14,9 +14,10 @@ call: the real one with `_newton_brackets`, the unitary one with
   exact root count certifying a locator's output.  This is the robust path
   for high-order roots of large systems.
 
-`find_roots_unitary` solves a family of one.  Every member's spectrum
-reports the points evaluated for it as `meta["evaluations"]`, and the
-refinement rounds that evaluated it as `meta["rounds"]`.
+`find_roots_unitary` solves a family of one.  Every member's spectrum, or
+the real locator's `Roots` by member, reports the points evaluated for it
+as `meta["evaluations"]`, and the refinement rounds that evaluated it as
+`meta["rounds"]`.
 """
 
 from __future__ import annotations
@@ -29,17 +30,15 @@ import numpy as np
 from .errors import NonUnitaryScattering, require_positive
 from .quotient import QuotientFamily
 from .scattering import SecularSystem, contracted_stacks
-from .spectra import TWO_PI, Spectrum, _chunked, _grid_cells, _k_grid, _newton_brackets, _refine_steps
+from .spectra import TWO_PI, Roots, Spectrum, _chunked, _grid_cells, _k_grid, _newton_brackets, _refine_steps
 
 K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
 PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
 
 
-def find_roots_real(
-    family: QuotientFamily, systems: UnitaryFamily, k_max: float, tol: float = 1e-10, *, source: str = ""
-) -> list[Spectrum]:
+def find_roots_real(family: QuotientFamily, systems: UnitaryFamily, k_max: float, tol: float = 1e-10) -> Roots:
     """Roots on (0, k_max] of the dispersion forms of `family`, whose
-    secular systems are `systems`, one spectrum per member in that order.
+    secular systems are `systems`, as one `Roots` of their members.
 
     A member's roots are its roots at the sine zeros, with their orders
     (`QuotientFamily.sine_zeros`), and one simple root of G in each bracket
@@ -55,8 +54,11 @@ def find_roots_real(
     is about r_a / (k - a), so a bracket between two poles starts at the
     root of their two terms, (r_a b + r_b a) / (r_a + r_b), and the bracket
     cut at k_max at the Newton point from G(k_max).  Every other member is
-    solved by one `UnitaryFamily.roots` call.  Each spectrum's
-    `meta` has `tol`, the points evaluated for the member by either locator
+    solved by one `UnitaryFamily.roots` call, whose roots take the place of
+    its own.  A member's roots less than `tol` apart are one root of their
+    summed order, as `_jumps` joins the unitary locator's jumps.  The
+    roots' `meta` has `tol` and, as arrays of one value per
+    member, the points evaluated for the member by either locator
     (`evaluations`), the rounds that evaluated it (`rounds`), its
     `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
     """
@@ -74,7 +76,7 @@ def find_roots_real(
     opens[(np.cumsum(ends) - 1).reshape(ends.shape)[:, 1:-1][settled]] = False  # its root is a sine zero's
     cut = opens & np.append(col[1:] == last, False)
     opens[cut] = (x[cut] < k_max) & (g_max[which[cut]] <= 0.0)
-    counts = systems.counts(k_max)
+    counts = np.array(systems.counts(k_max))
     certified = np.bincount(which[opens], minlength=members) + orders.sum(axis=1) == counts
 
     i = np.flatnonzero(opens & certified[which])
@@ -92,23 +94,26 @@ def find_roots_real(
     order = np.concatenate([orders[on, at], np.ones(len(refined), dtype=np.int64)])
     by = np.lexsort((order, roots, member))
     member, roots, order = member[by], roots[by], order[by]
-    roots.flags.writeable = order.flags.writeable = False  # each member's spectrum holds a slice
-    bounds = np.searchsorted(member, np.arange(members + 1)).tolist()
-    found = [
-        Spectrum(
-            roots[lo:hi], order[lo:hi], (source,) * (hi - lo), k_max,
-            {"tol": tol, "evaluations": 1 + n, "rounds": r, "eigenphase_count": count, "fallback": not ok},
-        )
-        for lo, hi, n, r, count, ok in zip(
-            bounds[:-1], bounds[1:], calls.tolist(), rounds.tolist(), counts, certified.tolist()
-        )
-    ]
-    short = np.flatnonzero(~certified).tolist()
-    for m, exact in zip(short, systems.roots(k_max, tol=tol, source=source, members=short)):
-        evaluations, rounds = (found[m].meta[key] + exact.meta[key] for key in ("evaluations", "rounds"))
-        meta = {**found[m].meta, "evaluations": evaluations, "rounds": rounds}
-        found[m] = Spectrum(exact.k, exact.order, exact.source, k_max, meta)
-    return found
+    # a member's roots less than tol apart are one root of their summed order, as `_jumps` joins jumps: the
+    # zeros of two sines whose lengths are commensurate in reals but not in floats come one from each
+    first = np.ones(len(member), dtype=bool)
+    first[1:] = (member[1:] != member[:-1]) | (roots[1:] - roots[:-1] >= tol)
+    first = np.flatnonzero(first)
+    member, roots, order = member[first], roots[first], np.add.reduceat(order, first)
+    evaluations, fallback = 1 + calls, ~certified
+    short = np.flatnonzero(fallback)
+    if len(short):  # each member that falls back takes the unitary locator's roots in place of its own
+        exact = systems.roots(k_max, tol=tol, members=short.tolist())
+        kept = ~fallback[member]
+        member = np.concatenate([member[kept], np.repeat(short, [len(s.k) for s in exact])])
+        by = np.argsort(member, kind="stable")
+        member = member[by]
+        roots = np.concatenate([roots[kept], *(s.k for s in exact)])[by]
+        order = np.concatenate([order[kept], *(s.order for s in exact)])[by]
+        evaluations[short] += [s.meta["evaluations"] for s in exact]
+        rounds[short] += [s.meta["rounds"] for s in exact]
+    meta = {"tol": tol, "evaluations": evaluations, "rounds": rounds, "eigenphase_count": counts, "fallback": fallback}
+    return Roots(member, roots, order, members, k_max, meta)
 
 
 def _turned(phases: np.ndarray) -> np.ndarray:
@@ -132,22 +137,51 @@ def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.n
     return _chunked(phases, which, ks, S[0].nbytes)
 
 
-def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
-    """The step evaluator of N(k) for a stack of systems of one size, `S` and
-    `lengths`, with its levels and what each point sees ahead and behind
-    (`_refine_steps`) on the grid `which, ks`, computed as a step computes
-    them; each system's points are consecutive and ascending.
+def _eigenphase_levels(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
+    """N(k) of a stack of systems of one size, `S` and `lengths`, from their
+    eigenphases: `level(which, k, turned)` gives the levels at points from
+    their eigenphases in [0, 2pi) ascending (`_turned`), counted from each
+    system's first point of the grid `which, ks`, where each system's points
+    are consecutive and ascending.  Returns `level`, the grid's ascending
+    turned phases and each system's unitarity defect |S S^H - I|.
 
     N(k) counts the roots in (first grid point, k]: N(k) = (P(k0) - k0 * L +
     k * L - P(k)) / 2pi, where k0 is the system's first grid point, L its
     total bond length and P(k) the sum of the eigenphases of U(k) taken in
-    [0, 2pi) (`_turned`): each phase advances by k * L in all and drops by
-    2pi when it crosses 0, the crossing point.  Each phase's distance to the
-    crossing point ahead is 2pi less its distance behind, which is its value
-    in [0, 2pi).  A jump of m happens when the m phases nearest the crossing
-    point pass it, so the sums ahead are minus the prefix sums of the
-    distances ahead, ascending, and the sums behind the prefix sums of the
-    distances behind: each crosses zero at the jump it bounds.
+    [0, 2pi): each phase advances by k * L in all and drops by 2pi when it
+    crosses 0.  The grid's matrices go to one stacked `np.linalg.eigvals`
+    call per MAX_BATCH_BYTES.  Needs unitary S (`NonUnitaryScattering`
+    otherwise).
+    """
+    size = S.shape[-1]
+    defects = np.abs(S @ S.conj().swapaxes(-1, -2) - np.eye(size)).max(axis=(-2, -1), initial=0.0)
+    if defects.max(initial=0.0) > 1e-10:
+        raise NonUnitaryScattering(f"|S S^H - I| = {defects.max():.3e}: eigenphase counting needs a unitary S")
+    l_total = lengths.sum(-1)
+    turned = np.sort(_turned(_eigenphases(S, lengths, which, ks)), axis=-1)
+    first = np.flatnonzero(np.append(True, which[1:] != which[:-1]))
+    base = np.zeros(len(S))
+    base[which[first]] = turned[first].sum(-1) - ks[first] * l_total[which[first]]
+
+    def level(which: np.ndarray, k: np.ndarray, turned: np.ndarray) -> np.ndarray:
+        return np.rint((base[which] + k * l_total[which] - turned.sum(-1)) / TWO_PI)
+
+    return level, turned, defects
+
+
+def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
+    """The step evaluator of N(k) for a stack of systems of one size, `S` and
+    `lengths`, with its levels and what each point sees ahead and behind
+    (`_refine_steps`) on the grid `which, ks`, computed as a step computes
+    them; each system's points are consecutive and ascending.  The levels
+    are those of `_eigenphase_levels`.
+
+    Each eigenphase's distance to the crossing point 0 ahead is 2pi less
+    its distance behind, which is its value in [0, 2pi).  A jump of m
+    happens when the m phases nearest the crossing point pass it, so the
+    sums ahead are minus the prefix sums of the distances ahead, ascending,
+    and the sums behind the prefix sums of the distances behind: each
+    crosses zero at the jump it bounds.
 
     Every eigenphase moves up with speed v^H L v, between the shortest bond
     length l_min and the longest l_max (Berkolaiko and Kuchment 2013).  So
@@ -161,33 +195,23 @@ def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks:
     MAX_BATCH_BYTES of matrices.  Needs unitary S (`NonUnitaryScattering`
     otherwise).
     """
-    size = S.shape[-1]
-    defects = np.abs(S @ S.conj().swapaxes(-1, -2) - np.eye(size)).max(axis=(-2, -1), initial=0.0)
-    if defects.max(initial=0.0) > 1e-10:
-        raise NonUnitaryScattering(f"|S S^H - I| = {defects.max():.3e}: eigenphase counting needs a unitary S")
-    margin = 16 * size * np.finfo(float).eps + 8 * defects
-    l_total = lengths.sum(-1)
+    level, turned, defects = _eigenphase_levels(S, lengths, which, ks)
+    margin = 16 * S.shape[-1] * np.finfo(float).eps + 8 * defects
     l_min, l_max = lengths.min(-1, initial=np.inf), lengths.max(-1, initial=0.0)
 
-    def evaluate(which: np.ndarray, k: np.ndarray, phases: np.ndarray) -> tuple:
-        turned = np.sort(_turned(phases), axis=-1)  # the distances behind, ascending
-        levels = np.rint((base[which] + k * l_total[which] - turned.sum(-1)) / TWO_PI)
+    def evaluate(which: np.ndarray, k: np.ndarray, turned: np.ndarray) -> tuple:
         slack, slow, fast = margin[which, None], l_min[which, None], l_max[which, None]
 
         def side(distances: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
             hold = np.maximum(distances[:, :1] - slack, 0.0) / fast
             return sign * np.cumsum(distances, axis=-1), np.concatenate([hold, (distances + slack) / slow], axis=-1)
 
-        return levels, side(TWO_PI - turned[:, ::-1], -1.0), side(turned, 1.0)
+        return level(which, k, turned), side(TWO_PI - turned[:, ::-1], -1.0), side(turned, 1.0)
 
     def step(which: np.ndarray, k: np.ndarray) -> tuple:
-        return evaluate(which, k, _eigenphases(S, lengths, which, k))
+        return evaluate(which, k, np.sort(_turned(_eigenphases(S, lengths, which, k)), axis=-1))
 
-    phases = _eigenphases(S, lengths, which, ks)
-    first = np.flatnonzero(np.append(True, which[1:] != which[:-1]))
-    base = np.zeros(len(S))
-    base[which[first]] = _turned(phases[first]).sum(-1) - ks[first] * l_total[which[first]]
-    return (step, *evaluate(which, ks, phases))
+    return (step, *evaluate(which, ks, turned))
 
 
 def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float, source: str) -> list[Spectrum]:
@@ -223,14 +247,15 @@ class UnitaryFamily:
 
     def counts(self, k: float) -> list[int]:
         """N(k) of every system: the number of roots of det(I - S D(k)) in
-        (K_MIN, k], with order.  These are the levels of `_eigenphase_steps`
+        (K_MIN, k], with order.  These are the levels of `_eigenphase_levels`
         on the grid K_MIN, k of every contracted system, so the matrices go
         to `eigvals` per MAX_BATCH_BYTES.  Needs unitary S
         (`NonUnitaryScattering` otherwise)."""
         out = [0] * self.members
         for members, S, lengths in self.stacks:
             grid, which = np.tile([K_MIN, k], len(S)), np.repeat(np.arange(len(S)), 2)
-            for m, n in zip(members.tolist(), _eigenphase_steps(S, lengths, which, grid)[1][1::2].tolist()):
+            level, turned, _ = _eigenphase_levels(S, lengths, which, grid)
+            for m, n in zip(members.tolist(), level(which[1::2], grid[1::2], turned[1::2]).tolist()):
                 out[m] = int(n)
         return out
 

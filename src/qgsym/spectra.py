@@ -23,12 +23,16 @@ family.
 principle.
 
 A `Spectrum` is its root arrays, `k`, `order` and `source`, row i root i:
-each locator member's spectrum is a slice of its family's arrays.
-`merge_spectra` takes the union of spectra, or of copies of them under
-other sources, with one entry per root of each distinct spectrum, sorted
-in arrays; it runs Python only inside runs of entries at most `tol`
-apart, where roots coalesce.  `compare_spectra` pairs two spectra root by
-root, in runs of copies.
+each unitary locator member's spectrum is a slice of its family's arrays.
+`Roots` is a whole family's roots as flat arrays by member, as the real
+locator hands them back, with no object per member.  `merge_spectra`
+takes the union of a family's members, or of a list of spectra, or of
+copies of them under other sources (an integer `runs` array of members
+and their labels), with one entry per root of each distinct member,
+sorted in arrays; it runs Python only inside runs of entries at most
+`tol` apart, where roots coalesce, once per member copied to join its
+labels, and on rows of more than one member.  `compare_spectra` pairs
+two spectra root by root, in runs of copies.
 `isospectral_classes` groups the members of a family by secular function.
 """
 
@@ -93,6 +97,45 @@ class Spectrum:
     def count(self, K: Optional[float] = None) -> int:
         K = self.k_max if K is None else K
         return int(self.order[self.k <= K + 1e-12].sum())
+
+
+@dataclass(frozen=True, eq=False)
+class Roots:
+    """The roots of a family of `members` functions as flat read-only
+    arrays, by member: row i is a root `k[i]` (float64) of order `order[i]`
+    (int64) of the member `member[i]`, and member m's rows are `bounds[m]`
+    to `bounds[m + 1]`.  `meta` holds scalars, and arrays of one value per
+    member.  A locator hands back its family as one `Roots`, with no object
+    per member; `spectrum(m)` is one member's `Spectrum`."""
+
+    member: np.ndarray
+    k: np.ndarray
+    order: np.ndarray
+    members: int
+    k_max: float
+    meta: dict = field(default_factory=dict)
+    bounds: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        member = _read_only(self.member, np.intp)
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "k", _read_only(self.k, np.float64))
+        object.__setattr__(self, "order", _read_only(self.order, np.int64))
+        object.__setattr__(self, "bounds", np.searchsorted(member, np.arange(self.members + 1)))
+
+    @classmethod
+    def of(cls, spectra: Sequence[Spectrum]) -> Roots:
+        """The roots of `spectra`, spectrum m as member m."""
+        sizes = [len(s.k) for s in spectra]
+        k = np.concatenate([np.zeros(0), *(s.k for s in spectra)])
+        order = np.concatenate([np.zeros(0, np.int64), *(s.order for s in spectra)])
+        return cls(np.repeat(np.arange(len(spectra)), sizes), k, order, len(spectra), max((s.k_max for s in spectra), default=0.0))
+
+    def spectrum(self, m: int, source: str = "") -> Spectrum:
+        """Member m's roots, each under `source`, with its values of `meta`."""
+        lo, hi = self.bounds[m : m + 2].tolist()
+        meta = {key: v[m].item() if isinstance(v, np.ndarray) else v for key, v in self.meta.items()}
+        return Spectrum(self.k[lo:hi], self.order[lo:hi], (source,) * (hi - lo), self.k_max, meta)
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -379,42 +422,58 @@ def _jumps(done: list[tuple], tol: float) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def merge_spectra(
-    spectra: Sequence[Spectrum], tol: float = 1e-7, copies: Optional[Sequence[tuple[int, Optional[str]]]] = None
+    spectra: Roots | Sequence[Spectrum],
+    tol: float = 1e-7,
+    copies: Optional[Sequence[tuple[int, Optional[str]]]] = None,
+    *,
+    runs: Optional[np.ndarray] = None,
+    labels: Optional[Sequence[Optional[str]]] = None,
 ) -> Spectrum:
     """Multiset union; roots closer than tol coalesce with orders summed.
 
-    `copies` lists (i, source) pairs: one copy of the roots of `spectra[i]`
-    per pair, ranked by the pair's position, as if each copy were a
-    spectrum of its own.  A copy's roots take its source, or keep their own
-    when the source is None.  The default, None, is every spectrum once in
-    its position with source None.  Each root of a spectrum copied is one
-    entry, its order weighted by the spectrum's number of copies, so equal
-    copies are not averaged with each other and a row of one spectrum's
-    root has that root's k.  Roots of equal k go in the rank order of their
-    spectra's first copies.  A coalesced root names the source of each copy
-    once, in rank order, so the list does not depend on how its roots fall
-    within `tol`.
+    `spectra` is a family's `Roots`, whose roots have no source, or a list
+    of spectra, taken as one (`Roots.of`) whose roots keep their sources.
+    Copy c holds the roots of member `runs[c]` under the source
+    `labels[c]`, ranked by c, as if each copy were a spectrum of its own;
+    `copies`, a list of (member, source) pairs, says the same.  A copy's
+    roots take its source, or keep their own when the source is None.  The
+    default is every member once in its position with source None.  Each
+    root of a member copied is one entry, its order weighted by the
+    member's number of copies, so equal copies are not averaged with each
+    other and a row of one member's root has that root's k.  Roots of equal
+    k go in the rank order of their members' first copies.  A coalesced
+    root names the source of each copy once, in rank order, so the list
+    does not depend on how its roots fall within `tol`.
 
     The entries are sorted in arrays, and each entry joins the last row
     while it lies within `tol` of the row's running weighted mean.  That
     mean lies at or, by rounding, a few ulps above the row's last k, so
     only entries within `tol` of the entry before them, and the entry after
-    a row of more than one, are merged in Python.
+    a row of more than one, are merged in Python.  The copies are grouped
+    by member in arrays, and each member's sources joined once; Python
+    joins the sources of a row only where it holds entries of more than one
+    member, or a copy keeps its roots' own sources.
     """
-    copies = [(i, None) for i in range(len(spectra))] if copies is None else copies
-    held: dict[int, list] = {}  # the (rank, source) of each copy of each spectrum, by rank
-    for rank, (i, src) in enumerate(copies):
-        held.setdefault(i, []).append((rank, src))
-    keys = list(held)  # in the rank order of their first copies
-    sizes = [len(spectra[i].k) for i in keys]
-    # one entry per root of each spectrum copied, weighted by its copies: a stable sort by k keeps entries of
-    # equal k in the rank order of their spectra's first copies, and each spectrum's in its own order
-    k = np.concatenate([np.zeros(0), *(spectra[i].k for i in keys)])
-    by = np.argsort(k, kind="stable")
-    k = k[by]
-    part = np.repeat(np.arange(len(keys)), sizes)[by]  # the place in `keys` of each entry's spectrum
-    order = np.concatenate([np.zeros(0, np.int64), *(spectra[i].order for i in keys)])[by]
-    order *= np.array([len(held[i]) for i in keys], dtype=np.int64)[part]
+    own = None  # each root's own source
+    if not isinstance(spectra, Roots):
+        own = [src for s in spectra for src in s.source]
+        spectra = Roots.of(spectra)
+    if copies is not None:
+        runs, labels = [i for i, _ in copies], [src for _, src in copies]
+    runs = np.arange(spectra.members) if runs is None else np.asarray(runs, dtype=np.intp)
+    labels = np.array([None] * len(runs) if labels is None else labels, dtype=object)
+    copied = np.bincount(runs, minlength=spectra.members)  # the copies of each member
+    grouped = np.argsort(runs, kind="stable")  # the copies by member, each member's in rank order
+    lows = np.cumsum(copied) - copied  # each member's first place in `grouped`
+    held = copied > 0
+    leads = np.full(spectra.members, len(runs))  # the rank of each member's first copy
+    leads[held] = grouped[lows[held]]
+    # one entry per root of each member copied, weighted by its copies, sorted by k, then by the rank of
+    # its member's first copy, then in its member's own order
+    entries = np.flatnonzero(held[spectra.member])
+    by = entries[np.lexsort((leads[spectra.member[entries]], spectra.k[entries]))]
+    k, part = spectra.k[by], spectra.member[by]
+    order = spectra.order[by] * copied[part]
 
     joins = np.diff(k) <= tol  # entry p + 1 lies within tol of entry p
     first = np.ones(len(k), dtype=bool)  # the first entry of each row
@@ -442,24 +501,51 @@ def merge_spectra(
     stops = np.append(starts[1:], len(k))
     k, order = k[starts], np.add.reduceat(order, starts)
     k[np.searchsorted(starts, list(means))] = list(means.values())
-    # a row of one root of a spectrum whose every copy names a source takes their sources, joined once
-    named = np.array([all(src is not None for _, src in held[i]) for i in keys], dtype=bool)
-    source = np.array([_joined(held[i]) if n else "" for i, n in zip(keys, named)], dtype=object)[part[starts]]
-    offsets = np.cumsum([0, *sizes]).tolist()
-    rows = np.flatnonzero((stops - starts > 1) | ~named[part[starts]])
-    for row, lo, hi in zip(rows.tolist(), starts[rows].tolist(), stops[rows].tolist()):
-        pairs = [
-            (rank, spectra[keys[at]].source[j - offsets[at]] if src is None else src)
-            for at, j in zip(part[lo:hi].tolist(), by[lo:hi].tolist())
-            for rank, src in held[keys[at]]
+    # a row whose every copy names a source takes the sources of the copies of its members, joined in rank
+    # order: one join per member copied, and one per row of entries of more than one member
+    unnamed = np.bincount(runs[labels == None], minlength=spectra.members) > 0  # noqa: E711 (elementwise)
+    low = np.minimum.reduceat(part, starts)
+    mixed = np.logical_or.reduceat(unnamed[part], starts)
+    shared = np.flatnonzero((low != np.maximum.reduceat(part, starts)) & ~mixed)
+    members = np.flatnonzero(held & ~unnamed)
+    entries = _spans(starts[shared], stops[shared] - starts[shared])
+    pairs = np.unique(np.repeat(shared, stops[shared] - starts[shared]) * spectra.members + part[entries])
+    join = _joined if "" in (seen := set(labels.tolist())) or len(seen) < len(labels) else ",".join
+    joined, ranked = np.full(spectra.members, "", dtype=object), labels[grouped].tolist()
+    joined[members] = [join(ranked[lo : lo + n]) for lo, n in zip(lows[members].tolist(), copied[members].tolist())]
+    source = joined[low]
+    source[shared] = _joined_copies(*np.divmod(pairs, spectra.members), grouped, lows, copied, labels, join)
+    for row in np.flatnonzero(mixed).tolist():  # a copy that keeps its roots' own sources
+        lo, hi = starts[row], stops[row]
+        ranked = [
+            (rank, ("" if own is None else own[j]) if labels[rank] is None else labels[rank])
+            for j, m in zip(by[lo:hi].tolist(), part[lo:hi].tolist())
+            for rank in grouped[lows[m] : lows[m] + copied[m]].tolist()
         ]
-        source[row] = _joined(sorted(pairs, key=itemgetter(0)))
-    return Spectrum(k, order, source.tolist(), max((s.k_max for s in spectra), default=0.0), {"tol": tol})
+        source[row] = _joined([src for _, src in sorted(ranked, key=itemgetter(0))])
+    return Spectrum(k, order, source.tolist(), spectra.k_max, {"tol": tol})
 
 
-def _joined(sources: list[tuple[int, str]]) -> str:
-    """The nonempty sources of (rank, source) pairs in rank order, each once."""
-    return ",".join(dict.fromkeys(src for _, src in sources if src))
+def _spans(lows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The integers from each of `lows` on, `sizes` of each, one span after another."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(lows - ends + sizes, sizes)
+
+
+def _joined_copies(group, member, grouped, lows, copied, labels, join) -> list[str]:
+    """For pairs of a group and a member, by group, each group's sources:
+    the labels of the copies of its members (`grouped[lows[m]:][:copied[m]]`
+    for member m) in rank order, joined by `join`."""
+    sizes = copied[member]
+    rank, at = grouped[_spans(lows[member], sizes)], np.repeat(group, sizes)
+    by = np.lexsort((rank, at))
+    text, bounds = labels[rank[by]].tolist(), np.searchsorted(at[by], np.unique(group), side="right").tolist()
+    return [join(text[lo:hi]) for lo, hi in zip([0, *bounds], bounds)]
+
+
+def _joined(sources) -> str:
+    """The nonempty `sources`, each once, in their order."""
+    return ",".join(dict.fromkeys(filter(None, sources)))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ def _report(name, ok, detail):
 def _factor_spectrum(spec, k_max):
     systems = UnitaryFamily([quotient_system(spec)])
     family = QuotientFamily(spec.n1, spec.n2, spec.l1, spec.l3, [(spec.s, spec.t)])
-    return find_roots_real(family, systems, k_max, source=f"({spec.s},{spec.t})")[0]
+    return find_roots_real(family, systems, k_max).spectrum(0, f"({spec.s},{spec.t})")
 
 
 def test_trivial_factor_roots_match_closed_form():

@@ -14,7 +14,8 @@ from qgsym import (
     torus_action,
     validate_action,
 )
-from qgsym.actions import GeneratorMaps, GraphAction
+from qgsym import builders
+from qgsym.actions import GeneratorMaps, GraphAction, lift_action_subdivided
 from qgsym.builders import product_vertex_id
 from qgsym.errors import DuplicateJump, InvalidAction, IsomorphismCheckFailed, JumpOutOfRange
 
@@ -105,6 +106,33 @@ def test_torus_action_shapes():
     assert g.n_vertices == 12 + 24
     assert validate_action(g, a).valid
     assert g.total_length == pytest.approx(3 * 4 * 0.5 * 2 + 4 * 3 * 1.0 * 2)
+
+
+def test_torus_action_checks_the_action_it_returns_once(monkeypatch):
+    # the cycles and their product are built unchecked; the subdivided action
+    # is checked once, and it is the one lifted from the checked product
+    checked = []
+    validate = builders.validate_action
+    monkeypatch.setattr(builders, "validate_action", lambda g, a: checked.append(g.n_edges) or validate(g, a))
+    g, a = torus_action(3, 4, 0.5, 1.0)
+    assert checked == [48]
+    want_g, want_a = lift_action_subdivided(*cycle_product(3, 4, 1.0, 2.0))
+    assert (g.ends.tolist(), g.lengths.tolist(), g.tags) == (want_g.ends.tolist(), want_g.lengths.tolist(), want_g.tags)
+    assert a == want_a
+
+
+def test_torus_action_refuses_a_broken_action(monkeypatch):
+    # the one check still guards the action returned: a lift that maps the
+    # first generator's vertices wrongly raises InvalidAction
+    def broken(g, a):
+        g_sub, a_sub = lift_action_subdivided(g, a)
+        vp, ep, fl = a_sub.generators[0].arrays()
+        vp[[0, 1]] = vp[[1, 0]]
+        return g_sub, GraphAction(a_sub.orders, (GeneratorMaps.from_arrays(vp, ep, fl), *a_sub.generators[1:]))
+
+    monkeypatch.setattr(builders, "lift_action_subdivided", broken)
+    with pytest.raises(InvalidAction, match="torus_action"):
+        torus_action(3, 4, 0.5, 1.0)
 
 
 def test_crt_isomorphism_preserves_adjacency_and_lengths():

@@ -41,7 +41,7 @@ from qgsym.io import (
     write_spectrum_csv,
 )
 from qgsym.scattering import secular_det
-from qgsym.spectra import MAX_BATCH_BYTES, Spectrum, _k_grid
+from qgsym.spectra import MAX_BATCH_BYTES, Roots, Spectrum, _k_grid
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -451,7 +451,8 @@ def test_cli_project_bytes_equal_one_format_per_row(tmp_path, monkeypatch, n1, n
 
 # floats for every branch of `io._repr_bytes`: signed zeros; 1 to 17 digits;
 # the ends of [1e-4, 1), the floats beside them and beside 1e-3 and 1e-2;
-# powers of two; and through `repr`, floats >= 1 or < 1e-4, nan and infinities
+# floats >= 1; powers of two; and through `repr`, floats >= 1e16 or < 1e-4,
+# nan and infinities
 REPR_CASES = [
     0.0, -0.0, 0.1, -0.25, 0.5, 1 / 3, -2 / 3, 0.30000000000000004, 0.1234567890123456, 0.12345678901234568,
     1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), math.nextafter(1.0, 0.0), -0.001,
@@ -494,11 +495,46 @@ def test_cli_project_writes_every_float_as_its_repr(tmp_path, monkeypatch):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(1e-4, 1.0, exclude_max=True) | st.floats(-1.0, -1e-4, exclude_min=True) | st.floats(),
+@given(st.lists(st.floats(1e-4, 1.0, exclude_max=True) | st.floats(-1.0, -1e-4, exclude_min=True)
+                | st.floats(1.0, 1e16, exclude_max=True) | st.floats(-1e16, -1.0, exclude_min=True) | st.floats(),
                 max_size=50))
 def test_repr_bytes_are_the_reprs(xs):
     fields = io._repr_bytes(np.array(xs, dtype=np.float64))
     assert [bytes(f).replace(b"\0", b"").decode() for f in fields] == [repr(x) for x in xs]
+
+
+def _roots_and_squares() -> np.ndarray:
+    """k and k * k for k in (0, 10], as `write_spectrum_csv` squares them."""
+    ks = np.concatenate([np.random.default_rng(33).uniform(0.0, 10.0, 2000), np.arange(1, 101) / 10.0])
+    return np.concatenate([ks, ks * ks])
+
+
+def _fixed_point_cases() -> list[float]:
+    """Floats of the fixed-point layout past 1: integral floats, the floats
+    beside each power of ten up to 1e16, roots and their squares, the floats
+    just below 1e16, and 17-digit floats of every decimal exponent e >= 0."""
+    powers = [10.0**p for p in range(17)]
+    below = [1e16]
+    for _ in range(20):
+        below.append(math.nextafter(below[-1], 0.0))
+    digits = np.random.default_rng(34).integers(10**16, 10**17, 17 * 50).tolist()
+    return [
+        3.0, 10.0, -10.0, 100.0, 12345.0, 2.0**52 + 3, 1e15, 1e15 + 1, *powers, *below[1:],
+        *(math.nextafter(p, side) for p in powers for side in (0.0, math.inf)), *_roots_and_squares().tolist(),
+        *(d * 10.0 ** (e - 16) for d, e in zip(digits, np.repeat(range(17), 50).tolist())),
+    ]
+
+
+def test_repr_bytes_of_the_fixed_point_layout_past_one_are_the_reprs(monkeypatch):
+    # byte-equal to `repr`; of the roots and their squares, only the powers
+    # of two and the floats below 1e-4 go through `repr`
+    xs, slow = _fixed_point_cases(), []
+    monkeypatch.setattr(io, "repr", lambda x: slow.append(x) or repr(x), raising=False)
+    fields = io._repr_bytes(np.array(xs, dtype=np.float64))
+    assert [bytes(f).replace(b"\0", b"").decode() for f in fields] == [repr(x) for x in xs]
+    slow.clear()
+    io._repr_bytes(_roots_and_squares())
+    assert slow and all(abs(x) < 1e-4 or math.frexp(x)[0] == 0.5 for x in slow)
 
 
 def test_cli_scan_equals_the_per_block_determinant_loop(tmp_path, monkeypatch):
@@ -893,10 +929,12 @@ def test_cli_factors_falls_back_at_a_sine_zero_on_kmax(tmp_path):
 
 def _losing_a_root(locate):
     """`locate`, a locator of a family, with the first root of its first
-    spectrum dropped."""
+    member dropped: a row of its `Roots`, or of its first spectrum."""
 
     def lossy(*args, **kwargs):
         found = locate(*args, **kwargs)
+        if isinstance(found, Roots):
+            return Roots(found.member[1:], found.k[1:], found.order[1:], found.members, found.k_max, found.meta)
         s = found[0]
         found[0] = Spectrum(s.k[1:], s.order[1:], s.source[1:], s.k_max, s.meta)
         return found

@@ -29,9 +29,9 @@ from qgsym import (
 from qgsym.cli import main
 from qgsym.errors import GridTooCoarse, NonPositiveLength, NonUnitaryScattering
 from qgsym.io import load_spectrum
-from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily
+from qgsym.locators import K_MIN, PHASE_EPS, UnitaryFamily, _eigenphase_steps
 from qgsym.quotient import QuotientSpec
-from qgsym.spectra import MAX_BATCH_BYTES, isospectral_classes, winding_number
+from qgsym.spectra import MAX_BATCH_BYTES, Spectrum, isospectral_classes, winding_number
 
 L1 = 0.5
 L3_BAND = 0.713616028647381  # an incommensurate L3 near 1/sqrt(2), as the 16x16 benchmark draws
@@ -220,9 +220,9 @@ def test_factors_rows_equal_the_probe_and_template_path(tmp_path, n1, n2, l1, l3
     got = load_spectrum(out)
     assert got.k.tobytes() == want.k.tobytes()
     assert (got.order.tolist(), got.source) == (want.order.tolist(), want.source)
-    assert int(got.meta["factors"]) == len(found)
-    assert int(got.meta["fallbacks"]) == sum(f.meta["fallback"] for f in found) == (n1 == 1)
-    assert int(got.meta["eigenphase_count"]) == sum(found[run].meta["eigenphase_count"] for run in runs.tolist())
+    assert int(got.meta["factors"]) == found.members
+    assert int(got.meta["fallbacks"]) == found.meta["fallback"].sum() == (n1 == 1)
+    assert int(got.meta["eigenphase_count"]) == found.meta["eigenphase_count"][runs].sum()
 
 
 @pytest.mark.parametrize("n1, n2, l3", [(3, 4, 1.0), (4, 6, 0.61), (4, 4, L1)])
@@ -233,9 +233,8 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
     per_label = merge_spectra(
         [
             find_roots_real(
-                QuotientFamily(n1, n2, L1, l3, [(spec.s, spec.t)]), UnitaryFamily([quotient_system(spec)]), 10.0,
-                source=f"({spec.s},{spec.t})",
-            )[0]
+                QuotientFamily(n1, n2, L1, l3, [(spec.s, spec.t)]), UnitaryFamily([quotient_system(spec)]), 10.0
+            ).spectrum(0, f"({spec.s},{spec.t})")
             for spec in all_quotient_specs(n1, n2, L1, l3)
         ],
         tol=1e-7,
@@ -285,6 +284,8 @@ def test_factors_header_reports_the_refinement_rounds(tmp_path):
 @example(n1=4, n2=6, lengths=(0.375, 0.625))
 @example(n1=4, n2=4, lengths=(0.5, 0.5))
 @example(n1=4, n2=6, lengths=(0.5, 0.61))
+@example(n1=1, n2=1, lengths=(1.0, 1 / 3))  # 3 to 1 in reals, not in floats: each sine gives the zeros at 3 pi
+@example(n1=3, n2=1, lengths=(1.0, 1 / 3))
 def test_pole_rule_equals_the_unitary_locator_factor_by_factor(n1, n2, lengths):
     # L3 / L1 = p / q with p, q <= 5 on dyadic lengths, where the sines share
     # zeros and orders above 1 occur, and generic lengths: every distinct
@@ -297,7 +298,9 @@ def test_pole_rule_equals_the_unitary_locator_factor_by_factor(n1, n2, lengths):
     specs = list(first.values())
     family = QuotientFamily(n1, n2, l1, l3, [(spec.s, spec.t) for spec in specs])
     systems = UnitaryFamily(quotient_systems(specs))
-    for spec, got, want in zip(specs, find_roots_real(family, systems, 10.0), systems.roots(10.0)):
+    found = find_roots_real(family, systems, 10.0)
+    for m, (spec, want) in enumerate(zip(specs, systems.roots(10.0))):
+        got = found.spectrum(m)
         assert not got.meta["fallback"], (spec.s, spec.t)
         assert got.order.tolist() == want.order.tolist(), (spec.s, spec.t)
         assert np.abs(got.k - want.k).max(initial=0.0) <= 1e-9
@@ -316,7 +319,7 @@ def test_a_factor_that_falls_back_reports_the_rounds_of_both_locators():
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.shape(k)) or form(which, k)
     systems = UnitaryFamily([quotient_system(spec)])
-    (got,), (exact,) = find_roots_real(family, systems, k_max), systems.roots(k_max, source="")
+    got, (exact,) = find_roots_real(family, systems, k_max).spectrum(0), systems.roots(k_max, source="")
     assert calls == [(1,)]
     assert got.meta["fallback"] and got == exact
     assert got.meta["rounds"] == exact.meta["rounds"]
@@ -415,6 +418,28 @@ def test_stacked_certificate_equals_one_system_at_a_time():
         UnitaryFamily(blocks[:3] + [lossy]).counts(5.0)
 
 
+@pytest.mark.parametrize("systems", ["16x16-bouquets", "3x4-blocks"])
+def test_certificate_counts_are_the_levels_of_the_step_evaluator(systems):
+    # `counts` computes the levels alone; on the grid K_MIN, k of every
+    # system of each stack they equal the levels that `_eigenphase_steps`
+    # computes with its sums and reaches: the closed-form systems of the 81
+    # distinct 16x16 factors, and the contracted blocks of the 3x4 document
+    if systems == "16x16-bouquets":
+        labels = _labels(16, 16)
+        distinct = np.unique(QuotientFamily(16, 16, L1, L3_BAND, labels).classes())
+        family = UnitaryFamily(stacks=[QuotientFamily(16, 16, L1, L3_BAND, labels[distinct]).bouquets()])
+    else:
+        g, action = torus_action(3, 4, 1.0, L1)
+        family = UnitaryFamily(list(character_blocks(g, standard_conditions(g), action).values()))
+    for k in (0.5, 4.0, 10.0):
+        got = family.counts(k)
+        for members, S, lengths in family.stacks:
+            grid, at = np.tile([K_MIN, k], len(S)), np.repeat(np.arange(len(S)), 2)
+            levels = _eigenphase_steps(S, lengths, at, grid)[1][1::2]
+            assert [got[m] for m in members.tolist()] == levels.astype(int).tolist()
+    assert sum(got) > 0
+
+
 def _with_slope(values, k):
     """`values` of `QuotientFamily.pole_form` at `k`, checked to hold G and G' per point."""
     assert np.shape(values) == (*np.shape(k), 2)
@@ -428,7 +453,8 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     # call on 1-D arrays, and no call is made on circles; the certificate counts
     # each distinct factor at K_MIN and at k_max, in stacks of at most
     # MAX_BATCH_BYTES, from their closed-form systems, with no graph
-    # assembled, and no factor falls back
+    # assembled, and no factor falls back; a constant number of spectra is
+    # built, whatever the number of factors
     form, eigvals = QuotientFamily.pole_form, np.linalg.eigvals
     form_shapes, eigvals_shapes = [], []
 
@@ -444,6 +470,8 @@ def test_factors_call_budget(tmp_path, monkeypatch):
         or _with_slope(form(self, which, k), k),
     )
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals_shapes.append(np.shape(a)) or eigvals(a))
+    spectra, post_init = [], Spectrum.__post_init__
+    monkeypatch.setattr(Spectrum, "__post_init__", lambda self: spectra.append(len(self.k)) or post_init(self))
     s = _run_factors(tmp_path, 16, 16, 0.7101)
     distinct = int(s.meta["factors"])
     assert distinct == 81 and int(s.meta["fallbacks"]) == 0
@@ -455,3 +483,10 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     assert all(math.prod(shape) * 16 <= MAX_BATCH_BYTES for shape in eigvals_shapes)
     assert sum(math.prod(shape[:-2]) for shape in eigvals_shapes) == 2 * distinct
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"])
+    # the factors' roots stay arrays from the locator to the file: one merged
+    # spectrum, the one written and the one read back, at 81 factors as at
+    # 289, with no object per factor or label
+    at_16x16 = len(spectra)
+    spectra.clear()
+    assert int(_run_factors(tmp_path, 32, 32, 0.7101).meta["factors"]) == 289
+    assert len(spectra) == at_16x16 == 3

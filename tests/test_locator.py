@@ -495,6 +495,48 @@ def test_jumps_assembled_in_arrays_equal_the_loop_bit_for_bit(members, parts):
     assert _by_member(_jumps(done, tol), len(members)) == _jumps_by_loop(done, tol, len(members))
 
 
+def test_newton_brackets_close_triple_roots_in_rounding_noise_at_one_of_their_sign_changes():
+    # the triple roots of sin k + sin 3k + sin 4k at pi and 3 pi, where
+    # rounding sets the sign within about 3e-6 of the root, on the loop that
+    # `find_roots_real` runs: member 0 is f and member 1 is -f, so their
+    # falling sign changes are all of f's.  Each closes one sign change near
+    # each triple root, as sign bisection does, and agrees with it within
+    # tol at every simple root
+    def f(which, k):
+        sign = np.where(which == 0, 1.0, -1.0)
+        value = np.sin(k) + np.sin(3 * k) + np.sin(4 * k)
+        return np.stack([sign * value, sign * (np.cos(k) + 3 * np.cos(3 * k) + 4 * np.cos(4 * k))], axis=-1)
+
+    assert f(np.zeros(1, dtype=int), np.array([math.pi]))[0, 0] == 0.0
+    ks = np.arange(0.01, 10.0 + 0.005, 0.01)
+    (falling, rising), _, _ = _newton_roots(f, 2, ks, TOL)
+    got = sorted([(k, -1) for k, _ in falling] + [(k, 1) for k, _ in rising])
+    want = _bisect(lambda k: int(_level(f(np.zeros(1, dtype=int), np.array([k]))[0, 0])), ks, _level(f(0, ks)[:, 0]), TOL)
+    assert len(want) == len(got) == 9 and [n for _, n in got] == [n for _, n in want]
+
+    def near_a_triple_root(k):
+        return min(abs(k - math.pi), abs(k - 3 * math.pi)) < 1e-5
+
+    assert sum(near_a_triple_root(k) for k, _ in got) == 2
+    for (k, _), (k_ref, _) in zip(got, want):
+        if near_a_triple_root(k):
+            assert near_a_triple_root(k_ref)
+        else:
+            assert abs(k - k_ref) <= 2 * TOL
+
+
+def test_newton_brackets_take_an_exact_zero_at_a_refinement_point_as_the_root(calls_of):
+    # on the 0.25 grid the Newton point of the bracket [0.25, 0.5] of
+    # f = 0.375 - k from its left end is 0.375 exactly, where f is 0.0: its
+    # sign is that of f >= 0, so it replaces the left end with the value 0,
+    # and the chord of -arctan f reports that point
+    counted, calls = calls_of(lambda which, k: np.stack([0.375 - k, -np.ones_like(k)], axis=-1))
+    (jumps,), (n,), _ = _newton_roots(counted, 1, np.arange(0.25, 1.0 + 0.125, 0.25), TOL)
+    assert calls[1].tolist() == [0.375]
+    assert jumps == [(0.375, -1)]
+    assert n == len(calls) - 1
+
+
 def test_a_member_with_a_wrong_count_is_not_refined():
     # at k_max = pi + 1e-14 the factor (0,1) of 1x2 at L1 = 0.5 has a root
     # on the sine zero pi that the eigenphase count does not hold (FOUND in
@@ -506,7 +548,8 @@ def test_a_member_with_a_wrong_count_is_not_refined():
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.array(which)) or form(which, k)
     systems = UnitaryFamily(quotient_systems(specs))
-    refined, fallen = find_roots_real(family, systems, k_max, TOL)
+    found = find_roots_real(family, systems, k_max, TOL)
+    refined, fallen = found.spectrum(0), found.spectrum(1)
     assert calls[0].tolist() == [0, 1] and len(calls) > 1 and all(set(w.tolist()) == {0} for w in calls[1:])
     assert not refined.meta["fallback"] and fallen.meta["fallback"]
     (exact,) = systems.roots(k_max, tol=TOL, source="", members=[1])
@@ -615,7 +658,7 @@ def test_real_locator_ends_at_a_tol_below_the_float_spacing():
     # roots pi and 3 pi, and 2 pi is a sine zero
     spec = QuotientSpec(1, 2, 0.25, 0.25, 0, 1)
     family = QuotientFamily(1, 2, 0.25, 0.25, [(0, 1)])
-    (s,) = find_roots_real(family, UnitaryFamily([quotient_system(spec)]), 10.0, 1e-300)
+    s = find_roots_real(family, UnitaryFamily([quotient_system(spec)]), 10.0, 1e-300).spectrum(0)
     assert not s.meta["fallback"]
     assert s.order.tolist() == [1, 1, 1]
     assert s.k.tolist() == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)

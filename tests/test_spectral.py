@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qgsym import (
     QuotientFamily,
+    Roots,
     SecularSystem,
     Spectrum,
     UnitaryFamily,
@@ -28,10 +29,12 @@ from qgsym.quotient import QuotientSpec
 
 
 def _real(specs, k_max, tol=1e-10):
-    """`find_roots_real` of the quotient factors `specs` of one torus as one family."""
+    """`find_roots_real` of the quotient factors `specs` of one torus as one
+    family, each member's roots as its spectrum."""
     torus = specs[0].n1, specs[0].n2, specs[0].l1, specs[0].l3
     family = QuotientFamily(*torus, [(spec.s, spec.t) for spec in specs])
-    return find_roots_real(family, UnitaryFamily(quotient_systems(specs)), k_max, tol)
+    found = find_roots_real(family, UnitaryFamily(quotient_systems(specs)), k_max, tol)
+    return [found.spectrum(m) for m in range(found.members)]
 
 
 def _sine():
@@ -199,10 +202,18 @@ def _merge_by_entry(spectra, tol, copies=None):
 
 
 def _assert_merge_is_the_reference(spectra, tol, copies=None):
-    got = merge_spectra(spectra, tol=tol, copies=copies)
+    # the copies as (i, source) pairs, as a runs array and its labels, and,
+    # where every copy names its source, on the spectra's roots alone
     rows, k_max = _merge_by_entry(spectra, tol, copies)
-    assert got.k.tobytes() == np.array([k for k, _, _ in rows], dtype=float).tobytes()  # the same bits
-    assert (got.order.tolist(), got.source, got.k_max) == ([n for _, n, _ in rows], tuple(s for *_, s in rows), k_max)
+    merged = [merge_spectra(spectra, tol=tol, copies=copies)]
+    if copies is not None:
+        runs, labels = np.array([i for i, _ in copies], dtype=np.intp), [src for _, src in copies]
+        merged.append(merge_spectra(spectra, tol=tol, runs=runs, labels=labels))
+        if None not in labels:
+            merged.append(merge_spectra(Roots.of(spectra), tol=tol, runs=runs, labels=labels))
+    for got in merged:
+        assert got.k.tobytes() == np.array([k for k, _, _ in rows], dtype=float).tobytes()  # the same bits
+        assert (got.order.tolist(), got.source, got.k_max) == ([n for _, n, _ in rows], tuple(s for *_, s in rows), k_max)
 
 
 # steps between consecutive roots of a spectrum, in units of tol: ties, chains
@@ -345,7 +356,7 @@ def test_a_sign_change_past_kmax_is_off_the_grid(k_max):
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.array(k)) or form(which, k)
     assert family.sine_zeros(k_max)[0].size == 0
-    (s,) = find_roots_real(family, UnitaryFamily([quotient_system(_sine())]), k_max)
+    s = find_roots_real(family, UnitaryFamily([quotient_system(_sine())]), k_max).spectrum(0)
     assert calls[0].tolist() == [k_max] and s.meta["evaluations"] == sum(map(len, calls))
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, False)
     assert s.order.tolist() == [1]
