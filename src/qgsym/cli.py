@@ -170,7 +170,7 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     blocks, once per class of blocks with one secular determinant
     (`spectra.isospectral_classes`), and every label gets a copy of the
     roots, its label as their source.  All distinct blocks are one family of
-    the unitary locator: each refinement round is one stacked `eigvals` call
+    the unitary locator: each refinement round is one stacked `eigh` call
     over the open brackets of every block, per 32 KB of matrices
     (`spectra.MAX_BATCH_BYTES`).  The header's `blocks` counts the labels,
     `distinct_blocks` the blocks solved, `evaluations` sums their evaluation
@@ -213,7 +213,7 @@ def factors_cmd(n1, n2, l1, l3, kmax, tol, output):
     zeros of sin 2kL1 and sin 2kL3, of exact orders, and one simple root
     between each two consecutive poles of its two-loop form, with no grid.
     Their closed-form 4x4 systems (`QuotientFamily.bouquets`) are counted in
-    stacked `eigvals` calls first: a factor whose roots do not number its
+    stacked `eigh` calls first: a factor whose roots do not number its
     exact eigenphase count N(k_max) is solved by the unitary locator on its
     system (`fallbacks` counts them).  `rounds` is the most refinement
     rounds of any factor, by either locator.  `eigenphase_count`, N(k_max)

@@ -65,7 +65,8 @@ def pull_back(f: SampledFunction, a: GraphAction, element) -> SampledFunction:
 
 
 def project(f: SampledFunction, a: GraphAction, irrep) -> SampledFunction:
-    """Irrep component: the average of irrep(g) * pull_back(f, g) over the group.
+    """Irrep component: the average of irrep(g) * pull_back(f, g) over the
+    group, whose orders are the irrep's (`Irrep.values`).
 
     The average is summed only on one edge of each edge orbit, the smallest;
     on the rest of the orbit the component is carried by the character,
@@ -75,7 +76,7 @@ def project(f: SampledFunction, a: GraphAction, irrep) -> SampledFunction:
     reps, bonds = a.bond_orbits()
     bonds = bonds[:, reps % 2 == 0]  # an edge orbit's lowest edge e is represented by its bond 2e
     images, flips = bonds >> 1, bonds & 1
-    chars = np.array([irrep.value(element) for element in a.elements()])
+    chars = irrep.values()
     both = np.stack([f.values, f.values[:, ::-1]])
     on_reps = np.tensordot(chars, both[flips, images], axes=1) / len(chars)
     carried = on_reps / chars[:, None, None]

@@ -13,6 +13,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import LabelOutOfRange, NotCoprime
 
 TWO_PI = 2.0 * math.pi
@@ -72,3 +74,19 @@ class Irrep:
     def value(self, element: tuple[int, ...]) -> complex:
         values = (irrep_value(n, s, k) for n, s, k in zip(self.orders, self.labels, element))
         return functools.reduce(operator.mul, values)
+
+    def values(self) -> np.ndarray:
+        """`value` at every element of the group, in the order of
+        `itertools.product` over the orders, bit for bit: each factor's n
+        roots of unity, multiplied in `value`'s order (`_times`)."""
+        roots = (np.array([irrep_value(n, s, k) for k in range(n)]) for n, s in zip(self.orders, self.labels))
+        return functools.reduce(_times, roots)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every product a[i] * b[j], i first, as Python multiplies two complex
+    numbers: numpy's complex multiply may round otherwise."""
+    out = np.empty((len(a), len(b)), dtype=complex)
+    out.real = a.real[:, None] * b.real - a.imag[:, None] * b.imag
+    out.imag = a.real[:, None] * b.imag + a.imag[:, None] * b.real
+    return out.ravel()

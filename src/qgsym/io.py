@@ -193,7 +193,7 @@ def _spectrum_rows(k: np.ndarray, order: np.ndarray, source) -> str:
     head[:, 50:-2] = orders.view(np.uint8).reshape(-1, width)[at]
     head[:, [24, 49, -2]] = ord(",")
     head[:, -1] = ord("\n")
-    heads = head[head != 0].tobytes().decode().split("\n")
+    heads = head.tobytes().translate(None, b"\0").decode().split("\n")
     return "\n".join(map(str.__add__, heads, source)) + "\n"
 
 
@@ -292,6 +292,7 @@ _SIGN_POINT = _words(sign + "0." + "0"[:zeros] for sign in ("\0", "-") for zeros
 _ZEROS_LEAD = _words("00"[: max(zeros - 1, 0)].ljust(3, "\0") + str(lead) for zeros in range(4) for lead in range(10))
 _QUAD, _QUAD_END = _quads()  # the last group written has no trailing zeros
 _QUAD_WORD = np.frombuffer(_QUAD.tobytes(), dtype="<u4").astype(np.uint64)  # a group as the low half of a word
+_EXPONENT = 0x7FF << 52  # the exponent bits of a float64
 _LOW = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)  # a word's lowest b bytes
 # the words of the point at byte 7 + e of a field, and of the point and a zero, by 2 e and 2 e + 1
 _POINT = np.frombuffer(
@@ -332,10 +333,10 @@ def _repr_bytes(x: np.ndarray) -> np.ndarray:
     e = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
     a_hi = 134217729.0 * a - (134217729.0 * a - a)
     a_lo = a - a_hi
-    half_ulp = np.spacing(a) / 2
     s = 16 - e  # the 17 digits nearest to |x| are D = round(|x| * 10**s), |x| * 10**s - D = r
-    hi = a * _POW10[s]
-    lo = ((a_hi * _POW10_HI[s] - hi) + a_hi * _POW10_LO[s] + a_lo * _POW10_HI[s]) + a_lo * _POW10_LO[s]
+    p, p_hi, p_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
+    hi = a * p
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     d = np.rint(hi)
     r = (hi - d) + lo
     step = np.rint(r)
@@ -343,10 +344,12 @@ def _repr_bytes(x: np.ndarray) -> np.ndarray:
     r -= step
     fast &= (d >= 10**16) & (d < 10**17)
     sure = np.abs(r) < 0.5 - 1e-9  # of the digits taken, and of every longer one tried
-    digits, half = d, half_ulp * _POW10[s]  # 17 digits, the shortest left-aligned; half an ulp in units of D
+    # 17 digits, the shortest left-aligned; half an ulp, 2**-53 times the power of two of the exponent bits of
+    # |x|, in units of D
+    digits, half = d, (a.view(np.int64) & _EXPONENT).view(np.float64) * 2.0**-53 * p
     for j in (1, 2):  # 16, then 15 digits: |x| * 10**(s - j) = D // 10**j + (D % 10**j + r) / 10**j
-        q, m = np.divmod(d, 10**j)
-        t = (m + r) / 10**j
+        q = d // 10**j
+        t = ((d - q * 10**j) + r) / 10**j
         up = t > 0.5
         q += up
         off, bound = np.abs(t - up), half / 10**j
@@ -356,9 +359,14 @@ def _repr_bytes(x: np.ndarray) -> np.ndarray:
         digits = np.where(reads, q * 10**j, digits)
     fast &= sure
     digits[~fast] = 10**16
-    lead, rest = np.divmod(digits, 10**16)
-    left = [rest % 10**12, rest % 10**8, rest % 10**4]  # the digits after each of the first three groups
-    quads = [rest // 10**12, left[0] // 10**8, left[1] // 10**4, left[2]]
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    quads, left = [], []  # each group of four digits, and the digits after each of the first three
+    for j in (12, 8, 4):
+        quads.append(rest // 10**j)
+        rest = rest - quads[-1] * 10**j
+        left.append(rest)
+    quads.append(rest)
     zeros = np.maximum(-1 - e, 0)
     out = np.empty((len(x), 6), dtype=np.uint32)
     out[:, 0] = _SIGN_POINT[4 * (x < 0) + zeros]
@@ -418,5 +426,4 @@ def write_samples_csv(fh: BinaryIO, f: SampledFunction) -> None:
         lines[:n, wh : wh + wp] = prefixes[which[edge] * samples + m]
         lines[:n, wh + wp : wh + wp + 24] = text[:, :24]
         lines[:n, wh + wp + 25 : -1] = text[:, 24:]
-        block = lines[:n]
-        fh.write(block[block != 0])
+        fh.write(lines[:n].tobytes().translate(None, b"\0"))

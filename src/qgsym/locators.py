@@ -12,7 +12,9 @@ call: the real one with `_newton_brackets`, the unitary one with
   stacks of systems of one size, contracted once (`contracted_stacks`) or
   given as they are.  N(k) of every system (`UnitaryFamily.counts`) is an
   exact root count certifying a locator's output.  This is the robust path
-  for high-order roots of large systems.
+  for high-order roots of large systems.  The eigenphases come from a
+  Hermitian eigensolver, each matrix's error bounded by its residual
+  (`_unitary_phases`).
 
 `find_roots_unitary` solves a family of one.  Every member's spectrum, or
 the real locator's `Roots` by member, reports the points evaluated for it
@@ -34,6 +36,10 @@ from .spectra import TWO_PI, Roots, Spectrum, _chunked, _grid_cells, _k_grid, _n
 
 K_MIN = 1e-6  # lower end of the unitary locator's range; k = 0 is always a root
 PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
+# the weight of U's skew-Hermitian part in the Hermitian matrix of `_unitary_phases`: the inverse golden
+# ratio, the tangent of no rational multiple of pi, so no two phases at rational multiples of pi, such as
+# those at sine zeros, sum to 2 atan(GAMMA)
+GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def find_roots_real(family: QuotientFamily, systems: UnitaryFamily, k_max: float, tol: float = 1e-10) -> Roots:
@@ -121,20 +127,56 @@ def _turned(phases: np.ndarray) -> np.ndarray:
     return np.where(phases < 0.0, phases + TWO_PI, phases)
 
 
-def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _unitary_phases(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenphases in (-pi, pi] of a stack of unitary matrices `U`, and
+    each matrix's residual r, a bound on the error of every phase.
+
+    U is normal: U = A + iB with A and B Hermitian and commuting.  So the
+    Hermitian H = wU + (wU)^H = 2(A + GAMMA B), w = 1 - i GAMMA, has U's
+    eigenvectors, an eigenphase phi of U giving H the eigenvalue
+    2 (cos phi + GAMMA sin phi).  One stacked `np.linalg.eigh` call gives
+    H's eigenvectors V, and the phases are the angles of the Rayleigh
+    quotients rho = diag(V^H U V).  U differs from the normal
+    V diag(rho) V^H by r = |U V - V diag(rho)|_F, so the Hoffman-Wielandt
+    inequality (1953) matches U's eigenvalues to rho within r each, and each
+    phase moves by at most about r.  Two phases of U with
+    phi1 + phi2 = 2 atan(GAMMA) mod 2pi share an eigenvalue of H, whose
+    eigenvectors then mix U's and give a large r: the matrices whose r is
+    above PHASE_EPS / 16 go to one stacked `np.linalg.eigvals` call, and
+    their r is 0, as they move the phases by a few eps only.  No phase at 0
+    then crosses -PHASE_EPS, the line the counts depend on.
+    """
+    wU = (1.0 - 1j * GAMMA) * U
+    _, V = np.linalg.eigh(wU + wU.conj().swapaxes(-1, -2))
+    UV = U @ V
+    rho = np.einsum("...ij,...ij->...j", V.conj(), UV)
+    R = (UV - V * rho[..., None, :]).view(float)
+    residuals = np.sqrt(np.einsum("...ij,...ij->...", R, R))
+    phases = np.angle(rho)
+    far = np.flatnonzero(residuals > PHASE_EPS / 16)
+    if len(far):
+        phases[far] = np.angle(np.linalg.eigvals(U[far]))
+        residuals[far] = 0.0
+    return phases, residuals
+
+
+def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
     """Eigenphases of U(k) = S D(k) in (-pi, pi], less PHASE_EPS, one row per
-    point: system `which[i]` of the stacks `S` and `lengths` at `ks[i]`.
+    point: system `which[i]` of the stacks `S` and `lengths` at `ks[i]`, and
+    each point's residual (`_unitary_phases`).
 
     An entry is >= 0 once its eigenvalue has crossed 1, so an eigenvalue at
     exactly 1 counts as about to leave.  The matrices go to one stacked
-    `np.linalg.eigvals` call per MAX_BATCH_BYTES of input.
+    `np.linalg.eigh` call per MAX_BATCH_BYTES of input.
     """
 
     def phases(which: np.ndarray, k: np.ndarray) -> np.ndarray:
         d = np.exp(1j * k[:, None] * lengths[which])
-        return np.angle(np.linalg.eigvals(S[which] * d[:, None, :])) - PHASE_EPS
+        phases, residuals = _unitary_phases(S[which] * d[:, None, :])
+        return np.concatenate([phases - PHASE_EPS, residuals[:, None]], axis=-1)
 
-    return _chunked(phases, which, ks, S[0].nbytes)
+    out = _chunked(phases, which, ks, S[0].nbytes)
+    return out[:, :-1], out[:, -1]
 
 
 def _eigenphase_levels(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
@@ -143,13 +185,14 @@ def _eigenphase_levels(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks
     their eigenphases in [0, 2pi) ascending (`_turned`), counted from each
     system's first point of the grid `which, ks`, where each system's points
     are consecutive and ascending.  Returns `level`, the grid's ascending
-    turned phases and each system's unitarity defect |S S^H - I|.
+    turned phases, their residuals (`_eigenphases`) and each system's
+    unitarity defect |S S^H - I|.
 
     N(k) counts the roots in (first grid point, k]: N(k) = (P(k0) - k0 * L +
     k * L - P(k)) / 2pi, where k0 is the system's first grid point, L its
     total bond length and P(k) the sum of the eigenphases of U(k) taken in
     [0, 2pi): each phase advances by k * L in all and drops by 2pi when it
-    crosses 0.  The grid's matrices go to one stacked `np.linalg.eigvals`
+    crosses 0.  The grid's matrices go to one stacked `np.linalg.eigh`
     call per MAX_BATCH_BYTES.  Needs unitary S (`NonUnitaryScattering`
     otherwise).
     """
@@ -158,7 +201,8 @@ def _eigenphase_levels(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks
     if defects.max(initial=0.0) > 1e-10:
         raise NonUnitaryScattering(f"|S S^H - I| = {defects.max():.3e}: eigenphase counting needs a unitary S")
     l_total = lengths.sum(-1)
-    turned = np.sort(_turned(_eigenphases(S, lengths, which, ks)), axis=-1)
+    phases, residuals = _eigenphases(S, lengths, which, ks)
+    turned = np.sort(_turned(phases), axis=-1)
     first = np.flatnonzero(np.append(True, which[1:] != which[:-1]))
     base = np.zeros(len(S))
     base[which[first]] = turned[first].sum(-1) - ks[first] * l_total[which[first]]
@@ -166,7 +210,7 @@ def _eigenphase_levels(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks
     def level(which: np.ndarray, k: np.ndarray, turned: np.ndarray) -> np.ndarray:
         return np.rint((base[which] + k * l_total[which] - turned.sum(-1)) / TWO_PI)
 
-    return level, turned, defects
+    return level, turned, residuals, defects
 
 
 def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
@@ -189,18 +233,18 @@ def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks:
     k + theta_1 / l_max and the next m jumps have all happened by
     k + theta_m / l_min, and behind k the same holds with the distances
     behind.  Each distance first loses (for a hold) or gains (for a bound) a
-    margin of 16 R eps, R the size, plus 8 times the system's unitarity
-    defect: eigvals moves the phases of a unitary matrix by a few eps.  A
-    call of the step makes one stacked `np.linalg.eigvals` call per
-    MAX_BATCH_BYTES of matrices.  Needs unitary S (`NonUnitaryScattering`
-    otherwise).
+    margin: the point's residual r, which bounds the error of its phases
+    (`_unitary_phases`), plus 16 R eps, R the size, for the rounding of r
+    and of the phases, plus 8 times the system's unitarity defect.  A call
+    of the step makes one stacked `np.linalg.eigh` call per MAX_BATCH_BYTES
+    of matrices.  Needs unitary S (`NonUnitaryScattering` otherwise).
     """
-    level, turned, defects = _eigenphase_levels(S, lengths, which, ks)
+    level, turned, residuals, defects = _eigenphase_levels(S, lengths, which, ks)
     margin = 16 * S.shape[-1] * np.finfo(float).eps + 8 * defects
     l_min, l_max = lengths.min(-1, initial=np.inf), lengths.max(-1, initial=0.0)
 
-    def evaluate(which: np.ndarray, k: np.ndarray, turned: np.ndarray) -> tuple:
-        slack, slow, fast = margin[which, None], l_min[which, None], l_max[which, None]
+    def evaluate(which: np.ndarray, k: np.ndarray, turned: np.ndarray, residuals: np.ndarray) -> tuple:
+        slack, slow, fast = (margin[which] + residuals)[:, None], l_min[which, None], l_max[which, None]
 
         def side(distances: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
             hold = np.maximum(distances[:, :1] - slack, 0.0) / fast
@@ -209,9 +253,10 @@ def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks:
         return level(which, k, turned), side(TWO_PI - turned[:, ::-1], -1.0), side(turned, 1.0)
 
     def step(which: np.ndarray, k: np.ndarray) -> tuple:
-        return evaluate(which, k, np.sort(_turned(_eigenphases(S, lengths, which, k)), axis=-1))
+        phases, residuals = _eigenphases(S, lengths, which, k)
+        return evaluate(which, k, np.sort(_turned(phases), axis=-1), residuals)
 
-    return (step, *evaluate(which, ks, turned))
+    return (step, *evaluate(which, ks, turned, residuals))
 
 
 def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float, source: str) -> list[Spectrum]:
@@ -249,12 +294,12 @@ class UnitaryFamily:
         """N(k) of every system: the number of roots of det(I - S D(k)) in
         (K_MIN, k], with order.  These are the levels of `_eigenphase_levels`
         on the grid K_MIN, k of every contracted system, so the matrices go
-        to `eigvals` per MAX_BATCH_BYTES.  Needs unitary S
+        to `eigh` per MAX_BATCH_BYTES.  Needs unitary S
         (`NonUnitaryScattering` otherwise)."""
         out = [0] * self.members
         for members, S, lengths in self.stacks:
             grid, which = np.tile([K_MIN, k], len(S)), np.repeat(np.arange(len(S)), 2)
-            level, turned, _ = _eigenphase_levels(S, lengths, which, grid)
+            level, turned, _, _ = _eigenphase_levels(S, lengths, which, grid)
             for m, n in zip(members.tolist(), level(which[1::2], grid[1::2], turned[1::2]).tolist()):
                 out[m] = int(n)
         return out
@@ -277,7 +322,7 @@ class UnitaryFamily:
         evaluation's count keeps the bracket exact, and its reaches move the
         bracket's ends without an evaluation, so each root is certified by
         its end counts.  The grids of all systems of a stack go to stacked
-        `eigvals` calls, and so does each refinement round;
+        `eigh` calls, and so does each refinement round;
         `meta["rounds"]` counts the rounds that evaluated the system.
         """
         require_positive(k_max=k_max, tol=tol)

@@ -5,7 +5,7 @@ distinct quotient factors of `factors`, or the distinct character blocks of
 `spectrum`.  An evaluator takes two arrays that broadcast together,
 `which` (the member of each point) and `k`, so one array call serves every
 member.  Each array call takes at most MAX_BATCH_BYTES of input (`_chunked`):
-points, or a stack of `eigvals` in chunks of matrices.
+points, or a stack of `eigh` in chunks of matrices.
 
 `_refine_steps` closes the jumps of integer step functions, such as the
 eigenphase count N(k), in the cells of each member's grid whose end levels

@@ -418,6 +418,31 @@ def test_stacked_certificate_equals_one_system_at_a_time():
         UnitaryFamily(blocks[:3] + [lossy]).counts(5.0)
 
 
+@pytest.mark.parametrize(
+    "n1, n2, l1, l3",
+    [
+        (16, 16, L1, 0.7017025651372872), (3, 4, L1, 1.0), (5, 7, L1, 0.7017025651372872), (1, 1, 1.5, 0.5),
+        (1, 2, L1, 0.61), (6, 6, L1, L1), (4, 8, L1, L1), (12, 8, L1, L1),
+    ],
+    ids=["16x16", "3x4", "5x7", "1x1-ratio-3", "1x2", "6x6-equal", "4x8-equal", "12x8-equal"],
+)
+def test_certificate_equals_one_system_at_a_time_around_every_sine_zero(n1, n2, l1, l3):
+    # the certificate's eigenphases come from eigh, one system's here from
+    # eigvals: their counts agree at K_MIN and where an eigenvalue sits at
+    # or next to 1, with its multiplicity: on every sine zero to k_max 10,
+    # 1 ulp and 1e-9 to either side of it
+    labels = _labels(n1, n2)
+    family = QuotientFamily(n1, n2, l1, l3, labels[np.unique(QuotientFamily(n1, n2, l1, l3, labels).classes())])
+    stack = family.bouquets()
+    systems = [SecularSystem(S, lengths) for S, lengths in zip(*stack[1:])]
+    certificate = UnitaryFamily(stacks=[stack])
+    zeros = family.sine_zeros(10.0)[0].tolist()
+    ks = [K_MIN] + [x for z in zeros for x in (z, math.nextafter(z, 0), math.nextafter(z, math.inf), z - 1e-9, z + 1e-9)]
+    for k in ks:
+        assert certificate.counts(k) == [_one_system_count(sys_, k) for sys_ in systems], k
+    assert len(zeros) >= 3
+
+
 @pytest.mark.parametrize("systems", ["16x16-bouquets", "3x4-blocks"])
 def test_certificate_counts_are_the_levels_of_the_step_evaluator(systems):
     # `counts` computes the levels alone; on the grid K_MIN, k of every
@@ -455,8 +480,8 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     # MAX_BATCH_BYTES, from their closed-form systems, with no graph
     # assembled, and no factor falls back; a constant number of spectra is
     # built, whatever the number of factors
-    form, eigvals = QuotientFamily.pole_form, np.linalg.eigvals
-    form_shapes, eigvals_shapes = [], []
+    form, eigh = QuotientFamily.pole_form, np.linalg.eigh
+    form_shapes, eigh_shapes = [], []
 
     def refused(*args, **kwargs):
         raise AssertionError("factors takes its classes from the coefficients and its systems in closed form")
@@ -469,7 +494,7 @@ def test_factors_call_budget(tmp_path, monkeypatch):
         lambda self, which, k: form_shapes.append((np.shape(which), np.shape(k), np.asarray(k).dtype.kind))
         or _with_slope(form(self, which, k), k),
     )
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals_shapes.append(np.shape(a)) or eigvals(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_shapes.append(np.shape(a)) or eigh(a))
     spectra, post_init = [], Spectrum.__post_init__
     monkeypatch.setattr(Spectrum, "__post_init__", lambda self: spectra.append(len(self.k)) or post_init(self))
     s = _run_factors(tmp_path, 16, 16, 0.7101)
@@ -480,8 +505,8 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     assert len(rounds) == int(s.meta["rounds"]) <= 10  # 8 measured
     assert all(len(w) == 1 and w == k and kind == "f" for w, k, kind in rounds)  # 1-D and real, no circle
     assert int(s.meta["evaluations"]) == sum(math.prod(k) for _, k, _ in form_shapes) <= 2700  # 2651 measured
-    assert all(math.prod(shape) * 16 <= MAX_BATCH_BYTES for shape in eigvals_shapes)
-    assert sum(math.prod(shape[:-2]) for shape in eigvals_shapes) == 2 * distinct
+    assert all(math.prod(shape) * 16 <= MAX_BATCH_BYTES for shape in eigh_shapes)
+    assert sum(math.prod(shape[:-2]) for shape in eigh_shapes) == 2 * distinct
     assert int(s.meta["eigenphase_count"]) == int(s.meta["root_count"])
     # the factors' roots stay arrays from the locator to the file: one merged
     # spectrum, the one written and the one read back, at 81 factors as at

@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qgsym import (
@@ -65,6 +67,17 @@ def test_product_irrep_value_splits():
                     assert abs(rho.value((ka, io)) - want) < 1e-14
     with pytest.raises(LabelOutOfRange):
         Irrep((n1, n2), (0, n2))
+
+
+@pytest.mark.parametrize("orders", [(7,), (3, 4), (16, 16), (12, 8), (2, 3, 5)])
+def test_irrep_values_are_the_values_bit_for_bit(orders):
+    # the table of `project`, from each factor's roots of unity, holds at
+    # every element, in the order of the group's elements, the bits of the
+    # scalar `value`, signed zeros included
+    for labels in itertools.islice(itertools.product(*(range(n) for n in orders)), 0, None, 3):
+        rho = Irrep(orders, labels)
+        want = np.array([rho.value(element) for element in itertools.product(*(range(n) for n in orders))])
+        assert rho.values().tobytes() == want.tobytes()
 
 
 def test_irrep_sum_orthogonality_small():

@@ -33,7 +33,7 @@ from qgsym import (
 )
 from qgsym.cli import main
 from qgsym.quotient import QuotientSpec, torus_secular_system
-from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _eigenphases
+from qgsym.locators import GAMMA, K_MIN, PHASE_EPS, UnitaryFamily, _eigenphase_steps, _eigenphases, _unitary_phases
 from qgsym.spectra import ITP_N0, MAX_BATCH_BYTES, _grid_cells, _jumps, _newton_brackets, _refine_steps
 
 TOL = 1e-10
@@ -591,12 +591,12 @@ def test_spectrum_header_counts_evaluations(tmp_path):
 
 def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
     # the 6 distinct blocks of the 3x4 document, contracted from 8x8 to 4x4,
-    # are one family: their grids go to one stacked eigvals call and each of
+    # are one family: their grids go to one stacked eigh call and each of
     # the 4 refinement rounds to one call, for the same 155 evaluations as
     # block by block; the certificate adds one call, each of the 12 blocks
     # at K_MIN and at k_max
-    eigvals, shapes = np.linalg.eigvals, []
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
+    eigh, shapes = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
     out, _ = _spectrum_of_the_3x4_document(tmp_path, "full.csv")
     s = io.load_spectrum(str(out))
     assert (s.meta["evaluations"], s.meta["rounds"]) == (155, 4)
@@ -643,12 +643,60 @@ def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
     assert len(ks) * sys_.S.size * 16 > 10 * MAX_BATCH_BYTES
     tracemalloc.start()
     try:
-        phases = _eigenphases(sys_.S[None], sys_.lengths[None], np.zeros(len(ks), dtype=int), ks)
+        phases, _ = _eigenphases(sys_.S[None], sys_.lengths[None], np.zeros(len(ks), dtype=int), ks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert phases.shape == (len(ks), 96)
     assert peak < 8e6
+
+
+def _unitaries(rng, phases):
+    """Q diag(exp(i phases)) Q^H for a random unitary Q per row of `phases`."""
+    stack, size = phases.shape
+    q, _ = np.linalg.qr(rng.standard_normal((stack, size, size)) + 1j * rng.standard_normal((stack, size, size)))
+    return (q * np.exp(1j * phases)[:, None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def _circle_gap(a, b):
+    """The least over cyclic shifts of the largest distance on the circle
+    between the phases `a` and `b`, each ascending: the distance of the two
+    multisets when they differ by less than their own gaps."""
+    return min(np.abs(np.angle(np.exp(1j * (a - np.roll(b, shift))))).max() for shift in range(len(a)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8), distinct=st.integers(1, 8), stack=st.integers(1, 5)
+)
+@example(seed=0, size=8, distinct=1, stack=2)  # one eigenvalue of multiplicity 8
+def test_hermitian_phases_are_the_eigvals_phases_within_the_residual(seed, size, distinct, stack):
+    # random unitary stacks whose phases repeat, so that the multiplicities
+    # are exact; each matrix's phases are those of eigvals, as multisets on
+    # the circle, within its residual and the rounding the locator allows
+    rng = np.random.default_rng(seed)
+    drawn = rng.uniform(-np.pi, np.pi, (stack, distinct))
+    phases = np.take_along_axis(drawn, rng.integers(0, distinct, (stack, size)), axis=1)
+    U = _unitaries(rng, phases)
+    got, residuals = _unitary_phases(U)
+    want = np.angle(np.linalg.eigvals(U))
+    assert got.shape == want.shape == (stack, size) and residuals.shape == (stack,)
+    assert np.all((residuals >= 0.0) & (residuals <= PHASE_EPS / 16))
+    for g, w, r in zip(np.sort(got, axis=-1), np.sort(want, axis=-1), residuals):
+        assert _circle_gap(g, w) <= r + 16 * size * np.finfo(float).eps
+
+
+def test_phases_that_share_a_hermitian_eigenvalue_go_through_eigvals(monkeypatch):
+    # phi1 + phi2 = 2 atan(GAMMA) gives H = wU + (wU)^H one eigenvalue
+    # twice, so eigh mixes U's two eigenvectors and the residual is large:
+    # that matrix, and only it, takes eigvals, and its residual reads 0
+    eigvals, shapes = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
+    phases = np.array([[0.3, 1.1, -2.0, 2.5], [0.3, 2 * math.atan(GAMMA) - 0.3, -2.0, 2.5]])
+    got, residuals = _unitary_phases(_unitaries(np.random.default_rng(7), phases))
+    assert shapes == [(1, 4, 4)]
+    assert 0.0 < residuals[0] <= PHASE_EPS / 16 and residuals[1] == 0.0
+    assert np.sort(got, axis=-1) == pytest.approx(np.sort(phases, axis=-1), rel=0, abs=1e-14)
 
 
 def test_real_locator_ends_at_a_tol_below_the_float_spacing():
