@@ -127,7 +127,13 @@ def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
     """The document's secular system of each label, and the first label of
     each label's class of one secular determinant (`isospectral_classes`):
     one character block per irrep label of a stored action, or else the
-    dense system under the one label "full"."""
+    dense system under the one label "full".
+
+    A label and its conjugate (each entry l of order n as -l mod n) have one
+    secular determinant (`character_blocks`), so only the lower label of
+    each pair is probed, and the other takes its class.  A class holds both
+    labels of each of its pairs, so its first label is the lower of some
+    pair, and `first` is what probing every label gives."""
     g, conds, action = io.load_graph(path)
     if conds is None:
         conds = standard_conditions(g)
@@ -135,8 +141,14 @@ def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
         return {"full": build_secular_system(g, conds)}, np.zeros(1, dtype=int)
     blocks = character_blocks(g, conds, action)
     systems = list(blocks.values())
-    first = isospectral_classes(secular_dets(systems), len(systems), systems[0].lengths, systems[0].S.nbytes)
-    return {f"({','.join(map(str, labels))})": block for labels, block in blocks.items()}, first
+    labels = np.array(list(blocks), dtype=np.intp)
+    conjugate = np.ravel_multi_index(tuple((-labels % action.orders).T), action.orders)
+    low = np.minimum(conjugate, np.arange(len(systems)))  # the lower label of each label's pair
+    reps = np.flatnonzero(low == np.arange(len(systems)))
+    probed = [systems[i] for i in reps.tolist()]
+    first = np.empty(len(systems), dtype=np.intp)
+    first[reps] = reps[isospectral_classes(secular_dets(probed), len(probed), probed[0].lengths, probed[0].S.nbytes)]
+    return {f"({','.join(map(str, label))})": block for label, block in blocks.items()}, first[low]
 
 
 def _write_classes(output, kmax: float, found: Roots, runs: np.ndarray, labels, eigenphase_count, **header):

@@ -39,9 +39,10 @@ class SampledFunction:
 
 
 def random_function(g: MetricGraph, samples: int, rng: np.random.Generator) -> SampledFunction:
-    vals = rng.standard_normal((g.n_edges, samples)) + 1j * rng.standard_normal(
-        (g.n_edges, samples)
-    )
+    """Standard normal real parts, then imaginary parts, drawn from `rng` in that order."""
+    vals = np.empty((g.n_edges, samples), dtype=np.complex128)
+    vals.real = rng.standard_normal((g.n_edges, samples))
+    vals.imag = rng.standard_normal((g.n_edges, samples))
     return SampledFunction(g, vals)
 
 

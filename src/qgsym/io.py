@@ -109,18 +109,18 @@ def doc_to_graph(doc: dict) -> tuple[MetricGraph, Optional[list[Condition]], Opt
 
 
 def _integers(values: list, what: str) -> np.ndarray:
-    """`values` as an intp array; a value that is not a JSON integer is refused."""
-    for x in values:
-        if type(x) is not int:
-            raise UnsupportedFormat(f"{what} {x!r} is not an integer")
+    """`values` as an intp array; a value that is not a JSON integer is refused, the first named."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise UnsupportedFormat(f"{what} {bad!r} is not an integer")
     return np.array(values, dtype=np.intp)
 
 
 def _booleans(values: list, what: str) -> tuple[bool, ...]:
-    """`values` as a tuple; a value that is not a JSON boolean is refused."""
-    for x in values:
-        if type(x) is not bool:
-            raise UnsupportedFormat(f"{what} {x!r} is not a boolean")
+    """`values` as a tuple; a value that is not a JSON boolean is refused, the first named."""
+    if not set(map(type, values)) <= {bool}:
+        bad = next(x for x in values if type(x) is not bool)
+        raise UnsupportedFormat(f"{what} {bad!r} is not a boolean")
     return tuple(values)
 
 
@@ -400,30 +400,38 @@ def write_samples_csv(fh: BinaryIO, f: SampledFunction) -> None:
     file: x = (m + 0.5) * length / samples is the midpoint of sample m, and
     every float is written as its `repr`.
 
-    Each pass takes MAX_BATCH_BYTES of complex samples in edge-major order,
-    formats them with `_repr_bytes` into one NUL-padded byte matrix of whole
-    lines (edge id, the edge length's `sample_index,x,` prefix, re, im),
-    reused from pass to pass, and writes its bytes other than NUL.  The work
-    per sample does not depend on the values.
+    Each pass takes whole edges, as many as fit in MAX_BATCH_BYTES of
+    complex samples, or one block of samples of an edge longer than that.
+    It formats their values with `_repr_bytes` into one NUL-padded
+    (edges, samples, width) byte block of whole lines, reused from pass to
+    pass: each edge's `edge,` head is broadcast over its samples, and its
+    samples' `sample_index,x,` prefixes are one slice of a table by
+    distinct edge length.  It writes the block's bytes other than NUL.  The
+    work per sample does not depend on the values.
     """
     g, samples = f.graph, f.samples
-    values = np.ascontiguousarray(f.values, dtype=np.complex128).reshape(-1)
+    values = np.ascontiguousarray(f.values, dtype=np.complex128)
     lengths, which = np.unique(g.lengths, return_inverse=True)
     heads = np.array([f"{e},".encode() for e in range(g.n_edges)])
     prefixes = np.array([f"{m},{(m + 0.5) * length / samples!r},".encode() for length in lengths.tolist() for m in range(samples)])
     heads, prefixes = (a.view(np.uint8).reshape(len(a), -1) for a in (heads, prefixes))
     wh, wp = heads.shape[1], prefixes.shape[1]
-    per = MAX_BATCH_BYTES // 16
-    lines = np.empty((per, wh + wp + 50), dtype=np.uint8)
-    lines[:, wh + wp + 24] = ord(",")
-    lines[:, -1] = ord("\n")
+    prefixes = prefixes.reshape(len(lengths), samples, wp)
+    per = MAX_BATCH_BYTES // 16  # the complex samples of one pass
+    block = min(samples, per)  # the samples of an edge in one pass
+    edges = per // block  # the edges of one pass, 1 where an edge is split
+    lines = np.empty((edges, block, wh + wp + 50), dtype=np.uint8)
+    lines[..., wh + wp + 24] = ord(",")
+    lines[..., -1] = ord("\n")
     fh.write(b"edge,sample_index,x,re,im\n")
-    for j in range(0, len(values), per):
-        n = min(per, len(values) - j)
-        edge, m = np.divmod(np.arange(j, j + n), samples)
-        text = _repr_bytes(values[j : j + n].view(np.float64)).reshape(n, 48)
-        lines[:n, :wh] = heads[edge]
-        lines[:n, wh : wh + wp] = prefixes[which[edge] * samples + m]
-        lines[:n, wh + wp : wh + wp + 24] = text[:, :24]
-        lines[:n, wh + wp + 25 : -1] = text[:, 24:]
-        fh.write(lines[:n].tobytes().translate(None, b"\0"))
+    for e in range(0, g.n_edges, edges):
+        for m in range(0, samples, block):
+            part = values[e : e + edges, m : m + block]
+            n_e, n_m = part.shape
+            text = _repr_bytes(part.reshape(-1).view(np.float64)).reshape(n_e, n_m, 48)
+            out = lines[:n_e, :n_m]
+            out[..., :wh] = heads[e : e + n_e, None]
+            out[..., wh : wh + wp] = prefixes[which[e : e + n_e], m : m + n_m]
+            out[..., wh + wp : wh + wp + 24] = text[..., :24]
+            out[..., wh + wp + 25 : -1] = text[..., 24:]
+            fh.write(out.tobytes().translate(None, b"\0"))

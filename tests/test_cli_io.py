@@ -41,7 +41,7 @@ from qgsym.io import (
     write_spectrum_csv,
 )
 from qgsym.scattering import secular_det
-from qgsym.spectra import MAX_BATCH_BYTES, Roots, Spectrum, _k_grid
+from qgsym.spectra import MAX_BATCH_BYTES, PROBES, Roots, Spectrum, _k_grid
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -461,10 +461,12 @@ REPR_CASES = [
 ]
 
 
-def test_cli_project_writes_every_float_as_its_repr(tmp_path, monkeypatch):
+@pytest.mark.parametrize("budget", [16 * 7, 16 * 3], ids=["whole-edges", "split-edges"])
+def test_cli_project_writes_every_float_as_its_repr(tmp_path, monkeypatch, budget):
     # edges 0 and 1 (length l3) differ only in the sign of a zero and edge 12
-    # (length l1) repeats edge 0's row at other x; seven samples per pass, so
-    # the passes split edges and the last one is short
+    # (length l1) repeats edge 0's row at other x; a pass of seven samples
+    # holds one whole edge of four, and a pass of three splits each edge into
+    # a block of three samples and a short one
     values = np.array(REPR_CASES).view(np.complex128)  # re and im in turn
     got = []
 
@@ -477,7 +479,7 @@ def test_cli_project_writes_every_float_as_its_repr(tmp_path, monkeypatch):
         return got[-1]
 
     monkeypatch.setattr(cli, "project", fake_project)
-    monkeypatch.setattr(io, "MAX_BATCH_BYTES", 16 * 7)
+    monkeypatch.setattr(io, "MAX_BATCH_BYTES", budget)
     out = str(tmp_path / "proj.csv")
     res = CliRunner().invoke(main, [
         "project", "--n1", "2", "--n2", "3", "--l1", "0.5", "--l3", "1.3",
@@ -486,12 +488,35 @@ def test_cli_project_writes_every_float_as_its_repr(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     (comp,) = got
     lengths = comp.graph.lengths
-    assert lengths[0] == lengths[1] != lengths[12] and len(lengths) * 4 % 7 != 0
+    assert lengths[0] == lengths[1] != lengths[12] and 7 % 4 != 0 and 4 % 3 != 0
     with open(out) as fh:
         text = fh.read()
     assert text == _one_format_per_row(comp, "(0,0)", 4)
     lines, x = text.splitlines(), 0.5 * 1.3 / 4
     assert lines[2] == f"0,0,{x!r},0.0,-0.0" and lines[6] == f"1,0,{x!r},-0.0,-0.0"
+
+
+@pytest.mark.parametrize("budget", [MAX_BATCH_BYTES, 16 * 64], ids=["default-pass", "64-sample-pass"])
+@pytest.mark.parametrize("samples", [3, 31, 2049])
+def test_write_samples_csv_bytes_equal_one_format_per_row(monkeypatch, samples, budget):
+    # three distinct edge lengths; sample counts that do not divide a pass,
+    # and 2049 that is longer than a pass, so that its edges split; and no
+    # `_repr_bytes` call formats more floats than a pass holds
+    g, _ = circulant_graph(7, [1, 2, 3], [0.7, 1.3, 2.1])
+    values = np.random.default_rng(samples).standard_normal((g.n_edges, 2 * samples)).view(np.complex128)
+    values.reshape(-1)[: len(REPR_CASES) // 2] = np.array(REPR_CASES).view(np.complex128)
+    comp = SampledFunction(g, values)
+    sizes, fields = [], io._repr_bytes
+    monkeypatch.setattr(io, "_repr_bytes", lambda x: sizes.append(len(x)) or fields(x))
+    monkeypatch.setattr(io, "MAX_BATCH_BYTES", budget)
+    out = _io.BytesIO()
+    io.write_samples_csv(out, comp)
+    assert len(set(g.lengths.tolist())) == 3
+    assert out.getvalue().decode() == _one_format_per_row(comp, "", samples).split("\n", 1)[1]
+    assert sum(sizes) == 2 * g.n_edges * samples and max(sizes) <= budget // 8
+    # as few passes as whole edges allow
+    per = budget // 16
+    assert len(sizes) == (-(-g.n_edges // (per // samples)) if samples <= per else g.n_edges * -(-samples // per))
 
 
 @settings(max_examples=300, deadline=None)
@@ -568,9 +593,11 @@ def test_cli_scan_equals_the_per_block_determinant_loop(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     with open(out) as fh:
         assert fh.read() == ref
-    # the 12 blocks are grouped into classes at the probe points first
+    # the 7 lower labels of the 12 labels' conjugate pairs are grouped into
+    # classes at the probe points first
     scans = [points for n, points in calls if n == len(sizes)]
-    assert 1 < len(sizes) < 12 and all(n in (12, len(sizes)) for n, _ in calls)
+    probes = [points for n, points in calls if n == 7]
+    assert 1 < len(sizes) < 7 and all(n in (7, len(sizes)) for n, _ in calls) and sum(probes) == 7 * len(PROBES)
     assert sum(scans) == 100 * len(sizes) and max(scans) * blocks[0].S.nbytes <= MAX_BATCH_BYTES
 
 
@@ -675,6 +702,16 @@ def test_cli_rejects_malformed_documents(tmp_path, damage):
         load_graph(gpath)
     res = CliRunner().invoke(main, ["spectrum", gpath, "-o", str(tmp_path / "s.csv")])
     _assert_usage_error(res, kind.__name__)
+
+
+@pytest.mark.parametrize("check, values, first", [
+    (io._integers, [0, 1, 2.0, "3", 4.5], "2.0"),
+    (io._integers, [True, 1], "True"),
+    (io._booleans, [True, False, 0, None], "0"),
+])
+def test_a_list_of_the_wrong_types_is_refused_at_its_first_bad_value(check, values, first):
+    with pytest.raises(UnsupportedFormat, match=f"entry {first} is not"):
+        check(values, "entry")
 
 
 def test_a_document_places_each_edge_at_the_row_of_its_id(tmp_path):

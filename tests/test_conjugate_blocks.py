@@ -15,6 +15,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,10 @@ from qgsym import (
     standard_conditions,
     torus_action,
 )
+from qgsym import cli
 from qgsym.cli import _systems_from_doc, main
+from qgsym.scattering import secular_dets
+from qgsym.spectra import isospectral_classes
 
 L1, L3 = 0.5, 1.0  # the 3x4 document of the benchmark's full-3x4 workload
 
@@ -147,6 +151,35 @@ def test_scan_equals_the_product_over_every_label(tmp_path):
     for k, value in rows:
         want = abs(math.prod(secular_det(block, k) for block in blocks.values()))
         assert abs(value - want) <= 1e-12 * want, k
+
+
+@pytest.mark.parametrize("build, pairs", [
+    (lambda: torus_action(4, 6, 0.77, 0.5), 14),  # even orders: 4 self-conjugate labels
+    (lambda: torus_action(2, 2, 1.0, 0.5), 4),  # every label self-conjugate
+    (lambda: torus_action(1, 5, 1.0, 0.61), 3),
+    (lambda: torus_action(1, 1, 1.0, 0.61), 1),
+    (lambda: circulant_graph(12, [3, 4], [1.0, 1.4272320]), 7),
+    (lambda: circulant_graph(8, [1, 3, 4], [1.0, 0.77, 1.3]), 5),  # the antipodal jump
+    (lambda: torus_action(3, 4, L3, L1), 7),  # the 3x4 document
+    (lambda: torus_action(16, 16, 1.0, 0.5 * 0.7317), 130),  # the 16x16 document
+], ids=["4x6", "2x2", "1x5", "1x1", "C12(3,4)", "C8(1,3,4)", "3x4", "16x16"])
+def test_probing_one_label_per_conjugate_pair_gives_the_classes_of_every_label(tmp_path, monkeypatch, build, pairs):
+    # `_systems_from_doc` probes the lower label of each pair {l, -l} alone,
+    # and its classes are those of probing every label
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n = 1, 2 cycles are multigraphs
+        g, action = build()
+    path, blocks = _document(tmp_path, g, action)
+    labels, systems = list(blocks), list(blocks.values())
+    want = isospectral_classes(secular_dets(systems), len(systems), systems[0].lengths, systems[0].S.nbytes)
+    lower = [i for i, l in enumerate(labels) if i <= labels.index(_conjugate(l, action.orders))]
+    probed = []
+    monkeypatch.setattr(cli, "secular_dets", lambda family: probed.append(family) or secular_dets(family))
+    got = _systems_from_doc(path)[1]
+    assert got.tolist() == want.tolist()
+    (family,) = probed
+    assert len(family) == len(lower) == pairs
+    assert all(np.array_equal(block.S, systems[i].S) for block, i in zip(family, lower))
 
 
 def _conjugate_key(labels, orders):

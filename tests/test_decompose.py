@@ -20,6 +20,15 @@ from qgsym.decompose import SampledFunction
 from qgsym.errors import OrientationMismatch
 
 
+@pytest.mark.parametrize("seed, edges, samples", [(0, 3, 1), (7, 4, 5), (2024, 12, 100), (5, 24, 33)])
+def test_random_function_equals_the_sum_of_its_two_draws(seed, edges, samples):
+    g, _ = cycle_graph(edges, 1.0)
+    f = random_function(g, samples, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    want = rng.standard_normal((edges, samples)) + 1j * rng.standard_normal((edges, samples))
+    assert f.values.dtype == want.dtype and f.values.tobytes() == want.tobytes()
+
+
 def _torus():
     return torus_action(2, 3, 0.5, 1.0)
 
