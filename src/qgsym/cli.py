@@ -143,8 +143,9 @@ def _systems_from_doc(path) -> tuple[dict[str, SecularSystem], np.ndarray]:
     systems = list(blocks.values())
     labels = np.array(list(blocks), dtype=np.intp)
     conjugate = np.ravel_multi_index(tuple((-labels % action.orders).T), action.orders)
-    low = np.minimum(conjugate, np.arange(len(systems)))  # the lower label of each label's pair
-    reps = np.flatnonzero(low == np.arange(len(systems)))
+    index = np.arange(len(systems))
+    low = np.minimum(conjugate, index)  # the lower label of each label's pair
+    reps = np.flatnonzero(low == index)
     probed = [systems[i] for i in reps.tolist()]
     first = np.empty(len(systems), dtype=np.intp)
     first[reps] = reps[isospectral_classes(secular_dets(probed), len(probed), probed[0].lengths, probed[0].S.nbytes)]
