@@ -156,7 +156,7 @@ def _write_classes(output, kmax: float, found: Roots, runs: np.ndarray, labels, 
     """Merge a copy of the roots of member `runs[i]` of `found` under each `labels[i]`, write it with `header`
     and the two counts, and print a summary.  A root count that the eigenphase count does not certify raises
     `CertificateMismatch`, and no file is written."""
-    merged = merge_spectra(found, tol=1e-7, runs=runs, labels=labels)
+    merged = merge_spectra(found, runs, labels, tol=1e-7)
     count = merged.count()
     if count != eigenphase_count:
         raise CertificateMismatch(
@@ -183,26 +183,26 @@ def spectrum_cmd(graph_file, kmax, grid, tol, output):
     blocks, once per class of blocks with one secular determinant
     (`spectra.isospectral_classes`), and every label gets a copy of the
     roots, its label as their source.  All distinct blocks are one family of
-    the unitary locator: each refinement round is one stacked `eigh` call
-    over the open brackets of every block, per 32 KB of matrices
-    (`spectra.MAX_BATCH_BYTES`).  The header's `blocks` counts the labels,
-    `distinct_blocks` the blocks solved, `evaluations` sums their evaluation
+    the unitary locator, whose one `Roots` is merged as it is: each
+    refinement round is one stacked `eigh` call over the open brackets of
+    every block, per 32 KB of matrices (`spectra.MAX_BATCH_BYTES`).  The
+    header's `blocks` counts the labels, `distinct_blocks` the blocks
+    solved, `grid_step` and `bonds` are the first distinct block's,
+    `rounds` the most of any block, `evaluations` sums their evaluation
     points, and `eigenphase_count`, the exact root count of every label's
     own block, certifies `root_count`: a count that differs exits 2 with
     `CertificateMismatch` and writes no file.
     """
     require_positive(grid=grid)  # checked for old scripts, but the locator derives its cell
     systems, first = _systems_from_doc(graph_file)
-    blocks = list(systems.values())
     distinct, runs = np.unique(first, return_inverse=True)
-    family = UnitaryFamily(blocks)
-    found = family.roots(kmax, tol=tol, members=distinct.tolist())
+    family = UnitaryFamily(list(systems.values()))
+    found = family.roots(kmax, tol=tol, members=distinct)
+    meta = found.meta
     _write_classes(
-        output, kmax, Roots.of(found), runs, list(systems), sum(family.counts(kmax)),
-        **found[0].meta | {
-            "rounds": max(f.meta["rounds"] for f in found), "evaluations": sum(f.meta["evaluations"] for f in found),
-        },
-        blocks=len(systems), distinct_blocks=len(found),
+        output, kmax, found, runs, list(systems), sum(family.counts(kmax)),
+        **found.spectrum(0).meta | {"rounds": int(meta["rounds"].max()), "evaluations": int(meta["evaluations"].sum())},
+        blocks=len(systems), distinct_blocks=found.members,
     )
 
 

@@ -16,10 +16,10 @@ call: the real one with `_newton_brackets`, the unitary one with
   Hermitian eigensolver, each matrix's error bounded by its residual
   (`_unitary_phases`).
 
-`find_roots_unitary` solves a family of one.  Every member's spectrum, or
-the real locator's `Roots` by member, reports the points evaluated for it
-as `meta["evaluations"]`, and the refinement rounds that evaluated it as
-`meta["rounds"]`.
+Both hand back a family's roots as one `spectra.Roots`, whose `meta`
+reports, as arrays of one value per member, the points evaluated for each
+member (`evaluations`) and the refinement rounds that evaluated it
+(`rounds`).  `find_roots_unitary` solves a family of one, as a `Spectrum`.
 """
 
 from __future__ import annotations
@@ -109,15 +109,15 @@ def find_roots_real(family: QuotientFamily, systems: UnitaryFamily, k_max: float
     evaluations, fallback = 1 + calls, ~certified
     short = np.flatnonzero(fallback)
     if len(short):  # each member that falls back takes the unitary locator's roots in place of its own
-        exact = systems.roots(k_max, tol=tol, members=short.tolist())
+        exact = systems.roots(k_max, tol=tol, members=short)
         kept = ~fallback[member]
-        member = np.concatenate([member[kept], np.repeat(short, [len(s.k) for s in exact])])
+        member = np.concatenate([member[kept], short[exact.member]])
         by = np.argsort(member, kind="stable")
         member = member[by]
-        roots = np.concatenate([roots[kept], *(s.k for s in exact)])[by]
-        order = np.concatenate([order[kept], *(s.order for s in exact)])[by]
-        evaluations[short] += [s.meta["evaluations"] for s in exact]
-        rounds[short] += [s.meta["rounds"] for s in exact]
+        roots = np.concatenate([roots[kept], exact.k])[by]
+        order = np.concatenate([order[kept], exact.order])[by]
+        evaluations[short] += exact.meta["evaluations"]
+        rounds[short] += exact.meta["rounds"]
     meta = {"tol": tol, "evaluations": evaluations, "rounds": rounds, "eigenphase_count": counts, "fallback": fallback}
     return Roots(member, roots, order, members, k_max, meta)
 
@@ -259,32 +259,26 @@ def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks:
     return (step, *evaluate(which, ks, turned, residuals))
 
 
-def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float, source: str) -> list[Spectrum]:
-    """`UnitaryFamily.roots` of a stack of systems of one size, as they are."""
-    cells = [0.9 * math.pi / float(l.max()) if len(l) else k_max for l in lengths]
-    grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in cells]
-    which, ks = np.repeat(np.arange(len(grids)), [len(g) for g in grids]), np.concatenate(grids)
+def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float) -> tuple:
+    """`UnitaryFamily.roots` of a stack of systems of one size, as they are:
+    the jumps (which, k, size) of `_refine_steps`, and each system's cell,
+    points evaluated and rounds."""
+    cells = np.array([0.9 * math.pi / float(l.max()) if len(l) else k_max for l in lengths])
+    grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in cells.tolist()]
+    sizes = [len(g) for g in grids]
+    which, ks = np.repeat(np.arange(len(grids)), sizes), np.concatenate(grids)
     step, *values = _eigenphase_steps(S, lengths, which, ks)
-    (on, roots, size), calls, rounds = _refine_steps(step, _grid_cells(which, ks, *values), tol, len(S))
-    roots.flags.writeable = size.flags.writeable = False  # each system's spectrum holds a slice
-    bounds = np.searchsorted(on, np.arange(len(S) + 1)).tolist()
-    meta = {"tol": tol, "k_min": K_MIN, "bonds": S.shape[-1]}
-    return [
-        Spectrum(
-            roots[lo:hi], size[lo:hi], (source,) * (hi - lo), k_max,
-            {"grid_step": cell, **meta, "evaluations": len(grid) + n, "rounds": r},
-        )
-        for lo, hi, cell, grid, n, r in zip(bounds[:-1], bounds[1:], cells, grids, calls.tolist(), rounds.tolist())
-    ]
+    jumps, calls, rounds = _refine_steps(step, _grid_cells(which, ks, *values), tol, len(S))
+    return jumps, cells, np.array(sizes) + calls, rounds
 
 
 class UnitaryFamily:
     """Unitary secular systems of one size, contracted once
     (`scattering.contracted_stacks`: every pure-transmission bond dropped,
     the determinant unchanged) and kept as one stack per contracted size,
-    or `stacks` of (members, S, lengths) with nothing to contract, as they
-    are.  A system's contraction depends on its own S only, and so does
-    each of its results."""
+    or `stacks` of (members ascending, S, lengths) with nothing to
+    contract, as they are.  A system's contraction depends on its own S
+    only, and so does each of its results."""
 
     def __init__(self, systems: Sequence[SecularSystem] = (), stacks: Optional[list] = None):
         self.stacks = contracted_stacks(systems) if stacks is None else stacks
@@ -304,11 +298,10 @@ class UnitaryFamily:
                 out[m] = int(n)
         return out
 
-    def roots(
-        self, k_max: float, *, tol: float = 1e-10, source: str = "full", members: Optional[Sequence[int]] = None
-    ) -> list[Spectrum]:
+    def roots(self, k_max: float, *, tol: float = 1e-10, members: Optional[Sequence[int]] = None) -> Roots:
         """Roots of det(I - S D(k)) on (K_MIN, k_max] of the systems
-        `members` (all by default), one spectrum each in that order.
+        `members` (all by default), as one `Roots` whose member i is system
+        `members[i]`.
 
         Each stack of contracted systems of one size is solved together;
         `meta["bonds"]` is a system's contracted size.  N(k) of
@@ -323,19 +316,28 @@ class UnitaryFamily:
         bracket's ends without an evaluation, so each root is certified by
         its end counts.  The grids of all systems of a stack go to stacked
         `eigh` calls, and so does each refinement round;
-        `meta["rounds"]` counts the rounds that evaluated the system.
+        `meta["rounds"]` counts the rounds that evaluated the system, and
+        `meta["evaluations"]` the points.  `meta` has `tol` and `k_min`, and
+        the rest as arrays of one value per member.
         """
         require_positive(k_max=k_max, tol=tol)
-        members = range(self.members) if members is None else members
-        out: dict[int, Spectrum] = {}
+        members = np.arange(self.members) if members is None else np.asarray(members, dtype=np.intp)
+        grid_step, (bonds, evaluations, rounds) = np.zeros(len(members)), np.zeros((3, len(members)), dtype=np.int64)
+        parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64))]
         for stack, S, lengths in self.stacks:
-            pick = np.flatnonzero(np.isin(stack, members))
-            if len(pick):
-                out.update(zip(stack[pick].tolist(), _unitary_stack(S[pick], lengths[pick], k_max, tol, source)))
-        return [out[m] for m in members]
+            at = np.flatnonzero(np.isin(members, stack))  # the places in `members` of this stack's systems
+            if len(at):
+                pick = np.searchsorted(stack, members[at])
+                (on, k, size), grid_step[at], evaluations[at], rounds[at] = _unitary_stack(S[pick], lengths[pick], k_max, tol)
+                bonds[at] = S.shape[-1]
+                parts.append((at[on], k, size))
+        member, k, order = (np.concatenate(v) for v in zip(*parts))
+        by = np.argsort(member, kind="stable")
+        meta = dict(tol=tol, k_min=K_MIN, grid_step=grid_step, bonds=bonds, evaluations=evaluations, rounds=rounds)
+        return Roots(member[by], k[by], order[by], len(members), k_max, meta)
 
 
 def find_roots_unitary(sys: SecularSystem, k_max: float, *, tol: float = 1e-10, source: str = "full") -> Spectrum:
     """Roots of det(I - S D(k)) on (K_MIN, k_max] for unitary S:
-    `UnitaryFamily.roots` of a family of one."""
-    return UnitaryFamily([sys]).roots(k_max, tol=tol, source=source)[0]
+    `UnitaryFamily.roots` of a family of one, each root under `source`."""
+    return UnitaryFamily([sys]).roots(k_max, tol=tol).spectrum(0, source)

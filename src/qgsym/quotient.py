@@ -47,6 +47,13 @@ from .scattering import (
 from .spectra import MAX_GRID_POINTS
 
 
+def _require_lengths(l1: float, l3: float) -> None:
+    """Raise NonPositiveLength naming the first of the half-lengths `l1`, `l3` that is not finite and > 0."""
+    for name, length in (("l1", l1), ("l3", l3)):
+        if not (math.isfinite(length) and length > 0):
+            raise NonPositiveLength(f"{name} = {length!r} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class QuotientSpec:
     n1: int
@@ -57,10 +64,7 @@ class QuotientSpec:
     t: int
 
     def __post_init__(self) -> None:
-        for name in ("l1", "l3"):
-            length = getattr(self, name)
-            if not (math.isfinite(length) and length > 0):
-                raise NonPositiveLength(f"{name} = {length!r} must be finite and positive")
+        _require_lengths(self.l1, self.l3)
 
     @property
     def phase_l1(self) -> complex:
@@ -176,9 +180,7 @@ class QuotientFamily:
     """
 
     def __init__(self, n1: int, n2: int, l1: float, l3: float, labels):
-        for name, length in (("l1", l1), ("l3", l3)):
-            if not (math.isfinite(length) and length > 0):
-                raise NonPositiveLength(f"{name} = {length!r} must be finite and positive")
+        _require_lengths(l1, l3)
         self.labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
         self.lengths, self.orders = (2.0 * l1, 2.0 * l3), (n2, n1)
         loops = self.labels[:, ::-1]  # the L1 loop is glued by t of n2, the L3 loop by s of n1

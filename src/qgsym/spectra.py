@@ -22,17 +22,16 @@ family.
 `winding_number` counts the zeros inside one circle by the argument
 principle.
 
-A `Spectrum` is its root arrays, `k`, `order` and `source`, row i root i:
-each unitary locator member's spectrum is a slice of its family's arrays.
-`Roots` is a whole family's roots as flat arrays by member, as the real
-locator hands them back, with no object per member.  `merge_spectra`
-takes the union of a family's members, or of a list of spectra, or of
-copies of them under other sources (an integer `runs` array of members
-and their labels), with one entry per root of each distinct member,
-sorted in arrays; it runs Python only inside runs of entries at most
-`tol` apart, where roots coalesce, once per member copied to join its
-labels, and on rows of more than one member.  `compare_spectra` pairs
-two spectra root by root, in runs of copies.
+A `Spectrum` is its root arrays, `k`, `order` and `source`, row i root i.
+`Roots` is a whole family's roots as flat arrays by member, as both
+locators hand them back, with no object per member; `Roots.spectrum` is
+one member's, a slice of the family's arrays.  `merge_spectra` takes the
+union of copies of a family's members under distinct labels (an integer
+`runs` array of members and their labels), with one entry per root of
+each distinct member, sorted in arrays; it runs Python only inside runs
+of entries at most `tol` apart, where roots coalesce, once per member
+copied to join its labels, and on rows of more than one member.
+`compare_spectra` pairs two spectra root by root, in runs of copies.
 `isospectral_classes` groups the members of a family by secular function.
 """
 
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -122,14 +120,6 @@ class Roots:
         object.__setattr__(self, "k", _read_only(self.k, np.float64))
         object.__setattr__(self, "order", _read_only(self.order, np.int64))
         object.__setattr__(self, "bounds", np.searchsorted(member, np.arange(self.members + 1)))
-
-    @classmethod
-    def of(cls, spectra: Sequence[Spectrum]) -> Roots:
-        """The roots of `spectra`, spectrum m as member m."""
-        sizes = [len(s.k) for s in spectra]
-        k = np.concatenate([np.zeros(0), *(s.k for s in spectra)])
-        order = np.concatenate([np.zeros(0, np.int64), *(s.order for s in spectra)])
-        return cls(np.repeat(np.arange(len(spectra)), sizes), k, order, len(spectra), max((s.k_max for s in spectra), default=0.0))
 
     def spectrum(self, m: int, source: str = "") -> Spectrum:
         """Member m's roots, each under `source`, with its values of `meta`."""
@@ -421,59 +411,40 @@ def _jumps(done: list[tuple], tol: float) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.concatenate(v) for v in zip(*parts))
 
 
-def merge_spectra(
-    spectra: Roots | Sequence[Spectrum],
-    tol: float = 1e-7,
-    copies: Optional[Sequence[tuple[int, Optional[str]]]] = None,
-    *,
-    runs: Optional[np.ndarray] = None,
-    labels: Optional[Sequence[Optional[str]]] = None,
-) -> Spectrum:
-    """Multiset union; roots closer than tol coalesce with orders summed.
+def merge_spectra(roots: Roots, runs: np.ndarray, labels: Sequence[str], tol: float = 1e-7) -> Spectrum:
+    """Multiset union of copies of a family's `roots` under distinct,
+    nonempty labels: copy c holds the roots of member `runs[c]` under the
+    source `labels[c]`, ranked by c.  Roots closer than tol coalesce with
+    orders summed.
 
-    `spectra` is a family's `Roots`, whose roots have no source, or a list
-    of spectra, taken as one (`Roots.of`) whose roots keep their sources.
-    Copy c holds the roots of member `runs[c]` under the source
-    `labels[c]`, ranked by c, as if each copy were a spectrum of its own;
-    `copies`, a list of (member, source) pairs, says the same.  A copy's
-    roots take its source, or keep their own when the source is None.  The
-    default is every member once in its position with source None.  Each
-    root of a member copied is one entry, its order weighted by the
+    Each root of a member copied is one entry, its order weighted by the
     member's number of copies, so equal copies are not averaged with each
     other and a row of one member's root has that root's k.  Roots of equal
-    k go in the rank order of their members' first copies.  A coalesced
-    root names the source of each copy once, in rank order, so the list
-    does not depend on how its roots fall within `tol`.
+    k go in the rank order of their members' first copies.  A row names the
+    labels of its members' copies once each, in rank order, however its
+    roots fall within `tol`.
 
     The entries are sorted in arrays, and each entry joins the last row
     while it lies within `tol` of the row's running weighted mean.  That
     mean lies at or, by rounding, a few ulps above the row's last k, so
     only entries within `tol` of the entry before them, and the entry after
-    a row of more than one, are merged in Python.  The copies are grouped
-    by member in arrays, and each member's sources joined once; Python
-    joins the sources of a row only where it holds entries of more than one
-    member, or a copy keeps its roots' own sources.
+    a row of more than one, are merged in Python.  Each member's labels are
+    joined once, and a row's in Python only where it holds more than one
+    member.
     """
-    own = None  # each root's own source
-    if not isinstance(spectra, Roots):
-        own = [src for s in spectra for src in s.source]
-        spectra = Roots.of(spectra)
-    if copies is not None:
-        runs, labels = [i for i, _ in copies], [src for _, src in copies]
-    runs = np.arange(spectra.members) if runs is None else np.asarray(runs, dtype=np.intp)
-    labels = np.array([None] * len(runs) if labels is None else labels, dtype=object)
-    copied = np.bincount(runs, minlength=spectra.members)  # the copies of each member
+    runs, labels = np.asarray(runs, dtype=np.intp), np.array(labels, dtype=object)
+    copied = np.bincount(runs, minlength=roots.members)  # the copies of each member
     grouped = np.argsort(runs, kind="stable")  # the copies by member, each member's in rank order
     lows = np.cumsum(copied) - copied  # each member's first place in `grouped`
     held = copied > 0
-    leads = np.full(spectra.members, len(runs))  # the rank of each member's first copy
+    leads = np.full(roots.members, len(runs))  # the rank of each member's first copy
     leads[held] = grouped[lows[held]]
     # one entry per root of each member copied, weighted by its copies, sorted by k, then by the rank of
     # its member's first copy, then in its member's own order
-    entries = np.flatnonzero(held[spectra.member])
-    by = entries[np.lexsort((leads[spectra.member[entries]], spectra.k[entries]))]
-    k, part = spectra.k[by], spectra.member[by]
-    order = spectra.order[by] * copied[part]
+    entries = np.flatnonzero(held[roots.member])
+    by = entries[np.lexsort((leads[roots.member[entries]], roots.k[entries]))]
+    k, part = roots.k[by], roots.member[by]
+    order = roots.order[by] * copied[part]
 
     joins = np.diff(k) <= tol  # entry p + 1 lies within tol of entry p
     first = np.ones(len(k), dtype=bool)  # the first entry of each row
@@ -501,29 +472,17 @@ def merge_spectra(
     stops = np.append(starts[1:], len(k))
     k, order = k[starts], np.add.reduceat(order, starts)
     k[np.searchsorted(starts, list(means))] = list(means.values())
-    # a row whose every copy names a source takes the sources of the copies of its members, joined in rank
-    # order: one join per member copied, and one per row of entries of more than one member
-    unnamed = np.bincount(runs[labels == None], minlength=spectra.members) > 0  # noqa: E711 (elementwise)
+    # a row takes the labels of the copies of its members, joined in rank order: one join per member
+    # copied, and one per row of entries of more than one member
     low = np.minimum.reduceat(part, starts)
-    mixed = np.logical_or.reduceat(unnamed[part], starts)
-    shared = np.flatnonzero((low != np.maximum.reduceat(part, starts)) & ~mixed)
-    members = np.flatnonzero(held & ~unnamed)
+    shared = np.flatnonzero(low != np.maximum.reduceat(part, starts))
     entries = _spans(starts[shared], stops[shared] - starts[shared])
-    pairs = np.unique(np.repeat(shared, stops[shared] - starts[shared]) * spectra.members + part[entries])
-    join = _joined if "" in (seen := set(labels.tolist())) or len(seen) < len(labels) else ",".join
-    joined, ranked = np.full(spectra.members, "", dtype=object), labels[grouped].tolist()
-    joined[members] = [join(ranked[lo : lo + n]) for lo, n in zip(lows[members].tolist(), copied[members].tolist())]
+    pairs = np.unique(np.repeat(shared, stops[shared] - starts[shared]) * roots.members + part[entries])
+    joined, ranked = np.full(roots.members, "", dtype=object), labels[grouped].tolist()
+    joined[held] = [",".join(ranked[lo : lo + n]) for lo, n in zip(lows[held].tolist(), copied[held].tolist())]
     source = joined[low]
-    source[shared] = _joined_copies(*np.divmod(pairs, spectra.members), grouped, lows, copied, labels, join)
-    for row in np.flatnonzero(mixed).tolist():  # a copy that keeps its roots' own sources
-        lo, hi = starts[row], stops[row]
-        ranked = [
-            (rank, ("" if own is None else own[j]) if labels[rank] is None else labels[rank])
-            for j, m in zip(by[lo:hi].tolist(), part[lo:hi].tolist())
-            for rank in grouped[lows[m] : lows[m] + copied[m]].tolist()
-        ]
-        source[row] = _joined([src for _, src in sorted(ranked, key=itemgetter(0))])
-    return Spectrum(k, order, source.tolist(), spectra.k_max, {"tol": tol})
+    source[shared] = _joined_copies(*np.divmod(pairs, roots.members), grouped, lows, copied, labels)
+    return Spectrum(k, order, source.tolist(), roots.k_max, {"tol": tol})
 
 
 def _spans(lows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -532,20 +491,15 @@ def _spans(lows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(lows - ends + sizes, sizes)
 
 
-def _joined_copies(group, member, grouped, lows, copied, labels, join) -> list[str]:
+def _joined_copies(group, member, grouped, lows, copied, labels) -> list[str]:
     """For pairs of a group and a member, by group, each group's sources:
     the labels of the copies of its members (`grouped[lows[m]:][:copied[m]]`
-    for member m) in rank order, joined by `join`."""
+    for member m) in rank order, joined by commas."""
     sizes = copied[member]
     rank, at = grouped[_spans(lows[member], sizes)], np.repeat(group, sizes)
     by = np.lexsort((rank, at))
     text, bounds = labels[rank[by]].tolist(), np.searchsorted(at[by], np.unique(group), side="right").tolist()
-    return [join(text[lo:hi]) for lo, hi in zip([0, *bounds], bounds)]
-
-
-def _joined(sources) -> str:
-    """The nonempty `sources`, each once, in their order."""
-    return ",".join(dict.fromkeys(filter(None, sources)))
+    return [",".join(text[lo:hi]) for lo, hi in zip([0, *bounds], bounds)]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from qgsym import (
     quotient_graph,
     quotient_secular_closed,
     quotient_system,
+    quotient_systems,
     random_function,
     secular_det,
     secular_product,
@@ -79,9 +80,11 @@ def test_full_torus_spectrum_equals_union_of_factor_spectra():
     t0 = time.time()
     sys_full = torus_secular_system(3, 4, L1, L3)
     assert sys_full.size == 96
-    full = merge_spectra([find_roots_unitary(sys_full, 15.0, source="full")], tol=1e-7)
-    parts = [_factor_spectrum(sp, 15.0) for sp in all_quotient_specs(3, 4, L1, L3)]
-    merged = merge_spectra(parts, tol=1e-7)
+    full = find_roots_unitary(sys_full, 15.0)
+    specs = all_quotient_specs(3, 4, L1, L3)
+    family = QuotientFamily(3, 4, L1, L3, [(sp.s, sp.t) for sp in specs])
+    parts = find_roots_real(family, UnitaryFamily(quotient_systems(specs)), 15.0)
+    merged = merge_spectra(parts, np.arange(parts.members), [f"({sp.s},{sp.t})" for sp in specs], tol=1e-7)
     res = compare_spectra(full, merged, tol=1e-6)
     elapsed = time.time() - t0
     ok = res.isospectral and elapsed < 300.0
@@ -164,13 +167,9 @@ def test_product_graph_isomorphic_and_isospectral_to_circulant():
             adjacency_ok = False
     adjacency_ok = adjacency_ok and not remaining
 
-    sp = find_roots_unitary(
-        build_secular_system(gp, standard_conditions(gp)), 10.0, source="product"
-    )
-    sc = find_roots_unitary(
-        build_secular_system(gc, standard_conditions(gc)), 10.0, source="circulant"
-    )
-    res = compare_spectra(merge_spectra([sp]), merge_spectra([sc]), tol=1e-8)
+    sp = find_roots_unitary(build_secular_system(gp, standard_conditions(gp)), 10.0, source="product")
+    sc = find_roots_unitary(build_secular_system(gc, standard_conditions(gc)), 10.0, source="circulant")
+    res = compare_spectra(sp, sc, tol=1e-8)
     ok = adjacency_ok and res.isospectral
     _report(
         "vertex relabeling maps the 3x4 product graph onto the 12-vertex circulant",

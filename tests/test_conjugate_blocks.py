@@ -21,10 +21,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qgsym import (
+    UnitaryFamily,
     build_secular_system,
     character_blocks,
     circulant_graph,
-    find_roots_unitary,
     io,
     merge_spectra,
     secular_det,
@@ -117,13 +117,13 @@ def _assert_spectrum_equals_the_run_over_every_label(tmp_path, path, blocks):
     got = io.load_spectrum(out)
     assert int(got.meta["root_count"]) == int(got.meta["eigenphase_count"]) == got.count()
 
-    parts = [find_roots_unitary(block, 10.0, source=_name(labels)) for labels, block in blocks.items()]
-    want = merge_spectra(parts, tol=1e-7)
+    parts = UnitaryFamily(list(blocks.values())).roots(10.0)
+    want = merge_spectra(parts, np.arange(parts.members), [_name(labels) for labels in blocks], tol=1e-7)
     assert (got.order.tolist(), got.source) == (want.order.tolist(), want.source)
     assert np.abs(got.k - want.k).max() <= 1e-12
     # one run per class: the runs of the classes' first labels
     first = _systems_from_doc(path)[1]
-    assert int(got.meta["evaluations"]) == sum(p.meta["evaluations"] for i, p in enumerate(parts) if first[i] == i)
+    assert int(got.meta["evaluations"]) == parts.meta["evaluations"][first == np.arange(len(first))].sum()
     return got, {label: _name(list(blocks)[f]) for label, f in zip(blocks, first.tolist())}
 
 

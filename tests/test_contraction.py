@@ -4,11 +4,13 @@ A bond that passes its whole wave on to one other bond is a transparent
 degree-2 vertex; dropping it is one Schur step with pivot 1.  The unitary
 locator contracts every family first, so every system here is checked
 against the same system solved at its full size, through the uncontracted
-core `_unitary_stack` and `_eigenphase_steps`.
+core: a family of the system as it is (`UnitaryFamily(stacks=...)`) and
+`_eigenphase_steps`.
 """
 
 import math
 import warnings
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -27,13 +29,14 @@ from qgsym import (
     cycle_product,
     find_roots_unitary,
     io,
+    merge_spectra,
     quotient_system,
     secular_det,
     standard_conditions,
     torus_action,
 )
 from qgsym.cli import main
-from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps, _unitary_stack
+from qgsym.locators import K_MIN, UnitaryFamily, _eigenphase_steps
 from qgsym.scattering import contracted_stacks
 from qgsym.spectra import PROBES
 
@@ -97,7 +100,7 @@ def test_contraction_keeps_the_determinant_counts_and_spectrum(kind, n1, n2, l1,
     for k in (1.3, K_MAX):
         assert UnitaryFamily([sys_]).counts(k) == [_full_size_count(sys_, k)]
     got = find_roots_unitary(sys_, K_MAX, tol=TOL)
-    (want,) = _unitary_stack(sys_.S[None], sys_.lengths[None], K_MAX, TOL, "full")
+    want = UnitaryFamily(stacks=[(np.arange(1), sys_.S[None], sys_.lengths[None])]).roots(K_MAX, tol=TOL).spectrum(0)
     assert got.order.tolist() == want.order.tolist()
     assert np.abs(got.k - want.k).max(initial=0.0) <= 1e-9
     assert got.meta["bonds"] == small.size and want.meta["bonds"] == sys_.size
@@ -120,19 +123,53 @@ def test_a_unit_entry_beside_a_small_one_stays():
 def test_a_mixed_pattern_family_equals_its_members_run_alone():
     # a 3x4 torus block contracts from 8x8 to 4x4; a block of the four-jump
     # circulant C_9(1,2,3,4) has degree-8 vertices and stays 8x8
-    g, action = circulant_graph(9, [1, 2, 3, 4], [0.5, 0.7, 0.9, 1.1])
-    torus = [_system("torus block", 3, 4, 0.5, 1.0, pick) for pick in (5, 0)]
-    systems = [torus[0], _blocks(g, action, 2), torus[1]]
+    systems = _mixed_pattern_family()
     assert [s.size for s in systems] == [8, 8, 8]
     stacks = contracted_stacks(systems)
     assert [(members.tolist(), S.shape[-1]) for members, S, _ in stacks] == [([0, 2], 4), ([1], 8)]
     family = UnitaryFamily(systems).roots(K_MAX, tol=TOL)
-    for got, sys_ in zip(family, systems):
-        want = find_roots_unitary(sys_, K_MAX, tol=TOL)
+    for m, sys_ in enumerate(systems):
+        got, want = family.spectrum(m), find_roots_unitary(sys_, K_MAX, tol=TOL)
         assert (got.k.tolist(), got.order.tolist()) == (want.k.tolist(), want.order.tolist())
         assert got.meta == want.meta
-    assert [s.meta["bonds"] for s in family] == [4, 8, 4]
+    assert family.meta["bonds"].tolist() == [4, 8, 4]
     assert UnitaryFamily(systems).counts(K_MAX) == [_full_size_count(s, K_MAX) for s in systems]
+
+
+def _mixed_pattern_family():
+    """Two 3x4 torus blocks, which contract to 4 bonds, and a block of
+    C_9(1,2,3,4), which stays at 8, in the order (torus, C_9, torus)."""
+    g, action = circulant_graph(9, [1, 2, 3, 4], [0.5, 0.7, 0.9, 1.1])
+    torus = [_system("torus block", 3, 4, 0.5, 1.0, pick) for pick in (5, 0)]
+    return [torus[0], _blocks(g, action, 2), torus[1]]
+
+
+@pytest.mark.parametrize("members", [[2, 1, 0], [2, 1], [1, 2, 0], [0, 2, 0]])
+def test_the_roots_of_chosen_members_equal_each_member_run_alone(members):
+    # member i of the family's roots is system members[i], its rows by k
+    # and its meta those of the system solved alone, bit for bit, whichever
+    # members of a stack are left out or repeated
+    systems = _mixed_pattern_family()
+    found = UnitaryFamily(systems).roots(K_MAX, tol=TOL, members=members)
+    assert found.members == len(members) and found.k_max == K_MAX
+    assert np.all(np.diff(found.member) >= 0)
+    for i, m in enumerate(members):
+        got, want = found.spectrum(i, "x"), find_roots_unitary(systems[m], K_MAX, tol=TOL, source="x")
+        assert got.k.tobytes() == want.k.tobytes() and got == want
+        assert got.meta == want.meta
+    assert found.meta["bonds"].tolist() == [[4, 8, 4][m] for m in members]
+
+
+def test_a_k_max_below_every_root_gives_no_rows_and_a_header_only_merge():
+    systems = _mixed_pattern_family()
+    found = UnitaryFamily(systems).roots(1e-3, tol=TOL, members=[1, 0])
+    assert (len(found.k), len(found.order), found.bounds.tolist()) == (0, 0, [0, 0, 0])
+    assert found.meta["evaluations"].tolist() == [2, 2] and found.meta["rounds"].tolist() == [0, 0]
+    merged = merge_spectra(found, np.array([1, 0, 1]), ["a", "b", "c"])
+    assert (len(merged.k), merged.k_max) == (0, 1e-3)
+    out = StringIO()
+    io.write_spectrum_csv(out, merged)
+    assert out.getvalue() == "# tol = 1e-07\n# k_max = 0.001\nk,lambda,order,source_label\n"
 
 
 def test_spectrum_header_records_the_contracted_size(tmp_path):

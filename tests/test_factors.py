@@ -212,7 +212,7 @@ def test_factors_rows_equal_the_probe_and_template_path(tmp_path, n1, n2, l1, l3
     distinct, runs = np.unique(first, return_inverse=True)
     family = QuotientFamily(n1, n2, l1, l3, [labels[i] for i in distinct])
     found = find_roots_real(family, UnitaryFamily(quotient_systems([specs[i] for i in distinct])), kmax)
-    want = merge_spectra(found, tol=1e-7, copies=list(zip(runs.tolist(), [f"({s},{t})" for s, t in labels])))
+    want = merge_spectra(found, runs, [f"({s},{t})" for s, t in labels], tol=1e-7)
     out = str(tmp_path / "factors.csv")
     flags = ["--n1", str(n1), "--n2", str(n2), "--l1", repr(l1), "--l3", repr(l3), "--kmax", repr(kmax)]
     res = CliRunner().invoke(main, ["factors", *flags, "-o", out])
@@ -230,15 +230,10 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
     # at L1 = L3 the 4x4 torus is symmetric under swapping its cycles, and
     # (s, t) shares its closed form with (t, s) too
     grouped = _run_factors(tmp_path, n1, n2, l3)
-    per_label = merge_spectra(
-        [
-            find_roots_real(
-                QuotientFamily(n1, n2, L1, l3, [(spec.s, spec.t)]), UnitaryFamily([quotient_system(spec)]), 10.0
-            ).spectrum(0, f"({spec.s},{spec.t})")
-            for spec in all_quotient_specs(n1, n2, L1, l3)
-        ],
-        tol=1e-7,
-    )
+    specs = all_quotient_specs(n1, n2, L1, l3)
+    labels = [(spec.s, spec.t) for spec in specs]
+    found = find_roots_real(QuotientFamily(n1, n2, L1, l3, labels), UnitaryFamily(quotient_systems(specs)), 10.0)
+    per_label = merge_spectra(found, np.arange(len(specs)), [f"({s},{t})" for s, t in labels], tol=1e-7)
     assert len(grouped.k) == len(per_label.k)
     assert np.abs(grouped.k - per_label.k).max(initial=0.0) <= 1e-12
     assert (grouped.order.tolist(), grouped.source) == (per_label.order.tolist(), per_label.source)
@@ -298,14 +293,14 @@ def test_pole_rule_equals_the_unitary_locator_factor_by_factor(n1, n2, lengths):
     specs = list(first.values())
     family = QuotientFamily(n1, n2, l1, l3, [(spec.s, spec.t) for spec in specs])
     systems = UnitaryFamily(quotient_systems(specs))
-    found = find_roots_real(family, systems, 10.0)
-    for m, (spec, want) in enumerate(zip(specs, systems.roots(10.0))):
-        got = found.spectrum(m)
+    found, exact = find_roots_real(family, systems, 10.0), systems.roots(10.0)
+    for m, spec in enumerate(specs):
+        got, want = found.spectrum(m), exact.spectrum(m)
         assert not got.meta["fallback"], (spec.s, spec.t)
         assert got.order.tolist() == want.order.tolist(), (spec.s, spec.t)
         assert np.abs(got.k - want.k).max(initial=0.0) <= 1e-9
     if (n1, n2, l1, l3) == (3, 4, 0.25, 1.0):
-        assert set(np.concatenate([s.order for s in systems.roots(10.0)]).tolist()) == {1, 2, 3}
+        assert set(exact.order.tolist()) == {1, 2, 3}
 
 
 def test_a_factor_that_falls_back_reports_the_rounds_of_both_locators():
@@ -319,7 +314,7 @@ def test_a_factor_that_falls_back_reports_the_rounds_of_both_locators():
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.shape(k)) or form(which, k)
     systems = UnitaryFamily([quotient_system(spec)])
-    got, (exact,) = find_roots_real(family, systems, k_max).spectrum(0), systems.roots(k_max, source="")
+    got, exact = find_roots_real(family, systems, k_max).spectrum(0), systems.roots(k_max).spectrum(0)
     assert calls == [(1,)]
     assert got.meta["fallback"] and got == exact
     assert got.meta["rounds"] == exact.meta["rounds"]

@@ -31,7 +31,7 @@ from qgsym import (
     standard_conditions,
     torus_action,
 )
-from qgsym.cli import main
+from qgsym.cli import _systems_from_doc, main
 from qgsym.quotient import QuotientSpec, torus_secular_system
 from qgsym.locators import GAMMA, K_MIN, PHASE_EPS, UnitaryFamily, _eigenphase_steps, _eigenphases, _unitary_phases
 from qgsym.spectra import ITP_N0, MAX_BATCH_BYTES, _grid_cells, _jumps, _newton_brackets, _refine_steps
@@ -305,12 +305,12 @@ def test_a_unitary_family_equals_its_members_run_alone(blocks):
     # differ between tori, so the members' cells and grids differ
     systems = [_block(*b) for b in blocks]
     family = UnitaryFamily(systems).roots(6.0, tol=TOL)
-    for got, sys_ in zip(family, systems):
-        want = find_roots_unitary(sys_, 6.0, tol=TOL)
+    for m, sys_ in enumerate(systems):
+        got, want = family.spectrum(m), find_roots_unitary(sys_, 6.0, tol=TOL)
         assert (got.k.tolist(), got.order.tolist()) == (want.k.tolist(), want.order.tolist())
         assert got.meta == want.meta
     if blocks[0][:4] == (3, 4, 0.5, 1.0):
-        assert max(s.order.max(initial=0) for s in family) >= 3
+        assert family.order.max(initial=0) >= 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -552,7 +552,7 @@ def test_a_member_with_a_wrong_count_is_not_refined():
     refined, fallen = found.spectrum(0), found.spectrum(1)
     assert calls[0].tolist() == [0, 1] and len(calls) > 1 and all(set(w.tolist()) == {0} for w in calls[1:])
     assert not refined.meta["fallback"] and fallen.meta["fallback"]
-    (exact,) = systems.roots(k_max, tol=TOL, source="", members=[1])
+    exact = systems.roots(k_max, tol=TOL, members=[1]).spectrum(0)
     assert fallen == exact
     assert (fallen.meta["evaluations"], fallen.meta["rounds"]) == (1 + exact.meta["evaluations"], exact.meta["rounds"])
 
@@ -603,6 +603,24 @@ def test_spectrum_refines_every_block_in_stacked_rounds(tmp_path, monkeypatch):
     assert len(shapes) == 1 + 4 + 1
     assert all(len(shape) == 3 and shape[1:] == (4, 4) for shape in shapes)
     assert sum(shape[0] for shape in shapes) == 155 + 2 * 12
+
+
+def test_spectrum_header_sums_and_maxes_the_distinct_blocks_solved_alone(tmp_path):
+    # the 3x4 document (L3 = 1) at --kmax 15: the header's rounds are the
+    # most of any distinct block solved alone, its evaluations their sum,
+    # and its grid_step and bonds those of the first distinct block
+    g, action = torus_action(3, 4, 1.0, 0.5)
+    doc, out = str(tmp_path / "torus.json"), str(tmp_path / "full.csv")
+    io.save_graph(doc, g, standard_conditions(g), action)
+    res = CliRunner().invoke(main, ["spectrum", doc, "--kmax", "15", "-o", out])
+    assert res.exit_code == 0, res.output
+    s = io.load_spectrum(out)
+    blocks = list(character_blocks(g, standard_conditions(g), action).values())
+    alone = [find_roots_unitary(blocks[i], 15.0).meta for i in np.unique(_systems_from_doc(doc)[1]).tolist()]
+    assert s.meta["distinct_blocks"] == len(alone) == 6
+    assert s.meta["rounds"] == max(m["rounds"] for m in alone)
+    assert s.meta["evaluations"] == sum(m["evaluations"] for m in alone) == 231
+    assert (s.meta["grid_step"], s.meta["bonds"]) == (alone[0]["grid_step"], alone[0]["bonds"])
 
 
 @pytest.mark.parametrize(

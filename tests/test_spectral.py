@@ -121,13 +121,20 @@ def test_spectrum_bookkeeping():
     assert s.expanded().tolist() == [1.0, 1.0, 2.0]
 
 
+def _roots(parts, k_max):
+    """The `Roots` of a family whose member m has the (k, order) rows `parts[m]`."""
+    rows = [row for part in parts for row in part]
+    member = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    k, order = np.array([k for k, _ in rows], dtype=float), np.array([n for _, n in rows], dtype=np.int64)
+    return Roots(member, k, order, len(parts), k_max)
+
+
 def test_merge_spectra_coalesces_nearby_roots():
-    a = Spectrum([1.0, 3.0], [1, 1], ["a", "a"], 5.0)
-    b = Spectrum([1.0 + 4e-8, 4.0], [1, 2], ["b", "b"], 5.0)
-    m = merge_spectra([a, b], tol=1e-7)
+    roots = _roots([[(1.0, 1), (3.0, 1)], [(1.0 + 4e-8, 1), (4.0, 2)]], 5.0)
+    m = merge_spectra(roots, [0, 1], ["a", "b"], tol=1e-7)
     assert m.order.tolist() == [2, 1, 2]
     assert m.k[0] == pytest.approx(1.0 + 2e-8, abs=1e-9)
-    assert "a" in m.source[0] and "b" in m.source[0]
+    assert m.source == ("a,b", "a", "b") and m.k_max == 5.0
 
 
 _ROOTS = st.lists(
@@ -135,121 +142,93 @@ _ROOTS = st.lists(
         st.integers(1, 30),  # the root's place on a lattice of 0.01
         st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 3e-8, -4e-8]),  # exact ties and near-ties within tol
         st.integers(1, 3),
-        st.sampled_from(["", "a", "b"]),
     ),
     max_size=6,
 )
+# copies of members under distinct, nonempty labels, in any order
+_COPIES = st.lists(st.tuples(st.integers(0, 3), st.sampled_from("xyzwvuts")), max_size=8, unique_by=lambda c: c[1])
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    parts=st.lists(_ROOTS, min_size=1, max_size=4),
-    copies=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([None, "", "x", "y", "z"])), max_size=8),
-)
+@given(parts=st.lists(_ROOTS, min_size=1, max_size=4), copies=_COPIES)
 def test_merging_copies_equals_merging_each_copy_built(parts, copies):
-    # every copy built as a spectrum of its own and merged once each is the
+    # every copy built as a member of its own and merged once each is the
     # reference: the same rows, orders and sources, and k within 4 ulp
-    spectra = [
-        Spectrum([0.01 * j + d for j, d, _, _ in rows], [n for *_, n, _ in rows], [src for *_, src in rows], 1.0)
-        for rows in map(sorted, parts)
-    ]
-    copies = [(i % len(spectra), src) for i, src in copies]
-    built = [
-        Spectrum(spectra[i].k, spectra[i].order, spectra[i].source if src is None else [src] * len(spectra[i].k), 1.0)
-        for i, src in copies
-    ]
-    got, want = merge_spectra(spectra, tol=1e-7, copies=copies), merge_spectra(built, tol=1e-7)
+    parts = [sorted((0.01 * j + d, n) for j, d, n in rows) for rows in parts]
+    runs, labels = [i % len(parts) for i, _ in copies], [src for _, src in copies]
+    got = merge_spectra(_roots(parts, 1.0), runs, labels, tol=1e-7)
+    want = merge_spectra(_roots([parts[i] for i in runs], 1.0), np.arange(len(runs)), labels, tol=1e-7)
     assert got.order.tolist() == want.order.tolist() and got.source == want.source
     assert all(abs(g - w) <= 4 * math.ulp(w) for g, w in zip(got.k.tolist(), want.k.tolist()))
 
 
-def _merge_by_entry(spectra, tol, copies=None):
+def _merge_by_entry(roots, runs, labels, tol):
     """`merge_spectra` one entry at a time in Python, as it was before it
-    sorted arrays: the reference for its rows, as (k, order, source), and
-    its k_max."""
-    copies = [(i, None) for i in range(len(spectra))] if copies is None else copies
+    sorted arrays: the reference for its rows, as (k, order, source)."""
     held = {}
-    for rank, (i, src) in enumerate(copies):
+    for rank, (i, src) in enumerate(zip(runs, labels)):
         held.setdefault(i, []).append((rank, src))
+    bounds = roots.bounds.tolist()
     entries = sorted(
-        (k, ranks[0][0], j, i, (k, n, src))
+        (k, ranks[0][0], j, i, n)
         for i, ranks in held.items()
-        for j, (k, n, src) in enumerate(zip(spectra[i].k.tolist(), spectra[i].order.tolist(), spectra[i].source))
+        for j, (k, n) in enumerate(zip(*(v[bounds[i] : bounds[i + 1]].tolist() for v in (roots.k, roots.order))))
     )
     merged = []
-    for k, _, _, i, root in entries:
-        order = root[1] * len(held[i])
+    for k, _, _, i, n in entries:
+        order = n * len(held[i])
         if merged and k - merged[-1][0] <= tol:
             last = merged[-1]
             w = last[1] + order
             last[0], last[1] = (last[0] * last[1] + k * order) / w, w
-            last[2].append((i, root))
+            last[2].append(i)
         else:
-            merged.append([k, order, [(i, root)]])
+            merged.append([k, order, [i]])
 
-    def joined(pairs):
-        return ",".join(dict.fromkeys(src for _, src in pairs if src))
+    def sources(members):
+        pairs = sorted(pair for i in dict.fromkeys(members) for pair in held[i])
+        return ",".join(src for _, src in pairs)
 
-    named = {i: joined(ranks) for i, ranks in held.items() if all(src is not None for _, src in ranks)}
-
-    def sources(parts):
-        if len(parts) == 1 and parts[0][0] in named:
-            return named[parts[0][0]]
-        pairs = [(rank, root[2] if src is None else src) for i, root in parts for rank, src in held[i]]
-        return joined(sorted(pairs, key=lambda pair: pair[0]))
-
-    return [(k, order, sources(parts)) for k, order, parts in merged], max((s.k_max for s in spectra), default=0.0)
+    return [(k, order, sources(members)) for k, order, members in merged]
 
 
-def _assert_merge_is_the_reference(spectra, tol, copies=None):
-    # the copies as (i, source) pairs, as a runs array and its labels, and,
-    # where every copy names its source, on the spectra's roots alone
-    rows, k_max = _merge_by_entry(spectra, tol, copies)
-    merged = [merge_spectra(spectra, tol=tol, copies=copies)]
-    if copies is not None:
-        runs, labels = np.array([i for i, _ in copies], dtype=np.intp), [src for _, src in copies]
-        merged.append(merge_spectra(spectra, tol=tol, runs=runs, labels=labels))
-        if None not in labels:
-            merged.append(merge_spectra(Roots.of(spectra), tol=tol, runs=runs, labels=labels))
-    for got in merged:
-        assert got.k.tobytes() == np.array([k for k, _, _ in rows], dtype=float).tobytes()  # the same bits
-        assert (got.order.tolist(), got.source, got.k_max) == ([n for _, n, _ in rows], tuple(s for *_, s in rows), k_max)
+def _assert_merge_is_the_reference(roots, tol, runs, labels):
+    rows = _merge_by_entry(roots, runs, labels, tol)
+    got = merge_spectra(roots, np.array(runs, dtype=np.intp), labels, tol=tol)
+    assert got.k.tobytes() == np.array([k for k, _, _ in rows], dtype=float).tobytes()  # the same bits
+    assert (got.order.tolist(), got.source, got.k_max) == ([n for _, n, _ in rows], tuple(s for *_, s in rows), roots.k_max)
 
 
-# steps between consecutive roots of a spectrum, in units of tol: ties, chains
+# steps between consecutive roots of a member, in units of tol: ties, chains
 # of steps under tol that are longer than tol in all, and steps just past tol
 _STEPS = st.sampled_from([0.0, 0.0, 0.3, 0.45, 0.7, 0.99, 1.0, 1.01, 2.5, 40.0])
-_SPECTRUM = st.lists(
-    st.tuples(_STEPS, st.integers(-2, 2), st.integers(1, 3), st.sampled_from(["", "a", "b", "c"])), max_size=7
-)
+_MEMBER = st.lists(st.tuples(_STEPS, st.integers(-2, 2), st.integers(1, 3)), max_size=7)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    parts=st.lists(_SPECTRUM, min_size=1, max_size=4),
+    parts=st.lists(_MEMBER, min_size=1, max_size=4),
     starts=st.lists(st.sampled_from([0.1, 0.1, 1.0, 3.7]), min_size=4, max_size=4),
-    copies=st.one_of(
-        st.none(),
-        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([None, None, "", "x", "y"])), max_size=8),
-    ),
+    copies=st.one_of(st.none(), _COPIES),
 )
 def test_merge_equals_the_entry_by_entry_merge_bit_for_bit(parts, starts, copies):
-    # each root is the last one plus a step of the spectrum's start, nudged
-    # by a few ulps, so that roots of different spectra tie, chain and fall
-    # just either side of tol; some spectra are empty, and a copy's source
-    # may be None or empty, or repeat a spectrum
-    tol, spectra = 1e-7, []
-    for rows, start in zip(parts, starts):
+    # each root is the last one plus a step of the member's start, nudged
+    # by a few ulps, so that roots of different members tie, chain and fall
+    # just either side of tol; some members have no roots, and a member may
+    # be copied more than once or not at all (None: each member once, in order)
+    tol, rows = 1e-7, []
+    for part, start in zip(parts, starts):
         k, ks = start, []
-        for step, ulps, _, _ in rows:
+        for step, ulps, _ in part:
             k += step * tol
             for _ in range(abs(ulps)):
                 k = math.nextafter(k, math.copysign(math.inf, ulps))
             ks.append(k)
-        ks.sort()
-        spectra.append(Spectrum(ks, [n for *_, n, _ in rows], [src for *_, src in rows], 1.0 + len(rows)))
-    copies = None if copies is None else [(i % len(spectra), src) for i, src in copies]
-    _assert_merge_is_the_reference(spectra, tol, copies)
+        rows.append(list(zip(sorted(ks), [n for *_, n in part])))
+    if copies is None:
+        copies = [(i, f"m{i}") for i in range(len(parts))]
+    runs, labels = [i % len(parts) for i, _ in copies], [src for _, src in copies]
+    _assert_merge_is_the_reference(_roots(rows, 1.0 + max(map(len, parts))), tol, runs, labels)
 
 
 def test_merge_follows_a_mean_rounded_above_the_rows_last_k():
@@ -259,17 +238,17 @@ def test_merge_follows_a_mean_rounded_above_the_rows_last_k():
     c = a + tol
     while c - a <= tol:
         c = math.nextafter(c, math.inf)
-    spectra = [Spectrum([a], [1], ["a"], 1.0), Spectrum([a], [2], ["b"], 1.0), Spectrum([c], [1], ["c"], 1.0)]
-    assert len(merge_spectra(spectra, tol=tol).k) == 1
-    _assert_merge_is_the_reference(spectra, tol)
-    _assert_merge_is_the_reference(spectra, tol, [(2, "z"), (0, None), (1, "y"), (0, "")])
+    roots = _roots([[(a, 1)], [(a, 2)], [(c, 1)]], 1.0)
+    assert len(merge_spectra(roots, [0, 1, 2], ["a", "b", "c"], tol=tol).k) == 1
+    _assert_merge_is_the_reference(roots, tol, [0, 1, 2], ["a", "b", "c"])
+    _assert_merge_is_the_reference(roots, tol, [2, 0, 1, 0], ["z", "w", "y", "x"])
 
 
 def test_merge_of_no_roots():
-    empty = Spectrum([], [], [], 2.0)
-    for spectra, copies in (([], None), ([empty], None), ([empty, empty], [(1, "x"), (1, None)]), ([empty], [])):
-        _assert_merge_is_the_reference(spectra, 1e-7, copies)
-    assert merge_spectra([empty, Spectrum([1.0], [1], ["a"], 3.0)], copies=[(0, "x")]).k_max == 3.0
+    for parts, runs, labels in (([], [], []), ([[]], [0], ["x"]), ([[], []], [1, 1], ["x", "y"]), ([[]], [], [])):
+        _assert_merge_is_the_reference(_roots(parts, 2.0), 1e-7, runs, labels)
+    merged = merge_spectra(_roots([[], [(1.0, 1)]], 3.0), [0], ["x"])
+    assert (len(merged.k), merged.k_max) == (0, 3.0)
 
 
 def test_spectrum_roots_are_read_only_arrays_of_float_int_and_source():
