@@ -36,7 +36,6 @@ from .scattering import (
     SecularSystem,
     Standard,
     build_secular_system,
-    build_secular_systems,
     character_blocks,
     secular_det,
     standard_conditions,
@@ -51,7 +50,6 @@ from .quotient import (
     quotient_graph,
     quotient_secular_closed,
     quotient_system,
-    quotient_systems,
     secular_product,
     torus_secular_system,
 )

@@ -47,6 +47,12 @@ def main():
     """Spectra of metric graphs with cyclic symmetry."""
 
 
+def _require_at_most(points: int, what: str) -> None:
+    """Refuse more than MAX_GRID_POINTS `what` with `GridTooLarge`, before any is allocated."""
+    if points > MAX_GRID_POINTS:
+        raise GridTooLarge(f"{points} {what} are over {MAX_GRID_POINTS}")
+
+
 @main.group()
 def build():
     """Write a graph document (JSON)."""
@@ -101,7 +107,10 @@ def build_product(n1, n2, l1, l3, output):
     """Product of two cycles, isospectral to `factors` with the same flags.
 
     First-factor edges have full length 2*l3, second-factor edges 2*l1.
+    More than MAX_GRID_POINTS edges are refused with `GridTooLarge`.
     """
+    require_positive(n1=n1, n2=n2)
+    _require_at_most(2 * n1 * n2, f"edges of the {n1}x{n2} torus")
     g, action = builders.cycle_product(n1, n2, 2.0 * l3, 2.0 * l1)
     io.save_graph(output, g, standard_conditions(g), action)
     click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges", file=sys.stdout)
@@ -231,14 +240,16 @@ def factors_cmd(n1, n2, l1, l3, kmax, tol, output):
     system (`fallbacks` counts them).  `rounds` is the most refinement
     rounds of any factor, by either locator.  `eigenphase_count`, N(k_max)
     summed over the labels, certifies `root_count`: a count that differs
-    exits 2 with `CertificateMismatch` and writes no file.  A k_max past
-    10^7 sine zeros exits 2 with `GridTooLarge`.
+    exits 2 with `CertificateMismatch` and writes no file.  More than
+    MAX_GRID_POINTS labels, or a k_max past as many sine zeros, exit 2 with
+    `GridTooLarge`.
     """
     require_positive(n1=n1, n2=n2)
+    _require_at_most(n1 * n2, f"labels of the {n1}x{n2} torus")
     labels = np.stack(np.divmod(np.arange(n1 * n2), n2), axis=-1)  # (s, t), s first
     distinct, runs = np.unique(quotient.QuotientFamily(n1, n2, l1, l3, labels).classes(), return_inverse=True)
     factors = quotient.QuotientFamily(n1, n2, l1, l3, labels[distinct])
-    found = find_roots_real(factors, UnitaryFamily(stacks=[factors.bouquets()]), kmax, tol=tol)
+    found = find_roots_real(factors, kmax, tol=tol)
     meta, tails = found.meta, [f"{t})" for t in range(n2)]
     _write_classes(
         output, kmax, found, runs, [head + tail for head in [f"({s}," for s in range(n1)] for tail in tails],
@@ -284,19 +295,20 @@ def compare_cmd(spectrum_a, spectrum_b, tol):
 def project_cmd(n1, n2, l1, l3, s, t, samples, seed, output):
     """Project a random function onto one irrep component; emit samples.
 
-    The function has `samples` points per edge; more than MAX_GRID_POINTS
-    in all is refused with `GridTooLarge` before anything is allocated.
+    The function has `samples` points on each of the 4 n1 n2 edges of the
+    subdivided torus; more than MAX_GRID_POINTS in all is refused with
+    `GridTooLarge`, and so are a label out of range and a size or sample
+    count that is not positive, before the torus is built.
     `io.write_samples_csv` writes the rows, every float as its `repr`, with
     array arithmetic in passes of MAX_BATCH_BYTES: its time per sample is
     the same at every label, however much the component's rows repeat.
     """
+    require_positive(n1=n1, n2=n2, samples=samples)
+    irrep = Irrep((n1, n2), (s, t))
+    _require_at_most(4 * n1 * n2 * samples, f"samples on the {4 * n1 * n2} edges of the {n1}x{n2} torus")
     g, action = builders.torus_action(n1, n2, l3, l1)
-    require_positive(samples=samples)
-    if g.n_edges * samples > MAX_GRID_POINTS:
-        raise GridTooLarge(f"{g.n_edges} edges of {samples} samples are over {MAX_GRID_POINTS} points")
     rng = np.random.default_rng(seed)
     f = random_function(g, samples, rng)
-    irrep = Irrep((n1, n2), (s, t))
     comp = project(f, action, irrep)
     norm_sq = l2_norm_sq(comp)
     with open(output, "wb") as fh:

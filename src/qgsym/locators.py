@@ -7,7 +7,8 @@ call: the real one with `_newton_brackets`, the unitary one with
 - `find_roots_real`: the quotient factors of `factors`, from their two-loop
   form G (`quotient.QuotientFamily`): each member's sine-zero roots, of
   exact orders, and one simple root of G between each two consecutive
-  poles, with no grid.
+  poles, with no grid, each member's count certified by the eigenphase
+  count of its own closed-form system (`QuotientFamily.bouquets`).
 - `UnitaryFamily`: exact eigenphase counting for unitary scattering, on
   stacks of systems of one size, contracted once (`contracted_stacks`) or
   given as they are.  N(k) of every system (`UnitaryFamily.counts`) is an
@@ -42,9 +43,10 @@ PHASE_EPS = 1e-12  # an eigenphase in [0, PHASE_EPS) has not crossed 1 yet
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def find_roots_real(family: QuotientFamily, systems: UnitaryFamily, k_max: float, tol: float = 1e-10) -> Roots:
-    """Roots on (0, k_max] of the dispersion forms of `family`, whose
-    secular systems are `systems`, as one `Roots` of their members.
+def find_roots_real(family: QuotientFamily, k_max: float, tol: float = 1e-10) -> Roots:
+    """Roots on (0, k_max] of the dispersion forms of `family`, as one
+    `Roots` of its members, certified on the family's own closed-form
+    systems (`QuotientFamily.bouquets`, one stack of a `UnitaryFamily`).
 
     A member's roots are its roots at the sine zeros, with their orders
     (`QuotientFamily.sine_zeros`), and one simple root of G in each bracket
@@ -69,6 +71,7 @@ def find_roots_real(family: QuotientFamily, systems: UnitaryFamily, k_max: float
     `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
     """
     require_positive(k_max=k_max, tol=tol)
+    systems = UnitaryFamily(stacks=[family.bouquets()])
     zeros, residues, orders, settled = family.sine_zeros(k_max)
     members, last = len(residues), len(zeros) + 1
     g_max, slope_max = _chunked(family.pole_form, np.arange(members), np.full(members, float(k_max)), 8).T

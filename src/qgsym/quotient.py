@@ -6,7 +6,7 @@ quasi-periodic gluing phases.  The phase on the L1 pair is omega2^t and the
 phase on the L3 pair is omega1^s; this assignment is forced — attaching the
 phases the other way round produces the factors of the transposed torus,
 which is a different metric graph.  `quotient_graph` writes this graph, and
-`quotient_systems` assembles its 8x8 systems of many factors in one call.
+`quotient_system` assembles one factor's 8x8 system on it.
 
 The degree-2 vertices only pass waves on, so every factor is two loops of
 lengths 2 L1 and 2 L3 at one standard vertex, and only the two gluing phases
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -36,14 +35,7 @@ from .builders import torus_action
 from .errors import GridTooLarge, NonPositiveLength, require_positive
 from .graphs import TAG_DUMMY, TAG_ORIGINAL, MetricGraph, make_graph
 from .groups import irrep_value
-from .scattering import (
-    QuasiPeriodic,
-    SecularSystem,
-    Standard,
-    build_secular_system,
-    build_secular_systems,
-    standard_conditions,
-)
+from .scattering import QuasiPeriodic, SecularSystem, Standard, build_secular_system, standard_conditions
 from .spectra import MAX_GRID_POINTS
 
 
@@ -99,28 +91,13 @@ def quotient_graph(spec: QuotientSpec) -> tuple[MetricGraph, list]:
     edges (edges 2, 3) with the omega1^s phase.
     """
     edges = [(0, 1, spec.l1), (0, 1, spec.l1), (0, 2, spec.l3), (0, 2, spec.l3)]
-    return make_graph(3, edges, tags=[TAG_ORIGINAL, TAG_DUMMY, TAG_DUMMY]), _conditions(spec)
-
-
-def _conditions(spec: QuotientSpec) -> list:
-    return [Standard(0), QuasiPeriodic(1, spec.phase_l1, (0, 1)), QuasiPeriodic(2, spec.phase_l3, (2, 3))]
-
-
-def quotient_systems(specs: Sequence[QuotientSpec]) -> list[SecularSystem]:
-    """The 8x8 secular systems of factors of one torus, one per spec, which
-    share their quotient graph: `build_secular_systems` assembles every
-    factor's gluing phases together."""
-    specs = list(specs)
-    if not specs:
-        return []
-    if len({(spec.n1, spec.n2, spec.l1, spec.l3) for spec in specs}) > 1:
-        raise ValueError("the factors of one call share n1, n2, L1 and L3")
-    return build_secular_systems(quotient_graph(specs[0])[0], [_conditions(spec) for spec in specs])
+    conditions = [Standard(0), QuasiPeriodic(1, spec.phase_l1, (0, 1)), QuasiPeriodic(2, spec.phase_l3, (2, 3))]
+    return make_graph(3, edges, tags=[TAG_ORIGINAL, TAG_DUMMY, TAG_DUMMY]), conditions
 
 
 def quotient_system(spec: QuotientSpec) -> SecularSystem:
-    """`quotient_systems` of one factor."""
-    return quotient_systems([spec])[0]
+    """The 8x8 secular system of one factor, on its quotient graph."""
+    return build_secular_system(*quotient_graph(spec))
 
 
 def _closed(alpha, beta, l1, l3, k):
@@ -207,8 +184,10 @@ class QuotientFamily:
         """The members' systems as one (members, S, lengths) stack: bonds
         (loop 1 out, loop 1 back, loop 2 out, loop 2 back) of lengths (l1,
         l1, l2, l2), S[i, j] = W[i, j] u_j, W = 2/4 less 1 where j reverses
-        i, u = (tau1, 1/tau1, tau3, 1/tau3).  This is `quotient_systems` with
-        its pass-through bonds contracted, bit for bit."""
+        i, u = (tau1, 1/tau1, tau3, 1/tau3).  This is each member's
+        `quotient_system` with its pass-through bonds contracted
+        (`contracted_stacks`), bit for bit, and the stack on which
+        `locators.find_roots_real` counts the members' roots."""
         lengths = np.repeat(self.lengths, 2)
         return np.arange(len(self.labels)), _BOUQUET * self.phases[:, None, :], np.tile(lengths, (len(self.labels), 1))
 

@@ -102,32 +102,25 @@ def _vertex_block(v: int, cond: Condition, out: np.ndarray) -> np.ndarray:
 
 
 def _scattering_rows(
-    g: MetricGraph,
-    condition_sets: Iterable[Iterable[Condition]],
-    rows: np.ndarray,
+    g: MetricGraph, conditions: Iterable[Condition], rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows `rows` of the bond scattering matrix under each set of
-    conditions, stacked as (sets, rows, bonds), and every bond's length.
+    """The rows `rows` of the bond scattering matrix under `conditions`,
+    one per vertex, and every bond's length.
 
     Each bond has one origin, and bond b ends where bond b ^ 1 starts.
     A vertex's scattering matrix fills the block S[out, out ^ 1],
     rows the bonds leaving it in ascending order and columns their
     reversals, the bonds arriving; only the rows listed in `rows` are kept,
     in that order, so the matrix is built only where one of them leaves, and
-    at every vertex where some set's condition is not `Standard`, to check
-    it.  Each vertex's matrix is built once per distinct condition there and
-    written into every set in one assignment.
+    at every vertex whose condition is not `Standard`, to check it.
     """
-    vertices, by_vertex = set(range(g.n_vertices)), []
-    for conditions in condition_sets:
-        cond_by_vertex = {c.vertex: c for c in conditions}
-        if cond_by_vertex.keys() != vertices:
-            missing = sorted(vertices - cond_by_vertex.keys())
-            if missing:
-                raise MissingCondition(f"vertex {missing[0]} has no condition")
-            stray = sorted(cond_by_vertex.keys() - vertices)
-            raise UnsupportedCondition(f"conditions for vertices {stray} outside the graph")
-        by_vertex.append(cond_by_vertex)
+    vertices, by_vertex = set(range(g.n_vertices)), {c.vertex: c for c in conditions}
+    if by_vertex.keys() != vertices:
+        missing = sorted(vertices - by_vertex.keys())
+        if missing:
+            raise MissingCondition(f"vertex {missing[0]} has no condition")
+        stray = sorted(by_vertex.keys() - vertices)
+        raise UnsupportedCondition(f"conditions for vertices {stray} outside the graph")
 
     nb = 2 * g.n_edges
     origin, lengths = g.ends.ravel(), np.repeat(g.lengths, 2)
@@ -136,30 +129,21 @@ def _scattering_rows(
     row_of = np.full(nb, -1)
     row_of[rows] = np.arange(len(rows))
 
-    S = np.zeros((len(by_vertex), len(rows), nb), dtype=complex)
-    checked = {c.vertex for conds in by_vertex for c in conds.values() if not isinstance(c, Standard)}
-    for v in sorted(checked.union(origin[rows].tolist())) if by_vertex else ():
-        out, distinct = by_origin[start[v] : start[v + 1]], {}
-        which = [distinct.setdefault(conds[v], len(distinct)) for conds in by_vertex]
-        blocks = [_vertex_block(v, cond, out) for cond in distinct]
-        # a condition shared by every set is one block, broadcast over the sets
-        block = blocks[0] if len(blocks) == 1 else np.stack(blocks)[which]
+    S = np.zeros((len(rows), nb), dtype=complex)
+    checked = {v for v, c in by_vertex.items() if not isinstance(c, Standard)}
+    for v in sorted(checked.union(origin[rows].tolist())):
+        out = by_origin[start[v] : start[v + 1]]
+        block = _vertex_block(v, by_vertex[v], out)
         kept = row_of[out] >= 0
-        S[:, row_of[out[kept]][:, None], out ^ 1] = block[..., kept, :]
+        S[row_of[out[kept]][:, None], out ^ 1] = block[kept]
     return S, lengths
 
 
-def build_secular_systems(g: MetricGraph, condition_sets: Iterable[Iterable[Condition]]) -> list[SecularSystem]:
-    """The dense bond scattering matrix of one graph under each set of
-    per-vertex conditions, all assembled together: one system per set,
-    each S a view of one stacked array, all sharing the lengths."""
-    S, lengths = _scattering_rows(g, condition_sets, np.arange(2 * g.n_edges))
-    return [SecularSystem(S=s, lengths=lengths) for s in S]
-
-
 def build_secular_system(g: MetricGraph, conditions: Iterable[Condition]) -> SecularSystem:
-    """`build_secular_systems` under one set of conditions."""
-    return build_secular_systems(g, [conditions])[0]
+    """The dense bond scattering matrix of `g` under its per-vertex
+    conditions, with every bond's length."""
+    S, lengths = _scattering_rows(g, conditions, np.arange(2 * g.n_edges))
+    return SecularSystem(S=S, lengths=lengths)
 
 
 def character_blocks(
@@ -201,7 +185,7 @@ def character_blocks(
         m, i = np.argwhere(fixed)[0].tolist()
         raise ActionNotFree(f"element {list(action.elements())[m + 1]} fixes bond {reps[i]}")
 
-    (rows,), lengths = _scattering_rows(g, [conditions], reps)
+    rows, lengths = _scattering_rows(g, conditions, reps)
     # A[i, m, j] = S[r_i, m.r_j], the group axis unravelled into one axis per generator
     A = rows[:, images].reshape(len(reps), *action.orders, len(reps))
     M = np.fft.fftn(A, axes=tuple(range(1, 1 + len(action.orders))))

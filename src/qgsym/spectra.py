@@ -47,7 +47,9 @@ from .errors import GridTooCoarse, GridTooLarge
 
 TWO_PI = 2.0 * math.pi
 MAX_BATCH_BYTES = 2**15  # input of one array call of a locator: points or matrices
-MAX_GRID_POINTS = 10**7  # largest k grid any locator or scan builds, or set of sine zeros of `factors`
+# the most points any locator or scan grid, or set of sine zeros of `factors`, holds; the CLI refuses as many
+# torus labels, edges or projection samples, before it allocates them
+MAX_GRID_POINTS = 10**7
 ITP_N0 = 12  # the ITP slack: `_newton_brackets` takes at most ITP_N0 + 1 evaluations more than bisection
 PROBES = np.array([0.93 + 0.61j, 2.17 + 0.37j, 3.41 + 0.83j])  # in units of 1 / (longest bond length)
 

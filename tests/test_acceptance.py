@@ -14,7 +14,6 @@ from qgsym import (
     Irrep,
     QuotientFamily,
     QuotientSpec,
-    UnitaryFamily,
     all_quotient_specs,
     build_secular_system,
     compare_spectra,
@@ -29,7 +28,6 @@ from qgsym import (
     quotient_graph,
     quotient_secular_closed,
     quotient_system,
-    quotient_systems,
     random_function,
     secular_det,
     secular_product,
@@ -50,9 +48,8 @@ def _report(name, ok, detail):
 
 
 def _factor_spectrum(spec, k_max):
-    systems = UnitaryFamily([quotient_system(spec)])
     family = QuotientFamily(spec.n1, spec.n2, spec.l1, spec.l3, [(spec.s, spec.t)])
-    return find_roots_real(family, systems, k_max).spectrum(0, f"({spec.s},{spec.t})")
+    return find_roots_real(family, k_max).spectrum(0, f"({spec.s},{spec.t})")
 
 
 def test_trivial_factor_roots_match_closed_form():
@@ -83,7 +80,7 @@ def test_full_torus_spectrum_equals_union_of_factor_spectra():
     full = find_roots_unitary(sys_full, 15.0)
     specs = all_quotient_specs(3, 4, L1, L3)
     family = QuotientFamily(3, 4, L1, L3, [(sp.s, sp.t) for sp in specs])
-    parts = find_roots_real(family, UnitaryFamily(quotient_systems(specs)), 15.0)
+    parts = find_roots_real(family, 15.0)
     merged = merge_spectra(parts, np.arange(parts.members), [f"({sp.s},{sp.t})" for sp in specs], tol=1e-7)
     res = compare_spectra(full, merged, tol=1e-6)
     elapsed = time.time() - t0

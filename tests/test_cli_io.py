@@ -41,7 +41,7 @@ from qgsym.io import (
     write_spectrum_csv,
 )
 from qgsym.scattering import secular_det
-from qgsym.spectra import MAX_BATCH_BYTES, PROBES, Roots, Spectrum, _k_grid
+from qgsym.spectra import MAX_BATCH_BYTES, MAX_GRID_POINTS, PROBES, Roots, Spectrum, _k_grid
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -771,6 +771,42 @@ def test_cli_rejects_out_of_range_flags(tmp_path, args, kind):
     save_graph(gpath, g, action=a)
     out = str(tmp_path / "out.csv")
     res = CliRunner().invoke(main, [gpath if x == "GRAPH" else x for x in args] + ["-o", out])
+    _assert_usage_error(res, kind)
+    assert not os.path.exists(out)
+
+
+def _torus(n1, n2):
+    return ["--n1", str(n1), "--n2", str(n2), "--l1", "0.5", "--l3", "1.0"]
+
+
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["factors", *_torus(10**5, 10**5)], "GridTooLarge"),
+        (["factors", *_torus(MAX_GRID_POINTS + 1, 1)], "GridTooLarge"),
+        (["build", "product", *_torus(10**5, 10**5)], "GridTooLarge"),
+        (["build", "product", *_torus(MAX_GRID_POINTS // 2 + 1, 1)], "GridTooLarge"),
+        (["project", *_torus(10**5, 10**5), "--s", "0", "--t", "0", "--samples", "1"], "GridTooLarge"),
+        (["project", *_torus(200, 200), "--s", "0", "--t", "0", "--samples", "100"], "GridTooLarge"),
+        (["project", *_torus(200, 200), "--s", "0", "--t", "0", "--samples", "0"], "NonPositiveParameter"),
+        (["project", *_torus(200, 200), "--s", "999", "--t", "0"], "LabelOutOfRange"),
+    ],
+    ids=["factors-1e5", "factors-labels", "product-1e5", "product-edges", "project-1e5", "project-samples",
+         "project-samples-zero", "project-label"],
+)
+def test_cli_refuses_an_oversized_torus_before_building_it(tmp_path, monkeypatch, args, kind):
+    # at n1 = n2 = 10^5 the torus has 10^10 labels and 2 10^10 edges, and
+    # one label or edge over MAX_GRID_POINTS is refused too: each command
+    # exits 2 before it builds a family, a graph or a torus action, and
+    # writes no file; `project` checks its samples and its label first
+    def refused(*args, **kwargs):
+        raise AssertionError("an oversized torus is refused before it is built")
+
+    monkeypatch.setattr(cli.quotient, "QuotientFamily", refused)
+    monkeypatch.setattr(cli.builders, "cycle_product", refused)
+    monkeypatch.setattr(cli.builders, "torus_action", refused)
+    out = str(tmp_path / "out")
+    res = CliRunner().invoke(main, [*args, "-o", out])
     _assert_usage_error(res, kind)
     assert not os.path.exists(out)
 

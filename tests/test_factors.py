@@ -22,7 +22,7 @@ from qgsym import (
     quotient_dispersion_real,
     quotient_secular_closed,
     quotient_system,
-    quotient_systems,
+    scattering,
     standard_conditions,
     torus_action,
 )
@@ -202,16 +202,17 @@ def test_coefficient_classes_equal_the_probe_classes(n1, n2, lengths):
     ids=["6x6-equal-lengths", "4x8-equal-lengths", "1x2-one-fallback"],
 )
 def test_factors_rows_equal_the_probe_and_template_path(tmp_path, n1, n2, l1, l3, kmax):
-    # `factors` takes its classes from the coefficients and its certificate
-    # systems in closed form; the path it replaced, rebuilt here (probe
-    # classes, the template graph's 8x8 systems, the real locator), writes
-    # the same rows, orders, sources and headers
+    # `factors` takes its classes from the coefficients; the path it
+    # replaced, rebuilt here (probe classes, then the real locator, whose
+    # closed-form certificate systems are the template graph's 8x8 systems
+    # contracted bit for bit), writes the same rows, orders, sources and
+    # headers
     specs = all_quotient_specs(n1, n2, l1, l3)
     labels = [(spec.s, spec.t) for spec in specs]
     first = _probe_classes(specs)
     distinct, runs = np.unique(first, return_inverse=True)
     family = QuotientFamily(n1, n2, l1, l3, [labels[i] for i in distinct])
-    found = find_roots_real(family, UnitaryFamily(quotient_systems([specs[i] for i in distinct])), kmax)
+    found = find_roots_real(family, kmax)
     want = merge_spectra(found, runs, [f"({s},{t})" for s, t in labels], tol=1e-7)
     out = str(tmp_path / "factors.csv")
     flags = ["--n1", str(n1), "--n2", str(n2), "--l1", repr(l1), "--l3", repr(l3), "--kmax", repr(kmax)]
@@ -232,7 +233,7 @@ def test_grouped_factors_equal_a_per_label_run(tmp_path, n1, n2, l3):
     grouped = _run_factors(tmp_path, n1, n2, l3)
     specs = all_quotient_specs(n1, n2, L1, l3)
     labels = [(spec.s, spec.t) for spec in specs]
-    found = find_roots_real(QuotientFamily(n1, n2, L1, l3, labels), UnitaryFamily(quotient_systems(specs)), 10.0)
+    found = find_roots_real(QuotientFamily(n1, n2, L1, l3, labels), 10.0)
     per_label = merge_spectra(found, np.arange(len(specs)), [f"({s},{t})" for s, t in labels], tol=1e-7)
     assert len(grouped.k) == len(per_label.k)
     assert np.abs(grouped.k - per_label.k).max(initial=0.0) <= 1e-12
@@ -292,8 +293,8 @@ def test_pole_rule_equals_the_unitary_locator_factor_by_factor(n1, n2, lengths):
         first.setdefault(_group_key(spec), spec)
     specs = list(first.values())
     family = QuotientFamily(n1, n2, l1, l3, [(spec.s, spec.t) for spec in specs])
-    systems = UnitaryFamily(quotient_systems(specs))
-    found, exact = find_roots_real(family, systems, 10.0), systems.roots(10.0)
+    systems = UnitaryFamily([quotient_system(spec) for spec in specs])
+    found, exact = find_roots_real(family, 10.0), systems.roots(10.0)
     for m, spec in enumerate(specs):
         got, want = found.spectrum(m), exact.spectrum(m)
         assert not got.meta["fallback"], (spec.s, spec.t)
@@ -314,7 +315,7 @@ def test_a_factor_that_falls_back_reports_the_rounds_of_both_locators():
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.shape(k)) or form(which, k)
     systems = UnitaryFamily([quotient_system(spec)])
-    got, exact = find_roots_real(family, systems, k_max).spectrum(0), systems.roots(k_max).spectrum(0)
+    got, exact = find_roots_real(family, k_max).spectrum(0), systems.roots(k_max).spectrum(0)
     assert calls == [(1,)]
     assert got.meta["fallback"] and got == exact
     assert got.meta["rounds"] == exact.meta["rounds"]
@@ -473,16 +474,17 @@ def test_factors_call_budget(tmp_path, monkeypatch):
     # call on 1-D arrays, and no call is made on circles; the certificate counts
     # each distinct factor at K_MIN and at k_max, in stacks of at most
     # MAX_BATCH_BYTES, from their closed-form systems, with no graph
-    # assembled, and no factor falls back; a constant number of spectra is
-    # built, whatever the number of factors
+    # assembled (no quotient system, no scattering rows), and no factor
+    # falls back; a constant number of spectra is built, whatever the
+    # number of factors
     form, eigh = QuotientFamily.pole_form, np.linalg.eigh
     form_shapes, eigh_shapes = [], []
 
     def refused(*args, **kwargs):
         raise AssertionError("factors takes its classes from the coefficients and its systems in closed form")
 
-    for name in ("quotient_system", "quotient_systems", "build_secular_systems"):
-        monkeypatch.setattr(quotient, name, refused)
+    monkeypatch.setattr(quotient, "quotient_system", refused)
+    monkeypatch.setattr(scattering, "_scattering_rows", refused)
     monkeypatch.setattr(cli, "isospectral_classes", refused)
     monkeypatch.setattr(
         QuotientFamily, "pole_form",

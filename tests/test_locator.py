@@ -27,7 +27,6 @@ from qgsym import (
     find_roots_unitary,
     io,
     quotient_system,
-    quotient_systems,
     standard_conditions,
     torus_action,
 )
@@ -547,8 +546,8 @@ def test_a_member_with_a_wrong_count_is_not_refined():
     family, calls = QuotientFamily(1, 2, 0.5, 0.61, [(0, 0), (0, 1)]), []
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.array(which)) or form(which, k)
-    systems = UnitaryFamily(quotient_systems(specs))
-    found = find_roots_real(family, systems, k_max, TOL)
+    systems = UnitaryFamily([quotient_system(spec) for spec in specs])
+    found = find_roots_real(family, k_max, TOL)
     refined, fallen = found.spectrum(0), found.spectrum(1)
     assert calls[0].tolist() == [0, 1] and len(calls) > 1 and all(set(w.tolist()) == {0} for w in calls[1:])
     assert not refined.meta["fallback"] and fallen.meta["fallback"]
@@ -722,9 +721,8 @@ def test_real_locator_ends_at_a_tol_below_the_float_spacing():
     # than 1e-300; one with no float strictly inside it is closed instead.
     # The factor (0,1) of 1x2 at L1 = L3 = 1/4 has F = sin k: G has the
     # roots pi and 3 pi, and 2 pi is a sine zero
-    spec = QuotientSpec(1, 2, 0.25, 0.25, 0, 1)
     family = QuotientFamily(1, 2, 0.25, 0.25, [(0, 1)])
-    s = find_roots_real(family, UnitaryFamily([quotient_system(spec)]), 10.0, 1e-300).spectrum(0)
+    s = find_roots_real(family, 10.0, 1e-300).spectrum(0)
     assert not s.meta["fallback"]
     assert s.order.tolist() == [1, 1, 1]
     assert s.k.tolist() == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=0, abs=1e-14)

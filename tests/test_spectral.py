@@ -20,7 +20,6 @@ from qgsym import (
     merge_spectra,
     quotient_dispersion_real,
     quotient_system,
-    quotient_systems,
     standard_conditions,
     winding_number,
 )
@@ -33,7 +32,7 @@ def _real(specs, k_max, tol=1e-10):
     family, each member's roots as its spectrum."""
     torus = specs[0].n1, specs[0].n2, specs[0].l1, specs[0].l3
     family = QuotientFamily(*torus, [(spec.s, spec.t) for spec in specs])
-    found = find_roots_real(family, UnitaryFamily(quotient_systems(specs)), k_max, tol)
+    found = find_roots_real(family, k_max, tol)
     return [found.spectrum(m) for m in range(found.members)]
 
 
@@ -335,7 +334,7 @@ def test_a_sign_change_past_kmax_is_off_the_grid(k_max):
     form = family.pole_form
     family.pole_form = lambda which, k: calls.append(np.array(k)) or form(which, k)
     assert family.sine_zeros(k_max)[0].size == 0
-    s = find_roots_real(family, UnitaryFamily([quotient_system(_sine())]), k_max).spectrum(0)
+    s = find_roots_real(family, k_max).spectrum(0)
     assert calls[0].tolist() == [k_max] and s.meta["evaluations"] == sum(map(len, calls))
     assert (s.meta["eigenphase_count"], s.meta["fallback"]) == (1, False)
     assert s.order.tolist() == [1]
