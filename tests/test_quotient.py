@@ -125,6 +125,28 @@ def test_quotient_flipped_edges_invariance():
             assert abs(secular_det(sys0, k) - secular_det(sys1, k)) < 1e-12
 
 
+@pytest.mark.parametrize("n1, n2, l3", [(1, 1, 0.99999), (3, 4, 1.0), (4, 6, 0.61), (16, 16, 0.71676)])
+def test_stacked_quotient_systems_equal_one_spec_at_a_time(n1, n2, l3):
+    # the quotient systems of a torus, stacked in `secular_dets` and
+    # `contracted_stacks`, give each spec what it gets alone
+    specs = all_quotient_specs(n1, n2, 0.5, l3)
+    systems = [quotient_system(spec) for spec in specs]
+    for spec, sys_ in zip(specs, systems):
+        one = build_secular_system(*quotient_graph(spec))
+        assert sys_.S.tobytes() == one.S.tobytes() and sys_.lengths.tobytes() == one.lengths.tobytes()
+    z = np.concatenate([PROBES, PROBES.conj()]) / (2 * l3)
+    which, points = np.repeat(np.arange(len(specs)), len(z)), np.tile(z, len(specs))
+    stacked = secular_dets(systems)(which, points).reshape(len(specs), len(z))
+    contracted = {i: (S, lengths) for members, Ss, ls in contracted_stacks(systems) for i, S, lengths in zip(members, Ss, ls)}
+    assert sorted(contracted) == list(range(len(specs)))
+    for i, sys_ in enumerate(systems):
+        alone = secular_dets([sys_])(np.zeros(len(z), dtype=np.int64), z)
+        assert np.allclose(stacked[i], alone, rtol=1e-12, atol=0)
+        ((members, S, lengths),) = contracted_stacks([sys_])
+        assert members.tolist() == [0]
+        assert S[0].tobytes() == contracted[i][0].tobytes() and lengths[0].tobytes() == contracted[i][1].tobytes()
+
+
 def _family(specs):
     spec = specs[0]
     return QuotientFamily(spec.n1, spec.n2, spec.l1, spec.l3, [(sp.s, sp.t) for sp in specs])

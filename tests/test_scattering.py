@@ -7,17 +7,21 @@ import pytest
 
 from qgsym import (
     QuasiPeriodic,
+    QuotientFamily,
     Standard,
+    all_quotient_specs,
     build_secular_system,
     cycle_graph,
     make_graph,
+    quotient_graph,
     secular_det,
     standard_conditions,
     vertex_scattering_quasiperiodic,
     vertex_scattering_standard,
 )
 from qgsym.errors import MissingCondition, NonUnitPhase, UnsupportedCondition, ZeroDegree
-from qgsym.scattering import SecularSystem, secular_dets
+from qgsym.scattering import SecularSystem, contracted_stacks, secular_dets
+from qgsym.spectra import PROBES
 
 
 def _unitary(M):
@@ -123,6 +127,34 @@ def test_flipped_edges_leave_determinant_invariant():
     sys1 = build_secular_system(make_graph(2, [(0, 1, 1.0), (1, 0, 2.0)]), standard_conditions(g))
     for k in np.linspace(0.3, 9.7, 25):
         assert abs(secular_det(sys0, k) - secular_det(sys1, k)) < 1e-12
+
+
+@pytest.mark.parametrize("flipped", [(), (0, 3)], ids=["stored", "flipped"])
+@pytest.mark.parametrize("n1, n2", [(1, 1), (2, 1), (3, 4), (4, 6), (16, 16)])
+def test_stacked_assembly_equals_one_set_at_a_time(n1, n2, flipped):
+    # the quotient graph of a torus under the gluing phases of every label,
+    # with the edges in `flipped` stored the other way round: each set
+    # assembled on its own is unitary and has the determinant of its member
+    # of the stacked 4x4 bouquets, and on the stored graph contracts to it
+    # bit for bit
+    specs = all_quotient_specs(n1, n2, 0.5, 0.71676)
+    stored = quotient_graph(specs[0])[0]
+    ends = stored.ends.tolist()
+    g = make_graph(3, [(v, u, length) if e in flipped else (u, v, length)
+                       for e, ((u, v), length) in enumerate(zip(ends, stored.lengths.tolist()))])
+    systems = [build_secular_system(g, quotient_graph(spec)[1]) for spec in specs]
+    members, S, lengths = QuotientFamily(n1, n2, 0.5, 0.71676, [(sp.s, sp.t) for sp in specs]).bouquets()
+    assert members.tolist() == list(range(len(specs)))
+    for i, sys_ in enumerate(systems):
+        assert sys_.size == 8 and sys_.unitarity_defect() < 1e-12
+        if not flipped:
+            ((_, small, small_lengths),) = contracted_stacks([sys_])
+            assert small[0].tobytes() == S[i].tobytes() and small_lengths[0].tobytes() == lengths[i].tobytes()
+    z = np.concatenate([PROBES, PROBES.conj()]) / (2 * 0.71676)
+    which, points = np.repeat(members, len(z)), np.tile(z, len(specs))
+    big = secular_dets(systems)(which, points)
+    small = secular_dets([SecularSystem(s, l) for s, l in zip(S, lengths)])(which, points)
+    assert np.allclose(big, small, rtol=1e-12, atol=0)
 
 
 def test_assembly_mixes_kinds_and_orientations_at_a_vertex():
