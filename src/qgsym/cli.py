@@ -64,6 +64,7 @@ def build():
 @click.option("-o", "--output", default="graph.json", show_default=True)
 @handle_errors
 def build_cycle(n, length, output):
+    _require_at_most(n, f"edges of the {n}-cycle")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g, action = builders.cycle_graph(n, length)
@@ -91,6 +92,8 @@ def _parse_list(flag: str, text: str, kind: type) -> list:
 def build_circulant(n, jumps, lens, output):
     jump_list = _parse_list("--jumps", jumps, int)
     len_list = _parse_list("--lens", lens, float)
+    _require_at_most(n, f"vertices of C_{n}")
+    _require_at_most(n * len(jump_list), f"edges (n per jump) of C_{n}({jumps})")
     g, action = builders.circulant_graph(n, jump_list, len_list)
     io.save_graph(output, g, standard_conditions(g), action)
     click.echo(f"wrote {output}: {g.n_vertices} vertices, {g.n_edges} edges", file=sys.stdout)

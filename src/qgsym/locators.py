@@ -62,11 +62,12 @@ def find_roots_real(family: QuotientFamily, k_max: float, tol: float = 1e-10) ->
     is about r_a / (k - a), so a bracket between two poles starts at the
     root of their two terms, (r_a b + r_b a) / (r_a + r_b), and the bracket
     cut at k_max at the Newton point from G(k_max).  Every other member is
-    solved by one `UnitaryFamily.roots` call, whose roots take the place of
-    its own.  A member's roots less than `tol` apart are one root of their
-    summed order, as `_jumps` joins the unitary locator's jumps.  The
-    roots' `meta` has `tol` and, as arrays of one value per
-    member, the points evaluated for the member by either locator
+    solved first by one `UnitaryFamily.roots` call, whose rows take the
+    place of its own.  All rows are sorted once, by member, k and order, and
+    a member's roots less than `tol` apart are one root of their summed
+    order, as `_jumps` joins the unitary locator's jumps, which are already
+    `tol` apart.  The roots' `meta` has `tol` and, as arrays of one value
+    per member, the points evaluated for the member by either locator
     (`evaluations`), the rounds that evaluated it (`rounds`), its
     `eigenphase_count` N(k_max), and whether it fell back (`fallback`).
     """
@@ -96,11 +97,18 @@ def find_roots_real(family: QuotientFamily, k_max: float, tol: float = 1e-10) ->
     first = np.where(cut[i], newton, (r[i] * x[i + 1] + r[i + 1] * x[i]) / (r[i] + r[i + 1]))
     brackets = (which[i], x[i], np.full(len(i), np.inf), x[i + 1], fb)
     (refined, roots, _), calls, rounds = _newton_brackets(family.pole_form, brackets, first, tol, members)
-    # every member's roots at the sine zeros and its simple roots of G, by member, then k, then order
-    on, at = np.nonzero(orders)
-    member = np.concatenate([on, refined])
-    roots = np.concatenate([zeros[at], roots])
-    order = np.concatenate([orders[on, at], np.ones(len(refined), dtype=np.int64)])
+    # the certified members' roots at the sine zeros and their simple roots of G, and the unitary locator's
+    # roots of every member that falls back, in place of its own
+    on, at = np.nonzero(orders * certified[:, None])
+    parts = [(on, zeros[at], orders[on, at]), (refined, roots, np.ones(len(refined), dtype=np.int64))]
+    evaluations, fallback = 1 + calls, ~certified
+    short = np.flatnonzero(fallback)
+    if len(short):
+        exact = systems.roots(k_max, tol=tol, members=short)
+        parts.append((short[exact.member], exact.k, exact.order))
+        evaluations[short] += exact.meta["evaluations"]
+        rounds[short] += exact.meta["rounds"]
+    member, roots, order = (np.concatenate(v) for v in zip(*parts))
     by = np.lexsort((order, roots, member))
     member, roots, order = member[by], roots[by], order[by]
     # a member's roots less than tol apart are one root of their summed order, as `_jumps` joins jumps: the
@@ -109,25 +117,8 @@ def find_roots_real(family: QuotientFamily, k_max: float, tol: float = 1e-10) ->
     first[1:] = (member[1:] != member[:-1]) | (roots[1:] - roots[:-1] >= tol)
     first = np.flatnonzero(first)
     member, roots, order = member[first], roots[first], np.add.reduceat(order, first)
-    evaluations, fallback = 1 + calls, ~certified
-    short = np.flatnonzero(fallback)
-    if len(short):  # each member that falls back takes the unitary locator's roots in place of its own
-        exact = systems.roots(k_max, tol=tol, members=short)
-        kept = ~fallback[member]
-        member = np.concatenate([member[kept], short[exact.member]])
-        by = np.argsort(member, kind="stable")
-        member = member[by]
-        roots = np.concatenate([roots[kept], exact.k])[by]
-        order = np.concatenate([order[kept], exact.order])[by]
-        evaluations[short] += exact.meta["evaluations"]
-        rounds[short] += exact.meta["rounds"]
     meta = {"tol": tol, "evaluations": evaluations, "rounds": rounds, "eigenphase_count": counts, "fallback": fallback}
     return Roots(member, roots, order, members, k_max, meta)
-
-
-def _turned(phases: np.ndarray) -> np.ndarray:
-    """The phases of `_eigenphases` taken in [0, 2pi)."""
-    return np.where(phases < 0.0, phases + TWO_PI, phases)
 
 
 def _unitary_phases(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,19 +155,21 @@ def _unitary_phases(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
-    """Eigenphases of U(k) = S D(k) in (-pi, pi], less PHASE_EPS, one row per
-    point: system `which[i]` of the stacks `S` and `lengths` at `ks[i]`, and
-    each point's residual (`_unitary_phases`).
+    """Eigenphases of U(k) = S D(k) less PHASE_EPS, taken in [0, 2pi) and
+    ascending, one row per point: system `which[i]` of the stacks `S` and
+    `lengths` at `ks[i]`, and each point's residual (`_unitary_phases`).
 
-    An entry is >= 0 once its eigenvalue has crossed 1, so an eigenvalue at
-    exactly 1 counts as about to leave.  The matrices go to one stacked
+    An eigenvalue is near 0 once it has crossed 1, so one at exactly 1 is
+    just below 2pi, about to cross.  The matrices go to one stacked
     `np.linalg.eigh` call per MAX_BATCH_BYTES of input.
     """
 
     def phases(which: np.ndarray, k: np.ndarray) -> np.ndarray:
         d = np.exp(1j * k[:, None] * lengths[which])
         phases, residuals = _unitary_phases(S[which] * d[:, None, :])
-        return np.concatenate([phases - PHASE_EPS, residuals[:, None]], axis=-1)
+        phases -= PHASE_EPS
+        turned = np.sort(np.where(phases < 0.0, phases + TWO_PI, phases), axis=-1)
+        return np.concatenate([turned, residuals[:, None]], axis=-1)
 
     out = _chunked(phases, which, ks, S[0].nbytes)
     return out[:, :-1], out[:, -1]
@@ -185,11 +178,11 @@ def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.n
 def _eigenphase_levels(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
     """N(k) of a stack of systems of one size, `S` and `lengths`, from their
     eigenphases: `level(which, k, turned)` gives the levels at points from
-    their eigenphases in [0, 2pi) ascending (`_turned`), counted from each
+    their phases of `_eigenphases`, in [0, 2pi) ascending, counted from each
     system's first point of the grid `which, ks`, where each system's points
-    are consecutive and ascending.  Returns `level`, the grid's ascending
-    turned phases, their residuals (`_eigenphases`) and each system's
-    unitarity defect |S S^H - I|.
+    are consecutive and ascending.  Returns `level`, the grid's phases and
+    residuals (`_eigenphases`) and each system's unitarity defect
+    |S S^H - I|.
 
     N(k) counts the roots in (first grid point, k]: N(k) = (P(k0) - k0 * L +
     k * L - P(k)) / 2pi, where k0 is the system's first grid point, L its
@@ -204,8 +197,7 @@ def _eigenphase_levels(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks
     if defects.max(initial=0.0) > 1e-10:
         raise NonUnitaryScattering(f"|S S^H - I| = {defects.max():.3e}: eigenphase counting needs a unitary S")
     l_total = lengths.sum(-1)
-    phases, residuals = _eigenphases(S, lengths, which, ks)
-    turned = np.sort(_turned(phases), axis=-1)
+    turned, residuals = _eigenphases(S, lengths, which, ks)
     first = np.flatnonzero(np.append(True, which[1:] != which[:-1]))
     base = np.zeros(len(S))
     base[which[first]] = turned[first].sum(-1) - ks[first] * l_total[which[first]]
@@ -256,8 +248,7 @@ def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks:
         return level(which, k, turned), side(TWO_PI - turned[:, ::-1], -1.0), side(turned, 1.0)
 
     def step(which: np.ndarray, k: np.ndarray) -> tuple:
-        phases, residuals = _eigenphases(S, lengths, which, k)
-        return evaluate(which, k, np.sort(_turned(phases), axis=-1), residuals)
+        return evaluate(which, k, *_eigenphases(S, lengths, which, k))
 
     return (step, *evaluate(which, ks, turned, residuals))
 

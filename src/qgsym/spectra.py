@@ -431,8 +431,8 @@ def merge_spectra(roots: Roots, runs: np.ndarray, labels: Sequence[str], tol: fl
     mean lies at or, by rounding, a few ulps above the row's last k, so
     only entries within `tol` of the entry before them, and the entry after
     a row of more than one, are merged in Python.  Each member's labels are
-    joined once, and a row's in Python only where it holds more than one
-    member.
+    joined once; a row of more than one member's entries, rare, takes the
+    copies of its members sorted by rank in a Python loop over such rows.
     """
     runs, labels = np.asarray(runs, dtype=np.intp), np.array(labels, dtype=object)
     copied = np.bincount(runs, minlength=roots.members)  # the copies of each member
@@ -474,34 +474,17 @@ def merge_spectra(roots: Roots, runs: np.ndarray, labels: Sequence[str], tol: fl
     stops = np.append(starts[1:], len(k))
     k, order = k[starts], np.add.reduceat(order, starts)
     k[np.searchsorted(starts, list(means))] = list(means.values())
-    # a row takes the labels of the copies of its members, joined in rank order: one join per member
-    # copied, and one per row of entries of more than one member
+    # a row takes the labels of the copies of its members, joined in rank order: each member's are joined
+    # once, and a row of entries of more than one member joins the copies of all its members
     low = np.minimum.reduceat(part, starts)
-    shared = np.flatnonzero(low != np.maximum.reduceat(part, starts))
-    entries = _spans(starts[shared], stops[shared] - starts[shared])
-    pairs = np.unique(np.repeat(shared, stops[shared] - starts[shared]) * roots.members + part[entries])
-    joined, ranked = np.full(roots.members, "", dtype=object), labels[grouped].tolist()
-    joined[held] = [",".join(ranked[lo : lo + n]) for lo, n in zip(lows[held].tolist(), copied[held].tolist())]
-    source = joined[low]
-    source[shared] = _joined_copies(*np.divmod(pairs, roots.members), grouped, lows, copied, labels)
+    ranks, firsts, counts = grouped.tolist(), lows.tolist(), copied.tolist()
+    ranked = labels[grouped].tolist()
+    source = np.array([",".join(ranked[lo : lo + n]) for lo, n in zip(firsts, counts)], dtype=object)[low]
+    for row in np.flatnonzero(low != np.maximum.reduceat(part, starts)).tolist():
+        members = set(part[starts[row] : stops[row]].tolist())
+        copies = sorted(c for m in members for c in ranks[firsts[m] : firsts[m] + counts[m]])
+        source[row] = ",".join(labels[copies])
     return Spectrum(k, order, source.tolist(), roots.k_max, {"tol": tol})
-
-
-def _spans(lows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The integers from each of `lows` on, `sizes` of each, one span after another."""
-    ends = np.cumsum(sizes)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(lows - ends + sizes, sizes)
-
-
-def _joined_copies(group, member, grouped, lows, copied, labels) -> list[str]:
-    """For pairs of a group and a member, by group, each group's sources:
-    the labels of the copies of its members (`grouped[lows[m]:][:copied[m]]`
-    for member m) in rank order, joined by commas."""
-    sizes = copied[member]
-    rank, at = grouped[_spans(lows[member], sizes)], np.repeat(group, sizes)
-    by = np.lexsort((rank, at))
-    text, bounds = labels[rank[by]].tolist(), np.searchsorted(at[by], np.unique(group), side="right").tolist()
-    return [",".join(text[lo:hi]) for lo, hi in zip([0, *bounds], bounds)]
 
 
 @dataclass(frozen=True)

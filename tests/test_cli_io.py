@@ -607,23 +607,26 @@ def test_cli_import_leaves_scipy_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_cli_reports_domain_errors(tmp_path):
-    runner = CliRunner()
-    res = runner.invoke(main, [
-        "build", "circulant", "--n", "12", "--jumps", "3,3", "--lens", "1,1",
-    ])
-    assert res.exit_code == 2
-    try:
-        err_text = res.stderr
-    except ValueError:
-        err_text = ""
-    assert "error" in (res.output + err_text).lower()
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["circulant", "--n", "12", "--jumps", "3,3", "--lens", "1,1"], "DuplicateJump"),
+        (["cycle", "--n", "4", "--len", "0"], "NonPositiveLength"),
+        (["circulant", "--n", "12", "--jumps", "3,4", "--lens", "1"], "JumpOutOfRange"),
+        (["circulant", "--n", "12", "--jumps", "3,4", "--lens", "1,-1"], "NonPositiveLength"),
+    ],
+    ids=["circulant-repeated-jump", "cycle-zero-length", "circulant-lengths-one-short", "circulant-negative-length"],
+)
+def test_cli_reports_domain_errors(tmp_path, args, kind):
+    out = str(tmp_path / "g.json")
+    _assert_usage_error(CliRunner().invoke(main, ["build", *args, "-o", out]), kind)
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("vertex_perm", [0, 0, 0, 0]), ("edge_perm", [1, 0])],
-    ids=["vertex-map-not-a-permutation", "edge-map-too-short"],
+    [("vertex_perm", [0, 0, 0, 0]), ("edge_perm", [1, 0]), ("edge_flip", [False] * 3)],
+    ids=["vertex-map-not-a-permutation", "edge-map-too-short", "edge-flips-one-short"],
 )
 def test_cli_rejects_invalid_stored_action(tmp_path, field, value):
     g, a = cycle_graph(4, 1.0)
@@ -653,7 +656,7 @@ def test_cli_rejects_an_action_order_below_one(tmp_path, command, order):
 @pytest.mark.parametrize("damage", [
     "not-json", "no-vertices", "no-edges", "not-an-object", "float-edge-id", "fractional-endpoint",
     "duplicate-edge-id", "fractional-vertex-perm", "string-edge-perm", "fractional-order", "non-boolean-flip",
-    "float-condition-vertex", "float-condition-edges",
+    "float-condition-vertex", "float-condition-edges", "vertex-ids-not-dense",
 ])
 def test_cli_rejects_malformed_documents(tmp_path, damage):
     # ids, endpoints, the action's orders and permutations, and the vertex
@@ -669,7 +672,7 @@ def test_cli_rejects_malformed_documents(tmp_path, damage):
         g, a = cycle_graph(3, 1.0)
         doc = graph_to_doc(g, action=a)
         gm = doc["action"]["generators"][0]
-    kind = DanglingEndpoint if damage == "duplicate-edge-id" else UnsupportedFormat
+    kind = DanglingEndpoint if damage in ("duplicate-edge-id", "vertex-ids-not-dense") else UnsupportedFormat
     gpath = str(tmp_path / "g.json")
     with open(gpath, "w") as fh:
         if damage == "not-json":
@@ -683,6 +686,8 @@ def test_cli_rejects_malformed_documents(tmp_path, damage):
                 doc["edges"][1]["u"] = 1.5
             elif damage == "duplicate-edge-id":
                 doc["edges"][1]["id"] = 0
+            elif damage == "vertex-ids-not-dense":
+                doc["vertices"][2]["id"] = 3
             elif damage == "fractional-vertex-perm":
                 gm["vertex_perm"] = [1.5, 2, 0]
             elif damage == "string-edge-perm":
@@ -790,21 +795,25 @@ def _torus(n1, n2):
         (["project", *_torus(200, 200), "--s", "0", "--t", "0", "--samples", "100"], "GridTooLarge"),
         (["project", *_torus(200, 200), "--s", "0", "--t", "0", "--samples", "0"], "NonPositiveParameter"),
         (["project", *_torus(200, 200), "--s", "999", "--t", "0"], "LabelOutOfRange"),
+        (["build", "cycle", "--n", "100000000000", "--len", "1.0"], "GridTooLarge"),
+        (["build", "circulant", "--n", "100000000000", "--jumps", "1", "--lens", "1.0"], "GridTooLarge"),
+        (["build", "circulant", "--n", str(MAX_GRID_POINTS // 2 + 1), "--jumps", "1,2", "--lens", "1,1"], "GridTooLarge"),
     ],
     ids=["factors-1e5", "factors-labels", "product-1e5", "product-edges", "project-1e5", "project-samples",
-         "project-samples-zero", "project-label"],
+         "project-samples-zero", "project-label", "cycle-1e11", "circulant-1e11", "circulant-edges"],
 )
 def test_cli_refuses_an_oversized_torus_before_building_it(tmp_path, monkeypatch, args, kind):
     # at n1 = n2 = 10^5 the torus has 10^10 labels and 2 10^10 edges, and
     # one label or edge over MAX_GRID_POINTS is refused too: each command
     # exits 2 before it builds a family, a graph or a torus action, and
-    # writes no file; `project` checks its samples and its label first
+    # writes no file; `project` checks its samples and its label first.  A
+    # cycle or circulant of 10^11 vertices was a MemoryError traceback
     def refused(*args, **kwargs):
-        raise AssertionError("an oversized torus is refused before it is built")
+        raise AssertionError("an oversized graph is refused before it is built")
 
     monkeypatch.setattr(cli.quotient, "QuotientFamily", refused)
-    monkeypatch.setattr(cli.builders, "cycle_product", refused)
-    monkeypatch.setattr(cli.builders, "torus_action", refused)
+    for builder in ("cycle_product", "torus_action", "cycle_graph", "circulant_graph"):
+        monkeypatch.setattr(cli.builders, builder, refused)
     out = str(tmp_path / "out")
     res = CliRunner().invoke(main, [*args, "-o", out])
     _assert_usage_error(res, kind)
@@ -927,9 +936,10 @@ def test_spectrum_csv_keeps_a_root_within_its_tol_above_k_max(tmp_path):
     assert load_spectrum(path) == s
 
 
-def test_spectrum_csv_without_k_max_takes_its_largest_k():
-    # the last row's k used to stand in, below the first row here
-    s = read_spectrum_csv(_io.StringIO("k,lambda,order,source_label\n2.0,4.0,1,a\n1.0,1.0,1,b\n"))
+@pytest.mark.parametrize("gap", ["", "\n\n"], ids=["rows", "blank-lines-between-rows"])
+def test_spectrum_csv_without_k_max_takes_its_largest_k(gap):
+    # the last row's k used to stand in, below the first row here; blank lines are skipped
+    s = read_spectrum_csv(_io.StringIO(f"k,lambda,order,source_label\n2.0,4.0,1,a\n{gap}1.0,1.0,1,b\n"))
     assert s.k_max == 2.0 and s.k.tolist() == [2.0, 1.0]
 
 
