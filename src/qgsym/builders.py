@@ -149,29 +149,26 @@ def product_action(
 def cycle_product(
     n1: int, n2: int, len1: float, len2: float
 ) -> tuple[MetricGraph, GraphAction]:
-    """Cartesian product C_n1 x C_n2 with its G_n1 x G_n2 rotation action.
+    """Cartesian product C_n1 x C_n2 with its G_n1 x G_n2 rotation action, unchecked.
 
     First-factor edges have full length len1, second-factor edges len2.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degenerate tori are intentional here
-        c1, a1 = cycle_graph(n1, len1)
-        c2, a2 = cycle_graph(n2, len2)
+    (c1, a1), (c2, a2) = _cycle(n1, len1), _cycle(n2, len2)
     return cartesian_product(c1, c2), product_action(c1, a1, c2, a2)
 
 
 def torus_action(
-    n1: int, n2: int, l1_half: float, l3_half: float
+    n1: int, n2: int, half1: float, half2: float
 ) -> tuple[MetricGraph, GraphAction]:
     """Midpoint-subdivided product of two cycles with its torus action.
 
-    Full edge lengths are 2*l1_half along the first-factor direction and
-    2*l3_half along the second, so each subdivided half-edge has the
-    quotient-graph lengths l1_half and l3_half.  The action is checked once,
-    as it is returned: the cycles and their product are built unchecked.
+    Full edge lengths are 2*half1 along the first-factor direction and
+    2*half2 along the second, so each subdivided half-edge has the
+    quotient-graph length half1 or half2: callers pass the paper's L3
+    first, then L1.  The action is checked once, as it is returned: the
+    cycles and their product are built unchecked (`cycle_product`).
     """
-    (c1, a1), (c2, a2) = _cycle(n1, 2.0 * l1_half), _cycle(n2, 2.0 * l3_half)
-    g_sub, act_sub = lift_action_subdivided(cartesian_product(c1, c2), product_action(c1, a1, c2, a2))
+    g_sub, act_sub = lift_action_subdivided(*cycle_product(n1, n2, 2.0 * half1, 2.0 * half2))
     check_structural(g_sub, act_sub, f"torus_action({n1}, {n2})")
     return g_sub, act_sub
 
@@ -190,9 +187,7 @@ def product_circulant_isomorphism(
         raise NotCoprime(f"gcd({n1}, {n2}) != 1")
     if n1 < 3 or n2 < 3:
         raise JumpOutOfRange("both factors need n >= 3 for well-defined jump classes")
-    c1, _ = cycle_graph(n1, len1)
-    c2, _ = cycle_graph(n2, len2)
-    prod = cartesian_product(c1, c2)
+    prod, _ = cycle_product(n1, n2, len1, len2)
     circ, _ = circulant_graph(n1 * n2, [n1, n2], [len2, len1])
 
     mapping = [crt_index(n1, n2, i // n2, i % n2) for i in range(n1 * n2)]

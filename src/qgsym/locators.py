@@ -13,9 +13,10 @@ call: the real one with `_newton_brackets`, the unitary one with
   stacks of systems of one size, contracted once (`contracted_stacks`) or
   given as they are.  N(k) of every system (`UnitaryFamily.counts`) is an
   exact root count certifying a locator's output.  This is the robust path
-  for high-order roots of large systems.  The eigenphases come from a
-  Hermitian eigensolver, each matrix's error bounded by its residual
-  (`_unitary_phases`).
+  for high-order roots of large systems.  One evaluator, `_eigenphase_steps`,
+  gives the counts and the steps that `UnitaryFamily.roots` refines, from
+  eigenphases of a Hermitian eigensolver, each matrix's error bounded by its
+  residual (`_unitary_phases`).
 
 Both hand back a family's roots as one `spectra.Roots`, whose `meta`
 reports, as arrays of one value per member, the points evaluated for each
@@ -154,15 +155,46 @@ def _unitary_phases(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, residuals
 
 
-def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
-    """Eigenphases of U(k) = S D(k) less PHASE_EPS, taken in [0, 2pi) and
-    ascending, one row per point: system `which[i]` of the stacks `S` and
-    `lengths` at `ks[i]`, and each point's residual (`_unitary_phases`).
+def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
+    """The step evaluator of N(k) for a stack of systems of one size, `S` and
+    `lengths`, on the grid `which, ks` (each system's points consecutive and
+    ascending): `step` gives the levels and what each point sees ahead and
+    behind (`_refine_steps`) at new points; then the grid's levels, and
+    `sides`, which computes the grid's ahead and behind when called.  Needs
+    unitary S (`NonUnitaryScattering` otherwise).
 
-    An eigenvalue is near 0 once it has crossed 1, so one at exactly 1 is
-    just below 2pi, about to cross.  The matrices go to one stacked
-    `np.linalg.eigh` call per MAX_BATCH_BYTES of input.
+    A point's phases are those of U(k) = S D(k) less PHASE_EPS, in [0, 2pi)
+    and ascending, its residual (`_unitary_phases`) a last column: an
+    eigenvalue at exactly 1 is just below 2pi, about to cross.  The matrices
+    go to one stacked `eigh` call per MAX_BATCH_BYTES.  N(k) counts the
+    roots in (first grid point, k]: N(k) = (P(k0) - k0 * L + k * L - P(k)) /
+    2pi, k0 the system's first grid point, L its total bond length and P(k)
+    the sum of the phases, each advancing by k * L in all and dropping by 2pi
+    as it crosses 0.
+
+    Each phase's distance to the crossing point 0 ahead is 2pi less its
+    distance behind, which is its value in [0, 2pi).  A jump of m happens
+    when the m phases nearest the crossing point pass it, so the sums ahead
+    are minus the prefix sums of the distances ahead, ascending, and the
+    sums behind the prefix sums of the distances behind: each crosses zero
+    at the jump it bounds.
+
+    Every eigenphase moves up with speed v^H L v, between the shortest bond
+    length l_min and the longest l_max (Berkolaiko and Kuchment 2013).  So
+    with theta_j the distances ahead, ascending, the level holds to
+    k + theta_1 / l_max and the next m jumps have all happened by
+    k + theta_m / l_min, and behind k the same holds with the distances
+    behind.  Each distance first loses (for a hold) or gains (for a bound) a
+    margin: the point's residual r, which bounds the error of its phases,
+    plus 16 R eps, R the size, for the rounding of r and of the phases, plus
+    8 times the system's unitarity defect |S S^H - I|.
     """
+    size = S.shape[-1]
+    defects = np.abs(S @ S.conj().swapaxes(-1, -2) - np.eye(size)).max(axis=(-2, -1), initial=0.0)
+    if defects.max(initial=0.0) > 1e-10:
+        raise NonUnitaryScattering(f"|S S^H - I| = {defects.max():.3e}: eigenphase counting needs a unitary S")
+    margin = 16 * size * np.finfo(float).eps + 8 * defects
+    l_total, l_min, l_max = lengths.sum(-1), lengths.min(-1, initial=np.inf), lengths.max(-1, initial=0.0)
 
     def phases(which: np.ndarray, k: np.ndarray) -> np.ndarray:
         d = np.exp(1j * k[:, None] * lengths[which])
@@ -171,99 +203,29 @@ def _eigenphases(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.n
         turned = np.sort(np.where(phases < 0.0, phases + TWO_PI, phases), axis=-1)
         return np.concatenate([turned, residuals[:, None]], axis=-1)
 
-    out = _chunked(phases, which, ks, S[0].nbytes)
-    return out[:, :-1], out[:, -1]
-
-
-def _eigenphase_levels(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
-    """N(k) of a stack of systems of one size, `S` and `lengths`, from their
-    eigenphases: `level(which, k, turned)` gives the levels at points from
-    their phases of `_eigenphases`, in [0, 2pi) ascending, counted from each
-    system's first point of the grid `which, ks`, where each system's points
-    are consecutive and ascending.  Returns `level`, the grid's phases and
-    residuals (`_eigenphases`) and each system's unitarity defect
-    |S S^H - I|.
-
-    N(k) counts the roots in (first grid point, k]: N(k) = (P(k0) - k0 * L +
-    k * L - P(k)) / 2pi, where k0 is the system's first grid point, L its
-    total bond length and P(k) the sum of the eigenphases of U(k) taken in
-    [0, 2pi): each phase advances by k * L in all and drops by 2pi when it
-    crosses 0.  The grid's matrices go to one stacked `np.linalg.eigh`
-    call per MAX_BATCH_BYTES.  Needs unitary S (`NonUnitaryScattering`
-    otherwise).
-    """
-    size = S.shape[-1]
-    defects = np.abs(S @ S.conj().swapaxes(-1, -2) - np.eye(size)).max(axis=(-2, -1), initial=0.0)
-    if defects.max(initial=0.0) > 1e-10:
-        raise NonUnitaryScattering(f"|S S^H - I| = {defects.max():.3e}: eigenphase counting needs a unitary S")
-    l_total = lengths.sum(-1)
-    turned, residuals = _eigenphases(S, lengths, which, ks)
+    grid = _chunked(phases, which, ks, S[0].nbytes)
     first = np.flatnonzero(np.append(True, which[1:] != which[:-1]))
     base = np.zeros(len(S))
-    base[which[first]] = turned[first].sum(-1) - ks[first] * l_total[which[first]]
+    base[which[first]] = grid[first, :-1].sum(-1) - ks[first] * l_total[which[first]]
 
-    def level(which: np.ndarray, k: np.ndarray, turned: np.ndarray) -> np.ndarray:
-        return np.rint((base[which] + k * l_total[which] - turned.sum(-1)) / TWO_PI)
+    def level(which: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.rint((base[which] + k * l_total[which] - out[:, :-1].sum(-1)) / TWO_PI)
 
-    return level, turned, residuals, defects
-
-
-def _eigenphase_steps(S: np.ndarray, lengths: np.ndarray, which: np.ndarray, ks: np.ndarray) -> tuple:
-    """The step evaluator of N(k) for a stack of systems of one size, `S` and
-    `lengths`, with its levels and what each point sees ahead and behind
-    (`_refine_steps`) on the grid `which, ks`, computed as a step computes
-    them; each system's points are consecutive and ascending.  The levels
-    are those of `_eigenphase_levels`.
-
-    Each eigenphase's distance to the crossing point 0 ahead is 2pi less
-    its distance behind, which is its value in [0, 2pi).  A jump of m
-    happens when the m phases nearest the crossing point pass it, so the
-    sums ahead are minus the prefix sums of the distances ahead, ascending,
-    and the sums behind the prefix sums of the distances behind: each
-    crosses zero at the jump it bounds.
-
-    Every eigenphase moves up with speed v^H L v, between the shortest bond
-    length l_min and the longest l_max (Berkolaiko and Kuchment 2013).  So
-    with theta_j the distances ahead, ascending, the level holds to
-    k + theta_1 / l_max and the next m jumps have all happened by
-    k + theta_m / l_min, and behind k the same holds with the distances
-    behind.  Each distance first loses (for a hold) or gains (for a bound) a
-    margin: the point's residual r, which bounds the error of its phases
-    (`_unitary_phases`), plus 16 R eps, R the size, for the rounding of r
-    and of the phases, plus 8 times the system's unitarity defect.  A call
-    of the step makes one stacked `np.linalg.eigh` call per MAX_BATCH_BYTES
-    of matrices.  Needs unitary S (`NonUnitaryScattering` otherwise).
-    """
-    level, turned, residuals, defects = _eigenphase_levels(S, lengths, which, ks)
-    margin = 16 * S.shape[-1] * np.finfo(float).eps + 8 * defects
-    l_min, l_max = lengths.min(-1, initial=np.inf), lengths.max(-1, initial=0.0)
-
-    def evaluate(which: np.ndarray, k: np.ndarray, turned: np.ndarray, residuals: np.ndarray) -> tuple:
-        slack, slow, fast = (margin[which] + residuals)[:, None], l_min[which, None], l_max[which, None]
+    def sides(which: np.ndarray, out: np.ndarray) -> tuple:
+        turned, slack = out[:, :-1], (margin[which] + out[:, -1])[:, None]
+        slow, fast = l_min[which, None], l_max[which, None]
 
         def side(distances: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
             hold = np.maximum(distances[:, :1] - slack, 0.0) / fast
             return sign * np.cumsum(distances, axis=-1), np.concatenate([hold, (distances + slack) / slow], axis=-1)
 
-        return level(which, k, turned), side(TWO_PI - turned[:, ::-1], -1.0), side(turned, 1.0)
+        return side(TWO_PI - turned[:, ::-1], -1.0), side(turned, 1.0)
 
     def step(which: np.ndarray, k: np.ndarray) -> tuple:
-        return evaluate(which, k, *_eigenphases(S, lengths, which, k))
+        out = _chunked(phases, which, k, S[0].nbytes)
+        return (level(which, k, out), *sides(which, out))
 
-    return (step, *evaluate(which, ks, turned, residuals))
-
-
-def _unitary_stack(S: np.ndarray, lengths: np.ndarray, k_max: float, tol: float) -> tuple:
-    """`UnitaryFamily.roots` of a stack of systems of one size, as they are:
-    the jumps (which, k, size) of `_refine_steps`, and each system's cell,
-    points evaluated and rounds."""
-    cells = np.array([0.9 * math.pi / float(l.max()) if len(l) else k_max for l in lengths])
-    grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in cells.tolist()]
-    sizes = [len(g) for g in grids]
-    which, ks = np.repeat(np.arange(len(grids)), sizes), np.concatenate(grids)
-    step, *values = _eigenphase_steps(S, lengths, which, ks)
-    jumps, calls, rounds = _refine_steps(step, _grid_cells(which, ks, *values), tol, len(S))
-    return jumps, cells, np.array(sizes) + calls, rounds
+    return step, level(which, ks, grid), lambda: sides(which, grid)
 
 
 class UnitaryFamily:
@@ -280,39 +242,35 @@ class UnitaryFamily:
 
     def counts(self, k: float) -> list[int]:
         """N(k) of every system: the number of roots of det(I - S D(k)) in
-        (K_MIN, k], with order.  These are the levels of `_eigenphase_levels`
-        on the grid K_MIN, k of every contracted system, so the matrices go
-        to `eigh` per MAX_BATCH_BYTES.  Needs unitary S
-        (`NonUnitaryScattering` otherwise)."""
-        out = [0] * self.members
+        (K_MIN, k], with order: the levels of `_eigenphase_steps` on the grid
+        K_MIN, k of every contracted system, without the sums and reaches
+        that only `roots` asks for.  Needs unitary S (`NonUnitaryScattering`
+        otherwise)."""
+        out = np.zeros(self.members, dtype=np.int64)
         for members, S, lengths in self.stacks:
             grid, which = np.tile([K_MIN, k], len(S)), np.repeat(np.arange(len(S)), 2)
-            level, turned, _, _ = _eigenphase_levels(S, lengths, which, grid)
-            for m, n in zip(members.tolist(), level(which[1::2], grid[1::2], turned[1::2]).tolist()):
-                out[m] = int(n)
-        return out
+            out[members] = _eigenphase_steps(S, lengths, which, grid)[1][1::2]
+        return out.tolist()
 
     def roots(self, k_max: float, *, tol: float = 1e-10, members: Optional[Sequence[int]] = None) -> Roots:
         """Roots of det(I - S D(k)) on (K_MIN, k_max] of the systems
         `members` (all by default), as one `Roots` whose member i is system
         `members[i]`.
 
-        Each stack of contracted systems of one size is solved together;
-        `meta["bonds"]` is a system's contracted size.  N(k) of
-        `_eigenphase_steps` is exact and monotone at every k, and each jump
-        is a root of order the jump's size, so a cell with equal end counts
-        holds no root however wide it is.  A system's cell,
-        `meta["grid_step"]`, is 0.9 pi / (the longest bond length of the
-        contracted system), or k_max with no bonds: no phase turns by half a
-        circle in one cell, so the regula-falsi value of `_refine_steps`,
+        Each stack of contracted systems of one size is solved together, on
+        one grid of all its systems: `_refine_steps` closes the jumps of
+        `_eigenphase_steps` from the grid's levels and sides.  N(k) is exact
+        and monotone at every k, and each jump is a root of order the jump's
+        size, so a cell with equal end counts holds no root however wide it
+        is.  A system's cell, `meta["grid_step"]`, is 0.9 pi / (the longest
+        bond length of the contracted system), or k_max with no bonds: no
+        phase turns by half a circle in one cell, so the regula-falsi value,
         the sum of the phases crossing at a jump, stays continuous.  Every
         evaluation's count keeps the bracket exact, and its reaches move the
         bracket's ends without an evaluation, so each root is certified by
-        its end counts.  The grids of all systems of a stack go to stacked
-        `eigh` calls, and so does each refinement round;
-        `meta["rounds"]` counts the rounds that evaluated the system, and
-        `meta["evaluations"]` the points.  `meta` has `tol` and `k_min`, and
-        the rest as arrays of one value per member.
+        its end counts.  `meta` has `tol` and `k_min`, and as arrays of one
+        value per member: `bonds`, the contracted size, `evaluations`, the
+        points evaluated, and `rounds`, the refinement rounds that did so.
         """
         require_positive(k_max=k_max, tol=tol)
         members = np.arange(self.members) if members is None else np.asarray(members, dtype=np.intp)
@@ -322,8 +280,13 @@ class UnitaryFamily:
             at = np.flatnonzero(np.isin(members, stack))  # the places in `members` of this stack's systems
             if len(at):
                 pick = np.searchsorted(stack, members[at])
-                (on, k, size), grid_step[at], evaluations[at], rounds[at] = _unitary_stack(S[pick], lengths[pick], k_max, tol)
-                bonds[at] = S.shape[-1]
+                S, lengths = S[pick], lengths[pick]
+                grid_step[at] = [0.9 * math.pi / float(l.max()) if len(l) else k_max for l in lengths]
+                grids = [np.append(_k_grid(K_MIN, k_max, cell), k_max) for cell in grid_step[at].tolist()]
+                which, ks = np.repeat(np.arange(len(S)), [len(g) for g in grids]), np.concatenate(grids)
+                step, levels, sides = _eigenphase_steps(S, lengths, which, ks)
+                (on, k, size), calls, rounds[at] = _refine_steps(step, _grid_cells(which, ks, levels, *sides()), tol, len(S))
+                evaluations[at], bonds[at] = np.bincount(which, minlength=len(S)) + calls, S.shape[-1]
                 parts.append((at[on], k, size))
         member, k, order = (np.concatenate(v) for v in zip(*parts))
         by = np.argsort(member, kind="stable")

@@ -17,7 +17,7 @@ from qgsym import (
 from qgsym import builders
 from qgsym.actions import GeneratorMaps, GraphAction, lift_action_subdivided
 from qgsym.builders import product_vertex_id
-from qgsym.errors import DuplicateJump, InvalidAction, IsomorphismCheckFailed, JumpOutOfRange
+from qgsym.errors import DuplicateJump, InvalidAction, JumpOutOfRange, NotCoprime
 
 
 def _to_nx(g):
@@ -97,6 +97,9 @@ def test_product_action_is_valid_and_commutes():
     rep = validate_action(g3, GraphAction((3, 2), (a3.generators[0], reflection)))
     assert ("group_law", "generators 0 and 1 do not commute") in rep.violations
     assert not any(axiom in ("adjacency", "length") for axiom, _ in rep.violations)
+    # a factor action of two generators is refused
+    with pytest.raises(InvalidAction):
+        product_action(*cycle_product(2, 3, 1.0, 1.0), *cycle_graph(3, 1.0))
 
 
 def test_torus_action_shapes():
@@ -159,6 +162,8 @@ def test_crt_map_matches_index_formula():
 
 
 def test_isomorphism_check_rejects_non_coprime():
-    with pytest.raises(Exception) as exc:
+    with pytest.raises(NotCoprime):
         product_circulant_isomorphism(2, 4)
-    assert exc.type.__name__ in ("NotCoprime", "IsomorphismCheckFailed")
+    # coprime, but a factor of order 2 has no well-defined jump class
+    with pytest.raises(JumpOutOfRange):
+        product_circulant_isomorphism(2, 3)

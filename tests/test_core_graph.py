@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qgsym import (
-    QuotientSpec, cartesian_product, circulant_graph, cycle_graph, make_graph, quotient_graph, subdivide_midpoints,
+    MetricGraph, QuotientSpec, cartesian_product, circulant_graph, cycle_graph, make_graph, quotient_graph,
+    subdivide_midpoints,
 )
 from qgsym.builders import product_vertex_id
 from qgsym.errors import DanglingEndpoint, NonPositiveLength
@@ -34,6 +35,8 @@ def test_length_and_endpoint_validation():
         make_graph(2, [(0, 1, -2.0)])
     with pytest.raises(DanglingEndpoint):
         make_graph(2, [(0, 3, 1.0)])
+    with pytest.raises(ValueError):  # two edges, one length
+        MetricGraph(("original",) * 2, [[0, 1], [1, 0]], [1.0])
 
 
 def test_subdivide_midpoints_structure():

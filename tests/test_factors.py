@@ -441,10 +441,10 @@ def test_certificate_equals_one_system_at_a_time_around_every_sine_zero(n1, n2, 
 
 @pytest.mark.parametrize("systems", ["16x16-bouquets", "3x4-blocks"])
 def test_certificate_counts_are_the_levels_of_the_step_evaluator(systems):
-    # `counts` computes the levels alone; on the grid K_MIN, k of every
-    # system of each stack they equal the levels that `_eigenphase_steps`
-    # computes with its sums and reaches: the closed-form systems of the 81
-    # distinct 16x16 factors, and the contracted blocks of the 3x4 document
+    # `counts` places the levels of `_eigenphase_steps` on the grid K_MIN, k
+    # of each stack among the stack's members, in the members' order: the
+    # closed-form systems of the 81 distinct 16x16 factors, and the
+    # contracted blocks of the 3x4 document
     if systems == "16x16-bouquets":
         labels = _labels(16, 16)
         distinct = np.unique(QuotientFamily(16, 16, L1, L3_BAND, labels).classes())

@@ -32,7 +32,7 @@ from qgsym import (
 )
 from qgsym.cli import _systems_from_doc, main
 from qgsym.quotient import QuotientSpec, torus_secular_system
-from qgsym.locators import GAMMA, K_MIN, PHASE_EPS, UnitaryFamily, _eigenphase_steps, _eigenphases, _unitary_phases
+from qgsym.locators import GAMMA, K_MIN, PHASE_EPS, UnitaryFamily, _eigenphase_steps, _unitary_phases
 from qgsym.spectra import ITP_N0, MAX_BATCH_BYTES, _grid_cells, _jumps, _newton_brackets, _refine_steps
 
 TOL = 1e-10
@@ -62,8 +62,8 @@ def _count_steps(sys_, ks):
     size, its levels and what each point sees ahead and behind on `ks`, and
     its level at one point, for `_bisect`."""
     which = np.zeros(len(ks), dtype=int)
-    step, levels, ahead, behind = _eigenphase_steps(sys_.S[None], sys_.lengths[None], which, ks)
-    return step, which, levels, (ahead, behind), lambda k: int(step(np.zeros(1, dtype=int), np.array([k]))[0][0])
+    step, levels, sides = _eigenphase_steps(sys_.S[None], sys_.lengths[None], which, ks)
+    return step, which, levels, sides(), lambda k: int(step(np.zeros(1, dtype=int), np.array([k]))[0][0])
 
 
 def _eval_bound(step):
@@ -658,13 +658,14 @@ def test_stacked_grid_of_the_dense_torus_stays_under_the_cap():
     sys_ = torus_secular_system(3, 4, 0.5, 1.0)
     ks = np.append(np.arange(K_MIN, 15.0, 0.05), 15.0)
     assert len(ks) * sys_.S.size * 16 > 10 * MAX_BATCH_BYTES
+    which = np.zeros(len(ks), dtype=int)
     tracemalloc.start()
     try:
-        phases, _ = _eigenphases(sys_.S[None], sys_.lengths[None], np.zeros(len(ks), dtype=int), ks)
+        (sums_ahead, _), _ = _eigenphase_steps(sys_.S[None], sys_.lengths[None], which, ks)[2]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert phases.shape == (len(ks), 96)
+    assert sums_ahead.shape == (len(ks), 96)
     assert peak < 8e6
 
 

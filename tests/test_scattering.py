@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -119,6 +120,9 @@ def test_condition_validation_errors():
     with pytest.raises(UnsupportedCondition):
         # vertex 3 is not in the graph
         build_secular_system(g, [Standard(0), Standard(1), Standard(2), Standard(3)])
+    with pytest.raises(UnsupportedCondition):
+        # neither Standard nor QuasiPeriodic
+        build_secular_system(g, [Standard(0), types.SimpleNamespace(vertex=1), Standard(2)])
 
 
 def test_flipped_edges_leave_determinant_invariant():
